@@ -6,7 +6,7 @@ probabilities, seeded Monte Carlo oracles, and the two-point lower bounds
 showing those laws cannot be estimated uniformly.
 """
 
-from .estimators import DEFAULT_SCAD_A, EstimatorKind, TuningPlan, estimate, penalized_objective, zero_event_threshold
+from .estimators import DEFAULT_SCAD_A, EstimatorKind, TuningPlan, estimate, penalized_objective
 from .finite_dist import (
     Atom,
     GaussPiece,
@@ -14,14 +14,12 @@ from .finite_dist import (
     ModelPoint,
     atom_weight,
     finite_sample_dist,
-    mixture_cdf,
-    mixture_density_ac,
     rescaled_dist,
     scaled_risk,
 )
 from .limits import LimitLaw, canonical_scenarios, conservative_limit, consistent_limit, rescaled_limit, weak_convergence_check
 from .montecarlo import EmpiricalCdf, SimConfig, ks_distance, simulate_estimates, uniform_rate_experiment
-from .normal_kernel import ExtReal, NEG_INF, POS_INF, gaussian_tv, norm_cdf, norm_pdf, norm_quantile
+from .normal_kernel import gaussian_tv, norm_cdf, norm_pdf
 from .report import ExperimentReport
 from .selection import (
     PowerTuningPath,
@@ -31,7 +29,6 @@ from .selection import (
     derive_regime,
     limit_selection_probability,
     selection_convergence_table,
-    selection_probability,
 )
 
 __version__ = "0.1.0"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -106,7 +107,7 @@ def _density_table(dist: MixtureDistribution, lo: float, hi: float, count: int) 
     cuts += [np.nextafter(b, np.inf) for b in cuts]
     xs = np.unique(np.concatenate([grid, np.asarray(cuts, dtype=float)]))
     report = ExperimentReport(columns=("x", "density", "is_atom"))
-    atom_rows = {a.loc.finite: a.weight for a in dist.atoms if a.loc.is_finite}
+    atom_rows = {a.loc: a.weight for a in dist.atoms if math.isfinite(a.loc)}
     for x in xs:
         x = float(x)
         if x in atom_rows:

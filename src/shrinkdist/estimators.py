@@ -18,12 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .normal_kernel import _scalar_or_array
+
 __all__ = [
     "EstimatorKind",
     "TuningPlan",
     "estimate",
     "penalized_objective",
-    "zero_event_threshold",
 ]
 
 DEFAULT_SCAD_A = 3.7
@@ -77,9 +78,7 @@ def estimate(kind: EstimatorKind, ybar, tuning: TuningPlan):
         out = np.where(np.abs(y) <= 2.0 * eta, soft, np.where(np.abs(y) <= a * eta, blend, y))
     else:
         raise ValueError(f"unknown estimator kind {kind!r}")
-    if y.ndim == 0:
-        return float(out)
-    return out
+    return _scalar_or_array(y, out)
 
 
 def penalized_objective(kind: EstimatorKind, theta: float, ybar: float, n: int, tuning: TuningPlan) -> float:
@@ -107,7 +106,3 @@ def penalized_objective(kind: EstimatorKind, theta: float, ybar: float, n: int, 
         raise ValueError("scad objective unavailable; argmin verified against closed form only")
     raise ValueError(f"unknown estimator kind {kind!r}")
 
-
-def zero_event_threshold(tuning: TuningPlan) -> float:
-    """Radius of the common zero set: estimate(kind, y) == 0 iff |y| <= eta."""
-    return tuning.eta

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import EstimatorKind, TuningPlan
-from .normal_kernel import ExtReal, NEG_INF, POS_INF, norm_cdf, norm_pdf
+from .normal_kernel import _scalar_or_array, norm_cdf, norm_pdf
 
 __all__ = [
     "ModelPoint",
@@ -30,8 +30,6 @@ __all__ = [
     "atom_weight",
     "finite_sample_dist",
     "rescaled_dist",
-    "mixture_cdf",
-    "mixture_density_ac",
     "scaled_risk",
 ]
 
@@ -46,7 +44,7 @@ class ModelPoint:
     theta: float
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
+        if isinstance(self.n, bool) or int(self.n) != self.n or self.n < 1:
             raise ValueError(f"n must be a positive integer (got {self.n})")
         if not np.isfinite(self.theta):
             raise ValueError("theta must be finite")
@@ -54,6 +52,32 @@ class ModelPoint:
     @property
     def sqrt_n(self) -> float:
         return math.sqrt(self.n)
+
+
+def _real_to_json(v: float):
+    # JSON has no infinities: they travel as the strings "+inf" and "-inf"
+    if math.isinf(v):
+        return "+inf" if v > 0 else "-inf"
+    return v
+
+
+def _real_from_json(obj) -> float:
+    if obj == "+inf":
+        return math.inf
+    if obj == "-inf":
+        return -math.inf
+    return float(obj)
+
+
+def _inverse_scale(s: float) -> float:
+    """1/s for a finite scale s > 0.
+
+    Ends and locations are rescaled as x * (1/s), not x / s: the two differ
+    in the last bit for some x, and the published output bytes use the former.
+    """
+    if not (s > 0.0 and math.isfinite(s)):
+        raise ValueError("scale must be positive and finite")
+    return 1.0 / s
 
 
 def _zphi(t: float) -> float:
@@ -65,15 +89,17 @@ def _zphi(t: float) -> float:
 
 @dataclass(frozen=True)
 class GaussPiece:
-    """Density c * pdf(alpha*x + beta) supported on (lower, upper]."""
+    """Density c * pdf(alpha*x + beta) supported on (lower, upper]; ends may be +-inf."""
 
     coeff: float
     slope: float
     shift: float
-    lower: ExtReal
-    upper: ExtReal
+    lower: float
+    upper: float
 
     def __post_init__(self):
+        object.__setattr__(self, "lower", float(self.lower))
+        object.__setattr__(self, "upper", float(self.upper))
         if not (np.isfinite(self.coeff) and self.coeff >= 0.0):
             raise ValueError("coeff must be finite and nonnegative")
         if not (np.isfinite(self.slope) and self.slope != 0.0):
@@ -88,26 +114,19 @@ class GaussPiece:
 
     def density(self, x):
         x = np.asarray(x, dtype=float)
-        inside = (x > float(self.lower)) & (x <= float(self.upper))
-        out = np.where(inside, self.coeff * norm_pdf(self.slope * x + self.shift), 0.0)
-        if x.ndim == 0:
-            return float(out)
-        return out
+        inside = (x > self.lower) & (x <= self.upper)
+        return _scalar_or_array(x, np.where(inside, self.coeff * norm_pdf(self.slope * x + self.shift), 0.0))
 
     def cdf_contrib(self, x):
         """Mass of the piece on (-inf, x], in closed form through the normal cdf."""
         x = np.asarray(x, dtype=float)
-        lo = float(self.lower)
-        z_lo = self._z(lo)
-        z_hi = self._z(np.minimum(x, float(self.upper)))
+        z_lo = self._z(self.lower)
+        z_hi = self._z(np.minimum(x, self.upper))
         contrib = (self.coeff / self.slope) * (norm_cdf(z_hi) - norm_cdf(z_lo))
-        out = np.where(x > lo, contrib, 0.0)
-        if x.ndim == 0:
-            return float(out)
-        return out
+        return _scalar_or_array(x, np.where(x > self.lower, contrib, 0.0))
 
     def mass(self) -> float:
-        return float(self.cdf_contrib(math.inf if self.upper == POS_INF else float(self.upper)))
+        return float(self.cdf_contrib(self.upper))
 
     def second_moment(self) -> float:
         """Integral of x^2 times the piece density, via truncated-normal identities.
@@ -116,8 +135,8 @@ class GaussPiece:
         c/alpha^3 * int (z - beta)^2 pdf(z) dz over the mapped interval, and
         int pdf, int z*pdf, int z^2*pdf all reduce to cdf/pdf evaluations.
         """
-        a = self._z(float(self.lower))
-        b = self._z(float(self.upper))
+        a = self._z(self.lower)
+        b = self._z(self.upper)
         i0 = norm_cdf(b) - norm_cdf(a)
         pa = 0.0 if math.isinf(a) else norm_pdf(a)
         pb = 0.0 if math.isinf(b) else norm_pdf(b)
@@ -126,18 +145,17 @@ class GaussPiece:
         return (self.coeff / self.slope**3) * (i2 - 2.0 * self.shift * i1 + self.shift**2 * i0)
 
     def rescaled(self, s: float) -> "GaussPiece":
-        """Piece for X/s when this piece describes X; requires s > 0."""
-        if not s > 0.0:
-            raise ValueError("scale must be positive")
-        return GaussPiece(self.coeff * s, self.slope * s, self.shift, self.lower / s, self.upper / s)
+        """Piece for X/s when this piece describes X; requires finite s > 0."""
+        inv = _inverse_scale(s)
+        return GaussPiece(self.coeff * s, self.slope * s, self.shift, self.lower * inv, self.upper * inv)
 
     def to_json(self) -> dict:
         return {
             "coeff": self.coeff,
             "slope": self.slope,
             "shift": self.shift,
-            "lower": self.lower.to_json(),
-            "upper": self.upper.to_json(),
+            "lower": _real_to_json(self.lower),
+            "upper": _real_to_json(self.upper),
         }
 
     @classmethod
@@ -146,19 +164,22 @@ class GaussPiece:
             coeff=float(obj["coeff"]),
             slope=float(obj["slope"]),
             shift=float(obj["shift"]),
-            lower=ExtReal.from_json(obj["lower"]),
-            upper=ExtReal.from_json(obj["upper"]),
+            lower=_real_from_json(obj["lower"]),
+            upper=_real_from_json(obj["upper"]),
         )
 
 
 @dataclass(frozen=True)
 class Atom:
-    """Point mass; the location may be an exact infinity (escaped mass)."""
+    """Point mass; the location may be +-inf (escaped mass)."""
 
-    loc: ExtReal
+    loc: float
     weight: float
 
     def __post_init__(self):
+        object.__setattr__(self, "loc", float(self.loc))
+        if math.isnan(self.loc):
+            raise ValueError("atom location must not be NaN")
         if not (np.isfinite(self.weight) and self.weight >= 0.0):
             raise ValueError("atom weight must be finite and nonnegative")
 
@@ -178,7 +199,7 @@ class MixtureDistribution:
         object.__setattr__(self, "atoms", tuple(self.atoms))
         object.__setattr__(self, "pieces", tuple(self.pieces))
         locs = [a.loc for a in self.atoms]
-        if len({float(l) for l in locs}) != len(locs):
+        if len(set(locs)) != len(locs):
             raise ValueError("atom locations must be pairwise distinct")
         total = self.total_mass()
         if abs(total - 1.0) > _MASS_TOL:
@@ -198,16 +219,12 @@ class MixtureDistribution:
         for p in self.pieces:
             total = total + p.cdf_contrib(x)
         for a in self.atoms:
-            if a.loc == NEG_INF:
-                total = total + a.weight
-            elif a.loc.is_finite:
-                total = total + a.weight * (x >= a.loc.finite)
-        if x.ndim == 0:
-            return float(total)
-        return total
+            if a.loc < math.inf:
+                total = total + a.weight * (x >= a.loc)
+        return _scalar_or_array(x, total)
 
     def atom_mass_at(self, x: float) -> float:
-        return sum(a.weight for a in self.atoms if a.loc.is_finite and a.loc.finite == x)
+        return sum(a.weight for a in self.atoms if a.loc == x and math.isfinite(x))
 
     def cdf_left(self, x: float) -> float:
         """Left limit of the cdf at x."""
@@ -219,25 +236,22 @@ class MixtureDistribution:
         total = np.zeros_like(x, dtype=float)
         for p in self.pieces:
             total = total + p.density(x)
-        if x.ndim == 0:
-            return float(total)
-        return total
+        return _scalar_or_array(x, total)
 
     def second_moment(self) -> float:
         out = 0.0
         for a in self.atoms:
-            if not a.loc.is_finite:
+            if math.isinf(a.loc):
                 if a.weight > 0.0:
                     return math.inf
                 continue
-            out += a.weight * a.loc.finite**2
+            out += a.weight * a.loc**2
         return out + sum(p.second_moment() for p in self.pieces)
 
     def rescaled(self, s: float) -> "MixtureDistribution":
-        if not s > 0.0:
-            raise ValueError("scale must be positive")
+        inv = _inverse_scale(s)
         return MixtureDistribution(
-            atoms=tuple(Atom(a.loc / s, a.weight) for a in self.atoms),
+            atoms=tuple(Atom(a.loc * inv, a.weight) for a in self.atoms),
             pieces=tuple(p.rescaled(s) for p in self.pieces),
         )
 
@@ -245,17 +259,13 @@ class MixtureDistribution:
         """Finite interval endpoints and atom locations, sorted; quadrature panels."""
         pts = set()
         for p in self.pieces:
-            for b in (p.lower, p.upper):
-                if b.is_finite:
-                    pts.add(b.finite)
-        for a in self.atoms:
-            if a.loc.is_finite:
-                pts.add(a.loc.finite)
+            pts.update(b for b in (p.lower, p.upper) if math.isfinite(b))
+        pts.update(a.loc for a in self.atoms if math.isfinite(a.loc))
         return sorted(pts)
 
     def to_json(self) -> dict:
         return {
-            "atoms": [{"loc": a.loc.to_json(), "weight": a.weight} for a in self.atoms],
+            "atoms": [{"loc": _real_to_json(a.loc), "weight": a.weight} for a in self.atoms],
             "pieces": [p.to_json() for p in self.pieces],
         }
 
@@ -267,7 +277,7 @@ class MixtureDistribution:
         if isinstance(obj, str):
             obj = json.loads(obj)
         return cls(
-            atoms=tuple(Atom(ExtReal.from_json(a["loc"]), float(a["weight"])) for a in obj["atoms"]),
+            atoms=tuple(Atom(_real_from_json(a["loc"]), float(a["weight"])) for a in obj["atoms"]),
             pieces=tuple(GaussPiece.from_json(p) for p in obj["pieces"]),
         )
 
@@ -288,10 +298,10 @@ def atom_weight(point: ModelPoint, tuning: TuningPlan) -> float:
 def _hard_mixture(loc: float, se: float) -> MixtureDistribution:
     w = norm_cdf(loc + se) - norm_cdf(loc - se)
     return MixtureDistribution(
-        atoms=(Atom(ExtReal(loc), w),),
+        atoms=(Atom(loc, w),),
         pieces=(
-            GaussPiece(1.0, 1.0, 0.0, NEG_INF, ExtReal(loc - se)),
-            GaussPiece(1.0, 1.0, 0.0, ExtReal(loc + se), POS_INF),
+            GaussPiece(1.0, 1.0, 0.0, -math.inf, loc - se),
+            GaussPiece(1.0, 1.0, 0.0, loc + se, math.inf),
         ),
     )
 
@@ -299,10 +309,10 @@ def _hard_mixture(loc: float, se: float) -> MixtureDistribution:
 def _soft_mixture(loc: float, se: float) -> MixtureDistribution:
     w = norm_cdf(loc + se) - norm_cdf(loc - se)
     return MixtureDistribution(
-        atoms=(Atom(ExtReal(loc), w),),
+        atoms=(Atom(loc, w),),
         pieces=(
-            GaussPiece(1.0, 1.0, -se, NEG_INF, ExtReal(loc)),
-            GaussPiece(1.0, 1.0, se, ExtReal(loc), POS_INF),
+            GaussPiece(1.0, 1.0, -se, -math.inf, loc),
+            GaussPiece(1.0, 1.0, se, loc, math.inf),
         ),
     )
 
@@ -323,14 +333,14 @@ def _scad_mixture(loc: float, se: float, a: float) -> MixtureDistribution:
     b_lo = loc - a * se
     b_hi = loc + a * se
     return MixtureDistribution(
-        atoms=(Atom(ExtReal(loc), w),),
+        atoms=(Atom(loc, w),),
         pieces=(
-            GaussPiece(1.0, 1.0, 0.0, NEG_INF, ExtReal(b_lo)),
-            GaussPiece(ratio, ratio, b_lo / (a - 1.0), ExtReal(b_lo), ExtReal(loc - se)),
-            GaussPiece(1.0, 1.0, -se, ExtReal(loc - se), ExtReal(loc)),
-            GaussPiece(1.0, 1.0, se, ExtReal(loc), ExtReal(loc + se)),
-            GaussPiece(ratio, ratio, b_hi / (a - 1.0), ExtReal(loc + se), ExtReal(b_hi)),
-            GaussPiece(1.0, 1.0, 0.0, ExtReal(b_hi), POS_INF),
+            GaussPiece(1.0, 1.0, 0.0, -math.inf, b_lo),
+            GaussPiece(ratio, ratio, b_lo / (a - 1.0), b_lo, loc - se),
+            GaussPiece(1.0, 1.0, -se, loc - se, loc),
+            GaussPiece(1.0, 1.0, se, loc, loc + se),
+            GaussPiece(ratio, ratio, b_hi / (a - 1.0), loc + se, b_hi),
+            GaussPiece(1.0, 1.0, 0.0, b_hi, math.inf),
         ),
     )
 
@@ -350,14 +360,6 @@ def finite_sample_dist(kind: EstimatorKind, point: ModelPoint, tuning: TuningPla
 def rescaled_dist(kind: EstimatorKind, point: ModelPoint, tuning: TuningPlan) -> MixtureDistribution:
     """Exact law of (estimate - theta)/eta: the sqrt(n) law scaled by 1/(sqrt(n)*eta)."""
     return finite_sample_dist(kind, point, tuning).rescaled(point.sqrt_n * tuning.eta)
-
-
-def mixture_cdf(dist: MixtureDistribution, x):
-    return dist.cdf(x)
-
-
-def mixture_density_ac(dist: MixtureDistribution, x):
-    return dist.density_ac(x)
 
 
 def scaled_risk(kind: EstimatorKind, point: ModelPoint, tuning: TuningPlan) -> float:

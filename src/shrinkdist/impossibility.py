@@ -25,6 +25,7 @@ from scipy.special import ndtri
 from .estimators import EstimatorKind, TuningPlan, estimate
 from .finite_dist import ModelPoint, finite_sample_dist
 from .limits import conservative_limit
+from .montecarlo import _uniform_open
 from .normal_kernel import gaussian_tv, norm_cdf
 from .report import ExperimentReport
 
@@ -198,10 +199,6 @@ class _HarnessContext:
     tuning: TuningPlan
     true_value: float
     rng: np.random.Generator
-
-
-def _uniform_open(gen: np.random.Generator, size) -> np.ndarray:
-    return gen.integers(1, 1 << 53, size=size).astype(np.float64) / float(1 << 53)
 
 
 def adversarial_theta_grid(n: int, t: float, c: float, size: int = 9) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Limit distributions of the thresholding estimators under moving parameters.
 
 Three families of limits, all emitted as `LimitLaw` values wrapping a
-`MixtureDistribution` whose atoms may sit at exact infinities:
+`MixtureDistribution` whose atoms may sit at +-math.inf:
 
 * conservative tuning (finite e): atom at -nu plus excised / shifted /
   blended normal pieces, mirroring the finite-sample law with
@@ -15,6 +15,7 @@ Three families of limits, all emitted as `LimitLaw` values wrapping a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ from .finite_dist import (
     _scad_mixture,
     _soft_mixture,
 )
-from .normal_kernel import ExtReal, NEG_INF, POS_INF, norm_cdf
+from .normal_kernel import norm_cdf
 from .report import ExperimentReport
 from .selection import PowerTuningPath, RegimeError, RegimeSpec, ThetaRule, derive_regime
 
@@ -58,7 +59,7 @@ class LimitLaw:
     def __post_init__(self):
         if self.mode not in (WEAK, TOTAL_VARIATION, MASS_ESCAPE):
             raise ValueError(f"unknown convergence mode {self.mode!r}")
-        escaped = any(not a.loc.is_finite and a.weight > 0.0 for a in self.dist.atoms)
+        escaped = any(math.isinf(a.loc) and a.weight > 0.0 for a in self.dist.atoms)
         if escaped and self.mode != MASS_ESCAPE:
             raise ValueError("positive mass at an infinity requires mass-escape mode")
 
@@ -78,30 +79,32 @@ class LimitLaw:
 
 
 def _std_normal() -> MixtureDistribution:
-    return MixtureDistribution(atoms=(), pieces=(GaussPiece(1.0, 1.0, 0.0, NEG_INF, POS_INF),))
+    return MixtureDistribution(atoms=(), pieces=(GaussPiece(1.0, 1.0, 0.0, -math.inf, math.inf),))
 
 
 def _normal_mean(mu: float) -> MixtureDistribution:
-    return MixtureDistribution(atoms=(), pieces=(GaussPiece(1.0, 1.0, -mu, NEG_INF, POS_INF),))
+    return MixtureDistribution(atoms=(), pieces=(GaussPiece(1.0, 1.0, -mu, -math.inf, math.inf),))
 
 
-def _pointmass(loc: ExtReal) -> LimitLaw:
+def _pointmass(loc: float) -> LimitLaw:
     dist = MixtureDistribution(atoms=(Atom(loc, 1.0),), pieces=())
-    return LimitLaw(dist, WEAK if loc.is_finite else MASS_ESCAPE)
+    return LimitLaw(dist, WEAK if math.isfinite(loc) else MASS_ESCAPE)
 
 
 def conservative_limit(kind: EstimatorKind, nu, e: float, scad_a: float = DEFAULT_SCAD_A) -> LimitLaw:
     """Limit of the sqrt(n) law when sqrt(n)*eta_n -> e < inf and sqrt(n)*theta_n -> nu."""
-    nu = ExtReal.of(nu)
+    nu = float(nu)
     e = float(e)
+    if math.isnan(nu):
+        raise ValueError("nu must not be NaN")
     if not (np.isfinite(e) and e >= 0.0):
         raise ValueError("conservative limits require finite e >= 0")
-    if not nu.is_finite or e == 0.0:
+    if math.isinf(nu) or e == 0.0:
         if kind is EstimatorKind.SOFT:
-            mu = 0.0 if e == 0.0 else -nu.sign() * e
+            mu = 0.0 if e == 0.0 else -math.copysign(e, nu)
             return LimitLaw(_normal_mean(mu), TOTAL_VARIATION)
         return LimitLaw(_std_normal(), TOTAL_VARIATION)
-    loc = -nu.finite
+    loc = -nu
     if kind is EstimatorKind.HARD:
         return LimitLaw(_hard_mixture(loc, e), WEAK)
     if kind is EstimatorKind.SOFT:
@@ -111,35 +114,34 @@ def conservative_limit(kind: EstimatorKind, nu, e: float, scad_a: float = DEFAUL
     raise ValueError(f"unknown estimator kind {kind!r}")
 
 
-def _hard_boundary_law(zeta_sign: int, r: ExtReal) -> LimitLaw:
-    if r == POS_INF:
-        return _pointmass(NEG_INF if zeta_sign > 0 else POS_INF)
-    if r == NEG_INF:
+def _hard_boundary_law(zeta_positive: bool, r: float) -> LimitLaw:
+    if r == math.inf:
+        return _pointmass(-math.inf if zeta_positive else math.inf)
+    if r == -math.inf:
         return LimitLaw(_std_normal(), TOTAL_VARIATION)
-    rf = r.finite
-    w = norm_cdf(rf)
-    if zeta_sign > 0:
-        piece = GaussPiece(1.0, 1.0, 0.0, ExtReal(rf), POS_INF)
-        escape = NEG_INF
+    w = norm_cdf(r)
+    if zeta_positive:
+        piece = GaussPiece(1.0, 1.0, 0.0, r, math.inf)
+        escape = -math.inf
     else:
-        piece = GaussPiece(1.0, 1.0, 0.0, NEG_INF, ExtReal(-rf))
-        escape = POS_INF
+        piece = GaussPiece(1.0, 1.0, 0.0, -math.inf, -r)
+        escape = math.inf
     dist = MixtureDistribution(atoms=(Atom(escape, w),), pieces=(piece,))
     return LimitLaw(dist, MASS_ESCAPE)
 
 
-def _scad_boundary_law(zeta_sign: int, rf: float, a: float) -> LimitLaw:
+def _scad_boundary_law(zeta_positive: bool, rf: float, a: float) -> LimitLaw:
     """Blend-plus-tail law at |zeta| = a; total mass one, no atom."""
     ratio = (a - 2.0) / (a - 1.0)
-    if zeta_sign > 0:
+    if zeta_positive:
         pieces = (
-            GaussPiece(ratio, ratio, rf / (a - 1.0), NEG_INF, ExtReal(rf)),
-            GaussPiece(1.0, 1.0, 0.0, ExtReal(rf), POS_INF),
+            GaussPiece(ratio, ratio, rf / (a - 1.0), -math.inf, rf),
+            GaussPiece(1.0, 1.0, 0.0, rf, math.inf),
         )
     else:
         pieces = (
-            GaussPiece(1.0, 1.0, 0.0, NEG_INF, ExtReal(-rf)),
-            GaussPiece(ratio, ratio, -rf / (a - 1.0), ExtReal(-rf), POS_INF),
+            GaussPiece(1.0, 1.0, 0.0, -math.inf, -rf),
+            GaussPiece(ratio, ratio, -rf / (a - 1.0), -rf, math.inf),
         )
     return LimitLaw(MixtureDistribution(atoms=(), pieces=pieces), TOTAL_VARIATION)
 
@@ -158,7 +160,7 @@ def consistent_limit(kind: EstimatorKind, regime: RegimeSpec, scad_a: float = DE
     if kind is EstimatorKind.SOFT:
         return _pointmass(-regime.require_nu())
     zeta = regime.require_zeta()
-    az = abs(float(zeta))
+    az = abs(zeta)
     boundary = 1.0 if kind is EstimatorKind.HARD else float(scad_a)
     if az < boundary:
         return _pointmass(-regime.require_nu())
@@ -166,42 +168,39 @@ def consistent_limit(kind: EstimatorKind, regime: RegimeSpec, scad_a: float = DE
         return LimitLaw(_std_normal(), TOTAL_VARIATION)
     r = regime.require_r()
     if kind is EstimatorKind.HARD:
-        return _hard_boundary_law(zeta.sign(), r)
-    if r == POS_INF:
+        return _hard_boundary_law(zeta > 0, r)
+    if r == math.inf:
         return _pointmass(-regime.require_nu())
-    if r == NEG_INF:
+    if r == -math.inf:
         return LimitLaw(_std_normal(), TOTAL_VARIATION)
-    return _scad_boundary_law(zeta.sign(), r.finite, scad_a)
+    return _scad_boundary_law(zeta > 0, r, scad_a)
 
 
 def rescaled_limit(kind: EstimatorKind, regime: RegimeSpec, scad_a: float = DEFAULT_SCAD_A) -> LimitLaw:
     """Limit of the 1/eta law: at most two atoms, all inside [-1, 1]."""
     if not regime.consistent:
         raise RegimeError("rescaled limits require e = +inf")
-    zeta = regime.require_zeta()
-    zf = float(zeta)
+    zf = regime.require_zeta()
     az = abs(zf)
-    sgn = zeta.sign()
+    sgn = (zf > 0) - (zf < 0)  # an int, so a zero zeta clips to +0.0
     clipped = -sgn * min(1.0, az)
     if kind is EstimatorKind.SOFT:
-        return _pointmass(ExtReal(clipped))
+        return _pointmass(clipped)
     if kind is EstimatorKind.HARD:
         if az < 1.0:
-            return _pointmass(ExtReal(-zf))
+            return _pointmass(-zf)
         if az > 1.0:
-            return _pointmass(ExtReal(0.0))
-        w = norm_cdf(float(regime.require_r()))
-        dist = MixtureDistribution(
-            atoms=(Atom(ExtReal(-zf), w), Atom(ExtReal(0.0), 1.0 - w)), pieces=()
-        )
+            return _pointmass(0.0)
+        w = norm_cdf(regime.require_r())
+        dist = MixtureDistribution(atoms=(Atom(-zf, w), Atom(0.0, 1.0 - w)), pieces=())
         return LimitLaw(dist, WEAK)
     if kind is EstimatorKind.SCAD:
         a = float(scad_a)
         if az <= 2.0:
-            return _pointmass(ExtReal(clipped))
+            return _pointmass(clipped)
         if az < a:
-            return _pointmass(ExtReal(-sgn * (a - az) / (a - 2.0)))
-        return _pointmass(ExtReal(0.0))
+            return _pointmass(-sgn * (a - az) / (a - 2.0))
+        return _pointmass(0.0)
     raise ValueError(f"unknown estimator kind {kind!r}")
 
 
@@ -215,8 +214,8 @@ def weak_convergence_check(finite_law_seq, limit: LimitLaw, grid, n_probe) -> Ex
     """
     grid = np.asarray(grid, dtype=float)
     for a in limit.dist.atoms:
-        if a.loc.is_finite and np.min(np.abs(grid - a.loc.finite)) < 1e-6:
-            raise ValueError(f"grid point collides with limit atom at {a.loc.finite}")
+        if math.isfinite(a.loc) and np.min(np.abs(grid - a.loc)) < 1e-6:
+            raise ValueError(f"grid point collides with limit atom at {a.loc}")
     limit_vals = limit.cdf(grid)
     report = ExperimentReport(columns=("n", "sup_gap"))
     for n in n_probe:
@@ -250,7 +249,7 @@ class ConvergenceScenario:
             return rescaled_limit(self.kind, regime, self.scad_a)
         if regime.consistent:
             return consistent_limit(self.kind, regime, self.scad_a)
-        return conservative_limit(self.kind, regime.require_nu(), float(regime.e), self.scad_a)
+        return conservative_limit(self.kind, regime.require_nu(), regime.e, self.scad_a)
 
     def finite_law(self, n: int) -> MixtureDistribution:
         eta_n = self.path.eta(n)
@@ -266,8 +265,8 @@ class ConvergenceScenario:
         if self.extra_grid:
             pts = np.unique(np.concatenate([pts, np.asarray(self.extra_grid, dtype=float)]))
         for a in self.limit().dist.atoms:
-            if a.loc.is_finite:
-                pts = pts[np.abs(pts - a.loc.finite) >= self.grid_margin]
+            if math.isfinite(a.loc):
+                pts = pts[np.abs(pts - a.loc) >= self.grid_margin]
         return pts
 
     def check(self, n_probe) -> ExperimentReport:

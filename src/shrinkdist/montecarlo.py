@@ -16,7 +16,7 @@ from scipy.special import ndtri
 
 from .estimators import EstimatorKind, TuningPlan, estimate
 from .finite_dist import MixtureDistribution, ModelPoint, finite_sample_dist
-from .normal_kernel import norm_cdf
+from .normal_kernel import _scalar_or_array, norm_cdf
 from .report import ExperimentReport
 
 __all__ = [
@@ -41,7 +41,7 @@ class SimConfig:
     tuning: TuningPlan
 
     def __post_init__(self):
-        if self.replications < 1:
+        if isinstance(self.replications, bool) or self.replications < 1:
             raise ValueError("replications must be >= 1")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
@@ -67,10 +67,7 @@ class EmpiricalCdf:
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.searchsorted(self.values, x, side="right") / self.count
-        if x.ndim == 0:
-            return float(out)
-        return out
+        return _scalar_or_array(x, np.searchsorted(self.values, x, side="right") / self.count)
 
     def fraction_at(self, x: float) -> float:
         """Fraction of sample points exactly equal to x."""
@@ -87,7 +84,7 @@ class EmpiricalCdf:
         return report
 
 
-def _uniform_open(gen: np.random.Generator, size: int) -> np.ndarray:
+def _uniform_open(gen: np.random.Generator, size) -> np.ndarray:
     # integers in [1, 2^53) scaled down: strictly inside (0, 1)
     return gen.integers(1, 1 << 53, size=size).astype(np.float64) / _U_DENOM
 
@@ -181,6 +178,8 @@ def uniform_rate_experiment(
     """
     if M <= 2.0:
         raise ValueError("the exceedance bound requires M > 2")
+    if scaling not in ("a_n", "sqrt_n"):
+        raise ValueError(f"unknown scaling {scaling!r}; expected 'a_n' or 'sqrt_n'")
     bound = 2.0 * norm_cdf(-M / 2.0) + norm_cdf(-M / 2.0 + 1.0)
     report = ExperimentReport(
         columns=("n", "eta", "rate", "sup_prob", "worst_theta", "bound", "within_bound"),

@@ -1,15 +1,13 @@
-"""Standard-normal primitives and the extended real line.
+"""Standard-normal primitives.
 
 Everything downstream (mixture densities, selection probabilities, limit
-laws, total-variation bounds) is built from the three functions here plus
-the `ExtReal` type, which keeps infinities as explicit states so that
-regime dispatch can compare them exactly.
+laws, total-variation bounds) is built from the functions here.  Infinite
+ends and locations are IEEE `+-math.inf`, which order and compare exactly.
 """
 
 from __future__ import annotations
 
 import math
-from functools import total_ordering
 
 import numpy as np
 from scipy.special import erfc as _erfc
@@ -18,145 +16,17 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 __all__ = [
-    "ExtReal",
-    "NEG_INF",
-    "POS_INF",
     "norm_pdf",
     "norm_cdf",
-    "norm_quantile",
     "gaussian_tv",
 ]
 
 
-@total_ordering
-class ExtReal:
-    """A point of the extended real line: a finite float or an exact infinity.
-
-    Infinities are explicit states (`NEG_INF`, `POS_INF`), not IEEE floats,
-    so equality and ordering against regime boundaries are exact.  The
-    indeterminate forms (inf - inf, 0 * inf) are rejected.
-    """
-
-    __slots__ = ("_tag", "_value")
-
-    def __init__(self, value: float):
-        v = float(value)
-        if math.isnan(v):
-            raise ValueError("ExtReal does not accept NaN")
-        if math.isinf(v):
-            self._tag = 1 if v > 0 else -1
-            self._value = 0.0
-        else:
-            self._tag = 0
-            self._value = v
-
-    @classmethod
-    def of(cls, value) -> "ExtReal":
-        if isinstance(value, ExtReal):
-            return value
-        return cls(value)
-
-    @property
-    def is_finite(self) -> bool:
-        return self._tag == 0
-
-    @property
-    def finite(self) -> float:
-        if self._tag != 0:
-            raise ValueError("value is infinite")
-        return self._value
-
-    def sign(self) -> int:
-        if self._tag != 0:
-            return self._tag
-        return (self._value > 0) - (self._value < 0)
-
-    def __float__(self) -> float:
-        if self._tag == 0:
-            return self._value
-        return math.inf if self._tag > 0 else -math.inf
-
-    def __neg__(self) -> "ExtReal":
-        return ExtReal(-float(self))
-
-    def __abs__(self) -> "ExtReal":
-        return ExtReal(abs(float(self)))
-
-    def __add__(self, other) -> "ExtReal":
-        o = ExtReal.of(other)
-        if self._tag and o._tag and self._tag != o._tag:
-            raise ValueError("inf - inf is undefined")
-        if self._tag or o._tag:
-            return POS_INF if (self._tag or o._tag) > 0 else NEG_INF
-        return ExtReal(self._value + o._value)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "ExtReal":
-        return self + (-ExtReal.of(other))
-
-    def __mul__(self, other) -> "ExtReal":
-        o = ExtReal.of(other)
-        if (self._tag and o.sign() == 0) or (o._tag and self.sign() == 0):
-            raise ValueError("0 * inf is undefined")
-        if self._tag or o._tag:
-            return POS_INF if self.sign() * o.sign() > 0 else NEG_INF
-        return ExtReal(self._value * o._value)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "ExtReal":
-        o = float(ExtReal.of(other))
-        if o == 0.0 or math.isinf(o):
-            raise ValueError("division by zero or infinity")
-        return self * (1.0 / o)
-
-    def _key(self) -> float:
-        return float(self)
-
-    def __eq__(self, other) -> bool:
-        try:
-            return self._key() == ExtReal.of(other)._key()
-        except (TypeError, ValueError):
-            return NotImplemented
-
-    def __lt__(self, other) -> bool:
-        return self._key() < ExtReal.of(other)._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        if self._tag > 0:
-            return "ExtReal(+inf)"
-        if self._tag < 0:
-            return "ExtReal(-inf)"
-        return f"ExtReal({self._value!r})"
-
-    def to_json(self):
-        if self._tag > 0:
-            return "+inf"
-        if self._tag < 0:
-            return "-inf"
-        return self._value
-
-    @classmethod
-    def from_json(cls, obj) -> "ExtReal":
-        if obj == "+inf":
-            return POS_INF
-        if obj == "-inf":
-            return NEG_INF
-        return cls(float(obj))
-
-
-NEG_INF = ExtReal(-math.inf)
-POS_INF = ExtReal(math.inf)
-
-
-def _as_array(x):
-    if isinstance(x, ExtReal):
-        x = float(x)
-    return np.asarray(x, dtype=float)
+def _scalar_or_array(x: np.ndarray, out):
+    """`out` as a Python float when the input `x` is 0-d, else unchanged."""
+    if x.ndim == 0:
+        return float(out)
+    return out
 
 
 def norm_pdf(x):
@@ -165,49 +35,20 @@ def norm_pdf(x):
     Accepts scalars or arrays; rejects non-finite scalar input.  Underflows
     cleanly to 0.0 deep in the tails.
     """
-    arr = _as_array(x)
+    arr = np.asarray(x, dtype=float)
     if arr.ndim == 0 and not np.isfinite(arr):
         raise ValueError("norm_pdf requires finite input")
-    out = np.exp(-0.5 * arr * arr) / _SQRT2PI
-    if arr.ndim == 0:
-        return float(out)
-    return out
+    return _scalar_or_array(arr, np.exp(-0.5 * arr * arr) / _SQRT2PI)
 
 
 def norm_cdf(x):
     """Standard normal cdf via the complementary error function.
 
-    Accepts floats, arrays, IEEE infinities, and ExtReal values; the
-    infinities map to exactly 0 and 1.
+    Accepts floats, arrays and IEEE infinities; the infinities map to
+    exactly 0 and 1.
     """
-    arr = _as_array(x)
-    out = 0.5 * _erfc(-arr / _SQRT2)
-    if arr.ndim == 0:
-        return float(out)
-    return out
-
-
-def norm_quantile(p: float) -> float:
-    """Inverse of `norm_cdf` on (0, 1) by bisection plus one Newton polish.
-
-    Diagnostic-grade accuracy (~1e-12 absolute); not used in any closed-form
-    distribution path.
-    """
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly inside (0, 1)")
-    lo, hi = -40.0, 40.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if norm_cdf(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    dens = norm_pdf(x)
-    if dens > 0.0:
-        x -= (norm_cdf(x) - p) / dens
-    return x
+    arr = np.asarray(x, dtype=float)
+    return _scalar_or_array(arr, 0.5 * _erfc(-arr / _SQRT2))
 
 
 def gaussian_tv(n: int, theta1: float, theta2: float) -> float:

@@ -10,7 +10,7 @@ sequences (theta_n, eta_n) are fully described by four extended reals:
     r    = lim sqrt(n) * (eta_n - zeta * theta_n)        (|zeta| = 1), or
            lim sqrt(n) * (a*eta_n - sign(zeta)*theta_n)  (scad, |zeta| = a).
 
-`RegimeSpec` carries exactly these, with infinities as exact states.
+`RegimeSpec` carries exactly these as floats, with infinities as +-math.inf.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .estimators import TuningPlan
 from .finite_dist import ModelPoint, atom_weight
-from .normal_kernel import ExtReal, NEG_INF, POS_INF, norm_cdf
+from .normal_kernel import norm_cdf
 from .report import ExperimentReport
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "PowerTuningPath",
     "ThetaRule",
     "derive_regime",
-    "selection_probability",
     "limit_selection_probability",
     "selection_convergence_table",
 ]
@@ -44,20 +43,23 @@ class RegimeError(ValueError):
 
 @dataclass(frozen=True)
 class RegimeSpec:
-    e: ExtReal
-    nu: Optional[ExtReal] = None
-    zeta: Optional[ExtReal] = None
-    r: Optional[ExtReal] = None
+    e: float
+    nu: Optional[float] = None
+    zeta: Optional[float] = None
+    r: Optional[float] = None
 
     def __post_init__(self):
         for name in ("e", "nu", "zeta", "r"):
             v = getattr(self, name)
-            if v is not None and not isinstance(v, ExtReal):
-                object.__setattr__(self, name, ExtReal.of(v))
-        if self.e.sign() < 0:
+            if v is not None:
+                v = float(v)
+                if math.isnan(v):
+                    raise RegimeError(f"{name} must not be NaN")
+                object.__setattr__(self, name, v)
+        if self.e < 0.0:
             raise RegimeError("e must lie in [0, +inf]")
-        if self.consistent and self.zeta is not None and self.zeta.sign() != 0:
-            forced = POS_INF if self.zeta.sign() > 0 else NEG_INF
+        if self.consistent and self.zeta is not None and self.zeta != 0.0:
+            forced = math.copysign(math.inf, self.zeta)
             if self.nu is None:
                 object.__setattr__(self, "nu", forced)
             elif self.nu != forced:
@@ -67,19 +69,19 @@ class RegimeSpec:
 
     @property
     def consistent(self) -> bool:
-        return self.e == POS_INF
+        return self.e == math.inf
 
-    def require_nu(self) -> ExtReal:
+    def require_nu(self) -> float:
         if self.nu is None:
             raise RegimeError("regime underdetermined: nu is required")
         return self.nu
 
-    def require_zeta(self) -> ExtReal:
+    def require_zeta(self) -> float:
         if self.zeta is None:
             raise RegimeError("regime underdetermined: zeta is required")
         return self.zeta
 
-    def require_r(self) -> ExtReal:
+    def require_r(self) -> float:
         if self.r is None:
             raise RegimeError("regime underdetermined: r is required at a boundary case")
         return self.r
@@ -106,8 +108,8 @@ class PowerTuningPath:
         return self.scale * float(n) ** (-self.exponent)
 
     @property
-    def e_limit(self) -> ExtReal:
-        return ExtReal(self.scale) if self.exponent == 0.5 else POS_INF
+    def e_limit(self) -> float:
+        return float(self.scale) if self.exponent == 0.5 else math.inf
 
 
 @dataclass(frozen=True)
@@ -167,56 +169,50 @@ class ThetaRule:
 def derive_regime(path: PowerTuningPath, rule: ThetaRule) -> RegimeSpec:
     """Exact regime reached by a canonical path and theta rule."""
     e = path.e_limit
-    consistent = e == POS_INF
+    consistent = e == math.inf
     if rule.kind == "local":
         # theta/eta ~ n**(exponent - 1/2) -> 0 unless conservative
-        zeta = ExtReal(0.0) if consistent else ExtReal(rule.nu / path.scale)
-        return RegimeSpec(e=e, nu=ExtReal(rule.nu), zeta=zeta)
+        zeta = 0.0 if consistent else rule.nu / path.scale
+        return RegimeSpec(e=e, nu=rule.nu, zeta=zeta)
     if rule.kind == "eta_multiple":
         z = rule.zeta
         if z == 0.0:
-            nu = ExtReal(0.0)
+            nu = 0.0
         elif consistent:
-            nu = POS_INF if z > 0 else NEG_INF
+            nu = math.inf if z > 0 else -math.inf
         else:
-            nu = ExtReal(z * path.scale)
+            nu = z * path.scale
         # sqrt(n)(eta - zeta*theta) = (1 - zeta^2) sqrt(n) eta; exact 0 at |zeta| = 1
-        r = ExtReal(0.0) if abs(z) == 1.0 and consistent else None
-        return RegimeSpec(e=e, nu=nu, zeta=ExtReal(z), r=r)
+        r = 0.0 if abs(z) == 1.0 and consistent else None
+        return RegimeSpec(e=e, nu=nu, zeta=z, r=r)
     if rule.kind == "boundary":
         z = rule.zeta
         if consistent:
-            nu = POS_INF if z > 0 else NEG_INF
+            nu = math.inf if z > 0 else -math.inf
         else:
-            nu = ExtReal(z * path.scale - math.copysign(1.0, z) * rule.r)
-        return RegimeSpec(e=e, nu=nu, zeta=ExtReal(z), r=ExtReal(rule.r))
+            nu = z * path.scale - math.copysign(1.0, z) * rule.r
+        return RegimeSpec(e=e, nu=nu, zeta=z, r=rule.r)
     if rule.kind == "fixed":
         v = rule.value
         if v == 0.0:
-            return RegimeSpec(e=e, nu=ExtReal(0.0), zeta=ExtReal(0.0))
-        inf = POS_INF if v > 0 else NEG_INF
+            return RegimeSpec(e=e, nu=0.0, zeta=0.0)
+        inf = math.inf if v > 0 else -math.inf
         return RegimeSpec(e=e, nu=inf, zeta=inf)
     raise ValueError(f"unknown theta rule {rule.kind!r}")
-
-
-def selection_probability(point: ModelPoint, tuning: TuningPlan) -> float:
-    """P_{n,theta}(zero model selected); shared with the mixture atom weight."""
-    return atom_weight(point, tuning)
 
 
 def limit_selection_probability(regime: RegimeSpec) -> float:
     """Limit of the zero-selection probability under the given regime."""
     if not regime.consistent:
-        nu = float(regime.require_nu())
-        e = float(regime.e)
+        nu = regime.require_nu()
+        e = regime.e
         return norm_cdf(-nu + e) - norm_cdf(-nu - e)
-    zeta = regime.require_zeta()
-    az = abs(float(zeta))
+    az = abs(regime.require_zeta())
     if az < 1.0:
         return 1.0
     if az > 1.0:
         return 0.0
-    return norm_cdf(float(regime.require_r()))
+    return norm_cdf(regime.require_r())
 
 
 def selection_convergence_table(path: PowerTuningPath, theta_rule: ThetaRule, n_list) -> ExperimentReport:
@@ -230,6 +226,6 @@ def selection_convergence_table(path: PowerTuningPath, theta_rule: ThetaRule, n_
     for n in n_list:
         eta_n = path.eta(n)
         theta_n = theta_rule.theta(n, eta_n)
-        prob = selection_probability(ModelPoint(n, theta_n), TuningPlan(eta_n))
+        prob = atom_weight(ModelPoint(n, theta_n), TuningPlan(eta_n))
         report.append(int(n), theta_n, eta_n, prob, limit, prob - limit)
     return report

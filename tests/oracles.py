@@ -7,15 +7,14 @@ and atom masses are added by hand.
 
 from scipy.integrate import quad
 
-from shrinkdist.normal_kernel import NEG_INF, norm_pdf
+from shrinkdist.normal_kernel import norm_pdf
 
 
 def quadrature_cdf(dist, x: float) -> float:
     """Breakpoint-aware quadrature of the density pieces plus atom masses."""
-    total = sum(a.weight for a in dist.atoms if a.loc.is_finite and a.loc.finite <= x)
-    total += sum(a.weight for a in dist.atoms if a.loc == NEG_INF)
+    total = sum(a.weight for a in dist.atoms if a.loc <= x)  # atoms at -inf included
     for p in dist.pieces:
-        lo, hi = float(p.lower), min(float(p.upper), x)
+        lo, hi = p.lower, min(p.upper, x)
         if hi <= lo:
             continue
         lo = max(lo, -60.0)

@@ -24,7 +24,6 @@ from shrinkdist.impossibility import (
 )
 from shrinkdist.limits import canonical_scenarios, conservative_limit, consistent_limit, rescaled_limit
 from shrinkdist.montecarlo import SimConfig, ks_distance, simulate_estimates, uniform_rate_experiment
-from shrinkdist.normal_kernel import ExtReal, POS_INF
 from shrinkdist.selection import PowerTuningPath, RegimeSpec
 
 KINDS = list(EstimatorKind)
@@ -112,11 +111,11 @@ def test_criterion_04_mass_conservation_and_quadrature():
             bank.append(rescaled_dist(kind, point, tuning))
     for kind in KINDS:
         bank.append(conservative_limit(kind, 0.7, 1.5, 3.7).dist)
-        bank.append(conservative_limit(kind, POS_INF, 1.5, 3.7).dist)
-    bank.append(consistent_limit(EstimatorKind.HARD, RegimeSpec(e=POS_INF, zeta=ExtReal(1.0), r=ExtReal(0.3))).dist)
-    bank.append(consistent_limit(EstimatorKind.SCAD, RegimeSpec(e=POS_INF, zeta=ExtReal(3.7), r=ExtReal(1.0)), 3.7).dist)
-    bank.append(consistent_limit(EstimatorKind.SOFT, RegimeSpec(e=POS_INF, zeta=ExtReal(0.0), nu=ExtReal(1.0))).dist)
-    bank.append(rescaled_limit(EstimatorKind.SCAD, RegimeSpec(e=POS_INF, zeta=ExtReal(3.0)), 3.7).dist)
+        bank.append(conservative_limit(kind, math.inf, 1.5, 3.7).dist)
+    bank.append(consistent_limit(EstimatorKind.HARD, RegimeSpec(e=math.inf, zeta=1.0, r=0.3)).dist)
+    bank.append(consistent_limit(EstimatorKind.SCAD, RegimeSpec(e=math.inf, zeta=3.7, r=1.0), 3.7).dist)
+    bank.append(consistent_limit(EstimatorKind.SOFT, RegimeSpec(e=math.inf, zeta=0.0, nu=1.0)).dist)
+    bank.append(rescaled_limit(EstimatorKind.SCAD, RegimeSpec(e=math.inf, zeta=3.0), 3.7).dist)
     worst_mass = max(abs(d.total_mass() - 1.0) for d in bank)
     assert worst_mass <= 1e-10
     # 100 quadrature spot checks across the first six finite-sample laws
@@ -203,7 +202,7 @@ def test_criterion_08_rescaled_scad_pointmass():
     g = rescaled_dist(EstimatorKind.SCAD, ModelPoint(n, zeta * eta), TuningPlan(eta, a))
     mass = g.cdf(target + 0.01) - g.cdf_left(target - 0.01)
     assert mass >= 0.999
-    limit = rescaled_limit(EstimatorKind.SCAD, RegimeSpec(e=POS_INF, zeta=ExtReal(zeta)), a)
+    limit = rescaled_limit(EstimatorKind.SCAD, RegimeSpec(e=math.inf, zeta=zeta), a)
     assert float(limit.dist.atoms[0].loc) == pytest.approx(target, abs=1e-15)
     assert target == pytest.approx(-0.41176, abs=5e-6)
     report(8, f"mass {mass:.6f} >= 0.999 within +-0.01 of {target:.5f} at n=1e8 (closed form)")

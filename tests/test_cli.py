@@ -128,6 +128,13 @@ def test_experiment_unknown_scenario_errors(tmp_path, capsys):
     assert main(["experiment", "limits", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
 
 
+def test_experiment_unknown_scaling_errors(tmp_path, capsys):
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text("scaling=a_m\n")
+    assert main(["experiment", "uniform-rate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert "scaling" in capsys.readouterr().err
+
+
 def test_experiment_impossibility_oracle(tmp_path):
     cfg = tmp_path / "imp.cfg"
     cfg.write_text(json.dumps({"estimator": "oracle", "kind": "hard", "n": 1000, "reps": 300}))

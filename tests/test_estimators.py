@@ -6,7 +6,6 @@ from shrinkdist.estimators import (
     TuningPlan,
     estimate,
     penalized_objective,
-    zero_event_threshold,
 )
 
 KINDS = list(EstimatorKind)
@@ -46,8 +45,7 @@ def test_zero_exactly_on_boundary(kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_zero_set_matches_threshold(kind):
-    eta = zero_event_threshold(TUNING)
-    assert eta == TUNING.eta
+    eta = TUNING.eta
     ys = np.linspace(-2.0, 2.0, 20_001)
     vals = estimate(kind, ys, TUNING)
     np.testing.assert_array_equal(vals == 0.0, np.abs(ys) <= eta)

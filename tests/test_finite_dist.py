@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import quadrature_cdf
 from scipy.integrate import quad
 
 from shrinkdist.estimators import EstimatorKind, TuningPlan, estimate
@@ -13,12 +14,10 @@ from shrinkdist.finite_dist import (
     ModelPoint,
     atom_weight,
     finite_sample_dist,
-    mixture_cdf,
-    mixture_density_ac,
     rescaled_dist,
     scaled_risk,
 )
-from shrinkdist.normal_kernel import ExtReal, NEG_INF, POS_INF, norm_cdf, norm_pdf
+from shrinkdist.normal_kernel import norm_cdf, norm_pdf
 
 KINDS = list(EstimatorKind)
 FIG_POINT = ModelPoint(40, 0.16)
@@ -32,21 +31,6 @@ CONFIGS = [
     (ModelPoint(10_000, 0.05), TuningPlan(0.1, 3.7)),   # consistent: eta = n**-0.25
     (ModelPoint(1000, 0.002), TuningPlan(0.03, 5.0)),
 ]
-
-
-def quad_cdf(dist, x):
-    """Breakpoint-aware quadrature of the density pieces plus atom masses."""
-    total = sum(a.weight for a in dist.atoms if a.loc.is_finite and a.loc.finite <= x)
-    total += sum(a.weight for a in dist.atoms if a.loc == NEG_INF)
-    for p in dist.pieces:
-        lo, hi = float(p.lower), min(float(p.upper), x)
-        if hi <= lo:
-            continue
-        lo = max(lo, -60.0)
-        val, _ = quad(lambda t: p.coeff * norm_pdf(p.slope * t + p.shift), lo, hi,
-                      epsabs=1e-13, epsrel=1e-13, limit=300)
-        total += val
-    return total
 
 
 def test_atom_weight_figure_configuration():
@@ -82,7 +66,7 @@ def test_structure(kind, n_pieces):
     assert len(dist.pieces) == n_pieces
     assert len(dist.atoms) == 1
     atom = dist.atoms[0]
-    assert atom.loc.finite == -FIG_POINT.sqrt_n * FIG_POINT.theta
+    assert atom.loc == -FIG_POINT.sqrt_n * FIG_POINT.theta
     assert atom.weight == pytest.approx(atom_weight(FIG_POINT, FIG_TUNING), abs=1e-15)
 
 
@@ -112,16 +96,16 @@ def test_hard_density_excision():
     lo = -s * (0.16 + 0.05)
     hi = s * (0.05 - 0.16)
     mid = 0.5 * (lo + hi)
-    assert mixture_density_ac(dist, mid) == 0.0
-    assert mixture_density_ac(dist, hi + 3.0) == pytest.approx(norm_pdf(hi + 3.0), rel=1e-14)
-    assert mixture_density_ac(dist, lo - 2.0) == pytest.approx(norm_pdf(lo - 2.0), rel=1e-14)
+    assert dist.density_ac(mid) == 0.0
+    assert dist.density_ac(hi + 3.0) == pytest.approx(norm_pdf(hi + 3.0), rel=1e-14)
+    assert dist.density_ac(lo - 2.0) == pytest.approx(norm_pdf(lo - 2.0), rel=1e-14)
 
 
 def test_soft_density_right_of_atom():
     dist = finite_sample_dist(EstimatorKind.SOFT, FIG_POINT, FIG_TUNING)
     s = FIG_POINT.sqrt_n
     x = -s * 0.16 + 0.1
-    assert mixture_density_ac(dist, x) == pytest.approx(norm_pdf(x + s * 0.05), rel=1e-14)
+    assert dist.density_ac(x) == pytest.approx(norm_pdf(x + s * 0.05), rel=1e-14)
 
 
 def test_hard_piece_mass_complements_atom():
@@ -138,14 +122,14 @@ def test_hard_piece_mass_complements_atom():
 def test_cdf_against_quadrature(kind):
     dist = finite_sample_dist(kind, FIG_POINT, FIG_TUNING)
     for x in np.linspace(-4.5, 4.5, 20):
-        assert mixture_cdf(dist, float(x)) == pytest.approx(quad_cdf(dist, float(x)), abs=1e-10)
+        assert dist.cdf(float(x)) == pytest.approx(quadrature_cdf(dist, float(x)), abs=1e-10)
 
 
 def test_cdf_limits_and_atom_jump():
     dist = finite_sample_dist(EstimatorKind.HARD, FIG_POINT, FIG_TUNING)
     assert dist.cdf(60.0) == pytest.approx(1.0, abs=1e-12)
     assert dist.cdf(-60.0) == pytest.approx(0.0, abs=1e-12)
-    loc = dist.atoms[0].loc.finite
+    loc = dist.atoms[0].loc
     jump = dist.cdf(loc) - dist.cdf_left(loc)
     assert jump == pytest.approx(dist.atoms[0].weight, abs=1e-15)
 
@@ -172,7 +156,7 @@ def test_restricted_estimator_conditional_law(kind):
     # conditional on selecting zero, the scaled error is the point mass at -sqrt(n)*theta
     dist = finite_sample_dist(kind, FIG_POINT, FIG_TUNING)
     atom = dist.atoms[0]
-    assert atom.loc.finite == -FIG_POINT.sqrt_n * FIG_POINT.theta
+    assert atom.loc == -FIG_POINT.sqrt_n * FIG_POINT.theta
     assert atom.weight == pytest.approx(atom_weight(FIG_POINT, FIG_TUNING), abs=0.0)
 
 
@@ -198,7 +182,7 @@ def test_rescaled_matches_cdf_substitution():
         g = rescaled_dist(kind, point, tun)
         xs = np.linspace(-3, 3, 41)
         np.testing.assert_allclose(g.cdf(xs), f.cdf(scale * xs), atol=1e-13)
-        assert g.atoms[0].loc.finite == pytest.approx(-point.theta / tun.eta, rel=1e-12)
+        assert g.atoms[0].loc == pytest.approx(-point.theta / tun.eta, rel=1e-12)
         assert abs(g.total_mass() - 1.0) <= 1e-10
 
 
@@ -226,7 +210,7 @@ def test_risk_shrinkage_helps_at_origin():
 @pytest.mark.parametrize("kind", KINDS)
 def test_risk_against_quadrature(kind):
     dist = finite_sample_dist(kind, FIG_POINT, FIG_TUNING)
-    total = dist.atoms[0].weight * dist.atoms[0].loc.finite ** 2
+    total = dist.atoms[0].weight * dist.atoms[0].loc ** 2
     for p in dist.pieces:
         lo = max(float(p.lower), -40.0)
         hi = min(float(p.upper), 40.0)
@@ -265,26 +249,49 @@ def test_json_encodes_infinities_as_strings():
     assert "-inf" in bounds and "+inf" in bounds
 
 
+def test_from_json_rejects_nan_loc():
+    blob = finite_sample_dist(EstimatorKind.HARD, FIG_POINT, FIG_TUNING).to_json()
+    blob["atoms"][0]["loc"] = math.nan
+    with pytest.raises(ValueError, match="NaN"):
+        MixtureDistribution.from_json(json.loads(json.dumps(blob)))
+
+
+def test_atom_rejects_nan_loc():
+    with pytest.raises(ValueError, match="NaN"):
+        Atom(math.nan, 1.0)
+
+
+def test_rescaled_rejects_nonpositive_or_nonfinite_scale():
+    dist = finite_sample_dist(EstimatorKind.SCAD, FIG_POINT, FIG_TUNING)
+    for s in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="scale"):
+            dist.rescaled(s)
+        with pytest.raises(ValueError, match="scale"):
+            dist.pieces[0].rescaled(s)
+
+
 def test_gauss_piece_validation():
     with pytest.raises(ValueError, match="lower < upper"):
-        GaussPiece(1.0, 1.0, 0.0, ExtReal(2.0), ExtReal(1.0))
+        GaussPiece(1.0, 1.0, 0.0, 2.0, 1.0)
     with pytest.raises(ValueError, match="slope"):
-        GaussPiece(1.0, 0.0, 0.0, NEG_INF, POS_INF)
+        GaussPiece(1.0, 0.0, 0.0, -math.inf, math.inf)
     with pytest.raises(ValueError, match="coeff"):
-        GaussPiece(-1.0, 1.0, 0.0, NEG_INF, POS_INF)
+        GaussPiece(-1.0, 1.0, 0.0, -math.inf, math.inf)
 
 
 def test_mixture_validation():
-    good = GaussPiece(1.0, 1.0, 0.0, NEG_INF, POS_INF)
+    good = GaussPiece(1.0, 1.0, 0.0, -math.inf, math.inf)
     with pytest.raises(ValueError, match="mass"):
-        MixtureDistribution(atoms=(Atom(ExtReal(0.0), 0.5),), pieces=(good,))
+        MixtureDistribution(atoms=(Atom(0.0, 0.5),), pieces=(good,))
     with pytest.raises(ValueError, match="distinct"):
-        MixtureDistribution(atoms=(Atom(ExtReal(0.0), 0.0), Atom(ExtReal(0.0), 0.0)), pieces=(good,))
+        MixtureDistribution(atoms=(Atom(0.0, 0.0), Atom(0.0, 0.0)), pieces=(good,))
 
 
 def test_model_point_validation():
     with pytest.raises(ValueError):
         ModelPoint(0, 0.1)
+    with pytest.raises(ValueError):
+        ModelPoint(True, 0.1)
     with pytest.raises(ValueError):
         ModelPoint(10, math.inf)
 

@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from shrinkdist.estimators import EstimatorKind, TuningPlan
-from shrinkdist.finite_dist import ModelPoint, finite_sample_dist
+from shrinkdist.finite_dist import MixtureDistribution, ModelPoint, finite_sample_dist
 from shrinkdist.limits import (
     LimitLaw,
     MASS_ESCAPE,
@@ -16,14 +17,14 @@ from shrinkdist.limits import (
     rescaled_limit,
     weak_convergence_check,
 )
-from shrinkdist.normal_kernel import ExtReal, NEG_INF, POS_INF, norm_cdf
+from shrinkdist.normal_kernel import norm_cdf
 from shrinkdist.selection import PowerTuningPath, RegimeError, RegimeSpec
 
 HARD, SOFT, SCAD = EstimatorKind.HARD, EstimatorKind.SOFT, EstimatorKind.SCAD
 
 
 def regime(e=math.inf, **kw):
-    return RegimeSpec(e=ExtReal.of(e), **{k: ExtReal.of(v) for k, v in kw.items()})
+    return RegimeSpec(e=e, **kw)
 
 
 class TestConservative:
@@ -40,14 +41,19 @@ class TestConservative:
         assert law.mode == TOTAL_VARIATION
 
     def test_soft_infinite_nu_is_shifted_normal(self):
-        law = conservative_limit(SOFT, POS_INF, 1.0)
+        law = conservative_limit(SOFT, math.inf, 1.0)
         assert law.cdf(-1.0) == pytest.approx(0.5, abs=1e-15)
         xs = np.linspace(-4, 2, 25)
         np.testing.assert_allclose(law.cdf(xs), norm_cdf(xs + 1.0), atol=1e-15)
 
     def test_hard_infinite_nu_is_standard_normal(self):
-        law = conservative_limit(HARD, NEG_INF, 1.2)
+        law = conservative_limit(HARD, -math.inf, 1.2)
         np.testing.assert_allclose(law.cdf(np.array([0.0, 1.0])), [0.5, norm_cdf(1.0)], atol=1e-15)
+
+    @pytest.mark.parametrize("kind", [HARD, SOFT, SCAD])
+    def test_nan_nu_rejected(self, kind):
+        with pytest.raises(ValueError, match="NaN"):
+            conservative_limit(kind, math.nan, 1.0)
 
     @pytest.mark.parametrize("kind", [HARD, SOFT, SCAD])
     def test_mass_one(self, kind):
@@ -268,7 +274,7 @@ class TestScenarios:
 def test_limit_law_mode_validation():
     from shrinkdist.finite_dist import Atom, MixtureDistribution
 
-    escaped = MixtureDistribution(atoms=(Atom(NEG_INF, 1.0),), pieces=())
+    escaped = MixtureDistribution(atoms=(Atom(-math.inf, 1.0),), pieces=())
     with pytest.raises(ValueError, match="mass-escape"):
         LimitLaw(escaped, WEAK)
     with pytest.raises(ValueError, match="mode"):
@@ -281,3 +287,13 @@ def test_limit_law_json_round_trip():
     assert clone == law
     xs = np.linspace(-2, 2, 9)
     np.testing.assert_array_equal(clone.cdf(xs), law.cdf(xs))
+
+
+def test_mass_escape_law_json_string_round_trip():
+    law = consistent_limit(HARD, regime(zeta=1.0, r=0.25))
+    assert law.mode == MASS_ESCAPE and law.dist.atoms[0].loc == -math.inf
+    blob = law.dist.to_json_str()
+    assert json.loads(blob)["atoms"][0]["loc"] == "-inf"
+    clone = MixtureDistribution.from_json(blob)
+    assert clone == law.dist
+    assert clone.atoms[0].loc == -math.inf

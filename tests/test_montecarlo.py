@@ -14,7 +14,6 @@ from shrinkdist.montecarlo import (
     simulate_estimates,
     uniform_rate_experiment,
 )
-from shrinkdist.normal_kernel import ExtReal
 from shrinkdist.selection import PowerTuningPath
 
 KINDS = list(EstimatorKind)
@@ -88,7 +87,7 @@ def test_ks_detects_location_mismatch():
 def test_ks_degenerate_atom_law():
     vals = np.zeros(1000)
     emp = EmpiricalCdf(vals)
-    dist = MixtureDistribution(atoms=(Atom(ExtReal(0.0), 1.0),), pieces=())
+    dist = MixtureDistribution(atoms=(Atom(0.0, 1.0),), pieces=())
     assert ks_distance(emp, dist) < 1.0 / emp.count
 
 
@@ -114,6 +113,8 @@ def test_sim_config_validation():
         SimConfig(seed=1, replications=0, point=ModelPoint(4, 0.0), tuning=TuningPlan(0.5))
     with pytest.raises(ValueError):
         SimConfig(seed=-1, replications=10, point=ModelPoint(4, 0.0), tuning=TuningPlan(0.5))
+    with pytest.raises(ValueError):
+        SimConfig(seed=1, replications=True, point=ModelPoint(4, 0.0), tuning=TuningPlan(0.5))
 
 
 class TestUniformRate:
@@ -149,6 +150,10 @@ class TestUniformRate:
         probs = rep.column("sup_prob")
         assert probs[-1] >= 0.99
         assert probs[0] < 0.01 < probs[1]
+
+    def test_rejects_unknown_scaling(self):
+        with pytest.raises(ValueError, match="scaling"):
+            uniform_rate_experiment(EstimatorKind.HARD, PowerTuningPath(1.0, 0.25), 6.0, [100], scaling="bogus")
 
     def test_requires_m_above_two(self):
         with pytest.raises(ValueError):

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from shrinkdist.estimators import TuningPlan
-from shrinkdist.finite_dist import ModelPoint, atom_weight
-from shrinkdist.normal_kernel import ExtReal, NEG_INF, POS_INF
+from shrinkdist.estimators import EstimatorKind, TuningPlan
+from shrinkdist.finite_dist import ModelPoint, atom_weight, finite_sample_dist
 from shrinkdist.selection import (
     PowerTuningPath,
     RegimeError,
@@ -14,23 +13,22 @@ from shrinkdist.selection import (
     derive_regime,
     limit_selection_probability,
     selection_convergence_table,
-    selection_probability,
 )
 
 TWO_PHI_196 = 0.9500042097035591
 
 
 def test_probability_pinned_value():
-    p = selection_probability(ModelPoint(100, 0.0), TuningPlan(0.196))
+    p = atom_weight(ModelPoint(100, 0.0), TuningPlan(0.196))
     assert p == pytest.approx(TWO_PHI_196, abs=1e-12)
 
 
 def test_probability_far_alternative_vanishes():
-    assert selection_probability(ModelPoint(100, 10.0), TuningPlan(0.196)) < 1e-15
+    assert atom_weight(ModelPoint(100, 10.0), TuningPlan(0.196)) < 1e-15
 
 
 def test_probability_figure_config():
-    p = selection_probability(ModelPoint(40, 0.16), TuningPlan(0.05))
+    p = atom_weight(ModelPoint(40, 0.16), TuningPlan(0.05))
     assert p == pytest.approx(0.15124483648953546, abs=1e-12)
     assert p == pytest.approx(0.15, abs=0.005)
 
@@ -38,72 +36,79 @@ def test_probability_figure_config():
 def test_probability_equals_atom_weight_exactly():
     for n, theta, eta in [(7, 0.3, 0.2), (500, -0.01, 0.05), (40, 0.16, 0.05)]:
         point, tun = ModelPoint(n, theta), TuningPlan(eta)
-        assert selection_probability(point, tun) == atom_weight(point, tun)
+        for kind in EstimatorKind:
+            assert finite_sample_dist(kind, point, tun).atoms[0].weight == atom_weight(point, tun)
 
 
 def test_probability_symmetric_in_theta():
     tun = TuningPlan(0.2)
     for theta in (0.0, 0.13, 1.5):
-        assert selection_probability(ModelPoint(30, theta), tun) == pytest.approx(
-            selection_probability(ModelPoint(30, -theta), tun), abs=1e-15
+        assert atom_weight(ModelPoint(30, theta), tun) == pytest.approx(
+            atom_weight(ModelPoint(30, -theta), tun), abs=1e-15
         )
 
 
 def test_probability_monotone_in_abs_theta():
     tun = TuningPlan(0.2)
-    vals = [selection_probability(ModelPoint(30, th), tun) for th in np.linspace(0, 3, 60)]
+    vals = [atom_weight(ModelPoint(30, th), tun) for th in np.linspace(0, 3, 60)]
     assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
 
 
 def test_probability_monotone_in_eta():
     point = ModelPoint(30, 0.1)
-    vals = [selection_probability(point, TuningPlan(e)) for e in np.linspace(0.01, 2, 60)]
+    vals = [atom_weight(point, TuningPlan(e)) for e in np.linspace(0.01, 2, 60)]
     assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
 
 
 class TestLimitProbability:
     def test_conservative_formula(self):
-        regime = RegimeSpec(e=ExtReal(1.96), nu=ExtReal(0.0))
+        regime = RegimeSpec(e=1.96, nu=0.0)
         assert limit_selection_probability(regime) == pytest.approx(TWO_PHI_196, abs=1e-12)
 
     def test_conservative_infinite_nu(self):
-        regime = RegimeSpec(e=ExtReal(1.0), nu=POS_INF)
+        regime = RegimeSpec(e=1.0, nu=math.inf)
         assert limit_selection_probability(regime) == 0.0
 
     def test_consistent_interior(self):
-        assert limit_selection_probability(RegimeSpec(e=POS_INF, zeta=ExtReal(0.5))) == 1.0
+        assert limit_selection_probability(RegimeSpec(e=math.inf, zeta=0.5)) == 1.0
 
     def test_consistent_exterior(self):
-        assert limit_selection_probability(RegimeSpec(e=POS_INF, zeta=ExtReal(1.5))) == 0.0
-        assert limit_selection_probability(RegimeSpec(e=POS_INF, zeta=NEG_INF)) == 0.0
+        assert limit_selection_probability(RegimeSpec(e=math.inf, zeta=1.5)) == 0.0
+        assert limit_selection_probability(RegimeSpec(e=math.inf, zeta=-math.inf)) == 0.0
 
     def test_consistent_boundary_uses_r(self):
-        regime = RegimeSpec(e=POS_INF, zeta=ExtReal(1.0), r=ExtReal(0.0))
+        regime = RegimeSpec(e=math.inf, zeta=1.0, r=0.0)
         assert limit_selection_probability(regime) == pytest.approx(0.5, abs=1e-15)
 
     def test_boundary_without_r_is_underdetermined(self):
         with pytest.raises(RegimeError, match="underdetermined"):
-            limit_selection_probability(RegimeSpec(e=POS_INF, zeta=ExtReal(-1.0)))
+            limit_selection_probability(RegimeSpec(e=math.inf, zeta=-1.0))
 
     def test_conservative_without_nu_is_underdetermined(self):
         with pytest.raises(RegimeError, match="underdetermined"):
-            limit_selection_probability(RegimeSpec(e=ExtReal(1.0)))
+            limit_selection_probability(RegimeSpec(e=1.0))
 
 
 class TestRegimeSpec:
     def test_negative_e_rejected(self):
         with pytest.raises(RegimeError):
-            RegimeSpec(e=ExtReal(-0.5))
+            RegimeSpec(e=-0.5)
 
     def test_nu_forced_by_nonzero_zeta(self):
-        regime = RegimeSpec(e=POS_INF, zeta=ExtReal(0.5))
-        assert regime.nu == POS_INF
-        regime = RegimeSpec(e=POS_INF, zeta=ExtReal(-3.0))
-        assert regime.nu == NEG_INF
+        regime = RegimeSpec(e=math.inf, zeta=0.5)
+        assert regime.nu == math.inf
+        regime = RegimeSpec(e=math.inf, zeta=-3.0)
+        assert regime.nu == -math.inf
 
     def test_contradictory_nu_rejected(self):
         with pytest.raises(RegimeError, match="forced"):
-            RegimeSpec(e=POS_INF, zeta=ExtReal(0.5), nu=ExtReal(2.0))
+            RegimeSpec(e=math.inf, zeta=0.5, nu=2.0)
+
+    @pytest.mark.parametrize("field", ["e", "nu", "zeta", "r"])
+    def test_nan_rejected(self, field):
+        values = {"e": 1.0, field: math.nan}
+        with pytest.raises(RegimeError, match="NaN"):
+            RegimeSpec(**values)
 
     def test_plain_numbers_coerced(self):
         regime = RegimeSpec(e=math.inf, zeta=2.0)
@@ -119,7 +124,7 @@ class TestTuningPath:
 
     def test_consistent_exponent(self):
         path = PowerTuningPath(1.0, 0.25)
-        assert path.e_limit == POS_INF
+        assert path.e_limit == math.inf
         ns = [10, 10**3, 10**6]
         etas = [path.eta(n) for n in ns]
         assert all(b < a for a, b in zip(etas, etas[1:]))
@@ -143,7 +148,7 @@ class TestDeriveRegime:
 
     def test_eta_multiple_consistent(self):
         regime = derive_regime(PowerTuningPath(1.0, 0.25), ThetaRule.eta_multiple(-0.5))
-        assert regime.zeta == -0.5 and regime.nu == NEG_INF
+        assert regime.zeta == -0.5 and regime.nu == -math.inf
 
     def test_eta_multiple_boundary_gets_exact_r(self):
         regime = derive_regime(PowerTuningPath(1.0, 0.25), ThetaRule.eta_multiple(1.0))
@@ -171,7 +176,7 @@ class TestDeriveRegime:
 
     def test_fixed_rule(self):
         regime = derive_regime(PowerTuningPath(1.0, 0.25), ThetaRule.fixed(0.1))
-        assert regime.zeta == POS_INF and regime.nu == POS_INF
+        assert regime.zeta == math.inf and regime.nu == math.inf
 
 
 class TestConvergenceTable:
@@ -188,7 +193,7 @@ class TestConvergenceTable:
         path = PowerTuningPath(1.0, 0.5)
         rep = selection_convergence_table(path, ThetaRule.local(1.0), [10, 1000, 100_000])
         assert all(abs(g) <= 1e-12 for g in rep.column("gap"))
-        expected = limit_selection_probability(RegimeSpec(e=ExtReal(1.0), nu=ExtReal(1.0)))
+        expected = limit_selection_probability(RegimeSpec(e=1.0, nu=1.0))
         assert rep.column("prob") == pytest.approx([expected] * 3, abs=1e-14)
 
     def test_fixed_theta_probability_vanishes(self):
