@@ -108,11 +108,10 @@ def _density_table(dist: MixtureDistribution, lo: float, hi: float, count: int) 
     xs = np.unique(np.concatenate([grid, np.asarray(cuts, dtype=float)]))
     report = ExperimentReport(columns=("x", "density", "is_atom"))
     atom_rows = {a.loc: a.weight for a in dist.atoms if math.isfinite(a.loc)}
-    for x in xs:
-        x = float(x)
+    for x, density in zip(xs.tolist(), dist.density_ac(xs).tolist()):
         if x in atom_rows:
             report.append(x, atom_rows.pop(x), 1)
-        report.append(x, dist.density_ac(x), 0)
+        report.append(x, density, 0)
     for loc, w in sorted(atom_rows.items()):
         report.append(loc, w, 1)
     report.rows.sort(key=lambda r: (r[0], -r[2]))
@@ -155,8 +154,8 @@ def run_dist(params: dict, out_dir: Path) -> list:
     lo, hi, count = params["grid"]
     grid = np.linspace(float(lo), float(hi), int(count))
     table = ExperimentReport(columns=("x", "cdf", "ac_density"))
-    for x in grid:
-        table.append(float(x), dist.cdf(float(x)), dist.density_ac(float(x)))
+    for row in zip(grid.tolist(), dist.cdf(grid).tolist(), dist.density_ac(grid).tolist()):
+        table.append(*row)
     csv_name = f"dist_{kind.value}_{scaling}.csv"
     json_name = f"dist_{kind.value}_{scaling}.json"
     table.write_csv(out_dir / csv_name)

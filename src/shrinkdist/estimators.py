@@ -51,9 +51,9 @@ class TuningPlan:
     scad_a: float = DEFAULT_SCAD_A
 
     def __post_init__(self):
-        if not (np.isfinite(self.eta) and self.eta > 0.0):
+        if isinstance(self.eta, bool) or not (np.isfinite(self.eta) and self.eta > 0.0):
             raise ValueError(f"invalid tuning: eta > 0 required (got {self.eta})")
-        if not (np.isfinite(self.scad_a) and self.scad_a > 2.0):
+        if isinstance(self.scad_a, bool) or not (np.isfinite(self.scad_a) and self.scad_a > 2.0):
             raise ValueError(f"invalid tuning: scad_a > 2 required (got {self.scad_a})")
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +47,8 @@ class ModelPoint:
     def __post_init__(self):
         if isinstance(self.n, bool) or int(self.n) != self.n or self.n < 1:
             raise ValueError(f"n must be a positive integer (got {self.n})")
-        if not np.isfinite(self.theta):
-            raise ValueError("theta must be finite")
+        if isinstance(self.theta, bool) or not np.isfinite(self.theta):
+            raise ValueError(f"theta must be a finite number (got {self.theta!r})")
 
     @property
     def sqrt_n(self) -> float:
@@ -55,18 +56,11 @@ class ModelPoint:
 
 
 def _real_to_json(v: float):
-    # JSON has no infinities: they travel as the strings "+inf" and "-inf"
+    # JSON has no infinities: they travel as the strings "+inf" and "-inf",
+    # which float() reads back
     if math.isinf(v):
         return "+inf" if v > 0 else "-inf"
     return v
-
-
-def _real_from_json(obj) -> float:
-    if obj == "+inf":
-        return math.inf
-    if obj == "-inf":
-        return -math.inf
-    return float(obj)
 
 
 def _inverse_scale(s: float) -> float:
@@ -87,8 +81,7 @@ def _zphi(t: float) -> float:
     return t * norm_pdf(t)
 
 
-@dataclass(frozen=True)
-class GaussPiece:
+class GaussPiece(NamedTuple):
     """Density c * pdf(alpha*x + beta) supported on (lower, upper]; ends may be +-inf."""
 
     coeff: float
@@ -97,176 +90,134 @@ class GaussPiece:
     lower: float
     upper: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "lower", float(self.lower))
-        object.__setattr__(self, "upper", float(self.upper))
-        if not (np.isfinite(self.coeff) and self.coeff >= 0.0):
-            raise ValueError("coeff must be finite and nonnegative")
-        if not (np.isfinite(self.slope) and self.slope != 0.0):
-            raise ValueError("slope must be finite and nonzero")
-        if not np.isfinite(self.shift):
-            raise ValueError("shift must be finite")
-        if not self.lower < self.upper:
-            raise ValueError("piece interval requires lower < upper")
 
-    def _z(self, x: float) -> float:
-        return self.slope * x + self.shift
-
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
-        inside = (x > self.lower) & (x <= self.upper)
-        return _scalar_or_array(x, np.where(inside, self.coeff * norm_pdf(self.slope * x + self.shift), 0.0))
-
-    def cdf_contrib(self, x):
-        """Mass of the piece on (-inf, x], in closed form through the normal cdf."""
-        x = np.asarray(x, dtype=float)
-        z_lo = self._z(self.lower)
-        z_hi = self._z(np.minimum(x, self.upper))
-        contrib = (self.coeff / self.slope) * (norm_cdf(z_hi) - norm_cdf(z_lo))
-        return _scalar_or_array(x, np.where(x > self.lower, contrib, 0.0))
-
-    def mass(self) -> float:
-        return float(self.cdf_contrib(self.upper))
-
-    def second_moment(self) -> float:
-        """Integral of x^2 times the piece density, via truncated-normal identities.
-
-        With z = alpha*x + beta the integral becomes
-        c/alpha^3 * int (z - beta)^2 pdf(z) dz over the mapped interval, and
-        int pdf, int z*pdf, int z^2*pdf all reduce to cdf/pdf evaluations.
-        """
-        a = self._z(self.lower)
-        b = self._z(self.upper)
-        i0 = norm_cdf(b) - norm_cdf(a)
-        pa = 0.0 if math.isinf(a) else norm_pdf(a)
-        pb = 0.0 if math.isinf(b) else norm_pdf(b)
-        i1 = pa - pb
-        i2 = i0 + _zphi(a) - _zphi(b)
-        return (self.coeff / self.slope**3) * (i2 - 2.0 * self.shift * i1 + self.shift**2 * i0)
-
-    def rescaled(self, s: float) -> "GaussPiece":
-        """Piece for X/s when this piece describes X; requires finite s > 0."""
-        inv = _inverse_scale(s)
-        return GaussPiece(self.coeff * s, self.slope * s, self.shift, self.lower * inv, self.upper * inv)
-
-    def to_json(self) -> dict:
-        return {
-            "coeff": self.coeff,
-            "slope": self.slope,
-            "shift": self.shift,
-            "lower": _real_to_json(self.lower),
-            "upper": _real_to_json(self.upper),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "GaussPiece":
-        return cls(
-            coeff=float(obj["coeff"]),
-            slope=float(obj["slope"]),
-            shift=float(obj["shift"]),
-            lower=_real_from_json(obj["lower"]),
-            upper=_real_from_json(obj["upper"]),
-        )
-
-
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     """Point mass; the location may be +-inf (escaped mass)."""
 
     loc: float
     weight: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "loc", float(self.loc))
-        if math.isnan(self.loc):
-            raise ValueError("atom location must not be NaN")
-        if not (np.isfinite(self.weight) and self.weight >= 0.0):
-            raise ValueError("atom weight must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
 class MixtureDistribution:
     """Finite list of atoms plus scaled-Gaussian density pieces.
 
-    Total mass, counting atoms at +-inf, is always 1; the cdf restricted to
-    the real line is sub-stochastic exactly when mass sits at an infinity.
+    `Atom` and `GaussPiece` are plain records; every law evaluation lives
+    here and accepts a scalar (returning a float) or an array.  Total mass,
+    counting atoms at +-inf, is always 1; the cdf restricted to the real
+    line is sub-stochastic exactly when mass sits at an infinity.
     """
 
     atoms: tuple
     pieces: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "atoms", tuple(self.atoms))
-        object.__setattr__(self, "pieces", tuple(self.pieces))
-        locs = [a.loc for a in self.atoms]
-        if len(set(locs)) != len(locs):
+        atoms = tuple(Atom(*map(float, a)) for a in self.atoms)
+        pieces = tuple(GaussPiece(*map(float, p)) for p in self.pieces)
+        for loc, weight in atoms:
+            if math.isnan(loc):
+                raise ValueError("atom location must not be NaN")
+            if not (math.isfinite(weight) and weight >= 0.0):
+                raise ValueError("atom weight must be finite and nonnegative")
+        for coeff, slope, shift, lower, upper in pieces:
+            if not (math.isfinite(coeff) and coeff >= 0.0):
+                raise ValueError("coeff must be finite and nonnegative")
+            if not (math.isfinite(slope) and slope != 0.0):
+                raise ValueError("slope must be finite and nonzero")
+            if not math.isfinite(shift):
+                raise ValueError("shift must be finite")
+            if not lower < upper:
+                raise ValueError("piece interval requires lower < upper")
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "pieces", pieces)
+        if len({a.loc for a in atoms}) != len(atoms):
             raise ValueError("atom locations must be pairwise distinct")
         total = self.total_mass()
         if abs(total - 1.0) > _MASS_TOL:
             raise ValueError(f"mixture mass {total} is not 1 within {_MASS_TOL}")
 
     def total_mass(self) -> float:
-        return sum(a.weight for a in self.atoms) + sum(p.mass() for p in self.pieces)
+        ac = sum((c / s) * (norm_cdf(s * hi + b) - norm_cdf(s * lo + b)) for c, s, b, lo, hi in self.pieces)
+        return sum(a.weight for a in self.atoms) + ac
 
     def cdf(self, x):
         """Right-continuous cdf on the real line.
 
+        Each piece adds its mass on (lower, min(x, upper)] in closed form.
         An atom at -inf contributes for every finite x, an atom at +inf
         never does, so escaped mass shows up as a cdf pinned near 0 or 1.
         """
         x = np.asarray(x, dtype=float)
-        total = np.zeros_like(x, dtype=float)
-        for p in self.pieces:
-            total = total + p.cdf_contrib(x)
-        for a in self.atoms:
-            if a.loc < math.inf:
-                total = total + a.weight * (x >= a.loc)
+        total = np.zeros_like(x)
+        for c, s, b, lo, hi in self.pieces:
+            contrib = (c / s) * (norm_cdf(s * np.minimum(x, hi) + b) - norm_cdf(s * lo + b))
+            total = total + _scalar_or_array(x, np.where(x > lo, contrib, 0.0))
+        for loc, w in self.atoms:
+            if loc < math.inf:
+                total = total + w * (x >= loc)
         return _scalar_or_array(x, total)
 
-    def atom_mass_at(self, x: float) -> float:
-        return sum(a.weight for a in self.atoms if a.loc == x and math.isfinite(x))
-
-    def cdf_left(self, x: float) -> float:
-        """Left limit of the cdf at x."""
-        return self.cdf(x) - self.atom_mass_at(x)
+    def cdf_left(self, x):
+        """Left limit of the cdf at x: the cdf minus the finite atoms sitting at x."""
+        x = np.asarray(x, dtype=float)
+        total = self.cdf(x)
+        for loc, w in self.atoms:
+            if math.isfinite(loc):
+                total = total - w * (x == loc)
+        return _scalar_or_array(x, total)
 
     def density_ac(self, x):
         """Density of the absolutely continuous part; atoms are not represented."""
         x = np.asarray(x, dtype=float)
-        total = np.zeros_like(x, dtype=float)
-        for p in self.pieces:
-            total = total + p.density(x)
+        total = np.zeros_like(x)
+        for c, s, b, lo, hi in self.pieces:
+            inside = (x > lo) & (x <= hi)
+            total = total + _scalar_or_array(x, np.where(inside, c * norm_pdf(s * x + b), 0.0))
         return _scalar_or_array(x, total)
 
     def second_moment(self) -> float:
+        """Atom part plus, per piece, the integral of x^2 times its density.
+
+        With z = alpha*x + beta a piece's integral becomes
+        c/alpha^3 * int (z - beta)^2 pdf(z) dz over the mapped interval, and
+        int pdf, int z*pdf, int z^2*pdf all reduce to cdf/pdf evaluations.
+        """
         out = 0.0
-        for a in self.atoms:
-            if math.isinf(a.loc):
-                if a.weight > 0.0:
+        for loc, w in self.atoms:
+            if math.isinf(loc):
+                if w > 0.0:
                     return math.inf
                 continue
-            out += a.weight * a.loc**2
-        return out + sum(p.second_moment() for p in self.pieces)
+            out += w * loc**2
+        ac = 0.0
+        for c, s, b, lo, hi in self.pieces:
+            za, zb = s * lo + b, s * hi + b
+            i0 = norm_cdf(zb) - norm_cdf(za)
+            pa, pb = (0.0 if math.isinf(z) else norm_pdf(z) for z in (za, zb))
+            i1 = pa - pb
+            i2 = i0 + _zphi(za) - _zphi(zb)
+            ac += (c / s**3) * (i2 - 2.0 * b * i1 + b**2 * i0)
+        return out + ac
 
     def rescaled(self, s: float) -> "MixtureDistribution":
+        """Law of X/s when this law describes X; requires finite s > 0."""
         inv = _inverse_scale(s)
         return MixtureDistribution(
-            atoms=tuple(Atom(a.loc * inv, a.weight) for a in self.atoms),
-            pieces=tuple(p.rescaled(s) for p in self.pieces),
+            atoms=tuple(Atom(loc * inv, w) for loc, w in self.atoms),
+            pieces=tuple(GaussPiece(c * s, slope * s, b, lo * inv, hi * inv)
+                         for c, slope, b, lo, hi in self.pieces),
         )
 
     def breakpoints(self) -> list:
         """Finite interval endpoints and atom locations, sorted; quadrature panels."""
-        pts = set()
-        for p in self.pieces:
-            pts.update(b for b in (p.lower, p.upper) if math.isfinite(b))
-        pts.update(a.loc for a in self.atoms if math.isfinite(a.loc))
-        return sorted(pts)
+        pts = {p.lower for p in self.pieces} | {p.upper for p in self.pieces} | {a.loc for a in self.atoms}
+        return sorted(v for v in pts if math.isfinite(v))
 
     def to_json(self) -> dict:
         return {
             "atoms": [{"loc": _real_to_json(a.loc), "weight": a.weight} for a in self.atoms],
-            "pieces": [p.to_json() for p in self.pieces],
+            "pieces": [dict(p._asdict(), lower=_real_to_json(p.lower), upper=_real_to_json(p.upper))
+                       for p in self.pieces],
         }
 
     def to_json_str(self) -> str:
@@ -277,8 +228,8 @@ class MixtureDistribution:
         if isinstance(obj, str):
             obj = json.loads(obj)
         return cls(
-            atoms=tuple(Atom(_real_from_json(a["loc"]), float(a["weight"])) for a in obj["atoms"]),
-            pieces=tuple(GaussPiece.from_json(p) for p in obj["pieces"]),
+            atoms=[Atom(a["loc"], a["weight"]) for a in obj["atoms"]],
+            pieces=[GaussPiece(*(p[k] for k in GaussPiece._fields)) for p in obj["pieces"]],
         )
 
 
@@ -289,14 +240,18 @@ def _cut_points(point: ModelPoint, tuning: TuningPlan):
     return loc, se
 
 
-def atom_weight(point: ModelPoint, tuning: TuningPlan) -> float:
-    """P_{n,theta}(estimate == 0), identical for all three estimator kinds."""
-    loc, se = _cut_points(point, tuning)
+def _zero_mass(loc: float, se: float) -> float:
+    """Phi(loc + se) - Phi(loc - se): the mass of the event estimate == 0."""
     return norm_cdf(loc + se) - norm_cdf(loc - se)
 
 
+def atom_weight(point: ModelPoint, tuning: TuningPlan) -> float:
+    """P_{n,theta}(estimate == 0), identical for all three estimator kinds."""
+    return _zero_mass(*_cut_points(point, tuning))
+
+
 def _hard_mixture(loc: float, se: float) -> MixtureDistribution:
-    w = norm_cdf(loc + se) - norm_cdf(loc - se)
+    w = _zero_mass(loc, se)
     return MixtureDistribution(
         atoms=(Atom(loc, w),),
         pieces=(
@@ -307,7 +262,7 @@ def _hard_mixture(loc: float, se: float) -> MixtureDistribution:
 
 
 def _soft_mixture(loc: float, se: float) -> MixtureDistribution:
-    w = norm_cdf(loc + se) - norm_cdf(loc - se)
+    w = _zero_mass(loc, se)
     return MixtureDistribution(
         atoms=(Atom(loc, w),),
         pieces=(
@@ -328,7 +283,7 @@ def _scad_mixture(loc: float, se: float, a: float) -> MixtureDistribution:
       (loc + se, loc + a*se]   blend,
       (loc + a*se, inf)        normal tail.
     """
-    w = norm_cdf(loc + se) - norm_cdf(loc - se)
+    w = _zero_mass(loc, se)
     ratio = (a - 2.0) / (a - 1.0)
     b_lo = loc - a * se
     b_hi = loc + a * se

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .estimators import EstimatorKind, TuningPlan, estimate
-from .finite_dist import ModelPoint, finite_sample_dist
+from .finite_dist import ModelPoint, _zero_mass, finite_sample_dist
 from .limits import conservative_limit
 from .montecarlo import _uniform_open
 from .normal_kernel import gaussian_tv, norm_cdf
@@ -76,7 +76,7 @@ def estimand_gap(problem: TwoPointProblem, delta: Optional[float] = None):
     f_plus = finite_sample_dist(problem.kind, ModelPoint(problem.n, th_plus), problem.tuning).cdf(problem.t)
     gap = f_minus - f_plus
     se = math.sqrt(problem.n) * problem.tuning.eta
-    leading = norm_cdf(problem.t - d + se) - norm_cdf(problem.t - d - se)
+    leading = _zero_mass(problem.t - d, se)
     return gap, leading, gap - leading
 
 
@@ -89,7 +89,7 @@ def minimax_lower_bound(problem: TwoPointProblem, epsilon: Optional[float] = Non
     deltas whose gap still exceeds 2*epsilon.
     """
     se = math.sqrt(problem.n) * problem.tuning.eta
-    eps_range = 0.5 * (norm_cdf(problem.t + se) - norm_cdf(problem.t - se))
+    eps_range = 0.5 * _zero_mass(problem.t, se)
     eps = 0.9 * eps_range if epsilon is None else float(epsilon)
     best = 0.0
     d = problem.delta

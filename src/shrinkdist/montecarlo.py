@@ -121,13 +121,9 @@ def ks_distance(emp: EmpiricalCdf, dist: MixtureDistribution) -> float:
     """
     uniq, counts = np.unique(emp.values, return_counts=True)
     cum = np.cumsum(counts) / emp.count
-    emp_right = cum
     emp_left = np.concatenate(([0.0], cum[:-1]))
-    model_right = dist.cdf(uniq)
-    atom_w = np.array([dist.atom_mass_at(float(u)) for u in uniq]) if dist.atoms else 0.0
-    model_left = model_right - atom_w
     return float(
-        max(np.max(np.abs(model_right - emp_right)), np.max(np.abs(model_left - emp_left)))
+        max(np.max(np.abs(dist.cdf(uniq) - cum)), np.max(np.abs(dist.cdf_left(uniq) - emp_left)))
     )
 
 

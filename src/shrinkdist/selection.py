@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .estimators import TuningPlan
-from .finite_dist import ModelPoint, atom_weight
+from .finite_dist import ModelPoint, _zero_mass, atom_weight
 from .normal_kernel import norm_cdf
 from .report import ExperimentReport
 
@@ -206,7 +206,7 @@ def limit_selection_probability(regime: RegimeSpec) -> float:
     if not regime.consistent:
         nu = regime.require_nu()
         e = regime.e
-        return norm_cdf(-nu + e) - norm_cdf(-nu - e)
+        return _zero_mass(-nu, e)
     az = abs(regime.require_zeta())
     if az < 1.0:
         return 1.0

@@ -156,6 +156,10 @@ def test_tuning_validation():
         TuningPlan(0.0)
     with pytest.raises(ValueError, match="scad_a > 2"):
         TuningPlan(0.5, 1.5)
+    with pytest.raises(ValueError, match="eta > 0"):
+        TuningPlan(True)
+    with pytest.raises(ValueError, match="scad_a > 2"):
+        TuningPlan(0.5, True)
 
 
 def test_kind_parse():

@@ -113,7 +113,7 @@ def test_hard_piece_mass_complements_atom():
         point = ModelPoint(50, 0.0)
         tun = TuningPlan(eta)
         dist = finite_sample_dist(EstimatorKind.HARD, point, tun)
-        ac = sum(p.mass() for p in dist.pieces)
+        ac = dist.total_mass() - dist.atoms[0].weight
         expected = 1.0 - (2.0 * norm_cdf(math.sqrt(50) * eta) - 1.0)
         assert ac == pytest.approx(expected, abs=1e-12)
 
@@ -233,6 +233,21 @@ def test_risk_against_monte_carlo(kind):
     assert abs(scaled_risk(kind, ModelPoint(n, theta), tun) - mc) <= 3 * se
 
 
+@pytest.mark.parametrize("builder", [finite_sample_dist, rescaled_dist])
+@pytest.mark.parametrize("kind", KINDS)
+def test_array_evaluation_matches_scalar_bit_for_bit(kind, builder):
+    dist = builder(kind, ModelPoint(25, -0.3), TuningPlan(0.08, 2.5))
+    cuts = np.asarray(dist.breakpoints())  # the atom and every piece end
+    xs = np.concatenate([np.linspace(-6.0, 6.0, 41), cuts,
+                         np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf)])
+    for method in (dist.cdf, dist.cdf_left, dist.density_ac):
+        scalar = [method(float(x)) for x in xs]
+        assert all(type(v) is float for v in scalar)
+        np.testing.assert_array_equal(method(xs), np.array(scalar))
+    atom = dist.atoms[0]
+    assert dist.cdf(atom.loc) - dist.cdf_left(atom.loc) == pytest.approx(atom.weight, abs=1e-15)
+
+
 def test_json_round_trip():
     for kind in KINDS:
         dist = finite_sample_dist(kind, FIG_POINT, FIG_TUNING)
@@ -258,7 +273,7 @@ def test_from_json_rejects_nan_loc():
 
 def test_atom_rejects_nan_loc():
     with pytest.raises(ValueError, match="NaN"):
-        Atom(math.nan, 1.0)
+        MixtureDistribution(atoms=(Atom(math.nan, 1.0),), pieces=())
 
 
 def test_rescaled_rejects_nonpositive_or_nonfinite_scale():
@@ -266,17 +281,15 @@ def test_rescaled_rejects_nonpositive_or_nonfinite_scale():
     for s in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="scale"):
             dist.rescaled(s)
-        with pytest.raises(ValueError, match="scale"):
-            dist.pieces[0].rescaled(s)
 
 
 def test_gauss_piece_validation():
     with pytest.raises(ValueError, match="lower < upper"):
-        GaussPiece(1.0, 1.0, 0.0, 2.0, 1.0)
+        MixtureDistribution(atoms=(), pieces=(GaussPiece(1.0, 1.0, 0.0, 2.0, 1.0),))
     with pytest.raises(ValueError, match="slope"):
-        GaussPiece(1.0, 0.0, 0.0, -math.inf, math.inf)
+        MixtureDistribution(atoms=(), pieces=(GaussPiece(1.0, 0.0, 0.0, -math.inf, math.inf),))
     with pytest.raises(ValueError, match="coeff"):
-        GaussPiece(-1.0, 1.0, 0.0, -math.inf, math.inf)
+        MixtureDistribution(atoms=(), pieces=(GaussPiece(-1.0, 1.0, 0.0, -math.inf, math.inf),))
 
 
 def test_mixture_validation():
@@ -294,6 +307,8 @@ def test_model_point_validation():
         ModelPoint(True, 0.1)
     with pytest.raises(ValueError):
         ModelPoint(10, math.inf)
+    with pytest.raises(ValueError):
+        ModelPoint(10, True)
 
 
 def test_tiny_atoms_are_kept():

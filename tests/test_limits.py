@@ -155,7 +155,7 @@ class TestConsistent:
         assert law.mode == TOTAL_VARIATION
         assert not law.dist.atoms
         # blend piece carries cdf(r) of the mass, the normal tail the rest
-        assert law.dist.pieces[0].mass() == pytest.approx(norm_cdf(1.0), abs=1e-12)
+        assert law.dist.cdf(1.0) == pytest.approx(norm_cdf(1.0), abs=1e-12)
 
     def test_scad_boundary_negative_zeta_mirrors(self):
         a = 3.7

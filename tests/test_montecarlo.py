@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import ks_oracle
 
 from shrinkdist.estimators import EstimatorKind, TuningPlan, estimate
 from shrinkdist.finite_dist import Atom, MixtureDistribution, ModelPoint, atom_weight, finite_sample_dist
@@ -82,6 +83,17 @@ def test_ks_detects_location_mismatch():
     emp = simulate_estimates(EstimatorKind.HARD, cfg)
     shifted = finite_sample_dist(EstimatorKind.HARD, ModelPoint(100, 0.5), cfg.tuning)
     assert ks_distance(emp, shifted) > 0.1
+
+
+@pytest.mark.parametrize("theta", [0.16, 0.3])
+def test_ks_against_brute_force_oracle(theta):
+    # 200 draws at theta = 0.16 put about 30 of them on the atom; the law at
+    # theta = 0.3 moves its atom away from them, so the sup sits at a jump
+    cfg = SimConfig(seed=11, replications=200, point=ModelPoint(40, 0.16), tuning=TuningPlan(0.05))
+    emp = simulate_estimates(EstimatorKind.HARD, cfg)
+    assert emp.fraction_at(-math.sqrt(40) * 0.16) > 0.1
+    dist = finite_sample_dist(EstimatorKind.HARD, ModelPoint(40, theta), cfg.tuning)
+    assert ks_distance(emp, dist) == pytest.approx(ks_oracle(emp.values, dist), abs=1e-10)
 
 
 def test_ks_degenerate_atom_law():
