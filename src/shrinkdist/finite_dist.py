@@ -35,11 +35,24 @@ __all__ = [
 ]
 
 _MASS_TOL = 1e-9
+_BAD_LOC = "atom location must not be NaN"
+_BAD_WEIGHT = "atom weight must be finite and nonnegative"
+_BAD_COEFF = "coeff must be finite and nonnegative"
+_BAD_SLOPE = "slope must be finite and nonzero"
+_BAD_SHIFT = "shift must be finite"
+_BAD_INTERVAL = "piece interval requires lower < upper"
+_SHARED_LOC = "atom locations must be pairwise distinct"
 
 
 @dataclass(frozen=True)
 class ModelPoint:
-    """Sample size and true location indexing one experiment P_{n,theta}."""
+    """Sample size and true location indexing one experiment P_{n,theta}.
+
+    `theta` may also be a nonempty 1-d sequence or array of locations: a
+    batch of points at one n, whose laws `finite_sample_dist` builds as one
+    batch.  A batch is stored as a tuple of floats, so a point stays
+    immutable, hashable and comparable either way.
+    """
 
     n: int
     theta: float
@@ -47,8 +60,14 @@ class ModelPoint:
     def __post_init__(self):
         if isinstance(self.n, bool) or int(self.n) != self.n or self.n < 1:
             raise ValueError(f"n must be a positive integer (got {self.n})")
-        if isinstance(self.theta, bool) or not np.isfinite(self.theta):
-            raise ValueError(f"theta must be a finite number (got {self.theta!r})")
+        theta = self.theta
+        if isinstance(theta, (list, tuple, np.ndarray)) and np.ndim(theta) != 0:
+            arr = np.asarray(theta)
+            if arr.ndim != 1 or arr.size == 0 or arr.dtype == bool or not np.isfinite(arr).all():
+                raise ValueError("a batch of theta must be a nonempty 1-d array of finite numbers")
+            object.__setattr__(self, "theta", tuple(arr.astype(float).tolist()))
+        elif isinstance(theta, bool) or not math.isfinite(theta):
+            raise ValueError(f"theta must be a finite number (got {theta!r})")
 
     @property
     def sqrt_n(self) -> float:
@@ -98,6 +117,34 @@ class Atom(NamedTuple):
     weight: float
 
 
+def _batch_records(atoms, pieces) -> tuple:
+    """Atoms and pieces of a batch of laws, every field a float array of one shape.
+
+    The checks that `MixtureDistribution` runs on one law run here, each
+    over all records and laws at once; one bad law rejects the batch.
+    """
+    fields = np.broadcast_arrays(*(np.asarray(v, dtype=float) for r in (*atoms, *pieces) for v in r))
+    shape = fields[0].shape
+    split = 2 * len(atoms)
+    a = np.array(fields[:split]).reshape(len(atoms), 2, *shape)
+    p = np.array(fields[split:]).reshape(len(pieces), 5, *shape)
+    loc, weight = a[:, 0], a[:, 1]
+    coeff, slope, shift, lower, upper = (p[:, i] for i in range(5))
+    ordered = np.sort(loc, axis=0)
+    for bad, message in (
+        (np.isnan(loc), _BAD_LOC),
+        (~(np.isfinite(weight) & (weight >= 0.0)), _BAD_WEIGHT),
+        (~(np.isfinite(coeff) & (coeff >= 0.0)), _BAD_COEFF),
+        (~np.isfinite(slope) | (slope == 0.0), _BAD_SLOPE),
+        (~np.isfinite(shift), _BAD_SHIFT),
+        (~(lower < upper), _BAD_INTERVAL),
+        (ordered[1:] == ordered[:-1], _SHARED_LOC),
+    ):
+        if bad.any():
+            raise ValueError(message)
+    return tuple(Atom(*r) for r in a), tuple(GaussPiece(*r) for r in p)
+
+
 @dataclass(frozen=True)
 class MixtureDistribution:
     """Finite list of atoms plus scaled-Gaussian density pieces.
@@ -106,34 +153,47 @@ class MixtureDistribution:
     here and accepts a scalar (returning a float) or an array.  Total mass,
     counting atoms at +-inf, is always 1; the cdf restricted to the real
     line is sub-stochastic exactly when mass sits at an infinity.
+
+    Records whose fields are arrays make a batch of laws: every field is
+    broadcast to one shape, and `cdf`, `cdf_left` and `density_ac` at an
+    array x of that shape evaluate law i at x[i] through the same per-piece
+    loop.  `total_mass` and `rescaled` also take batches; `second_moment`,
+    `breakpoints` and JSON take single laws only.
     """
 
     atoms: tuple
     pieces: tuple
 
     def __post_init__(self):
-        atoms = tuple(Atom(*map(float, a)) for a in self.atoms)
-        pieces = tuple(GaussPiece(*map(float, p)) for p in self.pieces)
-        for loc, weight in atoms:
-            if math.isnan(loc):
-                raise ValueError("atom location must not be NaN")
-            if not (math.isfinite(weight) and weight >= 0.0):
-                raise ValueError("atom weight must be finite and nonnegative")
-        for coeff, slope, shift, lower, upper in pieces:
-            if not (math.isfinite(coeff) and coeff >= 0.0):
-                raise ValueError("coeff must be finite and nonnegative")
-            if not (math.isfinite(slope) and slope != 0.0):
-                raise ValueError("slope must be finite and nonzero")
-            if not math.isfinite(shift):
-                raise ValueError("shift must be finite")
-            if not lower < upper:
-                raise ValueError("piece interval requires lower < upper")
+        try:
+            atoms = tuple(Atom(*map(float, a)) for a in self.atoms)
+            pieces = tuple(GaussPiece(*map(float, p)) for p in self.pieces)
+        except TypeError:  # float() rejects arrays of one or more dimensions
+            atoms, pieces = _batch_records(self.atoms, self.pieces)
+            batch = True
+        else:
+            batch = False
+            for loc, weight in atoms:
+                if math.isnan(loc):
+                    raise ValueError(_BAD_LOC)
+                if not (math.isfinite(weight) and weight >= 0.0):
+                    raise ValueError(_BAD_WEIGHT)
+            for coeff, slope, shift, lower, upper in pieces:
+                if not (math.isfinite(coeff) and coeff >= 0.0):
+                    raise ValueError(_BAD_COEFF)
+                if not (math.isfinite(slope) and slope != 0.0):
+                    raise ValueError(_BAD_SLOPE)
+                if not math.isfinite(shift):
+                    raise ValueError(_BAD_SHIFT)
+                if not lower < upper:
+                    raise ValueError(_BAD_INTERVAL)
+            if len({a.loc for a in atoms}) != len(atoms):
+                raise ValueError(_SHARED_LOC)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "pieces", pieces)
-        if len({a.loc for a in atoms}) != len(atoms):
-            raise ValueError("atom locations must be pairwise distinct")
         total = self.total_mass()
-        if abs(total - 1.0) > _MASS_TOL:
+        worst = np.max(abs(total - 1.0)) if batch else abs(total - 1.0)
+        if worst > _MASS_TOL:
             raise ValueError(f"mixture mass {total} is not 1 within {_MASS_TOL}")
 
     def total_mass(self) -> float:
@@ -153,18 +213,23 @@ class MixtureDistribution:
             contrib = (c / s) * (norm_cdf(s * np.minimum(x, hi) + b) - norm_cdf(s * lo + b))
             total = total + _scalar_or_array(x, np.where(x > lo, contrib, 0.0))
         for loc, w in self.atoms:
-            if loc < math.inf:
-                total = total + w * (x >= loc)
+            total = total + w * (loc < math.inf) * (x >= loc)
         return _scalar_or_array(x, total)
 
     def cdf_left(self, x):
         """Left limit of the cdf at x: the cdf minus the finite atoms sitting at x."""
         x = np.asarray(x, dtype=float)
-        total = self.cdf(x)
+        return self._left_limit(x, self.cdf(x))
+
+    def _left_limit(self, x: np.ndarray, cdf):
+        """The left limit of the cdf from its values `cdf` at x.
+
+        The two differ only where x is a finite atom location, by that
+        atom's weight, so no piece is evaluated again.
+        """
         for loc, w in self.atoms:
-            if math.isfinite(loc):
-                total = total - w * (x == loc)
-        return _scalar_or_array(x, total)
+            cdf = cdf - w * (abs(loc) < math.inf) * (x == loc)
+        return _scalar_or_array(x, cdf)
 
     def density_ac(self, x):
         """Density of the absolutely continuous part; atoms are not represented."""
@@ -235,7 +300,8 @@ class MixtureDistribution:
 
 def _cut_points(point: ModelPoint, tuning: TuningPlan):
     s = point.sqrt_n
-    loc = -s * point.theta
+    theta = np.array(point.theta) if isinstance(point.theta, tuple) else point.theta
+    loc = -s * theta
     se = s * tuning.eta
     return loc, se
 
@@ -301,7 +367,10 @@ def _scad_mixture(loc: float, se: float, a: float) -> MixtureDistribution:
 
 
 def finite_sample_dist(kind: EstimatorKind, point: ModelPoint, tuning: TuningPlan) -> MixtureDistribution:
-    """Exact law of sqrt(n)*(estimate - theta) under P_{n,theta}."""
+    """Exact law of sqrt(n)*(estimate - theta) under P_{n,theta}.
+
+    For a batch of points (a vector theta) this is the batch of their laws.
+    """
     loc, se = _cut_points(point, tuning)
     if kind is EstimatorKind.HARD:
         return _hard_mixture(loc, se)

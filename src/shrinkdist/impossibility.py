@@ -10,7 +10,9 @@ the atom weight.
 
 This module computes the gap, the finite-sample lower bounds (on both the
 sqrt(n) and the 1/eta scale), and Monte Carlo worst-case error curves for
-concrete cdf estimators measured against those bounds.
+concrete cdf estimators measured against those bounds.  The Monte Carlo
+draws ybar only: each estimator, the m-out-of-n bootstrap included, is a
+closed-form function of ybar.
 """
 
 from __future__ import annotations
@@ -163,16 +165,20 @@ class PretestPlugin:
 
 @dataclass(frozen=True)
 class MOutOfNBootstrap:
-    """Parametric m-out-of-n bootstrap on the sufficient statistic.
+    """Parametric m-out-of-n bootstrap on the sufficient statistic, exact (B = inf).
 
-    Draws ybar* ~ N(ybar, 1/m) and recomputes the estimator at scale m with
-    the tuning path evaluated at m; consistency requires m -> inf and
-    m/n -> 0, and m = n recovers the ordinary (inconsistent) bootstrap.
+    The bootstrap resamples ybar* ~ N(ybar, 1/m) and recomputes the
+    estimator at scale m with the tuning path evaluated at m; consistency
+    requires m -> inf and m/n -> 0, and m = n recovers the ordinary
+    (inconsistent) bootstrap.  The law of sqrt(m)*(estimate(ybar*) - ybar)
+    is the finite-sample law F_{m,ybar}, so the bootstrap cdf at t is
+    exactly F_{m,ybar}(t - sqrt(m)*(ybar - theta_hat)): no resamples are
+    drawn, and `n_boot` is accepted but ignored.
     """
 
     path: object  # anything with .eta(m)
     m_rule: Callable[[int], int] = field(default=lambda n: int(math.ceil(math.sqrt(n))))
-    n_boot: int = 200
+    n_boot: int = 200  # resample count of a Monte Carlo bootstrap; unused by the exact one
 
     @property
     def name(self) -> str:
@@ -185,10 +191,8 @@ class MOutOfNBootstrap:
             raise ValueError("m rule produced a non-positive resample size")
         tuning_m = TuningPlan(self.path.eta(m), ctx.tuning.scad_a)
         theta_hat = estimate(ctx.kind, y, ctx.tuning)
-        z = ndtri(_uniform_open(ctx.rng, (y.size, self.n_boot)))
-        ystar = y[:, None] + z / math.sqrt(m)
-        boot_vals = math.sqrt(m) * (estimate(ctx.kind, ystar, tuning_m) - theta_hat[:, None])
-        return (boot_vals <= ctx.t).mean(axis=1)
+        laws = finite_sample_dist(ctx.kind, ModelPoint(m, y), tuning_m)
+        return laws.cdf(ctx.t - math.sqrt(m) * (y - theta_hat))
 
 
 @dataclass
@@ -198,7 +202,6 @@ class _HarnessContext:
     t: float
     tuning: TuningPlan
     true_value: float
-    rng: np.random.Generator
 
 
 def adversarial_theta_grid(n: int, t: float, c: float, size: int = 9) -> np.ndarray:
@@ -234,6 +237,8 @@ def estimator_worst_case(
     """
     if not c > abs(t):
         raise ValueError("the neighborhood radius must satisfy c > |t|")
+    if isinstance(replications, bool) or replications < 1:
+        raise ValueError(f"replications must be >= 1 (got {replications!r})")
     problem = TwoPointProblem(n=n, t=t, delta=0.5 * (c - abs(t)), tuning=tuning, kind=kind)
     eps_range, bound = minimax_lower_bound(problem)
     eps = 0.9 * eps_range if epsilon is None else float(epsilon)
@@ -251,7 +256,7 @@ def estimator_worst_case(
         theta = float(theta)
         rng = np.random.Generator(np.random.Philox(child))
         truth = finite_sample_dist(kind, ModelPoint(n, theta), tuning).cdf(t)
-        ctx = _HarnessContext(kind=kind, n=n, t=t, tuning=tuning, true_value=truth, rng=rng)
+        ctx = _HarnessContext(kind=kind, n=n, t=t, tuning=tuning, true_value=truth)
         ybar = theta + ndtri(_uniform_open(rng, replications)) / math.sqrt(n)
         fhat = np.asarray(spec.estimate_cdf(ybar, ctx), dtype=float)
         err_prob = float(np.mean(np.abs(fhat - truth) > eps))

@@ -122,9 +122,9 @@ def ks_distance(emp: EmpiricalCdf, dist: MixtureDistribution) -> float:
     uniq, counts = np.unique(emp.values, return_counts=True)
     cum = np.cumsum(counts) / emp.count
     emp_left = np.concatenate(([0.0], cum[:-1]))
-    return float(
-        max(np.max(np.abs(dist.cdf(uniq) - cum)), np.max(np.abs(dist.cdf_left(uniq) - emp_left)))
-    )
+    model = dist.cdf(uniq)
+    model_left = dist._left_limit(uniq, model)
+    return float(max(np.max(np.abs(model - cum)), np.max(np.abs(model_left - emp_left))))
 
 
 def default_adversarial_grid(n: int, eta_n: float, M: float, a_n: float) -> np.ndarray:

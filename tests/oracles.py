@@ -2,11 +2,15 @@
 
 These never call the closed-form cdf path they are used to check: piece
 densities are integrated by adaptive quadrature with explicit breakpoints,
-and atom masses are added by hand.
+atom masses are added by hand, and the bootstrap is resampled.
 """
 
+import math
+
+import numpy as np
 from scipy.integrate import quad
 
+from shrinkdist.estimators import estimate
 from shrinkdist.normal_kernel import norm_pdf
 
 
@@ -44,3 +48,19 @@ def ks_oracle(values, dist) -> float:
         gap = max(gap, abs(quadrature_cdf(dist, u) - upto),
                   abs(quadrature_cdf(dist, u, left=True) - below))
     return gap
+
+
+def resampled_bootstrap_cdf(kind, ybar, m: int, t: float, tuning, tuning_m, n_boot: int, seed: int):
+    """Monte Carlo m-out-of-n bootstrap cdf at t, one value per entry of ybar.
+
+    Draws n_boot resamples ybar* ~ N(ybar, 1/m), recomputes the estimator at
+    scale m with `tuning_m`, and returns the fraction of
+    sqrt(m)*(estimate(ybar*) - theta_hat) <= t, theta_hat being the
+    estimate at ybar with `tuning`.
+    """
+    rng = np.random.default_rng(seed)
+    y = np.asarray(ybar, dtype=float)
+    theta_hat = estimate(kind, y, tuning)
+    ystar = y[:, None] + rng.standard_normal((y.size, n_boot)) / math.sqrt(m)
+    vals = math.sqrt(m) * (estimate(kind, ystar, tuning_m) - theta_hat[:, None])
+    return (vals <= t).mean(axis=1)

@@ -177,7 +177,7 @@ def test_criterion_07_impossibility():
     sups = {}
     for name, make_spec in [
         ("pretest", lambda: PretestPlugin(consistent=True)),
-        ("bootstrap", lambda: MOutOfNBootstrap(path=path, n_boot=200)),
+        ("bootstrap", lambda: MOutOfNBootstrap(path=path)),
     ]:
         curve = []
         for n in (1000, 10_000, 100_000):

@@ -145,6 +145,26 @@ def test_experiment_impossibility_oracle(tmp_path):
     assert summary["bound"] >= 0.4999
 
 
+def test_experiment_impossibility_bootstrap_passes_and_replays(tmp_path):
+    cfg = tmp_path / "imp.cfg"
+    cfg.write_text("estimator=bootstrap\nkind=hard\nn=10000\nreps=2000\n")
+    first, second = tmp_path / "first", tmp_path / "second"
+    for out in (first, second):
+        assert main(["experiment", "impossibility", "--config", str(cfg), "--seed", "5", "--out", str(out)]) == 0
+    check = json.loads((first / "verdict.json").read_text())["checks"][0]
+    assert check["name"] == "bootstrap-worst-case" and check["sup"] >= 0.45
+    for name in ("impossibility.csv", "manifest.json"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_experiment_impossibility_zero_reps_errors(tmp_path, capsys):
+    cfg = tmp_path / "imp.cfg"
+    cfg.write_text("estimator=oracle\nkind=hard\nn=100\n")
+    out = tmp_path / "imp"
+    assert main(["experiment", "impossibility", "--config", str(cfg), "--reps", "0", "--out", str(out)]) == 2
+    assert "replications" in capsys.readouterr().err
+
+
 def test_experiment_failures_exit_nonzero(tmp_path):
     cfg = tmp_path / "imp.cfg"
     # oracle passes only the <= tolerance gate; force a failure via threshold on pretest at tiny reps

@@ -248,6 +248,40 @@ def test_array_evaluation_matches_scalar_bit_for_bit(kind, builder):
     assert dist.cdf(atom.loc) - dist.cdf_left(atom.loc) == pytest.approx(atom.weight, abs=1e-15)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_batch_of_laws_matches_scalar_laws_bit_for_bit(kind):
+    # law i of the batch at x[i], where x[i] runs over both sides of law i's
+    # atom and every breakpoint; theta = 40 puts the atom weight at exactly 0
+    n, tun = 40, TuningPlan(0.05, 3.7)
+    assert atom_weight(ModelPoint(n, 40.0), tun) == 0.0
+    thetas, xs = [], []
+    for theta in (-0.3, -0.05, 0.0, 0.02, 0.16, 40.0):
+        cuts = np.asarray(finite_sample_dist(kind, ModelPoint(n, theta), tun).breakpoints())
+        pts = np.concatenate([cuts - 1.0, cuts, np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf)])
+        thetas += [theta] * pts.size
+        xs += pts.tolist()
+    batch = finite_sample_dist(kind, ModelPoint(n, np.array(thetas)), tun)
+    laws = [finite_sample_dist(kind, ModelPoint(n, theta), tun) for theta in thetas]
+    for method in ("cdf", "cdf_left", "density_ac"):
+        scalar = [getattr(law, method)(x) for law, x in zip(laws, xs)]
+        np.testing.assert_array_equal(getattr(batch, method)(np.array(xs)), np.array(scalar))
+    np.testing.assert_array_equal(batch.total_mass(), [law.total_mass() for law in laws])
+    np.testing.assert_array_equal(batch.atoms[0].weight, [law.atoms[0].weight for law in laws])
+
+
+def test_batch_validation_rejects_any_bad_law():
+    good = GaussPiece(1.0, 1.0, 0.0, -math.inf, math.inf)
+    with pytest.raises(ValueError, match="weight"):
+        MixtureDistribution(atoms=(Atom(np.array([0.0, 1.0]), np.array([0.0, -0.5])),), pieces=(good,))
+    with pytest.raises(ValueError, match="lower < upper"):
+        MixtureDistribution(atoms=(), pieces=(GaussPiece(1.0, 1.0, 0.0, np.array([-math.inf, 2.0]), 1.0),))
+    with pytest.raises(ValueError, match="distinct"):
+        MixtureDistribution(atoms=(Atom(np.array([0.0, 1.0]), 0.0), Atom(np.array([2.0, 1.0]), 0.0)),
+                            pieces=(good,))
+    with pytest.raises(ValueError, match="mass"):
+        MixtureDistribution(atoms=(Atom(np.array([0.0, 1.0]), np.array([0.0, 0.5])),), pieces=(good,))
+
+
 def test_json_round_trip():
     for kind in KINDS:
         dist = finite_sample_dist(kind, FIG_POINT, FIG_TUNING)
@@ -309,6 +343,16 @@ def test_model_point_validation():
         ModelPoint(10, math.inf)
     with pytest.raises(ValueError):
         ModelPoint(10, True)
+    for batch in ([], [[0.1, 0.2]], [0.1, math.nan], np.array([True, False])):
+        with pytest.raises(ValueError, match="batch"):
+            ModelPoint(10, batch)
+
+
+def test_model_point_batch_is_an_immutable_value():
+    point = ModelPoint(10, np.array([0.1, -0.2]))
+    assert point.theta == (0.1, -0.2)
+    assert point == ModelPoint(10, [0.1, -0.2])
+    assert hash(point) == hash(ModelPoint(10, (0.1, -0.2)))
 
 
 def test_tiny_atoms_are_kept():

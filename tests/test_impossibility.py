@@ -1,14 +1,18 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import resampled_bootstrap_cdf
 
 from shrinkdist.estimators import EstimatorKind, TuningPlan
+from shrinkdist.finite_dist import ModelPoint, atom_weight
 from shrinkdist.impossibility import (
     MOutOfNBootstrap,
     OracleCheat,
     PretestPlugin,
     TwoPointProblem,
+    _HarnessContext,
     adversarial_theta_grid,
     estimand_gap,
     estimator_worst_case,
@@ -147,7 +151,7 @@ class TestWorstCase:
     def test_bootstrap_fooled_near_zero(self):
         n = 10_000
         tun = TuningPlan(CONSISTENT_PATH.eta(n))
-        spec = MOutOfNBootstrap(path=CONSISTENT_PATH, n_boot=120)
+        spec = MOutOfNBootstrap(path=CONSISTENT_PATH)
         rep = estimator_worst_case(spec, EstimatorKind.HARD, n, 0.0, tun, 2.0,
                                    seed=31, replications=2000)
         assert rep.meta["sup"] >= 0.45
@@ -156,8 +160,8 @@ class TestWorstCase:
         # the m-out-of-n bootstrap is consistent yet has the larger worst-case error
         n = 100_000
         tun = TuningPlan(CONSISTENT_PATH.eta(n))
-        small_m = MOutOfNBootstrap(path=CONSISTENT_PATH, n_boot=120)
-        full_n = MOutOfNBootstrap(path=CONSISTENT_PATH, m_rule=lambda n: n, n_boot=120)
+        small_m = MOutOfNBootstrap(path=CONSISTENT_PATH)
+        full_n = MOutOfNBootstrap(path=CONSISTENT_PATH, m_rule=lambda n: n)
         rep_small = estimator_worst_case(small_m, EstimatorKind.HARD, n, 0.0, tun, 2.0,
                                          seed=41, replications=1500)
         rep_full = estimator_worst_case(full_n, EstimatorKind.HARD, n, 0.0, tun, 2.0,
@@ -172,6 +176,12 @@ class TestWorstCase:
                                  seed=55, replications=400)
         assert a.rows == b.rows
 
+    @pytest.mark.parametrize("reps", [0, -5, True])
+    def test_replications_must_be_positive(self, reps):
+        with pytest.raises(ValueError, match="replications"):
+            estimator_worst_case(OracleCheat(), EstimatorKind.HARD, 100, 0.0, CONSERVATIVE, 2.0,
+                                 seed=1, replications=reps)
+
     def test_radius_must_cover_t(self):
         with pytest.raises(ValueError):
             estimator_worst_case(OracleCheat(), EstimatorKind.HARD, 100, 3.0, CONSERVATIVE, 2.0,
@@ -185,3 +195,64 @@ class TestWorstCase:
         rep = estimator_worst_case(spec, EstimatorKind.SOFT, n, 0.0, tun, 2.0,
                                    seed=61, replications=1500)
         assert rep.meta["sup"] >= 0.45
+
+
+BOOT_N = 10_000
+RESAMPLES = 20_000
+
+
+def binomial_band(p):
+    """4 binomial SDs of a resampled fraction, plus one resample of slack.
+
+    The slack covers values of p so near 0 or 1 that the expected number of
+    resamples on the rare side is below one, where the SD alone is no band.
+    """
+    return 4.0 * np.sqrt(p * (1.0 - p) / RESAMPLES) + 1.0 / RESAMPLES
+
+
+def bootstrap_problem(kind, full_n: bool, t: float):
+    """(spec, ctx, m, tuning at m) of the exact bootstrap at n = BOOT_N."""
+    tuning = TuningPlan(CONSISTENT_PATH.eta(BOOT_N), 3.7)
+    spec = MOutOfNBootstrap(path=CONSISTENT_PATH, m_rule=lambda n: n) if full_n \
+        else MOutOfNBootstrap(path=CONSISTENT_PATH)
+    m = spec.m_rule(BOOT_N)
+    ctx = _HarnessContext(kind=kind, n=BOOT_N, t=t, tuning=tuning, true_value=math.nan)
+    return spec, ctx, m, TuningPlan(CONSISTENT_PATH.eta(m), 3.7)
+
+
+class TestExactBootstrap:
+    @pytest.mark.parametrize("full_n", [False, True])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_exact_matches_resampler_within_binomial_band(self, kind, full_n):
+        # ybar on both sides of +-eta_n, +-eta_m and 0, where theta_hat or the
+        # resampled estimate changes branch
+        spec, ctx, m, tuning_m = bootstrap_problem(kind, full_n, 0.0)
+        half_gap = 1e-3
+        cuts = (ctx.tuning.eta, tuning_m.eta)
+        ybar = np.array(sorted({s * c + d for c in cuts for s in (-1.0, 1.0) for d in (-half_gap, half_gap)}
+                               | {-half_gap, half_gap}))
+        for seed, t in enumerate((-1.0, 0.0, 0.5)):
+            exact = spec.estimate_cdf(ybar, replace(ctx, t=t))
+            resampled = resampled_bootstrap_cdf(kind, ybar, m, t, ctx.tuning, tuning_m, RESAMPLES, seed)
+            assert np.all(np.abs(exact - resampled) <= binomial_band(exact)), (t, exact, resampled)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_atom_counted_like_resampler_at_zero(self, kind):
+        # theta_hat = 0 and t = 0 put t exactly on the bootstrap law's atom;
+        # the resampler's <= counts the resamples estimated at 0, and so must
+        # the exact value
+        spec, ctx, m, tuning_m = bootstrap_problem(kind, False, 0.0)
+        ybar = np.array([-0.5, 0.5]) * ctx.tuning.eta
+        exact = spec.estimate_cdf(ybar, ctx)
+        resampled = resampled_bootstrap_cdf(kind, ybar, m, 0.0, ctx.tuning, tuning_m, RESAMPLES, 99)
+        band = binomial_band(exact)
+        assert np.all(np.abs(exact - resampled) <= band)
+        atom = atom_weight(ModelPoint(m, ybar), tuning_m)
+        assert np.all(atom > 10.0 * band)
+
+    def test_resample_count_is_ignored(self):
+        _, ctx, _, _ = bootstrap_problem(EstimatorKind.SCAD, False, 0.3)
+        ybar = np.linspace(-0.2, 0.2, 11)
+        few = MOutOfNBootstrap(path=CONSISTENT_PATH, n_boot=1).estimate_cdf(ybar, ctx)
+        many = MOutOfNBootstrap(path=CONSISTENT_PATH, n_boot=10_000).estimate_cdf(ybar, ctx)
+        assert few.tobytes() == many.tobytes()

@@ -146,8 +146,11 @@ class TestConsistent:
         law = consistent_limit(SOFT, regime(nu=-math.inf, zeta=0.0))
         assert law.mode == MASS_ESCAPE
         assert law.cdf(100.0) == 0.0
+        # the atom at +inf never enters the cdf on the real line, not even at x = +inf
+        assert law.cdf(math.inf) == 0.0 and law.dist.cdf_left(math.inf) == 0.0
         down = consistent_limit(SOFT, regime(nu=math.inf, zeta=0.0))
         assert down.cdf(-100.0) == 1.0
+        assert down.cdf(-math.inf) == 1.0 and down.dist.cdf_left(-math.inf) == 1.0
 
     def test_scad_boundary_mass_one(self):
         law = consistent_limit(SCAD, regime(zeta=3.7, r=1.0), 3.7)
