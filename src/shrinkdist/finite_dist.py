@@ -42,6 +42,13 @@ _BAD_SLOPE = "slope must be finite and nonzero"
 _BAD_SHIFT = "shift must be finite"
 _BAD_INTERVAL = "piece interval requires lower < upper"
 _SHARED_LOC = "atom locations must be pairwise distinct"
+# 8-point Gauss-Legendre rule on [-1, 1], correctly rounded; literals rather than
+# numpy's leggauss(8), whose eigenvalue solve would run LAPACK at import
+_GL_NODES = np.array([-0.9602898564975363, -0.7966664774136267, -0.525532409916329, -0.1834346424956498,
+                      0.1834346424956498, 0.525532409916329, 0.7966664774136267, 0.9602898564975363])
+_GL_WEIGHTS = np.array([0.10122853629037626, 0.22238103445337448, 0.31370664587788727, 0.362683783378362,
+                        0.362683783378362, 0.31370664587788727, 0.22238103445337448, 0.10122853629037626])
+_SHORT_PIECE = 0.5  # mapped width below which second_moment integrates a piece in x
 
 
 @dataclass(frozen=True)
@@ -246,6 +253,8 @@ class MixtureDistribution:
         With z = alpha*x + beta a piece's integral becomes
         c/alpha^3 * int (z - beta)^2 pdf(z) dz over the mapped interval, and
         int pdf, int z*pdf, int z^2*pdf all reduce to cdf/pdf evaluations.
+        On a short mapped interval (the scad blend piece as a -> 2) that sum
+        cancels, so such a piece is integrated in x by 8-point Gauss-Legendre.
         """
         out = 0.0
         for loc, w in self.atoms:
@@ -257,6 +266,11 @@ class MixtureDistribution:
         ac = 0.0
         for c, s, b, lo, hi in self.pieces:
             za, zb = s * lo + b, s * hi + b
+            if abs(zb - za) < _SHORT_PIECE:
+                half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+                x = mid + half * _GL_NODES
+                ac += half * float(np.dot(_GL_WEIGHTS, c * x**2 * norm_pdf(s * x + b)))
+                continue
             i0 = norm_cdf(zb) - norm_cdf(za)
             pa, pb = (0.0 if math.isinf(z) else norm_pdf(z) for z in (za, zb))
             i1 = pa - pb

@@ -42,6 +42,8 @@ __all__ = [
     "estimator_worst_case",
 ]
 
+_THETA_GRID_SIZE = 9  # uniform points of the adversarial grid, witnesses aside
+
 
 @dataclass(frozen=True)
 class TwoPointProblem:
@@ -65,17 +67,20 @@ class TwoPointProblem:
         return -(self.t + d) / s, -(self.t - d) / s
 
 
-def estimand_gap(problem: TwoPointProblem, delta: Optional[float] = None):
+def estimand_gap(problem: TwoPointProblem, delta=None):
     """(gap, leading_term, remainder) for the two-point estimand difference.
 
     gap = F at theta(-delta) minus F at theta(+delta), both evaluated at t;
     the leading term is the atom weight of the theta(-delta) law, and the
     remainder (the absolutely continuous contribution) vanishes with delta.
+    `delta` may be a 1-d array, one batch of laws per side; the three parts
+    are then arrays.
     """
-    d = problem.delta if delta is None else float(delta)
+    d = problem.delta if delta is None else np.asarray(delta, dtype=float)
     th_plus, th_minus = problem.theta_pair(d)
-    f_minus = finite_sample_dist(problem.kind, ModelPoint(problem.n, th_minus), problem.tuning).cdf(problem.t)
-    f_plus = finite_sample_dist(problem.kind, ModelPoint(problem.n, th_plus), problem.tuning).cdf(problem.t)
+    t = np.full(np.shape(d), problem.t)
+    f_minus = finite_sample_dist(problem.kind, ModelPoint(problem.n, th_minus), problem.tuning).cdf(t)
+    f_plus = finite_sample_dist(problem.kind, ModelPoint(problem.n, th_plus), problem.tuning).cdf(t)
     gap = f_minus - f_plus
     se = math.sqrt(problem.n) * problem.tuning.eta
     leading = _zero_mass(problem.t - d, se)
@@ -87,22 +92,18 @@ def minimax_lower_bound(problem: TwoPointProblem, epsilon: Optional[float] = Non
 
     epsilon_range is half the limiting estimand gap; for any target margin
     below it, shrinking delta drives the two-point bound (1 - TV)/2 to 1/2.
-    The returned bound is the best value along a delta sweep restricted to
-    deltas whose gap still exceeds 2*epsilon.
+    The returned bound is the best value along the sweep delta/4**k,
+    k < sweep_steps, over deltas whose gap still exceeds 2*epsilon (0 if none).
     """
+    if isinstance(sweep_steps, bool) or int(sweep_steps) != sweep_steps or sweep_steps < 1:
+        raise ValueError(f"sweep_steps must be a positive integer (got {sweep_steps!r})")
     se = math.sqrt(problem.n) * problem.tuning.eta
     eps_range = 0.5 * _zero_mass(problem.t, se)
     eps = 0.9 * eps_range if epsilon is None else float(epsilon)
-    best = 0.0
-    d = problem.delta
-    for _ in range(sweep_steps):
-        gap, _, _ = estimand_gap(problem, d)
-        if eps < abs(gap) / 2.0:
-            th_plus, th_minus = problem.theta_pair(d)
-            tv = gaussian_tv(problem.n, th_plus, th_minus)
-            best = max(best, 0.5 * (1.0 - tv))
-        d /= 4.0
-    return eps_range, best
+    deltas = problem.delta * 0.25 ** np.arange(sweep_steps)
+    gap, _, _ = estimand_gap(problem, deltas)
+    bounds = 0.5 * (1.0 - gaussian_tv(problem.n, *problem.theta_pair(deltas)))
+    return eps_range, float(np.max(bounds, initial=0.0, where=eps < np.abs(gap) / 2.0))
 
 
 def rescaled_lower_bound(kind: EstimatorKind, n: int, t: float, tuning: TuningPlan,
@@ -204,7 +205,7 @@ class _HarnessContext:
     true_value: float
 
 
-def adversarial_theta_grid(n: int, t: float, c: float, size: int = 9) -> np.ndarray:
+def adversarial_theta_grid(n: int, t: float, c: float) -> np.ndarray:
     """Uniform grid over |theta| < c/sqrt(n) plus the two-point witnesses."""
     s = math.sqrt(n)
     width = c - abs(t)
@@ -212,7 +213,7 @@ def adversarial_theta_grid(n: int, t: float, c: float, size: int = 9) -> np.ndar
     for frac in (0.5, 0.1, 0.02):
         d = frac * width
         witnesses.extend([-(t + d) / s, -(t - d) / s])
-    base = np.linspace(-0.95 * c / s, 0.95 * c / s, size)
+    base = np.linspace(-0.95 * c / s, 0.95 * c / s, _THETA_GRID_SIZE)
     return np.asarray(sorted(set(np.concatenate([base, witnesses, [0.0]]))))
 
 
@@ -225,7 +226,6 @@ def estimator_worst_case(
     c: float,
     seed: int,
     replications: int = 10_000,
-    theta_grid_size: int = 9,
     epsilon: Optional[float] = None,
 ) -> ExperimentReport:
     """Monte Carlo error-probability curve of a cdf estimator over a theta grid.
@@ -242,7 +242,7 @@ def estimator_worst_case(
     problem = TwoPointProblem(n=n, t=t, delta=0.5 * (c - abs(t)), tuning=tuning, kind=kind)
     eps_range, bound = minimax_lower_bound(problem)
     eps = 0.9 * eps_range if epsilon is None else float(epsilon)
-    grid = adversarial_theta_grid(n, t, c, size=theta_grid_size)
+    grid = adversarial_theta_grid(n, t, c)
     root = np.random.SeedSequence(int(seed))
     children = root.spawn(len(grid))
     report = ExperimentReport(
@@ -252,10 +252,9 @@ def estimator_worst_case(
     )
     sup_prob = -1.0
     witness = None
-    for child, theta in zip(children, grid):
-        theta = float(theta)
+    truths = finite_sample_dist(kind, ModelPoint(n, grid), tuning).cdf(np.full(grid.size, t))
+    for child, theta, truth in zip(children, grid.tolist(), truths.tolist()):
         rng = np.random.Generator(np.random.Philox(child))
-        truth = finite_sample_dist(kind, ModelPoint(n, theta), tuning).cdf(t)
         ctx = _HarnessContext(kind=kind, n=n, t=t, tuning=tuning, true_value=truth)
         ybar = theta + ndtri(_uniform_open(rng, replications)) / math.sqrt(n)
         fhat = np.asarray(spec.estimate_cdf(ybar, ctx), dtype=float)

@@ -212,6 +212,9 @@ def weak_convergence_check(finite_law_seq, limit: LimitLaw, grid, n_probe) -> Ex
     cdf is the constant the finite-sample cdfs drift to, so the same sup
     measures the escape.
     """
+    n_probe = list(n_probe)
+    if not n_probe:
+        raise ValueError("n_probe must not be empty")
     grid = np.asarray(grid, dtype=float)
     for a in limit.dist.atoms:
         if math.isfinite(a.loc) and np.min(np.abs(grid - a.loc)) < 1e-6:

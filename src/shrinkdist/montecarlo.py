@@ -148,13 +148,6 @@ def default_adversarial_grid(n: int, eta_n: float, M: float, a_n: float) -> np.n
     return np.asarray(grid)
 
 
-def _exceedance_probability(kind, n, theta, tuning, cut: float) -> float:
-    """P_{n,theta}(|sqrt(n)(estimate - theta)| > cut), exact from the mixture."""
-    dist = finite_sample_dist(kind, ModelPoint(n, theta), tuning)
-    inside = dist.cdf(cut) - dist.cdf_left(-cut)
-    return 1.0 - inside
-
-
 def uniform_rate_experiment(
     kind: EstimatorKind,
     path,
@@ -170,8 +163,11 @@ def uniform_rate_experiment(
     against the bound 2*cdf(-M/2) + cdf(-M/2 + 1), valid for M > 2.  With
     scaling='sqrt_n' the same sup is reported without a bound; under
     consistent tuning it tends to one, which is the rate-sharpness
-    counterexample.
+    counterexample.  Per n, the whole theta grid is one batch of laws.
     """
+    n_list = list(n_list)
+    if not n_list:
+        raise ValueError("n_list must not be empty")
     if M <= 2.0:
         raise ValueError("the exceedance bound requires M > 2")
     if scaling not in ("a_n", "sqrt_n"):
@@ -189,7 +185,9 @@ def uniform_rate_experiment(
         cut = M * math.sqrt(n) / rate
         tuning = TuningPlan(eta_n, scad_a)
         grid = np.asarray(theta_grid_rule(n, eta_n, M, a_n), dtype=float)
-        probs = [_exceedance_probability(kind, n, float(t), tuning, cut) for t in grid]
+        laws = finite_sample_dist(kind, ModelPoint(n, grid), tuning)
+        cuts = np.full(grid.size, cut)
+        probs = 1.0 - (laws.cdf(cuts) - laws.cdf_left(-cuts))
         worst = int(np.argmax(probs))
         sup_prob = float(probs[worst])
         ok = sup_prob <= bound if scaling == "a_n" else True

@@ -51,11 +51,12 @@ def norm_cdf(x):
     return _scalar_or_array(arr, 0.5 * _erfc(-arr / _SQRT2))
 
 
-def gaussian_tv(n: int, theta1: float, theta2: float) -> float:
+def gaussian_tv(n: int, theta1, theta2):
     """Total variation distance between the n-sample location experiments.
 
     Equals the TV distance between N(theta1, 1/n) and N(theta2, 1/n), the
     laws of the sufficient statistic: 2*Phi(sqrt(n)|t1 - t2|/2) - 1.
+    theta1 and theta2 may be arrays, which broadcast; floats give a float.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")

@@ -218,6 +218,8 @@ def limit_selection_probability(regime: RegimeSpec) -> float:
 def selection_convergence_table(path: PowerTuningPath, theta_rule: ThetaRule, n_list) -> ExperimentReport:
     """Exact probability along the path versus its regime limit, per n."""
     n_list = list(n_list)
+    if not n_list:
+        raise ValueError("n_list must not be empty")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
     regime = derive_regime(path, theta_rule)

@@ -1,17 +1,22 @@
 """Independent numerical oracles shared by the test modules.
 
 These never call the closed-form cdf path they are used to check: piece
-densities are integrated by adaptive quadrature with explicit breakpoints,
-atom masses are added by hand, and the bootstrap is resampled.
+densities are integrated by adaptive quadrature with explicit breakpoints
+(in double precision, or in mpmath at 50 digits), atom masses are added by
+hand, and the bootstrap is resampled.  The scalar references at the end
+check the batched sweeps: they share the law builders and redo each sweep
+one scalar law at a time.
 """
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 
 from shrinkdist.estimators import estimate
-from shrinkdist.normal_kernel import norm_pdf
+from shrinkdist.finite_dist import ModelPoint, finite_sample_dist
+from shrinkdist.normal_kernel import gaussian_tv, norm_cdf, norm_pdf
 
 
 def quadrature_cdf(dist, x: float, left: bool = False) -> float:
@@ -64,3 +69,48 @@ def resampled_bootstrap_cdf(kind, ybar, m: int, t: float, tuning, tuning_m, n_bo
     ystar = y[:, None] + rng.standard_normal((y.size, n_boot)) / math.sqrt(m)
     vals = math.sqrt(m) * (estimate(kind, ystar, tuning_m) - theta_hat[:, None])
     return (vals <= t).mean(axis=1)
+
+
+def mpmath_second_moment(dist):
+    """Second moment of a single law by mpmath quadrature at 50 digits.
+
+    Shares only the atom and piece records with the law: each atom adds
+    weight * loc**2 and each piece the integral of x**2 * c * pdf(alpha*x + beta)
+    over its interval, split at the mode of its Gaussian.
+    """
+    with mpmath.workdps(50):
+        inv_root = 1 / mpmath.sqrt(2 * mpmath.pi)
+        total = mpmath.fsum(mpmath.mpf(w) * mpmath.mpf(loc) ** 2 for loc, w in dist.atoms)
+        for c, s, b, lo, hi in dist.pieces:
+            c, s, b = mpmath.mpf(c), mpmath.mpf(s), mpmath.mpf(b)
+            ends = [mpmath.mpf(lo), mpmath.mpf(hi)]
+            if ends[0] < -b / s < ends[1]:
+                ends.insert(1, -b / s)
+            total += mpmath.quad(lambda x: c * x**2 * inv_root * mpmath.exp(-(s * x + b) ** 2 / 2), ends)
+        return total
+
+
+def exceedance_probability(kind, n: int, theta: float, tuning, cut: float) -> float:
+    """P_{n,theta}(|sqrt(n)(estimate - theta)| > cut) from one scalar law."""
+    dist = finite_sample_dist(kind, ModelPoint(n, theta), tuning)
+    return 1.0 - (dist.cdf(cut) - dist.cdf_left(-cut))
+
+
+def swept_lower_bound(problem, epsilon=None, sweep_steps: int = 14):
+    """`minimax_lower_bound` as a loop over delta, dividing it by 4 each step.
+
+    Each step builds the two scalar laws of the pair and keeps the best
+    (1 - TV)/2 among deltas whose estimand gap exceeds 2*epsilon.
+    """
+    se = math.sqrt(problem.n) * problem.tuning.eta
+    eps_range = 0.5 * (norm_cdf(problem.t + se) - norm_cdf(problem.t - se))
+    eps = 0.9 * eps_range if epsilon is None else float(epsilon)
+    best, d = 0.0, problem.delta
+    for _ in range(sweep_steps):
+        th_plus, th_minus = problem.theta_pair(d)
+        f_minus, f_plus = (finite_sample_dist(problem.kind, ModelPoint(problem.n, th), problem.tuning).cdf(problem.t)
+                           for th in (th_minus, th_plus))
+        if eps < abs(f_minus - f_plus) / 2.0:
+            best = max(best, 0.5 * (1.0 - gaussian_tv(problem.n, th_plus, th_minus)))
+        d /= 4.0
+    return eps_range, best

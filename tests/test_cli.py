@@ -135,6 +135,16 @@ def test_experiment_unknown_scaling_errors(tmp_path, capsys):
     assert "scaling" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, key", [("uniform-rate", "n_list"), ("selection", "n_list"), ("limits", "n_probe")])
+def test_experiment_empty_n_list_errors(tmp_path, capsys, name, key):
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text(json.dumps({key: []}))
+    assert main(["experiment", name, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    captured = capsys.readouterr()
+    assert key in captured.err
+    assert "PASS" not in captured.out
+
+
 def test_experiment_impossibility_oracle(tmp_path):
     cfg = tmp_path / "imp.cfg"
     cfg.write_text(json.dumps({"estimator": "oracle", "kind": "hard", "n": 1000, "reps": 300}))

@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from oracles import quadrature_cdf
+from oracles import mpmath_second_moment, quadrature_cdf
 from scipy.integrate import quad
 
 from shrinkdist.estimators import EstimatorKind, TuningPlan, estimate
 from shrinkdist.finite_dist import (
+    _GL_NODES,
+    _GL_WEIGHTS,
     Atom,
     GaussPiece,
     MixtureDistribution,
@@ -231,6 +233,23 @@ def test_risk_against_monte_carlo(kind):
     mc = float(np.mean(losses))
     se = float(np.std(losses) / math.sqrt(reps))
     assert abs(scaled_risk(kind, ModelPoint(n, theta), tun) - mc) <= 3 * se
+
+
+def test_gauss_legendre_rule():
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    assert np.max(np.abs(_GL_NODES - nodes)) <= 1e-15
+    assert np.max(np.abs(_GL_WEIGHTS - weights)) <= 1e-15
+    for k in range(16):  # exact on polynomials up to degree 15
+        assert np.dot(_GL_WEIGHTS, _GL_NODES**k) == pytest.approx((1 + (-1) ** k) / (k + 1), abs=1e-15)
+
+
+@pytest.mark.parametrize("excess", [1e-3, 1e-6, 1e-9, 1e-12])
+@pytest.mark.parametrize("n, theta, eta", [(100, 0.1, 0.05), (40, 0.16, 0.05), (10_000, 0.02, 0.01)])
+def test_scad_second_moment_near_a_two_against_mpmath(n, theta, eta, excess):
+    # as a -> 2 the blend pieces' slope (a-2)/(a-1) vanishes and their closed form cancels
+    dist = finite_sample_dist(EstimatorKind.SCAD, ModelPoint(n, theta), TuningPlan(eta, 2.0 + excess))
+    exact = mpmath_second_moment(dist)
+    assert abs(dist.second_moment() - exact) <= 1e-13 * abs(exact)
 
 
 @pytest.mark.parametrize("builder", [finite_sample_dist, rescaled_dist])

@@ -4,7 +4,9 @@ Refactors of the law core must leave every figure, dist and experiment
 file byte for byte as it is.  The dist configuration (n, theta, eta, a) =
 (25, -0.3, 0.08, 2.5) is one where rescaling the interval ends by x / s
 instead of x * (1 / s) changes some ends by an ulp, and the limits
-experiment writes laws with ends and atoms at +-inf.
+experiment writes laws with ends and atoms at +-inf.  The impossibility
+experiment runs at a fixed seed, once with the default pretest and once
+with the bootstrap, whose configuration is written as a JSON file.
 
 After a deliberate change of the outputs, rewrite the digests with
 `PYTHONPATH=src python tests/test_golden.py`.
@@ -21,12 +23,16 @@ from shrinkdist.cli import main
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 GOLDEN = json.loads(DIGESTS.read_text())
 DIST_CONFIG = ["--n", "25", "--theta", "-0.3", "--eta", "0.08", "--a", "2.5"]
+IMPOSSIBILITY = ["experiment", "impossibility", "--reps", "2000", "--seed", "20090301"]
+CONFIGS = {"experiment_impossibility_bootstrap": {"estimator": "bootstrap"}}
 
 COMMANDS = {
     **{f"figure{k}": ["figure", str(k)] for k in (1, 2, 3)},
     **{f"dist_{kind}_{scaling}": ["dist", "--kind", kind, "--scaling", scaling, *DIST_CONFIG]
        for kind in ("hard", "soft", "scad") for scaling in ("sqrt_n", "inv_eta")},
     **{f"experiment_{name}": ["experiment", name] for name in ("selection", "limits", "uniform-rate")},
+    "experiment_impossibility": IMPOSSIBILITY,
+    "experiment_impossibility_bootstrap": IMPOSSIBILITY,
 }
 
 
@@ -35,6 +41,10 @@ def output_digests(root: Path) -> dict:
     digests = {}
     for label, argv in COMMANDS.items():
         out = root / label
+        if label in CONFIGS:
+            config = root / f"{label}.json"
+            config.write_text(json.dumps(CONFIGS[label]))
+            argv = [*argv, "--config", str(config)]
         assert main([*argv, "--out", str(out)]) == 0, label
         for path in sorted(out.iterdir()):
             if path.name != "manifest.json":

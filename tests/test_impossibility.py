@@ -3,10 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import resampled_bootstrap_cdf
+from oracles import resampled_bootstrap_cdf, swept_lower_bound
 
 from shrinkdist.estimators import EstimatorKind, TuningPlan
-from shrinkdist.finite_dist import ModelPoint, atom_weight
+from shrinkdist.finite_dist import ModelPoint, atom_weight, finite_sample_dist
 from shrinkdist.impossibility import (
     MOutOfNBootstrap,
     OracleCheat,
@@ -66,6 +66,17 @@ def test_gap_vanishes_without_threshold():
     assert abs(gap) < 1e-4
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_gap_of_delta_array_equals_scalar_gaps(kind):
+    prob = TwoPointProblem(n=100, t=0.3, delta=0.1, tuning=CONSERVATIVE, kind=kind)
+    deltas = np.array([1.0, 0.1, 1e-3, 1e-8])
+    parts = estimand_gap(prob, deltas)
+    for i, d in enumerate(deltas.tolist()):
+        assert tuple(p[i] for p in parts) == estimand_gap(prob, d)
+    assert estimand_gap(prob, 1) == estimand_gap(prob, 1.0)
+    assert all(type(p) is float for p in estimand_gap(prob))
+
+
 class TestMinimaxBound:
     def test_epsilon_range_pinned(self):
         prob = TwoPointProblem(n=100, t=0.0, delta=0.1, tuning=CONSERVATIVE, kind=EstimatorKind.HARD)
@@ -94,6 +105,22 @@ class TestMinimaxBound:
         prob = TwoPointProblem(n=100, t=0.0, delta=0.1, tuning=tun, kind=EstimatorKind.HARD)
         eps_range, _ = minimax_lower_bound(prob)
         assert eps_range == pytest.approx(0.5, abs=1e-16)
+
+    @pytest.mark.parametrize("steps", [1, 14, 20])
+    def test_equals_scalar_delta_loop(self, steps):
+        for kind in KINDS:
+            for n, t, delta, eta in ((100, 0.0, 2.0, 0.196), (25, 0.3, 0.5, 0.2), (10_000, -1.2, 1e-3, 0.02)):
+                prob = TwoPointProblem(n=n, t=t, delta=delta, tuning=TuningPlan(eta, 2.5), kind=kind)
+                for eps in (None, 0.2, 0.6):
+                    got = minimax_lower_bound(prob, epsilon=eps, sweep_steps=steps)
+                    assert got == swept_lower_bound(prob, epsilon=eps, sweep_steps=steps)
+                    assert all(type(v) is float for v in got)
+
+    @pytest.mark.parametrize("steps", [0, -1, True, 2.5])
+    def test_sweep_steps_must_be_a_positive_integer(self, steps):
+        prob = TwoPointProblem(n=100, t=0.0, delta=0.1, tuning=CONSERVATIVE, kind=EstimatorKind.HARD)
+        with pytest.raises(ValueError, match="sweep_steps"):
+            minimax_lower_bound(prob, sweep_steps=steps)
 
     def test_epsilon_range_monotone_in_eta(self):
         ranges = []
@@ -175,6 +202,24 @@ class TestWorstCase:
         b = estimator_worst_case(PretestPlugin(), EstimatorKind.HARD, 1000, 0.0, tun, 2.0,
                                  seed=55, replications=400)
         assert a.rows == b.rows
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_truth_is_the_scalar_law_cdf(self, kind):
+        seen = []
+
+        class Recorder:
+            name = "recorder"
+
+            def estimate_cdf(self, ybar, ctx):
+                seen.append(ctx.true_value)
+                return np.full(len(ybar), ctx.true_value)
+
+        n, t = 1000, 0.7
+        tun = TuningPlan(CONSISTENT_PATH.eta(n), 3.7)
+        rep = estimator_worst_case(Recorder(), kind, n, t, tun, 2.0, seed=3, replications=10)
+        thetas = rep.column("theta")
+        assert seen == [finite_sample_dist(kind, ModelPoint(n, th), tun).cdf(t) for th in thetas]
+        assert all(type(v) is float for v in thetas + seen)
 
     @pytest.mark.parametrize("reps", [0, -5, True])
     def test_replications_must_be_positive(self, reps):

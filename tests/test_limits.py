@@ -238,6 +238,11 @@ class TestWeakConvergenceCheck:
         with pytest.raises(ValueError, match="collides"):
             weak_convergence_check(lambda n: law.dist, law, np.array([-2.0]), [10])
 
+    def test_rejects_empty_n_probe(self):
+        law = conservative_limit(HARD, 0.5, 1.0)
+        with pytest.raises(ValueError, match="n_probe"):
+            weak_convergence_check(lambda n: law.dist, law, np.array([-2.0, 0.0, 2.0]), [])
+
     def test_conservative_scenario_small_gap(self):
         # sqrt(n)*theta = 1 and sqrt(n)*eta = 1.96 at every n: finite law equals the limit
         law = conservative_limit(HARD, 1.0, 1.96)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import ks_oracle
+from oracles import exceedance_probability, ks_oracle
 
 from shrinkdist.estimators import EstimatorKind, TuningPlan, estimate
 from shrinkdist.finite_dist import Atom, MixtureDistribution, ModelPoint, atom_weight, finite_sample_dist
@@ -15,6 +15,7 @@ from shrinkdist.montecarlo import (
     simulate_estimates,
     uniform_rate_experiment,
 )
+from shrinkdist.normal_kernel import norm_cdf
 from shrinkdist.selection import PowerTuningPath
 
 KINDS = list(EstimatorKind)
@@ -170,3 +171,45 @@ class TestUniformRate:
     def test_requires_m_above_two(self):
         with pytest.raises(ValueError):
             uniform_rate_experiment(EstimatorKind.HARD, PowerTuningPath(1.0, 0.25), 2.0, [100])
+
+    def test_rejects_empty_n_list(self):
+        with pytest.raises(ValueError, match="n_list"):
+            uniform_rate_experiment(EstimatorKind.HARD, PowerTuningPath(1.0, 0.25), 6.0, [])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_atom_on_the_cut_counts_as_inside(self, kind):
+        # n = 4 on the sqrt(n) scale: the cut is M = 6 exactly, and theta = 3 puts the atom at -6
+        path, tuning = PowerTuningPath(1.0, 0.25), TuningPlan(4 ** -0.25, 3.7)
+        dist = finite_sample_dist(kind, ModelPoint(4, 3.0), tuning)
+        assert dist.atoms[0].loc == -6.0 and dist.atoms[0].weight > 1e-7
+        rep = uniform_rate_experiment(kind, path, 6.0, [4], theta_grid_rule=lambda *_: [3.0], scaling="sqrt_n")
+        assert rep.column("sup_prob") == [1.0 - (dist.cdf(6.0) - dist.cdf_left(-6.0))]
+        assert rep.column("sup_prob")[0] < 1.0 - (dist.cdf(6.0) - dist.cdf(-6.0))
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["default-grid", "dense-grid"])
+    @pytest.mark.parametrize("scaling", ["a_n", "sqrt_n"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rows_equal_scalar_reference(self, kind, scaling, dense):
+        # one batch of laws per n gives exactly what one scalar law per theta gives
+        path, M, n_list = PowerTuningPath(1.0, 0.25), 6.0, [10, 10_000, 10**9]
+
+        def dense_grid(n, eta_n, M, a_n):
+            width = 3.0 * max(eta_n, M / a_n)
+            return np.union1d(default_adversarial_grid(n, eta_n, M, a_n), np.linspace(-width, width, 201))
+
+        rule = dense_grid if dense else default_adversarial_grid
+        rep = uniform_rate_experiment(kind, path, M, n_list, theta_grid_rule=rule, scaling=scaling)
+        bound = 2.0 * norm_cdf(-M / 2.0) + norm_cdf(-M / 2.0 + 1.0)
+        expected = []
+        for n in n_list:
+            eta_n = path.eta(n)
+            a_n = min(math.sqrt(n), 1.0 / eta_n)
+            rate = a_n if scaling == "a_n" else math.sqrt(n)
+            grid = [float(t) for t in rule(n, eta_n, M, a_n)]
+            probs = [exceedance_probability(kind, n, t, TuningPlan(eta_n, 3.7), M * math.sqrt(n) / rate)
+                     for t in grid]
+            worst = int(np.argmax(probs))
+            expected.append((n, eta_n, rate, probs[worst], grid[worst], bound,
+                             probs[worst] <= bound if scaling == "a_n" else True))
+        assert rep.rows == expected
+        assert [tuple(map(type, r)) for r in rep.rows] == [tuple(map(type, r)) for r in expected]

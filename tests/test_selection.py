@@ -208,6 +208,10 @@ class TestConvergenceTable:
         with pytest.raises(ValueError):
             selection_convergence_table(PowerTuningPath(1.0, 0.25), ThetaRule.local(0.0), [100, 100])
 
+    def test_rejects_empty_n_list(self):
+        with pytest.raises(ValueError, match="n_list"):
+            selection_convergence_table(PowerTuningPath(1.0, 0.25), ThetaRule.local(0.0), [])
+
     def test_csv_columns(self):
         rep = selection_convergence_table(PowerTuningPath(1.0, 0.25), ThetaRule.local(0.0), [10, 100])
         assert rep.to_csv().splitlines()[0] == "n,theta,eta,prob,limit,gap"
