@@ -42,6 +42,7 @@ _BAD_SLOPE = "slope must be finite and nonzero"
 _BAD_SHIFT = "shift must be finite"
 _BAD_INTERVAL = "piece interval requires lower < upper"
 _SHARED_LOC = "atom locations must be pairwise distinct"
+_NAN_X = "x must not be NaN"
 # 8-point Gauss-Legendre rule on [-1, 1], correctly rounded; literals rather than
 # numpy's leggauss(8), whose eigenvalue solve would run LAPACK at import
 _GL_NODES = np.array([-0.9602898564975363, -0.7966664774136267, -0.525532409916329, -0.1834346424956498,
@@ -163,9 +164,12 @@ class MixtureDistribution:
 
     Records whose fields are arrays make a batch of laws: every field is
     broadcast to one shape, and `cdf`, `cdf_left` and `density_ac` at an
-    array x of that shape evaluate law i at x[i] through the same per-piece
-    loop.  `total_mass` and `rescaled` also take batches; `second_moment`,
-    `breakpoints` and JSON take single laws only.
+    array x of that shape evaluate law i at x[i], elementwise.  `total_mass`
+    and `rescaled` also take batches; `second_moment`, `breakpoints` and
+    JSON take single laws only.
+
+    Each piece's Phi(alpha*lower + beta) and mass are computed once, when
+    the law is built, and every evaluation reuses them.
     """
 
     atoms: tuple
@@ -198,30 +202,35 @@ class MixtureDistribution:
                 raise ValueError(_SHARED_LOC)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "pieces", pieces)
+        phi_lower = tuple(norm_cdf(s * lo + b) for _, s, b, lo, _ in pieces)
+        masses = tuple((c / s) * (norm_cdf(s * hi + b) - base)
+                       for (c, s, b, _, hi), base in zip(pieces, phi_lower))
+        object.__setattr__(self, "_batch", batch)
+        object.__setattr__(self, "_phi_lower", phi_lower)
+        object.__setattr__(self, "_masses", masses)
         total = self.total_mass()
         worst = np.max(abs(total - 1.0)) if batch else abs(total - 1.0)
         if worst > _MASS_TOL:
             raise ValueError(f"mixture mass {total} is not 1 within {_MASS_TOL}")
 
     def total_mass(self) -> float:
-        ac = sum((c / s) * (norm_cdf(s * hi + b) - norm_cdf(s * lo + b)) for c, s, b, lo, hi in self.pieces)
-        return sum(a.weight for a in self.atoms) + ac
+        return sum(a.weight for a in self.atoms) + sum(self._masses)
 
     def cdf(self, x):
-        """Right-continuous cdf on the real line.
+        """Right-continuous cdf on the real line; NaN x raises ValueError.
 
         Each piece adds its mass on (lower, min(x, upper)] in closed form.
+        Phi is evaluated only at the points strictly inside a piece: points
+        at or below its lower end add nothing, and points at or past its
+        upper end add its whole mass, one scalar.  A single law walks an
+        array in ascending order (through one stable argsort when it is not
+        sorted), so two `searchsorted` calls per piece mark its slice; a
+        float x takes the same branches by float comparisons.  A batch of
+        laws evaluates law i at x[i], elementwise.
         An atom at -inf contributes for every finite x, an atom at +inf
         never does, so escaped mass shows up as a cdf pinned near 0 or 1.
         """
-        x = np.asarray(x, dtype=float)
-        total = np.zeros_like(x)
-        for c, s, b, lo, hi in self.pieces:
-            contrib = (c / s) * (norm_cdf(s * np.minimum(x, hi) + b) - norm_cdf(s * lo + b))
-            total = total + _scalar_or_array(x, np.where(x > lo, contrib, 0.0))
-        for loc, w in self.atoms:
-            total = total + w * (loc < math.inf) * (x >= loc)
-        return _scalar_or_array(x, total)
+        return self._evaluate(x, self._point_cdf, self._ascending_cdf, self._batch_cdf)
 
     def cdf_left(self, x):
         """Left limit of the cdf at x: the cdf minus the finite atoms sitting at x."""
@@ -239,8 +248,84 @@ class MixtureDistribution:
         return _scalar_or_array(x, cdf)
 
     def density_ac(self, x):
-        """Density of the absolutely continuous part; atoms are not represented."""
+        """Density of the absolutely continuous part; atoms are not represented.
+
+        The pdf is evaluated only at the points of each piece's (lower, upper],
+        walked as in `cdf`; it is 0 at +-inf, and NaN x raises ValueError.
+        """
+        return self._evaluate(x, self._point_density, self._ascending_density, self._batch_density)
+
+    def _evaluate(self, x, point, ascending, batch):
+        """Route x to the float, ascending-array or batch form of an evaluation."""
         x = np.asarray(x, dtype=float)
+        if self._batch:
+            if np.isnan(x).any():
+                raise ValueError(_NAN_X)
+            return batch(x)
+        if x.ndim == 0:
+            if math.isnan(x):
+                raise ValueError(_NAN_X)
+            return point(float(x))
+        flat = x.ravel()
+        order = None
+        if not (flat[1:] >= flat[:-1]).all():
+            order = np.argsort(flat, kind="stable")
+            flat = flat[order]
+        if flat.size and math.isnan(flat[-1]):  # sorting puts NaN last
+            raise ValueError(_NAN_X)
+        out = ascending(flat)
+        if order is not None:
+            out[order] = out.copy()
+        return out.reshape(x.shape)
+
+    def _point_cdf(self, x: float) -> float:
+        total = 0.0
+        for (c, s, b, lo, hi), base, mass in zip(self.pieces, self._phi_lower, self._masses):
+            if x >= hi:
+                total += mass
+            elif x > lo:
+                total += (c / s) * (norm_cdf(s * x + b) - base)
+        for loc, w in self.atoms:
+            if loc <= x and loc < math.inf:
+                total += w
+        return total
+
+    def _ascending_cdf(self, x: np.ndarray) -> np.ndarray:
+        total = np.zeros_like(x)
+        for (c, s, b, lo, hi), base, mass in zip(self.pieces, self._phi_lower, self._masses):
+            i = np.searchsorted(x, lo, side="right")
+            j = np.searchsorted(x, hi, side="left")
+            total[i:j] += (c / s) * (norm_cdf(s * x[i:j] + b) - base)
+            total[j:] += mass
+        for loc, w in self.atoms:
+            if loc < math.inf:
+                total[np.searchsorted(x, loc, side="left"):] += w
+        return total
+
+    def _batch_cdf(self, x: np.ndarray):
+        total = np.zeros_like(x)
+        for (c, s, b, lo, hi), base in zip(self.pieces, self._phi_lower):
+            contrib = (c / s) * (norm_cdf(s * np.minimum(x, hi) + b) - base)
+            total = total + _scalar_or_array(x, np.where(x > lo, contrib, 0.0))
+        for loc, w in self.atoms:
+            total = total + w * (loc < math.inf) * (x >= loc)
+        return _scalar_or_array(x, total)
+
+    def _point_density(self, x: float) -> float:
+        total = 0.0
+        for c, s, b, lo, hi in self.pieces:
+            if lo < x <= hi and x < math.inf:  # the pdf vanishes at +inf, as on arrays
+                total += c * norm_pdf(s * x + b)
+        return total
+
+    def _ascending_density(self, x: np.ndarray) -> np.ndarray:
+        total = np.zeros_like(x)
+        for c, s, b, lo, hi in self.pieces:
+            i, j = np.searchsorted(x, (lo, hi), side="right")
+            total[i:j] += c * norm_pdf(s * x[i:j] + b)
+        return total
+
+    def _batch_density(self, x: np.ndarray):
         total = np.zeros_like(x)
         for c, s, b, lo, hi in self.pieces:
             inside = (x > lo) & (x <= hi)

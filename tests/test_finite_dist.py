@@ -6,6 +6,7 @@ import pytest
 from oracles import mpmath_second_moment, quadrature_cdf
 from scipy.integrate import quad
 
+from shrinkdist import finite_dist
 from shrinkdist.estimators import EstimatorKind, TuningPlan, estimate
 from shrinkdist.finite_dist import (
     _GL_NODES,
@@ -19,7 +20,9 @@ from shrinkdist.finite_dist import (
     rescaled_dist,
     scaled_risk,
 )
+from shrinkdist.limits import consistent_limit
 from shrinkdist.normal_kernel import norm_cdf, norm_pdf
+from shrinkdist.selection import RegimeSpec
 
 KINDS = list(EstimatorKind)
 FIG_POINT = ModelPoint(40, 0.16)
@@ -252,19 +255,76 @@ def test_scad_second_moment_near_a_two_against_mpmath(n, theta, eta, excess):
     assert abs(dist.second_moment() - exact) <= 1e-13 * abs(exact)
 
 
+def _assert_arrays_match_points(dist):
+    """cdf, cdf_left and density_ac at an array equal their float results, bit for bit.
+
+    The grids: a fixed grid through +-inf, every breakpoint and both its
+    neighbouring floats, the same grid shuffled, an empty array, a grid
+    strictly inside the first piece, and a grid past every finite end.
+    """
+    cuts = np.asarray(dist.breakpoints())  # atoms and piece ends
+    grid = np.concatenate([np.linspace(-6.0, 6.0, 41), cuts, [-math.inf, math.inf],
+                           np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf)])
+    lo, hi = dist.pieces[0].lower, dist.pieces[0].upper
+    start, stop = (lo if math.isfinite(lo) else hi - 2.0), (hi if math.isfinite(hi) else lo + 2.0)
+    grids = {
+        "grid": grid,
+        "shuffled": np.random.default_rng(7).permutation(grid),
+        "empty": np.array([]),
+        "inside-one-piece": np.linspace(start, stop, 9)[1:-1],
+        "past-every-end": max(cuts.tolist(), default=0.0) + np.array([0.5, 1.0, 10.0, 1e3]),
+    }
+    for method in (dist.cdf, dist.cdf_left, dist.density_ac):
+        for name, xs in grids.items():
+            scalar = [method(x) for x in xs.tolist()]
+            assert all(type(v) is float for v in scalar)
+            np.testing.assert_array_equal(method(xs), np.array(scalar), err_msg=f"{method.__name__} on {name}")
+
+
 @pytest.mark.parametrize("builder", [finite_sample_dist, rescaled_dist])
 @pytest.mark.parametrize("kind", KINDS)
 def test_array_evaluation_matches_scalar_bit_for_bit(kind, builder):
     dist = builder(kind, ModelPoint(25, -0.3), TuningPlan(0.08, 2.5))
-    cuts = np.asarray(dist.breakpoints())  # the atom and every piece end
-    xs = np.concatenate([np.linspace(-6.0, 6.0, 41), cuts,
-                         np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf)])
-    for method in (dist.cdf, dist.cdf_left, dist.density_ac):
-        scalar = [method(float(x)) for x in xs]
-        assert all(type(v) is float for v in scalar)
-        np.testing.assert_array_equal(method(xs), np.array(scalar))
+    _assert_arrays_match_points(dist)
     atom = dist.atoms[0]
     assert dist.cdf(atom.loc) - dist.cdf_left(atom.loc) == pytest.approx(atom.weight, abs=1e-15)
+
+
+@pytest.mark.parametrize("dist", [
+    consistent_limit(EstimatorKind.HARD, RegimeSpec(math.inf, zeta=1.0, r=0.5)).dist,
+    consistent_limit(EstimatorKind.HARD, RegimeSpec(math.inf, zeta=-1.0, r=0.5)).dist,
+    MixtureDistribution(atoms=(), pieces=(GaussPiece(1.0, 1.0, 0.0, -math.inf, 0.3),
+                                          GaussPiece(1.0, 1.0, 0.0, 0.3, math.inf))),
+], ids=["atom-at-minus-inf", "atom-at-plus-inf", "no-atoms"])
+def test_array_evaluation_of_other_laws_matches_scalar_bit_for_bit(dist):
+    _assert_arrays_match_points(dist)
+
+
+def test_cdf_evaluates_phi_once_per_point(monkeypatch):
+    # six scad pieces on 10,000 ascending points: Phi at each point inside
+    # the one piece holding it, and at most the lower end and the upper end
+    # of each piece on top
+    dist = finite_sample_dist(EstimatorKind.SCAD, ModelPoint(25, -0.3), TuningPlan(0.08, 2.5))
+    xs = np.linspace(-6.0, 6.0, 10_000)
+    evaluated = []
+
+    def counting_norm_cdf(z):
+        evaluated.append(np.size(z))
+        return norm_cdf(z)
+
+    monkeypatch.setattr(finite_dist, "norm_cdf", counting_norm_cdf)
+    dist.cdf(xs)
+    assert len(dist.pieces) == 6 and sum(evaluated) <= xs.size + 12
+
+
+@pytest.mark.parametrize("method", ["cdf", "cdf_left", "density_ac"])
+def test_nan_x_raises(method):
+    law = finite_sample_dist(EstimatorKind.SCAD, FIG_POINT, FIG_TUNING)
+    batch = finite_sample_dist(EstimatorKind.SCAD, ModelPoint(40, [0.1, 0.2]), FIG_TUNING)
+    for dist, x in ((law, math.nan), (law, [math.nan]), (law, [0.0, 1.0, math.nan]),
+                    (law, [math.nan, 1.0, 0.0]), (batch, [0.0, math.nan])):
+        with pytest.raises(ValueError, match="NaN"):
+            getattr(dist, method)(x)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import exceedance_probability, ks_oracle
+from oracles import exceedance_probability, ks_oracle, ks_reference
 
 from shrinkdist.estimators import EstimatorKind, TuningPlan, estimate
 from shrinkdist.finite_dist import Atom, MixtureDistribution, ModelPoint, atom_weight, finite_sample_dist
@@ -19,6 +19,13 @@ from shrinkdist.normal_kernel import norm_cdf
 from shrinkdist.selection import PowerTuningPath
 
 KINDS = list(EstimatorKind)
+MC_CONFIGS = [  # (n, theta, eta, scad a) of acceptance criterion 02
+    (40, 0.16, 0.05, 3.7),
+    (10_000, 0.05, 0.1, 3.7),
+    (100, 0.0, 0.196, 3.7),
+    (25, -0.3, 0.08, 2.5),
+    (1000, 0.02, 0.0316, 5.0),
+]
 FIG_CFG = SimConfig(seed=1234, replications=200_000, point=ModelPoint(40, 0.16), tuning=TuningPlan(0.05, 3.7))
 
 
@@ -97,6 +104,24 @@ def test_ks_against_brute_force_oracle(theta):
     assert ks_distance(emp, dist) == pytest.approx(ks_oracle(emp.values, dist), abs=1e-10)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n, theta, eta, a", MC_CONFIGS)
+def test_ks_equals_scalar_reference(kind, n, theta, eta, a):
+    cfg = SimConfig(seed=n, replications=20_000, point=ModelPoint(n, theta), tuning=TuningPlan(eta, a))
+    emp = simulate_estimates(kind, cfg)
+    if n == 10_000:  # sqrt(n)*eta = 10: every draw sits on the atom
+        assert np.unique(emp.values).size == 1
+    dist = finite_sample_dist(kind, cfg.point, cfg.tuning)
+    assert ks_distance(emp, dist) == ks_reference(emp, dist)
+
+
+def test_ks_of_two_value_sample_equals_scalar_reference():
+    emp = EmpiricalCdf(np.array([-1.0, -1.0, -1.0, 0.5]))
+    dist = finite_sample_dist(EstimatorKind.HARD, ModelPoint(1, 1.0), TuningPlan(0.5))
+    assert dist.atoms[0].loc == -1.0
+    assert ks_distance(emp, dist) == ks_reference(emp, dist)
+
+
 def test_ks_degenerate_atom_law():
     vals = np.zeros(1000)
     emp = EmpiricalCdf(vals)
@@ -110,8 +135,14 @@ def test_empirical_cdf_evaluation():
     assert emp.evaluate(2.0) == 0.75
     assert emp.evaluate(1.9999) == 0.25
     assert emp.fraction_at(2.0) == 0.5
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sorted"):
         EmpiricalCdf(np.array([2.0, 1.0]))
+
+
+@pytest.mark.parametrize("values", [[math.nan, 0.0, 1.0], [0.0, math.nan, 1.0], [0.0, 1.0, math.nan], [math.nan]])
+def test_empirical_cdf_rejects_nan(values):
+    with pytest.raises(ValueError, match="NaN"):
+        EmpiricalCdf(np.array(values))
 
 
 def test_quantile_report():
