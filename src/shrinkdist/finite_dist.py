@@ -101,13 +101,6 @@ def _inverse_scale(s: float) -> float:
     return 1.0 / s
 
 
-def _zphi(t: float) -> float:
-    # t * pdf(t) with the correct 0 limit at +-inf
-    if math.isinf(t):
-        return 0.0
-    return t * norm_pdf(t)
-
-
 class GaussPiece(NamedTuple):
     """Density c * pdf(alpha*x + beta) supported on (lower, upper]; ends may be +-inf."""
 
@@ -128,29 +121,29 @@ class Atom(NamedTuple):
 def _batch_records(atoms, pieces) -> tuple:
     """Atoms and pieces of a batch of laws, every field a float array of one shape.
 
-    The checks that `MixtureDistribution` runs on one law run here, each
-    over all records and laws at once; one bad law rejects the batch.
+    Each field is copied once and broadcast to that shape as a view, so a
+    field shared by every law (a piece's slope, say) holds one value, not
+    one per law, and a build allocates no (fields x laws) block.  The checks
+    that `MixtureDistribution` runs on one law run here, each over all
+    records and laws; one bad law rejects the batch.
     """
-    fields = np.broadcast_arrays(*(np.asarray(v, dtype=float) for r in (*atoms, *pieces) for v in r))
-    shape = fields[0].shape
+    fields = np.broadcast_arrays(*(np.array(v, dtype=float) for r in (*atoms, *pieces) for v in r))
     split = 2 * len(atoms)
-    a = np.array(fields[:split]).reshape(len(atoms), 2, *shape)
-    p = np.array(fields[split:]).reshape(len(pieces), 5, *shape)
-    loc, weight = a[:, 0], a[:, 1]
-    coeff, slope, shift, lower, upper = (p[:, i] for i in range(5))
-    ordered = np.sort(loc, axis=0)
+    atoms = tuple(Atom(*fields[i:i + 2]) for i in range(0, split, 2))
+    pieces = tuple(GaussPiece(*fields[i:i + 5]) for i in range(split, len(fields), 5))
+    ordered = np.sort([a.loc for a in atoms], axis=0)
     for bad, message in (
-        (np.isnan(loc), _BAD_LOC),
-        (~(np.isfinite(weight) & (weight >= 0.0)), _BAD_WEIGHT),
-        (~(np.isfinite(coeff) & (coeff >= 0.0)), _BAD_COEFF),
-        (~np.isfinite(slope) | (slope == 0.0), _BAD_SLOPE),
-        (~np.isfinite(shift), _BAD_SHIFT),
-        (~(lower < upper), _BAD_INTERVAL),
-        (ordered[1:] == ordered[:-1], _SHARED_LOC),
+        ((np.isnan(a.loc) for a in atoms), _BAD_LOC),
+        ((~(np.isfinite(a.weight) & (a.weight >= 0.0)) for a in atoms), _BAD_WEIGHT),
+        ((~(np.isfinite(p.coeff) & (p.coeff >= 0.0)) for p in pieces), _BAD_COEFF),
+        ((~np.isfinite(p.slope) | (p.slope == 0.0) for p in pieces), _BAD_SLOPE),
+        ((~np.isfinite(p.shift) for p in pieces), _BAD_SHIFT),
+        ((~(p.lower < p.upper) for p in pieces), _BAD_INTERVAL),
+        ((lo == hi for lo, hi in zip(ordered[:-1], ordered[1:])), _SHARED_LOC),
     ):
-        if bad.any():
+        if any(b.any() for b in bad):
             raise ValueError(message)
-    return tuple(Atom(*r) for r in a), tuple(GaussPiece(*r) for r in p)
+    return atoms, pieces, fields[0].shape
 
 
 @dataclass(frozen=True)
@@ -164,12 +157,15 @@ class MixtureDistribution:
 
     Records whose fields are arrays make a batch of laws: every field is
     broadcast to one shape, and `cdf`, `cdf_left` and `density_ac` at an
-    array x of that shape evaluate law i at x[i], elementwise.  `total_mass`
-    and `rescaled` also take batches; `second_moment`, `breakpoints` and
-    JSON take single laws only.
+    array x of that shape evaluate law i at x[i], elementwise; a 0-d x
+    evaluates every law at x, and any other shape raises ValueError.
+    `total_mass` and `rescaled` also take batches; `second_moment`,
+    `breakpoints` and JSON raise ValueError on one.
 
-    Each piece's Phi(alpha*lower + beta) and mass are computed once, when
-    the law is built, and every evaluation reuses them.
+    Building a single law makes one normal-cdf call over both mapped ends of
+    every piece and keeps each piece's Phi values and mass for every later
+    evaluation; `second_moment` reuses those Phi values and makes one
+    normal-pdf call (plus one over the nodes of its short pieces).
     """
 
     atoms: tuple
@@ -180,10 +176,9 @@ class MixtureDistribution:
             atoms = tuple(Atom(*map(float, a)) for a in self.atoms)
             pieces = tuple(GaussPiece(*map(float, p)) for p in self.pieces)
         except TypeError:  # float() rejects arrays of one or more dimensions
-            atoms, pieces = _batch_records(self.atoms, self.pieces)
-            batch = True
+            atoms, pieces, shape = _batch_records(self.atoms, self.pieces)
         else:
-            batch = False
+            shape = None
             for loc, weight in atoms:
                 if math.isnan(loc):
                     raise ValueError(_BAD_LOC)
@@ -202,14 +197,17 @@ class MixtureDistribution:
                 raise ValueError(_SHARED_LOC)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "pieces", pieces)
-        phi_lower = tuple(norm_cdf(s * lo + b) for _, s, b, lo, _ in pieces)
-        masses = tuple((c / s) * (norm_cdf(s * hi + b) - base)
-                       for (c, s, b, _, hi), base in zip(pieces, phi_lower))
-        object.__setattr__(self, "_batch", batch)
-        object.__setattr__(self, "_phi_lower", phi_lower)
-        object.__setattr__(self, "_masses", masses)
+        # a batch calls the kernel once per end, on B values at a time: stacking
+        # all ends into one (2 * pieces, B) array raised peak memory on large B
+        ends = (s * end + b for _, s, b, lo, hi in pieces for end in (lo, hi))
+        phi = norm_cdf(np.fromiter(ends, float)).tolist() if shape is None else list(map(norm_cdf, ends))
+        object.__setattr__(self, "_shape", shape)
+        object.__setattr__(self, "_phi_lower", tuple(phi[0::2]))
+        object.__setattr__(self, "_phi_upper", tuple(phi[1::2]))
+        object.__setattr__(self, "_masses", tuple((p.coeff / p.slope) * (upper - lower) for p, lower, upper
+                                                  in zip(pieces, self._phi_lower, self._phi_upper)))
         total = self.total_mass()
-        worst = np.max(abs(total - 1.0)) if batch else abs(total - 1.0)
+        worst = abs(total - 1.0) if shape is None else np.max(abs(total - 1.0))
         if worst > _MASS_TOL:
             raise ValueError(f"mixture mass {total} is not 1 within {_MASS_TOL}")
 
@@ -234,7 +232,7 @@ class MixtureDistribution:
 
     def cdf_left(self, x):
         """Left limit of the cdf at x: the cdf minus the finite atoms sitting at x."""
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=float) if self._shape is None else self._batch_points(x)
         return self._left_limit(x, self.cdf(x))
 
     def _left_limit(self, x: np.ndarray, cdf):
@@ -257,11 +255,9 @@ class MixtureDistribution:
 
     def _evaluate(self, x, point, ascending, batch):
         """Route x to the float, ascending-array or batch form of an evaluation."""
+        if self._shape is not None:
+            return batch(self._batch_points(x))
         x = np.asarray(x, dtype=float)
-        if self._batch:
-            if np.isnan(x).any():
-                raise ValueError(_NAN_X)
-            return batch(x)
         if x.ndim == 0:
             if math.isnan(x):
                 raise ValueError(_NAN_X)
@@ -277,6 +273,19 @@ class MixtureDistribution:
         if order is not None:
             out[order] = out.copy()
         return out.reshape(x.shape)
+
+    def _batch_points(self, x) -> np.ndarray:
+        """x as an array of the batch's shape: a 0-d x is taken for every law."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim and x.shape != self._shape:
+            raise ValueError(f"x of shape {x.shape} does not match the batch of laws of shape {self._shape}")
+        if np.isnan(x).any():
+            raise ValueError(_NAN_X)
+        return np.broadcast_to(x, self._shape)
+
+    def _single_law(self, method: str):
+        if self._shape is not None:
+            raise ValueError(f"{method} takes a single law, not a batch of laws")
 
     def _point_cdf(self, x: float) -> float:
         total = 0.0
@@ -306,10 +315,10 @@ class MixtureDistribution:
         total = np.zeros_like(x)
         for (c, s, b, lo, hi), base in zip(self.pieces, self._phi_lower):
             contrib = (c / s) * (norm_cdf(s * np.minimum(x, hi) + b) - base)
-            total = total + _scalar_or_array(x, np.where(x > lo, contrib, 0.0))
+            total = total + np.where(x > lo, contrib, 0.0)
         for loc, w in self.atoms:
             total = total + w * (loc < math.inf) * (x >= loc)
-        return _scalar_or_array(x, total)
+        return total
 
     def _point_density(self, x: float) -> float:
         total = 0.0
@@ -329,8 +338,8 @@ class MixtureDistribution:
         total = np.zeros_like(x)
         for c, s, b, lo, hi in self.pieces:
             inside = (x > lo) & (x <= hi)
-            total = total + _scalar_or_array(x, np.where(inside, c * norm_pdf(s * x + b), 0.0))
-        return _scalar_or_array(x, total)
+            total = total + np.where(inside, c * norm_pdf(s * x + b), 0.0)
+        return total
 
     def second_moment(self) -> float:
         """Atom part plus, per piece, the integral of x^2 times its density.
@@ -341,6 +350,7 @@ class MixtureDistribution:
         On a short mapped interval (the scad blend piece as a -> 2) that sum
         cancels, so such a piece is integrated in x by 8-point Gauss-Legendre.
         """
+        self._single_law("second_moment")
         out = 0.0
         for loc, w in self.atoms:
             if math.isinf(loc):
@@ -348,18 +358,27 @@ class MixtureDistribution:
                     return math.inf
                 continue
             out += w * loc**2
+        mapped = [(s * lo + b, s * hi + b) for _, s, b, lo, hi in self.pieces]
+        short = [abs(zb - za) < _SHORT_PIECE for za, zb in mapped]
+        ends = [z for zs, sh in zip(mapped, short) if not sh for z in zs if not math.isinf(z)]
+        pdf = iter(norm_pdf(np.array(ends)).tolist())
+        if any(short):  # one row of quadrature nodes per short piece
+            coeff, slope, shift, lower, upper = np.array([p for p, sh in zip(self.pieces, short) if sh]).T[..., None]
+            half = 0.5 * (upper - lower)
+            x = 0.5 * (upper + lower) + half * _GL_NODES
+            f = coeff * x**2 * norm_pdf(slope * x + shift)
+            quadrature = iter([h * float(np.dot(_GL_WEIGHTS, row)) for h, row in zip(half.ravel().tolist(), f)])
         ac = 0.0
-        for c, s, b, lo, hi in self.pieces:
-            za, zb = s * lo + b, s * hi + b
-            if abs(zb - za) < _SHORT_PIECE:
-                half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-                x = mid + half * _GL_NODES
-                ac += half * float(np.dot(_GL_WEIGHTS, c * x**2 * norm_pdf(s * x + b)))
+        for (c, s, b, _, _), (za, zb), sh, phi_a, phi_b in zip(self.pieces, mapped, short,
+                                                               self._phi_lower, self._phi_upper):
+            if sh:
+                ac += next(quadrature)
                 continue
-            i0 = norm_cdf(zb) - norm_cdf(za)
-            pa, pb = (0.0 if math.isinf(z) else norm_pdf(z) for z in (za, zb))
+            pa, pb = (0.0 if math.isinf(z) else next(pdf) for z in (za, zb))
+            i0 = phi_b - phi_a
             i1 = pa - pb
-            i2 = i0 + _zphi(za) - _zphi(zb)
+            # z * pdf(z) has the limit 0 at +-inf
+            i2 = i0 + (0.0 if math.isinf(za) else za * pa) - (0.0 if math.isinf(zb) else zb * pb)
             ac += (c / s**3) * (i2 - 2.0 * b * i1 + b**2 * i0)
         return out + ac
 
@@ -374,10 +393,12 @@ class MixtureDistribution:
 
     def breakpoints(self) -> list:
         """Finite interval endpoints and atom locations, sorted; quadrature panels."""
+        self._single_law("breakpoints")
         pts = {p.lower for p in self.pieces} | {p.upper for p in self.pieces} | {a.loc for a in self.atoms}
         return sorted(v for v in pts if math.isfinite(v))
 
     def to_json(self) -> dict:
+        self._single_law("to_json")
         return {
             "atoms": [{"loc": _real_to_json(a.loc), "weight": a.weight} for a in self.atoms],
             "pieces": [dict(p._asdict(), lower=_real_to_json(p.lower), upper=_real_to_json(p.upper))
@@ -406,8 +427,16 @@ def _cut_points(point: ModelPoint, tuning: TuningPlan):
 
 
 def _zero_mass(loc: float, se: float) -> float:
-    """Phi(loc + se) - Phi(loc - se): the mass of the event estimate == 0."""
-    return norm_cdf(loc + se) - norm_cdf(loc - se)
+    """Phi(loc + se) - Phi(loc - se): the mass of the event estimate == 0; loc may be an array.
+
+    A float loc makes one call on both ends.  An array loc makes one call
+    per end, since stacking the ends would double every temporary of the
+    call (160 KB each for a batch of 10^4 laws).
+    """
+    if np.ndim(loc):
+        return norm_cdf(loc + se) - norm_cdf(loc - se)
+    upper, lower = norm_cdf(np.array([loc + se, loc - se])).tolist()
+    return upper - lower
 
 
 def atom_weight(point: ModelPoint, tuning: TuningPlan) -> float:

@@ -78,9 +78,8 @@ def estimand_gap(problem: TwoPointProblem, delta=None):
     """
     d = problem.delta if delta is None else np.asarray(delta, dtype=float)
     th_plus, th_minus = problem.theta_pair(d)
-    t = np.full(np.shape(d), problem.t)
-    f_minus = finite_sample_dist(problem.kind, ModelPoint(problem.n, th_minus), problem.tuning).cdf(t)
-    f_plus = finite_sample_dist(problem.kind, ModelPoint(problem.n, th_plus), problem.tuning).cdf(t)
+    f_minus = finite_sample_dist(problem.kind, ModelPoint(problem.n, th_minus), problem.tuning).cdf(problem.t)
+    f_plus = finite_sample_dist(problem.kind, ModelPoint(problem.n, th_plus), problem.tuning).cdf(problem.t)
     gap = f_minus - f_plus
     se = math.sqrt(problem.n) * problem.tuning.eta
     leading = _zero_mass(problem.t - d, se)
@@ -252,7 +251,7 @@ def estimator_worst_case(
     )
     sup_prob = -1.0
     witness = None
-    truths = finite_sample_dist(kind, ModelPoint(n, grid), tuning).cdf(np.full(grid.size, t))
+    truths = finite_sample_dist(kind, ModelPoint(n, grid), tuning).cdf(t)
     for child, theta, truth in zip(children, grid.tolist(), truths.tolist()):
         rng = np.random.Generator(np.random.Philox(child))
         ctx = _HarnessContext(kind=kind, n=n, t=t, tuning=tuning, true_value=truth)

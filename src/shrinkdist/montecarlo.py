@@ -47,6 +47,13 @@ class SimConfig:
             raise ValueError("seed must fit in 64 unsigned bits")
 
 
+def _no_nan(x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():  # searchsorted would sort NaN past every value
+        raise ValueError("x must not be NaN")
+    return x
+
+
 @dataclass(frozen=True)
 class EmpiricalCdf:
     """Right-continuous step function through a sorted sample without NaN."""
@@ -67,11 +74,13 @@ class EmpiricalCdf:
         return int(self.values.size)
 
     def evaluate(self, x):
-        x = np.asarray(x, dtype=float)
+        """Fraction of sample points <= x; NaN x raises ValueError."""
+        x = _no_nan(x)
         return _scalar_or_array(x, np.searchsorted(self.values, x, side="right") / self.count)
 
     def fraction_at(self, x: float) -> float:
-        """Fraction of sample points exactly equal to x."""
+        """Fraction of sample points exactly equal to x; NaN x raises ValueError."""
+        x = _no_nan(x)
         lo = np.searchsorted(self.values, x, side="left")
         hi = np.searchsorted(self.values, x, side="right")
         return (hi - lo) / self.count
@@ -191,8 +200,7 @@ def uniform_rate_experiment(
         tuning = TuningPlan(eta_n, scad_a)
         grid = np.asarray(theta_grid_rule(n, eta_n, M, a_n), dtype=float)
         laws = finite_sample_dist(kind, ModelPoint(n, grid), tuning)
-        cuts = np.full(grid.size, cut)
-        probs = 1.0 - (laws.cdf(cuts) - laws.cdf_left(-cuts))
+        probs = 1.0 - (laws.cdf(cut) - laws.cdf_left(-cut))
         worst = int(np.argmax(probs))
         sup_prob = float(probs[worst])
         ok = sup_prob <= bound if scaling == "a_n" else True

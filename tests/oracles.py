@@ -6,7 +6,9 @@ densities are integrated by adaptive quadrature with explicit breakpoints
 hand, and the bootstrap is resampled.  The scalar references at the end
 check the batched sweeps: they share the law builders and redo each sweep
 one scalar law at a time; `ks_reference` likewise redoes the KS distance
-one scalar cdf evaluation at a time.
+one scalar cdf evaluation at a time, and `reference_masses` and
+`reference_second_moment` redo a law's build and second moment with one
+scalar normal-kernel call per piece end.
 """
 
 import math
@@ -16,7 +18,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from shrinkdist.estimators import estimate
-from shrinkdist.finite_dist import ModelPoint, finite_sample_dist
+from shrinkdist.finite_dist import _GL_NODES, _GL_WEIGHTS, _SHORT_PIECE, ModelPoint, finite_sample_dist
 from shrinkdist.normal_kernel import gaussian_tv, norm_cdf, norm_pdf
 
 
@@ -130,3 +132,43 @@ def ks_reference(emp, dist) -> float:
     model = np.array([dist.cdf(u) for u in uniq.tolist()])
     model_left = np.array([dist.cdf_left(u) for u in uniq.tolist()])
     return float(max(np.max(np.abs(model - cum)), np.max(np.abs(model_left - emp_left))))
+
+
+def reference_masses(pieces):
+    """(Phi at each piece's mapped lower end, each piece's mass), two scalar calls per piece."""
+    phi_lower = tuple(norm_cdf(s * lo + b) for _, s, b, lo, _ in pieces)
+    masses = tuple((c / s) * (norm_cdf(s * hi + b) - base)
+                   for (c, s, b, _, hi), base in zip(pieces, phi_lower))
+    return phi_lower, masses
+
+
+def _zphi(t: float) -> float:
+    # t * pdf(t) with the correct 0 limit at +-inf
+    if math.isinf(t):
+        return 0.0
+    return t * norm_pdf(t)
+
+
+def reference_second_moment(dist) -> float:
+    """A single law's second moment, with scalar cdf and pdf calls at every piece end."""
+    out = 0.0
+    for loc, w in dist.atoms:
+        if math.isinf(loc):
+            if w > 0.0:
+                return math.inf
+            continue
+        out += w * loc**2
+    ac = 0.0
+    for c, s, b, lo, hi in dist.pieces:
+        za, zb = s * lo + b, s * hi + b
+        if abs(zb - za) < _SHORT_PIECE:
+            half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+            x = mid + half * _GL_NODES
+            ac += half * float(np.dot(_GL_WEIGHTS, c * x**2 * norm_pdf(s * x + b)))
+            continue
+        i0 = norm_cdf(zb) - norm_cdf(za)
+        pa, pb = (0.0 if math.isinf(z) else norm_pdf(z) for z in (za, zb))
+        i1 = pa - pb
+        i2 = i0 + _zphi(za) - _zphi(zb)
+        ac += (c / s**3) * (i2 - 2.0 * b * i1 + b**2 * i0)
+    return out + ac

@@ -1,9 +1,12 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
-from oracles import mpmath_second_moment, quadrature_cdf
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import mpmath_second_moment, quadrature_cdf, reference_masses, reference_second_moment
 from scipy.integrate import quad
 
 from shrinkdist import finite_dist
@@ -346,6 +349,79 @@ def test_batch_of_laws_matches_scalar_laws_bit_for_bit(kind):
         np.testing.assert_array_equal(getattr(batch, method)(np.array(xs)), np.array(scalar))
     np.testing.assert_array_equal(batch.total_mass(), [law.total_mass() for law in laws])
     np.testing.assert_array_equal(batch.atoms[0].weight, [law.atoms[0].weight for law in laws])
+
+
+@pytest.mark.parametrize("method", ["cdf", "cdf_left", "density_ac"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_batch_at_a_scalar_x_evaluates_every_law_there(kind, method):
+    batch = finite_sample_dist(kind, ModelPoint(40, [0.1, 0.2, -0.05]), FIG_TUNING)
+    for x in (0.0, np.float64(-0.4), np.array(1.3)):
+        np.testing.assert_array_equal(getattr(batch, method)(x), getattr(batch, method)(np.full(3, x)))
+
+
+@pytest.mark.parametrize("method", ["cdf", "cdf_left", "density_ac"])
+def test_batch_rejects_x_of_another_shape(method):
+    batch = finite_sample_dist(EstimatorKind.HARD, ModelPoint(40, [0.1, 0.2]), FIG_TUNING)
+    for x in (np.zeros((2, 2)), np.zeros(3), np.zeros(1), np.zeros((1, 2)), []):
+        shape = re.escape(str(np.shape(x)))
+        with pytest.raises(ValueError, match=rf"{shape}.*\(2,\)"):
+            getattr(batch, method)(x)
+
+
+@pytest.mark.parametrize("method", ["second_moment", "breakpoints", "to_json", "to_json_str"])
+def test_single_law_methods_reject_a_batch(method):
+    batch = finite_sample_dist(EstimatorKind.SCAD, ModelPoint(40, [0.1, 0.2]), FIG_TUNING)
+    with pytest.raises(ValueError, match="single law"):
+        getattr(batch, method)()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(KINDS), n=st.integers(1, 10**8), theta=st.floats(-2.0, 2.0),
+       eta=st.floats(1e-3, 3.0), log_excess=st.floats(-9.0, 1.0))
+def test_build_and_second_moment_equal_per_piece_reference_bit_for_bit(kind, n, theta, eta, log_excess):
+    # scad a = 2 + 10**log_excess reaches down to 2 + 1e-9, where the blend
+    # pieces are short and second_moment integrates them by Gauss-Legendre
+    point, tuning = ModelPoint(n, theta), TuningPlan(eta, 2.0 + 10.0**log_excess)
+    for dist in (finite_sample_dist(kind, point, tuning), rescaled_dist(kind, point, tuning)):
+        phi_lower, masses = reference_masses(dist.pieces)
+        assert [m.hex() for m in dist._masses] == [m.hex() for m in masses]
+        assert [p.hex() for p in dist._phi_lower] == [p.hex() for p in phi_lower]
+        assert dist.total_mass().hex() == (sum(a.weight for a in dist.atoms) + sum(masses)).hex()
+        assert dist.second_moment().hex() == reference_second_moment(dist).hex()
+    loc, se = -point.sqrt_n * theta, point.sqrt_n * eta
+    weight = atom_weight(point, tuning)
+    assert type(weight) is float and weight.hex() == (norm_cdf(loc + se) - norm_cdf(loc - se)).hex()
+    batch = finite_sample_dist(kind, ModelPoint(n, [theta, -theta]), tuning)
+    laws = [finite_sample_dist(kind, ModelPoint(n, th), tuning) for th in (theta, -theta)]
+    for i, law in enumerate(laws):
+        assert [m[i].hex() for m in batch._masses] == [m.hex() for m in law._masses]
+        assert batch.atoms[0].weight[i].hex() == law.atoms[0].weight.hex()
+
+
+def _count_kernel_calls(monkeypatch):
+    calls = {"norm_cdf": 0, "norm_pdf": 0}
+    for name, kernel in (("norm_cdf", norm_cdf), ("norm_pdf", norm_pdf)):
+        def counting(z, name=name, kernel=kernel):
+            calls[name] += 1
+            return kernel(z)
+        monkeypatch.setattr(finite_dist, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [25, 400])  # at n = 25 the soft-type pieces are short
+def test_scalar_law_calls_the_normal_kernel_once_per_job(monkeypatch, n):
+    law = finite_sample_dist(EstimatorKind.SCAD, ModelPoint(n, -0.3), TuningPlan(0.08, 2.5))
+    short = [abs(s * (hi - lo)) < finite_dist._SHORT_PIECE for _, s, _, lo, hi in law.pieces]
+    assert any(short) == (n == 25)
+    calls = _count_kernel_calls(monkeypatch)
+    MixtureDistribution(law.atoms, law.pieces)
+    assert calls == {"norm_cdf": 1, "norm_pdf": 0}
+    calls.update(norm_cdf=0, norm_pdf=0)
+    law.second_moment()
+    assert calls["norm_cdf"] == 0 and calls["norm_pdf"] == 1 + any(short)
+    calls.update(norm_cdf=0, norm_pdf=0)
+    atom_weight(ModelPoint(n, -0.3), TuningPlan(0.08))
+    assert calls == {"norm_cdf": 1, "norm_pdf": 0}
 
 
 def test_batch_validation_rejects_any_bad_law():

@@ -145,6 +145,15 @@ def test_empirical_cdf_rejects_nan(values):
         EmpiricalCdf(np.array(values))
 
 
+@pytest.mark.parametrize("x", [math.nan, [0.5, math.nan]])
+def test_empirical_cdf_evaluation_rejects_nan_x(x):
+    emp = EmpiricalCdf(np.array([0.0, 1.0, 2.0]))
+    with pytest.raises(ValueError, match="NaN"):
+        emp.evaluate(x)
+    with pytest.raises(ValueError, match="NaN"):
+        emp.fraction_at(x)
+
+
 def test_quantile_report():
     emp = EmpiricalCdf(np.sort(np.linspace(0, 1, 101)))
     rep = emp.quantiles(np.array([0.25, 0.5]))
