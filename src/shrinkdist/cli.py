@@ -170,8 +170,8 @@ def _parse_config_file(path: str) -> dict:
         return json.loads(text)
     config = {}
     for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
+        line = line.partition("#")[0].strip()  # a comment runs from "#" to the end of its line
+        if not line:
             continue
         key, _, raw = line.partition("=")
         config[key.strip()] = _parse_scalar(raw.strip())

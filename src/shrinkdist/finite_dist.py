@@ -211,6 +211,21 @@ class MixtureDistribution:
         if worst > _MASS_TOL:
             raise ValueError(f"mixture mass {total} is not 1 within {_MASS_TOL}")
 
+    def __eq__(self, other):
+        """Record-by-record equality; a batch of laws equals only a batch with equal fields."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self._shape is None or other._shape is None:
+            return self._shape == other._shape and (self.atoms, self.pieces) == (other.atoms, other.pieces)
+        return (len(self.atoms), len(self.pieces)) == (len(other.atoms), len(other.pieces)) and all(
+            np.array_equal(u, v) for r, q in zip((*self.atoms, *self.pieces), (*other.atoms, *other.pieces))
+            for u, v in zip(r, q))
+
+    def __hash__(self):
+        if self._shape is not None:
+            raise TypeError("a batch of laws is unhashable")
+        return hash((self.atoms, self.pieces))
+
     def total_mass(self) -> float:
         return sum(a.weight for a in self.atoms) + sum(self._masses)
 
@@ -419,11 +434,10 @@ class MixtureDistribution:
 
 
 def _cut_points(point: ModelPoint, tuning: TuningPlan):
+    """(loc, se) = (-sqrt(n)*theta, sqrt(n)*eta), the arguments of `_mixture`."""
     s = point.sqrt_n
     theta = np.array(point.theta) if isinstance(point.theta, tuple) else point.theta
-    loc = -s * theta
-    se = s * tuning.eta
-    return loc, se
+    return -s * theta, s * tuning.eta
 
 
 def _zero_mass(loc: float, se: float) -> float:
@@ -444,32 +458,13 @@ def atom_weight(point: ModelPoint, tuning: TuningPlan) -> float:
     return _zero_mass(*_cut_points(point, tuning))
 
 
-def _hard_mixture(loc: float, se: float) -> MixtureDistribution:
-    w = _zero_mass(loc, se)
-    return MixtureDistribution(
-        atoms=(Atom(loc, w),),
-        pieces=(
-            GaussPiece(1.0, 1.0, 0.0, -math.inf, loc - se),
-            GaussPiece(1.0, 1.0, 0.0, loc + se, math.inf),
-        ),
-    )
+def _mixture(kind: EstimatorKind, loc, se: float, a: float) -> MixtureDistribution:
+    """Law of sqrt(n)*(estimate - theta) at loc = -sqrt(n)*theta, se = sqrt(n)*eta.
 
-
-def _soft_mixture(loc: float, se: float) -> MixtureDistribution:
-    w = _zero_mass(loc, se)
-    return MixtureDistribution(
-        atoms=(Atom(loc, w),),
-        pieces=(
-            GaussPiece(1.0, 1.0, -se, -math.inf, loc),
-            GaussPiece(1.0, 1.0, se, loc, math.inf),
-        ),
-    )
-
-
-def _scad_mixture(loc: float, se: float, a: float) -> MixtureDistribution:
-    """Six pieces: soft-type next to the atom, blend pieces, normal tails.
-
-    Intervals in x, from left to right:
+    Every kind shares the atom at loc, carried by the event estimate == 0;
+    only the pieces differ.  An array loc gives a batch of laws.  Hard
+    excises (loc - se, loc + se], soft shifts each side by -+se, and scad
+    has six pieces, from left to right:
       (-inf, loc - a*se]       normal tail,
       (loc - a*se, loc - se]   blend, slope (a-2)/(a-1),
       (loc - se, loc]          soft-type, shift -se,
@@ -477,21 +472,26 @@ def _scad_mixture(loc: float, se: float, a: float) -> MixtureDistribution:
       (loc + se, loc + a*se]   blend,
       (loc + a*se, inf)        normal tail.
     """
-    w = _zero_mass(loc, se)
-    ratio = (a - 2.0) / (a - 1.0)
-    b_lo = loc - a * se
-    b_hi = loc + a * se
-    return MixtureDistribution(
-        atoms=(Atom(loc, w),),
-        pieces=(
+    atom = Atom(loc, _zero_mass(loc, se))
+    if kind is EstimatorKind.HARD:
+        pieces = (GaussPiece(1.0, 1.0, 0.0, -math.inf, loc - se), GaussPiece(1.0, 1.0, 0.0, loc + se, math.inf))
+    elif kind is EstimatorKind.SOFT:
+        pieces = (GaussPiece(1.0, 1.0, -se, -math.inf, loc), GaussPiece(1.0, 1.0, se, loc, math.inf))
+    elif kind is EstimatorKind.SCAD:
+        ratio = (a - 2.0) / (a - 1.0)
+        b_lo = loc - a * se
+        b_hi = loc + a * se
+        pieces = (
             GaussPiece(1.0, 1.0, 0.0, -math.inf, b_lo),
             GaussPiece(ratio, ratio, b_lo / (a - 1.0), b_lo, loc - se),
             GaussPiece(1.0, 1.0, -se, loc - se, loc),
             GaussPiece(1.0, 1.0, se, loc, loc + se),
             GaussPiece(ratio, ratio, b_hi / (a - 1.0), loc + se, b_hi),
             GaussPiece(1.0, 1.0, 0.0, b_hi, math.inf),
-        ),
-    )
+        )
+    else:
+        raise ValueError(f"unknown estimator kind {kind!r}")
+    return MixtureDistribution(atoms=(atom,), pieces=pieces)
 
 
 def finite_sample_dist(kind: EstimatorKind, point: ModelPoint, tuning: TuningPlan) -> MixtureDistribution:
@@ -499,14 +499,7 @@ def finite_sample_dist(kind: EstimatorKind, point: ModelPoint, tuning: TuningPla
 
     For a batch of points (a vector theta) this is the batch of their laws.
     """
-    loc, se = _cut_points(point, tuning)
-    if kind is EstimatorKind.HARD:
-        return _hard_mixture(loc, se)
-    if kind is EstimatorKind.SOFT:
-        return _soft_mixture(loc, se)
-    if kind is EstimatorKind.SCAD:
-        return _scad_mixture(loc, se, tuning.scad_a)
-    raise ValueError(f"unknown estimator kind {kind!r}")
+    return _mixture(kind, *_cut_points(point, tuning), tuning.scad_a)
 
 
 def rescaled_dist(kind: EstimatorKind, point: ModelPoint, tuning: TuningPlan) -> MixtureDistribution:

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .estimators import EstimatorKind, TuningPlan, estimate
-from .finite_dist import ModelPoint, _zero_mass, finite_sample_dist
+from .finite_dist import ModelPoint, _mixture, _zero_mass, finite_sample_dist
 from .limits import conservative_limit
 from .montecarlo import _uniform_open
 from .normal_kernel import gaussian_tv, norm_cdf
@@ -171,9 +171,10 @@ class MOutOfNBootstrap:
     estimator at scale m with the tuning path evaluated at m; consistency
     requires m -> inf and m/n -> 0, and m = n recovers the ordinary
     (inconsistent) bootstrap.  The law of sqrt(m)*(estimate(ybar*) - ybar)
-    is the finite-sample law F_{m,ybar}, so the bootstrap cdf at t is
-    exactly F_{m,ybar}(t - sqrt(m)*(ybar - theta_hat)): no resamples are
-    drawn, and `n_boot` is accepted but ignored.
+    is the finite-sample law F_{m,ybar}, built at loc = -sqrt(m)*ybar,
+    se = sqrt(m)*eta_m, so the bootstrap cdf at t is exactly
+    F_{m,ybar}(t - sqrt(m)*(ybar - theta_hat)): no resamples are drawn, and
+    `n_boot` is accepted but ignored.
     """
 
     path: object  # anything with .eta(m)
@@ -186,13 +187,16 @@ class MOutOfNBootstrap:
 
     def estimate_cdf(self, ybar, ctx) -> np.ndarray:
         y = np.asarray(ybar, dtype=float)
+        if y.ndim > 1 or y.size == 0:
+            raise ValueError("ybar must be a number or a nonempty 1-d array")
         m = int(self.m_rule(ctx.n))
         if m < 1:
             raise ValueError("m rule produced a non-positive resample size")
         tuning_m = TuningPlan(self.path.eta(m), ctx.tuning.scad_a)
+        s = math.sqrt(m)
         theta_hat = estimate(ctx.kind, y, ctx.tuning)
-        laws = finite_sample_dist(ctx.kind, ModelPoint(m, y), tuning_m)
-        return laws.cdf(ctx.t - math.sqrt(m) * (y - theta_hat))
+        laws = _mixture(ctx.kind, -s * y, s * tuning_m.eta, tuning_m.scad_a)
+        return laws.cdf(ctx.t - s * (y - theta_hat))
 
 
 @dataclass
@@ -225,14 +229,14 @@ def estimator_worst_case(
     c: float,
     seed: int,
     replications: int = 10_000,
-    epsilon: Optional[float] = None,
 ) -> ExperimentReport:
     """Monte Carlo error-probability curve of a cdf estimator over a theta grid.
 
     For each theta in the grid (which always contains the two-point
     witnesses), estimates P_{n,theta}(|Fhat(t) - F_{n,theta}(t)| > eps) with
-    eps = 0.9 * epsilon_range by default.  The report metadata records the
-    grid supremum, the witness theta, and the theoretical lower bound.
+    eps = 0.9 * epsilon_range, the margin of the lower bound.  The report
+    metadata records the grid supremum, the witness theta, and the
+    theoretical lower bound.
     """
     if not c > abs(t):
         raise ValueError("the neighborhood radius must satisfy c > |t|")
@@ -240,7 +244,7 @@ def estimator_worst_case(
         raise ValueError(f"replications must be >= 1 (got {replications!r})")
     problem = TwoPointProblem(n=n, t=t, delta=0.5 * (c - abs(t)), tuning=tuning, kind=kind)
     eps_range, bound = minimax_lower_bound(problem)
-    eps = 0.9 * eps_range if epsilon is None else float(epsilon)
+    eps = 0.9 * eps_range
     grid = adversarial_theta_grid(n, t, c)
     root = np.random.SeedSequence(int(seed))
     children = root.spawn(len(grid))

@@ -3,9 +3,10 @@
 Three families of limits, all emitted as `LimitLaw` values wrapping a
 `MixtureDistribution` whose atoms may sit at +-math.inf:
 
-* conservative tuning (finite e): atom at -nu plus excised / shifted /
-  blended normal pieces, mirroring the finite-sample law with
-  sqrt(n)*eta -> e and sqrt(n)*theta -> nu;
+* conservative tuning (finite e): the finite-sample law itself with
+  sqrt(n)*eta -> e and sqrt(n)*theta -> nu, built by the finite-sample
+  constructor at loc = -nu, se = e (atom at -nu plus excised / shifted /
+  blended normal pieces);
 * consistent tuning (e = inf), sqrt(n) scaling: point masses, truncated
   normals at the selection boundary, or a standard normal, with mass
   escaping to an infinity in the degenerate directions;
@@ -28,9 +29,7 @@ from .finite_dist import (
     ModelPoint,
     finite_sample_dist,
     rescaled_dist,
-    _hard_mixture,
-    _scad_mixture,
-    _soft_mixture,
+    _mixture,
 )
 from .normal_kernel import norm_cdf
 from .report import ExperimentReport
@@ -49,6 +48,7 @@ __all__ = [
 WEAK = "weak"
 TOTAL_VARIATION = "total-variation"
 MASS_ESCAPE = "mass-escape"
+_GRID_POINTS = 57  # uniform points of a scenario's probe grid, before extra points and atom margins
 
 
 @dataclass(frozen=True)
@@ -78,12 +78,10 @@ class LimitLaw:
         return cls(dist, mode)
 
 
-def _std_normal() -> MixtureDistribution:
-    return MixtureDistribution(atoms=(), pieces=(GaussPiece(1.0, 1.0, 0.0, -math.inf, math.inf),))
-
-
-def _normal_mean(mu: float) -> MixtureDistribution:
-    return MixtureDistribution(atoms=(), pieces=(GaussPiece(1.0, 1.0, -mu, -math.inf, math.inf),))
+def _normal(mu: float = 0.0) -> LimitLaw:
+    """N(mu, 1) in total variation; 0.0 - mu keeps the shift of N(0, 1) at +0.0."""
+    return LimitLaw(MixtureDistribution(atoms=(), pieces=(GaussPiece(1.0, 1.0, 0.0 - mu, -math.inf, math.inf),)),
+                    TOTAL_VARIATION)
 
 
 def _pointmass(loc: float) -> LimitLaw:
@@ -100,33 +98,14 @@ def conservative_limit(kind: EstimatorKind, nu, e: float, scad_a: float = DEFAUL
     if not (np.isfinite(e) and e >= 0.0):
         raise ValueError("conservative limits require finite e >= 0")
     if math.isinf(nu) or e == 0.0:
-        if kind is EstimatorKind.SOFT:
-            mu = 0.0 if e == 0.0 else -math.copysign(e, nu)
-            return LimitLaw(_normal_mean(mu), TOTAL_VARIATION)
-        return LimitLaw(_std_normal(), TOTAL_VARIATION)
-    loc = -nu
-    if kind is EstimatorKind.HARD:
-        return LimitLaw(_hard_mixture(loc, e), WEAK)
-    if kind is EstimatorKind.SOFT:
-        return LimitLaw(_soft_mixture(loc, e), WEAK)
-    if kind is EstimatorKind.SCAD:
-        return LimitLaw(_scad_mixture(loc, e, scad_a), WEAK)
-    raise ValueError(f"unknown estimator kind {kind!r}")
+        return _normal(-math.copysign(e, nu) if kind is EstimatorKind.SOFT and e > 0.0 else 0.0)
+    return LimitLaw(_mixture(kind, -nu, e, scad_a), WEAK)
 
 
 def _hard_boundary_law(zeta_positive: bool, r: float) -> LimitLaw:
-    if r == math.inf:
-        return _pointmass(-math.inf if zeta_positive else math.inf)
-    if r == -math.inf:
-        return LimitLaw(_std_normal(), TOTAL_VARIATION)
-    w = norm_cdf(r)
-    if zeta_positive:
-        piece = GaussPiece(1.0, 1.0, 0.0, r, math.inf)
-        escape = -math.inf
-    else:
-        piece = GaussPiece(1.0, 1.0, 0.0, -math.inf, -r)
-        escape = math.inf
-    dist = MixtureDistribution(atoms=(Atom(escape, w),), pieces=(piece,))
+    """Weight cdf(r) escaping to -sign(zeta)*inf plus the normal density past the cut at sign(zeta)*r."""
+    escape, lower, upper = (-math.inf, r, math.inf) if zeta_positive else (math.inf, -math.inf, -r)
+    dist = MixtureDistribution(atoms=(Atom(escape, norm_cdf(r)),), pieces=(GaussPiece(1.0, 1.0, 0.0, lower, upper),))
     return LimitLaw(dist, MASS_ESCAPE)
 
 
@@ -153,7 +132,8 @@ def consistent_limit(kind: EstimatorKind, regime: RegimeSpec, scad_a: float = DE
     the atom at -nu; exactly at the boundary the escape weight is
     cdf(r) and the remainder is a one-sided truncated normal (hard) or a
     blend-plus-tail density (scad); above the boundary the standard normal
-    reappears.
+    reappears.  At the boundary r = +inf is the limit from below and
+    r = -inf the limit from above, for both kinds.
     """
     if not regime.consistent:
         raise RegimeError("consistent limits require e = +inf")
@@ -162,17 +142,13 @@ def consistent_limit(kind: EstimatorKind, regime: RegimeSpec, scad_a: float = DE
     zeta = regime.require_zeta()
     az = abs(zeta)
     boundary = 1.0 if kind is EstimatorKind.HARD else float(scad_a)
-    if az < boundary:
+    r = regime.require_r() if az == boundary else None
+    if az < boundary or r == math.inf:
         return _pointmass(-regime.require_nu())
-    if az > boundary:
-        return LimitLaw(_std_normal(), TOTAL_VARIATION)
-    r = regime.require_r()
+    if az > boundary or r == -math.inf:
+        return _normal()
     if kind is EstimatorKind.HARD:
         return _hard_boundary_law(zeta > 0, r)
-    if r == math.inf:
-        return _pointmass(-regime.require_nu())
-    if r == -math.inf:
-        return LimitLaw(_std_normal(), TOTAL_VARIATION)
     return _scad_boundary_law(zeta > 0, r, scad_a)
 
 
@@ -240,7 +216,6 @@ class ConvergenceScenario:
     scad_a: float = DEFAULT_SCAD_A
     grid_span: float = 8.0
     grid_margin: float = 0.25
-    grid_points: int = 57
     extra_grid: tuple = ()
 
     def regime(self) -> RegimeSpec:
@@ -264,7 +239,7 @@ class ConvergenceScenario:
         return finite_sample_dist(self.kind, point, tuning)
 
     def grid(self) -> np.ndarray:
-        pts = np.linspace(-self.grid_span, self.grid_span, self.grid_points)
+        pts = np.linspace(-self.grid_span, self.grid_span, _GRID_POINTS)
         if self.extra_grid:
             pts = np.unique(np.concatenate([pts, np.asarray(self.extra_grid, dtype=float)]))
         for a in self.limit().dist.atoms:

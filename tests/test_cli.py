@@ -1,10 +1,12 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from shrinkdist.cli import main
+from shrinkdist.cli import _parse_config_file, main
 from shrinkdist.finite_dist import MixtureDistribution
 from shrinkdist.normal_kernel import norm_cdf
 
@@ -143,6 +145,16 @@ def test_experiment_empty_n_list_errors(tmp_path, capsys, name, key):
     captured = capsys.readouterr()
     assert key in captured.err
     assert "PASS" not in captured.out
+
+
+def test_readme_config_example_parses_as_written(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"`imp\.cfg`:\n\n```\n(.*?)```", readme, re.DOTALL).group(1)
+    assert "#" in block  # the example carries comments after its values
+    cfg = tmp_path / "imp.cfg"
+    cfg.write_text(f"# impossibility example\n{block}")
+    assert _parse_config_file(str(cfg)) == {"estimator": "bootstrap", "kind": "hard", "n": 10000, "gamma": 0.25,
+                                            "t": 0.0, "c": 2.0, "reps": 10000}
 
 
 def test_experiment_impossibility_oracle(tmp_path):

@@ -375,6 +375,34 @@ def test_single_law_methods_reject_a_batch(method):
         getattr(batch, method)()
 
 
+def test_batch_equality_compares_every_record_field():
+    law = lambda kind, theta: finite_sample_dist(kind, ModelPoint(40, theta), FIG_TUNING)
+    batch = law(EstimatorKind.HARD, [0.1, 0.2])
+    same = batch == law(EstimatorKind.HARD, np.array([0.1, 0.2]))
+    assert same is True
+    assert (batch != law(EstimatorKind.HARD, [0.1, 0.2])) is False
+    for other in (law(EstimatorKind.HARD, [0.1, 0.3]), law(EstimatorKind.HARD, [0.1, 0.2, 0.3]),
+                  law(EstimatorKind.SOFT, [0.1, 0.2]), law(EstimatorKind.SCAD, [0.1, 0.2]),
+                  law(EstimatorKind.HARD, 0.1), law(EstimatorKind.HARD, [0.1])):
+        assert (batch == other) is False and (other == batch) is False
+    assert batch != "not a law"
+
+
+def test_batch_of_laws_is_unhashable():
+    batch = finite_sample_dist(EstimatorKind.SCAD, ModelPoint(40, [0.1, 0.2]), FIG_TUNING)
+    with pytest.raises(TypeError, match="batch of laws is unhashable"):
+        hash(batch)
+
+
+def test_single_laws_keep_equality_and_hash():
+    law = finite_sample_dist(EstimatorKind.SCAD, ModelPoint(40, 0.1), FIG_TUNING)
+    twin = finite_sample_dist(EstimatorKind.SCAD, ModelPoint(40, 0.1), FIG_TUNING)
+    assert law == twin and hash(law) == hash(twin) == hash((law.atoms, law.pieces))
+    assert law != finite_sample_dist(EstimatorKind.SCAD, ModelPoint(40, 0.2), FIG_TUNING)
+    assert law == MixtureDistribution.from_json(law.to_json_str())
+    assert len({law, twin}) == 1
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(kind=st.sampled_from(KINDS), n=st.integers(1, 10**8), theta=st.floats(-2.0, 2.0),
        eta=st.floats(1e-3, 3.0), log_excess=st.floats(-9.0, 1.0))

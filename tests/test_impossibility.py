@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from oracles import resampled_bootstrap_cdf, swept_lower_bound
 
-from shrinkdist.estimators import EstimatorKind, TuningPlan
+from shrinkdist.estimators import EstimatorKind, TuningPlan, estimate
 from shrinkdist.finite_dist import ModelPoint, atom_weight, finite_sample_dist
 from shrinkdist.impossibility import (
     MOutOfNBootstrap,
@@ -294,6 +294,23 @@ class TestExactBootstrap:
         assert np.all(np.abs(exact - resampled) <= band)
         atom = atom_weight(ModelPoint(m, ybar), tuning_m)
         assert np.all(atom > 10.0 * band)
+
+    @pytest.mark.parametrize("full_n", [False, True])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_exact_is_the_finite_sample_law_at_m_and_ybar(self, kind, full_n):
+        spec, ctx, m, tuning_m = bootstrap_problem(kind, full_n, 0.0)
+        ybar = np.linspace(-3.0, 3.0, 41) * ctx.tuning.eta
+        theta_hat = estimate(kind, ybar, ctx.tuning)
+        laws = finite_sample_dist(kind, ModelPoint(m, ybar), tuning_m)
+        for t in (-1.0, 0.0, 0.5):
+            want = laws.cdf(t - math.sqrt(m) * (ybar - theta_hat))
+            assert spec.estimate_cdf(ybar, replace(ctx, t=t)).tobytes() == want.tobytes()
+
+    def test_exact_rejects_empty_or_2d_ybar(self):
+        spec, ctx, _, _ = bootstrap_problem(EstimatorKind.HARD, False, 0.0)
+        for ybar in (np.array([]), [], np.zeros((2, 3))):
+            with pytest.raises(ValueError, match="ybar"):
+                spec.estimate_cdf(ybar, ctx)
 
     def test_resample_count_is_ignored(self):
         _, ctx, _, _ = bootstrap_problem(EstimatorKind.SCAD, False, 0.3)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from shrinkdist.estimators import EstimatorKind, TuningPlan
-from shrinkdist.finite_dist import MixtureDistribution, ModelPoint, finite_sample_dist
+from shrinkdist.finite_dist import Atom, MixtureDistribution, ModelPoint, finite_sample_dist
 from shrinkdist.limits import (
     LimitLaw,
     MASS_ESCAPE,
@@ -21,6 +21,7 @@ from shrinkdist.normal_kernel import norm_cdf
 from shrinkdist.selection import PowerTuningPath, RegimeError, RegimeSpec
 
 HARD, SOFT, SCAD = EstimatorKind.HARD, EstimatorKind.SOFT, EstimatorKind.SCAD
+BOUNDARY_XS = np.array([-50.0, -1.0, 0.0, 1.0, 50.0])
 
 
 def regime(e=math.inf, **kw):
@@ -79,6 +80,9 @@ class TestConservative:
         for kind in (HARD, SOFT, SCAD):
             law = conservative_limit(kind, nu, e, 3.7)
             np.testing.assert_allclose(law.cdf(xs), finite_sample_dist(kind, point, tun).cdf(xs), atol=1e-12)
+            # at n = 1 the substitution is exact: the same constructor builds both laws
+            exact = finite_sample_dist(kind, ModelPoint(1, nu), TuningPlan(e, 3.7))
+            assert law.dist.atoms == exact.atoms and law.dist.pieces == exact.pieces
 
     def test_rejects_infinite_e(self):
         with pytest.raises(ValueError):
@@ -183,6 +187,23 @@ class TestConsistent:
     def test_requires_consistent_regime(self):
         with pytest.raises(RegimeError):
             consistent_limit(HARD, regime(e=1.0, nu=0.0, zeta=0.0))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("kind, boundary", [(HARD, 1.0), (SCAD, 3.7)])
+    def test_boundary_r_plus_inf_escapes_with_the_atom(self, kind, boundary, sign):
+        # all mass rides the atom at -nu = -sign(zeta)*inf
+        law = consistent_limit(kind, regime(zeta=sign * boundary, r=math.inf), 3.7)
+        assert law.mode == MASS_ESCAPE
+        assert law.dist.atoms == (Atom(-sign * math.inf, 1.0),) and law.dist.pieces == ()
+        np.testing.assert_array_equal(law.cdf(BOUNDARY_XS), np.full(5, 1.0 if sign > 0 else 0.0))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("kind, boundary", [(HARD, 1.0), (SCAD, 3.7)])
+    def test_boundary_r_minus_inf_is_standard_normal(self, kind, boundary, sign):
+        law = consistent_limit(kind, regime(zeta=sign * boundary, r=-math.inf), 3.7)
+        assert law.mode == TOTAL_VARIATION
+        assert law.dist == consistent_limit(kind, regime(zeta=2.0 * sign * boundary), 3.7).dist
+        np.testing.assert_array_equal(law.cdf(BOUNDARY_XS), norm_cdf(BOUNDARY_XS))
 
 
 class TestRescaled:
