@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 _THETA_GRID_SIZE = 9  # uniform points of the adversarial grid, witnesses aside
+_PRETEST_CUTOFF_EXPONENT = 0.25  # the pretest keeps theta = 0 while |ybar| <= n**-0.25
 
 
 @dataclass(frozen=True)
@@ -131,12 +132,12 @@ class OracleCheat:
 class PretestPlugin:
     """Plug the pretest outcome into the fixed-parameter limit formulas.
 
-    Tests theta = 0 by |ybar| > n**(-cutoff_exponent); the accepted branch
-    uses the zero-parameter limit law, the rejected branch the nonzero one.
-    Conservative tuning substitutes sqrt(n)*eta_n for its limit e.
+    Tests theta = 0 by |ybar| > n**(-cutoff_exponent), cutoff_exponent =
+    _PRETEST_CUTOFF_EXPONENT; the accepted branch uses the zero-parameter
+    limit law, the rejected branch the nonzero one.  Conservative tuning
+    substitutes sqrt(n)*eta_n for its limit e.
     """
 
-    cutoff_exponent: float = 0.25
     consistent: bool = True
 
     @property
@@ -145,7 +146,7 @@ class PretestPlugin:
 
     def estimate_cdf(self, ybar, ctx) -> np.ndarray:
         y = np.asarray(ybar, dtype=float)
-        reject = np.abs(y) > float(ctx.n) ** (-self.cutoff_exponent)
+        reject = np.abs(y) > float(ctx.n) ** (-_PRETEST_CUTOFF_EXPONENT)
         t = ctx.t
         if self.consistent:
             accept_val = 1.0 if t >= 0.0 else 0.0

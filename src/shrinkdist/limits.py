@@ -218,6 +218,10 @@ class ConvergenceScenario:
     grid_margin: float = 0.25
     extra_grid: tuple = ()
 
+    def __post_init__(self):
+        if self.scaling not in ("sqrt_n", "inv_eta"):
+            raise ValueError(f"unknown scaling {self.scaling!r}; expected 'sqrt_n' or 'inv_eta'")
+
     def regime(self) -> RegimeSpec:
         return derive_regime(self.path, self.rule)
 

@@ -7,10 +7,13 @@ sequences (theta_n, eta_n) are fully described by four extended reals:
     e    = lim sqrt(n) * eta_n        (finite: conservative, inf: consistent)
     nu   = lim sqrt(n) * theta_n
     zeta = lim theta_n / eta_n
-    r    = lim sqrt(n) * (eta_n - zeta * theta_n)        (|zeta| = 1), or
-           lim sqrt(n) * (a*eta_n - sign(zeta)*theta_n)  (scad, |zeta| = a).
+    r    = lim sqrt(n) * (|zeta|*eta_n - sign(zeta)*theta_n)
 
-`RegimeSpec` carries exactly these as floats, with infinities as +-math.inf.
+r is a consistent-tuning quantity (e = inf): it is read only at the
+selection boundary, |zeta| = 1 (hard) or |zeta| = a (scad).  `RegimeSpec`
+carries exactly these as floats, with infinities as +-math.inf.
+`ThetaRule` builds every sequence from one affine formula, and
+`derive_regime` reads the four limits off its coefficients.
 """
 
 from __future__ import annotations
@@ -114,91 +117,61 @@ class PowerTuningPath:
 
 @dataclass(frozen=True)
 class ThetaRule:
-    """Parameter sequences theta_n matched to the regime quantities.
+    """The parameter sequence theta_n = value + zeta*eta_n + offset/sqrt(n) + perturb*n**(-3/4).
 
-    kinds:
-      local        theta_n = nu/sqrt(n) + perturb * n**(-3/4)
-      eta_multiple theta_n = zeta * eta_n
-      boundary     theta_n = zeta*eta_n - sign(zeta)*r/sqrt(n) + perturb * n**(-3/4),
-                   hitting the |zeta| in {1, a} boundary with offset limit r
-      fixed        theta_n = value
+    constructors:
+      local(nu)          offset = nu
+      eta_multiple(zeta) zeta
+      boundary(zeta, r)  zeta and offset = -sign(zeta)*r: under consistent
+                         tuning the |zeta| in {1, a} boundary with offset limit r
+      fixed(value)       value
 
     The optional n**(-3/4) perturbation vanishes in every regime quantity
     but keeps the sequence off the exact limit, so convergence checks see a
     genuinely moving parameter.
     """
 
-    kind: str
-    nu: float = 0.0
-    zeta: float = 0.0
-    r: float = 0.0
     value: float = 0.0
+    zeta: float = 0.0
+    offset: float = 0.0
     perturb: float = 0.0
 
     @classmethod
     def local(cls, nu: float, perturb: float = 0.0) -> "ThetaRule":
-        return cls(kind="local", nu=float(nu), perturb=float(perturb))
+        return cls(offset=float(nu), perturb=float(perturb))
 
     @classmethod
     def eta_multiple(cls, zeta: float) -> "ThetaRule":
-        return cls(kind="eta_multiple", zeta=float(zeta))
+        return cls(zeta=float(zeta))
 
     @classmethod
     def boundary(cls, zeta: float, r: float, perturb: float = 0.0) -> "ThetaRule":
         if zeta == 0.0:
             raise ValueError("boundary rule needs zeta != 0")
-        return cls(kind="boundary", zeta=float(zeta), r=float(r), perturb=float(perturb))
+        return cls(zeta=float(zeta), offset=-math.copysign(1.0, zeta) * float(r), perturb=float(perturb))
 
     @classmethod
     def fixed(cls, value: float) -> "ThetaRule":
-        return cls(kind="fixed", value=float(value))
+        return cls(value=float(value))
 
     def theta(self, n: int, eta_n: float) -> float:
         rn = float(n)
-        if self.kind == "local":
-            return self.nu / math.sqrt(rn) + self.perturb * rn**-0.75
-        if self.kind == "eta_multiple":
-            return self.zeta * eta_n
-        if self.kind == "boundary":
-            return self.zeta * eta_n - math.copysign(1.0, self.zeta) * self.r / math.sqrt(rn) + self.perturb * rn**-0.75
-        if self.kind == "fixed":
-            return self.value
-        raise ValueError(f"unknown theta rule {self.kind!r}")
+        return self.value + self.zeta * eta_n + self.offset / math.sqrt(rn) + self.perturb * rn**-0.75
 
 
 def derive_regime(path: PowerTuningPath, rule: ThetaRule) -> RegimeSpec:
-    """Exact regime reached by a canonical path and theta rule."""
+    """Exact regime reached by a canonical path and theta rule, read off the rule's coefficients."""
     e = path.e_limit
-    consistent = e == math.inf
-    if rule.kind == "local":
-        # theta/eta ~ n**(exponent - 1/2) -> 0 unless conservative
-        zeta = 0.0 if consistent else rule.nu / path.scale
-        return RegimeSpec(e=e, nu=rule.nu, zeta=zeta)
-    if rule.kind == "eta_multiple":
-        z = rule.zeta
-        if z == 0.0:
-            nu = 0.0
-        elif consistent:
-            nu = math.inf if z > 0 else -math.inf
-        else:
-            nu = z * path.scale
-        # sqrt(n)(eta - zeta*theta) = (1 - zeta^2) sqrt(n) eta; exact 0 at |zeta| = 1
-        r = 0.0 if abs(z) == 1.0 and consistent else None
-        return RegimeSpec(e=e, nu=nu, zeta=z, r=r)
-    if rule.kind == "boundary":
-        z = rule.zeta
-        if consistent:
-            nu = math.inf if z > 0 else -math.inf
-        else:
-            nu = z * path.scale - math.copysign(1.0, z) * rule.r
-        return RegimeSpec(e=e, nu=nu, zeta=z, r=rule.r)
-    if rule.kind == "fixed":
-        v = rule.value
-        if v == 0.0:
-            return RegimeSpec(e=e, nu=0.0, zeta=0.0)
-        inf = math.inf if v > 0 else -math.inf
+    if rule.value != 0.0:
+        inf = math.copysign(math.inf, rule.value)
         return RegimeSpec(e=e, nu=inf, zeta=inf)
-    raise ValueError(f"unknown theta rule {rule.kind!r}")
+    if not math.isinf(e):
+        # sqrt(n)*eta_n = e at every n, so sqrt(n)*theta_n -> zeta*e + offset
+        return RegimeSpec(e=e, nu=rule.zeta * e + rule.offset, zeta=rule.zeta + rule.offset / e)
+    if rule.zeta == 0.0:
+        return RegimeSpec(e=e, nu=rule.offset, zeta=0.0)
+    # sqrt(n)*(|zeta|*eta_n - sign(zeta)*theta_n) = -sign(zeta)*offset + o(1), nu = sign(zeta)*inf
+    return RegimeSpec(e=e, zeta=rule.zeta, r=0.0 - math.copysign(1.0, rule.zeta) * rule.offset)
 
 
 def limit_selection_probability(regime: RegimeSpec) -> float:

@@ -8,7 +8,10 @@ check the batched sweeps: they share the law builders and redo each sweep
 one scalar law at a time; `ks_reference` likewise redoes the KS distance
 one scalar cdf evaluation at a time, and `reference_masses` and
 `reference_second_moment` redo a law's build and second moment with one
-scalar normal-kernel call per piece end.
+scalar normal-kernel call per piece end.  `reference_theta` writes out each
+theta-rule kind's sequence as its own formula, and `objective_argmin`
+minimises a penalized objective over the finite set that must hold a
+minimiser.
 """
 
 import math
@@ -17,7 +20,7 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad
 
-from shrinkdist.estimators import estimate
+from shrinkdist.estimators import estimate, penalized_objective
 from shrinkdist.finite_dist import _GL_NODES, _GL_WEIGHTS, _SHORT_PIECE, ModelPoint, finite_sample_dist
 from shrinkdist.normal_kernel import gaussian_tv, norm_cdf, norm_pdf
 
@@ -172,3 +175,36 @@ def reference_second_moment(dist) -> float:
         i2 = i0 + _zphi(za) - _zphi(zb)
         ac += (c / s**3) * (i2 - 2.0 * b * i1 + b**2 * i0)
     return out + ac
+
+
+def reference_theta(kind: str, args: tuple, n: int, eta_n: float) -> float:
+    """theta_n of one theta-rule kind, each kind written out as its own formula.
+
+    `args` are the arguments of the `ThetaRule` constructor named `kind`.
+    """
+    rn = float(n)
+    if kind == "local":
+        nu, perturb = args
+        return nu / math.sqrt(rn) + perturb * rn**-0.75
+    if kind == "eta_multiple":
+        (zeta,) = args
+        return zeta * eta_n
+    if kind == "boundary":
+        zeta, r, perturb = args
+        return zeta * eta_n - math.copysign(1.0, zeta) * r / math.sqrt(rn) + perturb * rn**-0.75
+    if kind == "fixed":
+        (value,) = args
+        return value
+    raise ValueError(f"unknown theta rule {kind!r}")
+
+
+def objective_argmin(kind, ybar: float, n: int, tuning) -> float:
+    """Exact minimiser of the hard or soft `penalized_objective` in theta.
+
+    Each piece of either objective is linear or a convex quadratic with its
+    vertex at ybar or ybar -+ eta, and the pieces meet at -eta, 0 and eta, so
+    a minimiser lies in those six points; the first best one is returned.
+    """
+    eta = tuning.eta
+    candidates = (-eta, 0.0, eta, ybar, ybar - eta, ybar + eta)
+    return min(candidates, key=lambda theta: penalized_objective(kind, theta, ybar, n, tuning))

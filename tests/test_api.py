@@ -1,5 +1,7 @@
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -13,3 +15,13 @@ def test_all_names_resolve(module):
     # tools that wrap the public API call getattr on every __all__ entry
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing
+
+
+def test_readme_python_blocks_run():
+    # every python block of the README, in order, in one namespace
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(), flags=re.M | re.S)
+    assert len(blocks) >= 5
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), namespace)

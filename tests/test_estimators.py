@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import objective_argmin
 
 from shrinkdist.estimators import (
     EstimatorKind,
@@ -130,16 +131,6 @@ def test_objective_scad_unavailable():
         penalized_objective(EstimatorKind.SCAD, 0.1, 0.2, 5, TUNING)
 
 
-def _grid_argmin(kind, ybar, tun, n=7):
-    # coarse pass over the whole range, then step-1e-4 refinement of the basin
-    coarse = np.arange(-3.0, 3.0, 5e-3)
-    objs = [penalized_objective(kind, float(th), ybar, n, tun) for th in coarse]
-    center = float(coarse[int(np.argmin(objs))])
-    fine = np.arange(center - 0.02, center + 0.02, 1e-4)
-    objs = [penalized_objective(kind, float(th), ybar, n, tun) for th in fine]
-    return float(fine[int(np.argmin(objs))])
-
-
 @pytest.mark.parametrize("kind", [EstimatorKind.HARD, EstimatorKind.SOFT])
 def test_estimate_is_objective_argmin(kind):
     rng = np.random.default_rng(11)
@@ -147,8 +138,7 @@ def test_estimate_is_objective_argmin(kind):
         ybar = float(rng.uniform(-2, 2))
         eta = float(rng.uniform(0.05, 1.0))
         tun = TuningPlan(eta)
-        best = _grid_argmin(kind, ybar, tun)
-        assert abs(best - estimate(kind, ybar, tun)) <= 1.5e-4
+        assert estimate(kind, ybar, tun) == objective_argmin(kind, ybar, 7, tun)
 
 
 def test_tuning_validation():

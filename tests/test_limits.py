@@ -7,6 +7,7 @@ import pytest
 from shrinkdist.estimators import EstimatorKind, TuningPlan
 from shrinkdist.finite_dist import Atom, MixtureDistribution, ModelPoint, finite_sample_dist
 from shrinkdist.limits import (
+    ConvergenceScenario,
     LimitLaw,
     MASS_ESCAPE,
     TOTAL_VARIATION,
@@ -18,7 +19,7 @@ from shrinkdist.limits import (
     weak_convergence_check,
 )
 from shrinkdist.normal_kernel import norm_cdf
-from shrinkdist.selection import PowerTuningPath, RegimeError, RegimeSpec
+from shrinkdist.selection import PowerTuningPath, RegimeError, RegimeSpec, ThetaRule
 
 HARD, SOFT, SCAD = EstimatorKind.HARD, EstimatorKind.SOFT, EstimatorKind.SCAD
 BOUNDARY_XS = np.array([-50.0, -1.0, 0.0, 1.0, 50.0])
@@ -298,6 +299,20 @@ class TestScenarios:
         g_small, g_large = rep.column("sup_gap")
         assert g_large < 0.05
         assert g_large < g_small
+
+    @pytest.mark.parametrize("a", [2.5, 3.7])
+    def test_scad_eta_multiple_at_the_boundary(self, a):
+        # theta_n = a*eta_n sits on the scad boundary with r = 0 at every n, so
+        # the finite-sample law equals its limit up to rounding
+        sc = ConvergenceScenario("scad-consistent-eta-multiple", SCAD, PowerTuningPath(1.0, 0.25),
+                                 ThetaRule.eta_multiple(a), scad_a=a)
+        assert sc.regime().r == 0.0
+        assert max(sc.check([1000, 10**6, 10**9]).column("sup_gap")) <= 1e-14
+
+    def test_unknown_scaling_rejected(self):
+        with pytest.raises(ValueError, match="'sqrt_n' or 'inv_eta'"):
+            ConvergenceScenario("hard-rescaled-boundary", HARD, PowerTuningPath(1.0, 0.25),
+                                ThetaRule.boundary(1.0, 0.0), scaling="inv-eta")
 
 
 def test_limit_law_mode_validation():

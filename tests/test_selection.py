@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from oracles import reference_theta
 
 from shrinkdist.estimators import EstimatorKind, TuningPlan
 from shrinkdist.finite_dist import ModelPoint, atom_weight, finite_sample_dist
@@ -177,6 +179,83 @@ class TestDeriveRegime:
     def test_fixed_rule(self):
         regime = derive_regime(PowerTuningPath(1.0, 0.25), ThetaRule.fixed(0.1))
         assert regime.zeta == math.inf and regime.nu == math.inf
+
+    def test_conservative_boundary_rule_reads_zeta_off_the_sequence(self):
+        path, rule = PowerTuningPath(1.0, 0.5), ThetaRule.boundary(1.0, 0.5)
+        regime = derive_regime(path, rule)
+        assert (regime.nu, regime.zeta, regime.r) == (0.5, 0.5, None)
+        for n in (1, 100, 10**6):
+            assert rule.theta(n, path.eta(n)) / path.eta(n) == pytest.approx(0.5, rel=1e-12)
+
+
+CONSERVATIVE, CONSISTENT = PowerTuningPath(2.0, 0.5), PowerTuningPath(1.0, 0.25)
+INF = math.inf
+
+# (rule, path, nu, zeta, r), each derived by hand from theta_n and eta_n:
+# conservative sqrt(n)*eta_n = 2 at every n, consistent sqrt(n)*eta_n = n**(1/4)
+REGIME_TABLE = [
+    (ThetaRule.local(1.0), CONSERVATIVE, 1.0, 0.5, None),
+    (ThetaRule.local(-0.6, perturb=0.5), CONSERVATIVE, -0.6, -0.3, None),
+    (ThetaRule.eta_multiple(0.0), CONSERVATIVE, 0.0, 0.0, None),
+    (ThetaRule.eta_multiple(0.5), CONSERVATIVE, 1.0, 0.5, None),
+    (ThetaRule.eta_multiple(-3.7), CONSERVATIVE, -7.4, -3.7, None),
+    (ThetaRule.boundary(1.0, 0.5), CONSERVATIVE, 1.5, 0.75, None),
+    (ThetaRule.boundary(-3.7, 1.0, perturb=0.5), CONSERVATIVE, -6.4, -3.2, None),
+    (ThetaRule.fixed(0.0), CONSERVATIVE, 0.0, 0.0, None),
+    (ThetaRule.fixed(0.1), CONSERVATIVE, INF, INF, None),
+    (ThetaRule.fixed(-2.0), CONSERVATIVE, -INF, -INF, None),
+    (ThetaRule.local(1.0), CONSISTENT, 1.0, 0.0, None),
+    (ThetaRule.local(-0.6, perturb=0.5), CONSISTENT, -0.6, 0.0, None),
+    (ThetaRule.eta_multiple(0.0), CONSISTENT, 0.0, 0.0, None),
+    (ThetaRule.eta_multiple(0.5), CONSISTENT, INF, 0.5, 0.0),
+    (ThetaRule.eta_multiple(-3.7), CONSISTENT, -INF, -3.7, 0.0),
+    (ThetaRule.eta_multiple(2.5), CONSISTENT, INF, 2.5, 0.0),
+    (ThetaRule.eta_multiple(3.7), CONSISTENT, INF, 3.7, 0.0),
+    (ThetaRule.boundary(1.0, 0.5), CONSISTENT, INF, 1.0, 0.5),
+    (ThetaRule.boundary(-3.7, 1.0, perturb=0.5), CONSISTENT, -INF, -3.7, 1.0),
+    (ThetaRule.fixed(0.0), CONSISTENT, 0.0, 0.0, None),
+    (ThetaRule.fixed(0.1), CONSISTENT, INF, INF, None),
+    (ThetaRule.fixed(-2.0), CONSISTENT, -INF, -INF, None),
+]
+
+
+@pytest.mark.parametrize("rule, path, nu, zeta, r", REGIME_TABLE)
+def test_derive_regime_matches_hand_derived_limits(rule, path, nu, zeta, r):
+    regime = derive_regime(path, rule)
+    assert regime.e == path.e_limit
+    assert regime.nu == pytest.approx(nu, rel=1e-15, abs=0.0)
+    assert regime.zeta == pytest.approx(zeta, rel=1e-15, abs=0.0)
+    assert regime.r == (None if r is None else pytest.approx(r, rel=1e-15, abs=0.0))
+
+
+def test_theta_rule_has_four_coefficients():
+    assert [f.name for f in dataclasses.fields(ThetaRule)] == ["value", "zeta", "offset", "perturb"]
+    assert ThetaRule.boundary(-3.7, 1.2) == ThetaRule(zeta=-3.7, offset=1.2)
+    with pytest.raises(ValueError, match="zeta != 0"):
+        ThetaRule.boundary(0.0, 1.0)
+
+
+# (constructor name, its arguments), perturb in {0, 0.5} where the constructor takes one
+THETA_CASES = [
+    ("local", (nu, p)) for nu in (-2.0, 0.7, 1.0) for p in (0.0, 0.5)
+] + [
+    ("eta_multiple", (z,)) for z in (-3.7, -1.0, 0.5, 1.0, 2.5)
+] + [
+    ("boundary", (z, r, p)) for z in (-3.7, -1.0, 1.0, 2.5) for r in (-1.2, 0.0, 0.5) for p in (0.0, 0.5)
+] + [
+    ("fixed", (v,)) for v in (-0.3, 0.1, 2.0)
+]
+
+
+@pytest.mark.parametrize("path", [CONSERVATIVE, CONSISTENT], ids=["conservative", "consistent"])
+@pytest.mark.parametrize("kind, args", THETA_CASES)
+def test_theta_equals_per_kind_formula_bit_for_bit(kind, args, path):
+    rule = getattr(ThetaRule, kind)(*args)
+    for n in (1, 7, 100, 10**4, 10**6, 10**9):
+        eta_n = path.eta(n)
+        want, got = reference_theta(kind, args, n, eta_n), rule.theta(n, eta_n)
+        # a zero theta may come out with the other sign; every other value bit for bit
+        assert got.hex() == want.hex() or got == want == 0.0
 
 
 class TestConvergenceTable:
