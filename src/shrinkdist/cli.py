@@ -29,6 +29,8 @@ from .selection import PowerTuningPath, ThetaRule, selection_convergence_table
 DEFAULT_SEED = 20090301
 FIGURE_DEFAULTS = {"n": 40, "theta": 0.16, "eta": 0.05, "a": DEFAULT_SCAD_A}
 FIGURE_KINDS = {1: "hard", 2: "soft", 3: "scad"}
+LAWS = {"sqrt_n": finite_sample_dist, "inv_eta": rescaled_dist}
+LIST_KEYS = ("n_list", "n_probe", "scenario")  # the only config keys that take a list
 
 
 def _json_dumps(obj) -> str:
@@ -53,7 +55,7 @@ def _write_manifest(out_dir: Path, command: str, params: dict, seed, outputs: li
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return int(args.seed)
     env = os.environ.get("SHRINKDIST_SEED")
     if env is not None:
@@ -106,23 +108,21 @@ def _density_table(dist: MixtureDistribution, lo: float, hi: float, count: int) 
     # sample both sides of each density jump so consumers see the discontinuity
     cuts += [np.nextafter(b, np.inf) for b in cuts]
     xs = np.unique(np.concatenate([grid, np.asarray(cuts, dtype=float)]))
-    report = ExperimentReport(columns=("x", "density", "is_atom"))
-    atom_rows = {a.loc: a.weight for a in dist.atoms if math.isfinite(a.loc)}
-    for x, density in zip(xs.tolist(), dist.density_ac(xs).tolist()):
-        if x in atom_rows:
-            report.append(x, atom_rows.pop(x), 1)
-        report.append(x, density, 0)
-    for loc, w in sorted(atom_rows.items()):
-        report.append(loc, w, 1)
-    report.rows.sort(key=lambda r: (r[0], -r[2]))
-    return report
+    rows = [(x, density, 0) for x, density in zip(xs.tolist(), dist.density_ac(xs).tolist())]
+    rows += [(a.loc, a.weight, 1) for a in dist.atoms if math.isfinite(a.loc)]
+    rows.sort(key=lambda r: (r[0], -r[2]))  # an atom row precedes the density row at its own x
+    return ExperimentReport(columns=("x", "density", "is_atom"), rows=rows)
+
+
+def _point_and_tuning(params: dict) -> tuple:
+    return (ModelPoint(int(params["n"]), float(params["theta"])),
+            TuningPlan(float(params["eta"]), float(params["a"])))
 
 
 def run_figure(params: dict, out_dir: Path) -> list:
     which = int(params["which"])
     kind = EstimatorKind.parse(FIGURE_KINDS[which])
-    point = ModelPoint(int(params["n"]), float(params["theta"]))
-    tuning = TuningPlan(float(params["eta"]), float(params["a"]))
+    point, tuning = _point_and_tuning(params)
     dist = finite_sample_dist(kind, point, tuning)
     table = _density_table(dist, -5.0, 5.0, 2000)
     csv_name = f"figure{which}.csv"
@@ -142,20 +142,13 @@ def run_figure(params: dict, out_dir: Path) -> list:
 
 def run_dist(params: dict, out_dir: Path) -> list:
     kind = EstimatorKind.parse(params["kind"])
-    point = ModelPoint(int(params["n"]), float(params["theta"]))
-    tuning = TuningPlan(float(params["eta"]), float(params["a"]))
+    point, tuning = _point_and_tuning(params)
     scaling = params["scaling"]
-    if scaling == "inv_eta":
-        dist = rescaled_dist(kind, point, tuning)
-    elif scaling == "sqrt_n":
-        dist = finite_sample_dist(kind, point, tuning)
-    else:
-        raise ValueError(f"unknown scaling {scaling!r}")
+    dist = LAWS[scaling](kind, point, tuning)
     lo, hi, count = params["grid"]
     grid = np.linspace(float(lo), float(hi), int(count))
-    table = ExperimentReport(columns=("x", "cdf", "ac_density"))
-    for row in zip(grid.tolist(), dist.cdf(grid).tolist(), dist.density_ac(grid).tolist()):
-        table.append(*row)
+    rows = list(zip(grid.tolist(), dist.cdf(grid).tolist(), dist.density_ac(grid).tolist()))
+    table = ExperimentReport(columns=("x", "cdf", "ac_density"), rows=rows)
     csv_name = f"dist_{kind.value}_{scaling}.csv"
     json_name = f"dist_{kind.value}_{scaling}.json"
     table.write_csv(out_dir / csv_name)
@@ -165,30 +158,35 @@ def run_dist(params: dict, out_dir: Path) -> list:
 
 def _parse_config_file(path: str) -> dict:
     text = Path(path).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         return json.loads(text)
     config = {}
     for line in text.splitlines():
         line = line.partition("#")[0].strip()  # a comment runs from "#" to the end of its line
-        if not line:
-            continue
-        key, _, raw = line.partition("=")
-        config[key.strip()] = _parse_scalar(raw.strip())
+        if line:
+            key, _, raw = line.partition("=")
+            config[key.strip()] = _parse_scalar(raw.strip())
     return config
 
 
 def _parse_scalar(raw: str):
     if "," in raw:
-        return [_parse_scalar(part) for part in raw.split(",") if part.strip()]
+        return [_parse_scalar(part.strip()) for part in raw.split(",") if part.strip()]
     for cast in (int, float):
         try:
             return cast(raw)
         except ValueError:
             continue
-    if raw.lower() in ("true", "false"):
-        return raw.lower() == "true"
     return raw
+
+
+def _check_config(config: dict) -> None:
+    """Every value is a number or a string; only the LIST_KEYS take a list of them."""
+    for key, value in config.items():
+        items = value if key in LIST_KEYS and isinstance(value, list) else [value]
+        if not all(isinstance(v, (int, float, str)) and not isinstance(v, bool) for v in items):
+            listed = ", or a list of them" if key in LIST_KEYS else ""
+            raise ValueError(f"config key {key!r} takes a number or a string{listed}, not {value!r}")
 
 
 def _as_list(v) -> list:
@@ -209,8 +207,12 @@ def _theta_rule_from_config(cfg: dict) -> ThetaRule:
     raise ValueError(f"unknown theta rule {rule!r}")
 
 
-def _experiment_selection(cfg: dict, out_dir: Path) -> tuple:
-    path = PowerTuningPath(float(cfg.get("scale", 1.0)), float(cfg.get("gamma", 0.25)))
+def _power_path(cfg: dict) -> PowerTuningPath:
+    return PowerTuningPath(float(cfg.get("scale", 1.0)), float(cfg.get("gamma", 0.25)))
+
+
+def _experiment_selection(cfg: dict, out_dir: Path, seed: int) -> tuple:
+    path = _power_path(cfg)
     rule = _theta_rule_from_config(cfg)
     n_list = [int(n) for n in _as_list(cfg.get("n_list", [100, 10_000, 1_000_000]))]
     report = selection_convergence_table(path, rule, n_list)
@@ -222,15 +224,16 @@ def _experiment_selection(cfg: dict, out_dir: Path) -> tuple:
     return ["selection.csv"], checks
 
 
-def _experiment_limits(cfg: dict, out_dir: Path) -> tuple:
+def _experiment_limits(cfg: dict, out_dir: Path, seed: int) -> tuple:
     wanted = cfg.get("scenario", "all")
     n_probe = [int(n) for n in _as_list(cfg.get("n_probe", [1000, 1_000_000]))]
     scenarios = canonical_scenarios(float(cfg.get("a", DEFAULT_SCAD_A)))
     if wanted != "all":
         names = set(_as_list(wanted))
+        unknown = names - {s.name for s in scenarios}
+        if unknown:
+            raise ValueError(f"no convergence scenario named {sorted(map(str, unknown))}")
         scenarios = [s for s in scenarios if s.name in names]
-        if not scenarios:
-            raise ValueError(f"no convergence scenario named {wanted!r}")
     outputs, checks = [], []
     for sc in scenarios:
         rep = sc.check(n_probe)
@@ -244,9 +247,9 @@ def _experiment_limits(cfg: dict, out_dir: Path) -> tuple:
     return outputs, checks
 
 
-def _experiment_uniform_rate(cfg: dict, out_dir: Path) -> tuple:
+def _experiment_uniform_rate(cfg: dict, out_dir: Path, seed: int) -> tuple:
     kind = EstimatorKind.parse(cfg.get("kind", "hard"))
-    path = PowerTuningPath(float(cfg.get("scale", 1.0)), float(cfg.get("gamma", 0.25)))
+    path = _power_path(cfg)
     n_list = [int(n) for n in _as_list(cfg.get("n_list", [100, 10_000, 1_000_000]))]
     report = uniform_rate_experiment(
         kind, path, float(cfg.get("M", 6.0)), n_list,
@@ -261,20 +264,15 @@ def _experiment_uniform_rate(cfg: dict, out_dir: Path) -> tuple:
 def _experiment_impossibility(cfg: dict, out_dir: Path, seed: int) -> tuple:
     kind = EstimatorKind.parse(cfg.get("kind", "hard"))
     n = int(cfg.get("n", 10_000))
-    gamma = float(cfg.get("gamma", 0.25))
-    path = PowerTuningPath(float(cfg.get("scale", 1.0)), gamma)
+    path = _power_path(cfg)
     tuning = TuningPlan(path.eta(n), float(cfg.get("a", DEFAULT_SCAD_A)))
     name = cfg.get("estimator", "pretest")
-    if name == "oracle":
-        spec = OracleCheat()
-    elif name == "pretest":
-        spec = PretestPlugin(consistent=gamma < 0.5)
-    elif name == "bootstrap":
-        spec = MOutOfNBootstrap(path=path)
-    else:
+    specs = {"oracle": OracleCheat(), "pretest": PretestPlugin(consistent=path.exponent < 0.5),
+             "bootstrap": MOutOfNBootstrap(path=path)}
+    if name not in specs:
         raise ValueError(f"unknown cdf estimator {name!r}")
     report = estimator_worst_case(
-        spec, kind, n, float(cfg.get("t", 0.0)), tuning, float(cfg.get("c", 2.0)),
+        specs[name], kind, n, float(cfg.get("t", 0.0)), tuning, float(cfg.get("c", 2.0)),
         seed=seed, replications=int(cfg.get("reps", 10_000)),
     )
     report.write_csv(out_dir / "impossibility.csv", include_meta=True)
@@ -288,20 +286,15 @@ def _experiment_impossibility(cfg: dict, out_dir: Path, seed: int) -> tuple:
     return ["impossibility.csv", "impossibility_summary.json"], checks
 
 
+# each runner takes (config, out_dir, seed) and returns (output file names, checks)
+EXPERIMENTS = {"selection": _experiment_selection, "limits": _experiment_limits,
+               "uniform-rate": _experiment_uniform_rate, "impossibility": _experiment_impossibility}
+
+
 def run_experiment(params: dict, out_dir: Path) -> list:
     name = params["name"]
-    cfg = params["config"]
-    seed = int(params["seed"])
-    if name == "selection":
-        outputs, checks = _experiment_selection(cfg, out_dir)
-    elif name == "limits":
-        outputs, checks = _experiment_limits(cfg, out_dir)
-    elif name == "uniform-rate":
-        outputs, checks = _experiment_uniform_rate(cfg, out_dir)
-    elif name == "impossibility":
-        outputs, checks = _experiment_impossibility(cfg, out_dir, seed)
-    else:
-        raise ValueError(f"unknown experiment {name!r}")
+    _check_config(params["config"])  # a config from a file, --reps or a replayed manifest
+    outputs, checks = EXPERIMENTS[name](params["config"], out_dir, int(params["seed"]))
     verdict = {"experiment": name, "pass": all(c["pass"] for c in checks), "checks": checks}
     _write(out_dir / "verdict.json", _json_dumps(verdict))
     return outputs + ["verdict.json"]
@@ -329,25 +322,23 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fig = sub.add_parser("figure", help="emit a density figure as CSV + SVG")
-    fig.add_argument("which", type=int, choices=(1, 2, 3))
-    fig.add_argument("--n", type=int, default=FIGURE_DEFAULTS["n"])
-    fig.add_argument("--theta", type=float, default=FIGURE_DEFAULTS["theta"])
-    fig.add_argument("--eta", type=float, default=FIGURE_DEFAULTS["eta"])
-    fig.add_argument("--a", type=float, default=FIGURE_DEFAULTS["a"])
+    fig.add_argument("which", type=int, choices=tuple(FIGURE_KINDS))
+    for key, default in FIGURE_DEFAULTS.items():
+        fig.add_argument(f"--{key}", type=type(default), default=default)
     fig.add_argument("--out", default="out")
 
     dist = sub.add_parser("dist", help="emit cdf/density table and JSON mixture")
-    dist.add_argument("--kind", required=True, choices=("hard", "soft", "scad"))
+    dist.add_argument("--kind", required=True, choices=[k.value for k in EstimatorKind])
     dist.add_argument("--n", type=int, required=True)
     dist.add_argument("--theta", type=float, required=True)
     dist.add_argument("--eta", type=float, required=True)
     dist.add_argument("--a", type=float, default=DEFAULT_SCAD_A)
-    dist.add_argument("--scaling", choices=("sqrt_n", "inv_eta"), default="sqrt_n")
+    dist.add_argument("--scaling", choices=tuple(LAWS), default="sqrt_n")
     dist.add_argument("--grid", default="-5:5:401", help="lo:hi:count")
     dist.add_argument("--out", default="out")
 
     exp = sub.add_parser("experiment", help="run a named experiment from a config file")
-    exp.add_argument("name", choices=("selection", "limits", "uniform-rate", "impossibility"))
+    exp.add_argument("name", choices=tuple(EXPERIMENTS))
     exp.add_argument("--config", default=None)
     exp.add_argument("--seed", type=int, default=None)
     exp.add_argument("--reps", type=int, default=None)
@@ -361,29 +352,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
+    seed = None
     try:
-        if args.command == "figure":
-            params = {"which": args.which, "n": args.n, "theta": args.theta,
-                      "eta": args.eta, "a": args.a}
-            return _dispatch("figure", params, Path(args.out), None)
+        if args.command == "rerun":
+            manifest = json.loads(Path(args.manifest).read_text())
+            out_dir = Path(args.out) if args.out else Path(args.manifest).parent
+            return _dispatch(manifest["command"], manifest["params"], out_dir, manifest["seed"])
         if args.command == "dist":
             lo, hi, count = args.grid.split(":")
-            params = {"kind": args.kind, "n": args.n, "theta": args.theta, "eta": args.eta,
-                      "a": args.a, "scaling": args.scaling,
-                      "grid": [float(lo), float(hi), int(count)]}
-            return _dispatch("dist", params, Path(args.out), None)
+            params["grid"] = [float(lo), float(hi), int(count)]
         if args.command == "experiment":
             cfg = _parse_config_file(args.config) if args.config else {}
             if args.reps is not None:
                 cfg["reps"] = args.reps
             seed = _resolve_seed(args)
             params = {"name": args.name, "config": cfg, "seed": seed}
-            return _dispatch("experiment", params, Path(args.out), seed)
-        if args.command == "rerun":
-            manifest = json.loads(Path(args.manifest).read_text())
-            out_dir = Path(args.out) if args.out else Path(args.manifest).parent
-            return _dispatch(manifest["command"], manifest["params"], out_dir, manifest["seed"])
-        raise ValueError(f"unknown command {args.command!r}")
+        return _dispatch(args.command, params, Path(args.out), seed)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -53,8 +53,13 @@ class TuningPlan:
     def __post_init__(self):
         if isinstance(self.eta, bool) or not (np.isfinite(self.eta) and self.eta > 0.0):
             raise ValueError(f"invalid tuning: eta > 0 required (got {self.eta})")
-        if isinstance(self.scad_a, bool) or not (np.isfinite(self.scad_a) and self.scad_a > 2.0):
-            raise ValueError(f"invalid tuning: scad_a > 2 required (got {self.scad_a})")
+        _check_scad_a(self.scad_a)
+
+
+def _check_scad_a(a) -> None:
+    """Every scad law needs a > 2: the blend slope (a - 2)/(a - 1) must be positive."""
+    if isinstance(a, bool) or not (np.isfinite(a) and a > 2.0):
+        raise ValueError(f"invalid tuning: scad_a > 2 required (got {a})")
 
 
 def estimate(kind: EstimatorKind, ybar, tuning: TuningPlan):
@@ -85,9 +90,10 @@ def penalized_objective(kind: EstimatorKind, theta: float, ybar: float, n: int, 
     """Penalized least-squares objective in sufficient-statistic form.
 
     The residual sum of squares enters as n*(ybar - theta)^2; the additive
-    constant independent of theta is dropped.  The scad penalty has no
-    usable closed form here, so requesting it raises: the scad estimator is
-    checked against its explicit solution formula only.
+    constant independent of theta is dropped.  The scad term is 2*n*p(|theta|)
+    with the Fan-Li (2001) penalty p(t) = eta*t up to eta,
+    -(t^2 - 2*a*eta*t + eta^2)/(2*(a - 1)) up to a*eta, and (a + 1)*eta^2/2
+    beyond.
     """
     theta = float(theta)
     ybar = float(ybar)
@@ -103,6 +109,11 @@ def penalized_objective(kind: EstimatorKind, theta: float, ybar: float, n: int, 
     if kind is EstimatorKind.SOFT:
         return fit + 2.0 * n * eta * abs(theta)
     if kind is EstimatorKind.SCAD:
-        raise ValueError("scad objective unavailable; argmin verified against closed form only")
+        a, t = tuning.scad_a, abs(theta)
+        if t <= eta:
+            return fit + 2.0 * n * eta * t
+        if t <= a * eta:
+            return fit - n * (t * t - 2.0 * a * eta * t + eta**2) / (a - 1.0)
+        return fit + n * (a + 1.0) * eta**2
     raise ValueError(f"unknown estimator kind {kind!r}")
 

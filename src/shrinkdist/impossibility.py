@@ -138,11 +138,8 @@ class PretestPlugin:
     substitutes sqrt(n)*eta_n for its limit e.
     """
 
+    name = "pretest-plugin"
     consistent: bool = True
-
-    @property
-    def name(self) -> str:
-        return "pretest-plugin"
 
     def estimate_cdf(self, ybar, ctx) -> np.ndarray:
         y = np.asarray(ybar, dtype=float)
@@ -178,13 +175,10 @@ class MOutOfNBootstrap:
     `n_boot` is accepted but ignored.
     """
 
+    name = "m-out-of-n-bootstrap"
     path: object  # anything with .eta(m)
     m_rule: Callable[[int], int] = field(default=lambda n: int(math.ceil(math.sqrt(n))))
     n_boot: int = 200  # resample count of a Monte Carlo bootstrap; unused by the exact one
-
-    @property
-    def name(self) -> str:
-        return "m-out-of-n-bootstrap"
 
     def estimate_cdf(self, ybar, ctx) -> np.ndarray:
         y = np.asarray(ybar, dtype=float)

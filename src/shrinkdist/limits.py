@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import DEFAULT_SCAD_A, EstimatorKind, TuningPlan
+from .estimators import DEFAULT_SCAD_A, EstimatorKind, TuningPlan, _check_scad_a
 from .finite_dist import (
     Atom,
     GaussPiece,
@@ -91,6 +91,7 @@ def _pointmass(loc: float) -> LimitLaw:
 
 def conservative_limit(kind: EstimatorKind, nu, e: float, scad_a: float = DEFAULT_SCAD_A) -> LimitLaw:
     """Limit of the sqrt(n) law when sqrt(n)*eta_n -> e < inf and sqrt(n)*theta_n -> nu."""
+    _check_scad_a(scad_a)
     nu = float(nu)
     e = float(e)
     if math.isnan(nu):
@@ -135,6 +136,7 @@ def consistent_limit(kind: EstimatorKind, regime: RegimeSpec, scad_a: float = DE
     reappears.  At the boundary r = +inf is the limit from below and
     r = -inf the limit from above, for both kinds.
     """
+    _check_scad_a(scad_a)
     if not regime.consistent:
         raise RegimeError("consistent limits require e = +inf")
     if kind is EstimatorKind.SOFT:
@@ -154,6 +156,7 @@ def consistent_limit(kind: EstimatorKind, regime: RegimeSpec, scad_a: float = DE
 
 def rescaled_limit(kind: EstimatorKind, regime: RegimeSpec, scad_a: float = DEFAULT_SCAD_A) -> LimitLaw:
     """Limit of the 1/eta law: at most two atoms, all inside [-1, 1]."""
+    _check_scad_a(scad_a)
     if not regime.consistent:
         raise RegimeError("rescaled limits require e = +inf")
     zf = regime.require_zeta()

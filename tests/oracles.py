@@ -199,12 +199,14 @@ def reference_theta(kind: str, args: tuple, n: int, eta_n: float) -> float:
 
 
 def objective_argmin(kind, ybar: float, n: int, tuning) -> float:
-    """Exact minimiser of the hard or soft `penalized_objective` in theta.
+    """Exact minimiser of `penalized_objective` in theta.
 
-    Each piece of either objective is linear or a convex quadratic with its
-    vertex at ybar or ybar -+ eta, and the pieces meet at -eta, 0 and eta, so
-    a minimiser lies in those six points; the first best one is returned.
+    Each piece of each objective is linear or a quadratic with its vertex at
+    ybar, ybar -+ eta or, on the scad blend pieces, ((a - 1)*ybar -+ a*eta)/(a - 2),
+    and the pieces meet at -+a*eta, -+eta and 0, so a minimiser lies in those
+    ten points; the first best one is returned.
     """
-    eta = tuning.eta
-    candidates = (-eta, 0.0, eta, ybar, ybar - eta, ybar + eta)
+    eta, a = tuning.eta, tuning.scad_a
+    candidates = (-eta, 0.0, eta, ybar, ybar - eta, ybar + eta, -a * eta, a * eta,
+                  ((a - 1.0) * ybar - a * eta) / (a - 2.0), ((a - 1.0) * ybar + a * eta) / (a - 2.0))
     return min(candidates, key=lambda theta: penalized_objective(kind, theta, ybar, n, tuning))

@@ -130,6 +130,22 @@ def test_experiment_unknown_scenario_errors(tmp_path, capsys):
     assert main(["experiment", "limits", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
 
 
+def test_experiment_limits_runs_every_listed_scenario(tmp_path):
+    cfg = tmp_path / "lim.cfg"
+    cfg.write_text("scenario=hard-conservative-local, soft-consistent-local\nn_probe=1000,100000\n")
+    out = tmp_path / "lim"
+    assert main(["experiment", "limits", "--config", str(cfg), "--out", str(out)]) == 0
+    checks = json.loads((out / "verdict.json").read_text())["checks"]
+    assert [c["name"] for c in checks] == ["hard-conservative-local", "soft-consistent-local"]
+
+
+def test_experiment_limits_unknown_name_in_list_errors(tmp_path, capsys):
+    cfg = tmp_path / "lim.cfg"
+    cfg.write_text("scenario=hard-conservative-local,no-such-regime\n")
+    assert main(["experiment", "limits", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert "no-such-regime" in capsys.readouterr().err
+
+
 def test_experiment_unknown_scaling_errors(tmp_path, capsys):
     cfg = tmp_path / "rate.cfg"
     cfg.write_text("scaling=a_m\n")
@@ -147,6 +163,63 @@ def test_experiment_empty_n_list_errors(tmp_path, capsys, name, key):
     assert "PASS" not in captured.out
 
 
+@pytest.mark.parametrize("name, text, named", [
+    ("uniform-rate", "M=7,8\n", "config key 'M'"),
+    ("impossibility", "estimator=oracle\nreps=true\n", "'true'"),  # "true" stays a string
+    ("uniform-rate", "n_list=true\n", "'true'"),
+    ("impossibility", '{"estimator": "oracle", "reps": true}', "config key 'reps'"),
+    ("impossibility", '{"n": null}', "config key 'n'"),
+    ("uniform-rate", '{"M": [7, 8]}', "config key 'M'"),
+], ids=["text-list", "text-reps-true", "text-n_list-true", "json-bool", "json-null", "json-list"])
+def test_experiment_wrong_type_config_value_exits_2(tmp_path, capsys, name, text, named):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main(["experiment", name, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert "PASS" not in captured.out
+
+
+def test_rerun_rejects_wrong_type_config_value(tmp_path, capsys):
+    cfg = tmp_path / "imp.cfg"
+    cfg.write_text("estimator=oracle\nkind=hard\nn=100\nreps=50\n")
+    out = tmp_path / "imp"
+    assert main(["experiment", "impossibility", "--config", str(cfg), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["params"]["config"]["reps"] = True
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["rerun", str(out / "manifest.json"), "--out", str(tmp_path / "replay")]) == 2
+    captured = capsys.readouterr()
+    assert "config key 'reps'" in captured.err
+    assert "PASS" not in captured.out
+
+
+def test_experiment_limits_rejects_scad_a_at_one(tmp_path, capsys):
+    cfg = tmp_path / "lim.cfg"
+    cfg.write_text("a=1\n")
+    assert main(["experiment", "limits", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert "scad_a > 2 required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, params", [
+    (["figure", "1"], {"which": 1, "n": 40, "theta": 0.16, "eta": 0.05, "a": 3.7}),
+    (["dist", "--kind", "hard", "--n", "25", "--theta", "-0.3", "--eta", "0.08", "--scaling", "inv_eta",
+      "--grid=-2:2:9"],
+     {"kind": "hard", "n": 25, "theta": -0.3, "eta": 0.08, "a": 3.7, "scaling": "inv_eta", "grid": [-2.0, 2.0, 9]}),
+    (["experiment", "selection", "--seed", "3", "--reps", "5"],
+     {"name": "selection", "config": {"n_list": [100, 1000], "rule": "fixed", "theta": 0.5, "reps": 5}, "seed": 3}),
+])
+def test_manifest_params_pinned(tmp_path, argv, params):
+    cfg = tmp_path / "sel.cfg"
+    cfg.write_text("n_list=100,1000\nrule=fixed\ntheta=0.5\n")
+    config = ["--config", str(cfg)] if argv[0] == "experiment" else []
+    assert main([*argv, *config, "--out", str(tmp_path / "out")]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    # compared as JSON text, so an int written as a float (or the reverse) fails too
+    assert json.dumps(manifest["params"], sort_keys=True) == json.dumps(params, sort_keys=True)
+
+
 def test_readme_config_example_parses_as_written(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"`imp\.cfg`:\n\n```\n(.*?)```", readme, re.DOTALL).group(1)
@@ -155,6 +228,21 @@ def test_readme_config_example_parses_as_written(tmp_path):
     cfg.write_text(f"# impossibility example\n{block}")
     assert _parse_config_file(str(cfg)) == {"estimator": "bootstrap", "kind": "hard", "n": 10000, "gamma": 0.25,
                                             "t": 0.0, "c": 2.0, "reps": 10000}
+
+
+@pytest.mark.parametrize("name", ["limits", "uniform-rate", "impossibility"])
+def test_readme_experiment_keys_state_the_defaults(tmp_path, name):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(rf"The `{name}` experiment .*?```\n(.*?)```", readme, re.DOTALL).group(1)
+    cfg = tmp_path / "readme.cfg"
+    cfg.write_text(block)
+    written, default = tmp_path / "written", tmp_path / "default"
+    main(["experiment", name, "--config", str(cfg), "--reps", "200", "--out", str(written)])
+    main(["experiment", name, "--reps", "200", "--out", str(default)])
+    data = sorted(p.name for p in default.iterdir() if p.name != "manifest.json")
+    assert sorted(p.name for p in written.iterdir() if p.name != "manifest.json") == data
+    for fname in data:
+        assert (written / fname).read_bytes() == (default / fname).read_bytes(), fname
 
 
 def test_experiment_impossibility_oracle(tmp_path):

@@ -126,12 +126,15 @@ def test_objective_soft_pinned():
     assert val == pytest.approx(4.5, abs=1e-12)
 
 
-def test_objective_scad_unavailable():
-    with pytest.raises(ValueError, match="argmin verified against closed form"):
-        penalized_objective(EstimatorKind.SCAD, 0.1, 0.2, 5, TUNING)
+# 2*p(|theta|) at eta = 0.5, a = 3.7 with ybar = theta, one theta per branch:
+# 2*eta*t, then -(t^2 - 2*a*eta*t + eta^2)/(a - 1) = 2.07/2.7, then (a + 1)*eta^2
+@pytest.mark.parametrize("theta, expected", [(0.3, 0.3), (-0.8, 2.07 / 2.7), (2.0, 1.175)])
+def test_objective_scad_pinned_on_each_branch(theta, expected):
+    val = penalized_objective(EstimatorKind.SCAD, theta, theta, 1, TUNING)
+    assert val == pytest.approx(expected, abs=1e-12)
 
 
-@pytest.mark.parametrize("kind", [EstimatorKind.HARD, EstimatorKind.SOFT])
+@pytest.mark.parametrize("kind", list(EstimatorKind))
 def test_estimate_is_objective_argmin(kind):
     rng = np.random.default_rng(11)
     for _ in range(100):
@@ -139,6 +142,15 @@ def test_estimate_is_objective_argmin(kind):
         eta = float(rng.uniform(0.05, 1.0))
         tun = TuningPlan(eta)
         assert estimate(kind, ybar, tun) == objective_argmin(kind, ybar, 7, tun)
+
+
+@pytest.mark.parametrize("a", [2.1, 6.0])
+def test_scad_estimate_is_objective_argmin_for_each_shape(a):
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        tun = TuningPlan(float(rng.uniform(0.05, 0.5)), a)
+        ybar = float(rng.uniform(-1.2, 1.2)) * a * tun.eta
+        assert estimate(EstimatorKind.SCAD, ybar, tun) == objective_argmin(EstimatorKind.SCAD, ybar, 3, tun)
 
 
 def test_tuning_validation():

@@ -315,6 +315,17 @@ class TestScenarios:
                                 ThetaRule.boundary(1.0, 0.0), scaling="inv-eta")
 
 
+@pytest.mark.parametrize("a", [1.0, 1.5, 2.0, math.nan])
+@pytest.mark.parametrize("build", [
+    lambda a: conservative_limit(SCAD, 0.7, 1.5, a),
+    lambda a: consistent_limit(SCAD, regime(zeta=2.0, r=1.0), a),
+    lambda a: rescaled_limit(SCAD, regime(zeta=3.0), a),
+], ids=["conservative", "consistent", "rescaled"])
+def test_limit_builders_require_scad_a_above_two(build, a):
+    with pytest.raises(ValueError, match="scad_a > 2 required"):
+        build(a)
+
+
 def test_limit_law_mode_validation():
     from shrinkdist.finite_dist import Atom, MixtureDistribution
 
