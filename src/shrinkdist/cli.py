@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .estimators import DEFAULT_SCAD_A, EstimatorKind, TuningPlan
-from .finite_dist import MixtureDistribution, ModelPoint, finite_sample_dist, rescaled_dist
+from .finite_dist import LAWS, MixtureDistribution, ModelPoint, finite_sample_dist
 from .impossibility import MOutOfNBootstrap, OracleCheat, PretestPlugin, estimator_worst_case
 from .limits import canonical_scenarios
 from .montecarlo import uniform_rate_experiment
@@ -29,7 +29,6 @@ from .selection import PowerTuningPath, ThetaRule, selection_convergence_table
 DEFAULT_SEED = 20090301
 FIGURE_DEFAULTS = {"n": 40, "theta": 0.16, "eta": 0.05, "a": DEFAULT_SCAD_A}
 FIGURE_KINDS = {1: "hard", 2: "soft", 3: "scad"}
-LAWS = {"sqrt_n": finite_sample_dist, "inv_eta": rescaled_dist}
 LIST_KEYS = ("n_list", "n_probe", "scenario")  # the only config keys that take a list
 
 

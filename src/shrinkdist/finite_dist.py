@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .estimators import EstimatorKind, TuningPlan
-from .normal_kernel import _scalar_or_array, norm_cdf, norm_pdf
+from .normal_kernel import _check_n, _scalar_or_array, norm_cdf, norm_pdf
 
 __all__ = [
     "ModelPoint",
@@ -66,8 +66,7 @@ class ModelPoint:
     theta: float
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or int(self.n) != self.n or self.n < 1:
-            raise ValueError(f"n must be a positive integer (got {self.n})")
+        _check_n(self.n)
         theta = self.theta
         if isinstance(theta, (list, tuple, np.ndarray)) and np.ndim(theta) != 0:
             arr = np.asarray(theta)
@@ -505,6 +504,9 @@ def finite_sample_dist(kind: EstimatorKind, point: ModelPoint, tuning: TuningPla
 def rescaled_dist(kind: EstimatorKind, point: ModelPoint, tuning: TuningPlan) -> MixtureDistribution:
     """Exact law of (estimate - theta)/eta: the sqrt(n) law scaled by 1/(sqrt(n)*eta)."""
     return finite_sample_dist(kind, point, tuning).rescaled(point.sqrt_n * tuning.eta)
+
+
+LAWS = {"sqrt_n": finite_sample_dist, "inv_eta": rescaled_dist}
 
 
 def scaled_risk(kind: EstimatorKind, point: ModelPoint, tuning: TuningPlan) -> float:

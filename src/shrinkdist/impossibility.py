@@ -26,10 +26,11 @@ from scipy.special import ndtri
 
 from .estimators import EstimatorKind, TuningPlan, estimate
 from .finite_dist import ModelPoint, _mixture, _zero_mass, finite_sample_dist
-from .limits import conservative_limit
+from .limits import _limit_law
 from .montecarlo import _uniform_open
-from .normal_kernel import gaussian_tv, norm_cdf
+from .normal_kernel import _check_n, gaussian_tv
 from .report import ExperimentReport
+from .selection import RegimeSpec
 
 __all__ = [
     "TwoPointProblem",
@@ -57,8 +58,7 @@ class TwoPointProblem:
     kind: EstimatorKind
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
+        _check_n(self.n)
         if not (np.isfinite(self.t) and np.isfinite(self.delta) and self.delta > 0.0):
             raise ValueError("t must be finite and delta positive")
 
@@ -130,12 +130,13 @@ class OracleCheat:
 
 @dataclass(frozen=True)
 class PretestPlugin:
-    """Plug the pretest outcome into the fixed-parameter limit formulas.
+    """Plug the pretest outcome into the sqrt(n) limit laws of `limits`.
 
     Tests theta = 0 by |ybar| > n**(-cutoff_exponent), cutoff_exponent =
-    _PRETEST_CUTOFF_EXPONENT; the accepted branch uses the zero-parameter
-    limit law, the rejected branch the nonzero one.  Conservative tuning
-    substitutes sqrt(n)*eta_n for its limit e.
+    _PRETEST_CUTOFF_EXPONENT; the accepted branch evaluates the limit law at
+    nu = zeta = 0, the rejected branch the one at nu = zeta = sign(ybar)*inf.
+    Consistent tuning takes e = inf; conservative tuning substitutes
+    sqrt(n)*eta_n for its limit e.
     """
 
     name = "pretest-plugin"
@@ -144,21 +145,10 @@ class PretestPlugin:
     def estimate_cdf(self, ybar, ctx) -> np.ndarray:
         y = np.asarray(ybar, dtype=float)
         reject = np.abs(y) > float(ctx.n) ** (-_PRETEST_CUTOFF_EXPONENT)
-        t = ctx.t
-        if self.consistent:
-            accept_val = 1.0 if t >= 0.0 else 0.0
-            if ctx.kind is EstimatorKind.SOFT:
-                reject_val = np.where(y > 0, 1.0, 0.0)
-            else:
-                reject_val = norm_cdf(t)
-        else:
-            e_sub = math.sqrt(ctx.n) * ctx.tuning.eta
-            accept_val = conservative_limit(ctx.kind, 0.0, e_sub, ctx.tuning.scad_a).cdf(t)
-            if ctx.kind is EstimatorKind.SOFT:
-                reject_val = np.where(y > 0, norm_cdf(t + e_sub), norm_cdf(t - e_sub))
-            else:
-                reject_val = norm_cdf(t)
-        return np.where(reject, reject_val, accept_val)
+        e = math.inf if self.consistent else math.sqrt(ctx.n) * ctx.tuning.eta
+        accept, up, down = (_limit_law(ctx.kind, RegimeSpec(e, nu=v, zeta=v), ctx.tuning.scad_a).cdf(ctx.t)
+                            for v in (0.0, math.inf, -math.inf))
+        return np.where(reject, np.where(y > 0, up, down), accept)
 
 
 @dataclass(frozen=True)

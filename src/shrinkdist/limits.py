@@ -22,15 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import DEFAULT_SCAD_A, EstimatorKind, TuningPlan, _check_scad_a
-from .finite_dist import (
-    Atom,
-    GaussPiece,
-    MixtureDistribution,
-    ModelPoint,
-    finite_sample_dist,
-    rescaled_dist,
-    _mixture,
-)
+from .finite_dist import LAWS, Atom, GaussPiece, MixtureDistribution, ModelPoint, _mixture
 from .normal_kernel import norm_cdf
 from .report import ExperimentReport
 from .selection import PowerTuningPath, RegimeError, RegimeSpec, ThetaRule, derive_regime
@@ -49,6 +41,7 @@ WEAK = "weak"
 TOTAL_VARIATION = "total-variation"
 MASS_ESCAPE = "mass-escape"
 _GRID_POINTS = 57  # uniform points of a scenario's probe grid, before extra points and atom margins
+_GRID_SPAN = {"sqrt_n": 8.0, "inv_eta": 3.0}  # half-width of that grid; every 1/eta limit lies in [-1, 1]
 
 
 @dataclass(frozen=True)
@@ -183,6 +176,15 @@ def rescaled_limit(kind: EstimatorKind, regime: RegimeSpec, scad_a: float = DEFA
     raise ValueError(f"unknown estimator kind {kind!r}")
 
 
+def _limit_law(kind: EstimatorKind, regime: RegimeSpec, scad_a: float, scaling: str = "sqrt_n") -> LimitLaw:
+    """The limit law that the regime and the scaling name."""
+    if scaling == "inv_eta":
+        return rescaled_limit(kind, regime, scad_a)
+    if regime.consistent:
+        return consistent_limit(kind, regime, scad_a)
+    return conservative_limit(kind, regime.require_nu(), regime.e, scad_a)
+
+
 def weak_convergence_check(finite_law_seq, limit: LimitLaw, grid, n_probe) -> ExperimentReport:
     """Sup over the grid of |F_n - F_limit| for each probed n.
 
@@ -217,36 +219,27 @@ class ConvergenceScenario:
     rule: ThetaRule
     scaling: str = "sqrt_n"  # or "inv_eta"
     scad_a: float = DEFAULT_SCAD_A
-    grid_span: float = 8.0
     grid_margin: float = 0.25
     extra_grid: tuple = ()
 
     def __post_init__(self):
-        if self.scaling not in ("sqrt_n", "inv_eta"):
+        if self.scaling not in LAWS:
             raise ValueError(f"unknown scaling {self.scaling!r}; expected 'sqrt_n' or 'inv_eta'")
 
     def regime(self) -> RegimeSpec:
         return derive_regime(self.path, self.rule)
 
     def limit(self) -> LimitLaw:
-        regime = self.regime()
-        if self.scaling == "inv_eta":
-            return rescaled_limit(self.kind, regime, self.scad_a)
-        if regime.consistent:
-            return consistent_limit(self.kind, regime, self.scad_a)
-        return conservative_limit(self.kind, regime.require_nu(), regime.e, self.scad_a)
+        return _limit_law(self.kind, self.regime(), self.scad_a, self.scaling)
 
     def finite_law(self, n: int) -> MixtureDistribution:
         eta_n = self.path.eta(n)
-        theta_n = self.rule.theta(n, eta_n)
-        point = ModelPoint(n, theta_n)
-        tuning = TuningPlan(eta_n, self.scad_a)
-        if self.scaling == "inv_eta":
-            return rescaled_dist(self.kind, point, tuning)
-        return finite_sample_dist(self.kind, point, tuning)
+        point = ModelPoint(n, self.rule.theta(n, eta_n))
+        return LAWS[self.scaling](self.kind, point, TuningPlan(eta_n, self.scad_a))
 
     def grid(self) -> np.ndarray:
-        pts = np.linspace(-self.grid_span, self.grid_span, _GRID_POINTS)
+        span = _GRID_SPAN[self.scaling]
+        pts = np.linspace(-span, span, _GRID_POINTS)
         if self.extra_grid:
             pts = np.unique(np.concatenate([pts, np.asarray(self.extra_grid, dtype=float)]))
         for a in self.limit().dist.atoms:
@@ -278,9 +271,9 @@ def canonical_scenarios(scad_a: float = DEFAULT_SCAD_A) -> list:
         mk("scad-consistent-local", scad, consistent, ThetaRule.local(1.0), scad_a=scad_a),
         mk("scad-consistent-boundary", scad, consistent, ThetaRule.boundary(scad_a, 1.0, perturb=0.5), scad_a=scad_a),
         mk("scad-consistent-superboundary", scad, consistent, ThetaRule.eta_multiple(5.0), scad_a=scad_a),
-        mk("hard-rescaled-subboundary", hard, consistent, ThetaRule.eta_multiple(0.5), scaling="inv_eta", grid_span=3.0),
-        mk("hard-rescaled-boundary", hard, consistent, ThetaRule.boundary(1.0, 0.0, perturb=0.5), scaling="inv_eta", grid_span=3.0),
-        mk("soft-rescaled-saturated", soft, consistent, ThetaRule.eta_multiple(3.0), scaling="inv_eta", grid_span=3.0),
-        mk("scad-rescaled-blend", scad, consistent, ThetaRule.eta_multiple(3.0), scaling="inv_eta", scad_a=scad_a, grid_span=3.0),
-        mk("scad-rescaled-identity", scad, consistent, ThetaRule.eta_multiple(4.0), scaling="inv_eta", scad_a=scad_a, grid_span=3.0),
+        mk("hard-rescaled-subboundary", hard, consistent, ThetaRule.eta_multiple(0.5), scaling="inv_eta"),
+        mk("hard-rescaled-boundary", hard, consistent, ThetaRule.boundary(1.0, 0.0, perturb=0.5), scaling="inv_eta"),
+        mk("soft-rescaled-saturated", soft, consistent, ThetaRule.eta_multiple(3.0), scaling="inv_eta"),
+        mk("scad-rescaled-blend", scad, consistent, ThetaRule.eta_multiple(3.0), scaling="inv_eta", scad_a=scad_a),
+        mk("scad-rescaled-identity", scad, consistent, ThetaRule.eta_multiple(4.0), scaling="inv_eta", scad_a=scad_a),
     ]

@@ -29,6 +29,12 @@ def _scalar_or_array(x: np.ndarray, out):
     return out
 
 
+def _check_n(n) -> None:
+    """A sample size is a positive integer; a bool or a fractional float is not."""
+    if isinstance(n, bool) or int(n) != n or n < 1:
+        raise ValueError(f"n must be a positive integer (got {n})")
+
+
 def norm_pdf(x):
     """Standard normal density (2*pi)^(-1/2) * exp(-x^2/2).
 
@@ -58,7 +64,6 @@ def gaussian_tv(n: int, theta1, theta2):
     laws of the sufficient statistic: 2*Phi(sqrt(n)|t1 - t2|/2) - 1.
     theta1 and theta2 may be arrays, which broadcast; floats give a float.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    _check_n(n)
     half_sep = 0.5 * math.sqrt(n) * abs(theta1 - theta2)
     return 2.0 * norm_cdf(half_sep) - 1.0

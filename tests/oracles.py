@@ -9,7 +9,8 @@ one scalar law at a time; `ks_reference` likewise redoes the KS distance
 one scalar cdf evaluation at a time, and `reference_masses` and
 `reference_second_moment` redo a law's build and second moment with one
 scalar normal-kernel call per piece end.  `reference_theta` writes out each
-theta-rule kind's sequence as its own formula, and `objective_argmin`
+theta-rule kind's sequence as its own formula, `reference_pretest_cdf` the
+pretest plug-in as its four limit formulas, and `objective_argmin`
 minimises a penalized objective over the finite set that must hold a
 minimiser.
 """
@@ -20,8 +21,9 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad
 
-from shrinkdist.estimators import estimate, penalized_objective
+from shrinkdist.estimators import EstimatorKind, estimate, penalized_objective
 from shrinkdist.finite_dist import _GL_NODES, _GL_WEIGHTS, _SHORT_PIECE, ModelPoint, finite_sample_dist
+from shrinkdist.limits import conservative_limit
 from shrinkdist.normal_kernel import gaussian_tv, norm_cdf, norm_pdf
 
 
@@ -196,6 +198,30 @@ def reference_theta(kind: str, args: tuple, n: int, eta_n: float) -> float:
         (value,) = args
         return value
     raise ValueError(f"unknown theta rule {kind!r}")
+
+
+def reference_pretest_cdf(kind, consistent: bool, n: int, tuning, t: float, ybar) -> np.ndarray:
+    """The pretest plug-in's cdf estimate, one formula per tuning and per soft or other kind.
+
+    |ybar| <= n**-0.25 accepts theta = 0; a rejection plugs in the law of a
+    nonzero parameter, which for soft depends on the sign of ybar.
+    """
+    y = np.asarray(ybar, dtype=float)
+    reject = np.abs(y) > float(n) ** -0.25
+    if consistent:
+        accept_val = 1.0 if t >= 0.0 else 0.0
+        if kind is EstimatorKind.SOFT:
+            reject_val = np.where(y > 0, 1.0, 0.0)
+        else:
+            reject_val = norm_cdf(t)
+    else:
+        e_sub = math.sqrt(n) * tuning.eta
+        accept_val = conservative_limit(kind, 0.0, e_sub, tuning.scad_a).cdf(t)
+        if kind is EstimatorKind.SOFT:
+            reject_val = np.where(y > 0, norm_cdf(t + e_sub), norm_cdf(t - e_sub))
+        else:
+            reject_val = norm_cdf(t)
+    return np.where(reject, reject_val, accept_val)
 
 
 def objective_argmin(kind, ybar: float, n: int, tuning) -> float:

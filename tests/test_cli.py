@@ -153,6 +153,19 @@ def test_experiment_unknown_scaling_errors(tmp_path, capsys):
     assert "scaling" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, status", [("scaling=sqrt_n\nM=3\n", 1), ("scaling=sqrt_n\ngamma=0.5\n", 0)],
+                         ids=["consistent-escapes", "conservative-within"])
+def test_experiment_uniform_rate_sqrt_n_verdict_reads_the_bound(tmp_path, text, status):
+    # sqrt(n) is the uniform rate under conservative tuning only
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "rate"
+    assert main(["experiment", "uniform-rate", "--config", str(cfg), "--out", str(out)]) == status
+    header, rows = read_csv(out / "uniform_rate.csv")
+    sup, bound, within = (header.index(c) for c in ("sup_prob", "bound", "within_bound"))
+    assert [int(r[within]) for r in rows] == [float(r[sup]) <= float(r[bound]) for r in rows]
+
+
 @pytest.mark.parametrize("name, key", [("uniform-rate", "n_list"), ("selection", "n_list"), ("limits", "n_probe")])
 def test_experiment_empty_n_list_errors(tmp_path, capsys, name, key):
     cfg = tmp_path / "empty.cfg"

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import resampled_bootstrap_cdf, swept_lower_bound
+from oracles import reference_pretest_cdf, resampled_bootstrap_cdf, swept_lower_bound
 
 from shrinkdist.estimators import EstimatorKind, TuningPlan, estimate
 from shrinkdist.finite_dist import ModelPoint, atom_weight, finite_sample_dist
@@ -240,6 +240,24 @@ class TestWorstCase:
         rep = estimator_worst_case(spec, EstimatorKind.SOFT, n, 0.0, tun, 2.0,
                                    seed=61, replications=1500)
         assert rep.meta["sup"] >= 0.45
+
+
+@pytest.mark.parametrize("consistent", [True, False], ids=["consistent", "conservative"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_pretest_equals_four_formula_reference_bit_for_bit(kind, consistent):
+    spec = PretestPlugin(consistent=consistent)
+    for n in (1, 4, 100, 10_000, 1_000_000):
+        cut = n ** -0.25
+        # accept, reject up and reject down: both zeros, the cutoffs and the floats just past them
+        ybar = np.concatenate([np.linspace(-3.0, 3.0, 401), [0.0, -0.0, cut, -cut],
+                               np.nextafter([cut, -cut], [np.inf, -np.inf])])
+        for eta in (0.01, 0.196, 0.5):
+            for a in (2.01, 3.7):
+                tuning = TuningPlan(eta, a)
+                for t in (-2.5, -1.0, -0.0, 0.0, 0.3, 1.0, 2.5):
+                    got = spec.estimate_cdf(ybar, _HarnessContext(kind, n, t, tuning, true_value=0.0))
+                    want = reference_pretest_cdf(kind, consistent, n, tuning, t, ybar)
+                    assert got.tobytes() == want.tobytes(), (n, eta, a, t)
 
 
 BOOT_N = 10_000

@@ -249,7 +249,6 @@ class TestUniformRate:
             probs = [exceedance_probability(kind, n, t, TuningPlan(eta_n, 3.7), M * math.sqrt(n) / rate)
                      for t in grid]
             worst = int(np.argmax(probs))
-            expected.append((n, eta_n, rate, probs[worst], grid[worst], bound,
-                             probs[worst] <= bound if scaling == "a_n" else True))
+            expected.append((n, eta_n, rate, probs[worst], grid[worst], bound, probs[worst] <= bound))
         assert rep.rows == expected
         assert [tuple(map(type, r)) for r in rep.rows] == [tuple(map(type, r)) for r in expected]

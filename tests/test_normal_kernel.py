@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from shrinkdist.estimators import EstimatorKind, TuningPlan, penalized_objective
+from shrinkdist.finite_dist import ModelPoint
+from shrinkdist.impossibility import TwoPointProblem
 from shrinkdist.normal_kernel import gaussian_tv, norm_cdf, norm_pdf
 
 # frozen against a 40-digit mpmath evaluation
@@ -104,4 +107,19 @@ def test_gaussian_tv_depends_on_scaled_separation():
 def test_gaussian_tv_rejects_bad_n():
     with pytest.raises(ValueError):
         gaussian_tv(0, 0.0, 1.0)
+
+
+SAMPLE_SIZE_SITES = {
+    "ModelPoint": lambda n: ModelPoint(n, 0.0),
+    "TwoPointProblem": lambda n: TwoPointProblem(n, 0.0, 0.1, TuningPlan(0.5), EstimatorKind.HARD),
+    "gaussian_tv": lambda n: gaussian_tv(n, 0.0, 1.0),
+    "penalized_objective": lambda n: penalized_objective(EstimatorKind.HARD, 0.0, 0.0, n, TuningPlan(0.5)),
+}
+
+
+@pytest.mark.parametrize("n", [True, 2.5, 0, -3])
+@pytest.mark.parametrize("site", SAMPLE_SIZE_SITES)
+def test_every_sample_size_is_a_positive_integer(site, n):
+    with pytest.raises(ValueError, match=rf"n must be a positive integer \(got {n}\)"):
+        SAMPLE_SIZE_SITES[site](n)
 
