@@ -23,6 +23,7 @@ from .finite_dist import LAWS, MixtureDistribution, ModelPoint, finite_sample_di
 from .impossibility import MOutOfNBootstrap, OracleCheat, PretestPlugin, estimator_worst_case
 from .limits import canonical_scenarios
 from .montecarlo import uniform_rate_experiment
+from .normal_kernel import _check_count
 from .report import ExperimentReport
 from .selection import PowerTuningPath, ThetaRule, selection_convergence_table
 
@@ -30,6 +31,8 @@ DEFAULT_SEED = 20090301
 FIGURE_DEFAULTS = {"n": 40, "theta": 0.16, "eta": 0.05, "a": DEFAULT_SCAD_A}
 FIGURE_KINDS = {1: "hard", 2: "soft", 3: "scad"}
 LIST_KEYS = ("n_list", "n_probe", "scenario")  # the only config keys that take a list
+# the config keys that hold counts, each with the name its error message gives
+_COUNT_NAMES = {"n": "n", "reps": "reps (replications)", "n_list": "each n_list item", "n_probe": "each n_probe item"}
 
 
 def _json_dumps(obj) -> str:
@@ -114,6 +117,7 @@ def _density_table(dist: MixtureDistribution, lo: float, hi: float, count: int) 
 
 
 def _point_and_tuning(params: dict) -> tuple:
+    _check_count(params["n"])  # a replayed manifest may hold any number here
     return (ModelPoint(int(params["n"]), float(params["theta"])),
             TuningPlan(float(params["eta"]), float(params["a"])))
 
@@ -180,12 +184,19 @@ def _parse_scalar(raw: str):
 
 
 def _check_config(config: dict) -> None:
-    """Every value is a number or a string; only the LIST_KEYS take a list of them."""
+    """Every value is a number or a string; only the LIST_KEYS take a list of them.
+
+    Every item of a count key (a sample size or a replication count) is a
+    positive integer.
+    """
     for key, value in config.items():
         items = value if key in LIST_KEYS and isinstance(value, list) else [value]
         if not all(isinstance(v, (int, float, str)) and not isinstance(v, bool) for v in items):
             listed = ", or a list of them" if key in LIST_KEYS else ""
             raise ValueError(f"config key {key!r} takes a number or a string{listed}, not {value!r}")
+        if key in _COUNT_NAMES:
+            for v in items:
+                _check_count(v, _COUNT_NAMES[key])
 
 
 def _as_list(v) -> list:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .normal_kernel import _check_n, _scalar_or_array
+from .normal_kernel import _check_count, _scalar_or_array
 
 __all__ = [
     "EstimatorKind",
@@ -99,7 +99,7 @@ def penalized_objective(kind: EstimatorKind, theta: float, ybar: float, n: int, 
     ybar = float(ybar)
     if not (np.isfinite(theta) and np.isfinite(ybar)):
         raise ValueError("theta and ybar must be finite")
-    _check_n(n)
+    _check_count(n)
     fit = n * (ybar - theta) ** 2
     eta = tuning.eta
     if kind is EstimatorKind.HARD:

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .estimators import EstimatorKind, TuningPlan
-from .normal_kernel import _check_n, _scalar_or_array, norm_cdf, norm_pdf
+from .normal_kernel import _check_count, _scalar_or_array, norm_cdf, norm_pdf
 
 __all__ = [
     "ModelPoint",
@@ -66,7 +66,7 @@ class ModelPoint:
     theta: float
 
     def __post_init__(self):
-        _check_n(self.n)
+        _check_count(self.n)
         theta = self.theta
         if isinstance(theta, (list, tuple, np.ndarray)) and np.ndim(theta) != 0:
             arr = np.asarray(theta)
@@ -214,9 +214,8 @@ class MixtureDistribution:
         """Record-by-record equality; a batch of laws equals only a batch with equal fields."""
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if self._shape is None or other._shape is None:
-            return self._shape == other._shape and (self.atoms, self.pieces) == (other.atoms, other.pieces)
-        return (len(self.atoms), len(self.pieces)) == (len(other.atoms), len(other.pieces)) and all(
+        counts = (self._shape, len(self.atoms), len(self.pieces))
+        return counts == (other._shape, len(other.atoms), len(other.pieces)) and all(
             np.array_equal(u, v) for r, q in zip((*self.atoms, *self.pieces), (*other.atoms, *other.pieces))
             for u, v in zip(r, q))
 
@@ -237,12 +236,12 @@ class MixtureDistribution:
         upper end add its whole mass, one scalar.  A single law walks an
         array in ascending order (through one stable argsort when it is not
         sorted), so two `searchsorted` calls per piece mark its slice; a
-        float x takes the same branches by float comparisons.  A batch of
-        laws evaluates law i at x[i], elementwise.
+        float x is walked as a one-point array and returns a float.  A
+        batch of laws evaluates law i at x[i], elementwise.
         An atom at -inf contributes for every finite x, an atom at +inf
         never does, so escaped mass shows up as a cdf pinned near 0 or 1.
         """
-        return self._evaluate(x, self._point_cdf, self._ascending_cdf, self._batch_cdf)
+        return self._evaluate(x, self._ascending_cdf, self._batch_cdf)
 
     def cdf_left(self, x):
         """Left limit of the cdf at x: the cdf minus the finite atoms sitting at x."""
@@ -265,17 +264,17 @@ class MixtureDistribution:
         The pdf is evaluated only at the points of each piece's (lower, upper],
         walked as in `cdf`; it is 0 at +-inf, and NaN x raises ValueError.
         """
-        return self._evaluate(x, self._point_density, self._ascending_density, self._batch_density)
+        return self._evaluate(x, self._ascending_density, self._batch_density)
 
-    def _evaluate(self, x, point, ascending, batch):
-        """Route x to the float, ascending-array or batch form of an evaluation."""
+    def _evaluate(self, x, ascending, batch):
+        """Route x to the ascending-array or batch form of an evaluation.
+
+        A single law walks every x as an ascending array: a float or 0-d x
+        is a one-point array, and its value comes back as a Python float.
+        """
         if self._shape is not None:
             return batch(self._batch_points(x))
         x = np.asarray(x, dtype=float)
-        if x.ndim == 0:
-            if math.isnan(x):
-                raise ValueError(_NAN_X)
-            return point(float(x))
         flat = x.ravel()
         order = None
         if not (flat[1:] >= flat[:-1]).all():
@@ -286,7 +285,7 @@ class MixtureDistribution:
         out = ascending(flat)
         if order is not None:
             out[order] = out.copy()
-        return out.reshape(x.shape)
+        return _scalar_or_array(x, out.reshape(x.shape))
 
     def _batch_points(self, x) -> np.ndarray:
         """x as an array of the batch's shape: a 0-d x is taken for every law."""
@@ -301,24 +300,13 @@ class MixtureDistribution:
         if self._shape is not None:
             raise ValueError(f"{method} takes a single law, not a batch of laws")
 
-    def _point_cdf(self, x: float) -> float:
-        total = 0.0
-        for (c, s, b, lo, hi), base, mass in zip(self.pieces, self._phi_lower, self._masses):
-            if x >= hi:
-                total += mass
-            elif x > lo:
-                total += (c / s) * (norm_cdf(s * x + b) - base)
-        for loc, w in self.atoms:
-            if loc <= x and loc < math.inf:
-                total += w
-        return total
-
     def _ascending_cdf(self, x: np.ndarray) -> np.ndarray:
         total = np.zeros_like(x)
         for (c, s, b, lo, hi), base, mass in zip(self.pieces, self._phi_lower, self._masses):
             i = np.searchsorted(x, lo, side="right")
             j = np.searchsorted(x, hi, side="left")
-            total[i:j] += (c / s) * (norm_cdf(s * x[i:j] + b) - base)
+            if i < j:  # a piece holding no point makes no kernel call
+                total[i:j] += (c / s) * (norm_cdf(s * x[i:j] + b) - base)
             total[j:] += mass
         for loc, w in self.atoms:
             if loc < math.inf:
@@ -334,18 +322,12 @@ class MixtureDistribution:
             total = total + w * (loc < math.inf) * (x >= loc)
         return total
 
-    def _point_density(self, x: float) -> float:
-        total = 0.0
-        for c, s, b, lo, hi in self.pieces:
-            if lo < x <= hi and x < math.inf:  # the pdf vanishes at +inf, as on arrays
-                total += c * norm_pdf(s * x + b)
-        return total
-
     def _ascending_density(self, x: np.ndarray) -> np.ndarray:
         total = np.zeros_like(x)
         for c, s, b, lo, hi in self.pieces:
             i, j = np.searchsorted(x, (lo, hi), side="right")
-            total[i:j] += c * norm_pdf(s * x[i:j] + b)
+            if i < j:
+                total[i:j] += c * norm_pdf(s * x[i:j] + b)
         return total
 
     def _batch_density(self, x: np.ndarray):
@@ -440,16 +422,13 @@ def _cut_points(point: ModelPoint, tuning: TuningPlan):
 
 
 def _zero_mass(loc: float, se: float) -> float:
-    """Phi(loc + se) - Phi(loc - se): the mass of the event estimate == 0; loc may be an array.
+    """Phi(loc + se) - Phi(loc - se): the mass of the event estimate == 0.
 
-    A float loc makes one call on both ends.  An array loc makes one call
-    per end, since stacking the ends would double every temporary of the
-    call (160 KB each for a batch of 10^4 laws).
+    loc may be a float or an array; either way this is one normal-cdf call
+    per end.  On a float that beats stacking both ends into one call, and on
+    an array it keeps every temporary of the call at the size of loc.
     """
-    if np.ndim(loc):
-        return norm_cdf(loc + se) - norm_cdf(loc - se)
-    upper, lower = norm_cdf(np.array([loc + se, loc - se])).tolist()
-    return upper - lower
+    return norm_cdf(loc + se) - norm_cdf(loc - se)
 
 
 def atom_weight(point: ModelPoint, tuning: TuningPlan) -> float:

@@ -28,7 +28,7 @@ from .estimators import EstimatorKind, TuningPlan, estimate
 from .finite_dist import ModelPoint, _mixture, _zero_mass, finite_sample_dist
 from .limits import _limit_law
 from .montecarlo import _uniform_open
-from .normal_kernel import _check_n, gaussian_tv
+from .normal_kernel import _check_count, gaussian_tv
 from .report import ExperimentReport
 from .selection import RegimeSpec
 
@@ -58,7 +58,7 @@ class TwoPointProblem:
     kind: EstimatorKind
 
     def __post_init__(self):
-        _check_n(self.n)
+        _check_count(self.n)
         if not (np.isfinite(self.t) and np.isfinite(self.delta) and self.delta > 0.0):
             raise ValueError("t must be finite and delta positive")
 
@@ -95,8 +95,7 @@ def minimax_lower_bound(problem: TwoPointProblem, epsilon: Optional[float] = Non
     The returned bound is the best value along the sweep delta/4**k,
     k < sweep_steps, over deltas whose gap still exceeds 2*epsilon (0 if none).
     """
-    if isinstance(sweep_steps, bool) or int(sweep_steps) != sweep_steps or sweep_steps < 1:
-        raise ValueError(f"sweep_steps must be a positive integer (got {sweep_steps!r})")
+    _check_count(sweep_steps, "sweep_steps")
     se = math.sqrt(problem.n) * problem.tuning.eta
     eps_range = 0.5 * _zero_mass(problem.t, se)
     eps = 0.9 * eps_range if epsilon is None else float(epsilon)
@@ -225,8 +224,7 @@ def estimator_worst_case(
     """
     if not c > abs(t):
         raise ValueError("the neighborhood radius must satisfy c > |t|")
-    if isinstance(replications, bool) or replications < 1:
-        raise ValueError(f"replications must be >= 1 (got {replications!r})")
+    _check_count(replications, "replications")
     problem = TwoPointProblem(n=n, t=t, delta=0.5 * (c - abs(t)), tuning=tuning, kind=kind)
     eps_range, bound = minimax_lower_bound(problem)
     eps = 0.9 * eps_range

@@ -16,7 +16,7 @@ from scipy.special import ndtri
 
 from .estimators import EstimatorKind, TuningPlan, estimate
 from .finite_dist import MixtureDistribution, ModelPoint, finite_sample_dist
-from .normal_kernel import _scalar_or_array, norm_cdf
+from .normal_kernel import _check_count, _scalar_or_array, norm_cdf
 from .report import ExperimentReport
 
 __all__ = [
@@ -41,8 +41,7 @@ class SimConfig:
     tuning: TuningPlan
 
     def __post_init__(self):
-        if isinstance(self.replications, bool) or self.replications < 1:
-            raise ValueError("replications must be >= 1")
+        _check_count(self.replications, "replications")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
@@ -183,7 +182,7 @@ def uniform_rate_experiment(
     n_list = list(n_list)
     if not n_list:
         raise ValueError("n_list must not be empty")
-    if M <= 2.0:
+    if not M > 2.0:
         raise ValueError("the exceedance bound requires M > 2")
     if scaling not in ("a_n", "sqrt_n"):
         raise ValueError(f"unknown scaling {scaling!r}; expected 'a_n' or 'sqrt_n'")

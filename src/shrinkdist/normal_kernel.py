@@ -29,10 +29,18 @@ def _scalar_or_array(x: np.ndarray, out):
     return out
 
 
-def _check_n(n) -> None:
-    """A sample size is a positive integer; a bool or a fractional float is not."""
-    if isinstance(n, bool) or int(n) != n or n < 1:
-        raise ValueError(f"n must be a positive integer (got {n})")
+def _check_count(value, name: str = "n") -> None:
+    """A count (a sample size, say) is a positive integer.
+
+    A bool, a fraction, an infinity, NaN or a string is not; each raises
+    ValueError naming the count.
+    """
+    try:
+        whole = not isinstance(value, bool) and int(value) == value
+    except (TypeError, ValueError, OverflowError):  # int() of a string, NaN or an infinity
+        whole = False
+    if not (whole and value >= 1):
+        raise ValueError(f"{name} must be a positive integer (got {value!r})")
 
 
 def norm_pdf(x):
@@ -64,6 +72,6 @@ def gaussian_tv(n: int, theta1, theta2):
     laws of the sufficient statistic: 2*Phi(sqrt(n)|t1 - t2|/2) - 1.
     theta1 and theta2 may be arrays, which broadcast; floats give a float.
     """
-    _check_n(n)
+    _check_count(n)
     half_sep = 0.5 * math.sqrt(n) * abs(theta1 - theta2)
     return 2.0 * norm_cdf(half_sep) - 1.0

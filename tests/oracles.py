@@ -6,7 +6,8 @@ densities are integrated by adaptive quadrature with explicit breakpoints
 hand, and the bootstrap is resampled.  The scalar references at the end
 check the batched sweeps: they share the law builders and redo each sweep
 one scalar law at a time; `ks_reference` likewise redoes the KS distance
-one scalar cdf evaluation at a time, and `reference_masses` and
+one point at a time through `point_values`, which redoes a law's cdf, its
+left limit and its density at each float, and `reference_masses` and
 `reference_second_moment` redo a law's build and second moment with one
 scalar normal-kernel call per piece end.  `reference_theta` writes out each
 theta-rule kind's sequence as its own formula, `reference_pretest_cdf` the
@@ -128,14 +129,13 @@ def ks_reference(emp, dist) -> float:
     """Atom-aware KS distance from `np.unique` and per-point scalar evaluations.
 
     The distinct values and their counts come from `np.unique`, the model
-    cdf and its left limit at each distinct value from a float `cdf` and
-    `cdf_left` call; the gaps are taken as `ks_distance` takes them.
+    cdf and its left limit at each distinct value from `point_values`; the
+    gaps are taken as `ks_distance` takes them.
     """
     uniq, counts = np.unique(emp.values, return_counts=True)
     cum = np.cumsum(counts) / emp.count
     emp_left = np.concatenate(([0.0], cum[:-1]))
-    model = np.array([dist.cdf(u) for u in uniq.tolist()])
-    model_left = np.array([dist.cdf_left(u) for u in uniq.tolist()])
+    model, model_left, _ = point_values(dist, uniq.tolist())
     return float(max(np.max(np.abs(model - cum)), np.max(np.abs(model_left - emp_left))))
 
 
@@ -145,6 +145,41 @@ def reference_masses(pieces):
     masses = tuple((c / s) * (norm_cdf(s * hi + b) - base)
                    for (c, s, b, _, hi), base in zip(pieces, phi_lower))
     return phi_lower, masses
+
+
+def point_values(dist, xs) -> tuple:
+    """(cdf, left limit of the cdf, ac density) of a single law at each float in xs.
+
+    One point at a time, by float comparisons: a piece adds its whole mass
+    at or past its upper end and its closed-form part mass strictly inside,
+    a finite atom at or below x adds its weight, and the left limit takes
+    back the finite atoms at x.  The density adds each piece holding x in
+    (lower, upper], and is 0 at +-inf.  The Phi bases and masses come from
+    `reference_masses`, not from the law, and every sum runs in the law's
+    order, so the law must match these values bit for bit.
+    """
+    phi_lower, masses = reference_masses(dist.pieces)
+    cdfs, lefts, densities = [], [], []
+    for x in xs:
+        cdf, density = 0.0, 0.0
+        for (c, s, b, lo, hi), base, mass in zip(dist.pieces, phi_lower, masses):
+            if x >= hi:
+                cdf += mass
+            elif x > lo:
+                cdf += (c / s) * (norm_cdf(s * x + b) - base)
+            if lo < x <= hi and x < math.inf:
+                density += c * norm_pdf(s * x + b)
+        for loc, w in dist.atoms:
+            if loc <= x and loc < math.inf:
+                cdf += w
+        left = cdf
+        for loc, w in dist.atoms:
+            if loc == x and abs(loc) < math.inf:
+                left -= w
+        cdfs.append(cdf)
+        lefts.append(left)
+        densities.append(density)
+    return np.array(cdfs, dtype=float), np.array(lefts, dtype=float), np.array(densities, dtype=float)
 
 
 def _zphi(t: float) -> float:

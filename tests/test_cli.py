@@ -208,6 +208,58 @@ def test_rerun_rejects_wrong_type_config_value(tmp_path, capsys):
     assert "PASS" not in captured.out
 
 
+@pytest.mark.parametrize("name, text, named", [
+    ("impossibility", "estimator=oracle\nn=inf\n", "n must be a positive integer (got inf)"),
+    ("uniform-rate", "n_list=100,inf\n", "each n_list item must be a positive integer (got inf)"),
+    ("impossibility", '{"estimator": "oracle", "n": 1e400}', "n must be a positive integer (got inf)"),
+    ("impossibility", "estimator=oracle\nn=100.7\n", "n must be a positive integer (got 100.7)"),
+    ("impossibility", "estimator=oracle\nn=100\nreps=50.9\n", "reps (replications) must be a positive integer"),
+    ("limits", "n_probe=1000.5\n", "each n_probe item must be a positive integer (got 1000.5)"),
+    ("selection", "n_list=100,nan\n", "each n_list item must be a positive integer (got nan)"),
+], ids=["n-inf", "n_list-inf", "json-n-overflows", "n-fraction", "reps-fraction", "n_probe-fraction", "n_list-nan"])
+def test_experiment_count_that_is_not_a_positive_integer_exits_2(tmp_path, capsys, name, text, named):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "x"
+    assert main(["experiment", name, "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert "PASS" not in captured.out and not (out / "manifest.json").exists()
+
+
+def test_rerun_rejects_fractional_count(tmp_path, capsys):
+    cfg = tmp_path / "sel.cfg"
+    cfg.write_text("n_list=100,1000\nrule=fixed\ntheta=0.5\n")
+    out = tmp_path / "sel"
+    assert main(["experiment", "selection", "--config", str(cfg), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["params"]["config"]["n_list"] = [100, 1000.5]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["rerun", str(out / "manifest.json"), "--out", str(tmp_path / "replay")]) == 2
+    assert "each n_list item must be a positive integer (got 1000.5)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["figure", "1"], ["dist", "--kind", "hard", "--n", "25", "--theta", "-0.3", "--eta", "0.08"]],
+                         ids=["figure", "dist"])
+def test_rerun_rejects_fractional_n(tmp_path, capsys, argv):
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["params"]["n"] += 0.9
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["rerun", str(out / "manifest.json"), "--out", str(tmp_path / "replay")]) == 2
+    assert "n must be a positive integer" in capsys.readouterr().err
+
+
+def test_experiment_uniform_rate_rejects_nan_m(tmp_path, capsys):
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text("M=nan\n")
+    assert main(["experiment", "uniform-rate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert "the exceedance bound requires M > 2" in capsys.readouterr().err
+
+
 def test_experiment_limits_rejects_scad_a_at_one(tmp_path, capsys):
     cfg = tmp_path / "lim.cfg"
     cfg.write_text("a=1\n")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import mpmath_second_moment, quadrature_cdf, reference_masses, reference_second_moment
+from oracles import mpmath_second_moment, point_values, quadrature_cdf, reference_masses, reference_second_moment
 from scipy.integrate import quad
 
 from shrinkdist import finite_dist
@@ -259,7 +259,7 @@ def test_scad_second_moment_near_a_two_against_mpmath(n, theta, eta, excess):
 
 
 def _assert_arrays_match_points(dist):
-    """cdf, cdf_left and density_ac at an array equal their float results, bit for bit.
+    """cdf, cdf_left and density_ac at floats and at an array equal `point_values`, bit for bit.
 
     The grids: a fixed grid through +-inf, every breakpoint and both its
     neighbouring floats, the same grid shuffled, an empty array, a grid
@@ -277,11 +277,13 @@ def _assert_arrays_match_points(dist):
         "inside-one-piece": np.linspace(start, stop, 9)[1:-1],
         "past-every-end": max(cuts.tolist(), default=0.0) + np.array([0.5, 1.0, 10.0, 1e3]),
     }
-    for method in (dist.cdf, dist.cdf_left, dist.density_ac):
-        for name, xs in grids.items():
-            scalar = [method(x) for x in xs.tolist()]
-            assert all(type(v) is float for v in scalar)
-            np.testing.assert_array_equal(method(xs), np.array(scalar), err_msg=f"{method.__name__} on {name}")
+    for name, xs in grids.items():
+        for method, expected in zip((dist.cdf, dist.cdf_left, dist.density_ac), point_values(dist, xs.tolist())):
+            for form in (float, np.array):  # a float x and a 0-d array x
+                points = [method(form(x)) for x in xs.tolist()]
+                assert all(type(v) is float for v in points)
+                assert np.array(points).tobytes() == expected.tobytes(), f"{method.__name__} at points of {name}"
+            assert method(xs).tobytes() == expected.tobytes(), f"{method.__name__} on {name}"
 
 
 @pytest.mark.parametrize("builder", [finite_sample_dist, rescaled_dist])
@@ -449,7 +451,7 @@ def test_scalar_law_calls_the_normal_kernel_once_per_job(monkeypatch, n):
     assert calls["norm_cdf"] == 0 and calls["norm_pdf"] == 1 + any(short)
     calls.update(norm_cdf=0, norm_pdf=0)
     atom_weight(ModelPoint(n, -0.3), TuningPlan(0.08))
-    assert calls == {"norm_cdf": 1, "norm_pdf": 0}
+    assert calls == {"norm_cdf": 2, "norm_pdf": 0}  # one call per end
 
 
 def test_batch_validation_rejects_any_bad_law():

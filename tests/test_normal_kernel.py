@@ -5,7 +5,8 @@ import pytest
 
 from shrinkdist.estimators import EstimatorKind, TuningPlan, penalized_objective
 from shrinkdist.finite_dist import ModelPoint
-from shrinkdist.impossibility import TwoPointProblem
+from shrinkdist.impossibility import OracleCheat, TwoPointProblem, estimator_worst_case, minimax_lower_bound
+from shrinkdist.montecarlo import SimConfig
 from shrinkdist.normal_kernel import gaussian_tv, norm_cdf, norm_pdf
 
 # frozen against a 40-digit mpmath evaluation
@@ -109,17 +110,24 @@ def test_gaussian_tv_rejects_bad_n():
         gaussian_tv(0, 0.0, 1.0)
 
 
+# each site that takes a count: (the name its error gives, a call passing the count)
 SAMPLE_SIZE_SITES = {
-    "ModelPoint": lambda n: ModelPoint(n, 0.0),
-    "TwoPointProblem": lambda n: TwoPointProblem(n, 0.0, 0.1, TuningPlan(0.5), EstimatorKind.HARD),
-    "gaussian_tv": lambda n: gaussian_tv(n, 0.0, 1.0),
-    "penalized_objective": lambda n: penalized_objective(EstimatorKind.HARD, 0.0, 0.0, n, TuningPlan(0.5)),
+    "ModelPoint": ("n", lambda n: ModelPoint(n, 0.0)),
+    "TwoPointProblem": ("n", lambda n: TwoPointProblem(n, 0.0, 0.1, TuningPlan(0.5), EstimatorKind.HARD)),
+    "gaussian_tv": ("n", lambda n: gaussian_tv(n, 0.0, 1.0)),
+    "penalized_objective": ("n", lambda n: penalized_objective(EstimatorKind.HARD, 0.0, 0.0, n, TuningPlan(0.5))),
+    "SimConfig": ("replications", lambda r: SimConfig(1, r, ModelPoint(40, 0.1), TuningPlan(0.05))),
+    "estimator_worst_case": ("replications", lambda r: estimator_worst_case(
+        OracleCheat(), EstimatorKind.HARD, 100, 0.0, TuningPlan(0.5), 2.0, seed=1, replications=r)),
+    "minimax_lower_bound": ("sweep_steps", lambda k: minimax_lower_bound(
+        TwoPointProblem(100, 0.0, 0.1, TuningPlan(0.5), EstimatorKind.HARD), sweep_steps=k)),
 }
 
 
-@pytest.mark.parametrize("n", [True, 2.5, 0, -3])
+@pytest.mark.parametrize("n", [True, 2.5, 0, -3, math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("site", SAMPLE_SIZE_SITES)
 def test_every_sample_size_is_a_positive_integer(site, n):
-    with pytest.raises(ValueError, match=rf"n must be a positive integer \(got {n}\)"):
-        SAMPLE_SIZE_SITES[site](n)
+    name, call = SAMPLE_SIZE_SITES[site]
+    with pytest.raises(ValueError, match=rf"^{name} must be a positive integer \(got {n!r}\)$"):
+        call(n)
 
