@@ -17,7 +17,14 @@ from .finite_dist import (
     rescaled_dist,
     scaled_risk,
 )
-from .limits import LimitLaw, canonical_scenarios, conservative_limit, consistent_limit, rescaled_limit, weak_convergence_check
+from .limits import (
+    canonical_scenarios,
+    conservative_limit,
+    consistent_limit,
+    convergence_mode,
+    rescaled_limit,
+    weak_convergence_check,
+)
 from .montecarlo import EmpiricalCdf, SimConfig, ks_distance, simulate_estimates, uniform_rate_experiment
 from .normal_kernel import gaussian_tv, norm_cdf, norm_pdf
 from .report import ExperimentReport

@@ -117,8 +117,8 @@ def _density_table(dist: MixtureDistribution, lo: float, hi: float, count: int) 
 
 
 def _point_and_tuning(params: dict) -> tuple:
-    _check_count(params["n"])  # a replayed manifest may hold any number here
-    return (ModelPoint(int(params["n"]), float(params["theta"])),
+    # a replayed manifest may hold any number as n; ModelPoint checks it and stores an int
+    return (ModelPoint(params["n"], float(params["theta"])),
             TuningPlan(float(params["eta"]), float(params["a"])))
 
 

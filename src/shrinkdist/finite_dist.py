@@ -13,7 +13,6 @@ test-oracle material only.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -66,7 +65,7 @@ class ModelPoint:
     theta: float
 
     def __post_init__(self):
-        _check_count(self.n)
+        object.__setattr__(self, "n", _check_count(self.n))
         theta = self.theta
         if isinstance(theta, (list, tuple, np.ndarray)) and np.ndim(theta) != 0:
             arr = np.asarray(theta)
@@ -401,13 +400,8 @@ class MixtureDistribution:
                        for p in self.pieces],
         }
 
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
     @classmethod
     def from_json(cls, obj) -> "MixtureDistribution":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
         return cls(
             atoms=[Atom(a["loc"], a["weight"]) for a in obj["atoms"]],
             pieces=[GaussPiece(*(p[k] for k in GaussPiece._fields)) for p in obj["pieces"]],

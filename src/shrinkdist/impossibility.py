@@ -58,7 +58,7 @@ class TwoPointProblem:
     kind: EstimatorKind
 
     def __post_init__(self):
-        _check_count(self.n)
+        object.__setattr__(self, "n", _check_count(self.n))
         if not (np.isfinite(self.t) and np.isfinite(self.delta) and self.delta > 0.0):
             raise ValueError("t must be finite and delta positive")
 
@@ -90,9 +90,10 @@ def estimand_gap(problem: TwoPointProblem, delta=None):
 def minimax_lower_bound(problem: TwoPointProblem, epsilon: Optional[float] = None, sweep_steps: int = 14):
     """(epsilon_range, bound): error margins that defeat every estimator.
 
-    epsilon_range is half the limiting estimand gap; for any target margin
-    below it, shrinking delta drives the two-point bound (1 - TV)/2 to 1/2.
-    The returned bound is the best value along the sweep delta/4**k,
+    epsilon_range is half the limiting estimand gap.  For every epsilon below
+    it the exact two-point bound is 1/2: (1 - TV)/2 = Phi(-delta) tends to 1/2
+    as delta -> 0 and never attains it.  The returned bound is a lower
+    estimate of that 1/2: the best value along the sweep delta/4**k,
     k < sweep_steps, over deltas whose gap still exceeds 2*epsilon (0 if none).
     """
     _check_count(sweep_steps, "sweep_steps")
@@ -224,7 +225,7 @@ def estimator_worst_case(
     """
     if not c > abs(t):
         raise ValueError("the neighborhood radius must satisfy c > |t|")
-    _check_count(replications, "replications")
+    replications = _check_count(replications, "replications")
     problem = TwoPointProblem(n=n, t=t, delta=0.5 * (c - abs(t)), tuning=tuning, kind=kind)
     eps_range, bound = minimax_lower_bound(problem)
     eps = 0.9 * eps_range

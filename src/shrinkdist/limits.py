@@ -1,7 +1,8 @@
 """Limit distributions of the thresholding estimators under moving parameters.
 
-Three families of limits, all emitted as `LimitLaw` values wrapping a
-`MixtureDistribution` whose atoms may sit at +-math.inf:
+Three families of limits, each a `MixtureDistribution` whose atoms may sit
+at +-math.inf; `convergence_mode` reads off the atoms how the finite-sample
+laws reach it:
 
 * conservative tuning (finite e): the finite-sample law itself with
   sqrt(n)*eta -> e and sqrt(n)*theta -> nu, built by the finite-sample
@@ -28,7 +29,7 @@ from .report import ExperimentReport
 from .selection import PowerTuningPath, RegimeError, RegimeSpec, ThetaRule, derive_regime
 
 __all__ = [
-    "LimitLaw",
+    "convergence_mode",
     "conservative_limit",
     "consistent_limit",
     "rescaled_limit",
@@ -44,45 +45,28 @@ _GRID_POINTS = 57  # uniform points of a scenario's probe grid, before extra poi
 _GRID_SPAN = {"sqrt_n": 8.0, "inv_eta": 3.0}  # half-width of that grid; every 1/eta limit lies in [-1, 1]
 
 
-@dataclass(frozen=True)
-class LimitLaw:
-    dist: MixtureDistribution
-    mode: str
+def convergence_mode(law: MixtureDistribution) -> str:
+    """How the finite-sample laws reach the limit `law`, read off its atoms.
 
-    def __post_init__(self):
-        if self.mode not in (WEAK, TOTAL_VARIATION, MASS_ESCAPE):
-            raise ValueError(f"unknown convergence mode {self.mode!r}")
-        escaped = any(math.isinf(a.loc) and a.weight > 0.0 for a in self.dist.atoms)
-        if escaped and self.mode != MASS_ESCAPE:
-            raise ValueError("positive mass at an infinity requires mass-escape mode")
-
-    def cdf(self, x):
-        return self.dist.cdf(x)
-
-    def to_json(self) -> dict:
-        out = self.dist.to_json()
-        out["mode"] = self.mode
-        return out
-
-    @classmethod
-    def from_json(cls, obj) -> "LimitLaw":
-        mode = obj["mode"]
-        dist = MixtureDistribution.from_json({"atoms": obj["atoms"], "pieces": obj["pieces"]})
-        return cls(dist, mode)
+    Mass escapes if an atom sits at an infinity, whatever its weight.  A law
+    without atoms is reached in total variation, and a finite atom only
+    weakly: the finite-sample atom moves toward it.
+    """
+    if any(math.isinf(a.loc) for a in law.atoms):
+        return MASS_ESCAPE
+    return WEAK if law.atoms else TOTAL_VARIATION
 
 
-def _normal(mu: float = 0.0) -> LimitLaw:
-    """N(mu, 1) in total variation; 0.0 - mu keeps the shift of N(0, 1) at +0.0."""
-    return LimitLaw(MixtureDistribution(atoms=(), pieces=(GaussPiece(1.0, 1.0, 0.0 - mu, -math.inf, math.inf),)),
-                    TOTAL_VARIATION)
+def _normal(mu: float = 0.0) -> MixtureDistribution:
+    """N(mu, 1); 0.0 - mu keeps the shift of N(0, 1) at +0.0."""
+    return MixtureDistribution(atoms=(), pieces=(GaussPiece(1.0, 1.0, 0.0 - mu, -math.inf, math.inf),))
 
 
-def _pointmass(loc: float) -> LimitLaw:
-    dist = MixtureDistribution(atoms=(Atom(loc, 1.0),), pieces=())
-    return LimitLaw(dist, WEAK if math.isfinite(loc) else MASS_ESCAPE)
+def _pointmass(loc: float) -> MixtureDistribution:
+    return MixtureDistribution(atoms=(Atom(loc, 1.0),), pieces=())
 
 
-def conservative_limit(kind: EstimatorKind, nu, e: float, scad_a: float = DEFAULT_SCAD_A) -> LimitLaw:
+def conservative_limit(kind: EstimatorKind, nu, e: float, scad_a: float = DEFAULT_SCAD_A) -> MixtureDistribution:
     """Limit of the sqrt(n) law when sqrt(n)*eta_n -> e < inf and sqrt(n)*theta_n -> nu."""
     _check_scad_a(scad_a)
     nu = float(nu)
@@ -93,17 +77,16 @@ def conservative_limit(kind: EstimatorKind, nu, e: float, scad_a: float = DEFAUL
         raise ValueError("conservative limits require finite e >= 0")
     if math.isinf(nu) or e == 0.0:
         return _normal(-math.copysign(e, nu) if kind is EstimatorKind.SOFT and e > 0.0 else 0.0)
-    return LimitLaw(_mixture(kind, -nu, e, scad_a), WEAK)
+    return _mixture(kind, -nu, e, scad_a)
 
 
-def _hard_boundary_law(zeta_positive: bool, r: float) -> LimitLaw:
+def _hard_boundary_law(zeta_positive: bool, r: float) -> MixtureDistribution:
     """Weight cdf(r) escaping to -sign(zeta)*inf plus the normal density past the cut at sign(zeta)*r."""
     escape, lower, upper = (-math.inf, r, math.inf) if zeta_positive else (math.inf, -math.inf, -r)
-    dist = MixtureDistribution(atoms=(Atom(escape, norm_cdf(r)),), pieces=(GaussPiece(1.0, 1.0, 0.0, lower, upper),))
-    return LimitLaw(dist, MASS_ESCAPE)
+    return MixtureDistribution(atoms=(Atom(escape, norm_cdf(r)),), pieces=(GaussPiece(1.0, 1.0, 0.0, lower, upper),))
 
 
-def _scad_boundary_law(zeta_positive: bool, rf: float, a: float) -> LimitLaw:
+def _scad_boundary_law(zeta_positive: bool, rf: float, a: float) -> MixtureDistribution:
     """Blend-plus-tail law at |zeta| = a; total mass one, no atom."""
     ratio = (a - 2.0) / (a - 1.0)
     if zeta_positive:
@@ -116,10 +99,10 @@ def _scad_boundary_law(zeta_positive: bool, rf: float, a: float) -> LimitLaw:
             GaussPiece(1.0, 1.0, 0.0, -math.inf, -rf),
             GaussPiece(ratio, ratio, -rf / (a - 1.0), -rf, math.inf),
         )
-    return LimitLaw(MixtureDistribution(atoms=(), pieces=pieces), TOTAL_VARIATION)
+    return MixtureDistribution(atoms=(), pieces=pieces)
 
 
-def consistent_limit(kind: EstimatorKind, regime: RegimeSpec, scad_a: float = DEFAULT_SCAD_A) -> LimitLaw:
+def consistent_limit(kind: EstimatorKind, regime: RegimeSpec, scad_a: float = DEFAULT_SCAD_A) -> MixtureDistribution:
     """Limit of the sqrt(n) law when sqrt(n)*eta_n -> inf.
 
     Below the selection boundary all mass collapses onto (or escapes with)
@@ -147,7 +130,7 @@ def consistent_limit(kind: EstimatorKind, regime: RegimeSpec, scad_a: float = DE
     return _scad_boundary_law(zeta > 0, r, scad_a)
 
 
-def rescaled_limit(kind: EstimatorKind, regime: RegimeSpec, scad_a: float = DEFAULT_SCAD_A) -> LimitLaw:
+def rescaled_limit(kind: EstimatorKind, regime: RegimeSpec, scad_a: float = DEFAULT_SCAD_A) -> MixtureDistribution:
     """Limit of the 1/eta law: at most two atoms, all inside [-1, 1]."""
     _check_scad_a(scad_a)
     if not regime.consistent:
@@ -164,8 +147,7 @@ def rescaled_limit(kind: EstimatorKind, regime: RegimeSpec, scad_a: float = DEFA
         if az > 1.0:
             return _pointmass(0.0)
         w = norm_cdf(regime.require_r())
-        dist = MixtureDistribution(atoms=(Atom(-zf, w), Atom(0.0, 1.0 - w)), pieces=())
-        return LimitLaw(dist, WEAK)
+        return MixtureDistribution(atoms=(Atom(-zf, w), Atom(0.0, 1.0 - w)), pieces=())
     if kind is EstimatorKind.SCAD:
         a = float(scad_a)
         if az <= 2.0:
@@ -176,7 +158,7 @@ def rescaled_limit(kind: EstimatorKind, regime: RegimeSpec, scad_a: float = DEFA
     raise ValueError(f"unknown estimator kind {kind!r}")
 
 
-def _limit_law(kind: EstimatorKind, regime: RegimeSpec, scad_a: float, scaling: str = "sqrt_n") -> LimitLaw:
+def _limit_law(kind: EstimatorKind, regime: RegimeSpec, scad_a: float, scaling: str = "sqrt_n") -> MixtureDistribution:
     """The limit law that the regime and the scaling name."""
     if scaling == "inv_eta":
         return rescaled_limit(kind, regime, scad_a)
@@ -185,7 +167,7 @@ def _limit_law(kind: EstimatorKind, regime: RegimeSpec, scad_a: float, scaling: 
     return conservative_limit(kind, regime.require_nu(), regime.e, scad_a)
 
 
-def weak_convergence_check(finite_law_seq, limit: LimitLaw, grid, n_probe) -> ExperimentReport:
+def weak_convergence_check(finite_law_seq, limit: MixtureDistribution, grid, n_probe) -> ExperimentReport:
     """Sup over the grid of |F_n - F_limit| for each probed n.
 
     The grid must keep a distance of at least 1e-6 from every finite atom of
@@ -197,7 +179,7 @@ def weak_convergence_check(finite_law_seq, limit: LimitLaw, grid, n_probe) -> Ex
     if not n_probe:
         raise ValueError("n_probe must not be empty")
     grid = np.asarray(grid, dtype=float)
-    for a in limit.dist.atoms:
+    for a in limit.atoms:
         if math.isfinite(a.loc) and np.min(np.abs(grid - a.loc)) < 1e-6:
             raise ValueError(f"grid point collides with limit atom at {a.loc}")
     limit_vals = limit.cdf(grid)
@@ -229,7 +211,7 @@ class ConvergenceScenario:
     def regime(self) -> RegimeSpec:
         return derive_regime(self.path, self.rule)
 
-    def limit(self) -> LimitLaw:
+    def limit(self) -> MixtureDistribution:
         return _limit_law(self.kind, self.regime(), self.scad_a, self.scaling)
 
     def finite_law(self, n: int) -> MixtureDistribution:
@@ -242,7 +224,7 @@ class ConvergenceScenario:
         pts = np.linspace(-span, span, _GRID_POINTS)
         if self.extra_grid:
             pts = np.unique(np.concatenate([pts, np.asarray(self.extra_grid, dtype=float)]))
-        for a in self.limit().dist.atoms:
+        for a in self.limit().atoms:
             if math.isfinite(a.loc):
                 pts = pts[np.abs(pts - a.loc) >= self.grid_margin]
         return pts

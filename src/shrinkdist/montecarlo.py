@@ -41,7 +41,7 @@ class SimConfig:
     tuning: TuningPlan
 
     def __post_init__(self):
-        _check_count(self.replications, "replications")
+        object.__setattr__(self, "replications", _check_count(self.replications, "replications"))
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
@@ -83,14 +83,6 @@ class EmpiricalCdf:
         lo = np.searchsorted(self.values, x, side="left")
         hi = np.searchsorted(self.values, x, side="right")
         return (hi - lo) / self.count
-
-    def quantiles(self, probs=None) -> ExperimentReport:
-        probs = np.arange(0.01, 1.0, 0.01) if probs is None else np.asarray(probs)
-        report = ExperimentReport(columns=("prob", "quantile"))
-        qs = np.quantile(self.values, probs, method="inverted_cdf")
-        for p, q in zip(probs, qs):
-            report.append(float(p), float(q))
-        return report
 
 
 def _uniform_open(gen: np.random.Generator, size) -> np.ndarray:

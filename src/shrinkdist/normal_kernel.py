@@ -29,11 +29,12 @@ def _scalar_or_array(x: np.ndarray, out):
     return out
 
 
-def _check_count(value, name: str = "n") -> None:
-    """A count (a sample size, say) is a positive integer.
+def _check_count(value, name: str = "n") -> int:
+    """A count (a sample size, say) is a positive integer, returned as an int.
 
-    A bool, a fraction, an infinity, NaN or a string is not; each raises
-    ValueError naming the count.
+    A whole float such as 200.0 passes and comes back as 200.  A bool, a
+    fraction, an infinity, NaN or a string does not; each raises ValueError
+    naming the count.
     """
     try:
         whole = not isinstance(value, bool) and int(value) == value
@@ -41,6 +42,7 @@ def _check_count(value, name: str = "n") -> None:
         whole = False
     if not (whole and value >= 1):
         raise ValueError(f"{name} must be a positive integer (got {value!r})")
+    return int(value)
 
 
 def norm_pdf(x):

@@ -2,10 +2,10 @@
 
 These never call the closed-form cdf path they are used to check: piece
 densities are integrated by adaptive quadrature with explicit breakpoints
-(in double precision, or in mpmath at 50 digits), atom masses are added by
-hand, and the bootstrap is resampled.  The scalar references at the end
-check the batched sweeps: they share the law builders and redo each sweep
-one scalar law at a time; `ks_reference` likewise redoes the KS distance
+in double precision, or in closed form in mpmath at 50 digits, atom masses
+are added by hand, and the bootstrap is resampled.  The scalar references
+at the end check the batched sweeps: they share the law builders and redo
+each sweep one scalar law at a time; `ks_reference` likewise redoes the KS distance
 one point at a time through `point_values`, which redoes a law's cdf, its
 left limit and its density at each float, and `reference_masses` and
 `reference_second_moment` redo a law's build and second moment with one
@@ -81,22 +81,33 @@ def resampled_bootstrap_cdf(kind, ybar, m: int, t: float, tuning, tuning_m, n_bo
 
 
 def mpmath_second_moment(dist):
-    """Second moment of a single law by mpmath quadrature at 50 digits.
+    """Second moment of a single law in closed form, to 50 digits in mpmath.
 
     Shares only the atom and piece records with the law: each atom adds
-    weight * loc**2 and each piece the integral of x**2 * c * pdf(alpha*x + beta)
-    over its interval, split at the mode of its Gaussian.
+    weight * loc**2, and a piece c * pdf(s*x + b) on (lo, hi] adds
+    c/s**3 * [(1 + b**2)*Phi(z) - z*pdf(z) + 2*b*pdf(z)] between its mapped
+    ends z = s*lo + b and z = s*hi + b, where z*pdf(z) -> 0 at an infinite
+    end.  A small slope s makes the two ends cancel, so the working
+    precision rises until two successive results agree to 50 digits.
     """
-    with mpmath.workdps(50):
-        inv_root = 1 / mpmath.sqrt(2 * mpmath.pi)
-        total = mpmath.fsum(mpmath.mpf(w) * mpmath.mpf(loc) ** 2 for loc, w in dist.atoms)
-        for c, s, b, lo, hi in dist.pieces:
-            c, s, b = mpmath.mpf(c), mpmath.mpf(s), mpmath.mpf(b)
-            ends = [mpmath.mpf(lo), mpmath.mpf(hi)]
-            if ends[0] < -b / s < ends[1]:
-                ends.insert(1, -b / s)
-            total += mpmath.quad(lambda x: c * x**2 * inv_root * mpmath.exp(-(s * x + b) ** 2 / 2), ends)
-        return total
+    previous = None
+    for dps in range(60, 1000, 30):
+        with mpmath.workdps(dps):
+            total = mpmath.fsum(mpmath.mpf(w) * mpmath.mpf(loc) ** 2 for loc, w in dist.atoms)
+            for c, s, b, lo, hi in dist.pieces:
+                c, s, b = mpmath.mpf(c), mpmath.mpf(s), mpmath.mpf(b)
+                upper, lower = (_moment_primitive(s * mpmath.mpf(end) + b, b) for end in (hi, lo))
+                total += c / s**3 * (upper - lower)
+            if previous is not None and abs(total - previous) <= mpmath.mpf(10) ** -50 * abs(total):
+                return total
+            previous = total
+    raise ArithmeticError("the closed-form second moment did not settle to 50 digits")
+
+
+def _moment_primitive(z, b):
+    """A primitive of (z - b)**2 * pdf(z): (1 + b**2)*Phi(z) + (2*b - z)*pdf(z)."""
+    tail = 0 if mpmath.isinf(z) else (2 * b - z) * mpmath.npdf(z)
+    return (1 + b**2) * mpmath.ncdf(z) + tail
 
 
 def exceedance_probability(kind, n: int, theta: float, tuning, cut: float) -> float:

@@ -110,12 +110,12 @@ def test_criterion_04_mass_conservation_and_quadrature():
             bank.append(finite_sample_dist(kind, point, tuning))
             bank.append(rescaled_dist(kind, point, tuning))
     for kind in KINDS:
-        bank.append(conservative_limit(kind, 0.7, 1.5, 3.7).dist)
-        bank.append(conservative_limit(kind, math.inf, 1.5, 3.7).dist)
-    bank.append(consistent_limit(EstimatorKind.HARD, RegimeSpec(e=math.inf, zeta=1.0, r=0.3)).dist)
-    bank.append(consistent_limit(EstimatorKind.SCAD, RegimeSpec(e=math.inf, zeta=3.7, r=1.0), 3.7).dist)
-    bank.append(consistent_limit(EstimatorKind.SOFT, RegimeSpec(e=math.inf, zeta=0.0, nu=1.0)).dist)
-    bank.append(rescaled_limit(EstimatorKind.SCAD, RegimeSpec(e=math.inf, zeta=3.0), 3.7).dist)
+        bank.append(conservative_limit(kind, 0.7, 1.5, 3.7))
+        bank.append(conservative_limit(kind, math.inf, 1.5, 3.7))
+    bank.append(consistent_limit(EstimatorKind.HARD, RegimeSpec(e=math.inf, zeta=1.0, r=0.3)))
+    bank.append(consistent_limit(EstimatorKind.SCAD, RegimeSpec(e=math.inf, zeta=3.7, r=1.0), 3.7))
+    bank.append(consistent_limit(EstimatorKind.SOFT, RegimeSpec(e=math.inf, zeta=0.0, nu=1.0)))
+    bank.append(rescaled_limit(EstimatorKind.SCAD, RegimeSpec(e=math.inf, zeta=3.0), 3.7))
     worst_mass = max(abs(d.total_mass() - 1.0) for d in bank)
     assert worst_mass <= 1e-10
     # 100 quadrature spot checks across the first six finite-sample laws
@@ -203,7 +203,7 @@ def test_criterion_08_rescaled_scad_pointmass():
     mass = g.cdf(target + 0.01) - g.cdf_left(target - 0.01)
     assert mass >= 0.999
     limit = rescaled_limit(EstimatorKind.SCAD, RegimeSpec(e=math.inf, zeta=zeta), a)
-    assert float(limit.dist.atoms[0].loc) == pytest.approx(target, abs=1e-15)
+    assert float(limit.atoms[0].loc) == pytest.approx(target, abs=1e-15)
     assert target == pytest.approx(-0.41176, abs=5e-6)
     report(8, f"mass {mass:.6f} >= 0.999 within +-0.01 of {target:.5f} at n=1e8 (closed form)")
 

@@ -154,13 +154,6 @@ def test_empirical_cdf_evaluation_rejects_nan_x(x):
         emp.fraction_at(x)
 
 
-def test_quantile_report():
-    emp = EmpiricalCdf(np.sort(np.linspace(0, 1, 101)))
-    rep = emp.quantiles(np.array([0.25, 0.5]))
-    assert rep.columns == ("prob", "quantile")
-    assert rep.rows[1][1] == pytest.approx(0.5, abs=0.01)
-
-
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(seed=1, replications=0, point=ModelPoint(4, 0.0), tuning=TuningPlan(0.5))

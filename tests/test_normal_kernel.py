@@ -6,7 +6,7 @@ import pytest
 from shrinkdist.estimators import EstimatorKind, TuningPlan, penalized_objective
 from shrinkdist.finite_dist import ModelPoint
 from shrinkdist.impossibility import OracleCheat, TwoPointProblem, estimator_worst_case, minimax_lower_bound
-from shrinkdist.montecarlo import SimConfig
+from shrinkdist.montecarlo import SimConfig, simulate_estimates
 from shrinkdist.normal_kernel import gaussian_tv, norm_cdf, norm_pdf
 
 # frozen against a 40-digit mpmath evaluation
@@ -131,3 +131,17 @@ def test_every_sample_size_is_a_positive_integer(site, n):
     with pytest.raises(ValueError, match=rf"^{name} must be a positive integer \(got {n!r}\)$"):
         call(n)
 
+
+
+@pytest.mark.parametrize("site, field", [("ModelPoint", "n"), ("TwoPointProblem", "n"), ("SimConfig", "replications")])
+def test_a_whole_float_count_is_stored_as_an_int(site, field):
+    count = getattr(SAMPLE_SIZE_SITES[site][1](40.0), field)
+    assert type(count) is int and count == 40
+
+
+def test_a_whole_float_count_gives_the_int_count_result():
+    config = SAMPLE_SIZE_SITES["SimConfig"][1]
+    draws = simulate_estimates(EstimatorKind.HARD, config(200.0)).values
+    np.testing.assert_array_equal(draws, simulate_estimates(EstimatorKind.HARD, config(200)).values)
+    worst_case = SAMPLE_SIZE_SITES["estimator_worst_case"][1]
+    assert worst_case(200.0) == worst_case(200)
