@@ -14,7 +14,7 @@ test-oracle material only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -39,7 +39,7 @@ _BAD_WEIGHT = "atom weight must be finite and nonnegative"
 _BAD_COEFF = "coeff must be finite and nonnegative"
 _BAD_SLOPE = "slope must be finite and nonzero"
 _BAD_SHIFT = "shift must be finite"
-_BAD_INTERVAL = "piece interval requires lower < upper"
+_BAD_INTERVAL = "piece interval requires lower < upper (lower == upper is an empty piece)"
 _SHARED_LOC = "atom locations must be pairwise distinct"
 _NAN_X = "x must not be NaN"
 # 8-point Gauss-Legendre rule on [-1, 1], correctly rounded; literals rather than
@@ -117,31 +117,28 @@ class Atom(NamedTuple):
 
 
 def _batch_records(atoms, pieces) -> tuple:
-    """Atoms and pieces of a batch of laws, every field a float array of one shape.
+    """Atoms and pieces of a batch of laws, every field a float array that broadcasts to one shape.
 
-    Each field is copied once and broadcast to that shape as a view, so a
-    field shared by every law (a piece's slope, say) holds one value, not
-    one per law, and a build allocates no (fields x laws) block.  The checks
-    that `MixtureDistribution` runs on one law run here, each over all
-    records and laws; one bad law rejects the batch.
+    Each field is copied once in its own shape, so a field shared by every
+    law (a piece's slope, say) is one value, checked and built on once.  The
+    checks `MixtureDistribution` runs on one law run here over all records
+    and laws; one bad law rejects the batch.
     """
-    fields = np.broadcast_arrays(*(np.array(v, dtype=float) for r in (*atoms, *pieces) for v in r))
-    split = 2 * len(atoms)
-    atoms = tuple(Atom(*fields[i:i + 2]) for i in range(0, split, 2))
-    pieces = tuple(GaussPiece(*fields[i:i + 5]) for i in range(split, len(fields), 5))
-    ordered = np.sort([a.loc for a in atoms], axis=0)
+    atoms = tuple(Atom(*(np.array(v, dtype=float) for v in a)) for a in atoms)
+    pieces = tuple(GaussPiece(*(np.array(v, dtype=float) for v in p)) for p in pieces)
+    ordered = np.sort(np.broadcast_arrays(*(a.loc for a in atoms)), axis=0) if len(atoms) > 1 else ()
     for bad, message in (
         ((np.isnan(a.loc) for a in atoms), _BAD_LOC),
         ((~(np.isfinite(a.weight) & (a.weight >= 0.0)) for a in atoms), _BAD_WEIGHT),
         ((~(np.isfinite(p.coeff) & (p.coeff >= 0.0)) for p in pieces), _BAD_COEFF),
         ((~np.isfinite(p.slope) | (p.slope == 0.0) for p in pieces), _BAD_SLOPE),
         ((~np.isfinite(p.shift) for p in pieces), _BAD_SHIFT),
-        ((~(p.lower < p.upper) for p in pieces), _BAD_INTERVAL),
+        ((~(p.lower <= p.upper) for p in pieces), _BAD_INTERVAL),
         ((lo == hi for lo, hi in zip(ordered[:-1], ordered[1:])), _SHARED_LOC),
     ):
         if any(b.any() for b in bad):
             raise ValueError(message)
-    return atoms, pieces, fields[0].shape
+    return atoms, pieces, np.broadcast_shapes(*(v.shape for r in (*atoms, *pieces) for v in r))
 
 
 @dataclass(frozen=True)
@@ -153,8 +150,8 @@ class MixtureDistribution:
     counting atoms at +-inf, is always 1; the cdf restricted to the real
     line is sub-stochastic exactly when mass sits at an infinity.
 
-    Records whose fields are arrays make a batch of laws: every field is
-    broadcast to one shape, and `cdf`, `cdf_left` and `density_ac` at an
+    Records whose fields are arrays make a batch of laws: every field
+    broadcasts to one shape, and `cdf`, `cdf_left` and `density_ac` at an
     array x of that shape evaluate law i at x[i], elementwise; a 0-d x
     evaluates every law at x, and any other shape raises ValueError.
     `total_mass` and `rescaled` also take batches; `second_moment`,
@@ -163,13 +160,16 @@ class MixtureDistribution:
     Building a single law makes one normal-cdf call over both mapped ends of
     every piece and keeps each piece's Phi values and mass for every later
     evaluation; `second_moment` reuses those Phi values and makes one
-    normal-pdf call (plus one over the nodes of its short pieces).
+    normal-pdf call (plus one over the nodes of its short pieces).  A batch
+    evaluates each law's point only in the piece that holds it, and its build
+    skips the kernel at an end infinite for every law or given in `known_phi`.
     """
 
     atoms: tuple
     pieces: tuple
+    known_phi: InitVar[dict] = None  # Phi already computed at some piece ends, by index 2*piece (+1 if upper)
 
-    def __post_init__(self):
+    def __post_init__(self, known_phi):
         try:
             atoms = tuple(Atom(*map(float, a)) for a in self.atoms)
             pieces = tuple(GaussPiece(*map(float, p)) for p in self.pieces)
@@ -189,16 +189,17 @@ class MixtureDistribution:
                     raise ValueError(_BAD_SLOPE)
                 if not math.isfinite(shift):
                     raise ValueError(_BAD_SHIFT)
-                if not lower < upper:
+                if not lower <= upper:
                     raise ValueError(_BAD_INTERVAL)
             if len({a.loc for a in atoms}) != len(atoms):
                 raise ValueError(_SHARED_LOC)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "pieces", pieces)
-        # a batch calls the kernel once per end, on B values at a time: stacking
-        # all ends into one (2 * pieces, B) array raised peak memory on large B
+        # a batch calls the kernel once per end on B values (one stacked call raised peak memory)
         ends = (s * end + b for _, s, b, lo, hi in pieces for end in (lo, hi))
-        phi = norm_cdf(np.fromiter(ends, float)).tolist() if shape is None else list(map(norm_cdf, ends))
+        known = known_phi or {}
+        phi = (norm_cdf(np.fromiter(ends, float)).tolist() if shape is None else [known[i] if i in known else
+               (z > 0.0) * 1.0 if np.isinf(z).all() else norm_cdf(z) for i, z in enumerate(ends)])
         object.__setattr__(self, "_shape", shape)
         object.__setattr__(self, "_phi_lower", tuple(phi[0::2]))
         object.__setattr__(self, "_phi_upper", tuple(phi[1::2]))
@@ -215,7 +216,7 @@ class MixtureDistribution:
             return NotImplemented
         counts = (self._shape, len(self.atoms), len(self.pieces))
         return counts == (other._shape, len(other.atoms), len(other.pieces)) and all(
-            np.array_equal(u, v) for r, q in zip((*self.atoms, *self.pieces), (*other.atoms, *other.pieces))
+            np.all(u == v) for r, q in zip((*self.atoms, *self.pieces), (*other.atoms, *other.pieces))
             for u, v in zip(r, q))
 
     def __hash__(self):
@@ -224,7 +225,8 @@ class MixtureDistribution:
         return hash((self.atoms, self.pieces))
 
     def total_mass(self) -> float:
-        return sum(a.weight for a in self.atoms) + sum(self._masses)
+        total = sum(a.weight for a in self.atoms) + sum(self._masses)
+        return total if self._shape is None else np.broadcast_to(total, self._shape).copy()
 
     def cdf(self, x):
         """Right-continuous cdf on the real line; NaN x raises ValueError.
@@ -313,10 +315,14 @@ class MixtureDistribution:
         return total
 
     def _batch_cdf(self, x: np.ndarray):
+        # in piece order, a piece adds its mass past hi, its partial term inside, or 0; the partial
+        # term at hi is the stored mass bit for bit, so the bits are those of evaluating every piece
         total = np.zeros_like(x)
-        for (c, s, b, lo, hi), base in zip(self.pieces, self._phi_lower):
-            contrib = (c / s) * (norm_cdf(s * np.minimum(x, hi) + b) - base)
-            total = total + np.where(x > lo, contrib, 0.0)
+        for (c, s, b, lo, hi), base, mass in zip(self.pieces, self._phi_lower, self._masses):
+            inside = (x > lo) & (x <= hi)
+            total += np.where(x > hi, mass, 0.0)
+            c, s, b, base = (np.broadcast_to(v, x.shape)[inside] if np.ndim(v) else v for v in (c, s, b, base))
+            total[inside] += (c / s) * (norm_cdf(s * x[inside] + b) - base)
         for loc, w in self.atoms:
             total = total + w * (loc < math.inf) * (x >= loc)
         return total
@@ -333,7 +339,8 @@ class MixtureDistribution:
         total = np.zeros_like(x)
         for c, s, b, lo, hi in self.pieces:
             inside = (x > lo) & (x <= hi)
-            total = total + np.where(inside, c * norm_pdf(s * x + b), 0.0)
+            c, s, b = (np.broadcast_to(v, x.shape)[inside] if np.ndim(v) else v for v in (c, s, b))
+            total[inside] += c * norm_pdf(s * x[inside] + b)
         return total
 
     def second_moment(self) -> float:
@@ -444,7 +451,8 @@ def _mixture(kind: EstimatorKind, loc, se: float, a: float) -> MixtureDistributi
       (loc + se, loc + a*se]   blend,
       (loc + a*se, inf)        normal tail.
     """
-    atom = Atom(loc, _zero_mass(loc, se))
+    phi = norm_cdf(loc - se), norm_cdf(loc + se)  # also Phi at ends 1, 2 (scad: 5, 6), mapped to loc -+ se
+    atom = Atom(loc, phi[1] - phi[0])
     if kind is EstimatorKind.HARD:
         pieces = (GaussPiece(1.0, 1.0, 0.0, -math.inf, loc - se), GaussPiece(1.0, 1.0, 0.0, loc + se, math.inf))
     elif kind is EstimatorKind.SOFT:
@@ -463,7 +471,7 @@ def _mixture(kind: EstimatorKind, loc, se: float, a: float) -> MixtureDistributi
         )
     else:
         raise ValueError(f"unknown estimator kind {kind!r}")
-    return MixtureDistribution(atoms=(atom,), pieces=pieces)
+    return MixtureDistribution((atom,), pieces, dict(enumerate(phi, 5 if kind is EstimatorKind.SCAD else 1)))
 
 
 def finite_sample_dist(kind: EstimatorKind, point: ModelPoint, tuning: TuningPlan) -> MixtureDistribution:

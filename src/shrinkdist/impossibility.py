@@ -17,6 +17,7 @@ closed-form function of ybar.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -128,6 +129,12 @@ class OracleCheat:
         return np.full_like(np.asarray(ybar, dtype=float), ctx.true_value)
 
 
+@functools.lru_cache(maxsize=8)
+def _pretest_values(kind: EstimatorKind, e: float, a: float, t: float) -> tuple:
+    """The limit cdfs at t for nu = zeta = 0, +inf and -inf: the pretest's accept, up and down values."""
+    return tuple(_limit_law(kind, RegimeSpec(e, nu=v, zeta=v), a).cdf(t) for v in (0.0, math.inf, -math.inf))
+
+
 @dataclass(frozen=True)
 class PretestPlugin:
     """Plug the pretest outcome into the sqrt(n) limit laws of `limits`.
@@ -136,7 +143,7 @@ class PretestPlugin:
     _PRETEST_CUTOFF_EXPONENT; the accepted branch evaluates the limit law at
     nu = zeta = 0, the rejected branch the one at nu = zeta = sign(ybar)*inf.
     Consistent tuning takes e = inf; conservative tuning substitutes
-    sqrt(n)*eta_n for its limit e.
+    sqrt(n)*eta_n for its limit e.  The three values are computed once per (kind, e, a, t).
     """
 
     name = "pretest-plugin"
@@ -146,8 +153,7 @@ class PretestPlugin:
         y = np.asarray(ybar, dtype=float)
         reject = np.abs(y) > float(ctx.n) ** (-_PRETEST_CUTOFF_EXPONENT)
         e = math.inf if self.consistent else math.sqrt(ctx.n) * ctx.tuning.eta
-        accept, up, down = (_limit_law(ctx.kind, RegimeSpec(e, nu=v, zeta=v), ctx.tuning.scad_a).cdf(ctx.t)
-                            for v in (0.0, math.inf, -math.inf))
+        accept, up, down = _pretest_values(ctx.kind, e, ctx.tuning.scad_a, ctx.t)
         return np.where(reject, np.where(y > 0, up, down), accept)
 
 

@@ -2,6 +2,7 @@ import json
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from shrinkdist.finite_dist import (
     rescaled_dist,
     scaled_risk,
 )
-from shrinkdist.limits import consistent_limit
+from shrinkdist.limits import conservative_limit, consistent_limit
 from shrinkdist.normal_kernel import norm_cdf, norm_pdf
 from shrinkdist.selection import RegimeSpec
 
@@ -353,6 +354,47 @@ def test_batch_of_laws_matches_scalar_laws_bit_for_bit(kind):
     np.testing.assert_array_equal(batch.atoms[0].weight, [law.atoms[0].weight for law in laws])
 
 
+def _assert_batch_matches_laws(builder, kind, n, thetas, tuning):
+    """A batch's cdf, cdf_left and density_ac equal the per-law walk at each law's x, bit for bit.
+
+    Each law is probed at +-inf, its atom, a point inside each nonempty
+    piece, and every finite piece end with both its neighbouring floats.
+    The batch holds one law per probe in shuffled order, so its x is
+    unsorted.
+    """
+    probes = []
+    for theta in thetas:
+        law = builder(kind, ModelPoint(n, theta), tuning)
+        ends = np.array([e for p in law.pieces for e in (p.lower, p.upper) if math.isfinite(e)])
+        inner = [0.5 * (lo + hi) if math.isfinite(lo + hi) else (hi - 1.0 if math.isfinite(hi) else lo + 1.0)
+                 for _, _, _, lo, hi in law.pieces if lo < hi]
+        pts = np.concatenate([[-math.inf, math.inf, law.atoms[0].loc], inner,
+                              ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf)])
+        probes += [(theta, law, x) for x in pts.tolist()]
+    probes = [probes[i] for i in np.random.default_rng(11).permutation(len(probes))]
+    thetas, laws, xs = zip(*probes)
+    batch = builder(kind, ModelPoint(n, np.array(thetas)), tuning)
+    for method in ("cdf", "cdf_left", "density_ac"):
+        want = np.array([getattr(law, method)(x) for law, x in zip(laws, xs)])
+        assert getattr(batch, method)(np.array(xs)).tobytes() == want.tobytes(), method
+
+
+@pytest.mark.parametrize("builder", [finite_sample_dist, rescaled_dist])
+@pytest.mark.parametrize("kind", KINDS)
+def test_batch_evaluates_each_point_in_its_own_piece_bit_for_bit(kind, builder):
+    # theta = 40 puts the atom weight at exactly 0; a = 2.01 makes the blend pieces short
+    for n, tuning in ((40, TuningPlan(0.05, 3.7)), (10_000, TuningPlan(0.1, 2.01))):
+        _assert_batch_matches_laws(builder, kind, n, (-0.3, -0.05, 0.0, 0.02, 0.16, 40.0), tuning)
+
+
+def test_batch_with_empty_pieces_matches_laws_bit_for_bit():
+    # at se = sqrt(n)*eta = 1e-16, loc - se rounds to loc = -1, and some scad pieces are empty
+    empty = [lo == hi for _, _, _, lo, hi in finite_sample_dist(EstimatorKind.SCAD, ModelPoint(100, 0.1),
+                                                                  TuningPlan(1e-17)).pieces]
+    assert any(empty)
+    _assert_batch_matches_laws(finite_sample_dist, EstimatorKind.SCAD, 100, (0.1, -0.1, 0.0, 0.3), TuningPlan(1e-17))
+
+
 @pytest.mark.parametrize("method", ["cdf", "cdf_left", "density_ac"])
 @pytest.mark.parametrize("kind", KINDS)
 def test_batch_at_a_scalar_x_evaluates_every_law_there(kind, method):
@@ -388,6 +430,21 @@ def test_batch_equality_compares_every_record_field():
                   law(EstimatorKind.HARD, 0.1), law(EstimatorKind.HARD, [0.1])):
         assert (batch == other) is False and (other == batch) is False
     assert batch != "not a law"
+
+
+def test_batch_field_shared_by_every_law_is_one_value():
+    # a field given once (as a float or a length-1 array) serves every law: same totals, values
+    # and equality as the field given per law
+    normal = (GaussPiece(1.0, 1.0, 0.0, -math.inf, 0.3), GaussPiece(1.0, 1.0, 0.0, 0.3, math.inf))
+    laws = [MixtureDistribution(atoms=(Atom(np.array([0.0, 1.0]), form(0.0)),),
+                                pieces=tuple(GaussPiece(*(form(v) for v in p)) for p in normal))
+            for form in (float, lambda v: np.full(1, v), lambda v: np.full(2, v))]
+    assert laws[0].pieces[0].slope.shape == () and laws[0] == laws[1] == laws[2] == laws[0]
+    x = np.array([0.0, 1.0])
+    for law in laws:
+        np.testing.assert_array_equal(law.total_mass(), [1.0, 1.0])
+        for method in ("cdf", "cdf_left", "density_ac"):
+            assert getattr(law, method)(x).tobytes() == getattr(laws[2], method)(x).tobytes()
 
 
 def test_batch_of_laws_is_unhashable():
@@ -454,6 +511,52 @@ def test_scalar_law_calls_the_normal_kernel_once_per_job(monkeypatch, n):
     assert calls == {"norm_cdf": 2, "norm_pdf": 0}  # one call per end
 
 
+TINY_SE = {
+    # se = sqrt(n)*eta is so small that loc - se rounds to loc
+    "eta-1e-17": (ModelPoint(100, 0.1), TuningPlan(1e-17)),
+    "e-1e-300": (ModelPoint(1, -0.3), TuningPlan(1e-300)),
+}
+
+
+def _mpmath_phi(xs) -> np.ndarray:
+    with mpmath.workdps(50):
+        return np.array([float(mpmath.ncdf(mpmath.mpf(x))) for x in xs])
+
+
+def _assert_standard_normal(law):
+    """A scad law at se ~ 0 is Phi up to rounding: the estimate is within a*eta of ybar, so a*se*pdf(0) < 2e-16."""
+    xs = np.linspace(-5.0, 5.0, 201)
+    assert law.total_mass() == pytest.approx(1.0, abs=1e-15)
+    assert np.max(np.abs(law.cdf(xs) - _mpmath_phi(xs))) <= 4 * np.finfo(float).eps
+    exact = mpmath_second_moment(law)
+    assert abs(exact - 1) <= 1e-15 and abs(law.second_moment() - exact) <= 1e-15
+
+
+@pytest.mark.parametrize("point, tuning", TINY_SE.values(), ids=TINY_SE.keys())
+def test_scad_law_at_a_tiny_se_has_empty_pieces_and_is_standard_normal(point, tuning):
+    law = finite_sample_dist(EstimatorKind.SCAD, point, tuning)
+    empty = [m for m, (_, _, _, lo, hi) in zip(law._masses, law.pieces) if lo == hi]
+    assert empty and set(empty) == {0.0}
+    _assert_standard_normal(law)
+
+
+def test_conservative_scad_limit_at_a_tiny_e_is_standard_normal():
+    law = conservative_limit(EstimatorKind.SCAD, 0.3, 1e-300)
+    assert sum(lo == hi for _, _, _, lo, hi in law.pieces) == 4
+    _assert_standard_normal(law)
+
+
+@pytest.mark.parametrize("point, tuning", TINY_SE.values(), ids=TINY_SE.keys())
+def test_scad_batch_at_a_tiny_se_is_standard_normal(point, tuning):
+    thetas = [point.theta, -point.theta, 0.0, 2.5]
+    batch = finite_sample_dist(EstimatorKind.SCAD, ModelPoint(point.n, thetas), tuning)
+    for x in (-5.0, -1.0, -0.3, 0.0, 0.3, 1.0, 5.0):
+        np.testing.assert_allclose(batch.cdf(x), _mpmath_phi([x] * len(thetas)), rtol=0, atol=4 * np.finfo(float).eps)
+    for i in range(len(thetas)):  # law i, read out of the batch's records
+        law = [[np.broadcast_to(f, len(thetas))[i] for f in r] for r in (*batch.atoms, *batch.pieces)]
+        _assert_standard_normal(MixtureDistribution(atoms=(Atom(*law[0]),), pieces=[GaussPiece(*p) for p in law[1:]]))
+
+
 def test_batch_validation_rejects_any_bad_law():
     good = GaussPiece(1.0, 1.0, 0.0, -math.inf, math.inf)
     with pytest.raises(ValueError, match="weight"):
@@ -503,8 +606,13 @@ def test_rescaled_rejects_nonpositive_or_nonfinite_scale():
 
 
 def test_gauss_piece_validation():
-    with pytest.raises(ValueError, match="lower < upper"):
-        MixtureDistribution(atoms=(), pieces=(GaussPiece(1.0, 1.0, 0.0, 2.0, 1.0),))
+    # lower == upper is an empty piece; lower above upper or a NaN end is not, in a law or a batch
+    for lower, upper in ((2.0, 1.0), (1.0, 1.0 - 1e-16), (math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="lower < upper"):
+            MixtureDistribution(atoms=(Atom(0.0, 1.0),), pieces=(GaussPiece(1.0, 1.0, 0.0, lower, upper),))
+        with pytest.raises(ValueError, match="lower < upper"):
+            MixtureDistribution(atoms=(Atom(np.zeros(2), 1.0),),
+                                pieces=(GaussPiece(1.0, 1.0, 0.0, np.array([0.0, lower]), upper),))
     with pytest.raises(ValueError, match="slope"):
         MixtureDistribution(atoms=(), pieces=(GaussPiece(1.0, 0.0, 0.0, -math.inf, math.inf),))
     with pytest.raises(ValueError, match="coeff"):

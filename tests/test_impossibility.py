@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from oracles import reference_pretest_cdf, resampled_bootstrap_cdf, swept_lower_bound
 
+from shrinkdist import finite_dist, impossibility
 from shrinkdist.estimators import EstimatorKind, TuningPlan, estimate
 from shrinkdist.finite_dist import ModelPoint, atom_weight, finite_sample_dist
 from shrinkdist.impossibility import (
@@ -260,6 +261,25 @@ def test_pretest_equals_four_formula_reference_bit_for_bit(kind, consistent):
                     assert got.tobytes() == want.tobytes(), (n, eta, a, t)
 
 
+def test_pretest_builds_its_three_limit_laws_once(monkeypatch):
+    # 15 grid points per op used to build 3 limit laws each; the values are
+    # fixed per (kind, e, a, t), so one op builds 3 and a repeat builds none
+    built, limit_law = [], impossibility._limit_law
+
+    def counting_limit_law(*args):
+        built.append(args)
+        return limit_law(*args)
+
+    monkeypatch.setattr(impossibility, "_limit_law", counting_limit_law)
+    impossibility._pretest_values.cache_clear()
+    n = 10_000
+    run = lambda: estimator_worst_case(PretestPlugin(), EstimatorKind.SCAD, n, 0.0,
+                                       TuningPlan(CONSISTENT_PATH.eta(n), 3.7), 2.0, seed=3, replications=200)
+    first = run()
+    assert len(first.rows) == 15 and len(built) <= 3
+    assert run().rows == first.rows and len(built) <= 3
+
+
 BOOT_N = 10_000
 RESAMPLES = 20_000
 
@@ -323,6 +343,26 @@ class TestExactBootstrap:
         for t in (-1.0, 0.0, 0.5):
             want = laws.cdf(t - math.sqrt(m) * (ybar - theta_hat))
             assert spec.estimate_cdf(ybar, replace(ctx, t=t)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind, budget", [(EstimatorKind.HARD, 3), (EstimatorKind.SOFT, 3),
+                                              (EstimatorKind.SCAD, 11)])
+    def test_exact_calls_phi_only_where_a_batch_needs_it(self, monkeypatch, kind, budget):
+        # per law: the two ends of the zero event, which are also piece ends,
+        # every other finite piece end, and the one piece holding the law's
+        # point; no call at an infinite end
+        spec, ctx, _, _ = bootstrap_problem(kind, False, 0.0)
+        ybar = np.linspace(-3.0, 3.0, 10_000) * ctx.tuning.eta
+        points = []
+
+        def counting_norm_cdf(z):
+            points.append(np.size(z))
+            return norm_cdf(z)
+
+        monkeypatch.setattr(finite_dist, "norm_cdf", counting_norm_cdf)
+        for t in (-1.0, 0.0, 0.5):
+            points.clear()
+            spec.estimate_cdf(ybar, replace(ctx, t=t))
+            assert sum(points) <= budget * ybar.size
 
     def test_exact_rejects_empty_or_2d_ybar(self):
         spec, ctx, _, _ = bootstrap_problem(EstimatorKind.HARD, False, 0.0)
