@@ -14,7 +14,7 @@ test-oracle material only.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -162,14 +162,13 @@ class MixtureDistribution:
     evaluation; `second_moment` reuses those Phi values and makes one
     normal-pdf call (plus one over the nodes of its short pieces).  A batch
     evaluates each law's point only in the piece that holds it, and its build
-    skips the kernel at an end infinite for every law or given in `known_phi`.
+    makes no kernel call at a piece end that is infinite for every law.
     """
 
     atoms: tuple
     pieces: tuple
-    known_phi: InitVar[dict] = None  # Phi already computed at some piece ends, by index 2*piece (+1 if upper)
 
-    def __post_init__(self, known_phi):
+    def __post_init__(self):
         try:
             atoms = tuple(Atom(*map(float, a)) for a in self.atoms)
             pieces = tuple(GaussPiece(*map(float, p)) for p in self.pieces)
@@ -195,11 +194,11 @@ class MixtureDistribution:
                 raise ValueError(_SHARED_LOC)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "pieces", pieces)
-        # a batch calls the kernel once per end on B values (one stacked call raised peak memory)
+        # a batch calls the kernel once per end on B values (one stacked call raised peak memory),
+        # and none at an end infinite for every law, where Phi is exactly 0 or 1
         ends = (s * end + b for _, s, b, lo, hi in pieces for end in (lo, hi))
-        known = known_phi or {}
-        phi = (norm_cdf(np.fromiter(ends, float)).tolist() if shape is None else [known[i] if i in known else
-               (z > 0.0) * 1.0 if np.isinf(z).all() else norm_cdf(z) for i, z in enumerate(ends)])
+        phi = (norm_cdf(np.fromiter(ends, float)).tolist() if shape is None else
+               [(z > 0.0) * 1.0 if np.isinf(z).all() else norm_cdf(z) for z in ends])
         object.__setattr__(self, "_shape", shape)
         object.__setattr__(self, "_phi_lower", tuple(phi[0::2]))
         object.__setattr__(self, "_phi_upper", tuple(phi[1::2]))
@@ -321,8 +320,9 @@ class MixtureDistribution:
         for (c, s, b, lo, hi), base, mass in zip(self.pieces, self._phi_lower, self._masses):
             inside = (x > lo) & (x <= hi)
             total += np.where(x > hi, mass, 0.0)
-            c, s, b, base = (np.broadcast_to(v, x.shape)[inside] if np.ndim(v) else v for v in (c, s, b, base))
-            total[inside] += (c / s) * (norm_cdf(s * x[inside] + b) - base)
+            if inside.any():  # a piece holding no point makes no kernel call
+                c, s, b, base = (np.broadcast_to(v, x.shape)[inside] if np.ndim(v) else v for v in (c, s, b, base))
+                total[inside] += (c / s) * (norm_cdf(s * x[inside] + b) - base)
         for loc, w in self.atoms:
             total = total + w * (loc < math.inf) * (x >= loc)
         return total
@@ -339,8 +339,9 @@ class MixtureDistribution:
         total = np.zeros_like(x)
         for c, s, b, lo, hi in self.pieces:
             inside = (x > lo) & (x <= hi)
-            c, s, b = (np.broadcast_to(v, x.shape)[inside] if np.ndim(v) else v for v in (c, s, b))
-            total[inside] += c * norm_pdf(s * x[inside] + b)
+            if inside.any():
+                c, s, b = (np.broadcast_to(v, x.shape)[inside] if np.ndim(v) else v for v in (c, s, b))
+                total[inside] += c * norm_pdf(s * x[inside] + b)
         return total
 
     def second_moment(self) -> float:
@@ -451,8 +452,7 @@ def _mixture(kind: EstimatorKind, loc, se: float, a: float) -> MixtureDistributi
       (loc + se, loc + a*se]   blend,
       (loc + a*se, inf)        normal tail.
     """
-    phi = norm_cdf(loc - se), norm_cdf(loc + se)  # also Phi at ends 1, 2 (scad: 5, 6), mapped to loc -+ se
-    atom = Atom(loc, phi[1] - phi[0])
+    atom = Atom(loc, _zero_mass(loc, se))
     if kind is EstimatorKind.HARD:
         pieces = (GaussPiece(1.0, 1.0, 0.0, -math.inf, loc - se), GaussPiece(1.0, 1.0, 0.0, loc + se, math.inf))
     elif kind is EstimatorKind.SOFT:
@@ -471,7 +471,7 @@ def _mixture(kind: EstimatorKind, loc, se: float, a: float) -> MixtureDistributi
         )
     else:
         raise ValueError(f"unknown estimator kind {kind!r}")
-    return MixtureDistribution((atom,), pieces, dict(enumerate(phi, 5 if kind is EstimatorKind.SCAD else 1)))
+    return MixtureDistribution(atoms=(atom,), pieces=pieces)
 
 
 def finite_sample_dist(kind: EstimatorKind, point: ModelPoint, tuning: TuningPlan) -> MixtureDistribution:
