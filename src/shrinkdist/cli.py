@@ -9,6 +9,7 @@ vertical atom marker), with no timestamps or other nondeterminism.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -70,19 +71,16 @@ def _svg_polyline(xs, ys, x_range, y_range, width, height, pad) -> str:
     y0, y1 = y_range
     sx = (width - 2 * pad) / (x1 - x0)
     sy = (height - 2 * pad) / (y1 - y0) if y1 > y0 else 1.0
-    pts = []
-    for x, y in zip(xs, ys):
-        px = pad + (x - x0) * sx
-        py = height - pad - (y - y0) * sy
-        pts.append(f"{px:.3f},{py:.3f}")
-    return " ".join(pts)
+    px = pad + (np.asarray(xs, dtype=float) - x0) * sx
+    py = height - pad - (np.asarray(ys, dtype=float) - y0) * sy
+    return " ".join(["%.3f,%.3f"] * px.size) % tuple(np.column_stack((px, py)).ravel().tolist())
 
 
 def write_density_svg(path: Path, xs, ys, atoms, title: str) -> None:
     """Density curve plus one dotted vertical marker per atom."""
     width, height, pad = 720, 480, 50.0
-    x0, x1 = float(min(xs)), float(max(xs))
-    y1 = max(float(max(ys)), max((w for _, w in atoms), default=0.0)) * 1.08 or 1.0
+    x0, x1 = float(np.min(xs)), float(np.max(xs))
+    y1 = max(float(np.max(ys)), max((w for _, w in atoms), default=0.0)) * 1.08 or 1.0
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
@@ -104,16 +102,23 @@ def write_density_svg(path: Path, xs, ys, atoms, title: str) -> None:
     _write(path, "\n".join(lines) + "\n")
 
 
-def _density_table(dist: MixtureDistribution, lo: float, hi: float, count: int) -> ExperimentReport:
+def _density_table(dist: MixtureDistribution, lo: float, hi: float, count: int) -> tuple:
+    """A figure's table, plus the density curve (x, density) and the finite atoms merged into it.
+
+    Each atom row, its weight in the density column, goes just before the density row at its x.
+    """
     grid = np.linspace(lo, hi, count)
     cuts = [b for b in dist.breakpoints() if lo <= b <= hi]
     # sample both sides of each density jump so consumers see the discontinuity
     cuts += [np.nextafter(b, np.inf) for b in cuts]
     xs = np.unique(np.concatenate([grid, np.asarray(cuts, dtype=float)]))
-    rows = [(x, density, 0) for x, density in zip(xs.tolist(), dist.density_ac(xs).tolist())]
-    rows += [(a.loc, a.weight, 1) for a in dist.atoms if math.isfinite(a.loc)]
-    rows.sort(key=lambda r: (r[0], -r[2]))  # an atom row precedes the density row at its own x
-    return ExperimentReport(columns=("x", "density", "is_atom"), rows=rows)
+    ys = dist.density_ac(xs)
+    atoms = sorted(a for a in dist.atoms if math.isfinite(a.loc))
+    locs, weights = np.array(atoms, dtype=float).reshape(-1, 2).T
+    at = np.searchsorted(xs, locs)
+    columns = (np.insert(xs, at, locs), np.insert(ys, at, weights), np.insert(np.zeros(xs.size, dtype=int), at, 1))
+    table = ExperimentReport(columns=("x", "density", "is_atom"), rows=list(zip(*(c.tolist() for c in columns))))
+    return table, (xs, ys), atoms
 
 
 def _point_and_tuning(params: dict) -> tuple:
@@ -122,28 +127,21 @@ def _point_and_tuning(params: dict) -> tuple:
             TuningPlan(float(params["eta"]), float(params["a"])))
 
 
-def run_figure(params: dict, out_dir: Path) -> list:
+def run_figure(params: dict, out_dir: Path) -> tuple:
     which = int(params["which"])
     kind = EstimatorKind.parse(FIGURE_KINDS[which])
     point, tuning = _point_and_tuning(params)
     dist = finite_sample_dist(kind, point, tuning)
-    table = _density_table(dist, -5.0, 5.0, 2000)
+    table, (xs, ys), atoms = _density_table(dist, -5.0, 5.0, 2000)
     csv_name = f"figure{which}.csv"
     svg_name = f"figure{which}.svg"
     table.write_csv(out_dir / csv_name)
-    curve = [(r[0], r[1]) for r in table.rows if r[2] == 0]
-    atoms = [(r[0], r[1]) for r in table.rows if r[2] == 1]
-    write_density_svg(
-        out_dir / svg_name,
-        [c[0] for c in curve],
-        [c[1] for c in curve],
-        atoms,
-        f"{kind.value} estimator, n={point.n}, theta={point.theta}, eta={tuning.eta}",
-    )
-    return [csv_name, svg_name]
+    write_density_svg(out_dir / svg_name, xs, ys, atoms,
+                      f"{kind.value} estimator, n={point.n}, theta={point.theta}, eta={tuning.eta}")
+    return [csv_name, svg_name], True
 
 
-def run_dist(params: dict, out_dir: Path) -> list:
+def run_dist(params: dict, out_dir: Path) -> tuple:
     kind = EstimatorKind.parse(params["kind"])
     point, tuning = _point_and_tuning(params)
     scaling = params["scaling"]
@@ -156,7 +154,7 @@ def run_dist(params: dict, out_dir: Path) -> list:
     json_name = f"dist_{kind.value}_{scaling}.json"
     table.write_csv(out_dir / csv_name)
     _write(out_dir / json_name, _json_dumps(dist.to_json()))
-    return [csv_name, json_name]
+    return [csv_name, json_name], True
 
 
 def _parse_config_file(path: str) -> dict:
@@ -301,31 +299,31 @@ EXPERIMENTS = {"selection": _experiment_selection, "limits": _experiment_limits,
                "uniform-rate": _experiment_uniform_rate, "impossibility": _experiment_impossibility}
 
 
-def run_experiment(params: dict, out_dir: Path) -> list:
+def run_experiment(params: dict, out_dir: Path) -> tuple:
     name = params["name"]
     _check_config(params["config"])  # a config from a file, --reps or a replayed manifest
     outputs, checks = EXPERIMENTS[name](params["config"], out_dir, int(params["seed"]))
     verdict = {"experiment": name, "pass": all(c["pass"] for c in checks), "checks": checks}
     _write(out_dir / "verdict.json", _json_dumps(verdict))
-    return outputs + ["verdict.json"]
+    return outputs + ["verdict.json"], verdict["pass"]
 
 
+# each runner takes (params, out_dir) and returns (output file names, whether every check passed)
 RUNNERS = {"figure": run_figure, "dist": run_dist, "experiment": run_experiment}
 
 
 def _dispatch(command: str, params: dict, out_dir: Path, seed) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = RUNNERS[command](params, out_dir)
+    outputs, passed = RUNNERS[command](params, out_dir)
     _write_manifest(out_dir, command, params, seed, outputs)
     if command == "experiment":
-        verdict = json.loads((out_dir / "verdict.json").read_text())
-        status = "PASS" if verdict["pass"] else "FAIL"
-        print(f"{status}: experiment {params['name']} -> {out_dir}")
-        return 0 if verdict["pass"] else 1
-    print(f"wrote {', '.join(outputs)} -> {out_dir}")
-    return 0
+        print(f"{'PASS' if passed else 'FAIL'}: experiment {params['name']} -> {out_dir}")
+    else:
+        print(f"wrote {', '.join(outputs)} -> {out_dir}")
+    return 0 if passed else 1
 
 
+@functools.cache  # built on the first command, not at import
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="shrinkdist", description=__doc__)
     parser.add_argument("--version", action="version", version=f"shrinkdist {__version__}")

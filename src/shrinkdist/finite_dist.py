@@ -266,11 +266,14 @@ class MixtureDistribution:
         """
         return self._evaluate(x, self._ascending_density, self._batch_density)
 
+    @np.errstate(over="ignore")
     def _evaluate(self, x, ascending, batch):
         """Route x to the ascending-array or batch form of an evaluation.
 
         A single law walks every x as an ascending array: a float or 0-d x
         is a one-point array, and its value comes back as a Python float.
+        Overflow is ignored: s*x or the pdf's square overflows only past
+        every finite mapped point, where Phi is exactly 0 or 1, the pdf 0.
         """
         if self._shape is not None:
             return batch(self._batch_points(x))

@@ -13,9 +13,14 @@ scalar normal-kernel call per piece end.  `reference_theta` writes out each
 theta-rule kind's sequence as its own formula, `reference_pretest_cdf` the
 pretest plug-in as its four limit formulas, and `objective_argmin`
 minimises a penalized objective over the finite set that must hold a
-minimiser.
+minimiser.  The output references at the end redo the CSV and SVG writers
+one cell, one point or one row at a time: `csv_reference` joins cells
+formatted by `format_cell_reference`, `svg_polyline_reference` maps each
+point as Python floats, and `density_rows_reference` merges a figure
+table's atom rows by a keyed sort.
 """
 
+import json
 import math
 
 import mpmath
@@ -282,3 +287,51 @@ def objective_argmin(kind, ybar: float, n: int, tuning) -> float:
     candidates = (-eta, 0.0, eta, ybar, ybar - eta, ybar + eta, -a * eta, a * eta,
                   ((a - 1.0) * ybar - a * eta) / (a - 2.0), ((a - 1.0) * ybar + a * eta) / (a - 2.0))
     return min(candidates, key=lambda theta: penalized_objective(kind, theta, ybar, n, tuning))
+
+
+def format_cell_reference(v) -> str:
+    """A CSV cell one value at a time, by isinstance: bools as 1/0, ints as written, floats at 17 digits."""
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    if isinstance(v, int):
+        return str(v)
+    if isinstance(v, float):
+        return format(v, ".17g")
+    return str(v)
+
+
+def csv_reference(report, include_meta: bool = False) -> str:
+    """`ExperimentReport.to_csv` joined one formatted cell at a time."""
+    lines = []
+    if include_meta and report.meta:
+        lines.append("# " + json.dumps(report.meta, sort_keys=True))
+    lines.append(",".join(report.columns))
+    for row in report.rows:
+        lines.append(",".join(format_cell_reference(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def svg_polyline_reference(xs, ys, x_range, y_range, width, height, pad) -> str:
+    """SVG polyline points mapped and formatted one Python float at a time."""
+    x0, x1 = x_range
+    y0, y1 = y_range
+    sx = (width - 2 * pad) / (x1 - x0)
+    sy = (height - 2 * pad) / (y1 - y0) if y1 > y0 else 1.0
+    pts = []
+    for x, y in zip(xs, ys):
+        px = pad + (x - x0) * sx
+        py = height - pad - (y - y0) * sy
+        pts.append(f"{px:.3f},{py:.3f}")
+    return " ".join(pts)
+
+
+def density_rows_reference(dist, lo: float, hi: float, count: int) -> list:
+    """A figure table's rows (x, density, is_atom), merged by a keyed sort over all rows."""
+    grid = np.linspace(lo, hi, count)
+    cuts = [b for b in dist.breakpoints() if lo <= b <= hi]
+    cuts += [np.nextafter(b, np.inf) for b in cuts]
+    xs = np.unique(np.concatenate([grid, np.asarray(cuts, dtype=float)]))
+    rows = [(x, density, 0) for x, density in zip(xs.tolist(), dist.density_ac(xs).tolist())]
+    rows += [(a.loc, a.weight, 1) for a in dist.atoms if math.isfinite(a.loc)]
+    rows.sort(key=lambda r: (r[0], -r[2]))  # an atom row precedes the density row at its own x
+    return rows

@@ -6,8 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shrinkdist.cli import _parse_config_file, main
-from shrinkdist.finite_dist import MixtureDistribution
+from oracles import density_rows_reference, svg_polyline_reference
+
+from shrinkdist import finite_dist
+from shrinkdist.cli import _build_parser, _density_table, _parse_config_file, _svg_polyline, main
+from shrinkdist.estimators import DEFAULT_SCAD_A, EstimatorKind, TuningPlan
+from shrinkdist.finite_dist import MixtureDistribution, ModelPoint, finite_sample_dist
 from shrinkdist.normal_kernel import norm_cdf
 
 
@@ -376,3 +380,78 @@ def test_commands_write_only_into_out_dir(tmp_path, monkeypatch):
     main(["figure", "1", "--out", str(out)])
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sandbox"]
     assert sorted(p.name for p in out.iterdir()) == ["figure1.csv", "figure1.svg", "manifest.json"]
+
+@pytest.mark.parametrize("seed", range(6))
+def test_svg_polyline_equals_per_point_reference(seed):
+    rng = np.random.default_rng(seed)
+    xs = np.sort(rng.normal(scale=10.0 ** rng.integers(-3, 4), size=rng.integers(2, 400)))
+    xs[rng.integers(0, xs.size, size=xs.size // 4)] = xs[-1]  # repeated x, out of order unless sorted again
+    xs = np.sort(xs) if seed % 2 else xs
+    ys = np.abs(rng.standard_cauchy(xs.size))
+    ys[: xs.size // 3] = 0.0
+    x_range = (float(np.min(xs)), float(np.max(xs)))
+    for y_range in ((0.0, float(np.max(ys)) * 1.08 or 1.0), (0.0, 0.0), (-1.0, 2.0)):
+        args = (x_range, y_range, 720, 480, 50.0)
+        assert _svg_polyline(xs, ys, *args) == svg_polyline_reference(xs.tolist(), ys.tolist(), *args)
+
+
+@pytest.mark.parametrize("kind", list(EstimatorKind))
+@pytest.mark.parametrize("theta", [0.16, -0.3, 2.0, 0.0])
+def test_density_table_equals_sorted_row_reference(kind, theta):
+    dist = finite_sample_dist(kind, ModelPoint(40, theta), TuningPlan(0.05))
+    table, (xs, ys), atoms = _density_table(dist, -5.0, 5.0, 2000)
+    rows = density_rows_reference(dist, -5.0, 5.0, 2000)
+    assert table.rows == rows
+    assert [tuple(map(type, r)) for r in table.rows] == [tuple(map(type, r)) for r in rows]
+    assert (xs.tolist(), ys.tolist()) == tuple(map(list, zip(*[r[:2] for r in rows if r[2] == 0])))
+    assert [tuple(a) for a in atoms] == [r[:2] for r in rows if r[2] == 1]
+
+
+@pytest.mark.parametrize("where", ["grid point", "grid end", "outside"])
+def test_density_table_puts_an_atom_row_before_the_density_row_at_its_x(where):
+    grid = np.linspace(-5.0, 5.0, 2001)
+    loc = {"grid point": grid[1234], "grid end": grid[0], "outside": 7.5}[where]
+    dist = finite_dist._mixture(EstimatorKind.HARD, loc, 0.7, DEFAULT_SCAD_A)
+    assert loc in dist.breakpoints()
+    table, _, _ = _density_table(dist, -5.0, 5.0, 2001)
+    assert table.rows == density_rows_reference(dist, -5.0, 5.0, 2001)
+    i = table.column("is_atom").index(1)
+    assert table.rows[i][0] == loc
+    if where != "outside":
+        assert table.rows[i + 1][0] == loc and table.rows[i + 1][2] == 0
+
+
+def test_density_table_without_finite_atoms():
+    dist = MixtureDistribution(atoms=((math.inf, 0.0),), pieces=((1.0, 1.0, 0.0, -math.inf, math.inf),))
+    table, _, atoms = _density_table(dist, -1.0, 1.0, 11)
+    assert atoms == [] and table.column("is_atom") == [0] * 11
+    assert table.rows == density_rows_reference(dist, -1.0, 1.0, 11)
+
+
+def test_density_table_orders_atoms_that_share_a_place():
+    # the atoms below lo and above hi go in before the first and after the last density row, in x order
+    locs = (-7.0, 0.07, 9.0, -8.0, 0.05, 8.0, -1.0)
+    dist = MixtureDistribution(atoms=tuple((loc, 0.05) for loc in locs),
+                               pieces=((0.65, 1.0, 0.0, -math.inf, math.inf),))
+    table, _, atoms = _density_table(dist, -1.0, 1.0, 11)
+    assert table.rows == density_rows_reference(dist, -1.0, 1.0, 11)
+    assert [a.loc for a in atoms] == sorted(locs)
+
+
+def test_parser_is_built_once_per_process(tmp_path):
+    main(["figure", "1", "--out", str(tmp_path / "a")])
+    main(["figure", "2", "--out", str(tmp_path / "b")])
+    assert _build_parser.cache_info().currsize == 1
+    assert _build_parser() is _build_parser()
+
+
+def test_experiment_prints_verdict_and_exits_on_it(tmp_path, capsys):
+    out = tmp_path / "sel"
+    assert main(["experiment", "selection", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"PASS: experiment selection -> {out}\n"
+    cfg = tmp_path / "imp.cfg"
+    cfg.write_text("estimator=oracle\nkind=hard\nn=100\nreps=50\noracle_tol=-1\n")
+    out = tmp_path / "imp"
+    assert main(["experiment", "impossibility", "--config", str(cfg), "--seed", "9", "--out", str(out)]) == 1
+    assert capsys.readouterr().out == f"FAIL: experiment impossibility -> {out}\n"
+    assert json.loads((out / "verdict.json").read_text())["pass"] is False

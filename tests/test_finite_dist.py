@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -385,6 +386,27 @@ def test_batch_evaluates_each_point_in_its_own_piece_bit_for_bit(kind, builder):
     # theta = 40 puts the atom weight at exactly 0; a = 2.01 makes the blend pieces short
     for n, tuning in ((40, TuningPlan(0.05, 3.7)), (10_000, TuningPlan(0.1, 2.01))):
         _assert_batch_matches_laws(builder, kind, n, (-0.3, -0.05, 0.0, 0.02, 0.16, 40.0), tuning)
+
+
+MAX_FLOAT = float(np.finfo(float).max)
+
+
+@pytest.mark.parametrize("builder", [finite_sample_dist, rescaled_dist])
+@pytest.mark.parametrize("kind", KINDS)
+def test_float_extremes_give_the_limit_values_without_overflow(kind, builder):
+    # +-max float is the nextafter neighbour of +-inf, and 1.4e154 squares past it; at sqrt(n)*eta = 0.4
+    # the inv_eta slopes are below 1, at 5 they are above 1, so there s*x overflows
+    huge = np.array([MAX_FLOAT, np.nextafter(MAX_FLOAT, 0.0), 1e200, 1.4e154])
+    for n, theta, tuning in ((25, -0.3, TuningPlan(0.08, 2.5)), (100, -0.3, TuningPlan(0.5, 3.7))):
+        law = builder(kind, ModelPoint(n, theta), tuning)
+        batch = builder(kind, ModelPoint(n, [theta, -theta, 0.0, 1.0]), tuning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for dist in (law, batch):
+                for x, limit in ((huge, dist.cdf(math.inf)), (-huge, 0.0)):
+                    for method, want in ((dist.cdf, limit), (dist.cdf_left, limit), (dist.density_ac, 0.0)):
+                        assert np.all(method(x) == want)
+                        assert all(np.all(method(v) == want) for v in x.tolist())
 
 
 def test_batch_with_empty_pieces_matches_laws_bit_for_bit():
