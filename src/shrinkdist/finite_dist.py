@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .estimators import EstimatorKind, TuningPlan
-from .normal_kernel import _check_count, _scalar_or_array, norm_cdf, norm_pdf
+from .normal_kernel import _check_count, _no_nan, _scalar_or_array, norm_cdf, norm_pdf
 
 __all__ = [
     "ModelPoint",
@@ -34,14 +34,6 @@ __all__ = [
 ]
 
 _MASS_TOL = 1e-9
-_BAD_LOC = "atom location must not be NaN"
-_BAD_WEIGHT = "atom weight must be finite and nonnegative"
-_BAD_COEFF = "coeff must be finite and nonnegative"
-_BAD_SLOPE = "slope must be finite and nonzero"
-_BAD_SHIFT = "shift must be finite"
-_BAD_INTERVAL = "piece interval requires lower < upper (lower == upper is an empty piece)"
-_SHARED_LOC = "atom locations must be pairwise distinct"
-_NAN_X = "x must not be NaN"
 # 8-point Gauss-Legendre rule on [-1, 1], correctly rounded; literals rather than
 # numpy's leggauss(8), whose eigenvalue solve would run LAPACK at import
 _GL_NODES = np.array([-0.9602898564975363, -0.7966664774136267, -0.525532409916329, -0.1834346424956498,
@@ -89,13 +81,13 @@ def _real_to_json(v: float):
 
 
 def _inverse_scale(s: float) -> float:
-    """1/s for a finite scale s > 0.
+    """1/s for a finite scale s > 0 whose inverse is finite (a subnormal s has none).
 
     Ends and locations are rescaled as x * (1/s), not x / s: the two differ
     in the last bit for some x, and the published output bytes use the former.
     """
-    if not (s > 0.0 and math.isfinite(s)):
-        raise ValueError("scale must be positive and finite")
+    if not (s > 0.0 and math.isfinite(s) and math.isfinite(1.0 / float(s))):
+        raise ValueError(f"scale must be positive and finite, with a finite inverse (got {s!r})")
     return 1.0 / s
 
 
@@ -116,29 +108,44 @@ class Atom(NamedTuple):
     weight: float
 
 
-def _batch_records(atoms, pieces) -> tuple:
-    """Atoms and pieces of a batch of laws, every field a float array that broadcasts to one shape.
+def _checked_records(atoms, pieces) -> tuple:
+    """The atoms and pieces of a law or of a batch of laws, coerced and checked, and the batch shape.
 
-    Each field is copied once in its own shape, so a field shared by every
-    law (a piece's slope, say) is one value, checked and built on once.  The
-    checks `MixtureDistribution` runs on one law run here over all records
-    and laws; one bad law rejects the batch.
+    Records whose fields are all floats (or 0-d) make a single law, whose
+    shape is None.  Otherwise each field is copied once as a float array in
+    its own shape, so a field shared by every law (a piece's slope, say) is
+    one value, checked and built on once.  One pass then checks a law and a
+    batch alike, record by record, each check a comparison that reads the
+    same on a float and on an array; one bad law rejects the batch with the
+    message it raises alone.
     """
-    atoms = tuple(Atom(*(np.array(v, dtype=float) for v in a)) for a in atoms)
-    pieces = tuple(GaussPiece(*(np.array(v, dtype=float) for v in p)) for p in pieces)
-    ordered = np.sort(np.broadcast_arrays(*(a.loc for a in atoms)), axis=0) if len(atoms) > 1 else ()
-    for bad, message in (
-        ((np.isnan(a.loc) for a in atoms), _BAD_LOC),
-        ((~(np.isfinite(a.weight) & (a.weight >= 0.0)) for a in atoms), _BAD_WEIGHT),
-        ((~(np.isfinite(p.coeff) & (p.coeff >= 0.0)) for p in pieces), _BAD_COEFF),
-        ((~np.isfinite(p.slope) | (p.slope == 0.0) for p in pieces), _BAD_SLOPE),
-        ((~np.isfinite(p.shift) for p in pieces), _BAD_SHIFT),
-        ((~(p.lower <= p.upper) for p in pieces), _BAD_INTERVAL),
-        ((lo == hi for lo, hi in zip(ordered[:-1], ordered[1:])), _SHARED_LOC),
-    ):
-        if any(b.any() for b in bad):
-            raise ValueError(message)
-    return atoms, pieces, np.broadcast_shapes(*(v.shape for r in (*atoms, *pieces) for v in r))
+    try:
+        atoms = tuple(Atom(*map(float, a)) for a in atoms)
+        pieces = tuple(GaussPiece(*map(float, p)) for p in pieces)
+        shape, ok = None, bool
+    except TypeError:  # float() rejects arrays of one or more dimensions
+        atoms = tuple(Atom(*(np.array(v, dtype=float) for v in a)) for a in atoms)
+        pieces = tuple(GaussPiece(*(np.array(v, dtype=float) for v in p)) for p in pieces)
+        shape, ok = np.broadcast_shapes(*(v.shape for r in (*atoms, *pieces) for v in r)), np.all
+    inf = math.inf
+    for loc, w in atoms:
+        if not ok(loc == loc):
+            raise ValueError("atom location must not be NaN")
+        if not ok((w >= 0.0) & (w < inf)):
+            raise ValueError("atom weight must be finite and nonnegative")
+    for c, s, b, lower, upper in pieces:
+        if not ok((c >= 0.0) & (c < inf)):
+            raise ValueError("coeff must be finite and nonnegative")
+        if not ok((abs(s) < inf) & (s != 0.0)):
+            raise ValueError("slope must be finite and nonzero")
+        if not ok(abs(b) < inf):
+            raise ValueError("shift must be finite")
+        if not ok(lower <= upper):
+            raise ValueError("piece interval requires lower < upper (lower == upper is an empty piece)")
+    for i, a in enumerate(atoms):
+        if not all(ok(a.loc != other.loc) for other in atoms[i + 1:]):
+            raise ValueError("atom locations must be pairwise distinct")
+    return atoms, pieces, shape
 
 
 @dataclass(frozen=True)
@@ -155,7 +162,9 @@ class MixtureDistribution:
     array x of that shape evaluate law i at x[i], elementwise; a 0-d x
     evaluates every law at x, and any other shape raises ValueError.
     `total_mass` and `rescaled` also take batches; `second_moment`,
-    `breakpoints` and JSON raise ValueError on one.
+    `breakpoints` and JSON raise ValueError on one.  One pass checks a law
+    and a batch alike, record by record, so the same faulty records raise
+    the same ValueError alone or in a batch.
 
     Building a single law makes one normal-cdf call over both mapped ends of
     every piece and keeps each piece's Phi values and mass for every later
@@ -169,29 +178,7 @@ class MixtureDistribution:
     pieces: tuple
 
     def __post_init__(self):
-        try:
-            atoms = tuple(Atom(*map(float, a)) for a in self.atoms)
-            pieces = tuple(GaussPiece(*map(float, p)) for p in self.pieces)
-        except TypeError:  # float() rejects arrays of one or more dimensions
-            atoms, pieces, shape = _batch_records(self.atoms, self.pieces)
-        else:
-            shape = None
-            for loc, weight in atoms:
-                if math.isnan(loc):
-                    raise ValueError(_BAD_LOC)
-                if not (math.isfinite(weight) and weight >= 0.0):
-                    raise ValueError(_BAD_WEIGHT)
-            for coeff, slope, shift, lower, upper in pieces:
-                if not (math.isfinite(coeff) and coeff >= 0.0):
-                    raise ValueError(_BAD_COEFF)
-                if not (math.isfinite(slope) and slope != 0.0):
-                    raise ValueError(_BAD_SLOPE)
-                if not math.isfinite(shift):
-                    raise ValueError(_BAD_SHIFT)
-                if not lower <= upper:
-                    raise ValueError(_BAD_INTERVAL)
-            if len({a.loc for a in atoms}) != len(atoms):
-                raise ValueError(_SHARED_LOC)
+        atoms, pieces, shape = _checked_records(self.atoms, self.pieces)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "pieces", pieces)
         # a batch calls the kernel once per end on B values (one stacked call raised peak memory),
@@ -272,8 +259,8 @@ class MixtureDistribution:
 
         A single law walks every x as an ascending array: a float or 0-d x
         is a one-point array, and its value comes back as a Python float.
-        Overflow is ignored: s*x or the pdf's square overflows only past
-        every finite mapped point, where Phi is exactly 0 or 1, the pdf 0.
+        Overflow is ignored: s*x overflows only past every finite mapped
+        point, where Phi is exactly 0 or 1 and the pdf 0.
         """
         if self._shape is not None:
             return batch(self._batch_points(x))
@@ -284,7 +271,7 @@ class MixtureDistribution:
             order = np.argsort(flat, kind="stable")
             flat = flat[order]
         if flat.size and math.isnan(flat[-1]):  # sorting puts NaN last
-            raise ValueError(_NAN_X)
+            _no_nan(flat)  # raises
         out = ascending(flat)
         if order is not None:
             out[order] = out.copy()
@@ -292,11 +279,9 @@ class MixtureDistribution:
 
     def _batch_points(self, x) -> np.ndarray:
         """x as an array of the batch's shape: a 0-d x is taken for every law."""
-        x = np.asarray(x, dtype=float)
+        x = _no_nan(x)
         if x.ndim and x.shape != self._shape:
             raise ValueError(f"x of shape {x.shape} does not match the batch of laws of shape {self._shape}")
-        if np.isnan(x).any():
-            raise ValueError(_NAN_X)
         return np.broadcast_to(x, self._shape)
 
     def _single_law(self, method: str):
@@ -366,8 +351,7 @@ class MixtureDistribution:
             out += w * loc**2
         mapped = [(s * lo + b, s * hi + b) for _, s, b, lo, hi in self.pieces]
         short = [abs(zb - za) < _SHORT_PIECE for za, zb in mapped]
-        ends = [z for zs, sh in zip(mapped, short) if not sh for z in zs if not math.isinf(z)]
-        pdf = iter(norm_pdf(np.array(ends)).tolist())
+        pdf = iter(norm_pdf(np.array([z for zs, sh in zip(mapped, short) if not sh for z in zs])).tolist())
         if any(short):  # one row of quadrature nodes per short piece
             coeff, slope, shift, lower, upper = np.array([p for p, sh in zip(self.pieces, short) if sh]).T[..., None]
             half = 0.5 * (upper - lower)
@@ -380,7 +364,7 @@ class MixtureDistribution:
             if sh:
                 ac += next(quadrature)
                 continue
-            pa, pb = (0.0 if math.isinf(z) else next(pdf) for z in (za, zb))
+            pa, pb = next(pdf), next(pdf)  # exactly 0.0 at an infinite end
             i0 = phi_b - phi_a
             i1 = pa - pb
             # z * pdf(z) has the limit 0 at +-inf

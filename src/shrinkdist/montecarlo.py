@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .estimators import EstimatorKind, TuningPlan, estimate
+from .estimators import DEFAULT_SCAD_A, EstimatorKind, TuningPlan, estimate
 from .finite_dist import MixtureDistribution, ModelPoint, finite_sample_dist
-from .normal_kernel import _check_count, _scalar_or_array, norm_cdf
+from .normal_kernel import _check_count, _no_nan, _scalar_or_array, norm_cdf
 from .report import ExperimentReport
 
 __all__ = [
@@ -44,13 +44,6 @@ class SimConfig:
         object.__setattr__(self, "replications", _check_count(self.replications, "replications"))
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
-
-
-def _no_nan(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if np.isnan(x).any():  # searchsorted would sort NaN past every value
-        raise ValueError("x must not be NaN")
-    return x
 
 
 @dataclass(frozen=True)
@@ -160,7 +153,7 @@ def uniform_rate_experiment(
     n_list,
     theta_grid_rule=default_adversarial_grid,
     scaling: str = "a_n",
-    scad_a: float = 3.7,
+    scad_a: float = DEFAULT_SCAD_A,
 ) -> ExperimentReport:
     """Worst-case exceedance of the scaled estimation error over a theta grid.
 

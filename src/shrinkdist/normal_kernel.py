@@ -45,11 +45,21 @@ def _check_count(value, name: str = "n") -> int:
     return int(value)
 
 
+def _no_nan(x) -> np.ndarray:
+    """x as a float array; NaN raises ValueError (searchsorted would sort NaN past every value)."""
+    x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
+        raise ValueError("x must not be NaN")
+    return x
+
+
+@np.errstate(over="ignore")
 def norm_pdf(x):
     """Standard normal density (2*pi)^(-1/2) * exp(-x^2/2).
 
     Accepts scalars or arrays; rejects non-finite scalar input.  Underflows
-    cleanly to 0.0 deep in the tails.
+    cleanly to 0.0 deep in the tails, and is exactly 0.0 without a warning
+    where x^2 overflows, or at an infinity inside an array.
     """
     arr = np.asarray(x, dtype=float)
     if arr.ndim == 0 and not np.isfinite(arr):

@@ -579,7 +579,36 @@ def test_scad_batch_at_a_tiny_se_is_standard_normal(point, tuning):
         _assert_standard_normal(MixtureDistribution(atoms=(Atom(*law[0]),), pieces=[GaussPiece(*p) for p in law[1:]]))
 
 
+def test_a_law_and_a_batch_report_the_same_fault():
+    # piece 1 has an infinite shift and piece 2 a negative coeff: the first faulty record decides
+    pieces = (GaussPiece(1.0, 1.0, math.inf, -math.inf, 0.0), GaussPiece(-1.0, 1.0, 0.0, 0.0, math.inf))
+    with pytest.raises(ValueError, match="shift must be finite"):
+        MixtureDistribution(atoms=(Atom(0.0, 0.0),), pieces=pieces)
+    batch = (GaussPiece(1.0, 1.0, np.array([0.0, math.inf]), -math.inf, 0.0),
+             GaussPiece(np.array([1.0, -1.0]), 1.0, 0.0, 0.0, math.inf))
+    with pytest.raises(ValueError, match="shift must be finite"):
+        MixtureDistribution(atoms=(Atom(np.array([0.0, 1.0]), 0.0),), pieces=batch)
+
+
 def test_batch_validation_rejects_any_bad_law():
+    # each of the seven record faults, planted in one law's field and in a field every law shares,
+    # raises the message the single bad law raises
+    law = [Atom(0.0, 0.0), Atom(1.0, 0.0), GaussPiece(1.0, 1.0, 0.0, -math.inf, math.inf)]
+    faults = [(0, "loc", math.nan, "NaN"), (0, "weight", -0.5, "weight"), (2, "coeff", -1.0, "coeff"),
+              (2, "slope", 0.0, "slope"), (2, "shift", math.inf, "shift"), (2, "lower", math.nan, "lower < upper"),
+              (1, "loc", 0.0, "distinct")]
+    for record, field, bad, match in faults:
+        single = list(law)
+        single[record] = single[record]._replace(**{field: bad})
+        with pytest.raises(ValueError, match=match) as alone:
+            MixtureDistribution(atoms=single[:2], pieces=single[2:])
+        for value in (np.array([getattr(law[record], field), bad]), np.array(bad)):
+            batch = list(law)
+            batch[2] = batch[2]._replace(upper=np.full(2, math.inf))  # two laws, whatever is planted
+            batch[record] = batch[record]._replace(**{field: value})
+            with pytest.raises(ValueError) as err:
+                MixtureDistribution(atoms=batch[:2], pieces=batch[2:])
+            assert str(err.value) == str(alone.value)
     good = GaussPiece(1.0, 1.0, 0.0, -math.inf, math.inf)
     with pytest.raises(ValueError, match="weight"):
         MixtureDistribution(atoms=(Atom(np.array([0.0, 1.0]), np.array([0.0, -0.5])),), pieces=(good,))
@@ -622,9 +651,13 @@ def test_atom_rejects_nan_loc():
 
 def test_rescaled_rejects_nonpositive_or_nonfinite_scale():
     dist = finite_sample_dist(EstimatorKind.SCAD, FIG_POINT, FIG_TUNING)
-    for s in (0.0, -1.0, math.inf, math.nan):
+    for s in (0.0, -1.0, math.inf, math.nan, 1e-310, 5e-324):  # a subnormal scale has no finite inverse
         with pytest.raises(ValueError, match="scale"):
             dist.rescaled(s)
+    for kind in KINDS:
+        with pytest.raises(ValueError, match="scale"):
+            rescaled_dist(kind, ModelPoint(1, 0.0), TuningPlan(1e-310))
+        assert rescaled_dist(kind, ModelPoint(1, 0.0), TuningPlan(1e-300)).total_mass() == pytest.approx(1.0)
 
 
 def test_gauss_piece_validation():

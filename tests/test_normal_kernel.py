@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +37,13 @@ def test_pdf_even():
 def test_pdf_deep_tail_positive():
     v = norm_pdf(38.0)
     assert 0.0 <= v < 1e-300
+
+
+def test_pdf_is_zero_without_a_warning_where_the_square_overflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert norm_pdf(1e200) == 0.0 and norm_pdf(-1.7976931348623157e308) == 0.0
+        np.testing.assert_array_equal(norm_pdf(np.array([1e200, -1e200, math.inf, -math.inf, 40.0])), 0.0)
 
 
 def test_pdf_rejects_nonfinite():
