@@ -108,6 +108,16 @@ class Atom(NamedTuple):
     weight: float
 
 
+def _cdf_term(c, s, b, base, x):
+    """A piece's cdf mass on (lower, x] at points x inside it; at x = upper it is the stored mass bit for bit."""
+    return (c / s) * (norm_cdf(s * x + b) - base)
+
+
+def _density_term(c, s, b, base, x):
+    """A piece's density at points x inside it."""
+    return c * norm_pdf(s * x + b)
+
+
 def _checked_records(atoms, pieces) -> tuple:
     """The atoms and pieces of a law or of a batch of laws, coerced and checked, and the batch shape.
 
@@ -169,9 +179,11 @@ class MixtureDistribution:
     Building a single law makes one normal-cdf call over both mapped ends of
     every piece and keeps each piece's Phi values and mass for every later
     evaluation; `second_moment` reuses those Phi values and makes one
-    normal-pdf call (plus one over the nodes of its short pieces).  A batch
-    evaluates each law's point only in the piece that holds it, and its build
-    makes no kernel call at a piece end that is infinite for every law.
+    normal-pdf call (plus one over the nodes of its short pieces).  `cdf` and
+    `density_ac` are one walk over the pieces with two integrands, one walk
+    per form: a law at ascending x, or a batch at each law's point, which
+    only its own piece evaluates.  A batch's build makes no kernel call at
+    a piece end that is infinite for every law.
     """
 
     atoms: tuple
@@ -217,22 +229,17 @@ class MixtureDistribution:
     def cdf(self, x):
         """Right-continuous cdf on the real line; NaN x raises ValueError.
 
-        Each piece adds its mass on (lower, min(x, upper)] in closed form.
-        Phi is evaluated only at the points strictly inside a piece: points
-        at or below its lower end add nothing, and points at or past its
-        upper end add its whole mass, one scalar.  A single law walks an
-        array in ascending order (through one stable argsort when it is not
-        sorted), so two `searchsorted` calls per piece mark its slice; a
-        float x is walked as a one-point array and returns a float.  A
-        batch of laws evaluates law i at x[i], elementwise.
-        An atom at -inf contributes for every finite x, an atom at +inf
-        never does, so escaped mass shows up as a cdf pinned near 0 or 1.
+        `_evaluate` with the cdf integrand: a piece adds its mass on
+        (lower, x] at the points inside it and its whole mass past its upper
+        end, then each atom at or below x adds its weight.  An atom at -inf
+        counts for every finite x, an atom at +inf never does, so escaped
+        mass shows up as a cdf pinned near 0 or 1.
         """
-        return self._evaluate(x, self._ascending_cdf, self._batch_cdf)
+        return self._evaluate(x, _cdf_term, self._masses, self.atoms)
 
     def cdf_left(self, x):
         """Left limit of the cdf at x: the cdf minus the finite atoms sitting at x."""
-        x = np.asarray(x, dtype=float) if self._shape is None else self._batch_points(x)
+        x = np.asarray(x, dtype=float)
         return self._left_limit(x, self.cdf(x))
 
     def _left_limit(self, x: np.ndarray, cdf):
@@ -243,27 +250,28 @@ class MixtureDistribution:
         """
         for loc, w in self.atoms:
             cdf = cdf - w * (abs(loc) < math.inf) * (x == loc)
-        return _scalar_or_array(x, cdf)
+        return cdf if np.ndim(cdf) else float(cdf)
 
     def density_ac(self, x):
         """Density of the absolutely continuous part; atoms are not represented.
 
-        The pdf is evaluated only at the points of each piece's (lower, upper],
-        walked as in `cdf`; it is 0 at +-inf, and NaN x raises ValueError.
+        `_evaluate` with the pdf integrand, adding nothing past a piece and
+        no atom; it is 0 at +-inf, and NaN x raises ValueError.
         """
-        return self._evaluate(x, self._ascending_density, self._batch_density)
+        return self._evaluate(x, _density_term, (0.0,) * len(self.pieces), ())
 
     @np.errstate(over="ignore")
-    def _evaluate(self, x, ascending, batch):
-        """Route x to the ascending-array or batch form of an evaluation.
+    def _evaluate(self, x, term, past, atoms):
+        """Sum from zero each piece's `term` at the x inside it and `past` beyond it, then the `atoms`.
 
-        A single law walks every x as an ascending array: a float or 0-d x
-        is a one-point array, and its value comes back as a Python float.
-        Overflow is ignored: s*x overflows only past every finite mapped
-        point, where Phi is exactly 0 or 1 and the pdf 0.
+        A single law walks x as an ascending array (through one stable
+        argsort when it is not sorted); a float or 0-d x is a one-point
+        array whose value comes back as a float.  A batch of laws evaluates
+        law i at x[i].  Overflow is ignored: s*x overflows only past every
+        finite mapped point, where Phi is exactly 0 or 1 and the pdf 0.
         """
         if self._shape is not None:
-            return batch(self._batch_points(x))
+            return self._batch_walk(self._batch_points(x), term, past, atoms)
         x = np.asarray(x, dtype=float)
         flat = x.ravel()
         order = None
@@ -272,7 +280,7 @@ class MixtureDistribution:
             flat = flat[order]
         if flat.size and math.isnan(flat[-1]):  # sorting puts NaN last
             _no_nan(flat)  # raises
-        out = ascending(flat)
+        out = self._walk(flat, term, past, atoms)
         if order is not None:
             out[order] = out.copy()
         return _scalar_or_array(x, out.reshape(x.shape))
@@ -288,48 +296,31 @@ class MixtureDistribution:
         if self._shape is not None:
             raise ValueError(f"{method} takes a single law, not a batch of laws")
 
-    def _ascending_cdf(self, x: np.ndarray) -> np.ndarray:
+    def _walk(self, x: np.ndarray, term, past, atoms) -> np.ndarray:
+        # one searchsorted marks the slice of ascending x inside each piece's (lo, hi]
         total = np.zeros_like(x)
-        for (c, s, b, lo, hi), base, mass in zip(self.pieces, self._phi_lower, self._masses):
-            i = np.searchsorted(x, lo, side="right")
-            j = np.searchsorted(x, hi, side="left")
+        for (c, s, b, lo, hi), base, beyond in zip(self.pieces, self._phi_lower, past):
+            i, j = np.searchsorted(x, (lo, hi), side="right")
             if i < j:  # a piece holding no point makes no kernel call
-                total[i:j] += (c / s) * (norm_cdf(s * x[i:j] + b) - base)
-            total[j:] += mass
-        for loc, w in self.atoms:
+                total[i:j] += term(c, s, b, base, x[i:j])
+            total[j:] += beyond
+        for loc, w in atoms:
             if loc < math.inf:
                 total[np.searchsorted(x, loc, side="left"):] += w
         return total
 
-    def _batch_cdf(self, x: np.ndarray):
-        # in piece order, a piece adds its mass past hi, its partial term inside, or 0; the partial
-        # term at hi is the stored mass bit for bit, so the bits are those of evaluating every piece
+    def _batch_walk(self, x: np.ndarray, term, past, atoms):
+        # in piece order, a piece adds `past` beyond hi, its term inside, or 0; the cdf term at hi is
+        # the stored mass bit for bit, so the bits are those of evaluating every piece
         total = np.zeros_like(x)
-        for (c, s, b, lo, hi), base, mass in zip(self.pieces, self._phi_lower, self._masses):
+        for (c, s, b, lo, hi), base, beyond in zip(self.pieces, self._phi_lower, past):
             inside = (x > lo) & (x <= hi)
-            total += np.where(x > hi, mass, 0.0)
+            total += np.where(x > hi, beyond, 0.0)
             if inside.any():  # a piece holding no point makes no kernel call
                 c, s, b, base = (np.broadcast_to(v, x.shape)[inside] if np.ndim(v) else v for v in (c, s, b, base))
-                total[inside] += (c / s) * (norm_cdf(s * x[inside] + b) - base)
-        for loc, w in self.atoms:
+                total[inside] += term(c, s, b, base, x[inside])
+        for loc, w in atoms:
             total = total + w * (loc < math.inf) * (x >= loc)
-        return total
-
-    def _ascending_density(self, x: np.ndarray) -> np.ndarray:
-        total = np.zeros_like(x)
-        for c, s, b, lo, hi in self.pieces:
-            i, j = np.searchsorted(x, (lo, hi), side="right")
-            if i < j:
-                total[i:j] += c * norm_pdf(s * x[i:j] + b)
-        return total
-
-    def _batch_density(self, x: np.ndarray):
-        total = np.zeros_like(x)
-        for c, s, b, lo, hi in self.pieces:
-            inside = (x > lo) & (x <= hi)
-            if inside.any():
-                c, s, b = (np.broadcast_to(v, x.shape)[inside] if np.ndim(v) else v for v in (c, s, b))
-                total[inside] += c * norm_pdf(s * x[inside] + b)
         return total
 
     def second_moment(self) -> float:
