@@ -24,7 +24,7 @@ from .finite_dist import LAWS, MixtureDistribution, ModelPoint, finite_sample_di
 from .impossibility import MOutOfNBootstrap, OracleCheat, PretestPlugin, estimator_worst_case
 from .limits import canonical_scenarios
 from .montecarlo import uniform_rate_experiment
-from .normal_kernel import _check_count
+from .normal_kernel import _check_count, _check_seed
 from .report import ExperimentReport
 from .selection import PowerTuningPath, ThetaRule, selection_convergence_table
 
@@ -302,7 +302,7 @@ EXPERIMENTS = {"selection": _experiment_selection, "limits": _experiment_limits,
 def run_experiment(params: dict, out_dir: Path) -> tuple:
     name = params["name"]
     _check_config(params["config"])  # a config from a file, --reps or a replayed manifest
-    outputs, checks = EXPERIMENTS[name](params["config"], out_dir, int(params["seed"]))
+    outputs, checks = EXPERIMENTS[name](params["config"], out_dir, _check_seed(params["seed"]))
     verdict = {"experiment": name, "pass": all(c["pass"] for c in checks), "checks": checks}
     _write(out_dir / "verdict.json", _json_dumps(verdict))
     return outputs + ["verdict.json"], verdict["pass"]

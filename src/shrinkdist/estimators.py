@@ -45,7 +45,7 @@ class EstimatorKind(enum.Enum):
 
 @dataclass(frozen=True)
 class TuningPlan:
-    """User-set knobs: threshold eta > 0 and scad shape a > 2."""
+    """User-set knobs: threshold eta > 0 and scad shape a > 2, both stored as floats."""
 
     eta: float
     scad_a: float = DEFAULT_SCAD_A
@@ -54,6 +54,8 @@ class TuningPlan:
         if isinstance(self.eta, bool) or not (np.isfinite(self.eta) and self.eta > 0.0):
             raise ValueError(f"invalid tuning: eta > 0 required (got {self.eta})")
         _check_scad_a(self.scad_a)
+        object.__setattr__(self, "eta", float(self.eta))
+        object.__setattr__(self, "scad_a", float(self.scad_a))
 
 
 def _check_scad_a(a) -> None:

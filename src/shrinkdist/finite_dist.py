@@ -47,10 +47,10 @@ _SHORT_PIECE = 0.5  # mapped width below which second_moment integrates a piece 
 class ModelPoint:
     """Sample size and true location indexing one experiment P_{n,theta}.
 
-    `theta` may also be a nonempty 1-d sequence or array of locations: a
-    batch of points at one n, whose laws `finite_sample_dist` builds as one
-    batch.  A batch is stored as a tuple of floats, so a point stays
-    immutable, hashable and comparable either way.
+    `theta` is stored as a float.  It may also be a nonempty 1-d sequence or
+    array of locations: a batch of points at one n, whose laws
+    `finite_sample_dist` builds as one batch.  A batch is stored as a tuple
+    of floats, so a point stays immutable, hashable and comparable either way.
     """
 
     n: int
@@ -66,6 +66,8 @@ class ModelPoint:
             object.__setattr__(self, "theta", tuple(arr.astype(float).tolist()))
         elif isinstance(theta, bool) or not math.isfinite(theta):
             raise ValueError(f"theta must be a finite number (got {theta!r})")
+        else:
+            object.__setattr__(self, "theta", float(theta))
 
     @property
     def sqrt_n(self) -> float:

@@ -29,7 +29,7 @@ from .estimators import EstimatorKind, TuningPlan, estimate
 from .finite_dist import ModelPoint, _mixture, _zero_mass, finite_sample_dist
 from .limits import _limit_law
 from .montecarlo import _uniform_open
-from .normal_kernel import _check_count, gaussian_tv
+from .normal_kernel import _check_count, _check_seed, gaussian_tv
 from .report import ExperimentReport
 from .selection import RegimeSpec
 
@@ -232,11 +232,12 @@ def estimator_worst_case(
     if not c > abs(t):
         raise ValueError("the neighborhood radius must satisfy c > |t|")
     replications = _check_count(replications, "replications")
+    seed = _check_seed(seed)
     problem = TwoPointProblem(n=n, t=t, delta=0.5 * (c - abs(t)), tuning=tuning, kind=kind)
     eps_range, bound = minimax_lower_bound(problem)
     eps = 0.9 * eps_range
     grid = adversarial_theta_grid(n, t, c)
-    root = np.random.SeedSequence(int(seed))
+    root = np.random.SeedSequence(seed)
     children = root.spawn(len(grid))
     report = ExperimentReport(
         columns=("theta", "err_prob"),

@@ -179,6 +179,8 @@ def weak_convergence_check(finite_law_seq, limit: MixtureDistribution, grid, n_p
     if not n_probe:
         raise ValueError("n_probe must not be empty")
     grid = np.asarray(grid, dtype=float)
+    if grid.size == 0:
+        raise ValueError("grid must not be empty")
     for a in limit.atoms:
         if math.isfinite(a.loc) and np.min(np.abs(grid - a.loc)) < 1e-6:
             raise ValueError(f"grid point collides with limit atom at {a.loc}")

@@ -16,7 +16,7 @@ from scipy.special import ndtri
 
 from .estimators import DEFAULT_SCAD_A, EstimatorKind, TuningPlan, estimate
 from .finite_dist import MixtureDistribution, ModelPoint, finite_sample_dist
-from .normal_kernel import _check_count, _no_nan, _scalar_or_array, norm_cdf
+from .normal_kernel import _check_count, _check_seed, _no_nan, _scalar_or_array, norm_cdf
 from .report import ExperimentReport
 
 __all__ = [
@@ -42,8 +42,7 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "replications", _check_count(self.replications, "replications"))
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+        object.__setattr__(self, "seed", _check_seed(self.seed))
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,7 @@ def _uniform_open(gen: np.random.Generator, size) -> np.ndarray:
 
 def sample_ybar(cfg: SimConfig) -> np.ndarray:
     """Deterministic stream of ybar draws, in batch order (unsorted)."""
-    root = np.random.SeedSequence(int(cfg.seed))
+    root = np.random.SeedSequence(cfg.seed)
     n_batches = (cfg.replications + _BATCH - 1) // _BATCH
     children = root.spawn(n_batches)
     scale = 1.0 / cfg.point.sqrt_n

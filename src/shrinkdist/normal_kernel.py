@@ -29,6 +29,14 @@ def _scalar_or_array(x: np.ndarray, out):
     return out
 
 
+def _is_whole(value) -> bool:
+    """Whether value is a whole number: an int, or a whole float such as 200.0, but not a bool."""
+    try:
+        return not isinstance(value, bool) and int(value) == value
+    except (TypeError, ValueError, OverflowError):  # int() of a string, NaN or an infinity
+        return False
+
+
 def _check_count(value, name: str = "n") -> int:
     """A count (a sample size, say) is a positive integer, returned as an int.
 
@@ -36,13 +44,22 @@ def _check_count(value, name: str = "n") -> int:
     fraction, an infinity, NaN or a string does not; each raises ValueError
     naming the count.
     """
-    try:
-        whole = not isinstance(value, bool) and int(value) == value
-    except (TypeError, ValueError, OverflowError):  # int() of a string, NaN or an infinity
-        whole = False
-    if not (whole and value >= 1):
+    if not (_is_whole(value) and value >= 1):
         raise ValueError(f"{name} must be a positive integer (got {value!r})")
     return int(value)
+
+
+def _check_seed(seed) -> int:
+    """A seed is a nonnegative integer below 2**64, returned as an int.
+
+    Whole numbers pass as in `_check_count`; a bool, a fraction or a string
+    raises ValueError naming the seed, and so does a seed out of range.
+    """
+    if not _is_whole(seed):
+        raise ValueError(f"seed must be a nonnegative integer (got {seed!r})")
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in 64 unsigned bits")
+    return int(seed)
 
 
 def _no_nan(x) -> np.ndarray:

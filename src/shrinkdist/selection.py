@@ -95,24 +95,27 @@ class PowerTuningPath:
     """Canonical tuning family eta_n = scale * n**(-exponent).
 
     exponent = 1/2 gives conservative selection with e = scale; any
-    exponent in (0, 1/2) gives consistent selection (e = +inf).
+    exponent in (0, 1/2) gives consistent selection (e = +inf).  Both are
+    stored as floats.
     """
 
     scale: float
     exponent: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.scale) and self.scale > 0.0):
-            raise ValueError("scale must be positive")
+        if isinstance(self.scale, bool) or not (np.isfinite(self.scale) and self.scale > 0.0):
+            raise ValueError(f"scale must be positive (got {self.scale!r})")
         if not (0.0 < self.exponent <= 0.5):
             raise ValueError("exponent must lie in (0, 1/2]")
+        object.__setattr__(self, "scale", float(self.scale))
+        object.__setattr__(self, "exponent", float(self.exponent))
 
     def eta(self, n: int) -> float:
         return self.scale * float(n) ** (-self.exponent)
 
     @property
     def e_limit(self) -> float:
-        return float(self.scale) if self.exponent == 0.5 else math.inf
+        return self.scale if self.exponent == 0.5 else math.inf
 
 
 @dataclass(frozen=True)

@@ -244,6 +244,21 @@ def test_rerun_rejects_fractional_count(tmp_path, capsys):
     assert "each n_list item must be a positive integer (got 1000.5)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", [1.5, True, "1", -1])
+def test_rerun_rejects_a_seed_that_is_not_a_64_bit_integer(tmp_path, capsys, seed):
+    cfg = tmp_path / "sel.cfg"
+    cfg.write_text("n_list=100,1000\nrule=fixed\ntheta=0.5\n")
+    out = tmp_path / "sel"
+    assert main(["experiment", "selection", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["params"]["seed"] = manifest["seed"] = seed
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    replay = tmp_path / "replay"
+    assert main(["rerun", str(out / "manifest.json"), "--out", str(replay)]) == 2
+    assert "error: seed must" in capsys.readouterr().err and not (replay / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("argv", [["figure", "1"], ["dist", "--kind", "hard", "--n", "25", "--theta", "-0.3", "--eta", "0.08"]],
                          ids=["figure", "dist"])
 def test_rerun_rejects_fractional_n(tmp_path, capsys, argv):

@@ -164,6 +164,13 @@ def test_tuning_validation():
         TuningPlan(0.5, True)
 
 
+def test_tuning_stores_its_fields_as_floats():
+    tuning = TuningPlan(np.array(0.1), np.array(3.7))
+    assert type(tuning.eta) is float and type(tuning.scad_a) is float
+    assert tuning == TuningPlan(0.1, 3.7) and hash(tuning) == hash(TuningPlan(0.1, 3.7))
+    assert type(TuningPlan(1, 3).scad_a) is float
+
+
 def test_kind_parse():
     assert EstimatorKind.parse("Hard") is EstimatorKind.HARD
     with pytest.raises(ValueError):

@@ -302,8 +302,14 @@ def test_array_evaluation_matches_scalar_bit_for_bit(kind, builder):
     consistent_limit(EstimatorKind.HARD, RegimeSpec(math.inf, zeta=-1.0, r=0.5)),
     MixtureDistribution(atoms=(), pieces=(GaussPiece(1.0, 1.0, 0.0, -math.inf, 0.3),
                                           GaussPiece(1.0, 1.0, 0.0, 0.3, math.inf))),
-], ids=["atom-at-minus-inf", "atom-at-plus-inf", "no-atoms"])
+    finite_sample_dist(EstimatorKind.SCAD, ModelPoint(100, 0.1), TuningPlan(1e-17)),
+    conservative_limit(EstimatorKind.SCAD, 0.3, 1e-300),
+    finite_sample_dist(EstimatorKind.SCAD, ModelPoint(25, -0.3), TuningPlan(0.08, 2 + 1e-9)),
+], ids=["atom-at-minus-inf", "atom-at-plus-inf", "no-atoms", "one-empty-piece", "four-empty-pieces",
+        "short-blend-pieces"])
 def test_array_evaluation_of_other_laws_matches_scalar_bit_for_bit(dist):
+    # the scad laws have pieces with lower == upper (1 at se = 1e-16, 4 in the limit at e = 1e-300)
+    # or blend pieces of slope (a - 2)/(a - 1) about 1e-9, so short in the mapped variable
     _assert_arrays_match_points(dist)
 
 
@@ -701,6 +707,13 @@ def test_model_point_batch_is_an_immutable_value():
     assert point.theta == (0.1, -0.2)
     assert point == ModelPoint(10, [0.1, -0.2])
     assert hash(point) == hash(ModelPoint(10, (0.1, -0.2)))
+
+
+def test_model_point_stores_a_scalar_theta_as_a_float():
+    for theta in (np.array(0.1), np.float64(0.1), np.array([0.1])[0]):
+        point = ModelPoint(40, theta)
+        assert type(point.theta) is float
+        assert point == ModelPoint(40, 0.1) and hash(point) == hash(ModelPoint(40, 0.1))
 
 
 def test_tiny_atoms_are_kept():

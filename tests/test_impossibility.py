@@ -196,6 +196,12 @@ class TestWorstCase:
                                         seed=41, replications=1500)
         assert rep_small.meta["sup"] >= rep_full.meta["sup"]
 
+    def test_worst_case_takes_a_0d_scad_a(self):
+        # a 0-d array field is stored as a float, so the pretest's memo can hash the tuning
+        run = lambda a: estimator_worst_case(PretestPlugin(), EstimatorKind.HARD, 100, 0.0, TuningPlan(0.1, a), 2.0,
+                                             seed=1, replications=10)
+        assert run(np.array(3.7)) == run(3.7)
+
     def test_worst_case_deterministic_under_seed(self):
         tun = TuningPlan(CONSISTENT_PATH.eta(1000))
         a = estimator_worst_case(PretestPlugin(), EstimatorKind.HARD, 1000, 0.0, tun, 2.0,

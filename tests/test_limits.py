@@ -292,6 +292,12 @@ class TestWeakConvergenceCheck:
         with pytest.raises(ValueError, match="n_probe"):
             weak_convergence_check(lambda n: law, law, np.array([-2.0, 0.0, 2.0]), [])
 
+    @pytest.mark.parametrize("law", [conservative_limit(HARD, 0.5, 1.0), conservative_limit(HARD, 0.5, 0.0)],
+                             ids=["with-atom", "atomless"])
+    def test_rejects_empty_grid(self, law):
+        with pytest.raises(ValueError, match="^grid must not be empty$"):
+            weak_convergence_check(lambda n: law, law, [], [10])
+
     def test_conservative_scenario_small_gap(self):
         # sqrt(n)*theta = 1 and sqrt(n)*eta = 1.96 at every n: finite law equals the limit
         law = conservative_limit(HARD, 1.0, 1.96)

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -145,6 +146,36 @@ def test_every_sample_size_is_a_positive_integer(site, n):
 def test_a_whole_float_count_is_stored_as_an_int(site, field):
     count = getattr(SAMPLE_SIZE_SITES[site][1](40.0), field)
     assert type(count) is int and count == 40
+
+
+# each site that takes a seed: a call passing the seed
+SEED_SITES = {
+    "SimConfig": lambda s: SimConfig(s, 10, ModelPoint(40, 0.1), TuningPlan(0.05)),
+    "estimator_worst_case": lambda s: estimator_worst_case(
+        OracleCheat(), EstimatorKind.HARD, 100, 0.0, TuningPlan(0.5), 2.0, seed=s, replications=10),
+}
+
+
+@pytest.mark.parametrize("seed", [True, False, 1.5, 2.7, "1", math.nan, math.inf, None])
+@pytest.mark.parametrize("site", SEED_SITES)
+def test_every_seed_is_a_nonnegative_integer(site, seed):
+    with pytest.raises(ValueError, match=rf"^seed must be a nonnegative integer \(got {re.escape(repr(seed))}\)$"):
+        SEED_SITES[site](seed)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1e20, -1.0])
+@pytest.mark.parametrize("site", SEED_SITES)
+def test_every_seed_fits_in_64_unsigned_bits(site, seed):
+    with pytest.raises(ValueError, match="^seed must fit in 64 unsigned bits$"):
+        SEED_SITES[site](seed)
+
+
+def test_a_whole_float_seed_gives_the_int_seed_result():
+    config = SEED_SITES["SimConfig"]
+    assert type(config(7.0).seed) is int and config(2**64 - 1).seed == 2**64 - 1
+    draws = simulate_estimates(EstimatorKind.HARD, config(7.0)).values
+    np.testing.assert_array_equal(draws, simulate_estimates(EstimatorKind.HARD, config(np.uint64(7))).values)
+    assert SEED_SITES["estimator_worst_case"](7.0) == SEED_SITES["estimator_worst_case"](7)
 
 
 def test_a_whole_float_count_gives_the_int_count_result():

@@ -137,6 +137,14 @@ class TestTuningPath:
             PowerTuningPath(0.0, 0.5)
         with pytest.raises(ValueError):
             PowerTuningPath(1.0, 0.75)
+        with pytest.raises(ValueError, match="scale must be positive"):
+            PowerTuningPath(True, 0.5)
+
+    def test_fields_are_stored_as_floats(self):
+        path = PowerTuningPath(np.array(1.96), np.array(0.5))
+        assert type(path.scale) is float and type(path.exponent) is float
+        assert path == PowerTuningPath(1.96, 0.5) and hash(path) == hash(PowerTuningPath(1.96, 0.5))
+        assert type(path.e_limit) is float
 
 
 class TestDeriveRegime:
