@@ -50,11 +50,7 @@ def _check_count(value, name: str = "n") -> int:
 
 
 def _check_seed(seed) -> int:
-    """A seed is a nonnegative integer below 2**64, returned as an int.
-
-    Whole numbers pass as in `_check_count`; a bool, a fraction or a string
-    raises ValueError naming the seed, and so does a seed out of range.
-    """
+    """A seed is a whole number (as a count is) in [0, 2**64), returned as an int; else ValueError."""
     if not _is_whole(seed):
         raise ValueError(f"seed must be a nonnegative integer (got {seed!r})")
     if not 0 <= seed < 2**64:
