@@ -45,13 +45,13 @@ def _write(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _write_manifest(out_dir: Path, command: str, params: dict, seed, outputs: list) -> None:
+def _write_manifest(out_dir: Path, command: str, params: dict, outputs: list) -> None:
     manifest = {
         "tool": "shrinkdist",
         "version": __version__,
         "command": command,
         "params": params,
-        "seed": seed,
+        "seed": params.get("seed"),  # null for a figure or dist, which draw nothing
         "outputs": sorted(outputs),
     }
     _write(out_dir / "manifest.json", _json_dumps(manifest))
@@ -59,11 +59,14 @@ def _write_manifest(out_dir: Path, command: str, params: dict, seed, outputs: li
 
 def _resolve_seed(args) -> int:
     if args.seed is not None:
-        return int(args.seed)
+        return _check_seed(args.seed)
     env = os.environ.get("SHRINKDIST_SEED")
-    if env is not None:
-        return int(env)
-    return DEFAULT_SEED
+    if env is None:
+        return DEFAULT_SEED
+    try:
+        return _check_seed(int(env))
+    except ValueError:  # int() of a fraction or a word, or a seed out of range
+        raise ValueError(f"SHRINKDIST_SEED must hold a seed, an integer in [0, 2**64) (got {env!r})") from None
 
 
 def _svg_polyline(xs, ys, x_range, y_range, width, height, pad) -> str:
@@ -312,10 +315,10 @@ def run_experiment(params: dict, out_dir: Path) -> tuple:
 RUNNERS = {"figure": run_figure, "dist": run_dist, "experiment": run_experiment}
 
 
-def _dispatch(command: str, params: dict, out_dir: Path, seed) -> int:
+def _dispatch(command: str, params: dict, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs, passed = RUNNERS[command](params, out_dir)
-    _write_manifest(out_dir, command, params, seed, outputs)
+    _write_manifest(out_dir, command, params, outputs)
     if command == "experiment":
         print(f"{'PASS' if passed else 'FAIL'}: experiment {params['name']} -> {out_dir}")
     else:
@@ -361,12 +364,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     params = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
-    seed = None
     try:
         if args.command == "rerun":
             manifest = json.loads(Path(args.manifest).read_text())
+            seed, params_seed = manifest["seed"], manifest["params"].get("seed")
+            if seed != params_seed:
+                raise ValueError(f"manifest seed {seed!r} differs from its params seed {params_seed!r}")
             out_dir = Path(args.out) if args.out else Path(args.manifest).parent
-            return _dispatch(manifest["command"], manifest["params"], out_dir, manifest["seed"])
+            return _dispatch(manifest["command"], manifest["params"], out_dir)
         if args.command == "dist":
             lo, hi, count = args.grid.split(":")
             params["grid"] = [float(lo), float(hi), int(count)]
@@ -374,9 +379,8 @@ def main(argv=None) -> int:
             cfg = _parse_config_file(args.config) if args.config else {}
             if args.reps is not None:
                 cfg["reps"] = args.reps
-            seed = _resolve_seed(args)
-            params = {"name": args.name, "config": cfg, "seed": seed}
-        return _dispatch(args.command, params, Path(args.out), seed)
+            params = {"name": args.name, "config": cfg, "seed": _resolve_seed(args)}
+        return _dispatch(args.command, params, Path(args.out))
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,7 +4,7 @@ The law of sqrt(n)*(estimate - theta) is, for every kind, a mixture of one
 point mass (sitting at -sqrt(n)*theta, carried by the event estimate == 0)
 and an absolutely continuous part assembled from scaled-Gaussian pieces
 
-    x  |->  c * pdf(alpha*x + beta)   on (lower, upper],
+    x  |->  alpha * pdf(alpha*x + beta)   on (lower, upper],  alpha > 0,
 
 so every cdf value, mass, and second moment is a finite combination of
 normal cdf evaluations.  No quadrature appears on this path; quadrature is
@@ -94,9 +94,8 @@ def _inverse_scale(s: float) -> float:
 
 
 class GaussPiece(NamedTuple):
-    """Density c * pdf(alpha*x + beta) supported on (lower, upper]; ends may be +-inf."""
+    """Density slope * pdf(slope*x + shift), slope > 0, supported on (lower, upper]; ends may be +-inf."""
 
-    coeff: float
     slope: float
     shift: float
     lower: float
@@ -110,14 +109,14 @@ class Atom(NamedTuple):
     weight: float
 
 
-def _cdf_term(c, s, b, base, x):
+def _cdf_term(s, b, base, x):
     """A piece's cdf mass on (lower, x] at points x inside it; at x = upper it is the stored mass bit for bit."""
-    return (c / s) * (norm_cdf(s * x + b) - base)
+    return norm_cdf(s * x + b) - base
 
 
-def _density_term(c, s, b, base, x):
+def _density_term(s, b, base, x):
     """A piece's density at points x inside it."""
-    return c * norm_pdf(s * x + b)
+    return s * norm_pdf(s * x + b)
 
 
 def _checked_records(atoms, pieces) -> tuple:
@@ -145,11 +144,9 @@ def _checked_records(atoms, pieces) -> tuple:
             raise ValueError("atom location must not be NaN")
         if not ok((w >= 0.0) & (w < inf)):
             raise ValueError("atom weight must be finite and nonnegative")
-    for c, s, b, lower, upper in pieces:
-        if not ok((c >= 0.0) & (c < inf)):
-            raise ValueError("coeff must be finite and nonnegative")
-        if not ok((abs(s) < inf) & (s != 0.0)):
-            raise ValueError("slope must be finite and nonzero")
+    for s, b, lower, upper in pieces:
+        if not ok((s > 0.0) & (s < inf)):
+            raise ValueError("slope must be finite and positive")
         if not ok(abs(b) < inf):
             raise ValueError("shift must be finite")
         if not ok(lower <= upper):
@@ -197,14 +194,13 @@ class MixtureDistribution:
         object.__setattr__(self, "pieces", pieces)
         # a batch calls the kernel once per end on B values (one stacked call raised peak memory),
         # and none at an end infinite for every law, where Phi is exactly 0 or 1
-        ends = (s * end + b for _, s, b, lo, hi in pieces for end in (lo, hi))
+        ends = (s * end + b for s, b, lo, hi in pieces for end in (lo, hi))
         phi = (norm_cdf(np.fromiter(ends, float)).tolist() if shape is None else
                [(z > 0.0) * 1.0 if np.isinf(z).all() else norm_cdf(z) for z in ends])
         object.__setattr__(self, "_shape", shape)
         object.__setattr__(self, "_phi_lower", tuple(phi[0::2]))
         object.__setattr__(self, "_phi_upper", tuple(phi[1::2]))
-        object.__setattr__(self, "_masses", tuple((p.coeff / p.slope) * (upper - lower) for p, lower, upper
-                                                  in zip(pieces, self._phi_lower, self._phi_upper)))
+        object.__setattr__(self, "_masses", tuple(hi - lo for lo, hi in zip(self._phi_lower, self._phi_upper)))
         total = self.total_mass()
         worst = abs(total - 1.0) if shape is None else np.max(abs(total - 1.0))
         if worst > _MASS_TOL:
@@ -301,10 +297,10 @@ class MixtureDistribution:
     def _walk(self, x: np.ndarray, term, past, atoms) -> np.ndarray:
         # one searchsorted marks the slice of ascending x inside each piece's (lo, hi]
         total = np.zeros_like(x)
-        for (c, s, b, lo, hi), base, beyond in zip(self.pieces, self._phi_lower, past):
+        for (s, b, lo, hi), base, beyond in zip(self.pieces, self._phi_lower, past):
             i, j = np.searchsorted(x, (lo, hi), side="right")
             if i < j:  # a piece holding no point makes no kernel call
-                total[i:j] += term(c, s, b, base, x[i:j])
+                total[i:j] += term(s, b, base, x[i:j])
             total[j:] += beyond
         for loc, w in atoms:
             if loc < math.inf:
@@ -315,12 +311,12 @@ class MixtureDistribution:
         # in piece order, a piece adds `past` beyond hi, its term inside, or 0; the cdf term at hi is
         # the stored mass bit for bit, so the bits are those of evaluating every piece
         total = np.zeros_like(x)
-        for (c, s, b, lo, hi), base, beyond in zip(self.pieces, self._phi_lower, past):
+        for (s, b, lo, hi), base, beyond in zip(self.pieces, self._phi_lower, past):
             inside = (x > lo) & (x <= hi)
             total += np.where(x > hi, beyond, 0.0)
             if inside.any():  # a piece holding no point makes no kernel call
-                c, s, b, base = (np.broadcast_to(v, x.shape)[inside] if np.ndim(v) else v for v in (c, s, b, base))
-                total[inside] += term(c, s, b, base, x[inside])
+                s, b, base = (np.broadcast_to(v, x.shape)[inside] if np.ndim(v) else v for v in (s, b, base))
+                total[inside] += term(s, b, base, x[inside])
         for loc, w in atoms:
             total = total + w * (loc < math.inf) * (x >= loc)
         return total
@@ -329,7 +325,7 @@ class MixtureDistribution:
         """Atom part plus, per piece, the integral of x^2 times its density.
 
         With z = alpha*x + beta a piece's integral becomes
-        c/alpha^3 * int (z - beta)^2 pdf(z) dz over the mapped interval, and
+        1/alpha^2 * int (z - beta)^2 pdf(z) dz over the mapped interval, and
         int pdf, int z*pdf, int z^2*pdf all reduce to cdf/pdf evaluations.
         On a short mapped interval (the scad blend piece as a -> 2) that sum
         cancels, so such a piece is integrated in x by 8-point Gauss-Legendre.
@@ -342,18 +338,18 @@ class MixtureDistribution:
                     return math.inf
                 continue
             out += w * loc**2
-        mapped = [(s * lo + b, s * hi + b) for _, s, b, lo, hi in self.pieces]
+        mapped = [(s * lo + b, s * hi + b) for s, b, lo, hi in self.pieces]
         short = [abs(zb - za) < _SHORT_PIECE for za, zb in mapped]
         pdf = iter(norm_pdf(np.array([z for zs, sh in zip(mapped, short) if not sh for z in zs])).tolist())
         if any(short):  # one row of quadrature nodes per short piece
-            coeff, slope, shift, lower, upper = np.array([p for p, sh in zip(self.pieces, short) if sh]).T[..., None]
+            slope, shift, lower, upper = np.array([p for p, sh in zip(self.pieces, short) if sh]).T[..., None]
             half = 0.5 * (upper - lower)
             x = 0.5 * (upper + lower) + half * _GL_NODES
-            f = coeff * x**2 * norm_pdf(slope * x + shift)
+            f = slope * x**2 * norm_pdf(slope * x + shift)
             quadrature = iter([h * float(np.dot(_GL_WEIGHTS, row)) for h, row in zip(half.ravel().tolist(), f)])
         ac = 0.0
-        for (c, s, b, _, _), (za, zb), sh, phi_a, phi_b in zip(self.pieces, mapped, short,
-                                                               self._phi_lower, self._phi_upper):
+        for (s, b, _, _), (za, zb), sh, phi_a, phi_b in zip(self.pieces, mapped, short,
+                                                            self._phi_lower, self._phi_upper):
             if sh:
                 ac += next(quadrature)
                 continue
@@ -362,7 +358,7 @@ class MixtureDistribution:
             i1 = pa - pb
             # z * pdf(z) has the limit 0 at +-inf
             i2 = i0 + (0.0 if math.isinf(za) else za * pa) - (0.0 if math.isinf(zb) else zb * pb)
-            ac += (c / s**3) * (i2 - 2.0 * b * i1 + b**2 * i0)
+            ac += (s / s**3) * (i2 - 2.0 * b * i1 + b**2 * i0)  # not 1/s**2, which differs in the last bit
         return out + ac
 
     def rescaled(self, s: float) -> "MixtureDistribution":
@@ -370,8 +366,7 @@ class MixtureDistribution:
         inv = _inverse_scale(s)
         return MixtureDistribution(
             atoms=tuple(Atom(loc * inv, w) for loc, w in self.atoms),
-            pieces=tuple(GaussPiece(c * s, slope * s, b, lo * inv, hi * inv)
-                         for c, slope, b, lo, hi in self.pieces),
+            pieces=tuple(GaussPiece(slope * s, b, lo * inv, hi * inv) for slope, b, lo, hi in self.pieces),
         )
 
     def breakpoints(self) -> list:
@@ -384,12 +379,16 @@ class MixtureDistribution:
         self._single_law("to_json")
         return {
             "atoms": [{"loc": _real_to_json(a.loc), "weight": a.weight} for a in self.atoms],
-            "pieces": [dict(p._asdict(), lower=_real_to_json(p.lower), upper=_real_to_json(p.upper))
+            "pieces": [dict(p._asdict(), coeff=p.slope, lower=_real_to_json(p.lower), upper=_real_to_json(p.upper))
                        for p in self.pieces],
         }
 
     @classmethod
     def from_json(cls, obj) -> "MixtureDistribution":
+        """Inverse of `to_json`, whose pieces keep a "coeff" key equal to the slope; a mismatch raises ValueError."""
+        for p in obj["pieces"]:
+            if p["coeff"] != p["slope"]:
+                raise ValueError(f"piece coeff {p['coeff']!r} must equal its slope {p['slope']!r}")
         return cls(
             atoms=[Atom(a["loc"], a["weight"]) for a in obj["atoms"]],
             pieces=[GaussPiece(*(p[k] for k in GaussPiece._fields)) for p in obj["pieces"]],
@@ -434,20 +433,20 @@ def _mixture(kind: EstimatorKind, loc, se: float, a: float) -> MixtureDistributi
     """
     atom = Atom(loc, _zero_mass(loc, se))
     if kind is EstimatorKind.HARD:
-        pieces = (GaussPiece(1.0, 1.0, 0.0, -math.inf, loc - se), GaussPiece(1.0, 1.0, 0.0, loc + se, math.inf))
+        pieces = (GaussPiece(1.0, 0.0, -math.inf, loc - se), GaussPiece(1.0, 0.0, loc + se, math.inf))
     elif kind is EstimatorKind.SOFT:
-        pieces = (GaussPiece(1.0, 1.0, -se, -math.inf, loc), GaussPiece(1.0, 1.0, se, loc, math.inf))
+        pieces = (GaussPiece(1.0, -se, -math.inf, loc), GaussPiece(1.0, se, loc, math.inf))
     elif kind is EstimatorKind.SCAD:
         ratio = (a - 2.0) / (a - 1.0)
         b_lo = loc - a * se
         b_hi = loc + a * se
         pieces = (
-            GaussPiece(1.0, 1.0, 0.0, -math.inf, b_lo),
-            GaussPiece(ratio, ratio, b_lo / (a - 1.0), b_lo, loc - se),
-            GaussPiece(1.0, 1.0, -se, loc - se, loc),
-            GaussPiece(1.0, 1.0, se, loc, loc + se),
-            GaussPiece(ratio, ratio, b_hi / (a - 1.0), loc + se, b_hi),
-            GaussPiece(1.0, 1.0, 0.0, b_hi, math.inf),
+            GaussPiece(1.0, 0.0, -math.inf, b_lo),
+            GaussPiece(ratio, b_lo / (a - 1.0), b_lo, loc - se),
+            GaussPiece(1.0, -se, loc - se, loc),
+            GaussPiece(1.0, se, loc, loc + se),
+            GaussPiece(ratio, b_hi / (a - 1.0), loc + se, b_hi),
+            GaussPiece(1.0, 0.0, b_hi, math.inf),
         )
     else:
         raise ValueError(f"unknown estimator kind {kind!r}")

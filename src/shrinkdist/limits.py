@@ -59,7 +59,7 @@ def convergence_mode(law: MixtureDistribution) -> str:
 
 def _normal(mu: float = 0.0) -> MixtureDistribution:
     """N(mu, 1); 0.0 - mu keeps the shift of N(0, 1) at +0.0."""
-    return MixtureDistribution(atoms=(), pieces=(GaussPiece(1.0, 1.0, 0.0 - mu, -math.inf, math.inf),))
+    return MixtureDistribution(atoms=(), pieces=(GaussPiece(1.0, 0.0 - mu, -math.inf, math.inf),))
 
 
 def _pointmass(loc: float) -> MixtureDistribution:
@@ -83,7 +83,7 @@ def conservative_limit(kind: EstimatorKind, nu, e: float, scad_a: float = DEFAUL
 def _hard_boundary_law(zeta_positive: bool, r: float) -> MixtureDistribution:
     """Weight cdf(r) escaping to -sign(zeta)*inf plus the normal density past the cut at sign(zeta)*r."""
     escape, lower, upper = (-math.inf, r, math.inf) if zeta_positive else (math.inf, -math.inf, -r)
-    return MixtureDistribution(atoms=(Atom(escape, norm_cdf(r)),), pieces=(GaussPiece(1.0, 1.0, 0.0, lower, upper),))
+    return MixtureDistribution(atoms=(Atom(escape, norm_cdf(r)),), pieces=(GaussPiece(1.0, 0.0, lower, upper),))
 
 
 def _scad_boundary_law(zeta_positive: bool, rf: float, a: float) -> MixtureDistribution:
@@ -91,13 +91,13 @@ def _scad_boundary_law(zeta_positive: bool, rf: float, a: float) -> MixtureDistr
     ratio = (a - 2.0) / (a - 1.0)
     if zeta_positive:
         pieces = (
-            GaussPiece(ratio, ratio, rf / (a - 1.0), -math.inf, rf),
-            GaussPiece(1.0, 1.0, 0.0, rf, math.inf),
+            GaussPiece(ratio, rf / (a - 1.0), -math.inf, rf),
+            GaussPiece(1.0, 0.0, rf, math.inf),
         )
     else:
         pieces = (
-            GaussPiece(1.0, 1.0, 0.0, -math.inf, -rf),
-            GaussPiece(ratio, ratio, -rf / (a - 1.0), -rf, math.inf),
+            GaussPiece(1.0, 0.0, -math.inf, -rf),
+            GaussPiece(ratio, -rf / (a - 1.0), -rf, math.inf),
         )
     return MixtureDistribution(atoms=(), pieces=pieces)
 

@@ -16,7 +16,7 @@ from scipy.special import ndtri
 
 from .estimators import DEFAULT_SCAD_A, EstimatorKind, TuningPlan, estimate
 from .finite_dist import MixtureDistribution, ModelPoint, finite_sample_dist
-from .normal_kernel import _check_count, _check_seed, _no_nan, _scalar_or_array, norm_cdf
+from .normal_kernel import _check_count, _check_seed, _no_nan, norm_cdf
 from .report import ExperimentReport
 
 __all__ = [
@@ -63,11 +63,6 @@ class EmpiricalCdf:
     @property
     def count(self) -> int:
         return int(self.values.size)
-
-    def evaluate(self, x):
-        """Fraction of sample points <= x; NaN x raises ValueError."""
-        x = _no_nan(x)
-        return _scalar_or_array(x, np.searchsorted(self.values, x, side="right") / self.count)
 
     def fraction_at(self, x: float) -> float:
         """Fraction of sample points exactly equal to x; NaN x raises ValueError."""

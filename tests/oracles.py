@@ -25,7 +25,6 @@ import math
 
 import mpmath
 import numpy as np
-from scipy.integrate import quad
 
 from shrinkdist.estimators import EstimatorKind, estimate, penalized_objective
 from shrinkdist.finite_dist import _GL_NODES, _GL_WEIGHTS, _SHORT_PIECE, ModelPoint, finite_sample_dist
@@ -38,6 +37,8 @@ def quadrature_cdf(dist, x: float, left: bool = False) -> float:
 
     With `left` the atoms at x are left out: the left limit of the cdf.
     """
+    from scipy.integrate import quad  # imported here, not at collection: it takes most of a second
+
     # atoms at -inf included
     total = sum(a.weight for a in dist.atoms if (a.loc < x if left else a.loc <= x))
     for p in dist.pieces:
@@ -45,7 +46,7 @@ def quadrature_cdf(dist, x: float, left: bool = False) -> float:
         if hi <= lo:
             continue
         lo = max(lo, -60.0)
-        val, _ = quad(lambda t: p.coeff * norm_pdf(p.slope * t + p.shift), lo, hi,
+        val, _ = quad(lambda t: p.slope * norm_pdf(p.slope * t + p.shift), lo, hi,
                       epsabs=1e-13, epsrel=1e-13, limit=300)
         total += val
     return total
@@ -89,8 +90,8 @@ def mpmath_second_moment(dist):
     """Second moment of a single law in closed form, to 50 digits in mpmath.
 
     Shares only the atom and piece records with the law: each atom adds
-    weight * loc**2, and a piece c * pdf(s*x + b) on (lo, hi] adds
-    c/s**3 * [(1 + b**2)*Phi(z) - z*pdf(z) + 2*b*pdf(z)] between its mapped
+    weight * loc**2, and a piece s * pdf(s*x + b) on (lo, hi] adds
+    1/s**2 * [(1 + b**2)*Phi(z) - z*pdf(z) + 2*b*pdf(z)] between its mapped
     ends z = s*lo + b and z = s*hi + b, where z*pdf(z) -> 0 at an infinite
     end.  A small slope s makes the two ends cancel, so the working
     precision rises until two successive results agree to 50 digits.
@@ -99,10 +100,10 @@ def mpmath_second_moment(dist):
     for dps in range(60, 1000, 30):
         with mpmath.workdps(dps):
             total = mpmath.fsum(mpmath.mpf(w) * mpmath.mpf(loc) ** 2 for loc, w in dist.atoms)
-            for c, s, b, lo, hi in dist.pieces:
-                c, s, b = mpmath.mpf(c), mpmath.mpf(s), mpmath.mpf(b)
+            for s, b, lo, hi in dist.pieces:
+                s, b = mpmath.mpf(s), mpmath.mpf(b)
                 upper, lower = (_moment_primitive(s * mpmath.mpf(end) + b, b) for end in (hi, lo))
-                total += c / s**3 * (upper - lower)
+                total += (upper - lower) / s**2
             if previous is not None and abs(total - previous) <= mpmath.mpf(10) ** -50 * abs(total):
                 return total
             previous = total
@@ -157,9 +158,8 @@ def ks_reference(emp, dist) -> float:
 
 def reference_masses(pieces):
     """(Phi at each piece's mapped lower end, each piece's mass), two scalar calls per piece."""
-    phi_lower = tuple(norm_cdf(s * lo + b) for _, s, b, lo, _ in pieces)
-    masses = tuple((c / s) * (norm_cdf(s * hi + b) - base)
-                   for (c, s, b, _, hi), base in zip(pieces, phi_lower))
+    phi_lower = tuple(norm_cdf(s * lo + b) for s, b, lo, _ in pieces)
+    masses = tuple(norm_cdf(s * hi + b) - base for (s, b, _, hi), base in zip(pieces, phi_lower))
     return phi_lower, masses
 
 
@@ -178,13 +178,13 @@ def point_values(dist, xs) -> tuple:
     cdfs, lefts, densities = [], [], []
     for x in xs:
         cdf, density = 0.0, 0.0
-        for (c, s, b, lo, hi), base, mass in zip(dist.pieces, phi_lower, masses):
+        for (s, b, lo, hi), base, mass in zip(dist.pieces, phi_lower, masses):
             if x >= hi:
                 cdf += mass
             elif x > lo:
-                cdf += (c / s) * (norm_cdf(s * x + b) - base)
+                cdf += norm_cdf(s * x + b) - base
             if lo < x <= hi and x < math.inf:
-                density += c * norm_pdf(s * x + b)
+                density += s * norm_pdf(s * x + b)
         for loc, w in dist.atoms:
             if loc <= x and loc < math.inf:
                 cdf += w
@@ -215,18 +215,18 @@ def reference_second_moment(dist) -> float:
             continue
         out += w * loc**2
     ac = 0.0
-    for c, s, b, lo, hi in dist.pieces:
+    for s, b, lo, hi in dist.pieces:
         za, zb = s * lo + b, s * hi + b
         if abs(zb - za) < _SHORT_PIECE:
             half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
             x = mid + half * _GL_NODES
-            ac += half * float(np.dot(_GL_WEIGHTS, c * x**2 * norm_pdf(s * x + b)))
+            ac += half * float(np.dot(_GL_WEIGHTS, s * x**2 * norm_pdf(s * x + b)))
             continue
         i0 = norm_cdf(zb) - norm_cdf(za)
         pa, pb = (0.0 if math.isinf(z) else norm_pdf(z) for z in (za, zb))
         i1 = pa - pb
         i2 = i0 + _zphi(za) - _zphi(zb)
-        ac += (c / s**3) * (i2 - 2.0 * b * i1 + b**2 * i0)
+        ac += (s / s**3) * (i2 - 2.0 * b * i1 + b**2 * i0)
     return out + ac
 
 

@@ -2,6 +2,7 @@ import json
 import math
 import re
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -259,6 +260,31 @@ def test_rerun_rejects_a_seed_that_is_not_a_64_bit_integer(tmp_path, capsys, see
     assert "error: seed must" in capsys.readouterr().err and not (replay / "manifest.json").exists()
 
 
+def test_rerun_rejects_a_manifest_whose_seed_differs_from_its_params(tmp_path, capsys):
+    cfg = tmp_path / "sel.cfg"
+    cfg.write_text("n_list=100,1000\nrule=fixed\ntheta=0.5\n")
+    out = tmp_path / "sel"
+    assert main(["experiment", "selection", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["seed"] = 5
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    replay = tmp_path / "replay"
+    assert main(["rerun", str(out / "manifest.json"), "--out", str(replay)]) == 2
+    assert "error: manifest seed 5 differs from its params seed 1" in capsys.readouterr().err
+    assert not replay.exists()
+
+
+@pytest.mark.parametrize("env", ["abc", "1.5", "-1"])
+def test_seed_env_that_is_not_a_seed_names_the_variable(tmp_path, capsys, monkeypatch, env):
+    monkeypatch.setenv("SHRINKDIST_SEED", env)
+    out = tmp_path / "sel"
+    assert main(["experiment", "selection", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: SHRINKDIST_SEED must hold a seed, an integer in [0, 2**64) (got {env!r})\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["figure", "1"], ["dist", "--kind", "hard", "--n", "25", "--theta", "-0.3", "--eta", "0.08"]],
                          ids=["figure", "dist"])
 def test_rerun_rejects_fractional_n(tmp_path, capsys, argv):
@@ -437,17 +463,18 @@ def test_density_table_puts_an_atom_row_before_the_density_row_at_its_x(where):
 
 
 def test_density_table_without_finite_atoms():
-    dist = MixtureDistribution(atoms=((math.inf, 0.0),), pieces=((1.0, 1.0, 0.0, -math.inf, math.inf),))
+    dist = MixtureDistribution(atoms=((math.inf, 0.0),), pieces=((1.0, 0.0, -math.inf, math.inf),))
     table, _, atoms = _density_table(dist, -1.0, 1.0, 11)
     assert atoms == [] and table.column("is_atom") == [0] * 11
     assert table.rows == density_rows_reference(dist, -1.0, 1.0, 11)
 
 
 def test_density_table_orders_atoms_that_share_a_place():
-    # the atoms below lo and above hi go in before the first and after the last density row, in x order
+    # the atoms below lo and above hi go in before the first and after the last density row, in x order;
+    # the piece holds the other 0.65 of the mass on (-inf, 1]
     locs = (-7.0, 0.07, 9.0, -8.0, 0.05, 8.0, -1.0)
     dist = MixtureDistribution(atoms=tuple((loc, 0.05) for loc in locs),
-                               pieces=((0.65, 1.0, 0.0, -math.inf, math.inf),))
+                               pieces=((1.0, NormalDist().inv_cdf(0.65) - 1.0, -math.inf, 1.0),))
     table, _, atoms = _density_table(dist, -1.0, 1.0, 11)
     assert table.rows == density_rows_reference(dist, -1.0, 1.0, 11)
     assert [a.loc for a in atoms] == sorted(locs)

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import mpmath_second_moment, point_values, quadrature_cdf, reference_masses, reference_second_moment
-from scipy.integrate import quad
 
 from shrinkdist import finite_dist
 from shrinkdist.estimators import EstimatorKind, TuningPlan, estimate
@@ -219,12 +218,14 @@ def test_risk_shrinkage_helps_at_origin():
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_risk_against_quadrature(kind):
+    from scipy.integrate import quad  # imported here, not at collection: it takes most of a second
+
     dist = finite_sample_dist(kind, FIG_POINT, FIG_TUNING)
     total = dist.atoms[0].weight * dist.atoms[0].loc ** 2
     for p in dist.pieces:
         lo = max(float(p.lower), -40.0)
         hi = min(float(p.upper), 40.0)
-        val, _ = quad(lambda t: t * t * p.coeff * norm_pdf(p.slope * t + p.shift), lo, hi,
+        val, _ = quad(lambda t: t * t * p.slope * norm_pdf(p.slope * t + p.shift), lo, hi,
                       epsabs=1e-12, epsrel=1e-12, limit=300)
         total += val
     assert scaled_risk(kind, FIG_POINT, FIG_TUNING) == pytest.approx(total, abs=1e-9)
@@ -300,8 +301,8 @@ def test_array_evaluation_matches_scalar_bit_for_bit(kind, builder):
 @pytest.mark.parametrize("dist", [
     consistent_limit(EstimatorKind.HARD, RegimeSpec(math.inf, zeta=1.0, r=0.5)),
     consistent_limit(EstimatorKind.HARD, RegimeSpec(math.inf, zeta=-1.0, r=0.5)),
-    MixtureDistribution(atoms=(), pieces=(GaussPiece(1.0, 1.0, 0.0, -math.inf, 0.3),
-                                          GaussPiece(1.0, 1.0, 0.0, 0.3, math.inf))),
+    MixtureDistribution(atoms=(), pieces=(GaussPiece(1.0, 0.0, -math.inf, 0.3),
+                                          GaussPiece(1.0, 0.0, 0.3, math.inf))),
     finite_sample_dist(EstimatorKind.SCAD, ModelPoint(100, 0.1), TuningPlan(1e-17)),
     conservative_limit(EstimatorKind.SCAD, 0.3, 1e-300),
     finite_sample_dist(EstimatorKind.SCAD, ModelPoint(25, -0.3), TuningPlan(0.08, 2 + 1e-9)),
@@ -374,7 +375,7 @@ def _assert_batch_matches_laws(builder, kind, n, thetas, tuning):
         law = builder(kind, ModelPoint(n, theta), tuning)
         ends = np.array([e for p in law.pieces for e in (p.lower, p.upper) if math.isfinite(e)])
         inner = [0.5 * (lo + hi) if math.isfinite(lo + hi) else (hi - 1.0 if math.isfinite(hi) else lo + 1.0)
-                 for _, _, _, lo, hi in law.pieces if lo < hi]
+                 for _, _, lo, hi in law.pieces if lo < hi]
         pts = np.concatenate([[-math.inf, math.inf, law.atoms[0].loc], inner,
                               ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf)])
         probes += [(theta, law, x) for x in pts.tolist()]
@@ -417,8 +418,8 @@ def test_float_extremes_give_the_limit_values_without_overflow(kind, builder):
 
 def test_batch_with_empty_pieces_matches_laws_bit_for_bit():
     # at se = sqrt(n)*eta = 1e-16, loc - se rounds to loc = -1, and some scad pieces are empty
-    empty = [lo == hi for _, _, _, lo, hi in finite_sample_dist(EstimatorKind.SCAD, ModelPoint(100, 0.1),
-                                                                  TuningPlan(1e-17)).pieces]
+    empty = [lo == hi for _, _, lo, hi in finite_sample_dist(EstimatorKind.SCAD, ModelPoint(100, 0.1),
+                                                               TuningPlan(1e-17)).pieces]
     assert any(empty)
     _assert_batch_matches_laws(finite_sample_dist, EstimatorKind.SCAD, 100, (0.1, -0.1, 0.0, 0.3), TuningPlan(1e-17))
 
@@ -463,7 +464,7 @@ def test_batch_equality_compares_every_record_field():
 def test_batch_field_shared_by_every_law_is_one_value():
     # a field given once (as a float or a length-1 array) serves every law: same totals, values
     # and equality as the field given per law
-    normal = (GaussPiece(1.0, 1.0, 0.0, -math.inf, 0.3), GaussPiece(1.0, 1.0, 0.0, 0.3, math.inf))
+    normal = (GaussPiece(1.0, 0.0, -math.inf, 0.3), GaussPiece(1.0, 0.0, 0.3, math.inf))
     laws = [MixtureDistribution(atoms=(Atom(np.array([0.0, 1.0]), form(0.0)),),
                                 pieces=tuple(GaussPiece(*(form(v) for v in p)) for p in normal))
             for form in (float, lambda v: np.full(1, v), lambda v: np.full(2, v))]
@@ -526,7 +527,7 @@ def _count_kernel_calls(monkeypatch):
 @pytest.mark.parametrize("n", [25, 400])  # at n = 25 the soft-type pieces are short
 def test_scalar_law_calls_the_normal_kernel_once_per_job(monkeypatch, n):
     law = finite_sample_dist(EstimatorKind.SCAD, ModelPoint(n, -0.3), TuningPlan(0.08, 2.5))
-    short = [abs(s * (hi - lo)) < finite_dist._SHORT_PIECE for _, s, _, lo, hi in law.pieces]
+    short = [abs(s * (hi - lo)) < finite_dist._SHORT_PIECE for s, _, lo, hi in law.pieces]
     assert any(short) == (n == 25)
     calls = _count_kernel_calls(monkeypatch)
     MixtureDistribution(law.atoms, law.pieces)
@@ -563,14 +564,14 @@ def _assert_standard_normal(law):
 @pytest.mark.parametrize("point, tuning", TINY_SE.values(), ids=TINY_SE.keys())
 def test_scad_law_at_a_tiny_se_has_empty_pieces_and_is_standard_normal(point, tuning):
     law = finite_sample_dist(EstimatorKind.SCAD, point, tuning)
-    empty = [m for m, (_, _, _, lo, hi) in zip(law._masses, law.pieces) if lo == hi]
+    empty = [m for m, (_, _, lo, hi) in zip(law._masses, law.pieces) if lo == hi]
     assert empty and set(empty) == {0.0}
     _assert_standard_normal(law)
 
 
 def test_conservative_scad_limit_at_a_tiny_e_is_standard_normal():
     law = conservative_limit(EstimatorKind.SCAD, 0.3, 1e-300)
-    assert sum(lo == hi for _, _, _, lo, hi in law.pieces) == 4
+    assert sum(lo == hi for _, _, lo, hi in law.pieces) == 4
     _assert_standard_normal(law)
 
 
@@ -586,12 +587,12 @@ def test_scad_batch_at_a_tiny_se_is_standard_normal(point, tuning):
 
 
 def test_a_law_and_a_batch_report_the_same_fault():
-    # piece 1 has an infinite shift and piece 2 a negative coeff: the first faulty record decides
-    pieces = (GaussPiece(1.0, 1.0, math.inf, -math.inf, 0.0), GaussPiece(-1.0, 1.0, 0.0, 0.0, math.inf))
+    # piece 1 has an infinite shift and piece 2 a negative slope: the first faulty record decides
+    pieces = (GaussPiece(1.0, math.inf, -math.inf, 0.0), GaussPiece(-1.0, 0.0, 0.0, math.inf))
     with pytest.raises(ValueError, match="shift must be finite"):
         MixtureDistribution(atoms=(Atom(0.0, 0.0),), pieces=pieces)
-    batch = (GaussPiece(1.0, 1.0, np.array([0.0, math.inf]), -math.inf, 0.0),
-             GaussPiece(np.array([1.0, -1.0]), 1.0, 0.0, 0.0, math.inf))
+    batch = (GaussPiece(1.0, np.array([0.0, math.inf]), -math.inf, 0.0),
+             GaussPiece(np.array([1.0, -1.0]), 0.0, 0.0, math.inf))
     with pytest.raises(ValueError, match="shift must be finite"):
         MixtureDistribution(atoms=(Atom(np.array([0.0, 1.0]), 0.0),), pieces=batch)
 
@@ -599,8 +600,8 @@ def test_a_law_and_a_batch_report_the_same_fault():
 def test_batch_validation_rejects_any_bad_law():
     # each of the seven record faults, planted in one law's field and in a field every law shares,
     # raises the message the single bad law raises
-    law = [Atom(0.0, 0.0), Atom(1.0, 0.0), GaussPiece(1.0, 1.0, 0.0, -math.inf, math.inf)]
-    faults = [(0, "loc", math.nan, "NaN"), (0, "weight", -0.5, "weight"), (2, "coeff", -1.0, "coeff"),
+    law = [Atom(0.0, 0.0), Atom(1.0, 0.0), GaussPiece(1.0, 0.0, -math.inf, math.inf)]
+    faults = [(0, "loc", math.nan, "NaN"), (0, "weight", -0.5, "weight"), (2, "slope", -1.0, "slope"),
               (2, "slope", 0.0, "slope"), (2, "shift", math.inf, "shift"), (2, "lower", math.nan, "lower < upper"),
               (1, "loc", 0.0, "distinct")]
     for record, field, bad, match in faults:
@@ -615,11 +616,11 @@ def test_batch_validation_rejects_any_bad_law():
             with pytest.raises(ValueError) as err:
                 MixtureDistribution(atoms=batch[:2], pieces=batch[2:])
             assert str(err.value) == str(alone.value)
-    good = GaussPiece(1.0, 1.0, 0.0, -math.inf, math.inf)
+    good = GaussPiece(1.0, 0.0, -math.inf, math.inf)
     with pytest.raises(ValueError, match="weight"):
         MixtureDistribution(atoms=(Atom(np.array([0.0, 1.0]), np.array([0.0, -0.5])),), pieces=(good,))
     with pytest.raises(ValueError, match="lower < upper"):
-        MixtureDistribution(atoms=(), pieces=(GaussPiece(1.0, 1.0, 0.0, np.array([-math.inf, 2.0]), 1.0),))
+        MixtureDistribution(atoms=(), pieces=(GaussPiece(1.0, 0.0, np.array([-math.inf, 2.0]), 1.0),))
     with pytest.raises(ValueError, match="distinct"):
         MixtureDistribution(atoms=(Atom(np.array([0.0, 1.0]), 0.0), Atom(np.array([2.0, 1.0]), 0.0)),
                             pieces=(good,))
@@ -628,12 +629,23 @@ def test_batch_validation_rejects_any_bad_law():
 
 
 def test_json_round_trip():
+    # at both scalings every piece keeps a "coeff" key equal to its slope, and the law reads back equal
     for kind in KINDS:
-        dist = finite_sample_dist(kind, FIG_POINT, FIG_TUNING)
-        clone = MixtureDistribution.from_json(json.loads(json.dumps(dist.to_json())))
-        assert clone == dist
-        xs = np.linspace(-4, 4, 17)
-        np.testing.assert_array_equal(clone.cdf(xs), dist.cdf(xs))
+        for build in finite_dist.LAWS.values():
+            dist = build(kind, FIG_POINT, FIG_TUNING)
+            blob = dist.to_json()
+            assert all(p["coeff"] == p["slope"] for p in blob["pieces"])
+            clone = MixtureDistribution.from_json(json.loads(json.dumps(blob)))
+            assert clone == dist
+            xs = np.linspace(-4, 4, 17)
+            np.testing.assert_array_equal(clone.cdf(xs), dist.cdf(xs))
+
+
+def test_from_json_rejects_coeff_other_than_slope():
+    blob = json.loads(json.dumps(finite_sample_dist(EstimatorKind.SCAD, FIG_POINT, FIG_TUNING).to_json()))
+    blob["pieces"][1]["coeff"] = 2.0 * blob["pieces"][1]["slope"]
+    with pytest.raises(ValueError, match="coeff .* must equal its slope"):
+        MixtureDistribution.from_json(blob)
 
 
 def test_json_encodes_infinities_as_strings():
@@ -670,18 +682,20 @@ def test_gauss_piece_validation():
     # lower == upper is an empty piece; lower above upper or a NaN end is not, in a law or a batch
     for lower, upper in ((2.0, 1.0), (1.0, 1.0 - 1e-16), (math.nan, 1.0), (0.0, math.nan)):
         with pytest.raises(ValueError, match="lower < upper"):
-            MixtureDistribution(atoms=(Atom(0.0, 1.0),), pieces=(GaussPiece(1.0, 1.0, 0.0, lower, upper),))
+            MixtureDistribution(atoms=(Atom(0.0, 1.0),), pieces=(GaussPiece(1.0, 0.0, lower, upper),))
         with pytest.raises(ValueError, match="lower < upper"):
             MixtureDistribution(atoms=(Atom(np.zeros(2), 1.0),),
-                                pieces=(GaussPiece(1.0, 1.0, 0.0, np.array([0.0, lower]), upper),))
-    with pytest.raises(ValueError, match="slope"):
-        MixtureDistribution(atoms=(), pieces=(GaussPiece(1.0, 0.0, 0.0, -math.inf, math.inf),))
-    with pytest.raises(ValueError, match="coeff"):
-        MixtureDistribution(atoms=(), pieces=(GaussPiece(-1.0, 1.0, 0.0, -math.inf, math.inf),))
+                                pieces=(GaussPiece(1.0, 0.0, np.array([0.0, lower]), upper),))
+    # a slope of 0 or below (or not finite) is rejected with one message, in a law or a batch
+    for slope in (0.0, -0.0, -1.0, -5e-324, math.inf, math.nan):
+        with pytest.raises(ValueError, match="^slope must be finite and positive$"):
+            MixtureDistribution(atoms=(), pieces=(GaussPiece(slope, 0.0, -math.inf, math.inf),))
+        with pytest.raises(ValueError, match="^slope must be finite and positive$"):
+            MixtureDistribution(atoms=(), pieces=(GaussPiece(np.array([1.0, slope]), 0.0, -math.inf, math.inf),))
 
 
 def test_mixture_validation():
-    good = GaussPiece(1.0, 1.0, 0.0, -math.inf, math.inf)
+    good = GaussPiece(1.0, 0.0, -math.inf, math.inf)
     with pytest.raises(ValueError, match="mass"):
         MixtureDistribution(atoms=(Atom(0.0, 0.5),), pieces=(good,))
     with pytest.raises(ValueError, match="distinct"):

@@ -131,9 +131,6 @@ def test_ks_degenerate_atom_law():
 
 def test_empirical_cdf_evaluation():
     emp = EmpiricalCdf(np.array([1.0, 2.0, 2.0, 3.0]))
-    assert emp.evaluate(0.5) == 0.0
-    assert emp.evaluate(2.0) == 0.75
-    assert emp.evaluate(1.9999) == 0.25
     assert emp.fraction_at(2.0) == 0.5
     with pytest.raises(ValueError, match="sorted"):
         EmpiricalCdf(np.array([2.0, 1.0]))
@@ -148,8 +145,6 @@ def test_empirical_cdf_rejects_nan(values):
 @pytest.mark.parametrize("x", [math.nan, [0.5, math.nan]])
 def test_empirical_cdf_evaluation_rejects_nan_x(x):
     emp = EmpiricalCdf(np.array([0.0, 1.0, 2.0]))
-    with pytest.raises(ValueError, match="NaN"):
-        emp.evaluate(x)
     with pytest.raises(ValueError, match="NaN"):
         emp.fraction_at(x)
 
