@@ -41,6 +41,7 @@ _GL_NODES = np.array([-0.9602898564975363, -0.7966664774136267, -0.5255324099163
 _GL_WEIGHTS = np.array([0.10122853629037626, 0.22238103445337448, 0.31370664587788727, 0.362683783378362,
                         0.362683783378362, 0.31370664587788727, 0.22238103445337448, 0.10122853629037626])
 _SHORT_PIECE = 0.5  # mapped width below which second_moment integrates a piece in x
+_CUBE_RANGE = (2.0**-340, 2.0**340)  # slopes s whose s**3 is a normal float
 
 
 @dataclass(frozen=True)
@@ -91,6 +92,11 @@ def _inverse_scale(s: float) -> float:
     if not (s > 0.0 and math.isfinite(s) and math.isfinite(1.0 / float(s))):
         raise ValueError(f"scale must be positive and finite, with a finite inverse (got {s!r})")
     return 1.0 / s
+
+
+def _times_square(w: float, v: float) -> float:
+    """w * v**2; where v**2 alone would overflow, (w * v) * v, which overflows only where the product does."""
+    return w * v**2 if abs(v) < 1e150 else w * v * v
 
 
 class GaussPiece(NamedTuple):
@@ -329,6 +335,10 @@ class MixtureDistribution:
         int pdf, int z*pdf, int z^2*pdf all reduce to cdf/pdf evaluations.
         On a short mapped interval (the scad blend piece as a -> 2) that sum
         cancels, so such a piece is integrated in x by 8-point Gauss-Legendre.
+        At extreme scales (a tiny or a huge eta) the result is inf only where
+        the moment itself overflows: a huge atom location or shift, or
+        1/alpha^2 far from 1, is applied in steps that overflow only where
+        the product does.
         """
         self._single_law("second_moment")
         out = 0.0
@@ -337,9 +347,10 @@ class MixtureDistribution:
                 if w > 0.0:
                     return math.inf
                 continue
-            out += w * loc**2
+            out += _times_square(w, loc)
         mapped = [(s * lo + b, s * hi + b) for s, b, lo, hi in self.pieces]
-        short = [abs(zb - za) < _SHORT_PIECE for za, zb in mapped]
+        # an empty piece takes the closed form, which gives it exactly 0 where the nodes' x**2 may overflow
+        short = [lo < hi and abs(zb - za) < _SHORT_PIECE for (za, zb), (_, _, lo, hi) in zip(mapped, self.pieces)]
         pdf = iter(norm_pdf(np.array([z for zs, sh in zip(mapped, short) if not sh for z in zs])).tolist())
         if any(short):  # one row of quadrature nodes per short piece
             slope, shift, lower, upper = np.array([p for p, sh in zip(self.pieces, short) if sh]).T[..., None]
@@ -358,7 +369,10 @@ class MixtureDistribution:
             i1 = pa - pb
             # z * pdf(z) has the limit 0 at +-inf
             i2 = i0 + (0.0 if math.isinf(za) else za * pa) - (0.0 if math.isinf(zb) else zb * pb)
-            ac += (s / s**3) * (i2 - 2.0 * b * i1 + b**2 * i0)  # not 1/s**2, which differs in the last bit
+            moment = i2 - 2.0 * b * i1 + _times_square(i0, b)
+            # s / s**3, not 1/s**2, which differs in the last bit; where s**3 would over- or underflow,
+            # two divisions, which overflow only where the term does
+            ac += (s / s**3) * moment if _CUBE_RANGE[0] < s < _CUBE_RANGE[1] else moment / s / s
         return out + ac
 
     def rescaled(self, s: float) -> "MixtureDistribution":

@@ -4,6 +4,13 @@ The sampler draws the sufficient statistic ybar ~ N(theta, 1/n) directly:
 one uniform per replication through a counter-based (Philox) stream mapped
 by the normal inverse cdf, so batches are reproducible and splittable
 without shared state, and merged output does not depend on scheduling.
+
+The sample path (draw, estimate, KS) runs in fixed blocks of `_BLOCK`
+values, 128 KiB of float64, in place in one output array: each stage's
+temporaries are one block long and stay in cache, where whole-array stages
+made several full-length ones.  Every step is elementwise or a max, and a
+stream gives the same integers drawn a block at a time as all at once, so
+the blocks change no output bit.
 """
 
 from __future__ import annotations
@@ -29,7 +36,8 @@ __all__ = [
     "default_adversarial_grid",
 ]
 
-_BATCH = 1 << 19
+_BATCH = 1 << 19  # draws per spawned stream
+_BLOCK = 1 << 14  # values per block of the sample path; divides _BATCH, so no block straddles two streams
 _U_DENOM = float(1 << 53)
 
 
@@ -72,33 +80,48 @@ class EmpiricalCdf:
         return (hi - lo) / self.count
 
 
-def _uniform_open(gen: np.random.Generator, size) -> np.ndarray:
-    # integers in [1, 2^53) scaled down: strictly inside (0, 1)
-    return gen.integers(1, 1 << 53, size=size).astype(np.float64) / _U_DENOM
+def _uniform_open(gen: np.random.Generator, size, out=None) -> np.ndarray:
+    # integers in [1, 2^53) scaled down: strictly inside (0, 1); written into `out` when given
+    return np.divide(gen.integers(1, 1 << 53, size=size), _U_DENOM, out=out)
 
 
 def sample_ybar(cfg: SimConfig) -> np.ndarray:
-    """Deterministic stream of ybar draws, in batch order (unsorted)."""
-    root = np.random.SeedSequence(cfg.seed)
-    n_batches = (cfg.replications + _BATCH - 1) // _BATCH
-    children = root.spawn(n_batches)
+    """Deterministic stream of ybar draws, in batch order (unsorted).
+
+    Each batch of `_BATCH` draws has its own Philox stream, spawned from the
+    seed.  The output array is filled a block at a time: uniforms, then
+    `ndtri`, the scale 1/sqrt(n) and the shift theta, all in place; the bits
+    are those of drawing a whole batch at once.
+    """
+    out = np.empty(cfg.replications)
+    children = iter(np.random.SeedSequence(cfg.seed).spawn((cfg.replications + _BATCH - 1) // _BATCH))
     scale = 1.0 / cfg.point.sqrt_n
-    chunks = []
-    remaining = cfg.replications
-    for child in children:
-        gen = np.random.Generator(np.random.Philox(child))
-        size = min(_BATCH, remaining)
-        z = ndtri(_uniform_open(gen, size))
-        chunks.append(cfg.point.theta + scale * z)
-        remaining -= size
-    return np.concatenate(chunks)
+    for lo in range(0, cfg.replications, _BLOCK):
+        if lo % _BATCH == 0:
+            gen = np.random.Generator(np.random.Philox(next(children)))
+        block = out[lo:lo + _BLOCK]
+        _uniform_open(gen, block.size, out=block)
+        ndtri(block, out=block)
+        block *= scale
+        block += cfg.point.theta
+    return out
 
 
 def simulate_estimates(kind: EstimatorKind, cfg: SimConfig) -> EmpiricalCdf:
-    """Empirical law of sqrt(n)*(estimate - theta) from seeded replications."""
-    ybar = sample_ybar(cfg)
-    vals = cfg.point.sqrt_n * (estimate(kind, ybar, cfg.tuning) - cfg.point.theta)
-    return EmpiricalCdf(np.sort(vals))
+    """Empirical law of sqrt(n)*(estimate - theta) from seeded replications.
+
+    Each block of the `sample_ybar` array is overwritten with its values, and
+    the array is sorted in place, so the one output array is the only
+    full-length allocation.  Each value is that of the whole-array
+    expression, bit for bit: the estimate and the affine map are elementwise.
+    """
+    vals = sample_ybar(cfg)
+    for lo in range(0, vals.size, _BLOCK):
+        block = vals[lo:lo + _BLOCK]
+        np.subtract(estimate(kind, block, cfg.tuning), cfg.point.theta, out=block)
+        block *= cfg.point.sqrt_n
+    vals.sort()
+    return EmpiricalCdf(vals)
 
 
 def ks_distance(emp: EmpiricalCdf, dist: MixtureDistribution) -> float:
@@ -108,15 +131,28 @@ def ks_distance(emp: EmpiricalCdf, dist: MixtureDistribution) -> float:
     cdf and its left limit against the empirical step heights on either
     side.  The sample is sorted, so its distinct values and their counts are
     the runs of equal values, found without sorting again; the model is
-    evaluated once, at the run starts.
+    evaluated once, at the run starts.  The sample is walked a block at a
+    time, so every temporary is one block long: a block's run starts give
+    its model values and both gaps, and its last run, which may go on past
+    the block, ends where one `searchsorted` finds the next larger value.
+    Each gap is elementwise and a max does not depend on the blocks, so the
+    distance is that of one whole-array pass, bit for bit.
     """
-    v = emp.values
-    starts = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
-    ends = np.append(starts[1:], v.size)
-    uniq = v[starts]
-    model = dist.cdf(uniq)
-    model_left = dist._left_limit(uniq, model)
-    return float(max(np.max(np.abs(model - ends / emp.count)), np.max(np.abs(model_left - starts / emp.count))))
+    v, count = emp.values, emp.count
+    gap = 0.0
+    for lo in range(0, count, _BLOCK):
+        hi = min(lo + _BLOCK, count)
+        starts = lo + 1 + np.flatnonzero(v[lo + 1:hi] != v[lo:hi - 1])
+        if lo == 0 or v[lo] != v[lo - 1]:
+            starts = np.concatenate(([lo], starts))
+        if starts.size == 0:  # the block lies inside a run that started before it
+            continue
+        ends = np.append(starts[1:], np.searchsorted(v, v[starts[-1]], side="right"))
+        uniq = v[starts]
+        model = dist.cdf(uniq)
+        model_left = dist._left_limit(uniq, model)
+        gap = max(gap, np.max(np.abs(model - ends / count)), np.max(np.abs(model_left - starts / count)))
+    return float(gap)
 
 
 def default_adversarial_grid(n: int, eta_n: float, M: float, a_n: float) -> np.ndarray:

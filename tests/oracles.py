@@ -13,7 +13,11 @@ scalar normal-kernel call per piece end.  `reference_theta` writes out each
 theta-rule kind's sequence as its own formula, `reference_pretest_cdf` the
 pretest plug-in as its four limit formulas, and `objective_argmin`
 minimises a penalized objective over the finite set that must hold a
-minimiser.  The output references at the end redo the CSV and SVG writers
+minimiser.  `whole_array_ybar`, `whole_array_estimates` and
+`whole_array_ks` redo the Monte Carlo path one whole array per stage, as
+it ran before it was cut into blocks, and `mpmath_hard_rescaled_risk`
+gives the hard estimator's risk on the 1/eta scale from the estimator
+itself.  The output references at the end redo the CSV and SVG writers
 one cell, one point or one row at a time: `csv_reference` joins cells
 formatted by `format_cell_reference`, `svg_polyline_reference` maps each
 point as Python floats, and `density_rows_reference` merges a figure
@@ -25,6 +29,7 @@ import math
 
 import mpmath
 import numpy as np
+from scipy.special import ndtri
 
 from shrinkdist.estimators import EstimatorKind, estimate, penalized_objective
 from shrinkdist.finite_dist import _GL_NODES, _GL_WEIGHTS, _SHORT_PIECE, ModelPoint, finite_sample_dist
@@ -96,18 +101,27 @@ def mpmath_second_moment(dist):
     end.  A small slope s makes the two ends cancel, so the working
     precision rises until two successive results agree to 50 digits.
     """
+    def moment():
+        total = mpmath.fsum(mpmath.mpf(w) * mpmath.mpf(loc) ** 2 for loc, w in dist.atoms)
+        for s, b, lo, hi in dist.pieces:
+            s, b = mpmath.mpf(s), mpmath.mpf(b)
+            upper, lower = (_moment_primitive(s * mpmath.mpf(end) + b, b) for end in (hi, lo))
+            total += (upper - lower) / s**2
+        return total
+
+    return _settled(moment)
+
+
+def _settled(compute):
+    """`compute()` at rising mpmath precision, once two successive results agree to 50 digits."""
     previous = None
     for dps in range(60, 1000, 30):
         with mpmath.workdps(dps):
-            total = mpmath.fsum(mpmath.mpf(w) * mpmath.mpf(loc) ** 2 for loc, w in dist.atoms)
-            for s, b, lo, hi in dist.pieces:
-                s, b = mpmath.mpf(s), mpmath.mpf(b)
-                upper, lower = (_moment_primitive(s * mpmath.mpf(end) + b, b) for end in (hi, lo))
-                total += (upper - lower) / s**2
+            total = compute()
             if previous is not None and abs(total - previous) <= mpmath.mpf(10) ** -50 * abs(total):
                 return total
             previous = total
-    raise ArithmeticError("the closed-form second moment did not settle to 50 digits")
+    raise ArithmeticError("the closed-form value did not settle to 50 digits")
 
 
 def _moment_primitive(z, b):
@@ -154,6 +168,57 @@ def ks_reference(emp, dist) -> float:
     emp_left = np.concatenate(([0.0], cum[:-1]))
     model, model_left, _ = point_values(dist, uniq.tolist())
     return float(max(np.max(np.abs(model - cum)), np.max(np.abs(model_left - emp_left))))
+
+
+def whole_array_ybar(cfg) -> np.ndarray:
+    """`sample_ybar` with each batch of 2**19 draws made as whole arrays: uniforms, ndtri, scale and shift."""
+    batch = 1 << 19
+    children = np.random.SeedSequence(cfg.seed).spawn((cfg.replications + batch - 1) // batch)
+    scale = 1.0 / cfg.point.sqrt_n
+    chunks = []
+    remaining = cfg.replications
+    for child in children:
+        gen = np.random.Generator(np.random.Philox(child))
+        size = min(batch, remaining)
+        z = ndtri(gen.integers(1, 1 << 53, size=size).astype(np.float64) / float(1 << 53))
+        chunks.append(cfg.point.theta + scale * z)
+        remaining -= size
+    return np.concatenate(chunks)
+
+
+def whole_array_estimates(kind, cfg, ybar) -> np.ndarray:
+    """The sorted values of `simulate_estimates` from the draws `ybar`, in one expression over the whole array."""
+    return np.sort(cfg.point.sqrt_n * (estimate(kind, ybar, cfg.tuning) - cfg.point.theta))
+
+
+def whole_array_ks(values, dist) -> float:
+    """`ks_distance` of the sorted sample `values`, with the runs, the model and both gaps over the whole array."""
+    count = values.size
+    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    ends = np.append(starts[1:], count)
+    uniq = values[starts]
+    model = dist.cdf(uniq)
+    model_left = dist.cdf_left(uniq)
+    return float(max(np.max(np.abs(model - ends / count)), np.max(np.abs(model_left - starts / count))))
+
+
+def mpmath_hard_rescaled_risk(n: int, theta: float, eta: float):
+    """E[((hard estimate - theta)/eta)**2] under P_{n,theta}, to 50 digits in mpmath.
+
+    Written from the estimator, not from a law's records: with
+    z = sqrt(n)*(ybar - theta) ~ N(0, 1), the estimate is ybar outside
+    [lo, hi] = sqrt(n)*(-eta - theta, eta - theta), adding z**2/n, and 0
+    inside it, adding theta**2.  The tail integrals of z**2 * pdf(z) are
+    Phi(lo) - lo*pdf(lo) and Phi(-hi) + hi*pdf(hi).  The precision rises
+    as in `mpmath_second_moment`.
+    """
+    def risk():
+        r, t, e = mpmath.sqrt(n), mpmath.mpf(theta), mpmath.mpf(eta)
+        lo, hi = r * (-e - t), r * (e - t)
+        tails = mpmath.ncdf(lo) - lo * mpmath.npdf(lo) + mpmath.ncdf(-hi) + hi * mpmath.npdf(hi)
+        return (tails / n + t**2 * (mpmath.ncdf(hi) - mpmath.ncdf(lo))) / e**2
+
+    return _settled(risk)
 
 
 def reference_masses(pieces):

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import mpmath_second_moment, point_values, quadrature_cdf, reference_masses, reference_second_moment
+from oracles import (
+    mpmath_hard_rescaled_risk,
+    mpmath_second_moment,
+    point_values,
+    quadrature_cdf,
+    reference_masses,
+    reference_second_moment,
+)
 
 from shrinkdist import finite_dist
 from shrinkdist.estimators import EstimatorKind, TuningPlan, estimate
@@ -259,6 +266,54 @@ def test_scad_second_moment_near_a_two_against_mpmath(n, theta, eta, excess):
     dist = finite_sample_dist(EstimatorKind.SCAD, ModelPoint(n, theta), TuningPlan(eta, 2.0 + excess))
     exact = mpmath_second_moment(dist)
     assert abs(dist.second_moment() - exact) <= 1e-13 * abs(exact)
+
+
+EXTREME_SCALES = {  # laws of (estimate - theta)/eta, rescaled by sqrt(n)*eta
+    # 1e-299: the moment, about 1e598, overflows; the atom sits at -3e299 and at 0
+    "eta-1e-300": (ModelPoint(100, 0.3), TuningPlan(1e-300)),
+    "eta-1e-300-theta-0": (ModelPoint(100, 0.0), TuningPlan(1e-300)),
+    # 1e-120: slope**3 underflows, and the moment is about 1e240
+    "eta-1e-120": (ModelPoint(1, 0.0), TuningPlan(1e-120)),
+    # 1e120: slope**3 overflows, and the atom at -1e-120 gives a moment of about 1e-240
+    "eta-1e120-theta-1": (ModelPoint(1, 1.0), TuningPlan(1e120)),
+}
+
+
+def _assert_moment(law, exact):
+    """The law's second moment is `exact` within 1e-14, or exactly the float it rounds to when that is 0 or inf."""
+    got, want = law.second_moment(), float(exact)
+    if want in (0.0, math.inf):
+        assert got == want
+    else:
+        assert abs(got - exact) <= 1e-14 * exact
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("point, tuning", EXTREME_SCALES.values(), ids=EXTREME_SCALES.keys())
+def test_second_moment_at_extreme_scales_against_mpmath(kind, point, tuning):
+    law = rescaled_dist(kind, point, tuning)
+    if kind is EstimatorKind.HARD:
+        _assert_moment(law, mpmath_hard_rescaled_risk(point.n, point.theta, tuning.eta))
+    else:
+        _assert_moment(law, mpmath_second_moment(law))
+
+
+def test_second_moment_below_the_smallest_float_is_zero():
+    # at theta = 0, |soft| and |scad| are at most |hard|, so their moments are at most hard's,
+    # whose 50-digit value is about 1e-(2e239)
+    point, tuning = ModelPoint(1, 0.0), TuningPlan(1e120)
+    exact = mpmath_hard_rescaled_risk(point.n, point.theta, tuning.eta)
+    assert 0.0 < exact < mpmath.mpf(10) ** -400
+    assert [rescaled_dist(kind, point, tuning).second_moment() for kind in KINDS] == [0.0] * 3
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_second_moment_with_a_shift_whose_square_overflows(kind):
+    # sqrt(n)*eta = 1e202: the estimate is 0 but with a probability below exp(-1e404), so the law
+    # is the atom at -sqrt(n)*theta = 100 and the moment is 1e4; the soft and scad shifts square past the floats
+    law = finite_sample_dist(kind, ModelPoint(10**4, -1.0), TuningPlan(1e200))
+    assert law.atoms[0] == (100.0, 1.0)
+    assert law.second_moment() == 1e4
 
 
 def _assert_arrays_match_points(dist):

@@ -1,11 +1,21 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import exceedance_probability, ks_oracle, ks_reference
+from oracles import (
+    exceedance_probability,
+    ks_oracle,
+    ks_reference,
+    whole_array_estimates,
+    whole_array_ks,
+    whole_array_ybar,
+)
+from scipy.special import ndtri
 
+from shrinkdist import montecarlo
 from shrinkdist.estimators import EstimatorKind, TuningPlan, estimate
-from shrinkdist.finite_dist import Atom, MixtureDistribution, ModelPoint, atom_weight, finite_sample_dist
+from shrinkdist.finite_dist import Atom, GaussPiece, MixtureDistribution, ModelPoint, atom_weight, finite_sample_dist
 from shrinkdist.montecarlo import (
     EmpiricalCdf,
     SimConfig,
@@ -113,6 +123,62 @@ def test_ks_equals_scalar_reference(kind, n, theta, eta, a):
         assert np.unique(emp.values).size == 1
     dist = finite_sample_dist(kind, cfg.point, cfg.tuning)
     assert ks_distance(emp, dist) == ks_reference(emp, dist)
+
+
+BLOCK = montecarlo._BLOCK
+BATCH = montecarlo._BATCH
+BLOCK_EDGE_COUNTS = [1, BLOCK - 1, BLOCK, BLOCK + 1, BATCH - 1, BATCH + 1, BATCH + BLOCK + 3]
+EDGE_CONFIGS = {  # (n, theta, eta, scad a)
+    "theta-0": (100, 0.0, 0.196, 3.7),  # soft and scad put signed zeros on the atom
+    "all-atom": (10_000, 0.05, 0.1, 3.7),  # sqrt(n)*eta = 10: one run spans every block
+}
+
+
+@pytest.mark.parametrize("reps", BLOCK_EDGE_COUNTS)
+@pytest.mark.parametrize("config", EDGE_CONFIGS.values(), ids=EDGE_CONFIGS.keys())
+def test_blocked_path_equals_whole_array_reference(config, reps):
+    n, theta, eta, a = config
+    cfg = SimConfig(seed=reps, replications=reps, point=ModelPoint(n, theta), tuning=TuningPlan(eta, a))
+    ybar = whole_array_ybar(cfg)
+    assert sample_ybar(cfg).tobytes() == ybar.tobytes()
+    for kind in KINDS:
+        emp = simulate_estimates(kind, cfg)
+        expected = whole_array_estimates(kind, cfg, ybar)
+        assert emp.values.tobytes() == expected.tobytes()  # bytes, so -0.0 and 0.0 differ
+        dist = finite_sample_dist(kind, cfg.point, cfg.tuning)
+        assert ks_distance(emp, dist).hex() == whole_array_ks(expected, dist).hex()
+
+
+def test_ks_runs_on_block_edges_equal_whole_array_reference():
+    # normal quantiles fit N(0, 1) to within 0.5/count everywhere but at the ties: a run of 300
+    # starting exactly on the first block edge, where the sup sits, and a run of 10 across the second
+    count = 3 * BLOCK + 7
+    values = ndtri((np.arange(count) + 0.5) / count)
+    values[BLOCK:BLOCK + 300] = values[BLOCK]
+    values[2 * BLOCK - 5:2 * BLOCK + 5] = values[2 * BLOCK - 5]
+    emp = EmpiricalCdf(values)
+    dist = MixtureDistribution(atoms=(), pieces=(GaussPiece(1.0, 0.0, -math.inf, math.inf),))
+    ks = ks_distance(emp, dist)
+    assert ks.hex() == whole_array_ks(values, dist).hex()
+    assert ks == pytest.approx(299.5 / count, rel=1e-3)
+
+
+def test_blocked_path_peak_memory():
+    # the output array is the only full-length allocation; the KS walk allocates per block
+    cfg = SimConfig(seed=9, replications=1_000_000, point=ModelPoint(40, 0.16), tuning=TuningPlan(0.05, 3.7))
+    dist = finite_sample_dist(EstimatorKind.SCAD, cfg.point, cfg.tuning)
+    tracemalloc.start()
+    try:
+        emp = simulate_estimates(EstimatorKind.SCAD, cfg)
+        simulate_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before_ks = tracemalloc.get_traced_memory()[0]
+        ks_distance(emp, dist)
+        ks_peak = tracemalloc.get_traced_memory()[1] - before_ks
+    finally:
+        tracemalloc.stop()
+    assert simulate_peak <= emp.values.nbytes + 2_000_000
+    assert ks_peak <= 2_000_000
 
 
 def test_ks_of_two_value_sample_equals_scalar_reference():
