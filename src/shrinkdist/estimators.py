@@ -79,10 +79,10 @@ def estimate(kind: EstimatorKind, ybar, tuning: TuningPlan):
     elif kind is EstimatorKind.SOFT:
         out = np.sign(y) * np.maximum(np.abs(y) - eta, 0.0)
     elif kind is EstimatorKind.SCAD:
-        a = tuning.scad_a
-        soft = np.sign(y) * np.maximum(np.abs(y) - eta, 0.0)
-        blend = ((a - 1.0) * y - np.sign(y) * a * eta) / (a - 2.0)
-        out = np.where(np.abs(y) <= 2.0 * eta, soft, np.where(np.abs(y) <= a * eta, blend, y))
+        a, sign, magnitude = tuning.scad_a, np.sign(y), np.abs(y)
+        soft = sign * np.maximum(magnitude - eta, 0.0)
+        blend = ((a - 1.0) * y - sign * a * eta) / (a - 2.0)
+        out = np.where(magnitude <= 2.0 * eta, soft, np.where(magnitude <= a * eta, blend, y))
     else:
         raise ValueError(f"unknown estimator kind {kind!r}")
     return _scalar_or_array(y, out)

@@ -11,6 +11,12 @@ temporaries are one block long and stay in cache, where whole-array stages
 made several full-length ones.  Every step is elementwise or a max, and a
 stream gives the same integers drawn a block at a time as all at once, so
 the blocks change no output bit.
+
+The KS distance first bounds the gaps in each sub-block of `_SUB` values
+from the model at the sub-block's two ends (arrays 1/`_SUB` of the
+sample's length), then evaluates the model only at the run starts of
+sub-blocks whose bound reaches the largest end gap.  Every skipped gap is
+provably below one that is taken, so the distance keeps its bits.
 """
 
 from __future__ import annotations
@@ -38,6 +44,8 @@ __all__ = [
 
 _BATCH = 1 << 19  # draws per spawned stream
 _BLOCK = 1 << 14  # values per block of the sample path; divides _BATCH, so no block straddles two streams
+_SUB = 1 << 6  # values per sub-block of the KS bound; divides _BLOCK
+_SLACK = 1e-12  # margin of the KS bound over the cdf's rounding, which is about 1e-15
 _U_DENOM = float(1 << 53)
 
 
@@ -63,7 +71,9 @@ class EmpiricalCdf:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("values must be a nonempty 1-d array")
-        if not (v[1:] >= v[:-1]).all() or math.isnan(v[-1]):  # NaN compares false
+        # pairs a block (and one value) at a time, so no temporary is longer than a block; NaN compares false
+        blocks = (v[lo:lo + _BLOCK + 1] for lo in range(0, v.size, _BLOCK))
+        if not all((b[1:] >= b[:-1]).all() for b in blocks) or math.isnan(v[-1]):
             problem = "must not contain NaN" if np.isnan(v).any() else "must be sorted ascending"
             raise ValueError(f"values {problem}")
         object.__setattr__(self, "values", v)
@@ -130,24 +140,53 @@ def ks_distance(emp: EmpiricalCdf, dist: MixtureDistribution) -> float:
     Sup over the distinct sample values of both one-sided gaps: the model
     cdf and its left limit against the empirical step heights on either
     side.  The sample is sorted, so its distinct values and their counts are
-    the runs of equal values, found without sorting again; the model is
-    evaluated once, at the run starts.  The sample is walked a block at a
-    time, so every temporary is one block long: a block's run starts give
-    its model values and both gaps, and its last run, which may go on past
-    the block, ends where one `searchsorted` finds the next larger value.
-    Each gap is elementwise and a max does not depend on the blocks, so the
-    distance is that of one whole-array pass, bit for bit.
+    the runs of equal values, found without sorting again.
+
+    The model is evaluated only where the sup can sit.  The sample is cut
+    into sub-blocks of `_SUB` values, and each one that holds a run start
+    gets one cdf value at its last value and one left limit at its first.
+    Their gaps are terms of the distance, so their max is a lower bound on
+    it.  The cdf is nondecreasing, so every gap at a value from `first` to
+    `last` is at most max(F(last) - start/N, end/N - F_left(first)), where
+    `start` counts the values below `first` and `end` those up to `last`.
+    A sub-block whose bound plus `_SLACK` (the cdf's rounding is about
+    1e-15) does not exceed the lower bound holds no gap above it, and its
+    run starts are skipped.
+
+    The rest is walked a block at a time: a block's run starts in the
+    sub-blocks kept give its model values and both gaps, and its last run,
+    which may go on past the block, ends where one `searchsorted` finds the
+    next larger value.  A point's cdf value does not depend on the other
+    points of its call, each gap is elementwise, and a skipped gap is at
+    most one that is taken, so the distance is that of one whole-array pass
+    over every run, bit for bit.
     """
     v, count = emp.values, emp.count
-    gap = 0.0
+    end = np.append(np.arange(_SUB, count, _SUB), count)  # one past each sub-block
+    # a sub-block holds a run start unless its last value is that of the sub-block before it
+    opens = np.flatnonzero(np.concatenate(([True], v[end[1:] - 1] != v[end[:-1] - 1])))
+    start, end = opens * _SUB, end[opens]
+    first, last = v[start], v[end - 1]
+    # start and end become the counts of values below first and up to last: only a run across an edge needs a search
+    cross = v[np.maximum(start - 1, 0)] == first
+    start[cross] = np.searchsorted(v, first[cross], side="left")
+    cross = v[np.minimum(end, count - 1)] == last
+    end[cross] = np.searchsorted(v, last[cross], side="right")
+    model_last, model_first = dist.cdf(last), dist.cdf_left(first)
+    gap = max(np.max(np.abs(model_last - end / count)), np.max(np.abs(model_first - start / count)))
+    bound = np.maximum(model_last - start / count, end / count - model_first)
+    live = np.zeros((count + _SUB - 1) // _SUB, dtype=bool)
+    live[opens[bound + _SLACK > gap]] = True
     for lo in range(0, count, _BLOCK):
+        if not live[lo // _SUB:(lo + _BLOCK) // _SUB].any():
+            continue
         hi = min(lo + _BLOCK, count)
         starts = lo + 1 + np.flatnonzero(v[lo + 1:hi] != v[lo:hi - 1])
         if lo == 0 or v[lo] != v[lo - 1]:
             starts = np.concatenate(([lo], starts))
-        if starts.size == 0:  # the block lies inside a run that started before it
-            continue
         ends = np.append(starts[1:], np.searchsorted(v, v[starts[-1]], side="right"))
+        keep = live[starts // _SUB]
+        starts, ends = starts[keep], ends[keep]
         uniq = v[starts]
         model = dist.cdf(uniq)
         model_left = dist._left_limit(uniq, model)

@@ -17,11 +17,15 @@ minimiser.  `whole_array_ybar`, `whole_array_estimates` and
 `whole_array_ks` redo the Monte Carlo path one whole array per stage, as
 it ran before it was cut into blocks, and `mpmath_hard_rescaled_risk`
 gives the hard estimator's risk on the 1/eta scale from the estimator
-itself.  The output references at the end redo the CSV and SVG writers
-one cell, one point or one row at a time: `csv_reference` joins cells
-formatted by `format_cell_reference`, `svg_polyline_reference` maps each
-point as Python floats, and `density_rows_reference` merges a figure
-table's atom rows by a keyed sort.
+itself.  `map_cdf` and `map_sf` give a law's cdf and upper tail at 60
+digits from the estimator map alone, through its generalized inverses
+`estimator_map_upper` and `estimator_map_lower`, written from each kind's
+formulas; `scad_estimate_reference` restates the scad estimate one
+expression per branch.  The output references at the end redo the CSV
+and SVG writers one cell, one point or one row at a time: `csv_reference`
+joins cells formatted by `format_cell_reference`, `svg_polyline_reference`
+maps each point as Python floats, and `density_rows_reference` merges a
+figure table's atom rows by a keyed sort.
 """
 
 import json
@@ -98,15 +102,19 @@ def mpmath_second_moment(dist):
     weight * loc**2, and a piece s * pdf(s*x + b) on (lo, hi] adds
     1/s**2 * [(1 + b**2)*Phi(z) - z*pdf(z) + 2*b*pdf(z)] between its mapped
     ends z = s*lo + b and z = s*hi + b, where z*pdf(z) -> 0 at an infinite
-    end.  A small slope s makes the two ends cancel, so the working
+    end.  Where both mapped ends are positive the primitive is shifted by
+    -(1 + b**2), to -(1 + b**2)*Phi(-z) + (2*b - z)*pdf(z): its Phi term is
+    then a tail that no precision loses, where 1 - Phi(z) cancels to 0 once
+    z is huge.  A small slope s makes the two ends cancel, so the working
     precision rises until two successive results agree to 50 digits.
     """
     def moment():
         total = mpmath.fsum(mpmath.mpf(w) * mpmath.mpf(loc) ** 2 for loc, w in dist.atoms)
         for s, b, lo, hi in dist.pieces:
             s, b = mpmath.mpf(s), mpmath.mpf(b)
-            upper, lower = (_moment_primitive(s * mpmath.mpf(end) + b, b) for end in (hi, lo))
-            total += (upper - lower) / s**2
+            za, zb = (s * mpmath.mpf(end) + b for end in (lo, hi))
+            upper_tail = za > 0  # and so zb > 0
+            total += (_moment_primitive(zb, b, upper_tail) - _moment_primitive(za, b, upper_tail)) / s**2
         return total
 
     return _settled(moment)
@@ -124,10 +132,76 @@ def _settled(compute):
     raise ArithmeticError("the closed-form value did not settle to 50 digits")
 
 
-def _moment_primitive(z, b):
-    """A primitive of (z - b)**2 * pdf(z): (1 + b**2)*Phi(z) + (2*b - z)*pdf(z)."""
+def _moment_primitive(z, b, upper_tail: bool):
+    """A primitive of (z - b)**2 * pdf(z): (1 + b**2)*Phi(z) + (2*b - z)*pdf(z), less (1 + b**2) for `upper_tail`."""
     tail = 0 if mpmath.isinf(z) else (2 * b - z) * mpmath.npdf(z)
-    return (1 + b**2) * mpmath.ncdf(z) + tail
+    return (1 + b**2) * (-mpmath.ncdf(-z) if upper_tail else mpmath.ncdf(z)) + tail
+
+
+def estimator_map_upper(kind, c, eta, a):
+    """g+(c) = sup{y : g(y) <= c} of the estimator map g of `kind`, in mpmath.
+
+    Written from each kind's formulas for c > 0: hard max(c, eta); soft
+    c + eta; scad c + eta up to eta, ((a - 2)*c + a*eta)/(a - 1) up to
+    a*eta, then c.  g is odd and nondecreasing, so g+(0) = eta and
+    g+(c) = -g-(-c) for c < 0.
+    """
+    if c < 0:
+        return -estimator_map_lower(kind, -c, eta, a)
+    if c == 0:
+        return eta
+    if kind is EstimatorKind.HARD:
+        return max(c, eta)
+    if kind is EstimatorKind.SOFT or c <= eta:
+        return c + eta
+    if c <= a * eta:
+        return ((a - 2) * c + a * eta) / (a - 1)
+    return c
+
+
+def estimator_map_lower(kind, c, eta, a):
+    """g-(c) = inf{y : g(y) >= c}: g+(c) except at c = 0, where it is -eta."""
+    if c < 0:
+        return -estimator_map_upper(kind, -c, eta, a)
+    if c == 0:
+        return -eta
+    return estimator_map_upper(kind, c, eta, a)
+
+
+def _estimator_map_z(kind, n, theta, eta, a, x, scaling, left):
+    """sqrt(n)*(g(theta + x/sqrt(n)) - theta) through g+ (or g- for `left`); x is scaled by eta for 'inv_eta'."""
+    n, theta, eta, a, x = (mpmath.mpf(v) for v in (n, theta, eta, a, x))
+    root = mpmath.sqrt(n)
+    c = theta + (x / root if scaling == "sqrt_n" else eta * x)
+    y = (estimator_map_lower if left else estimator_map_upper)(kind, c, eta, a)
+    return root * (y - theta)
+
+
+def map_cdf(kind, n, theta, eta, a, x, scaling, left=False):
+    """The law's cdf at x (its left limit with `left`) from the estimator map alone, at 60 digits.
+
+    Every estimator is nondecreasing in ybar ~ N(theta, 1/n), so the
+    estimate is <= c exactly when ybar <= g+(c), and < c when ybar < g-(c):
+    F(x) = Phi(sqrt(n)*(g+(theta + x/sqrt(n)) - theta)), one normal cdf.  For
+    the 'inv_eta' scaling x/sqrt(n) becomes eta*x.  Shares only
+    `EstimatorKind` with the library.
+    """
+    with mpmath.workdps(60):
+        return +mpmath.ncdf(_estimator_map_z(kind, n, theta, eta, a, x, scaling, left))
+
+
+def map_sf(kind, n, theta, eta, a, x, scaling):
+    """1 - `map_cdf` as the upper tail Phi(-z), with no cancellation, at 60 digits."""
+    with mpmath.workdps(60):
+        return +mpmath.ncdf(-_estimator_map_z(kind, n, theta, eta, a, x, scaling, False))
+
+
+def scad_estimate_reference(ybar, eta: float, a: float) -> np.ndarray:
+    """The scad estimate with np.abs and np.sign taken afresh at each use, as one expression per branch."""
+    y = np.asarray(ybar, dtype=float)
+    soft = np.sign(y) * np.maximum(np.abs(y) - eta, 0.0)
+    blend = ((a - 1.0) * y - np.sign(y) * a * eta) / (a - 2.0)
+    return np.where(np.abs(y) <= 2.0 * eta, soft, np.where(np.abs(y) <= a * eta, blend, y))
 
 
 def exceedance_probability(kind, n: int, theta: float, tuning, cut: float) -> float:

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    map_cdf,
+    map_sf,
     mpmath_hard_rescaled_risk,
     mpmath_second_moment,
     point_values,
@@ -22,6 +24,7 @@ from shrinkdist.estimators import EstimatorKind, TuningPlan, estimate
 from shrinkdist.finite_dist import (
     _GL_NODES,
     _GL_WEIGHTS,
+    LAWS,
     Atom,
     GaussPiece,
     MixtureDistribution,
@@ -47,6 +50,16 @@ CONFIGS = [
     (ModelPoint(10_000, 0.05), TuningPlan(0.1, 3.7)),   # consistent: eta = n**-0.25
     (ModelPoint(1000, 0.002), TuningPlan(0.03, 5.0)),
 ]
+
+
+CRITERION_02 = [  # (n, theta, eta, scad a); the golden dist configuration is the fourth
+    (40, 0.16, 0.05, 3.7),
+    (10_000, 0.05, 0.1, 3.7),
+    (100, 0.0, 0.196, 3.7),
+    (25, -0.3, 0.08, 2.5),
+    (1000, 0.02, 0.0316, 5.0),
+]
+EPS = 2.0**-52
 
 
 def test_atom_weight_figure_configuration():
@@ -307,6 +320,17 @@ def test_second_moment_below_the_smallest_float_is_zero():
     assert [rescaled_dist(kind, point, tuning).second_moment() for kind in KINDS] == [0.0] * 3
 
 
+@pytest.mark.parametrize("point, tuning", [(ModelPoint(1, 0.0), TuningPlan(1e120)),
+                                           (ModelPoint(4, 0.0), TuningPlan(0.25))], ids=["eta-1e120", "eta-0.25"])
+def test_mpmath_second_moment_equals_the_estimator_risk_oracle(point, tuning):
+    # both mapped ends of the upper piece are positive: at eta = 1e120 the primitive's 1 - Phi(1e120)
+    # cancels in any precision unless it is written as the tail Phi(-1e120); at eta = 0.25 every
+    # piece record is exact in binary and the atom sits at 0, so its rounded weight adds nothing
+    law = rescaled_dist(EstimatorKind.HARD, point, tuning)
+    exact = mpmath_hard_rescaled_risk(point.n, point.theta, tuning.eta)
+    assert abs(mpmath_second_moment(law) - exact) <= mpmath.mpf(10) ** -40 * exact
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_second_moment_with_a_shift_whose_square_overflows(kind):
     # sqrt(n)*eta = 1e202: the estimate is 0 but with a probability below exp(-1e404), so the law
@@ -314,6 +338,30 @@ def test_second_moment_with_a_shift_whose_square_overflows(kind):
     law = finite_sample_dist(kind, ModelPoint(10**4, -1.0), TuningPlan(1e200))
     assert law.atoms[0] == (100.0, 1.0)
     assert law.second_moment() == 1e4
+
+
+@pytest.mark.parametrize("scaling", LAWS)
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n, theta, eta, a", CRITERION_02)
+def test_cdf_equals_estimator_map_oracle(n, theta, eta, a, kind, scaling):
+    # points out to 37 standard units, where the cdf is about 1e-300, and each piece end and its
+    # neighbours one ulp either side; the atom only 1e-9 either side, since its float location may sit
+    # an ulp from the true one.  The relative error allowed is a few ulps of the mapped point z, times
+    # Phi's condition number there, about z**2 <= 2*log(1/F); below 1e-290 the cdf leaves the normal floats
+    dist = LAWS[scaling](kind, ModelPoint(n, theta), TuningPlan(eta, a))
+    unit = 1.0 if scaling == "sqrt_n" else 1.0 / (math.sqrt(n) * eta)
+    atom = dist.atoms[0].loc
+    ends = np.array([b for b in dist.breakpoints() if b != atom])
+    xs = np.concatenate([np.linspace(-37.0, 37.0, 49) * unit, ends, np.nextafter(ends, -np.inf),
+                         np.nextafter(ends, np.inf), atom + np.array([-1e-9, 1e-9]) * max(1.0, abs(atom))])
+    xs = xs[np.abs(xs - atom) > 1e-12 * max(1.0, abs(atom))]
+    for x, got in zip(xs.tolist(), dist.cdf(xs).tolist()):
+        want = map_cdf(kind, n, theta, eta, a, x, scaling)
+        if want < 1e-290:
+            assert abs(got - want) <= 1e-300
+        else:
+            assert abs(got - want) <= 4 * EPS * (1 - 2 * mpmath.log(want)) * want
+        assert abs(1.0 - got - map_sf(kind, n, theta, eta, a, x, scaling)) <= 4 * EPS
 
 
 def _assert_arrays_match_points(dist):

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     exceedance_probability,
     ks_oracle,
@@ -163,8 +165,58 @@ def test_ks_runs_on_block_edges_equal_whole_array_reference():
     assert ks == pytest.approx(299.5 / count, rel=1e-3)
 
 
+SUB = montecarlo._SUB
+
+
+@pytest.mark.parametrize("size", [1, SUB - 1, SUB + 1, 5 * SUB + 3, BLOCK - 1, BLOCK + 1, BATCH + 3])
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(KINDS), config=st.sampled_from(MC_CONFIGS),
+       shift=st.sampled_from([0.0, 0.01, -0.2]), decimals=st.none() | st.integers(0, 3),
+       runs=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(1, 3 * SUB)), max_size=4))
+def test_pruned_ks_equals_whole_array_reference(size, seed, kind, config, shift, decimals, runs):
+    # rounding makes ties everywhere, and each run overwrites a stretch with its first value, so atom
+    # runs start and end on and across sub-block and block edges; a shifted theta moves the sup
+    n, theta, eta, a = config
+    cfg = SimConfig(seed=seed, replications=size, point=ModelPoint(n, theta), tuning=TuningPlan(eta, a))
+    values = simulate_estimates(kind, cfg).values
+    if decimals is not None:
+        values = np.round(values, decimals)
+    for where, length in runs:
+        i = int(where * (size - 1))
+        values[i:i + length] = values[i]
+    dist = finite_sample_dist(kind, ModelPoint(n, theta + shift), cfg.tuning)
+    assert ks_distance(EmpiricalCdf(values), dist).hex() == whole_array_ks(values, dist).hex()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n, theta, eta, a", MC_CONFIGS)
+def test_cdf_nondecreasing_within_rounding(kind, n, theta, eta, a):
+    # the KS pruning slack (1e-12) must cover every decrease of the computed cdf
+    dist = finite_sample_dist(kind, ModelPoint(n, theta), TuningPlan(eta, a))
+    ends = np.array(dist.breakpoints())
+    grid = np.concatenate([np.linspace(-40.0, 40.0, 400_001), ends, np.nextafter(ends, -np.inf),
+                           np.nextafter(ends, np.inf)])
+    grid.sort()
+    assert np.min(np.diff(dist.cdf(grid))) >= -1e-15
+
+
+def test_pruned_ks_evaluates_a_tenth_of_the_distinct_values(monkeypatch):
+    emp = simulate_estimates(EstimatorKind.HARD, FIG_CFG)
+    dist = finite_sample_dist(EstimatorKind.HARD, FIG_CFG.point, FIG_CFG.tuning)
+    points = []  # every model evaluation goes through cdf: the sub-block edges, cdf_left and the walk
+    cdf = MixtureDistribution.cdf
+    monkeypatch.setattr(MixtureDistribution, "cdf", lambda self, x: points.append(np.size(x)) or cdf(self, x))
+    ks = ks_distance(emp, dist)
+    monkeypatch.undo()
+    distinct = np.unique(emp.values).size
+    assert distinct > 150_000
+    assert sum(points) <= distinct / 10
+    assert ks.hex() == whole_array_ks(emp.values, dist).hex()
+
+
 def test_blocked_path_peak_memory():
-    # the output array is the only full-length allocation; the KS walk allocates per block
+    # the output array is the only full-length allocation; the KS pass allocates per block, plus
+    # arrays over the sub-blocks, 1/64 of the sample's length
     cfg = SimConfig(seed=9, replications=1_000_000, point=ModelPoint(40, 0.16), tuning=TuningPlan(0.05, 3.7))
     dist = finite_sample_dist(EstimatorKind.SCAD, cfg.point, cfg.tuning)
     tracemalloc.start()
@@ -206,6 +258,21 @@ def test_empirical_cdf_evaluation():
 def test_empirical_cdf_rejects_nan(values):
     with pytest.raises(ValueError, match="NaN"):
         EmpiricalCdf(np.array(values))
+
+
+def test_empirical_cdf_rejects_a_descent_across_a_block_edge():
+    values = np.arange(2.0 * BLOCK)
+    values[[BLOCK - 1, BLOCK]] = values[[BLOCK, BLOCK - 1]]  # the only descending pair straddles the edge
+    with pytest.raises(ValueError, match="sorted"):
+        EmpiricalCdf(values)
+
+
+@pytest.mark.parametrize("where", [1, BLOCK - 1, BLOCK, 2 * BLOCK])
+def test_empirical_cdf_rejects_nan_in_a_long_sample(where):
+    values = np.arange(2.0 * BLOCK + 1)
+    values[where] = math.nan  # inside a block, on either side of a block edge, and last
+    with pytest.raises(ValueError, match="NaN"):
+        EmpiricalCdf(values)
 
 
 @pytest.mark.parametrize("x", [math.nan, [0.5, math.nan]])
