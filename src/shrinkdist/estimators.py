@@ -69,6 +69,9 @@ def estimate(kind: EstimatorKind, ybar, tuning: TuningPlan):
 
     Boundary convention: |ybar| == eta maps to 0 for every kind, and the
     scad branch intervals are (-inf, 2*eta], (2*eta, a*eta], (a*eta, inf).
+    The scad blend's magnitude is clamped into [eta, a*eta], the range of
+    its exact values, so the float map stays nondecreasing even for a just
+    above 2, where the quotient by a - 2 magnifies its rounding.
     """
     y = np.asarray(ybar, dtype=float)
     if not np.all(np.isfinite(y)):
@@ -81,7 +84,9 @@ def estimate(kind: EstimatorKind, ybar, tuning: TuningPlan):
     elif kind is EstimatorKind.SCAD:
         a, sign, magnitude = tuning.scad_a, np.sign(y), np.abs(y)
         soft = sign * np.maximum(magnitude - eta, 0.0)
-        blend = ((a - 1.0) * y - sign * a * eta) / (a - 2.0)
+        # clamped into [eta, a*eta] by sign: near a = 2 the quotient rounds past its ends, and the clamp keeps
+        # the map monotone there; elsewhere it is ((a - 1)*y - sign*a*eta)/(a - 2) bit for bit
+        blend = sign * np.clip(((a - 1.0) * magnitude - a * eta) / (a - 2.0), eta, a * eta)
         out = np.where(magnitude <= 2.0 * eta, soft, np.where(magnitude <= a * eta, blend, y))
     else:
         raise ValueError(f"unknown estimator kind {kind!r}")

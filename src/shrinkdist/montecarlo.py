@@ -12,6 +12,14 @@ made several full-length ones.  Every step is elementwise or a max, and a
 stream gives the same integers drawn a block at a time as all at once, so
 the blocks change no output bit.
 
+Every estimator is exactly 0 when |ybar| <= eta, and most draws of many
+configurations land there.  A uniform maps to ybar monotonically, so those
+draws are the uniforms in one range, found from the normal cdf with a
+margin far above the rounding of the draw and certified by running the
+sampler at both its ends.  `simulate_estimates` writes the atom's value at
+the uniforms in that range without calling `ndtri` or the estimate there;
+the value is the one they would give, so no output bit moves.
+
 The KS distance first bounds the gaps in each sub-block of `_SUB` values
 from the model at the sub-block's two ends (arrays 1/`_SUB` of the
 sample's length), then evaluates the model only at the run starts of
@@ -46,7 +54,11 @@ _BATCH = 1 << 19  # draws per spawned stream
 _BLOCK = 1 << 14  # values per block of the sample path; divides _BATCH, so no block straddles two streams
 _SUB = 1 << 6  # values per sub-block of the KS bound; divides _BLOCK
 _SLACK = 1e-12  # margin of the KS bound over the cdf's rounding, which is about 1e-15
-_U_DENOM = float(1 << 53)
+_U_ONE = 1 << 53  # the uniforms are k/2^53 for the integers k in [1, 2^53)
+_U_DENOM = float(_U_ONE)
+_SKIP_MARGIN = 1e-7  # relative margin of the atom range over the rounding of the draw
+_SKIP_MIN = 0.25  # share of a block's draws in the atom range below which gathering the rest costs more than it saves
+_NO_ATOM = (1.0, 0.0, np.float64(0.0), np.float64(0.0))  # an empty range of uniforms
 
 
 @dataclass(frozen=True)
@@ -92,7 +104,85 @@ class EmpiricalCdf:
 
 def _uniform_open(gen: np.random.Generator, size, out=None) -> np.ndarray:
     # integers in [1, 2^53) scaled down: strictly inside (0, 1); written into `out` when given
-    return np.divide(gen.integers(1, 1 << 53, size=size), _U_DENOM, out=out)
+    return np.divide(gen.integers(1, _U_ONE, size=size), _U_DENOM, out=out)
+
+
+def _uniform_blocks(cfg: SimConfig, out: np.ndarray):
+    """Fill `out` with the seeded uniforms a block at a time, yielding each block once it is drawn.
+
+    Each batch of `_BATCH` values has its own Philox stream, spawned from the
+    seed; a stream gives the same integers a block at a time as all at once.
+    """
+    children = iter(np.random.SeedSequence(cfg.seed).spawn((out.size + _BATCH - 1) // _BATCH))
+    for lo in range(0, out.size, _BLOCK):
+        if lo % _BATCH == 0:
+            gen = np.random.Generator(np.random.Philox(next(children)))
+        block = out[lo:lo + _BLOCK]
+        _uniform_open(gen, block.size, out=block)
+        yield block
+
+
+def _ybar(u: np.ndarray, point: ModelPoint) -> np.ndarray:
+    """Overwrite the uniforms u with their draws of ybar: `ndtri`, then the scale 1/sqrt(n), then the shift theta."""
+    ndtri(u, out=u)
+    u *= 1.0 / point.sqrt_n
+    u += point.theta
+    return u
+
+
+def _scaled_errors(kind: EstimatorKind, cfg: SimConfig, u: np.ndarray) -> np.ndarray:
+    """Overwrite the uniforms u with sqrt(n)*(estimate - theta) at their draws of ybar."""
+    np.subtract(estimate(kind, _ybar(u, cfg.point), cfg.tuning), cfg.point.theta, out=u)
+    u *= cfg.point.sqrt_n
+    return u
+
+
+def _grid_index(z: float, up: bool) -> int:
+    """The index k of the uniform k/2^53 next to Phi(z), at or above it when `up`, else at or below.
+
+    Phi is taken from its smaller tail, Phi(z) or 1 - Phi(-z), so it keeps
+    its relative precision near 1 as well as near 0; scaling by 2^53 is exact.
+    """
+    if z <= 0.0:
+        p = norm_cdf(z) * _U_DENOM
+        return math.ceil(p) if up else math.floor(p)
+    q = norm_cdf(-z) * _U_DENOM
+    return _U_ONE - (math.floor(q) if up else math.ceil(q))
+
+
+def _atom_uniforms(kind: EstimatorKind, cfg: SimConfig):
+    """(lo, hi, fill_lo, fill_hi): a certified range of uniforms whose draws land in the atom, and its values.
+
+    Every estimate is 0 exactly when |ybar| <= eta, that is when the normal
+    quantile z lies in sqrt(n)*(-eta - theta, eta - theta).  Those ends are
+    pulled inward by `_SKIP_MARGIN`*(1 + sqrt(n)*|theta| + max|z|), far
+    above the rounding of the ends, of `ndtri` (about 1e-16 relative), of
+    1/sqrt(n) and of theta + z/sqrt(n), and mapped to the grid of uniforms
+    rounded inward; the cdf of an end past 0 is taken as 1 - Phi(-z), so it
+    keeps its precision near 1.  The sampler's own pipeline must then give
+    an estimate of exactly 0 at the smallest and the largest uniform of the
+    range.  If it does not, or the range is empty (a tiny sqrt(n)*eta), the
+    result is `_NO_ATOM`, an empty range, and nothing is skipped.
+
+    Inside the range the value is sqrt(n)*(+-0.0 - theta): one value unless
+    theta is zero, where soft and scad give sign(ybar)*0.0, so -0.0 below
+    u = 1/2 (ndtri(1/2) = +0.0) and +0.0 from it on.  The values at the two
+    certified ends are those two values.
+    """
+    point, eta = cfg.point, cfg.tuning.eta
+    z_lo, z_hi = point.sqrt_n * (-eta - point.theta), point.sqrt_n * (eta - point.theta)
+    margin = _SKIP_MARGIN * (1.0 + point.sqrt_n * abs(point.theta) + max(abs(z_lo), abs(z_hi)))
+    if not math.isfinite(margin):
+        return _NO_ATOM
+    k_lo, k_hi = max(_grid_index(z_lo + margin, True), 1), min(_grid_index(z_hi - margin, False), _U_ONE - 1)
+    if k_lo > k_hi:
+        return _NO_ATOM
+    lo, hi = k_lo / _U_DENOM, k_hi / _U_DENOM
+    est = estimate(kind, _ybar(np.array([lo, hi]), point), cfg.tuning)
+    if (est != 0.0).any():
+        return _NO_ATOM
+    fill_lo, fill_hi = (est - point.theta) * point.sqrt_n
+    return lo, hi, fill_lo, fill_hi
 
 
 def sample_ybar(cfg: SimConfig) -> np.ndarray:
@@ -104,32 +194,41 @@ def sample_ybar(cfg: SimConfig) -> np.ndarray:
     are those of drawing a whole batch at once.
     """
     out = np.empty(cfg.replications)
-    children = iter(np.random.SeedSequence(cfg.seed).spawn((cfg.replications + _BATCH - 1) // _BATCH))
-    scale = 1.0 / cfg.point.sqrt_n
-    for lo in range(0, cfg.replications, _BLOCK):
-        if lo % _BATCH == 0:
-            gen = np.random.Generator(np.random.Philox(next(children)))
-        block = out[lo:lo + _BLOCK]
-        _uniform_open(gen, block.size, out=block)
-        ndtri(block, out=block)
-        block *= scale
-        block += cfg.point.theta
+    for block in _uniform_blocks(cfg, out):
+        _ybar(block, cfg.point)
     return out
 
 
 def simulate_estimates(kind: EstimatorKind, cfg: SimConfig) -> EmpiricalCdf:
     """Empirical law of sqrt(n)*(estimate - theta) from seeded replications.
 
-    Each block of the `sample_ybar` array is overwritten with its values, and
-    the array is sorted in place, so the one output array is the only
+    The uniforms of `sample_ybar` are drawn a block at a time into the one
+    output array.  Only the uniforms outside the certified atom range of
+    `_atom_uniforms` go through `ndtri`, the scale, the shift and the
+    estimate, gathered into one block-sized array and scattered back after
+    the block is filled with the atom's value (at theta = 0, -0.0 below
+    u = 1/2 for soft and scad).  A block with less than `_SKIP_MIN` of its
+    draws in the range, where the gather would cost more than it saves,
+    runs whole.  The array is then sorted in place, so it is the only
     full-length allocation.  Each value is that of the whole-array
-    expression, bit for bit: the estimate and the affine map are elementwise.
+    expression over `sample_ybar`, bit for bit: every step is elementwise,
+    and inside the range that expression gives the atom's value.
     """
-    vals = sample_ybar(cfg)
-    for lo in range(0, vals.size, _BLOCK):
-        block = vals[lo:lo + _BLOCK]
-        np.subtract(estimate(kind, block, cfg.tuning), cfg.point.theta, out=block)
-        block *= cfg.point.sqrt_n
+    vals = np.empty(cfg.replications)
+    lo, hi, fill_lo, fill_hi = _atom_uniforms(kind, cfg)
+    one_fill = fill_lo.tobytes() == fill_hi.tobytes()
+    for block in _uniform_blocks(cfg, vals):
+        outside = (block < lo) | (block > hi)
+        if np.count_nonzero(outside) > (1.0 - _SKIP_MIN) * block.size:
+            _scaled_errors(kind, cfg, block)
+            continue
+        off = np.flatnonzero(outside)
+        u = _scaled_errors(kind, cfg, block[off])
+        if one_fill:
+            block.fill(fill_hi)
+        else:
+            block[...] = np.where(block < 0.5, fill_lo, fill_hi)
+        block[off] = u
     vals.sort()
     return EmpiricalCdf(vals)
 

@@ -197,10 +197,14 @@ def map_sf(kind, n, theta, eta, a, x, scaling):
 
 
 def scad_estimate_reference(ybar, eta: float, a: float) -> np.ndarray:
-    """The scad estimate with np.abs and np.sign taken afresh at each use, as one expression per branch."""
+    """The scad estimate with np.abs and np.sign taken afresh at each use, as one expression per branch.
+
+    The blend is clamped by sign into [eta, a*eta] with np.minimum and np.maximum.
+    """
     y = np.asarray(ybar, dtype=float)
     soft = np.sign(y) * np.maximum(np.abs(y) - eta, 0.0)
     blend = ((a - 1.0) * y - np.sign(y) * a * eta) / (a - 2.0)
+    blend = np.where(y > 0, np.minimum(np.maximum(blend, eta), a * eta), np.maximum(np.minimum(blend, -eta), -a * eta))
     return np.where(np.abs(y) <= 2.0 * eta, soft, np.where(np.abs(y) <= a * eta, blend, y))
 
 

@@ -128,13 +128,9 @@ def test_scad_estimate_bytes_equal_per_branch_expression(eta, a):
 
 @pytest.mark.parametrize("eta, a", BRANCH_TUNINGS)
 @pytest.mark.parametrize("kind", KINDS)
-def test_estimator_map_inverts_estimate_at_branch_ends(request, kind, eta, a):
+def test_estimator_map_inverts_estimate_at_branch_ends(kind, eta, a):
     # g-(c) <= y <= g+(c) for c = g(y); off the zero set g+ = g- is y up to the estimate's rounding,
-    # a few ulps of max(|y|, a*eta)
-    if kind is EstimatorKind.SCAD and a - 2.0 < 1e-9:
-        request.applymarker(pytest.mark.xfail(strict=True, reason=(
-            "the scad blend ((a - 1)*y - a*eta)/(a - 2) cancels to a relative error near eps/(a - 2): "
-            "at a = 2 + 1e-12 the estimate at y = a*eta is 6.7e-5 above y, past the outer branch")))
+    # a few ulps of max(|y|, a*eta); at a = 2 + 1e-12 the clamp of the scad blend keeps it so at the ends
     ys = _branch_points(eta, a)
     with mpmath.workdps(60):
         mp_eta, mp_a = mpmath.mpf(eta), mpmath.mpf(a)

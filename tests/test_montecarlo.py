@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     exceedance_probability,
@@ -151,6 +151,107 @@ def test_blocked_path_equals_whole_array_reference(config, reps):
         assert ks_distance(emp, dist).hex() == whole_array_ks(expected, dist).hex()
 
 
+THETA_RULES = {  # theta as a function of eta: on the atom's ends, one relative 1e-12 either side, inside, outside
+    "zero": lambda eta: 0.0,
+    "minus-zero": lambda eta: -0.0,  # (-0.0 - -0.0) is +0.0, so soft and scad put +0.0 on the whole atom
+    "above-end": lambda eta: eta * (1.0 + 1e-12),
+    "below-end": lambda eta: eta * (1.0 - 1e-12),
+    "above-minus-end": lambda eta: -eta * (1.0 + 1e-12),
+    "below-minus-end": lambda eta: -eta * (1.0 - 1e-12),
+    "inside": lambda eta: 0.3 * eta,
+    "outside": lambda eta: -3.0 * eta,
+    "fixed": lambda eta: 0.05,
+}
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(KINDS), reps=st.sampled_from(BLOCK_EDGE_COUNTS), seed=st.integers(0, 2**32 - 1),
+       n=st.sampled_from([1, 25, 100, 10**4, 10**12, 10**30]), eta=st.sampled_from([1e-300, 1e-9, 0.0316, 0.196, 3.0]),
+       rule=st.sampled_from(list(THETA_RULES)), a=st.sampled_from([2.0 + 1e-12, 2.5, 3.7]))
+@example(kind=EstimatorKind.SOFT, reps=BLOCK + 1, seed=1, n=100, eta=1e-300, rule="zero", a=3.7)  # an empty range
+@example(kind=EstimatorKind.SCAD, reps=BLOCK + 1, seed=2, n=10**30, eta=0.196, rule="zero", a=2.0 + 1e-12)
+@example(kind=EstimatorKind.HARD, reps=BLOCK - 1, seed=3, n=10**12, eta=0.1, rule="below-end", a=3.7)
+@example(kind=EstimatorKind.SOFT, reps=BLOCK, seed=5, n=100, eta=0.196, rule="minus-zero", a=3.7)
+@example(kind=EstimatorKind.SCAD, reps=BATCH + 1, seed=4, n=10**30, eta=1e-9, rule="above-minus-end", a=3.7)
+def test_atom_skip_equals_whole_array_reference(kind, reps, seed, n, eta, rule, a):
+    # the draws inside the certified atom range skip ndtri and the estimate; every value keeps its bits
+    cfg = SimConfig(seed=seed, replications=reps, point=ModelPoint(n, THETA_RULES[rule](eta)), tuning=TuningPlan(eta, a))
+    expected = whole_array_estimates(kind, cfg, whole_array_ybar(cfg))
+    assert simulate_estimates(kind, cfg).values.tobytes() == expected.tobytes()
+
+
+CERTIFIED_CONFIGS = MC_CONFIGS + [  # (n, theta, eta, scad a)
+    (10**30, 0.0, 0.1, 3.7),  # every uniform lies in the range
+    (10**12, 0.1 * (1.0 - 1e-12), 0.1, 3.7),  # the atom's upper end at z = 1e-7, pulled in to z = -0.03
+    (10**12, -0.1 * (1.0 + 1e-12), 0.1, 2.0 + 1e-12),
+    (100, 0.0, 0.196, 2.0 + 1e-12),
+    (100, -0.0, 0.196, 3.7),
+]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n, theta, eta, a", CERTIFIED_CONFIGS)
+def test_atom_range_ends_and_steps_inside_give_the_atom(kind, n, theta, eta, a):
+    # the sampler's pipeline at the certified ends, 1, 2 and 1000 grid steps of 2^-53 inside them, and at
+    # u = 1/2 and the step below it when they lie in the range: each estimate is exactly 0, and each value
+    # is the fill, -0.0 below u = 1/2 at theta = +0.0 for soft and scad
+    cfg = SimConfig(seed=1, replications=1, point=ModelPoint(n, theta), tuning=TuningPlan(eta, a))
+    lo, hi, fill_lo, fill_hi = montecarlo._atom_uniforms(kind, cfg)
+    k_lo, k_hi = int(lo * 2.0**53), int(hi * 2.0**53)
+    steps = np.array([0, 1, 2, 1000])
+    k = np.concatenate([k_lo + steps, k_hi - steps, [2**52 - 1, 2**52]])
+    u = k[(k >= k_lo) & (k <= k_hi)] / 2.0**53
+    assert u.size >= 8
+    est = estimate(kind, montecarlo._ybar(u.copy(), cfg.point), cfg.tuning)
+    assert np.all(est == 0.0)
+    values = (est - theta) * cfg.point.sqrt_n
+    assert values.tobytes() == np.where(u < 0.5, fill_lo, fill_hi).tobytes()
+    if theta == 0.0:
+        assert (fill_lo, fill_hi) == (0.0, 0.0)
+        signed = kind is not EstimatorKind.HARD and not np.signbit(theta)
+        assert np.signbit([fill_lo, fill_hi]).tolist() == [signed, False]
+    else:
+        assert fill_lo == fill_hi == -cfg.point.sqrt_n * theta
+
+
+@pytest.mark.parametrize("n, eta", [(100, 1e-300), (1, 1e-12)])
+def test_atom_range_is_empty_where_the_atom_is_narrower_than_its_margin(n, eta):
+    cfg = SimConfig(seed=1, replications=1, point=ModelPoint(n, 0.0), tuning=TuningPlan(eta))
+    assert montecarlo._atom_uniforms(EstimatorKind.SOFT, cfg) == montecarlo._NO_ATOM
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_uncertified_range_skips_nothing(monkeypatch, kind):
+    # a negative margin pushes the ends outward, past the atom: the pipeline's estimate there is not 0,
+    # so the range is refused and every draw goes through ndtri and the estimate
+    monkeypatch.setattr(montecarlo, "_SKIP_MARGIN", -1e-3)
+    cfg = SimConfig(seed=8, replications=BLOCK + 1, point=ModelPoint(100, 0.0), tuning=TuningPlan(0.196))
+    assert montecarlo._atom_uniforms(kind, cfg) == montecarlo._NO_ATOM
+    sizes = []
+    monkeypatch.setattr(montecarlo, "ndtri", lambda u, out=None: sizes.append(u.size) or ndtri(u, out=out))
+    emp = simulate_estimates(kind, cfg)
+    assert sum(sizes) == 2 + cfg.replications
+    assert emp.values.tobytes() == whole_array_estimates(kind, cfg, whole_array_ybar(cfg)).tobytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("config, share", [(EDGE_CONFIGS["all-atom"], 1e-5), (EDGE_CONFIGS["theta-0"], 0.06)],
+                         ids=["all-atom", "theta-0"])
+def test_ndtri_sees_only_draws_outside_the_atom_range(monkeypatch, kind, config, share):
+    # the two certification points, then exactly the draws outside the range: at sqrt(n)*eta = 10 the
+    # range leaves out 2.9e-7 of the uniforms, at sqrt(n)*eta = 1.96 about 5%
+    n, theta, eta, a = config
+    cfg = SimConfig(seed=12, replications=200_000, point=ModelPoint(n, theta), tuning=TuningPlan(eta, a))
+    lo, hi = montecarlo._atom_uniforms(kind, cfg)[:2]
+    u = np.concatenate(list(montecarlo._uniform_blocks(cfg, np.empty(cfg.replications))))
+    outside = np.count_nonzero((u < lo) | (u > hi))
+    sizes = []
+    monkeypatch.setattr(montecarlo, "ndtri", lambda u, out=None: sizes.append(u.size) or ndtri(u, out=out))
+    simulate_estimates(kind, cfg)
+    assert sizes[0] == 2
+    assert sum(sizes[1:]) == outside <= share * cfg.replications
+
+
 def test_ks_runs_on_block_edges_equal_whole_array_reference():
     # normal quantiles fit N(0, 1) to within 0.5/count everywhere but at the ties: a run of 300
     # starting exactly on the first block edge, where the sup sits, and a run of 10 across the second
@@ -214,10 +315,13 @@ def test_pruned_ks_evaluates_a_tenth_of_the_distinct_values(monkeypatch):
     assert ks.hex() == whole_array_ks(emp.values, dist).hex()
 
 
-def test_blocked_path_peak_memory():
-    # the output array is the only full-length allocation; the KS pass allocates per block, plus
-    # arrays over the sub-blocks, 1/64 of the sample's length
-    cfg = SimConfig(seed=9, replications=1_000_000, point=ModelPoint(40, 0.16), tuning=TuningPlan(0.05, 3.7))
+@pytest.mark.parametrize("config", [(40, 0.16, 0.05, 3.7), *EDGE_CONFIGS.values()], ids=["figure", *EDGE_CONFIGS])
+def test_blocked_path_peak_memory(config):
+    # the output array is the only full-length allocation: the gathered indices and values and the
+    # fill stay block-sized; the KS pass allocates per block, plus arrays over the sub-blocks, 1/64
+    # of the sample's length
+    n, theta, eta, a = config
+    cfg = SimConfig(seed=9, replications=1_000_000, point=ModelPoint(n, theta), tuning=TuningPlan(eta, a))
     dist = finite_sample_dist(EstimatorKind.SCAD, cfg.point, cfg.tuning)
     tracemalloc.start()
     try:
