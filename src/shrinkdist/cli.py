@@ -24,7 +24,7 @@ from .finite_dist import LAWS, MixtureDistribution, ModelPoint, finite_sample_di
 from .impossibility import MOutOfNBootstrap, OracleCheat, PretestPlugin, estimator_worst_case
 from .limits import canonical_scenarios
 from .montecarlo import uniform_rate_experiment
-from .normal_kernel import _check_count, _check_seed
+from .normal_kernel import _check_count, _check_real, _check_seed
 from .report import ExperimentReport
 from .selection import PowerTuningPath, ThetaRule, selection_convergence_table
 
@@ -32,8 +32,13 @@ DEFAULT_SEED = 20090301
 FIGURE_DEFAULTS = {"n": 40, "theta": 0.16, "eta": 0.05, "a": DEFAULT_SCAD_A}
 FIGURE_KINDS = {1: "hard", 2: "soft", 3: "scad"}
 LIST_KEYS = ("n_list", "n_probe", "scenario")  # the only config keys that take a list
-# the config keys that hold counts, each with the name its error message gives
-_COUNT_NAMES = {"n": "n", "reps": "reps (replications)", "n_list": "each n_list item", "n_probe": "each n_probe item"}
+# every key some experiment reads, as the README lists them; --reps writes `reps` into any config
+CONFIG_KEYS = frozenset({
+    "rule", "nu", "zeta", "r", "theta", "perturb", "scale", "gamma", "n_list",  # selection
+    "scenario", "n_probe", "a",  # limits
+    "kind", "M", "scaling",  # uniform-rate
+    "estimator", "n", "t", "c", "reps", "threshold", "oracle_tol",  # impossibility
+})
 
 
 def _json_dumps(obj) -> str:
@@ -125,13 +130,12 @@ def _density_table(dist: MixtureDistribution, lo: float, hi: float, count: int) 
 
 
 def _point_and_tuning(params: dict) -> tuple:
-    # a replayed manifest may hold any number as n; ModelPoint checks it and stores an int
-    return (ModelPoint(params["n"], float(params["theta"])),
-            TuningPlan(float(params["eta"]), float(params["a"])))
+    # a replayed manifest may hold any value; ModelPoint and TuningPlan check each and store an int or floats
+    return ModelPoint(params["n"], params["theta"]), TuningPlan(params["eta"], params["a"])
 
 
 def run_figure(params: dict, out_dir: Path) -> tuple:
-    which = int(params["which"])
+    which = _check_count(params["which"], "which")
     kind = EstimatorKind.parse(FIGURE_KINDS[which])
     point, tuning = _point_and_tuning(params)
     dist = finite_sample_dist(kind, point, tuning)
@@ -150,7 +154,7 @@ def run_dist(params: dict, out_dir: Path) -> tuple:
     scaling = params["scaling"]
     dist = LAWS[scaling](kind, point, tuning)
     lo, hi, count = params["grid"]
-    grid = np.linspace(float(lo), float(hi), int(count))
+    grid = np.linspace(_check_real(lo, "grid lo"), _check_real(hi, "grid hi"), _check_count(count, "grid count"))
     rows = list(zip(grid.tolist(), dist.cdf(grid).tolist(), dist.density_ac(grid).tolist()))
     table = ExperimentReport(columns=("x", "cdf", "ac_density"), rows=rows)
     csv_name = f"dist_{kind.value}_{scaling}.csv"
@@ -185,19 +189,20 @@ def _parse_scalar(raw: str):
 
 
 def _check_config(config: dict) -> None:
-    """Every value is a number or a string; only the LIST_KEYS take a list of them.
+    """Every key is one of CONFIG_KEYS, and every value a number or a string; only the LIST_KEYS take a list of them.
 
-    Every item of a count key (a sample size or a replication count) is a
-    positive integer.
+    `reps` is a count even where the experiment does not read it; the
+    library checks every other value where it reads it.
     """
     for key, value in config.items():
+        if key not in CONFIG_KEYS:
+            raise ValueError(f"unknown config key {key!r}: no experiment reads it")
         items = value if key in LIST_KEYS and isinstance(value, list) else [value]
         if not all(isinstance(v, (int, float, str)) and not isinstance(v, bool) for v in items):
             listed = ", or a list of them" if key in LIST_KEYS else ""
             raise ValueError(f"config key {key!r} takes a number or a string{listed}, not {value!r}")
-        if key in _COUNT_NAMES:
-            for v in items:
-                _check_count(v, _COUNT_NAMES[key])
+    if "reps" in config:
+        _check_count(config["reps"], "reps (replications)")
 
 
 def _as_list(v) -> list:
@@ -206,27 +211,26 @@ def _as_list(v) -> list:
 
 def _theta_rule_from_config(cfg: dict) -> ThetaRule:
     rule = cfg.get("rule", "local")
-    perturb = float(cfg.get("perturb", 0.0))
+    perturb = cfg.get("perturb", 0.0)
     if rule == "local":
-        return ThetaRule.local(float(cfg.get("nu", 0.0)), perturb=perturb)
+        return ThetaRule.local(cfg.get("nu", 0.0), perturb=perturb)
     if rule == "eta_multiple":
-        return ThetaRule.eta_multiple(float(cfg["zeta"]))
+        return ThetaRule.eta_multiple(cfg["zeta"])
     if rule == "boundary":
-        return ThetaRule.boundary(float(cfg["zeta"]), float(cfg["r"]), perturb=perturb)
+        return ThetaRule.boundary(cfg["zeta"], cfg["r"], perturb=perturb)
     if rule == "fixed":
-        return ThetaRule.fixed(float(cfg["theta"]))
+        return ThetaRule.fixed(cfg["theta"])
     raise ValueError(f"unknown theta rule {rule!r}")
 
 
 def _power_path(cfg: dict) -> PowerTuningPath:
-    return PowerTuningPath(float(cfg.get("scale", 1.0)), float(cfg.get("gamma", 0.25)))
+    return PowerTuningPath(cfg.get("scale", 1.0), cfg.get("gamma", 0.25))
 
 
 def _experiment_selection(cfg: dict, out_dir: Path, seed: int) -> tuple:
     path = _power_path(cfg)
     rule = _theta_rule_from_config(cfg)
-    n_list = [int(n) for n in _as_list(cfg.get("n_list", [100, 10_000, 1_000_000]))]
-    report = selection_convergence_table(path, rule, n_list)
+    report = selection_convergence_table(path, rule, _as_list(cfg.get("n_list", [100, 10_000, 1_000_000])))
     report.write_csv(out_dir / "selection.csv")
     gaps = report.column("gap")
     ok = abs(gaps[-1]) < abs(gaps[0]) or abs(gaps[-1]) <= 1e-12
@@ -237,8 +241,8 @@ def _experiment_selection(cfg: dict, out_dir: Path, seed: int) -> tuple:
 
 def _experiment_limits(cfg: dict, out_dir: Path, seed: int) -> tuple:
     wanted = cfg.get("scenario", "all")
-    n_probe = [int(n) for n in _as_list(cfg.get("n_probe", [1000, 1_000_000]))]
-    scenarios = canonical_scenarios(float(cfg.get("a", DEFAULT_SCAD_A)))
+    n_probe = _as_list(cfg.get("n_probe", [1000, 1_000_000]))
+    scenarios = canonical_scenarios(cfg.get("a", DEFAULT_SCAD_A))
     if wanted != "all":
         names = set(_as_list(wanted))
         unknown = names - {s.name for s in scenarios}
@@ -261,10 +265,9 @@ def _experiment_limits(cfg: dict, out_dir: Path, seed: int) -> tuple:
 def _experiment_uniform_rate(cfg: dict, out_dir: Path, seed: int) -> tuple:
     kind = EstimatorKind.parse(cfg.get("kind", "hard"))
     path = _power_path(cfg)
-    n_list = [int(n) for n in _as_list(cfg.get("n_list", [100, 10_000, 1_000_000]))]
     report = uniform_rate_experiment(
-        kind, path, float(cfg.get("M", 6.0)), n_list,
-        scaling=cfg.get("scaling", "a_n"), scad_a=float(cfg.get("a", DEFAULT_SCAD_A)),
+        kind, path, cfg.get("M", 6.0), _as_list(cfg.get("n_list", [100, 10_000, 1_000_000])),
+        scaling=cfg.get("scaling", "a_n"), scad_a=cfg.get("a", DEFAULT_SCAD_A),
     )
     report.write_csv(out_dir / "uniform_rate.csv", include_meta=True)
     ok = all(report.column("within_bound"))
@@ -274,25 +277,24 @@ def _experiment_uniform_rate(cfg: dict, out_dir: Path, seed: int) -> tuple:
 
 def _experiment_impossibility(cfg: dict, out_dir: Path, seed: int) -> tuple:
     kind = EstimatorKind.parse(cfg.get("kind", "hard"))
-    n = int(cfg.get("n", 10_000))
+    n = cfg.get("n", 10_000)
     path = _power_path(cfg)
-    tuning = TuningPlan(path.eta(n), float(cfg.get("a", DEFAULT_SCAD_A)))
+    tuning = TuningPlan(path.eta(n), cfg.get("a", DEFAULT_SCAD_A))
     name = cfg.get("estimator", "pretest")
+    tol = _check_real(cfg.get("oracle_tol", 0.05), "oracle_tol")
+    threshold = _check_real(cfg.get("threshold", 0.45), "threshold")
     specs = {"oracle": OracleCheat(), "pretest": PretestPlugin(consistent=path.exponent < 0.5),
              "bootstrap": MOutOfNBootstrap(path=path)}
     if name not in specs:
         raise ValueError(f"unknown cdf estimator {name!r}")
     report = estimator_worst_case(
-        specs[name], kind, n, float(cfg.get("t", 0.0)), tuning, float(cfg.get("c", 2.0)),
-        seed=seed, replications=int(cfg.get("reps", 10_000)),
+        specs[name], kind, n, cfg.get("t", 0.0), tuning, cfg.get("c", 2.0),
+        seed=seed, replications=cfg.get("reps", 10_000),
     )
     report.write_csv(out_dir / "impossibility.csv", include_meta=True)
     summary = {k: report.meta[k] for k in ("epsilon", "epsilon_range", "bound", "sup", "witness_theta")}
     _write(out_dir / "impossibility_summary.json", _json_dumps(summary))
-    if name == "oracle":
-        ok = report.meta["sup"] <= float(cfg.get("oracle_tol", 0.05))
-    else:
-        ok = report.meta["sup"] >= float(cfg.get("threshold", 0.45))
+    ok = report.meta["sup"] <= tol if name == "oracle" else report.meta["sup"] >= threshold
     checks = [{"name": f"{name}-worst-case", "pass": bool(ok), "sup": report.meta["sup"]}]
     return ["impossibility.csv", "impossibility_summary.json"], checks
 

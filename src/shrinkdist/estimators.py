@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .normal_kernel import _check_count, _scalar_or_array
+from .normal_kernel import _check_count, _check_real, _scalar_or_array
 
 __all__ = [
     "EstimatorKind",
@@ -51,17 +51,9 @@ class TuningPlan:
     scad_a: float = DEFAULT_SCAD_A
 
     def __post_init__(self):
-        if isinstance(self.eta, bool) or not (np.isfinite(self.eta) and self.eta > 0.0):
-            raise ValueError(f"invalid tuning: eta > 0 required (got {self.eta})")
-        _check_scad_a(self.scad_a)
-        object.__setattr__(self, "eta", float(self.eta))
-        object.__setattr__(self, "scad_a", float(self.scad_a))
-
-
-def _check_scad_a(a) -> None:
-    """Every scad law needs a > 2: the blend slope (a - 2)/(a - 1) must be positive."""
-    if isinstance(a, bool) or not (np.isfinite(a) and a > 2.0):
-        raise ValueError(f"invalid tuning: scad_a > 2 required (got {a})")
+        object.__setattr__(self, "eta", _check_real(self.eta, "eta", gt=0))
+        # every scad law needs a > 2: the blend slope (a - 2)/(a - 1) must be positive
+        object.__setattr__(self, "scad_a", _check_real(self.scad_a, "scad_a", gt=2))
 
 
 def estimate(kind: EstimatorKind, ybar, tuning: TuningPlan):
@@ -102,11 +94,7 @@ def penalized_objective(kind: EstimatorKind, theta: float, ybar: float, n: int, 
     -(t^2 - 2*a*eta*t + eta^2)/(2*(a - 1)) up to a*eta, and (a + 1)*eta^2/2
     beyond.
     """
-    theta = float(theta)
-    ybar = float(ybar)
-    if not (np.isfinite(theta) and np.isfinite(ybar)):
-        raise ValueError("theta and ybar must be finite")
-    _check_count(n)
+    theta, ybar, n = _check_real(theta, "theta"), _check_real(ybar, "ybar"), _check_count(n)
     fit = n * (ybar - theta) ** 2
     eta = tuning.eta
     if kind is EstimatorKind.HARD:

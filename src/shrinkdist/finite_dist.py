@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .estimators import EstimatorKind, TuningPlan
-from .normal_kernel import _check_count, _no_nan, _scalar_or_array, norm_cdf, norm_pdf
+from .normal_kernel import _check_count, _check_real, _no_nan, _scalar_or_array, norm_cdf, norm_pdf
 
 __all__ = [
     "ModelPoint",
@@ -65,10 +65,8 @@ class ModelPoint:
             if arr.ndim != 1 or arr.size == 0 or arr.dtype == bool or not np.isfinite(arr).all():
                 raise ValueError("a batch of theta must be a nonempty 1-d array of finite numbers")
             object.__setattr__(self, "theta", tuple(arr.astype(float).tolist()))
-        elif isinstance(theta, bool) or not math.isfinite(theta):
-            raise ValueError(f"theta must be a finite number (got {theta!r})")
         else:
-            object.__setattr__(self, "theta", float(theta))
+            object.__setattr__(self, "theta", _check_real(theta, "theta"))
 
     @property
     def sqrt_n(self) -> float:

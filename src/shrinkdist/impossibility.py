@@ -29,7 +29,7 @@ from .estimators import EstimatorKind, TuningPlan, estimate
 from .finite_dist import ModelPoint, _mixture, _zero_mass, finite_sample_dist
 from .limits import _limit_law
 from .montecarlo import _uniform_open
-from .normal_kernel import _check_count, _check_seed, gaussian_tv
+from .normal_kernel import _check_count, _check_real, _check_seed, gaussian_tv
 from .report import ExperimentReport
 from .selection import RegimeSpec
 
@@ -60,8 +60,8 @@ class TwoPointProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _check_count(self.n))
-        if not (np.isfinite(self.t) and np.isfinite(self.delta) and self.delta > 0.0):
-            raise ValueError("t must be finite and delta positive")
+        object.__setattr__(self, "t", _check_real(self.t, "t"))
+        object.__setattr__(self, "delta", _check_real(self.delta, "delta", gt=0))
 
     def theta_pair(self, delta: Optional[float] = None):
         d = self.delta if delta is None else delta
@@ -100,7 +100,7 @@ def minimax_lower_bound(problem: TwoPointProblem, epsilon: Optional[float] = Non
     _check_count(sweep_steps, "sweep_steps")
     se = math.sqrt(problem.n) * problem.tuning.eta
     eps_range = 0.5 * _zero_mass(problem.t, se)
-    eps = 0.9 * eps_range if epsilon is None else float(epsilon)
+    eps = 0.9 * eps_range if epsilon is None else _check_real(epsilon, "epsilon", ge=0)
     deltas = problem.delta * 0.25 ** np.arange(sweep_steps)
     gap, _, _ = estimand_gap(problem, deltas)
     bounds = 0.5 * (1.0 - gaussian_tv(problem.n, *problem.theta_pair(deltas)))
@@ -115,7 +115,7 @@ def rescaled_lower_bound(kind: EstimatorKind, n: int, t: float, tuning: TuningPl
     t is the plain problem at s = sqrt(n)*eta*t; for |t| > 1 the range
     collapses and trivial estimators become uniformly consistent.
     """
-    s = math.sqrt(n) * tuning.eta * t
+    s = math.sqrt(_check_count(n)) * tuning.eta * _check_real(t, "t")
     problem = TwoPointProblem(n=n, t=s, delta=delta, tuning=tuning, kind=kind)
     return minimax_lower_bound(problem, epsilon=epsilon)
 
@@ -180,9 +180,7 @@ class MOutOfNBootstrap:
         y = np.asarray(ybar, dtype=float)
         if y.ndim > 1 or y.size == 0:
             raise ValueError("ybar must be a number or a nonempty 1-d array")
-        m = int(self.m_rule(ctx.n))
-        if m < 1:
-            raise ValueError("m rule produced a non-positive resample size")
+        m = _check_count(self.m_rule(ctx.n), "m")
         tuning_m = TuningPlan(self.path.eta(m), ctx.tuning.scad_a)
         s = math.sqrt(m)
         theta_hat = estimate(ctx.kind, y, ctx.tuning)
@@ -229,8 +227,8 @@ def estimator_worst_case(
     metadata records the grid supremum, the witness theta, and the
     theoretical lower bound.
     """
-    if not c > abs(t):
-        raise ValueError("the neighborhood radius must satisfy c > |t|")
+    n, t = _check_count(n), _check_real(t, "t")
+    c = _check_real(c, "c", gt=abs(t))  # the neighborhood radius
     replications = _check_count(replications, "replications")
     seed = _check_seed(seed)
     problem = TwoPointProblem(n=n, t=t, delta=0.5 * (c - abs(t)), tuning=tuning, kind=kind)

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import DEFAULT_SCAD_A, EstimatorKind, TuningPlan, _check_scad_a
+from .estimators import DEFAULT_SCAD_A, EstimatorKind, TuningPlan
 from .finite_dist import LAWS, Atom, GaussPiece, MixtureDistribution, ModelPoint, _mixture
-from .normal_kernel import norm_cdf
+from .normal_kernel import _check_real, _check_sizes, norm_cdf
 from .report import ExperimentReport
 from .selection import PowerTuningPath, RegimeError, RegimeSpec, ThetaRule, derive_regime
 
@@ -68,13 +68,8 @@ def _pointmass(loc: float) -> MixtureDistribution:
 
 def conservative_limit(kind: EstimatorKind, nu, e: float, scad_a: float = DEFAULT_SCAD_A) -> MixtureDistribution:
     """Limit of the sqrt(n) law when sqrt(n)*eta_n -> e < inf and sqrt(n)*theta_n -> nu."""
-    _check_scad_a(scad_a)
-    nu = float(nu)
-    e = float(e)
-    if math.isnan(nu):
-        raise ValueError("nu must not be NaN")
-    if not (np.isfinite(e) and e >= 0.0):
-        raise ValueError("conservative limits require finite e >= 0")
+    scad_a = _check_real(scad_a, "scad_a", gt=2)
+    nu, e = _check_real(nu, "nu", limit=True), _check_real(e, "e", ge=0)
     if math.isinf(nu) or e == 0.0:
         return _normal(-math.copysign(e, nu) if kind is EstimatorKind.SOFT and e > 0.0 else 0.0)
     return _mixture(kind, -nu, e, scad_a)
@@ -112,14 +107,14 @@ def consistent_limit(kind: EstimatorKind, regime: RegimeSpec, scad_a: float = DE
     reappears.  At the boundary r = +inf is the limit from below and
     r = -inf the limit from above, for both kinds.
     """
-    _check_scad_a(scad_a)
+    scad_a = _check_real(scad_a, "scad_a", gt=2)
     if not regime.consistent:
         raise RegimeError("consistent limits require e = +inf")
     if kind is EstimatorKind.SOFT:
         return _pointmass(-regime.require_nu())
     zeta = regime.require_zeta()
     az = abs(zeta)
-    boundary = 1.0 if kind is EstimatorKind.HARD else float(scad_a)
+    boundary = 1.0 if kind is EstimatorKind.HARD else scad_a
     r = regime.require_r() if az == boundary else None
     if az < boundary or r == math.inf:
         return _pointmass(-regime.require_nu())
@@ -132,7 +127,7 @@ def consistent_limit(kind: EstimatorKind, regime: RegimeSpec, scad_a: float = DE
 
 def rescaled_limit(kind: EstimatorKind, regime: RegimeSpec, scad_a: float = DEFAULT_SCAD_A) -> MixtureDistribution:
     """Limit of the 1/eta law: at most two atoms, all inside [-1, 1]."""
-    _check_scad_a(scad_a)
+    scad_a = _check_real(scad_a, "scad_a", gt=2)
     if not regime.consistent:
         raise RegimeError("rescaled limits require e = +inf")
     zf = regime.require_zeta()
@@ -149,11 +144,10 @@ def rescaled_limit(kind: EstimatorKind, regime: RegimeSpec, scad_a: float = DEFA
         w = norm_cdf(regime.require_r())
         return MixtureDistribution(atoms=(Atom(-zf, w), Atom(0.0, 1.0 - w)), pieces=())
     if kind is EstimatorKind.SCAD:
-        a = float(scad_a)
         if az <= 2.0:
             return _pointmass(clipped)
-        if az < a:
-            return _pointmass(-sgn * (a - az) / (a - 2.0))
+        if az < scad_a:
+            return _pointmass(-sgn * (scad_a - az) / (scad_a - 2.0))
         return _pointmass(0.0)
     raise ValueError(f"unknown estimator kind {kind!r}")
 
@@ -175,9 +169,7 @@ def weak_convergence_check(finite_law_seq, limit: MixtureDistribution, grid, n_p
     cdf is the constant the finite-sample cdfs drift to, so the same sup
     measures the escape.
     """
-    n_probe = list(n_probe)
-    if not n_probe:
-        raise ValueError("n_probe must not be empty")
+    n_probe = _check_sizes(n_probe, "n_probe")
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("grid must not be empty")
@@ -187,9 +179,9 @@ def weak_convergence_check(finite_law_seq, limit: MixtureDistribution, grid, n_p
     limit_vals = limit.cdf(grid)
     report = ExperimentReport(columns=("n", "sup_gap"))
     for n in n_probe:
-        fn = finite_law_seq(int(n))
+        fn = finite_law_seq(n)
         gap = float(np.max(np.abs(fn.cdf(grid) - limit_vals)))
-        report.append(int(n), gap)
+        report.append(n, gap)
     return report
 
 
@@ -237,6 +229,7 @@ class ConvergenceScenario:
 
 def canonical_scenarios(scad_a: float = DEFAULT_SCAD_A) -> list:
     """Named scenarios spanning every limit-theorem case, one per branch."""
+    scad_a = _check_real(scad_a, "scad_a", gt=2)
     conservative = lambda c: PowerTuningPath(c, 0.5)
     consistent = PowerTuningPath(1.0, 0.25)
     hard, soft, scad = EstimatorKind.HARD, EstimatorKind.SOFT, EstimatorKind.SCAD

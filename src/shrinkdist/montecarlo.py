@@ -37,7 +37,7 @@ from scipy.special import ndtri
 
 from .estimators import DEFAULT_SCAD_A, EstimatorKind, TuningPlan, estimate
 from .finite_dist import MixtureDistribution, ModelPoint, finite_sample_dist
-from .normal_kernel import _check_count, _check_seed, _no_nan, norm_cdf
+from .normal_kernel import _check_count, _check_real, _check_seed, _check_sizes, _no_nan, norm_cdf
 from .report import ExperimentReport
 
 __all__ = [
@@ -332,11 +332,7 @@ def uniform_rate_experiment(
     rate-sharpness counterexample.  Per n, the whole theta grid is one batch
     of laws.
     """
-    n_list = list(n_list)
-    if not n_list:
-        raise ValueError("n_list must not be empty")
-    if not M > 2.0:
-        raise ValueError("the exceedance bound requires M > 2")
+    n_list, M = _check_sizes(n_list, "n_list"), _check_real(M, "M", gt=2)
     if scaling not in ("a_n", "sqrt_n"):
         raise ValueError(f"unknown scaling {scaling!r}; expected 'a_n' or 'sqrt_n'")
     bound = 2.0 * norm_cdf(-M / 2.0) + norm_cdf(-M / 2.0 + 1.0)
@@ -345,7 +341,6 @@ def uniform_rate_experiment(
         meta={"kind": kind.value, "M": M, "scaling": scaling},
     )
     for n in n_list:
-        n = int(n)
         eta_n = path.eta(n)
         a_n = min(math.sqrt(n), 1.0 / eta_n)
         rate = a_n if scaling == "a_n" else math.sqrt(n)

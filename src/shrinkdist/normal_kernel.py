@@ -8,6 +8,7 @@ ends and locations are IEEE `+-math.inf`, which order and compare exactly.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 from scipy.special import erfc as _erfc
@@ -56,6 +57,37 @@ def _check_seed(seed) -> int:
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in 64 unsigned bits")
     return int(seed)
+
+
+def _check_real(value, name: str, *, gt=None, ge=None, le=None, limit=False, error=ValueError) -> float:
+    """A real parameter is a number in its range, returned as a Python float.
+
+    An int, a float or a numpy real passes, a 0-d array of one too; a bool,
+    a string or NaN does not.  An infinity passes only where the value is a
+    limit (limit=True).  The range is > gt, >= ge and <= le, each bound
+    optional.  A failure raises `error` (a ValueError) naming the parameter
+    and the value.
+    """
+    real = value[()] if isinstance(value, np.ndarray) and value.ndim == 0 else value
+    try:
+        real = float(real) if isinstance(real, numbers.Real) and not isinstance(real, bool) else math.nan
+    except OverflowError:  # an int past the float range
+        real = math.nan
+    in_range = (gt is None or real > gt) and (ge is None or real >= ge) and (le is None or real <= le)
+    if math.isnan(real) or not (limit or math.isfinite(real)) or not in_range:
+        what = "a real number or an infinity" if limit else "a finite real number"
+        where = " and ".join(f"{name} {sign} {b!r}" for sign, b in ((">", gt), (">=", ge), ("<=", le)) if b is not None)
+        raise error(f"{name} must be {what}{' with ' + where if where else ''} (got {value!r})")
+    return real
+
+
+def _check_sizes(sizes, name: str) -> list:
+    """A list of sample sizes is nonempty, each item a count, and strictly increasing; returned as a list of ints."""
+    items = list(sizes) if np.iterable(sizes) and not isinstance(sizes, str) else []
+    counts = [_check_count(n, f"each {name} item") for n in items]
+    if not counts or any(b <= a for a, b in zip(counts, counts[1:])):
+        raise ValueError(f"{name} must be a nonempty, strictly increasing list of sample sizes (got {sizes!r})")
+    return counts
 
 
 def _no_nan(x) -> np.ndarray:

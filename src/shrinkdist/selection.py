@@ -22,11 +22,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .estimators import TuningPlan
 from .finite_dist import ModelPoint, _zero_mass, atom_weight
-from .normal_kernel import norm_cdf
+from .normal_kernel import _check_count, _check_real, _check_sizes, norm_cdf
 from .report import ExperimentReport
 
 __all__ = [
@@ -52,15 +50,11 @@ class RegimeSpec:
     r: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("e", "nu", "zeta", "r"):
+        object.__setattr__(self, "e", _check_real(self.e, "e", ge=0, limit=True, error=RegimeError))
+        for name in ("nu", "zeta", "r"):
             v = getattr(self, name)
             if v is not None:
-                v = float(v)
-                if math.isnan(v):
-                    raise RegimeError(f"{name} must not be NaN")
-                object.__setattr__(self, name, v)
-        if self.e < 0.0:
-            raise RegimeError("e must lie in [0, +inf]")
+                object.__setattr__(self, name, _check_real(v, name, limit=True, error=RegimeError))
         if self.consistent and self.zeta is not None and self.zeta != 0.0:
             forced = math.copysign(math.inf, self.zeta)
             if self.nu is None:
@@ -103,15 +97,11 @@ class PowerTuningPath:
     exponent: float
 
     def __post_init__(self):
-        if isinstance(self.scale, bool) or not (np.isfinite(self.scale) and self.scale > 0.0):
-            raise ValueError(f"scale must be positive (got {self.scale!r})")
-        if not (0.0 < self.exponent <= 0.5):
-            raise ValueError("exponent must lie in (0, 1/2]")
-        object.__setattr__(self, "scale", float(self.scale))
-        object.__setattr__(self, "exponent", float(self.exponent))
+        object.__setattr__(self, "scale", _check_real(self.scale, "scale", gt=0))
+        object.__setattr__(self, "exponent", _check_real(self.exponent, "exponent", gt=0, le=0.5))
 
     def eta(self, n: int) -> float:
-        return self.scale * float(n) ** (-self.exponent)
+        return self.scale * float(_check_count(n)) ** (-self.exponent)
 
     @property
     def e_limit(self) -> float:
@@ -131,7 +121,7 @@ class ThetaRule:
 
     The optional n**(-3/4) perturbation vanishes in every regime quantity
     but keeps the sequence off the exact limit, so convergence checks see a
-    genuinely moving parameter.
+    genuinely moving parameter.  Each coefficient is stored as a finite float.
     """
 
     value: float = 0.0
@@ -139,26 +129,31 @@ class ThetaRule:
     offset: float = 0.0
     perturb: float = 0.0
 
+    def __post_init__(self):
+        for name in ("value", "zeta", "offset", "perturb"):
+            object.__setattr__(self, name, _check_real(getattr(self, name), name))
+
     @classmethod
     def local(cls, nu: float, perturb: float = 0.0) -> "ThetaRule":
-        return cls(offset=float(nu), perturb=float(perturb))
+        return cls(offset=_check_real(nu, "nu"), perturb=perturb)
 
     @classmethod
     def eta_multiple(cls, zeta: float) -> "ThetaRule":
-        return cls(zeta=float(zeta))
+        return cls(zeta=zeta)
 
     @classmethod
     def boundary(cls, zeta: float, r: float, perturb: float = 0.0) -> "ThetaRule":
+        zeta, r = _check_real(zeta, "zeta"), _check_real(r, "r")
         if zeta == 0.0:
             raise ValueError("boundary rule needs zeta != 0")
-        return cls(zeta=float(zeta), offset=-math.copysign(1.0, zeta) * float(r), perturb=float(perturb))
+        return cls(zeta=zeta, offset=-math.copysign(1.0, zeta) * r, perturb=perturb)
 
     @classmethod
     def fixed(cls, value: float) -> "ThetaRule":
-        return cls(value=float(value))
+        return cls(value=value)
 
     def theta(self, n: int, eta_n: float) -> float:
-        rn = float(n)
+        rn = float(_check_count(n))
         return self.value + self.zeta * eta_n + self.offset / math.sqrt(rn) + self.perturb * rn**-0.75
 
 
@@ -193,11 +188,7 @@ def limit_selection_probability(regime: RegimeSpec) -> float:
 
 def selection_convergence_table(path: PowerTuningPath, theta_rule: ThetaRule, n_list) -> ExperimentReport:
     """Exact probability along the path versus its regime limit, per n."""
-    n_list = list(n_list)
-    if not n_list:
-        raise ValueError("n_list must not be empty")
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("n_list must be strictly increasing")
+    n_list = _check_sizes(n_list, "n_list")
     regime = derive_regime(path, theta_rule)
     limit = limit_selection_probability(regime)
     report = ExperimentReport(columns=("n", "theta", "eta", "prob", "limit", "gap"))
@@ -205,5 +196,5 @@ def selection_convergence_table(path: PowerTuningPath, theta_rule: ThetaRule, n_
         eta_n = path.eta(n)
         theta_n = theta_rule.theta(n, eta_n)
         prob = atom_weight(ModelPoint(n, theta_n), TuningPlan(eta_n))
-        report.append(int(n), theta_n, eta_n, prob, limit, prob - limit)
+        report.append(n, theta_n, eta_n, prob, limit, prob - limit)
     return report

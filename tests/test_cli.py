@@ -10,7 +10,15 @@ import pytest
 from oracles import density_rows_reference, svg_polyline_reference
 
 from shrinkdist import finite_dist
-from shrinkdist.cli import _build_parser, _density_table, _parse_config_file, _svg_polyline, main
+from shrinkdist.cli import (
+    CONFIG_KEYS,
+    EXPERIMENTS,
+    _build_parser,
+    _density_table,
+    _parse_config_file,
+    _svg_polyline,
+    main,
+)
 from shrinkdist.estimators import DEFAULT_SCAD_A, EstimatorKind, TuningPlan
 from shrinkdist.finite_dist import MixtureDistribution, ModelPoint, finite_sample_dist
 from shrinkdist.normal_kernel import norm_cdf
@@ -298,18 +306,37 @@ def test_rerun_rejects_fractional_n(tmp_path, capsys, argv):
     assert "n must be a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, key, value, message", [
+    (["figure", "1"], "which", 1.5, "which must be a positive integer (got 1.5)"),
+    (["figure", "1"], "theta", "0.16", "theta must be a finite real number (got '0.16')"),
+    (["dist", "--kind", "hard", "--n", "25", "--theta", "-0.3", "--eta", "0.08"], "grid", [-5.0, 5.0, 9.5],
+     "grid count must be a positive integer (got 9.5)"),
+    (["dist", "--kind", "hard", "--n", "25", "--theta", "-0.3", "--eta", "0.08"], "eta", True,
+     "eta must be a finite real number with eta > 0 (got True)"),
+], ids=["which-fraction", "theta-str", "grid-count-fraction", "eta-bool"])
+def test_rerun_rejects_a_manifest_value_it_would_have_cast(tmp_path, capsys, argv, key, value, message):
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["params"][key] = value
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["rerun", str(out / "manifest.json"), "--out", str(tmp_path / "replay")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_experiment_uniform_rate_rejects_nan_m(tmp_path, capsys):
     cfg = tmp_path / "rate.cfg"
     cfg.write_text("M=nan\n")
     assert main(["experiment", "uniform-rate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
-    assert "the exceedance bound requires M > 2" in capsys.readouterr().err
+    assert "error: M must be a finite real number with M > 2 (got nan)\n" == capsys.readouterr().err
 
 
 def test_experiment_limits_rejects_scad_a_at_one(tmp_path, capsys):
     cfg = tmp_path / "lim.cfg"
     cfg.write_text("a=1\n")
     assert main(["experiment", "limits", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
-    assert "scad_a > 2 required" in capsys.readouterr().err
+    assert "error: scad_a must be a finite real number with scad_a > 2 (got 1)\n" == capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, params", [
@@ -353,6 +380,62 @@ def test_readme_experiment_keys_state_the_defaults(tmp_path, name):
     assert sorted(p.name for p in written.iterdir() if p.name != "manifest.json") == data
     for fname in data:
         assert (written / fname).read_bytes() == (default / fname).read_bytes(), fname
+
+
+def test_config_keys_are_the_readme_experiment_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    keys = set()
+    for name in EXPERIMENTS:
+        block = re.search(rf"The `{name}` experiment .*?```\n(.*?)```", readme, re.DOTALL).group(1)
+        keys |= {line.partition("=")[0].strip() for line in block.splitlines() if line.strip()}
+    assert keys == CONFIG_KEYS
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("selection", "gama=0.5\n", "unknown config key 'gama': no experiment reads it"),
+    ("impossibility", '{"estimator": "oracle", "Reps": 50}', "unknown config key 'Reps': no experiment reads it"),
+    ("impossibility", "estimator=oracle\nn=100\nreps=50\noracle_tol=abc\n",
+     "oracle_tol must be a finite real number (got 'abc')"),
+    ("impossibility", "n=100\nreps=50\nthreshold=nan\n", "threshold must be a finite real number (got nan)"),
+    ("limits", "n_probe=1000000,1000\n",
+     "n_probe must be a nonempty, strictly increasing list of sample sizes (got [1000000, 1000])"),
+    ("selection", "n_list=100,100\n",
+     "n_list must be a nonempty, strictly increasing list of sample sizes (got [100, 100])"),
+    ("uniform-rate", "M=abc\n", "M must be a finite real number with M > 2 (got 'abc')"),
+    ("selection", "gamma=0.75\n",
+     "exponent must be a finite real number with exponent > 0 and exponent <= 0.5 (got 0.75)"),
+    ("selection", "rule=fixed\ntheta=inf\n", "value must be a finite real number (got inf)"),
+    ("limits", "a=abc\n", "scad_a must be a finite real number with scad_a > 2 (got 'abc')"),
+    ("impossibility", "estimator=oracle\nn=100\nreps=50\nc=0.5\nt=1\n",
+     "c must be a finite real number with c > 1.0 (got 0.5)"),
+], ids=["misspelt-key", "json-misspelt-key", "oracle_tol-abc", "threshold-nan", "n_probe-decreasing",
+        "n_list-repeated", "M-abc", "gamma-above-half", "theta-inf", "a-abc", "c-inside-t"])
+def test_experiment_bad_value_exits_2_naming_the_key(tmp_path, capsys, name, text, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "x"
+    assert main(["experiment", name, "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == "" and not (out / "manifest.json").exists()
+
+
+def test_rerun_rejects_an_unknown_config_key(tmp_path, capsys):
+    out = tmp_path / "sel"
+    assert main(["experiment", "selection", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["params"]["config"]["gama"] = 0.5
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["rerun", str(out / "manifest.json"), "--out", str(tmp_path / "replay")]) == 2
+    assert capsys.readouterr().err == "error: unknown config key 'gama': no experiment reads it\n"
+
+
+@pytest.mark.parametrize("name", ["selection", "limits", "uniform-rate"])
+def test_reps_is_a_known_key_for_every_experiment(tmp_path, name):
+    cfg = tmp_path / "reps.cfg"
+    cfg.write_text("reps=5\nn_list=100,1000\nn_probe=1000,100000\nscenario=hard-consistent-boundary\n")
+    assert main(["experiment", name, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_experiment_impossibility_oracle(tmp_path):

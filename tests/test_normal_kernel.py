@@ -7,9 +7,16 @@ import pytest
 
 from shrinkdist.estimators import EstimatorKind, TuningPlan, penalized_objective
 from shrinkdist.finite_dist import ModelPoint
-from shrinkdist.impossibility import OracleCheat, TwoPointProblem, estimator_worst_case, minimax_lower_bound
+from shrinkdist.impossibility import (
+    MOutOfNBootstrap,
+    OracleCheat,
+    TwoPointProblem,
+    estimator_worst_case,
+    minimax_lower_bound,
+)
 from shrinkdist.montecarlo import SimConfig, simulate_estimates
 from shrinkdist.normal_kernel import gaussian_tv, norm_cdf, norm_pdf
+from shrinkdist.selection import PowerTuningPath, ThetaRule
 
 # frozen against a 40-digit mpmath evaluation
 PHI_0 = 0.3989422804014327
@@ -130,6 +137,11 @@ SAMPLE_SIZE_SITES = {
         OracleCheat(), EstimatorKind.HARD, 100, 0.0, TuningPlan(0.5), 2.0, seed=1, replications=r)),
     "minimax_lower_bound": ("sweep_steps", lambda k: minimax_lower_bound(
         TwoPointProblem(100, 0.0, 0.1, TuningPlan(0.5), EstimatorKind.HARD), sweep_steps=k)),
+    "PowerTuningPath.eta": ("n", lambda n: PowerTuningPath(1.0, 0.25).eta(n)),
+    "ThetaRule.theta": ("n", lambda n: ThetaRule.local(1.0).theta(n, 0.1)),
+    "MOutOfNBootstrap": ("m", lambda m: estimator_worst_case(
+        MOutOfNBootstrap(PowerTuningPath(1.0, 0.25), m_rule=lambda n: m), EstimatorKind.HARD, 100, 0.0,
+        TuningPlan(0.5), 2.0, seed=1, replications=10)),
 }
 
 
@@ -146,6 +158,12 @@ def test_every_sample_size_is_a_positive_integer(site, n):
 def test_a_whole_float_count_is_stored_as_an_int(site, field):
     count = getattr(SAMPLE_SIZE_SITES[site][1](40.0), field)
     assert type(count) is int and count == 40
+
+
+@pytest.mark.parametrize("site", ["PowerTuningPath.eta", "ThetaRule.theta", "MOutOfNBootstrap"])
+def test_a_whole_float_count_argument_gives_the_int_result(site):
+    call = SAMPLE_SIZE_SITES[site][1]
+    assert call(40.0) == call(np.float64(40)) == call(40)
 
 
 # each site that takes a seed: a call passing the seed
