@@ -130,12 +130,15 @@ def _density_table(dist: MixtureDistribution, lo: float, hi: float, count: int) 
 
 
 def _point_and_tuning(params: dict) -> tuple:
-    # a replayed manifest may hold any value; ModelPoint and TuningPlan check each and store an int or floats
-    return ModelPoint(params["n"], params["theta"]), TuningPlan(params["eta"], params["a"])
+    # a replayed manifest may hold any value; ModelPoint and TuningPlan check each and store an int or floats,
+    # and theta is one number, since a figure or a table shows one law, not a batch
+    return ModelPoint(params["n"], _check_real(params["theta"], "theta")), TuningPlan(params["eta"], params["a"])
 
 
 def run_figure(params: dict, out_dir: Path) -> tuple:
     which = _check_count(params["which"], "which")
+    if which not in FIGURE_KINDS:
+        raise ValueError(f"which must be one of {', '.join(map(str, FIGURE_KINDS))} (got {which!r})")
     kind = EstimatorKind.parse(FIGURE_KINDS[which])
     point, tuning = _point_and_tuning(params)
     dist = finite_sample_dist(kind, point, tuning)
@@ -375,8 +378,12 @@ def main(argv=None) -> int:
             out_dir = Path(args.out) if args.out else Path(args.manifest).parent
             return _dispatch(manifest["command"], manifest["params"], out_dir)
         if args.command == "dist":
-            lo, hi, count = args.grid.split(":")
-            params["grid"] = [float(lo), float(hi), int(count)]
+            try:
+                lo, hi, count = args.grid.split(":")
+                params["grid"] = [float(lo), float(hi), int(count)]
+            except ValueError:  # too few or too many fields, or one that is not a number
+                raise ValueError(
+                    f"--grid must be lo:hi:count, two numbers and a whole count (got {args.grid!r})") from None
         if args.command == "experiment":
             cfg = _parse_config_file(args.config) if args.config else {}
             if args.reps is not None:

@@ -14,7 +14,7 @@ test-oracle material only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -123,6 +123,17 @@ def _density_term(s, b, base, x):
     return s * norm_pdf(s * x + b)
 
 
+def _phi_at_ends(pieces, batch: bool) -> list:
+    """Phi at both mapped ends s*end + b of every piece, lower end first: one kernel call for a law.
+
+    A batch makes one call per end on B values (one stacked call raised peak memory), and none at an
+    end infinite for every law, where Phi is exactly 0 or 1.
+    """
+    ends = (s * end + b for s, b, lo, hi in pieces for end in (lo, hi))
+    return (norm_cdf(np.fromiter(ends, float)).tolist() if not batch else
+            [(z > 0.0) * 1.0 if np.isinf(z).all() else norm_cdf(z) for z in ends])
+
+
 def _checked_records(atoms, pieces) -> tuple:
     """The atoms and pieces of a law or of a batch of laws, coerced and checked, and the batch shape.
 
@@ -186,21 +197,20 @@ class MixtureDistribution:
     `density_ac` are one walk over the pieces with two integrands, one walk
     per form: a law at ascending x, or a batch at each law's point, which
     only its own piece evaluates.  A batch's build makes no kernel call at
-    a piece end that is infinite for every law.
+    a piece end that is infinite for every law.  The private `_phi` takes
+    the Phi values `_phi_at_ends` gives for these very records, which
+    `_mixture` has already taken for the atom's weight.
     """
 
     atoms: tuple
     pieces: tuple
+    _phi: InitVar[list | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _phi):
         atoms, pieces, shape = _checked_records(self.atoms, self.pieces)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "pieces", pieces)
-        # a batch calls the kernel once per end on B values (one stacked call raised peak memory),
-        # and none at an end infinite for every law, where Phi is exactly 0 or 1
-        ends = (s * end + b for s, b, lo, hi in pieces for end in (lo, hi))
-        phi = (norm_cdf(np.fromiter(ends, float)).tolist() if shape is None else
-               [(z > 0.0) * 1.0 if np.isinf(z).all() else norm_cdf(z) for z in ends])
+        phi = _phi_at_ends(pieces, shape is not None) if _phi is None else _phi
         object.__setattr__(self, "_shape", shape)
         object.__setattr__(self, "_phi_lower", tuple(phi[0::2]))
         object.__setattr__(self, "_phi_upper", tuple(phi[1::2]))
@@ -312,17 +322,17 @@ class MixtureDistribution:
         return total
 
     def _batch_walk(self, x: np.ndarray, term, past, atoms):
-        # in piece order, a piece adds `past` beyond hi, its term inside, or 0; the cdf term at hi is
-        # the stored mass bit for bit, so the bits are those of evaluating every piece
+        # in piece order, a piece adds `past` beyond hi and its term inside, in place; the cdf term at hi
+        # is the stored mass bit for bit, and the total is never -0.0, so the bits are those of every piece
         total = np.zeros_like(x)
         for (s, b, lo, hi), base, beyond in zip(self.pieces, self._phi_lower, past):
             inside = (x > lo) & (x <= hi)
-            total += np.where(x > hi, beyond, 0.0)
+            np.add(total, beyond, out=total, where=x > hi)
             if inside.any():  # a piece holding no point makes no kernel call
                 s, b, base = (np.broadcast_to(v, x.shape)[inside] if np.ndim(v) else v for v in (s, b, base))
                 total[inside] += term(s, b, base, x[inside])
         for loc, w in atoms:
-            total = total + w * (loc < math.inf) * (x >= loc)
+            np.add(total, w, out=total, where=(x >= loc) & (loc < math.inf))
         return total
 
     def second_moment(self) -> float:
@@ -433,7 +443,9 @@ def _mixture(kind: EstimatorKind, loc, se: float, a: float) -> MixtureDistributi
     """Law of sqrt(n)*(estimate - theta) at loc = -sqrt(n)*theta, se = sqrt(n)*eta.
 
     Every kind shares the atom at loc, carried by the event estimate == 0;
-    only the pieces differ.  An array loc gives a batch of laws.  Hard
+    only the pieces differ.  An array loc gives a batch of laws.  The atom's
+    weight comes from the build's Phi at the middle two mapped ends, loc -+ se,
+    and is `_zero_mass(loc, se)` bit for bit.  Hard
     excises (loc - se, loc + se], soft shifts each side by -+se, and scad
     has six pieces, from left to right:
       (-inf, loc - a*se]       normal tail,
@@ -443,7 +455,6 @@ def _mixture(kind: EstimatorKind, loc, se: float, a: float) -> MixtureDistributi
       (loc + se, loc + a*se]   blend,
       (loc + a*se, inf)        normal tail.
     """
-    atom = Atom(loc, _zero_mass(loc, se))
     if kind is EstimatorKind.HARD:
         pieces = (GaussPiece(1.0, 0.0, -math.inf, loc - se), GaussPiece(1.0, 0.0, loc + se, math.inf))
     elif kind is EstimatorKind.SOFT:
@@ -462,7 +473,8 @@ def _mixture(kind: EstimatorKind, loc, se: float, a: float) -> MixtureDistributi
         )
     else:
         raise ValueError(f"unknown estimator kind {kind!r}")
-    return MixtureDistribution(atoms=(atom,), pieces=pieces)
+    phi = _phi_at_ends(pieces, np.ndim(loc) != 0)  # a -0.0 end may map to +0.0: Phi is 0.5 at both
+    return MixtureDistribution((Atom(loc, phi[len(pieces)] - phi[len(pieces) - 1]),), pieces, phi)
 
 
 def finite_sample_dist(kind: EstimatorKind, point: ModelPoint, tuning: TuningPlan) -> MixtureDistribution:

@@ -17,8 +17,8 @@ minimiser.  `whole_array_ybar`, `whole_array_estimates` and
 `whole_array_ks` redo the Monte Carlo path one whole array per stage, as
 it ran before it was cut into blocks, and `mpmath_hard_rescaled_risk`
 gives the hard estimator's risk on the 1/eta scale from the estimator
-itself.  `map_cdf` and `map_sf` give a law's cdf and upper tail at 60
-digits from the estimator map alone, through its generalized inverses
+itself.  `map_tails` gives a law's cdf and upper tail at 60 digits
+from the estimator map alone, through its generalized inverses
 `estimator_map_upper` and `estimator_map_lower`, written from each kind's
 formulas; `scad_estimate_reference` restates the scad estimate one
 expression per branch.  The output references at the end redo the CSV
@@ -177,23 +177,19 @@ def _estimator_map_z(kind, n, theta, eta, a, x, scaling, left):
     return root * (y - theta)
 
 
-def map_cdf(kind, n, theta, eta, a, x, scaling, left=False):
-    """The law's cdf at x (its left limit with `left`) from the estimator map alone, at 60 digits.
+def map_tails(kind, n, theta, eta, a, x, scaling, left=False) -> tuple:
+    """The law's cdf at x (its left limit with `left`) and its upper tail, from the estimator map alone, at 60 digits.
 
     Every estimator is nondecreasing in ybar ~ N(theta, 1/n), so the
     estimate is <= c exactly when ybar <= g+(c), and < c when ybar < g-(c):
-    F(x) = Phi(sqrt(n)*(g+(theta + x/sqrt(n)) - theta)), one normal cdf.  For
-    the 'inv_eta' scaling x/sqrt(n) becomes eta*x.  Shares only
-    `EstimatorKind` with the library.
+    F(x) = Phi(z) with z = sqrt(n)*(g+(theta + x/sqrt(n)) - theta), one
+    normal cdf, and 1 - F(x) = Phi(-z), with no cancellation; z is worked
+    out once for both.  For the 'inv_eta' scaling x/sqrt(n) becomes eta*x.
+    Shares only `EstimatorKind` with the library.
     """
     with mpmath.workdps(60):
-        return +mpmath.ncdf(_estimator_map_z(kind, n, theta, eta, a, x, scaling, left))
-
-
-def map_sf(kind, n, theta, eta, a, x, scaling):
-    """1 - `map_cdf` as the upper tail Phi(-z), with no cancellation, at 60 digits."""
-    with mpmath.workdps(60):
-        return +mpmath.ncdf(-_estimator_map_z(kind, n, theta, eta, a, x, scaling, False))
+        z = _estimator_map_z(kind, n, theta, eta, a, x, scaling, left)
+        return +mpmath.ncdf(z), +mpmath.ncdf(-z)
 
 
 def scad_estimate_reference(ybar, eta: float, a: float) -> np.ndarray:

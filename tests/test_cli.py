@@ -313,7 +313,12 @@ def test_rerun_rejects_fractional_n(tmp_path, capsys, argv):
      "grid count must be a positive integer (got 9.5)"),
     (["dist", "--kind", "hard", "--n", "25", "--theta", "-0.3", "--eta", "0.08"], "eta", True,
      "eta must be a finite real number with eta > 0 (got True)"),
-], ids=["which-fraction", "theta-str", "grid-count-fraction", "eta-bool"])
+    (["figure", "1"], "which", 4, "which must be one of 1, 2, 3 (got 4)"),
+    (["figure", "1"], "theta", [0.1, 0.2], "theta must be a finite real number (got [0.1, 0.2])"),
+    (["dist", "--kind", "hard", "--n", "25", "--theta", "-0.3", "--eta", "0.08"], "theta", [-0.3],
+     "theta must be a finite real number (got [-0.3])"),
+], ids=["which-fraction", "theta-str", "grid-count-fraction", "eta-bool", "which-4", "figure-theta-list",
+        "dist-theta-list"])
 def test_rerun_rejects_a_manifest_value_it_would_have_cast(tmp_path, capsys, argv, key, value, message):
     out = tmp_path / "run"
     assert main([*argv, "--out", str(out)]) == 0
@@ -323,6 +328,16 @@ def test_rerun_rejects_a_manifest_value_it_would_have_cast(tmp_path, capsys, arg
     capsys.readouterr()
     assert main(["rerun", str(out / "manifest.json"), "--out", str(tmp_path / "replay")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("grid", ["-5:5:9.5", "-5:5", "-5:5:9:1", "lo:5:9"])
+def test_dist_grid_that_does_not_parse_exits_2_naming_the_grid(tmp_path, capsys, grid):
+    out = tmp_path / "run"
+    argv = ["dist", "--kind", "hard", "--n", "25", "--theta", "-0.3", "--eta", "0.08", f"--grid={grid}"]
+    assert main([*argv, "--out", str(out)]) == 2
+    message = f"--grid must be lo:hi:count, two numbers and a whole count (got {grid!r})"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_experiment_uniform_rate_rejects_nan_m(tmp_path, capsys):

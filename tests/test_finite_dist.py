@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
-    map_cdf,
-    map_sf,
+    map_tails,
     mpmath_hard_rescaled_risk,
     mpmath_second_moment,
     point_values,
@@ -341,7 +340,7 @@ def test_second_moment_with_a_shift_whose_square_overflows(kind):
 
 
 def _assert_cdf_matches_map_oracle(kind, n, theta, eta, a, scaling, grid, offsets=()):
-    """The law's cdf against `map_cdf`, and 1 - cdf against `map_sf`, at the points of `grid`, each piece
+    """The law's cdf and 1 - cdf against the two halves of `map_tails`, at the points of `grid`, each piece
     end, its neighbours one ulp either side, the end plus each of `offsets` (both grid and offsets in
     standard units), and 1e-9 either side of the atom.
 
@@ -358,12 +357,12 @@ def _assert_cdf_matches_map_oracle(kind, n, theta, eta, a, scaling, grid, offset
                          atom + np.array([-1e-9, 1e-9]) * max(1.0, abs(atom))])
     xs = xs[np.isfinite(xs) & (np.abs(xs - atom) > 1e-12 * max(1.0, abs(atom)))]
     for x, got in zip(xs.tolist(), dist.cdf(xs).tolist()):
-        want = map_cdf(kind, n, theta, eta, a, x, scaling)
+        want, want_sf = map_tails(kind, n, theta, eta, a, x, scaling)
         if want < 1e-290:
             assert abs(got - want) <= 1e-300
         else:
             assert abs(got - want) <= 4 * EPS * (1 - 2 * mpmath.log(want)) * want, (x, got, want)
-        assert abs(1.0 - got - map_sf(kind, n, theta, eta, a, x, scaling)) <= 4 * EPS
+        assert abs(1.0 - got - want_sf) <= 4 * EPS
 
 
 @pytest.mark.parametrize("scaling", LAWS)
@@ -671,6 +670,60 @@ def test_build_and_second_moment_equal_per_piece_reference_bit_for_bit(kind, n, 
         assert batch.atoms[0].weight[i].hex() == law.atoms[0].weight.hex()
 
 
+ZERO_EVENT_CASES = {  # (n, a batch of theta, eta, scad a)
+    "n-1e30": (10**30, [0.3, -0.07, 0.05, -0.05, 1e-16], 0.05, 3.7),
+    "eta-1e-300": (1, [1e-300, -2e-300, 0.0, 5.0], 1e-300, 3.7),
+    "n-1e30-eta-1e-300": (10**30, [1e-300, -3e-300, 1e-290], 1e-300, 3.7),
+    "a-2+1e-12": (100, [0.1, -0.2, 0.05, 0.0], 0.05, 2.0 + 1e-12),
+    "theta-signed-zero": (25, [0.0, -0.0], 0.08, 2.5),
+}
+
+
+def _bits(values) -> list:
+    return [np.asarray(v, dtype=float).tobytes() for v in values]
+
+
+def _assert_atom_is_the_zero_event(law, loc, se):
+    """The atom weight `_mixture` takes from the build's Phi values is `_zero_mass(loc, se)`, and those
+    Phi values and masses are the public constructor's from the same records, bit for bit."""
+    assert _bits([law.atoms[0].weight]) == _bits([finite_dist._zero_mass(loc, se)])
+    twin = MixtureDistribution(law.atoms, law.pieces)
+    for name in ("_phi_lower", "_phi_upper", "_masses"):
+        assert _bits(getattr(law, name)) == _bits(getattr(twin, name)), name
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n, thetas, eta, a", ZERO_EVENT_CASES.values(), ids=ZERO_EVENT_CASES.keys())
+def test_atom_weight_from_the_build_is_the_zero_event_mass_bit_for_bit(kind, n, thetas, eta, a):
+    tuning = TuningPlan(eta, a)
+    for theta in [*thetas, np.array(thetas)]:
+        point = ModelPoint(n, theta)
+        law = finite_sample_dist(kind, point, tuning)
+        _assert_atom_is_the_zero_event(law, *finite_dist._cut_points(point, tuning))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_atom_weight_at_an_infinite_loc_is_the_zero_event_mass_bit_for_bit(kind):
+    # sqrt(n)*theta past the float range puts the atom at -+inf; a batch of such locs is built from loc itself,
+    # and a batch whose middle ends are infinite for every law takes Phi there without a kernel call
+    se, tuning = math.sqrt(10**30) * 0.05, TuningPlan(0.05)
+    locs = (-math.inf, math.inf, np.array([math.inf, -math.inf]), np.array([math.inf, -math.inf, 0.3]))
+    points = [ModelPoint(10**30, theta) for theta in (1e300, -1e300)]
+    if kind is EstimatorKind.SCAD:  # the blend pieces' shift is infinite, as the public build finds too
+        for loc in locs:
+            with pytest.raises(ValueError, match="shift must be finite"):
+                finite_dist._mixture(kind, loc, se, 3.7)
+        for point in points:
+            with pytest.raises(ValueError, match="shift must be finite"):
+                finite_sample_dist(kind, point, tuning)
+        return
+    for loc in locs:
+        _assert_atom_is_the_zero_event(finite_dist._mixture(kind, loc, se, 3.7), loc, se)
+    for point in points:
+        law = finite_sample_dist(kind, point, tuning)
+        _assert_atom_is_the_zero_event(law, *finite_dist._cut_points(point, tuning))
+
+
 def _count_kernel_calls(monkeypatch):
     calls = {"norm_cdf": 0, "norm_pdf": 0}
     for name, kernel in (("norm_cdf", norm_cdf), ("norm_pdf", norm_pdf)):
@@ -695,6 +748,19 @@ def test_scalar_law_calls_the_normal_kernel_once_per_job(monkeypatch, n):
     calls.update(norm_cdf=0, norm_pdf=0)
     atom_weight(ModelPoint(n, -0.3), TuningPlan(0.08))
     assert calls == {"norm_cdf": 2, "norm_pdf": 0}  # one call per end
+
+
+@pytest.mark.parametrize("kind, finite_ends", [(EstimatorKind.HARD, 2), (EstimatorKind.SOFT, 2),
+                                               (EstimatorKind.SCAD, 10)])
+def test_law_build_takes_the_atom_weight_from_its_own_kernel_calls(monkeypatch, kind, finite_ends):
+    # a law makes one call over every mapped end, and a batch one call per end finite for some law
+    calls = _count_kernel_calls(monkeypatch)
+    finite_sample_dist(kind, ModelPoint(25, -0.3), TuningPlan(0.08, 2.5))
+    assert calls == {"norm_cdf": 1, "norm_pdf": 0}
+    points = []
+    monkeypatch.setattr(finite_dist, "norm_cdf", lambda z: points.append(np.size(z)) or norm_cdf(z))
+    finite_sample_dist(kind, ModelPoint(25, np.linspace(-0.3, 0.3, 10_000)), TuningPlan(0.08, 2.5))
+    assert points == [10_000] * finite_ends
 
 
 TINY_SE = {
