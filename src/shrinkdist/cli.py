@@ -31,14 +31,18 @@ from .selection import PowerTuningPath, ThetaRule, selection_convergence_table
 DEFAULT_SEED = 20090301
 FIGURE_DEFAULTS = {"n": 40, "theta": 0.16, "eta": 0.05, "a": DEFAULT_SCAD_A}
 FIGURE_KINDS = {1: "hard", 2: "soft", 3: "scad"}
-LIST_KEYS = ("n_list", "n_probe", "scenario")  # the only config keys that take a list
-# every key some experiment reads, as the README lists them; --reps writes `reps` into any config
-CONFIG_KEYS = frozenset({
-    "rule", "nu", "zeta", "r", "theta", "perturb", "scale", "gamma", "n_list",  # selection
-    "scenario", "n_probe", "a",  # limits
-    "kind", "M", "scaling",  # uniform-rate
-    "estimator", "n", "t", "c", "reps", "threshold", "oracle_tol",  # impossibility
-})
+# each experiment's config keys, as the README lists them, with their defaults: a list default marks a key
+# that takes a list, and None a key that only some theta rules read and that they require
+CONFIG_DEFAULTS = {
+    "selection": {"rule": "local", "nu": 0.0, "zeta": None, "r": None, "theta": None, "perturb": 0.0,
+                  "scale": 1.0, "gamma": 0.25, "n_list": [100, 10_000, 1_000_000]},
+    "limits": {"scenario": ["all"], "n_probe": [1000, 1_000_000], "a": DEFAULT_SCAD_A},
+    "uniform-rate": {"kind": "hard", "M": 6.0, "scaling": "a_n", "scale": 1.0, "gamma": 0.25, "a": DEFAULT_SCAD_A,
+                     "n_list": [100, 10_000, 1_000_000]},
+    "impossibility": {"estimator": "pretest", "kind": "hard", "n": 10_000, "scale": 1.0, "gamma": 0.25,
+                      "a": DEFAULT_SCAD_A, "t": 0.0, "c": 2.0, "reps": 10_000, "threshold": 0.45,
+                      "oracle_tol": 0.05},
+}
 
 
 def _json_dumps(obj) -> str:
@@ -191,49 +195,49 @@ def _parse_scalar(raw: str):
     return raw
 
 
-def _check_config(config: dict) -> None:
-    """Every key is one of CONFIG_KEYS, and every value a number or a string; only the LIST_KEYS take a list of them.
+def _config_with_defaults(name: str, config: dict) -> dict:
+    """The named experiment's defaults updated by config, whose keys are the experiment's own or `reps`.
 
-    `reps` is a count even where the experiment does not read it; the
-    library checks every other value where it reads it.
+    Every value is a number or a string, and only a key with a list default takes a list of them (a
+    single value is wrapped in one); `reps`, which --reps writes into any config, is a count even where
+    the experiment does not read it, and the library checks every other value where it reads it.
     """
+    defaults = CONFIG_DEFAULTS[name]
+    cfg = dict(defaults)
     for key, value in config.items():
-        if key not in CONFIG_KEYS:
-            raise ValueError(f"unknown config key {key!r}: no experiment reads it")
-        items = value if key in LIST_KEYS and isinstance(value, list) else [value]
+        if key not in defaults and key != "reps":
+            raise ValueError(f"unknown config key {key!r}: the {name} experiment does not read it")
+        listed = ", or a list of them" if isinstance(defaults.get(key), list) else ""
+        items = value if listed and isinstance(value, list) else [value]
         if not all(isinstance(v, (int, float, str)) and not isinstance(v, bool) for v in items):
-            listed = ", or a list of them" if key in LIST_KEYS else ""
             raise ValueError(f"config key {key!r} takes a number or a string{listed}, not {value!r}")
+        cfg[key] = items if listed else value
     if "reps" in config:
         _check_count(config["reps"], "reps (replications)")
-
-
-def _as_list(v) -> list:
-    return v if isinstance(v, list) else [v]
+    return cfg
 
 
 def _theta_rule_from_config(cfg: dict) -> ThetaRule:
-    rule = cfg.get("rule", "local")
-    perturb = cfg.get("perturb", 0.0)
+    rule = cfg["rule"]
     if rule == "local":
-        return ThetaRule.local(cfg.get("nu", 0.0), perturb=perturb)
+        return ThetaRule.local(cfg["nu"], perturb=cfg["perturb"])
     if rule == "eta_multiple":
         return ThetaRule.eta_multiple(cfg["zeta"])
     if rule == "boundary":
-        return ThetaRule.boundary(cfg["zeta"], cfg["r"], perturb=perturb)
+        return ThetaRule.boundary(cfg["zeta"], cfg["r"], perturb=cfg["perturb"])
     if rule == "fixed":
         return ThetaRule.fixed(cfg["theta"])
     raise ValueError(f"unknown theta rule {rule!r}")
 
 
 def _power_path(cfg: dict) -> PowerTuningPath:
-    return PowerTuningPath(cfg.get("scale", 1.0), cfg.get("gamma", 0.25))
+    return PowerTuningPath(cfg["scale"], cfg["gamma"])
 
 
 def _experiment_selection(cfg: dict, out_dir: Path, seed: int) -> tuple:
     path = _power_path(cfg)
     rule = _theta_rule_from_config(cfg)
-    report = selection_convergence_table(path, rule, _as_list(cfg.get("n_list", [100, 10_000, 1_000_000])))
+    report = selection_convergence_table(path, rule, cfg["n_list"])
     report.write_csv(out_dir / "selection.csv")
     gaps = report.column("gap")
     ok = abs(gaps[-1]) < abs(gaps[0]) or abs(gaps[-1]) <= 1e-12
@@ -243,18 +247,16 @@ def _experiment_selection(cfg: dict, out_dir: Path, seed: int) -> tuple:
 
 
 def _experiment_limits(cfg: dict, out_dir: Path, seed: int) -> tuple:
-    wanted = cfg.get("scenario", "all")
-    n_probe = _as_list(cfg.get("n_probe", [1000, 1_000_000]))
-    scenarios = canonical_scenarios(cfg.get("a", DEFAULT_SCAD_A))
-    if wanted != "all":
-        names = set(_as_list(wanted))
+    scenarios = canonical_scenarios(cfg["a"])
+    if cfg["scenario"] != ["all"]:
+        names = set(cfg["scenario"])
         unknown = names - {s.name for s in scenarios}
         if unknown:
             raise ValueError(f"no convergence scenario named {sorted(map(str, unknown))}")
         scenarios = [s for s in scenarios if s.name in names]
     outputs, checks = [], []
     for sc in scenarios:
-        rep = sc.check(n_probe)
+        rep = sc.check(cfg["n_probe"])
         fname = f"limits_{sc.name}.csv"
         rep.write_csv(out_dir / fname)
         outputs.append(fname)
@@ -266,35 +268,31 @@ def _experiment_limits(cfg: dict, out_dir: Path, seed: int) -> tuple:
 
 
 def _experiment_uniform_rate(cfg: dict, out_dir: Path, seed: int) -> tuple:
-    kind = EstimatorKind.parse(cfg.get("kind", "hard"))
+    kind = EstimatorKind.parse(cfg["kind"])
     path = _power_path(cfg)
-    report = uniform_rate_experiment(
-        kind, path, cfg.get("M", 6.0), _as_list(cfg.get("n_list", [100, 10_000, 1_000_000])),
-        scaling=cfg.get("scaling", "a_n"), scad_a=cfg.get("a", DEFAULT_SCAD_A),
-    )
-    report.write_csv(out_dir / "uniform_rate.csv", include_meta=True)
+    report = uniform_rate_experiment(kind, path, cfg["M"], cfg["n_list"], scaling=cfg["scaling"], scad_a=cfg["a"])
+    report.write_csv(out_dir / "uniform_rate.csv")
     ok = all(report.column("within_bound"))
     checks = [{"name": "sup-below-bound", "pass": bool(ok)}]
     return ["uniform_rate.csv"], checks
 
 
 def _experiment_impossibility(cfg: dict, out_dir: Path, seed: int) -> tuple:
-    kind = EstimatorKind.parse(cfg.get("kind", "hard"))
-    n = cfg.get("n", 10_000)
+    kind = EstimatorKind.parse(cfg["kind"])
+    n = cfg["n"]
     path = _power_path(cfg)
-    tuning = TuningPlan(path.eta(n), cfg.get("a", DEFAULT_SCAD_A))
-    name = cfg.get("estimator", "pretest")
-    tol = _check_real(cfg.get("oracle_tol", 0.05), "oracle_tol")
-    threshold = _check_real(cfg.get("threshold", 0.45), "threshold")
+    tuning = TuningPlan(path.eta(n), cfg["a"])
+    name = cfg["estimator"]
+    tol = _check_real(cfg["oracle_tol"], "oracle_tol")
+    threshold = _check_real(cfg["threshold"], "threshold")
     specs = {"oracle": OracleCheat(), "pretest": PretestPlugin(consistent=path.exponent < 0.5),
              "bootstrap": MOutOfNBootstrap(path=path)}
     if name not in specs:
         raise ValueError(f"unknown cdf estimator {name!r}")
     report = estimator_worst_case(
-        specs[name], kind, n, cfg.get("t", 0.0), tuning, cfg.get("c", 2.0),
-        seed=seed, replications=cfg.get("reps", 10_000),
+        specs[name], kind, n, cfg["t"], tuning, cfg["c"], seed=seed, replications=cfg["reps"],
     )
-    report.write_csv(out_dir / "impossibility.csv", include_meta=True)
+    report.write_csv(out_dir / "impossibility.csv")
     summary = {k: report.meta[k] for k in ("epsilon", "epsilon_range", "bound", "sup", "witness_theta")}
     _write(out_dir / "impossibility_summary.json", _json_dumps(summary))
     ok = report.meta["sup"] <= tol if name == "oracle" else report.meta["sup"] >= threshold
@@ -302,15 +300,15 @@ def _experiment_impossibility(cfg: dict, out_dir: Path, seed: int) -> tuple:
     return ["impossibility.csv", "impossibility_summary.json"], checks
 
 
-# each runner takes (config, out_dir, seed) and returns (output file names, checks)
+# each runner takes (config with defaults, out_dir, seed) and returns (output file names, checks)
 EXPERIMENTS = {"selection": _experiment_selection, "limits": _experiment_limits,
                "uniform-rate": _experiment_uniform_rate, "impossibility": _experiment_impossibility}
 
 
 def run_experiment(params: dict, out_dir: Path) -> tuple:
     name = params["name"]
-    _check_config(params["config"])  # a config from a file, --reps or a replayed manifest
-    outputs, checks = EXPERIMENTS[name](params["config"], out_dir, _check_seed(params["seed"]))
+    cfg = _config_with_defaults(name, params["config"])  # a config from a file, --reps or a replayed manifest
+    outputs, checks = EXPERIMENTS[name](cfg, out_dir, _check_seed(params["seed"]))
     verdict = {"experiment": name, "pass": all(c["pass"] for c in checks), "checks": checks}
     _write(out_dir / "verdict.json", _json_dumps(verdict))
     return outputs + ["verdict.json"], verdict["pass"]

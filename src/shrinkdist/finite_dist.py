@@ -420,8 +420,10 @@ class MixtureDistribution:
 def _cut_points(point: ModelPoint, tuning: TuningPlan):
     """(loc, se) = (-sqrt(n)*theta, sqrt(n)*eta), the arguments of `_mixture`."""
     s = point.sqrt_n
-    theta = np.array(point.theta) if isinstance(point.theta, tuple) else point.theta
-    return -s * theta, s * tuning.eta
+    if isinstance(point.theta, tuple):  # so a batch's loc past the float range is -+inf unwarned, as a float's is
+        with np.errstate(over="ignore"):
+            return -s * np.array(point.theta), s * tuning.eta
+    return -s * point.theta, s * tuning.eta
 
 
 def _zero_mass(loc: float, se: float) -> float:

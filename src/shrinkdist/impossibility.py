@@ -242,18 +242,14 @@ def estimator_worst_case(
         meta={"estimator": spec.name, "kind": kind.value, "n": n, "t": t,
               "epsilon": eps, "epsilon_range": eps_range, "bound": bound},
     )
-    sup_prob = -1.0
-    witness = None
     truths = finite_sample_dist(kind, ModelPoint(n, grid), tuning).cdf(t)
     for child, theta, truth in zip(children, grid.tolist(), truths.tolist()):
         rng = np.random.Generator(np.random.Philox(child))
         ctx = _HarnessContext(kind=kind, n=n, t=t, tuning=tuning, true_value=truth)
         ybar = theta + ndtri(_uniform_open(rng, replications)) / math.sqrt(n)
         fhat = np.asarray(spec.estimate_cdf(ybar, ctx), dtype=float)
-        err_prob = float(np.mean(np.abs(fhat - truth) > eps))
-        report.append(theta, err_prob)
-        if err_prob > sup_prob:
-            sup_prob, witness = err_prob, theta
-    report.meta["sup"] = sup_prob
-    report.meta["witness_theta"] = witness
+        report.append(theta, float(np.mean(np.abs(fhat - truth) > eps)))
+    err_prob = report.column("err_prob")
+    report.meta["sup"] = max(err_prob)
+    report.meta["witness_theta"] = report.rows[np.argmax(err_prob)][0]  # argmax picks the first theta at the sup
     return report

@@ -40,10 +40,10 @@ class ExperimentReport:
         i = self.columns.index(name)
         return [r[i] for r in self.rows]
 
-    def to_csv(self, include_meta: bool = False) -> str:
-        """One `%` per row, through a format built once per distinct tuple of cell types."""
+    def to_csv(self) -> str:
+        """A `# {meta}` line if meta is nonempty, then one `%` per row, a format built per tuple of cell types."""
         lines = []
-        if include_meta and self.meta:
+        if self.meta:
             lines.append("# " + json.dumps(self.meta, sort_keys=True))
         lines.append(",".join(self.columns))
         formats = {}
@@ -55,6 +55,6 @@ class ExperimentReport:
             lines.append(fmt % tuple(row))
         return "\n".join(lines) + "\n"
 
-    def write_csv(self, path, include_meta: bool = False) -> None:
+    def write_csv(self, path) -> None:
         with open(path, "w", newline="\n") as fh:
-            fh.write(self.to_csv(include_meta=include_meta))
+            fh.write(self.to_csv())

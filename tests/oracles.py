@@ -439,10 +439,10 @@ def format_cell_reference(v) -> str:
     return str(v)
 
 
-def csv_reference(report, include_meta: bool = False) -> str:
+def csv_reference(report) -> str:
     """`ExperimentReport.to_csv` joined one formatted cell at a time."""
     lines = []
-    if include_meta and report.meta:
+    if report.meta:
         lines.append("# " + json.dumps(report.meta, sort_keys=True))
     lines.append(",".join(report.columns))
     for row in report.rows:

@@ -11,7 +11,7 @@ from oracles import density_rows_reference, svg_polyline_reference
 
 from shrinkdist import finite_dist
 from shrinkdist.cli import (
-    CONFIG_KEYS,
+    CONFIG_DEFAULTS,
     EXPERIMENTS,
     _build_parser,
     _density_table,
@@ -399,16 +399,20 @@ def test_readme_experiment_keys_state_the_defaults(tmp_path, name):
 
 def test_config_keys_are_the_readme_experiment_keys():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    keys = set()
-    for name in EXPERIMENTS:
+    assert set(CONFIG_DEFAULTS) == set(EXPERIMENTS)
+    for name, defaults in CONFIG_DEFAULTS.items():
         block = re.search(rf"The `{name}` experiment .*?```\n(.*?)```", readme, re.DOTALL).group(1)
-        keys |= {line.partition("=")[0].strip() for line in block.splitlines() if line.strip()}
-    assert keys == CONFIG_KEYS
+        keys = [line.partition("=")[0].strip() for line in block.splitlines() if line.strip()]
+        assert sorted(keys) == sorted(defaults), name
 
 
 @pytest.mark.parametrize("name, text, message", [
-    ("selection", "gama=0.5\n", "unknown config key 'gama': no experiment reads it"),
-    ("impossibility", '{"estimator": "oracle", "Reps": 50}', "unknown config key 'Reps': no experiment reads it"),
+    ("selection", "gama=0.5\n", "unknown config key 'gama': the selection experiment does not read it"),
+    ("impossibility", '{"estimator": "oracle", "Reps": 50}',
+     "unknown config key 'Reps': the impossibility experiment does not read it"),
+    ("uniform-rate", "n=1000\n", "unknown config key 'n': the uniform-rate experiment does not read it"),
+    ("selection", "M=3\n", "unknown config key 'M': the selection experiment does not read it"),
+    ("limits", "n_list=100,1000\n", "unknown config key 'n_list': the limits experiment does not read it"),
     ("impossibility", "estimator=oracle\nn=100\nreps=50\noracle_tol=abc\n",
      "oracle_tol must be a finite real number (got 'abc')"),
     ("impossibility", "n=100\nreps=50\nthreshold=nan\n", "threshold must be a finite real number (got nan)"),
@@ -423,8 +427,15 @@ def test_config_keys_are_the_readme_experiment_keys():
     ("limits", "a=abc\n", "scad_a must be a finite real number with scad_a > 2 (got 'abc')"),
     ("impossibility", "estimator=oracle\nn=100\nreps=50\nc=0.5\nt=1\n",
      "c must be a finite real number with c > 1.0 (got 0.5)"),
-], ids=["misspelt-key", "json-misspelt-key", "oracle_tol-abc", "threshold-nan", "n_probe-decreasing",
-        "n_list-repeated", "M-abc", "gamma-above-half", "theta-inf", "a-abc", "c-inside-t"])
+    ("selection", "rule=eta_multiple\n", "zeta must be a finite real number (got None)"),
+    ("selection", "rule=boundary\nzeta=1\n", "r must be a finite real number (got None)"),
+    ("selection", "rule=fixed\n", "value must be a finite real number (got None)"),
+    ("selection", "rule=constant\n", "unknown theta rule 'constant'"),
+    ("impossibility", "estimator=jackknife\nn=100\nreps=50\n", "unknown cdf estimator 'jackknife'"),
+], ids=["misspelt-key", "json-misspelt-key", "n-for-uniform-rate", "M-for-selection", "n_list-for-limits",
+        "oracle_tol-abc", "threshold-nan", "n_probe-decreasing", "n_list-repeated", "M-abc", "gamma-above-half",
+        "theta-inf", "a-abc", "c-inside-t", "eta_multiple-without-zeta", "boundary-without-r", "fixed-without-theta",
+        "unknown-rule", "unknown-estimator"])
 def test_experiment_bad_value_exits_2_naming_the_key(tmp_path, capsys, name, text, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
@@ -432,7 +443,7 @@ def test_experiment_bad_value_exits_2_naming_the_key(tmp_path, capsys, name, tex
     assert main(["experiment", name, "--config", str(cfg), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
-    assert captured.out == "" and not (out / "manifest.json").exists()
+    assert captured.out == "" and not any(p.is_file() for p in out.rglob("*"))
 
 
 def test_rerun_rejects_an_unknown_config_key(tmp_path, capsys):
@@ -443,14 +454,30 @@ def test_rerun_rejects_an_unknown_config_key(tmp_path, capsys):
     (out / "manifest.json").write_text(json.dumps(manifest))
     capsys.readouterr()
     assert main(["rerun", str(out / "manifest.json"), "--out", str(tmp_path / "replay")]) == 2
-    assert capsys.readouterr().err == "error: unknown config key 'gama': no experiment reads it\n"
+    assert capsys.readouterr().err == "error: unknown config key 'gama': the selection experiment does not read it\n"
 
 
-@pytest.mark.parametrize("name", ["selection", "limits", "uniform-rate"])
-def test_reps_is_a_known_key_for_every_experiment(tmp_path, name):
+@pytest.mark.parametrize("name, text", [
+    ("selection", "reps=5\nn_list=100,1000\n"),
+    ("limits", "reps=5\nn_probe=1000,100000\nscenario=hard-consistent-boundary\n"),
+    ("uniform-rate", "reps=5\nn_list=100,1000\n"),
+], ids=["selection", "limits", "uniform-rate"])
+def test_reps_is_a_known_key_for_every_experiment(tmp_path, name, text):
     cfg = tmp_path / "reps.cfg"
-    cfg.write_text("reps=5\nn_list=100,1000\nn_probe=1000,100000\nscenario=hard-consistent-boundary\n")
+    cfg.write_text(text)
     assert main(["experiment", name, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_selection_boundary_rule_reaches_its_limit(tmp_path):
+    # theta_n = eta_n - 0.5/sqrt(n) under consistent tuning: the zero-selection probability tends to Phi(r)
+    cfg = tmp_path / "sel.cfg"
+    cfg.write_text("rule=boundary\nzeta=1\nr=0.5\nn_list=100,10000,1000000\n")
+    out = tmp_path / "sel"
+    assert main(["experiment", "selection", "--config", str(cfg), "--out", str(out)]) == 0
+    header, rows = read_csv(out / "selection.csv")
+    n, theta, eta, limit = np.array(rows, dtype=float)[:, [header.index(k) for k in ("n", "theta", "eta", "limit")]].T
+    np.testing.assert_allclose(theta, eta - 0.5 / np.sqrt(n), rtol=1e-15)
+    np.testing.assert_allclose(limit, NormalDist().cdf(0.5), rtol=1e-15)
 
 
 def test_experiment_impossibility_oracle(tmp_path):

@@ -339,6 +339,19 @@ def test_second_moment_with_a_shift_whose_square_overflows(kind):
     assert law.second_moment() == 1e4
 
 
+@pytest.mark.parametrize("theta", [1e300, -1e300])
+def test_second_moment_with_an_atom_at_an_infinity(theta):
+    # mass on an atom at an infinity makes the moment inf; an atom there that holds no mass adds nothing:
+    # at sqrt(n)*theta = 1e315 the atom sits at -+inf with weight 0, hard is the standard normal and
+    # soft the normal shifted by -+sqrt(n)*eta = -+5e13
+    assert consistent_limit(EstimatorKind.HARD, RegimeSpec(math.inf, zeta=1.0, r=0.5)).second_moment() == math.inf
+    point, tuning = ModelPoint(10**30, theta), TuningPlan(0.05)
+    hard, soft = (finite_sample_dist(kind, point, tuning) for kind in (EstimatorKind.HARD, EstimatorKind.SOFT))
+    assert hard.atoms == soft.atoms == (Atom(-math.copysign(math.inf, theta), 0.0),)
+    assert hard.second_moment() == 1.0
+    assert soft.second_moment() == 1.0 + (1e15 * 0.05) ** 2
+
+
 def _assert_cdf_matches_map_oracle(kind, n, theta, eta, a, scaling, grid, offsets=()):
     """The law's cdf and 1 - cdf against the two halves of `map_tails`, at the points of `grid`, each piece
     end, its neighbours one ulp either side, the end plus each of `offsets` (both grid and offsets in
@@ -570,6 +583,26 @@ def test_float_extremes_give_the_limit_values_without_overflow(kind, builder):
                     for method, want in ((dist.cdf, limit), (dist.cdf_left, limit), (dist.density_ac, 0.0)):
                         assert np.all(method(x) == want)
                         assert all(np.all(method(v) == want) for v in x.tolist())
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_batch_past_the_float_range_equals_the_scalar_laws(kind):
+    # sqrt(n)*theta = -+1e315 is past the float range, so loc is -+inf for a batch as for one law, with no
+    # overflow warning; scad's blend shift is then infinite too, which a batch and a law reject alike
+    thetas, tuning = [1e300, -1e300], TuningPlan(0.05)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if kind is EstimatorKind.SCAD:
+            for theta in (thetas, *thetas):
+                with pytest.raises(ValueError, match="^shift must be finite$"):
+                    finite_sample_dist(kind, ModelPoint(10**30, theta), tuning)
+            return
+        batch = finite_sample_dist(kind, ModelPoint(10**30, thetas), tuning)
+        laws = [finite_sample_dist(kind, ModelPoint(10**30, theta), tuning) for theta in thetas]
+    assert len(batch.atoms) == 1 and len(batch.pieces) == len(laws[0].pieces)
+    for i, law in enumerate(laws):
+        for got, want in zip((*batch.atoms, *batch.pieces), (*law.atoms, *law.pieces)):
+            assert np.array([np.broadcast_to(v, (2,))[i] for v in got]).tobytes() == np.array(want).tobytes()
 
 
 def test_batch_with_empty_pieces_matches_laws_bit_for_bit():

@@ -248,6 +248,10 @@ class TestRescaled:
         with pytest.raises(RegimeError):
             rescaled_limit(HARD, regime(zeta=-1.0))
 
+    def test_requires_consistent_regime(self):
+        with pytest.raises(RegimeError, match=r"^rescaled limits require e = \+inf$"):
+            rescaled_limit(HARD, regime(e=1.0, nu=0.0, zeta=0.0))
+
     def test_soft_clipped_location(self):
         assert rescaled_limit(SOFT, regime(zeta=5.0)).cdf(-1.0) == 1.0
         assert rescaled_limit(SOFT, regime(zeta=5.0)).cdf(-1.0 - 1e-12) == 0.0

@@ -221,6 +221,16 @@ def test_atom_range_is_empty_where_the_atom_is_narrower_than_its_margin(n, eta):
 
 
 @pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("theta", [1e300, -1e300])
+def test_atom_range_is_empty_where_its_margin_overflows(kind, theta):
+    # sqrt(n)*|theta| = 1e315 makes the margin inf: nothing is skipped, and every value keeps its bits
+    cfg = SimConfig(seed=6, replications=BLOCK + 1, point=ModelPoint(10**30, theta), tuning=TuningPlan(0.05))
+    assert montecarlo._atom_uniforms(kind, cfg) == montecarlo._NO_ATOM
+    expected = whole_array_estimates(kind, cfg, whole_array_ybar(cfg))
+    assert simulate_estimates(kind, cfg).values.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_uncertified_range_skips_nothing(monkeypatch, kind):
     # a negative margin pushes the ends outward, past the atom: the pipeline's estimate there is not 0,
     # so the range is refused and every draw goes through ndtri and the estimate
@@ -356,6 +366,12 @@ def test_empirical_cdf_evaluation():
     assert emp.fraction_at(2.0) == 0.5
     with pytest.raises(ValueError, match="sorted"):
         EmpiricalCdf(np.array([2.0, 1.0]))
+
+
+@pytest.mark.parametrize("values", [np.array([]), np.zeros((2, 2))], ids=["empty", "2-d"])
+def test_empirical_cdf_rejects_an_empty_or_2d_sample(values):
+    with pytest.raises(ValueError, match="^values must be a nonempty 1-d array$"):
+        EmpiricalCdf(values)
 
 
 @pytest.mark.parametrize("values", [[math.nan, 0.0, 1.0], [0.0, math.nan, 1.0], [0.0, 1.0, math.nan], [math.nan]])

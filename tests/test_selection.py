@@ -92,6 +92,11 @@ class TestLimitProbability:
 
 
 class TestRegimeSpec:
+    @pytest.mark.parametrize("e", [1.0, math.inf])
+    def test_require_zeta_without_zeta_is_underdetermined(self, e):
+        with pytest.raises(RegimeError, match="^regime underdetermined: zeta is required$"):
+            RegimeSpec(e=e, nu=0.0).require_zeta()
+
     def test_negative_e_rejected(self):
         with pytest.raises(RegimeError):
             RegimeSpec(e=-0.5)
