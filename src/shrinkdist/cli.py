@@ -1,9 +1,10 @@
 """Command-line front door: figures, distribution tables, experiments.
 
-Every command writes its data files plus a run manifest into --out; the
-`rerun` command replays a manifest and must reproduce the CSV/JSON outputs
-byte for byte.  SVG output is drawn directly (polyline plus a dotted
-vertical atom marker), with no timestamps or other nondeterminism.
+Every command computes its data files first, then writes them plus a run
+manifest into --out, so a command that fails creates nothing.  The `rerun`
+command replays a manifest and must reproduce the CSV/JSON outputs byte for
+byte.  SVG output is drawn directly (polyline plus a dotted vertical atom
+marker), with no timestamps or other nondeterminism.
 """
 
 from __future__ import annotations
@@ -88,8 +89,8 @@ def _svg_polyline(xs, ys, x_range, y_range, width, height, pad) -> str:
     return " ".join(["%.3f,%.3f"] * px.size) % tuple(np.column_stack((px, py)).ravel().tolist())
 
 
-def write_density_svg(path: Path, xs, ys, atoms, title: str) -> None:
-    """Density curve plus one dotted vertical marker per atom."""
+def density_svg(xs, ys, atoms, title: str) -> str:
+    """An SVG text: the density curve plus one dotted vertical marker per atom."""
     width, height, pad = 720, 480, 50.0
     x0, x1 = float(np.min(xs)), float(np.max(xs))
     y1 = max(float(np.max(ys)), max((w for _, w in atoms), default=0.0)) * 1.08 or 1.0
@@ -111,7 +112,7 @@ def write_density_svg(path: Path, xs, ys, atoms, title: str) -> None:
             f'stroke="black" stroke-dasharray="4 4"/>'
         )
     lines.append("</svg>")
-    _write(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _density_table(dist: MixtureDistribution, lo: float, hi: float, count: int) -> tuple:
@@ -139,7 +140,7 @@ def _point_and_tuning(params: dict) -> tuple:
     return ModelPoint(params["n"], _check_real(params["theta"], "theta")), TuningPlan(params["eta"], params["a"])
 
 
-def run_figure(params: dict, out_dir: Path) -> tuple:
+def run_figure(params: dict) -> tuple:
     which = _check_count(params["which"], "which")
     if which not in FIGURE_KINDS:
         raise ValueError(f"which must be one of {', '.join(map(str, FIGURE_KINDS))} (got {which!r})")
@@ -147,15 +148,11 @@ def run_figure(params: dict, out_dir: Path) -> tuple:
     point, tuning = _point_and_tuning(params)
     dist = finite_sample_dist(kind, point, tuning)
     table, (xs, ys), atoms = _density_table(dist, -5.0, 5.0, 2000)
-    csv_name = f"figure{which}.csv"
-    svg_name = f"figure{which}.svg"
-    table.write_csv(out_dir / csv_name)
-    write_density_svg(out_dir / svg_name, xs, ys, atoms,
-                      f"{kind.value} estimator, n={point.n}, theta={point.theta}, eta={tuning.eta}")
-    return [csv_name, svg_name], True
+    svg = density_svg(xs, ys, atoms, f"{kind.value} estimator, n={point.n}, theta={point.theta}, eta={tuning.eta}")
+    return {f"figure{which}.csv": table, f"figure{which}.svg": svg}, True
 
 
-def run_dist(params: dict, out_dir: Path) -> tuple:
+def run_dist(params: dict) -> tuple:
     kind = EstimatorKind.parse(params["kind"])
     point, tuning = _point_and_tuning(params)
     scaling = params["scaling"]
@@ -164,11 +161,8 @@ def run_dist(params: dict, out_dir: Path) -> tuple:
     grid = np.linspace(_check_real(lo, "grid lo"), _check_real(hi, "grid hi"), _check_count(count, "grid count"))
     rows = list(zip(grid.tolist(), dist.cdf(grid).tolist(), dist.density_ac(grid).tolist()))
     table = ExperimentReport(columns=("x", "cdf", "ac_density"), rows=rows)
-    csv_name = f"dist_{kind.value}_{scaling}.csv"
-    json_name = f"dist_{kind.value}_{scaling}.json"
-    table.write_csv(out_dir / csv_name)
-    _write(out_dir / json_name, _json_dumps(dist.to_json()))
-    return [csv_name, json_name], True
+    stem = f"dist_{kind.value}_{scaling}"
+    return {f"{stem}.csv": table, f"{stem}.json": _json_dumps(dist.to_json())}, True
 
 
 def _parse_config_file(path: str) -> dict:
@@ -234,19 +228,18 @@ def _power_path(cfg: dict) -> PowerTuningPath:
     return PowerTuningPath(cfg["scale"], cfg["gamma"])
 
 
-def _experiment_selection(cfg: dict, out_dir: Path, seed: int) -> tuple:
+def _experiment_selection(cfg: dict, seed: int) -> tuple:
     path = _power_path(cfg)
     rule = _theta_rule_from_config(cfg)
     report = selection_convergence_table(path, rule, cfg["n_list"])
-    report.write_csv(out_dir / "selection.csv")
     gaps = report.column("gap")
     ok = abs(gaps[-1]) < abs(gaps[0]) or abs(gaps[-1]) <= 1e-12
     checks = [{"name": "gap-shrinks", "pass": bool(ok),
                "first_gap": gaps[0], "last_gap": gaps[-1]}]
-    return ["selection.csv"], checks
+    return {"selection.csv": report}, checks
 
 
-def _experiment_limits(cfg: dict, out_dir: Path, seed: int) -> tuple:
+def _experiment_limits(cfg: dict, seed: int) -> tuple:
     scenarios = canonical_scenarios(cfg["a"])
     if cfg["scenario"] != ["all"]:
         names = set(cfg["scenario"])
@@ -254,30 +247,27 @@ def _experiment_limits(cfg: dict, out_dir: Path, seed: int) -> tuple:
         if unknown:
             raise ValueError(f"no convergence scenario named {sorted(map(str, unknown))}")
         scenarios = [s for s in scenarios if s.name in names]
-    outputs, checks = [], []
+    files, checks = {}, []
     for sc in scenarios:
         rep = sc.check(cfg["n_probe"])
-        fname = f"limits_{sc.name}.csv"
-        rep.write_csv(out_dir / fname)
-        outputs.append(fname)
+        files[f"limits_{sc.name}.csv"] = rep
         gaps = rep.column("sup_gap")
         ok = gaps[-1] < 0.02 and gaps[-1] < gaps[0]
         checks.append({"name": sc.name, "pass": bool(ok),
                        "gap_small_n": gaps[0], "gap_large_n": gaps[-1]})
-    return outputs, checks
+    return files, checks
 
 
-def _experiment_uniform_rate(cfg: dict, out_dir: Path, seed: int) -> tuple:
+def _experiment_uniform_rate(cfg: dict, seed: int) -> tuple:
     kind = EstimatorKind.parse(cfg["kind"])
     path = _power_path(cfg)
     report = uniform_rate_experiment(kind, path, cfg["M"], cfg["n_list"], scaling=cfg["scaling"], scad_a=cfg["a"])
-    report.write_csv(out_dir / "uniform_rate.csv")
     ok = all(report.column("within_bound"))
     checks = [{"name": "sup-below-bound", "pass": bool(ok)}]
-    return ["uniform_rate.csv"], checks
+    return {"uniform_rate.csv": report}, checks
 
 
-def _experiment_impossibility(cfg: dict, out_dir: Path, seed: int) -> tuple:
+def _experiment_impossibility(cfg: dict, seed: int) -> tuple:
     kind = EstimatorKind.parse(cfg["kind"])
     n = cfg["n"]
     path = _power_path(cfg)
@@ -292,40 +282,44 @@ def _experiment_impossibility(cfg: dict, out_dir: Path, seed: int) -> tuple:
     report = estimator_worst_case(
         specs[name], kind, n, cfg["t"], tuning, cfg["c"], seed=seed, replications=cfg["reps"],
     )
-    report.write_csv(out_dir / "impossibility.csv")
     summary = {k: report.meta[k] for k in ("epsilon", "epsilon_range", "bound", "sup", "witness_theta")}
-    _write(out_dir / "impossibility_summary.json", _json_dumps(summary))
     ok = report.meta["sup"] <= tol if name == "oracle" else report.meta["sup"] >= threshold
     checks = [{"name": f"{name}-worst-case", "pass": bool(ok), "sup": report.meta["sup"]}]
-    return ["impossibility.csv", "impossibility_summary.json"], checks
+    return {"impossibility.csv": report, "impossibility_summary.json": _json_dumps(summary)}, checks
 
 
-# each runner takes (config with defaults, out_dir, seed) and returns (output file names, checks)
+# each runner takes (config with defaults, seed) and returns ({file name: report or text}, checks)
 EXPERIMENTS = {"selection": _experiment_selection, "limits": _experiment_limits,
                "uniform-rate": _experiment_uniform_rate, "impossibility": _experiment_impossibility}
 
 
-def run_experiment(params: dict, out_dir: Path) -> tuple:
+def run_experiment(params: dict) -> tuple:
     name = params["name"]
     cfg = _config_with_defaults(name, params["config"])  # a config from a file, --reps or a replayed manifest
-    outputs, checks = EXPERIMENTS[name](cfg, out_dir, _check_seed(params["seed"]))
+    files, checks = EXPERIMENTS[name](cfg, _check_seed(params["seed"]))
     verdict = {"experiment": name, "pass": all(c["pass"] for c in checks), "checks": checks}
-    _write(out_dir / "verdict.json", _json_dumps(verdict))
-    return outputs + ["verdict.json"], verdict["pass"]
+    files["verdict.json"] = _json_dumps(verdict)
+    return files, verdict["pass"]
 
 
-# each runner takes (params, out_dir) and returns (output file names, whether every check passed)
+# each runner takes params and returns ({file name: report or text}, whether every check passed)
 RUNNERS = {"figure": run_figure, "dist": run_dist, "experiment": run_experiment}
 
 
 def _dispatch(command: str, params: dict, out_dir: Path) -> int:
+    """Run the command, then write its files and manifest: a run that raises creates nothing."""
+    files, passed = RUNNERS[command](params)
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs, passed = RUNNERS[command](params, out_dir)
-    _write_manifest(out_dir, command, params, outputs)
+    for name, content in files.items():
+        if isinstance(content, ExperimentReport):
+            content.write_csv(out_dir / name)
+        else:
+            _write(out_dir / name, content)
+    _write_manifest(out_dir, command, params, list(files))
     if command == "experiment":
         print(f"{'PASS' if passed else 'FAIL'}: experiment {params['name']} -> {out_dir}")
     else:
-        print(f"wrote {', '.join(outputs)} -> {out_dir}")
+        print(f"wrote {', '.join(files)} -> {out_dir}")
     return 0 if passed else 1
 
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .estimators import EstimatorKind, TuningPlan
-from .normal_kernel import _check_count, _check_real, _no_nan, _scalar_or_array, norm_cdf, norm_pdf
+from .normal_kernel import _FLOAT_MAX, _check_count, _check_real, _no_nan, _scalar_or_array, norm_cdf, norm_pdf
 
 __all__ = [
     "ModelPoint",
@@ -441,6 +441,11 @@ def atom_weight(point: ModelPoint, tuning: TuningPlan) -> float:
     return _zero_mass(*_cut_points(point, tuning))
 
 
+def _clip_to_floats(v, batch: bool):
+    """v with -+inf moved to -+the largest float; a single law's float takes no numpy call."""
+    return np.clip(v, -_FLOAT_MAX, _FLOAT_MAX) if batch else min(max(v, -_FLOAT_MAX), _FLOAT_MAX)
+
+
 def _mixture(kind: EstimatorKind, loc, se: float, a: float) -> MixtureDistribution:
     """Law of sqrt(n)*(estimate - theta) at loc = -sqrt(n)*theta, se = sqrt(n)*eta.
 
@@ -456,7 +461,10 @@ def _mixture(kind: EstimatorKind, loc, se: float, a: float) -> MixtureDistributi
       (loc, loc + se]          soft-type, shift +se,
       (loc + se, loc + a*se]   blend,
       (loc + a*se, inf)        normal tail.
+    Past the float range loc -+ a*se is -+inf, its blend piece is empty, and
+    the blend's shift (loc -+ a*se)/(a-1) is clipped to a float.
     """
+    batch = np.ndim(loc) != 0
     if kind is EstimatorKind.HARD:
         pieces = (GaussPiece(1.0, 0.0, -math.inf, loc - se), GaussPiece(1.0, 0.0, loc + se, math.inf))
     elif kind is EstimatorKind.SOFT:
@@ -467,15 +475,15 @@ def _mixture(kind: EstimatorKind, loc, se: float, a: float) -> MixtureDistributi
         b_hi = loc + a * se
         pieces = (
             GaussPiece(1.0, 0.0, -math.inf, b_lo),
-            GaussPiece(ratio, b_lo / (a - 1.0), b_lo, loc - se),
+            GaussPiece(ratio, _clip_to_floats(b_lo / (a - 1.0), batch), b_lo, loc - se),
             GaussPiece(1.0, -se, loc - se, loc),
             GaussPiece(1.0, se, loc, loc + se),
-            GaussPiece(ratio, b_hi / (a - 1.0), loc + se, b_hi),
+            GaussPiece(ratio, _clip_to_floats(b_hi / (a - 1.0), batch), loc + se, b_hi),
             GaussPiece(1.0, 0.0, b_hi, math.inf),
         )
     else:
         raise ValueError(f"unknown estimator kind {kind!r}")
-    phi = _phi_at_ends(pieces, np.ndim(loc) != 0)  # a -0.0 end may map to +0.0: Phi is 0.5 at both
+    phi = _phi_at_ends(pieces, batch)  # a -0.0 end may map to +0.0: Phi is 0.5 at both
     return MixtureDistribution((Atom(loc, phi[len(pieces)] - phi[len(pieces) - 1]),), pieces, phi)
 
 

@@ -15,6 +15,7 @@ from scipy.special import erfc as _erfc
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+_FLOAT_MAX = float(np.finfo(float).max)
 
 __all__ = [
     "norm_pdf",
@@ -43,10 +44,13 @@ def _check_count(value, name: str = "n") -> int:
 
     A whole float such as 200.0 passes and comes back as 200.  A bool, a
     fraction, an infinity, NaN or a string does not; each raises ValueError
-    naming the count.
+    naming the count.  So does a whole number past the largest float, such
+    as 10**400, since every count is used as a float somewhere.
     """
     if not (_is_whole(value) and value >= 1):
         raise ValueError(f"{name} must be a positive integer (got {value!r})")
+    if not value <= _FLOAT_MAX:
+        raise ValueError(f"{name} must be at most the largest float, {_FLOAT_MAX!r} (got {value!r})")
     return int(value)
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 from pathlib import Path
 from statistics import NormalDist
 
@@ -13,6 +14,7 @@ from shrinkdist import finite_dist
 from shrinkdist.cli import (
     CONFIG_DEFAULTS,
     EXPERIMENTS,
+    RUNNERS,
     _build_parser,
     _density_table,
     _parse_config_file,
@@ -229,7 +231,10 @@ def test_rerun_rejects_wrong_type_config_value(tmp_path, capsys):
     ("impossibility", "estimator=oracle\nn=100\nreps=50.9\n", "reps (replications) must be a positive integer"),
     ("limits", "n_probe=1000.5\n", "each n_probe item must be a positive integer (got 1000.5)"),
     ("selection", "n_list=100,nan\n", "each n_list item must be a positive integer (got nan)"),
-], ids=["n-inf", "n_list-inf", "json-n-overflows", "n-fraction", "reps-fraction", "n_probe-fraction", "n_list-nan"])
+    ("impossibility", f"estimator=oracle\nn={10**400}\n", f"n must be at most the largest float, {sys.float_info.max!r}"),
+    ("uniform-rate", f"n_list=100,{10**400}\n", "each n_list item must be at most the largest float"),
+], ids=["n-inf", "n_list-inf", "json-n-overflows", "n-fraction", "reps-fraction", "n_probe-fraction", "n_list-nan",
+        "n-past-the-floats", "n_list-past-the-floats"])
 def test_experiment_count_that_is_not_a_positive_integer_exits_2(tmp_path, capsys, name, text, named):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
@@ -443,7 +448,7 @@ def test_experiment_bad_value_exits_2_naming_the_key(tmp_path, capsys, name, tex
     assert main(["experiment", name, "--config", str(cfg), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
-    assert captured.out == "" and not any(p.is_file() for p in out.rglob("*"))
+    assert captured.out == "" and not out.exists()
 
 
 def test_rerun_rejects_an_unknown_config_key(tmp_path, capsys):
@@ -622,3 +627,59 @@ def test_experiment_prints_verdict_and_exits_on_it(tmp_path, capsys):
     assert main(["experiment", "impossibility", "--config", str(cfg), "--seed", "9", "--out", str(out)]) == 1
     assert capsys.readouterr().out == f"FAIL: experiment impossibility -> {out}\n"
     assert json.loads((out / "verdict.json").read_text())["pass"] is False
+
+
+DIST = ["dist", "--kind", "hard", "--n", "25", "--theta", "-0.3", "--eta", "0.08"]
+
+
+def _edited_manifest(tmp_path, argv, edit):
+    """The path of the manifest of a run of argv, edited in place."""
+    source = tmp_path / "source"
+    assert main([*argv, "--out", str(source)]) == 0
+    manifest = json.loads((source / "manifest.json").read_text())
+    edit(manifest)
+    (source / "manifest.json").write_text(json.dumps(manifest))
+    return str(source / "manifest.json")
+
+
+def _config(tmp_path, text):
+    (tmp_path / "run.cfg").write_text(text)
+    return str(tmp_path / "run.cfg")
+
+
+def _raising_runner(command, argv):
+    """A case whose runner computes its files and then raises."""
+    def case(tmp_path, monkeypatch):
+        def raising(params, runner=RUNNERS[command]):
+            runner(params)
+            raise ValueError("fails after computing")
+        monkeypatch.setitem(RUNNERS, command, raising)
+        return argv
+    return case
+
+
+# each case: (tmp_path, monkeypatch) -> the argv, less --out, of a command that exits 2
+FAILING_COMMANDS = {
+    "figure-scad-a": lambda tmp, mp: ["figure", "3", "--a", "1.5"],
+    "dist-n-0": lambda tmp, mp: [*DIST[:3], "--n", "0", *DIST[5:]],
+    "dist-n-past-the-floats": lambda tmp, mp: [*DIST[:3], "--n", str(10**400), *DIST[5:]],
+    "dist-bad-grid": lambda tmp, mp: [*DIST, "--grid=-5:5"],
+    "experiment-unknown-key": lambda tmp, mp: ["experiment", "uniform-rate", "--config", _config(tmp, "n=1000\n")],
+    "rerun-which-4": lambda tmp, mp: ["rerun", _edited_manifest(
+        tmp, ["figure", "1"], lambda m: m["params"].update(which=4))],
+    "rerun-two-seeds": lambda tmp, mp: ["rerun", _edited_manifest(
+        tmp, ["experiment", "selection", "--seed", "1"], lambda m: m.update(seed=5))],
+    **{f"{command}-raises-after-computing": _raising_runner(command, argv)
+       for command, argv in (("figure", ["figure", "1"]), ("dist", DIST), ("experiment", ["experiment", "selection"]))},
+}
+
+
+@pytest.mark.parametrize("case", FAILING_COMMANDS)
+def test_a_failed_command_creates_nothing(tmp_path, capsys, monkeypatch, case):
+    argv = FAILING_COMMANDS[case](tmp_path, monkeypatch)
+    capsys.readouterr()
+    out = tmp_path / "out" / "nested"
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert not (tmp_path / "out").exists()

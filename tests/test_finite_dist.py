@@ -588,21 +588,20 @@ def test_float_extremes_give_the_limit_values_without_overflow(kind, builder):
 @pytest.mark.parametrize("kind", KINDS)
 def test_batch_past_the_float_range_equals_the_scalar_laws(kind):
     # sqrt(n)*theta = -+1e315 is past the float range, so loc is -+inf for a batch as for one law, with no
-    # overflow warning; scad's blend shift is then infinite too, which a batch and a law reject alike
+    # overflow warning; scad's empty blend pieces then take the largest float as their shift
     thetas, tuning = [1e300, -1e300], TuningPlan(0.05)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        if kind is EstimatorKind.SCAD:
-            for theta in (thetas, *thetas):
-                with pytest.raises(ValueError, match="^shift must be finite$"):
-                    finite_sample_dist(kind, ModelPoint(10**30, theta), tuning)
-            return
         batch = finite_sample_dist(kind, ModelPoint(10**30, thetas), tuning)
         laws = [finite_sample_dist(kind, ModelPoint(10**30, theta), tuning) for theta in thetas]
     assert len(batch.atoms) == 1 and len(batch.pieces) == len(laws[0].pieces)
     for i, law in enumerate(laws):
         for got, want in zip((*batch.atoms, *batch.pieces), (*law.atoms, *law.pieces)):
             assert np.array([np.broadcast_to(v, (2,))[i] for v in got]).tobytes() == np.array(want).tobytes()
+    if kind is not EstimatorKind.SOFT:  # soft keeps a normal shifted by -+sqrt(n)*eta; hard and scad the standard one
+        x = np.linspace(-8.0, 8.0, 321)
+        for law in laws:
+            assert law.atoms[0].weight == 0.0 and _bits(law.cdf(x)) == _bits(norm_cdf(x))
 
 
 def test_batch_with_empty_pieces_matches_laws_bit_for_bit():
@@ -742,14 +741,6 @@ def test_atom_weight_at_an_infinite_loc_is_the_zero_event_mass_bit_for_bit(kind)
     se, tuning = math.sqrt(10**30) * 0.05, TuningPlan(0.05)
     locs = (-math.inf, math.inf, np.array([math.inf, -math.inf]), np.array([math.inf, -math.inf, 0.3]))
     points = [ModelPoint(10**30, theta) for theta in (1e300, -1e300)]
-    if kind is EstimatorKind.SCAD:  # the blend pieces' shift is infinite, as the public build finds too
-        for loc in locs:
-            with pytest.raises(ValueError, match="shift must be finite"):
-                finite_dist._mixture(kind, loc, se, 3.7)
-        for point in points:
-            with pytest.raises(ValueError, match="shift must be finite"):
-                finite_sample_dist(kind, point, tuning)
-        return
     for loc in locs:
         _assert_atom_is_the_zero_event(finite_dist._mixture(kind, loc, se, 3.7), loc, se)
     for point in points:

@@ -1,10 +1,12 @@
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from shrinkdist.estimators import EstimatorKind, TuningPlan
+from shrinkdist import limits
+from shrinkdist.estimators import DEFAULT_SCAD_A, EstimatorKind, TuningPlan
 from shrinkdist.finite_dist import Atom, MixtureDistribution, ModelPoint, finite_sample_dist
 from shrinkdist.limits import (
     ConvergenceScenario,
@@ -19,7 +21,7 @@ from shrinkdist.limits import (
     weak_convergence_check,
 )
 from shrinkdist.normal_kernel import norm_cdf
-from shrinkdist.selection import PowerTuningPath, RegimeError, RegimeSpec, ThetaRule
+from shrinkdist.selection import PowerTuningPath, RegimeError, RegimeSpec, ThetaRule, limit_selection_probability
 
 HARD, SOFT, SCAD = EstimatorKind.HARD, EstimatorKind.SOFT, EstimatorKind.SCAD
 BOUNDARY_XS = np.array([-50.0, -1.0, 0.0, 1.0, 50.0])
@@ -375,3 +377,32 @@ def test_mass_escape_law_json_string_round_trip():
     clone = MixtureDistribution.from_json(json.loads(blob))
     assert clone == law
     assert clone.atoms[0].loc == -math.inf
+
+
+def _outcome(f):
+    """f()'s value as bytes, or the type of the exception it raises."""
+    try:
+        return np.float64(f()).tobytes()
+    except Exception as exc:
+        return type(exc)
+
+
+def test_selection_limit_is_the_hard_limit_law_atom_mass_bit_for_bit():
+    # the limit of P(estimate == 0) is the mass the hard limit law puts on its atoms, in every regime;
+    # where one side raises, the other raises the same exception type.  The one exception: at e = inf and
+    # zeta = 0 with nu unset, all the mass selects zero, but the law cannot place its atom at -nu
+    ends = (None, -math.inf, -1.0, -0.0, 0.0, 0.5, 1.0, math.inf)
+    compared = 0
+    for e, nu, zeta, r in itertools.product((0.0, 0.5, 1.0, 1.96, math.inf), ends, ends, ends):
+        try:
+            regime = RegimeSpec(e, nu=nu, zeta=zeta, r=r)
+        except RegimeError:  # nu contradicts the sign of zeta
+            continue
+        law_mass = _outcome(lambda: sum(a.weight for a in limits._limit_law(HARD, regime, DEFAULT_SCAD_A).atoms))
+        selection = _outcome(lambda: limit_selection_probability(regime))
+        if regime.consistent and zeta == 0.0 and nu is None:
+            assert (selection, law_mass) == (np.float64(1.0).tobytes(), RegimeError), regime
+        else:
+            assert selection == law_mass, regime
+            compared += 1
+    assert compared > 1500

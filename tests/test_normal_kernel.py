@@ -153,6 +153,15 @@ def test_every_sample_size_is_a_positive_integer(site, n):
         call(n)
 
 
+@pytest.mark.parametrize("n", [10**400, 2**1024, int(np.finfo(float).max) + 1])
+@pytest.mark.parametrize("site", SAMPLE_SIZE_SITES)
+def test_a_count_past_the_largest_float_names_itself(site, n):
+    # every count is used as a float somewhere: past the largest float, float(n) would raise OverflowError
+    name, call = SAMPLE_SIZE_SITES[site]
+    message = rf"^{name} must be at most the largest float, 1\.7976931348623157e\+308 \(got {n!r}\)$"
+    with pytest.raises(ValueError, match=message):
+        call(n)
+
 
 @pytest.mark.parametrize("site, field", [("ModelPoint", "n"), ("TwoPointProblem", "n"), ("SimConfig", "replications")])
 def test_a_whole_float_count_is_stored_as_an_int(site, field):
