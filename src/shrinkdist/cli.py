@@ -134,6 +134,13 @@ def _density_table(dist: MixtureDistribution, lo: float, hi: float, count: int) 
     return table, (xs, ys), atoms
 
 
+def _one_of(value, table: dict, name: str):
+    """value if it is a key of table, else a ValueError naming it; a tuple test, so an unhashable value is no key."""
+    if value not in tuple(table):
+        raise ValueError(f"{name} must be one of {', '.join(map(str, table))} (got {value!r})")
+    return value
+
+
 def _point_and_tuning(params: dict) -> tuple:
     # a replayed manifest may hold any value; ModelPoint and TuningPlan check each and store an int or floats,
     # and theta is one number, since a figure or a table shows one law, not a batch
@@ -141,9 +148,7 @@ def _point_and_tuning(params: dict) -> tuple:
 
 
 def run_figure(params: dict) -> tuple:
-    which = _check_count(params["which"], "which")
-    if which not in FIGURE_KINDS:
-        raise ValueError(f"which must be one of {', '.join(map(str, FIGURE_KINDS))} (got {which!r})")
+    which = _one_of(_check_count(params["which"], "which"), FIGURE_KINDS, "which")
     kind = EstimatorKind.parse(FIGURE_KINDS[which])
     point, tuning = _point_and_tuning(params)
     dist = finite_sample_dist(kind, point, tuning)
@@ -155,9 +160,11 @@ def run_figure(params: dict) -> tuple:
 def run_dist(params: dict) -> tuple:
     kind = EstimatorKind.parse(params["kind"])
     point, tuning = _point_and_tuning(params)
-    scaling = params["scaling"]
+    scaling, grid = _one_of(params["scaling"], LAWS, "scaling"), params["grid"]
+    if not (isinstance(grid, list) and len(grid) == 3):
+        raise ValueError(f"grid must be a list [lo, hi, count] (got {grid!r})")
     dist = LAWS[scaling](kind, point, tuning)
-    lo, hi, count = params["grid"]
+    lo, hi, count = grid
     grid = np.linspace(_check_real(lo, "grid lo"), _check_real(hi, "grid hi"), _check_count(count, "grid count"))
     rows = list(zip(grid.tolist(), dist.cdf(grid).tolist(), dist.density_ac(grid).tolist()))
     table = ExperimentReport(columns=("x", "cdf", "ac_density"), rows=rows)
@@ -196,6 +203,8 @@ def _config_with_defaults(name: str, config: dict) -> dict:
     single value is wrapped in one); `reps`, which --reps writes into any config, is a count even where
     the experiment does not read it, and the library checks every other value where it reads it.
     """
+    if not isinstance(config, dict):
+        raise ValueError(f"config must map keys to values (got {config!r})")
     defaults = CONFIG_DEFAULTS[name]
     cfg = dict(defaults)
     for key, value in config.items():
@@ -294,7 +303,7 @@ EXPERIMENTS = {"selection": _experiment_selection, "limits": _experiment_limits,
 
 
 def run_experiment(params: dict) -> tuple:
-    name = params["name"]
+    name = _one_of(params["name"], EXPERIMENTS, "experiment name")
     cfg = _config_with_defaults(name, params["config"])  # a config from a file, --reps or a replayed manifest
     files, checks = EXPERIMENTS[name](cfg, _check_seed(params["seed"]))
     verdict = {"experiment": name, "pass": all(c["pass"] for c in checks), "checks": checks}
@@ -364,11 +373,14 @@ def main(argv=None) -> int:
     try:
         if args.command == "rerun":
             manifest = json.loads(Path(args.manifest).read_text())
-            seed, params_seed = manifest["seed"], manifest["params"].get("seed")
+            command, params = _one_of(manifest["command"], RUNNERS, "manifest command"), manifest["params"]
+            if not isinstance(params, dict):
+                raise ValueError(f"manifest params must map keys to values (got {params!r})")
+            seed, params_seed = manifest["seed"], params.get("seed")
             if seed != params_seed:
                 raise ValueError(f"manifest seed {seed!r} differs from its params seed {params_seed!r}")
             out_dir = Path(args.out) if args.out else Path(args.manifest).parent
-            return _dispatch(manifest["command"], manifest["params"], out_dir)
+            return _dispatch(command, params, out_dir)
         if args.command == "dist":
             try:
                 lo, hi, count = args.grid.split(":")

@@ -37,9 +37,10 @@ class EstimatorKind(enum.Enum):
 
     @classmethod
     def parse(cls, name: str) -> "EstimatorKind":
+        """The kind named by a string, in any case; anything else raises ValueError naming the value."""
         try:
             return cls(name.lower())
-        except ValueError:
+        except (ValueError, AttributeError):  # AttributeError: a non-string has no .lower()
             raise ValueError(f"unknown estimator kind {name!r}; expected hard, soft, or scad") from None
 
 

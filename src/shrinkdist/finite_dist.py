@@ -194,9 +194,9 @@ class MixtureDistribution:
     every piece and keeps each piece's Phi values and mass for every later
     evaluation; `second_moment` reuses those Phi values and makes one
     normal-pdf call (plus one over the nodes of its short pieces).  `cdf` and
-    `density_ac` are one walk over the pieces with two integrands, one walk
-    per form: a law at ascending x, or a batch at each law's point, which
-    only its own piece evaluates.  A batch's build makes no kernel call at
+    `density_ac` are one walk over the pieces with two integrands, the same
+    walk for a law and a batch: each point is evaluated only by the piece
+    that holds it.  A batch's build makes no kernel call at
     a piece end that is infinite for every law.  The private `_phi` takes
     the Phi values `_phi_at_ends` gives for these very records, which
     `_mixture` has already taken for the atom's weight.
@@ -276,54 +276,20 @@ class MixtureDistribution:
     def _evaluate(self, x, term, past, atoms):
         """Sum from zero each piece's `term` at the x inside it and `past` beyond it, then the `atoms`.
 
-        A single law walks x as an ascending array (through one stable
-        argsort when it is not sorted); a float or 0-d x is a one-point
-        array whose value comes back as a float.  A batch of laws evaluates
-        law i at x[i].  Overflow is ignored: s*x overflows only past every
-        finite mapped point, where Phi is exactly 0 or 1 and the pdf 0.
+        A law and a batch of laws share this one walk, which masks each
+        piece's points; a float or 0-d x comes back as a float from a law.
+        A batch of laws evaluates law i at x[i], and a 0-d x for every law.
+        In piece order, a piece adds `past` beyond its upper end and its
+        term inside, in place; the cdf term at the upper end is the stored
+        mass bit for bit, and the total is never -0.0.  Overflow is ignored:
+        s*x overflows only past every finite mapped point, where Phi is
+        exactly 0 or 1 and the pdf 0.
         """
-        if self._shape is not None:
-            return self._batch_walk(self._batch_points(x), term, past, atoms)
-        x = np.asarray(x, dtype=float)
-        flat = x.ravel()
-        order = None
-        if not (flat[1:] >= flat[:-1]).all():
-            order = np.argsort(flat, kind="stable")
-            flat = flat[order]
-        if flat.size and math.isnan(flat[-1]):  # sorting puts NaN last
-            _no_nan(flat)  # raises
-        out = self._walk(flat, term, past, atoms)
-        if order is not None:
-            out[order] = out.copy()
-        return _scalar_or_array(x, out.reshape(x.shape))
-
-    def _batch_points(self, x) -> np.ndarray:
-        """x as an array of the batch's shape: a 0-d x is taken for every law."""
         x = _no_nan(x)
-        if x.ndim and x.shape != self._shape:
-            raise ValueError(f"x of shape {x.shape} does not match the batch of laws of shape {self._shape}")
-        return np.broadcast_to(x, self._shape)
-
-    def _single_law(self, method: str):
         if self._shape is not None:
-            raise ValueError(f"{method} takes a single law, not a batch of laws")
-
-    def _walk(self, x: np.ndarray, term, past, atoms) -> np.ndarray:
-        # one searchsorted marks the slice of ascending x inside each piece's (lo, hi]
-        total = np.zeros_like(x)
-        for (s, b, lo, hi), base, beyond in zip(self.pieces, self._phi_lower, past):
-            i, j = np.searchsorted(x, (lo, hi), side="right")
-            if i < j:  # a piece holding no point makes no kernel call
-                total[i:j] += term(s, b, base, x[i:j])
-            total[j:] += beyond
-        for loc, w in atoms:
-            if loc < math.inf:
-                total[np.searchsorted(x, loc, side="left"):] += w
-        return total
-
-    def _batch_walk(self, x: np.ndarray, term, past, atoms):
-        # in piece order, a piece adds `past` beyond hi and its term inside, in place; the cdf term at hi
-        # is the stored mass bit for bit, and the total is never -0.0, so the bits are those of every piece
+            if x.ndim and x.shape != self._shape:
+                raise ValueError(f"x of shape {x.shape} does not match the batch of laws of shape {self._shape}")
+            x = np.broadcast_to(x, self._shape)
         total = np.zeros_like(x)
         for (s, b, lo, hi), base, beyond in zip(self.pieces, self._phi_lower, past):
             inside = (x > lo) & (x <= hi)
@@ -333,7 +299,11 @@ class MixtureDistribution:
                 total[inside] += term(s, b, base, x[inside])
         for loc, w in atoms:
             np.add(total, w, out=total, where=(x >= loc) & (loc < math.inf))
-        return total
+        return _scalar_or_array(x, total)
+
+    def _single_law(self, method: str):
+        if self._shape is not None:
+            raise ValueError(f"{method} takes a single law, not a batch of laws")
 
     def second_moment(self) -> float:
         """Atom part plus, per piece, the integral of x^2 times its density.

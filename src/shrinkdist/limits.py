@@ -199,7 +199,7 @@ class ConvergenceScenario:
     extra_grid: tuple = ()
 
     def __post_init__(self):
-        if self.scaling not in LAWS:
+        if self.scaling not in tuple(LAWS):  # a tuple, so that an unhashable scaling is "not one of" too
             raise ValueError(f"unknown scaling {self.scaling!r}; expected 'sqrt_n' or 'inv_eta'")
 
     def regime(self) -> RegimeSpec:

@@ -25,6 +25,8 @@ from shrinkdist.estimators import DEFAULT_SCAD_A, EstimatorKind, TuningPlan
 from shrinkdist.finite_dist import MixtureDistribution, ModelPoint, finite_sample_dist
 from shrinkdist.normal_kernel import norm_cdf
 
+DIST = ["dist", "--kind", "hard", "--n", "25", "--theta", "-0.3", "--eta", "0.08"]
+
 
 def read_csv(path):
     lines = path.read_text().splitlines()
@@ -322,17 +324,33 @@ def test_rerun_rejects_fractional_n(tmp_path, capsys, argv):
     (["figure", "1"], "theta", [0.1, 0.2], "theta must be a finite real number (got [0.1, 0.2])"),
     (["dist", "--kind", "hard", "--n", "25", "--theta", "-0.3", "--eta", "0.08"], "theta", [-0.3],
      "theta must be a finite real number (got [-0.3])"),
+    (DIST, "kind", 3, "unknown estimator kind 3; expected hard, soft, or scad"),
+    (DIST, "scaling", ["sqrt_n"], "scaling must be one of sqrt_n, inv_eta (got ['sqrt_n'])"),
+    (DIST, "scaling", "inv", "scaling must be one of sqrt_n, inv_eta (got 'inv')"),
+    (DIST, "grid", 5, "grid must be a list [lo, hi, count] (got 5)"),
+    (DIST, "grid", [1, 2], "grid must be a list [lo, hi, count] (got [1, 2])"),
+    (["experiment", "selection"], "name", ["selection"],
+     "experiment name must be one of selection, limits, uniform-rate, impossibility (got ['selection'])"),
+    (["experiment", "selection"], "name", "foo",
+     "experiment name must be one of selection, limits, uniform-rate, impossibility (got 'foo')"),
+    (["experiment", "selection"], "config", [1], "config must map keys to values (got [1])"),
+    (DIST, "command", ["dist"], "manifest command must be one of figure, dist, experiment (got ['dist'])"),
+    (DIST, "command", "plot", "manifest command must be one of figure, dist, experiment (got 'plot')"),
+    (DIST, "params", [1], "manifest params must map keys to values (got [1])"),
 ], ids=["which-fraction", "theta-str", "grid-count-fraction", "eta-bool", "which-4", "figure-theta-list",
-        "dist-theta-list"])
+        "dist-theta-list", "kind-int", "scaling-list", "scaling-unknown", "grid-int", "grid-two-items",
+        "name-list", "name-unknown", "config-list", "command-list", "command-unknown", "params-list"])
 def test_rerun_rejects_a_manifest_value_it_would_have_cast(tmp_path, capsys, argv, key, value, message):
     out = tmp_path / "run"
     assert main([*argv, "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    manifest["params"][key] = value
+    # "command" and "params" are the manifest's own keys, the rest keys of its params
+    (manifest if key in ("command", "params") else manifest["params"])[key] = value
     (out / "manifest.json").write_text(json.dumps(manifest))
     capsys.readouterr()
     assert main(["rerun", str(out / "manifest.json"), "--out", str(tmp_path / "replay")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "replay").exists()
 
 
 @pytest.mark.parametrize("grid", ["-5:5:9.5", "-5:5", "-5:5:9:1", "lo:5:9"])
@@ -437,10 +455,12 @@ def test_config_keys_are_the_readme_experiment_keys():
     ("selection", "rule=fixed\n", "value must be a finite real number (got None)"),
     ("selection", "rule=constant\n", "unknown theta rule 'constant'"),
     ("impossibility", "estimator=jackknife\nn=100\nreps=50\n", "unknown cdf estimator 'jackknife'"),
+    ("uniform-rate", "kind=3\n", "unknown estimator kind 3; expected hard, soft, or scad"),
+    ("impossibility", "kind=3\n", "unknown estimator kind 3; expected hard, soft, or scad"),
 ], ids=["misspelt-key", "json-misspelt-key", "n-for-uniform-rate", "M-for-selection", "n_list-for-limits",
         "oracle_tol-abc", "threshold-nan", "n_probe-decreasing", "n_list-repeated", "M-abc", "gamma-above-half",
         "theta-inf", "a-abc", "c-inside-t", "eta_multiple-without-zeta", "boundary-without-r", "fixed-without-theta",
-        "unknown-rule", "unknown-estimator"])
+        "unknown-rule", "unknown-estimator", "uniform-rate-kind-int", "impossibility-kind-int"])
 def test_experiment_bad_value_exits_2_naming_the_key(tmp_path, capsys, name, text, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
@@ -627,9 +647,6 @@ def test_experiment_prints_verdict_and_exits_on_it(tmp_path, capsys):
     assert main(["experiment", "impossibility", "--config", str(cfg), "--seed", "9", "--out", str(out)]) == 1
     assert capsys.readouterr().out == f"FAIL: experiment impossibility -> {out}\n"
     assert json.loads((out / "verdict.json").read_text())["pass"] is False
-
-
-DIST = ["dist", "--kind", "hard", "--n", "25", "--theta", "-0.3", "--eta", "0.08"]
 
 
 def _edited_manifest(tmp_path, argv, edit):

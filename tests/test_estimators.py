@@ -208,3 +208,10 @@ def test_kind_parse():
     assert EstimatorKind.parse("Hard") is EstimatorKind.HARD
     with pytest.raises(ValueError):
         EstimatorKind.parse("ridge")
+
+
+@pytest.mark.parametrize("name", [3, None, ["hard"], b"hard"])
+def test_kind_parse_rejects_a_non_string_naming_it(name):
+    with pytest.raises(ValueError, match="unknown estimator kind") as err:
+        EstimatorKind.parse(name)
+    assert repr(name) in str(err.value)

@@ -434,28 +434,33 @@ def _assert_arrays_match_points(dist):
     """cdf, cdf_left and density_ac at floats and at an array equal `point_values`, bit for bit.
 
     The grids: a fixed grid through +-inf, every breakpoint and both its
-    neighbouring floats, the same grid shuffled, an empty array, a grid
-    strictly inside the first piece, and a grid past every finite end.
+    neighbouring floats, the same grid shuffled, the shuffled grid trimmed
+    to 2-d, an empty array, a grid strictly inside the first piece, and a
+    grid past every finite end.  An array x gives an array of its shape.
     """
     cuts = np.asarray(dist.breakpoints())  # atoms and piece ends
     grid = np.concatenate([np.linspace(-6.0, 6.0, 41), cuts, [-math.inf, math.inf],
                            np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf)])
     lo, hi = dist.pieces[0].lower, dist.pieces[0].upper
     start, stop = (lo if math.isfinite(lo) else hi - 2.0), (hi if math.isfinite(hi) else lo + 2.0)
+    shuffled = np.random.default_rng(7).permutation(grid)
     grids = {
         "grid": grid,
-        "shuffled": np.random.default_rng(7).permutation(grid),
+        "shuffled": shuffled,
+        "2-d": shuffled[:shuffled.size // 3 * 3].reshape(3, -1),
         "empty": np.array([]),
         "inside-one-piece": np.linspace(start, stop, 9)[1:-1],
         "past-every-end": max(cuts.tolist(), default=0.0) + np.array([0.5, 1.0, 10.0, 1e3]),
     }
     for name, xs in grids.items():
-        for method, expected in zip((dist.cdf, dist.cdf_left, dist.density_ac), point_values(dist, xs.tolist())):
+        flat = xs.ravel().tolist()
+        for method, expected in zip((dist.cdf, dist.cdf_left, dist.density_ac), point_values(dist, flat)):
             for form in (float, np.array):  # a float x and a 0-d array x
-                points = [method(form(x)) for x in xs.tolist()]
+                points = [method(form(x)) for x in flat]
                 assert all(type(v) is float for v in points)
                 assert np.array(points).tobytes() == expected.tobytes(), f"{method.__name__} at points of {name}"
-            assert method(xs).tobytes() == expected.tobytes(), f"{method.__name__} on {name}"
+            out = method(xs)
+            assert out.shape == xs.shape and out.tobytes() == expected.tobytes(), f"{method.__name__} on {name}"
 
 
 @pytest.mark.parametrize("builder", [finite_sample_dist, rescaled_dist])

@@ -352,10 +352,12 @@ class TestScenarios:
         assert sc.regime().r == 0.0
         assert max(sc.check([1000, 10**6, 10**9]).column("sup_gap")) <= 1e-14
 
-    def test_unknown_scaling_rejected(self):
-        with pytest.raises(ValueError, match="'sqrt_n' or 'inv_eta'"):
+    @pytest.mark.parametrize("scaling", ["inv-eta", ["sqrt_n"], None])
+    def test_unknown_scaling_rejected(self, scaling):
+        with pytest.raises(ValueError, match="'sqrt_n' or 'inv_eta'") as err:
             ConvergenceScenario("hard-rescaled-boundary", HARD, PowerTuningPath(1.0, 0.25),
-                                ThetaRule.boundary(1.0, 0.0), scaling="inv-eta")
+                                ThetaRule.boundary(1.0, 0.0), scaling=scaling)
+        assert str(err.value).startswith(f"unknown scaling {scaling!r};")
 
 
 @pytest.mark.parametrize("a", [1.0, 1.5, 2.0, math.nan])
