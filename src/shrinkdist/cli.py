@@ -25,7 +25,7 @@ from .finite_dist import LAWS, MixtureDistribution, ModelPoint, finite_sample_di
 from .impossibility import MOutOfNBootstrap, OracleCheat, PretestPlugin, estimator_worst_case
 from .limits import canonical_scenarios
 from .montecarlo import uniform_rate_experiment
-from .normal_kernel import _check_count, _check_real, _check_seed
+from .normal_kernel import _check_count, _check_real, _check_seed, _one_of
 from .report import ExperimentReport
 from .selection import PowerTuningPath, ThetaRule, selection_convergence_table
 
@@ -134,13 +134,6 @@ def _density_table(dist: MixtureDistribution, lo: float, hi: float, count: int) 
     return table, (xs, ys), atoms
 
 
-def _one_of(value, table: dict, name: str):
-    """value if it is a key of table, else a ValueError naming it; a tuple test, so an unhashable value is no key."""
-    if value not in tuple(table):
-        raise ValueError(f"{name} must be one of {', '.join(map(str, table))} (got {value!r})")
-    return value
-
-
 def _point_and_tuning(params: dict) -> tuple:
     # a replayed manifest may hold any value; ModelPoint and TuningPlan check each and store an int or floats,
     # and theta is one number, since a figure or a table shows one law, not a batch
@@ -220,17 +213,11 @@ def _config_with_defaults(name: str, config: dict) -> dict:
     return cfg
 
 
-def _theta_rule_from_config(cfg: dict) -> ThetaRule:
-    rule = cfg["rule"]
-    if rule == "local":
-        return ThetaRule.local(cfg["nu"], perturb=cfg["perturb"])
-    if rule == "eta_multiple":
-        return ThetaRule.eta_multiple(cfg["zeta"])
-    if rule == "boundary":
-        return ThetaRule.boundary(cfg["zeta"], cfg["r"], perturb=cfg["perturb"])
-    if rule == "fixed":
-        return ThetaRule.fixed(cfg["theta"])
-    raise ValueError(f"unknown theta rule {rule!r}")
+# each theta rule's reader of the selection config
+THETA_RULES = {"local": lambda cfg: ThetaRule.local(cfg["nu"], perturb=cfg["perturb"]),
+               "eta_multiple": lambda cfg: ThetaRule.eta_multiple(cfg["zeta"]),
+               "boundary": lambda cfg: ThetaRule.boundary(cfg["zeta"], cfg["r"], perturb=cfg["perturb"]),
+               "fixed": lambda cfg: ThetaRule.fixed(cfg["theta"])}
 
 
 def _power_path(cfg: dict) -> PowerTuningPath:
@@ -239,7 +226,7 @@ def _power_path(cfg: dict) -> PowerTuningPath:
 
 def _experiment_selection(cfg: dict, seed: int) -> tuple:
     path = _power_path(cfg)
-    rule = _theta_rule_from_config(cfg)
+    rule = THETA_RULES[_one_of(cfg["rule"], THETA_RULES, "rule")](cfg)
     report = selection_convergence_table(path, rule, cfg["n_list"])
     gaps = report.column("gap")
     ok = abs(gaps[-1]) < abs(gaps[0]) or abs(gaps[-1]) <= 1e-12
@@ -251,10 +238,7 @@ def _experiment_selection(cfg: dict, seed: int) -> tuple:
 def _experiment_limits(cfg: dict, seed: int) -> tuple:
     scenarios = canonical_scenarios(cfg["a"])
     if cfg["scenario"] != ["all"]:
-        names = set(cfg["scenario"])
-        unknown = names - {s.name for s in scenarios}
-        if unknown:
-            raise ValueError(f"no convergence scenario named {sorted(map(str, unknown))}")
+        names = [_one_of(name, [s.name for s in scenarios], "scenario") for name in cfg["scenario"]]
         scenarios = [s for s in scenarios if s.name in names]
     files, checks = {}, []
     for sc in scenarios:
@@ -286,11 +270,8 @@ def _experiment_impossibility(cfg: dict, seed: int) -> tuple:
     threshold = _check_real(cfg["threshold"], "threshold")
     specs = {"oracle": OracleCheat(), "pretest": PretestPlugin(consistent=path.exponent < 0.5),
              "bootstrap": MOutOfNBootstrap(path=path)}
-    if name not in specs:
-        raise ValueError(f"unknown cdf estimator {name!r}")
-    report = estimator_worst_case(
-        specs[name], kind, n, cfg["t"], tuning, cfg["c"], seed=seed, replications=cfg["reps"],
-    )
+    report = estimator_worst_case(specs[_one_of(name, specs, "estimator")], kind, n, cfg["t"], tuning, cfg["c"],
+                                  seed=seed, replications=cfg["reps"])
     summary = {k: report.meta[k] for k in ("epsilon", "epsilon_range", "bound", "sup", "witness_theta")}
     ok = report.meta["sup"] <= tol if name == "oracle" else report.meta["sup"] >= threshold
     checks = [{"name": f"{name}-worst-case", "pass": bool(ok), "sup": report.meta["sup"]}]
@@ -313,6 +294,19 @@ def run_experiment(params: dict) -> tuple:
 
 # each runner takes params and returns ({file name: report or text}, whether every check passed)
 RUNNERS = {"figure": run_figure, "dist": run_dist, "experiment": run_experiment}
+# the params keys that each command writes into its manifest, all of which a rerun requires
+PARAMS_KEYS = {"figure": ("which", *FIGURE_DEFAULTS), "dist": ("kind", "n", "theta", "eta", "a", "scaling", "grid"),
+               "experiment": ("name", "config", "seed")}
+
+
+def _with_keys(mapping, keys, name: str) -> dict:
+    """mapping if it is a dict holding each of keys, else a ValueError naming the first it lacks."""
+    if not isinstance(mapping, dict):
+        raise ValueError(f"{name} must map keys to values (got {mapping!r})")
+    for key in keys:
+        if key not in mapping:
+            raise ValueError(f"{name} must hold the key {key!r}")
+    return mapping
 
 
 def _dispatch(command: str, params: dict, out_dir: Path) -> int:
@@ -373,9 +367,11 @@ def main(argv=None) -> int:
     try:
         if args.command == "rerun":
             manifest = json.loads(Path(args.manifest).read_text())
-            command, params = _one_of(manifest["command"], RUNNERS, "manifest command"), manifest["params"]
-            if not isinstance(params, dict):
-                raise ValueError(f"manifest params must map keys to values (got {params!r})")
+            _with_keys(manifest, ("command", "params", "seed"), "manifest")
+            command = _one_of(manifest["command"], RUNNERS, "manifest command")
+            params = _with_keys(manifest["params"], PARAMS_KEYS[command], "manifest params")
+            for key in params:
+                _one_of(key, PARAMS_KEYS[command], "manifest params key")
             seed, params_seed = manifest["seed"], params.get("seed")
             if seed != params_seed:
                 raise ValueError(f"manifest seed {seed!r} differs from its params seed {params_seed!r}")

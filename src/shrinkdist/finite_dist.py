@@ -191,8 +191,8 @@ class MixtureDistribution:
     the same ValueError alone or in a batch.
 
     Building a single law makes one normal-cdf call over both mapped ends of
-    every piece and keeps each piece's Phi values and mass for every later
-    evaluation; `second_moment` reuses those Phi values and makes one
+    every piece and keeps each piece's lower Phi value and mass for every
+    later evaluation; `second_moment` reuses those masses and makes one
     normal-pdf call (plus one over the nodes of its short pieces).  `cdf` and
     `density_ac` are one walk over the pieces with two integrands, the same
     walk for a law and a batch: each point is evaluated only by the piece
@@ -213,8 +213,7 @@ class MixtureDistribution:
         phi = _phi_at_ends(pieces, shape is not None) if _phi is None else _phi
         object.__setattr__(self, "_shape", shape)
         object.__setattr__(self, "_phi_lower", tuple(phi[0::2]))
-        object.__setattr__(self, "_phi_upper", tuple(phi[1::2]))
-        object.__setattr__(self, "_masses", tuple(hi - lo for lo, hi in zip(self._phi_lower, self._phi_upper)))
+        object.__setattr__(self, "_masses", tuple(hi - lo for lo, hi in zip(self._phi_lower, phi[1::2])))
         total = self.total_mass()
         worst = abs(total - 1.0) if shape is None else np.max(abs(total - 1.0))
         if worst > _MASS_TOL:
@@ -337,13 +336,11 @@ class MixtureDistribution:
             f = slope * x**2 * norm_pdf(slope * x + shift)
             quadrature = iter([h * float(np.dot(_GL_WEIGHTS, row)) for h, row in zip(half.ravel().tolist(), f)])
         ac = 0.0
-        for (s, b, _, _), (za, zb), sh, phi_a, phi_b in zip(self.pieces, mapped, short,
-                                                            self._phi_lower, self._phi_upper):
+        for (s, b, _, _), (za, zb), sh, i0 in zip(self.pieces, mapped, short, self._masses):
             if sh:
                 ac += next(quadrature)
                 continue
             pa, pb = next(pdf), next(pdf)  # exactly 0.0 at an infinite end
-            i0 = phi_b - phi_a
             i1 = pa - pb
             # z * pdf(z) has the limit 0 at +-inf
             i2 = i0 + (0.0 if math.isinf(za) else za * pa) - (0.0 if math.isinf(zb) else zb * pb)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .estimators import DEFAULT_SCAD_A, EstimatorKind, TuningPlan
 from .finite_dist import LAWS, Atom, GaussPiece, MixtureDistribution, ModelPoint, _mixture
-from .normal_kernel import _check_real, _check_sizes, norm_cdf
+from .normal_kernel import _check_real, _check_sizes, _one_of, norm_cdf
 from .report import ExperimentReport
 from .selection import PowerTuningPath, RegimeError, RegimeSpec, ThetaRule, derive_regime
 
@@ -199,8 +199,7 @@ class ConvergenceScenario:
     extra_grid: tuple = ()
 
     def __post_init__(self):
-        if self.scaling not in tuple(LAWS):  # a tuple, so that an unhashable scaling is "not one of" too
-            raise ValueError(f"unknown scaling {self.scaling!r}; expected 'sqrt_n' or 'inv_eta'")
+        _one_of(self.scaling, LAWS, "scaling")
 
     def regime(self) -> RegimeSpec:
         return derive_regime(self.path, self.rule)

@@ -37,7 +37,7 @@ from scipy.special import ndtri
 
 from .estimators import DEFAULT_SCAD_A, EstimatorKind, TuningPlan, estimate
 from .finite_dist import MixtureDistribution, ModelPoint, finite_sample_dist
-from .normal_kernel import _check_count, _check_real, _check_seed, _check_sizes, _no_nan, norm_cdf
+from .normal_kernel import _check_count, _check_real, _check_seed, _check_sizes, _no_nan, _one_of, norm_cdf
 from .report import ExperimentReport
 
 __all__ = [
@@ -333,8 +333,7 @@ def uniform_rate_experiment(
     of laws.
     """
     n_list, M = _check_sizes(n_list, "n_list"), _check_real(M, "M", gt=2)
-    if scaling not in ("a_n", "sqrt_n"):
-        raise ValueError(f"unknown scaling {scaling!r}; expected 'a_n' or 'sqrt_n'")
+    _one_of(scaling, ("a_n", "sqrt_n"), "scaling")
     bound = 2.0 * norm_cdf(-M / 2.0) + norm_cdf(-M / 2.0 + 1.0)
     report = ExperimentReport(
         columns=("n", "eta", "rate", "sup_prob", "worst_theta", "bound", "within_bound"),

@@ -94,8 +94,16 @@ def _check_sizes(sizes, name: str) -> list:
     return counts
 
 
+def _one_of(value, choices, name: str):
+    """value if it is one of choices, else a ValueError naming it; a tuple test, so an unhashable value is not one."""
+    if value not in tuple(choices):
+        raise ValueError(f"{name} must be one of {', '.join(map(str, choices))} (got {value!r})")
+    return value
+
+
 def _no_nan(x) -> np.ndarray:
-    """x as a float array; NaN raises ValueError (searchsorted would sort NaN past every value)."""
+    """x as a float array; NaN raises ValueError: a law's cdf or density would silently read it as 0, and
+    the searchsorted of `EmpiricalCdf.fraction_at` would sort it past every value."""
     x = np.asarray(x, dtype=float)
     if np.isnan(x).any():
         raise ValueError("x must not be NaN")

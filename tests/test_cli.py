@@ -23,9 +23,12 @@ from shrinkdist.cli import (
 )
 from shrinkdist.estimators import DEFAULT_SCAD_A, EstimatorKind, TuningPlan
 from shrinkdist.finite_dist import MixtureDistribution, ModelPoint, finite_sample_dist
+from shrinkdist.limits import canonical_scenarios
 from shrinkdist.normal_kernel import norm_cdf
 
 DIST = ["dist", "--kind", "hard", "--n", "25", "--theta", "-0.3", "--eta", "0.08"]
+SCENARIO_NAMES = [s.name for s in canonical_scenarios()]
+MISSING = object()  # a manifest edit that deletes its key
 
 
 def read_csv(path):
@@ -337,15 +340,34 @@ def test_rerun_rejects_fractional_n(tmp_path, capsys, argv):
     (DIST, "command", ["dist"], "manifest command must be one of figure, dist, experiment (got ['dist'])"),
     (DIST, "command", "plot", "manifest command must be one of figure, dist, experiment (got 'plot')"),
     (DIST, "params", [1], "manifest params must map keys to values (got [1])"),
+    (DIST, None, [1], "manifest must map keys to values (got [1])"),
+    (DIST, None, None, "manifest must map keys to values (got None)"),
+    (DIST, None, "dist", "manifest must map keys to values (got 'dist')"),
+    (DIST, "command", MISSING, "manifest must hold the key 'command'"),
+    (DIST, "params", MISSING, "manifest must hold the key 'params'"),
+    (["figure", "1"], "seed", MISSING, "manifest must hold the key 'seed'"),
+    (DIST, "grid", MISSING, "manifest params must hold the key 'grid'"),
+    (["figure", "1"], "bogus", 1, "manifest params key must be one of which, n, theta, eta, a (got 'bogus')"),
+    (DIST, "bogus", 1, "manifest params key must be one of kind, n, theta, eta, a, scaling, grid (got 'bogus')"),
+    (["experiment", "selection"], "bogus", 1, "manifest params key must be one of name, config, seed (got 'bogus')"),
 ], ids=["which-fraction", "theta-str", "grid-count-fraction", "eta-bool", "which-4", "figure-theta-list",
         "dist-theta-list", "kind-int", "scaling-list", "scaling-unknown", "grid-int", "grid-two-items",
-        "name-list", "name-unknown", "config-list", "command-list", "command-unknown", "params-list"])
+        "name-list", "name-unknown", "config-list", "command-list", "command-unknown", "params-list",
+        "manifest-list", "manifest-null", "manifest-string", "no-command", "no-params", "no-seed", "no-grid",
+        "figure-unknown-key", "dist-unknown-key", "experiment-unknown-key"])
 def test_rerun_rejects_a_manifest_value_it_would_have_cast(tmp_path, capsys, argv, key, value, message):
     out = tmp_path / "run"
     assert main([*argv, "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    # "command" and "params" are the manifest's own keys, the rest keys of its params
-    (manifest if key in ("command", "params") else manifest["params"])[key] = value
+    # key None stands for the whole manifest; "command", "params" and "seed" are the manifest's own keys,
+    # the rest keys of its params; the value MISSING deletes the key
+    where = manifest if key in ("command", "params", "seed") else manifest["params"]
+    if key is None:
+        manifest = value
+    elif value is MISSING:
+        del where[key]
+    else:
+        where[key] = value
     (out / "manifest.json").write_text(json.dumps(manifest))
     capsys.readouterr()
     assert main(["rerun", str(out / "manifest.json"), "--out", str(tmp_path / "replay")]) == 2
@@ -453,14 +475,18 @@ def test_config_keys_are_the_readme_experiment_keys():
     ("selection", "rule=eta_multiple\n", "zeta must be a finite real number (got None)"),
     ("selection", "rule=boundary\nzeta=1\n", "r must be a finite real number (got None)"),
     ("selection", "rule=fixed\n", "value must be a finite real number (got None)"),
-    ("selection", "rule=constant\n", "unknown theta rule 'constant'"),
-    ("impossibility", "estimator=jackknife\nn=100\nreps=50\n", "unknown cdf estimator 'jackknife'"),
+    ("selection", "rule=constant\n", "rule must be one of local, eta_multiple, boundary, fixed (got 'constant')"),
+    ("impossibility", "estimator=jackknife\nn=100\nreps=50\n",
+     "estimator must be one of oracle, pretest, bootstrap (got 'jackknife')"),
+    ("limits", "scenario=foo\n", f"scenario must be one of {', '.join(SCENARIO_NAMES)} (got 'foo')"),
+    ("uniform-rate", "scaling=inv\n", "scaling must be one of a_n, sqrt_n (got 'inv')"),
     ("uniform-rate", "kind=3\n", "unknown estimator kind 3; expected hard, soft, or scad"),
     ("impossibility", "kind=3\n", "unknown estimator kind 3; expected hard, soft, or scad"),
 ], ids=["misspelt-key", "json-misspelt-key", "n-for-uniform-rate", "M-for-selection", "n_list-for-limits",
         "oracle_tol-abc", "threshold-nan", "n_probe-decreasing", "n_list-repeated", "M-abc", "gamma-above-half",
         "theta-inf", "a-abc", "c-inside-t", "eta_multiple-without-zeta", "boundary-without-r", "fixed-without-theta",
-        "unknown-rule", "unknown-estimator", "uniform-rate-kind-int", "impossibility-kind-int"])
+        "unknown-rule", "unknown-estimator", "unknown-scenario", "unknown-scaling", "uniform-rate-kind-int",
+        "impossibility-kind-int"])
 def test_experiment_bad_value_exits_2_naming_the_key(tmp_path, capsys, name, text, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)

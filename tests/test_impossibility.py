@@ -290,13 +290,32 @@ BOOT_N = 10_000
 RESAMPLES = 20_000
 
 
-def binomial_band(p):
-    """4 binomial SDs of a resampled fraction, plus one resample of slack.
+def binomial_band(p, count=RESAMPLES):
+    """4 binomial SDs of a fraction of count resamples, plus one resample of slack.
 
     The slack covers values of p so near 0 or 1 that the expected number of
     resamples on the rare side is below one, where the SD alone is no band.
     """
-    return 4.0 * np.sqrt(p * (1.0 - p) / RESAMPLES) + 1.0 / RESAMPLES
+    return 4.0 * np.sqrt(p * (1.0 - p) / count) + 1.0 / count
+
+
+@pytest.mark.parametrize("n", [1000, 10_000])
+@pytest.mark.parametrize("consistent", [True, False], ids=["consistent", "conservative"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_pretest_worst_case_rows_match_their_exact_error_probabilities(kind, consistent, n):
+    # the pretest takes one value below -n**-0.25, one up to n**-0.25 and one above, so a row's exact
+    # error probability is the N(theta, 1/n) mass of the regions whose value misses the true cdf by more
+    # than epsilon: a sum of at most three Phi differences
+    path = CONSISTENT_PATH if consistent else PowerTuningPath(1.0, 0.5)
+    tuning = TuningPlan(path.eta(n))
+    rep = estimator_worst_case(PretestPlugin(consistent=consistent), kind, n, 0.0, tuning, 2.0, seed=7)
+    values = reference_pretest_cdf(kind, consistent, n, tuning, 0.0, np.array([-np.inf, 0.0, np.inf]))
+    thetas = np.array(rep.column("theta"))
+    truths = finite_sample_dist(kind, ModelPoint(n, thetas), tuning).cdf(0.0)
+    below, up_to = (norm_cdf(math.sqrt(n) * (end - thetas)) for end in (-n**-0.25, n**-0.25))
+    masses = np.stack([below, up_to - below, 1.0 - up_to])
+    exact = np.sum(masses, axis=0, where=np.abs(values[:, None] - truths) > rep.meta["epsilon"])
+    assert np.all(np.abs(np.array(rep.column("err_prob")) - exact) <= binomial_band(exact, 10_000))
 
 
 def bootstrap_problem(kind, full_n: bool, t: float):

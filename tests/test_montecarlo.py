@@ -446,7 +446,7 @@ class TestUniformRate:
         assert probs[0] < 0.01 < probs[1]
 
     def test_rejects_unknown_scaling(self):
-        with pytest.raises(ValueError, match="scaling"):
+        with pytest.raises(ValueError, match=r"^scaling must be one of a_n, sqrt_n \(got 'bogus'\)$"):
             uniform_rate_experiment(EstimatorKind.HARD, PowerTuningPath(1.0, 0.25), 6.0, [100], scaling="bogus")
 
     def test_requires_m_above_two(self):
