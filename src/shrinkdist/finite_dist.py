@@ -123,51 +123,56 @@ def _density_term(s, b, base, x):
     return s * norm_pdf(s * x + b)
 
 
-def _phi_at_ends(pieces, batch: bool) -> list:
-    """Phi at both mapped ends s*end + b of every piece, lower end first: one kernel call for a law.
+def _phi_at_ends(pieces, batch: bool) -> tuple:
+    """(ends, Phi at ends): a law's mapped ends s*end + b as [lower, upper] float pairs, and one kernel call.
 
-    A batch makes one call per end on B values (one stacked call raised peak memory), and none at an
-    end infinite for every law, where Phi is exactly 0 or 1.
+    A batch keeps no ends (None) and makes one call per end on B values (one stacked call raised peak
+    memory), and none at an end infinite for every law, where Phi is exactly 0 or 1.
     """
-    ends = (s * end + b for s, b, lo, hi in pieces for end in (lo, hi))
-    return (norm_cdf(np.fromiter(ends, float)).tolist() if not batch else
-            [(z > 0.0) * 1.0 if np.isinf(z).all() else norm_cdf(z) for z in ends])
+    if batch:
+        ends = (s * end + b for s, b, lo, hi in pieces for end in (lo, hi))
+        return None, [(z > 0.0) * 1.0 if np.isinf(z).all() else norm_cdf(z) for z in ends]
+    ends = np.array([s * end + b for s, b, lo, hi in pieces for end in (lo, hi)])
+    return ends.reshape(-1, 2).tolist(), norm_cdf(ends).tolist()
 
 
 def _checked_records(atoms, pieces) -> tuple:
     """The atoms and pieces of a law or of a batch of laws, coerced and checked, and the batch shape.
 
-    Records whose fields are all floats (or 0-d) make a single law, whose
-    shape is None.  Otherwise each field is copied once as a float array in
-    its own shape, so a field shared by every law (a piece's slope, say) is
-    one value, checked and built on once.  One pass then checks a law and a
-    batch alike, record by record, each check a comparison that reads the
-    same on a float and on an array; one bad law rejects the batch with the
-    message it raises alone.
+    When all are `Atom` and `GaussPiece` records of exact floats they are
+    kept as they are; other numbers (or 0-d arrays) are coerced to such
+    records.  Either makes a single law, whose shape is None.  Otherwise
+    each field is copied once as a float array in its own shape, so a field
+    shared by every law (a piece's slope, say) is one value, checked and
+    built on once.  One pass checks a law by plain float comparisons and a
+    batch by the same ones on arrays, record by record; one bad law rejects
+    the batch with its own message.
     """
-    try:
-        atoms = tuple(Atom(*map(float, a)) for a in atoms)
-        pieces = tuple(GaussPiece(*map(float, p)) for p in pieces)
-        shape, ok = None, bool
-    except TypeError:  # float() rejects arrays of one or more dimensions
-        atoms = tuple(Atom(*(np.array(v, dtype=float) for v in a)) for a in atoms)
-        pieces = tuple(GaussPiece(*(np.array(v, dtype=float) for v in p)) for p in pieces)
-        shape, ok = np.broadcast_shapes(*(v.shape for r in (*atoms, *pieces) for v in r)), np.all
-    inf = math.inf
+    atoms, pieces, shape = tuple(atoms), tuple(pieces), None
+    if not ({*map(type, atoms)} <= {Atom} and {*map(type, pieces)} <= {GaussPiece}
+            and {type(v) for r in (*atoms, *pieces) for v in r} <= {float}):
+        try:
+            atoms = tuple(Atom(*map(float, a)) for a in atoms)
+            pieces = tuple(GaussPiece(*map(float, p)) for p in pieces)
+        except TypeError:  # float() rejects arrays of one or more dimensions
+            atoms = tuple(Atom(*(np.array(v, dtype=float) for v in a)) for a in atoms)
+            pieces = tuple(GaussPiece(*(np.array(v, dtype=float) for v in p)) for p in pieces)
+            shape = np.broadcast_shapes(*(v.shape for r in (*atoms, *pieces) for v in r))
+    inf, one_law = math.inf, shape is None
     for loc, w in atoms:
-        if not ok(loc == loc):
+        if not (loc == loc if one_law else np.all(loc == loc)):
             raise ValueError("atom location must not be NaN")
-        if not ok((w >= 0.0) & (w < inf)):
+        if not (0.0 <= w < inf if one_law else np.all((w >= 0.0) & (w < inf))):
             raise ValueError("atom weight must be finite and nonnegative")
     for s, b, lower, upper in pieces:
-        if not ok((s > 0.0) & (s < inf)):
+        if not (0.0 < s < inf if one_law else np.all((s > 0.0) & (s < inf))):
             raise ValueError("slope must be finite and positive")
-        if not ok(abs(b) < inf):
+        if not (abs(b) < inf if one_law else np.all(abs(b) < inf)):
             raise ValueError("shift must be finite")
-        if not ok(lower <= upper):
+        if not (lower <= upper if one_law else np.all(lower <= upper)):
             raise ValueError("piece interval requires lower < upper (lower == upper is an empty piece)")
     for i, a in enumerate(atoms):
-        if not all(ok(a.loc != other.loc) for other in atoms[i + 1:]):
+        if not all(a.loc != q.loc if one_law else np.all(a.loc != q.loc) for q in atoms[i + 1:]):
             raise ValueError("atom locations must be pairwise distinct")
     return atoms, pieces, shape
 
@@ -190,28 +195,30 @@ class MixtureDistribution:
     and a batch alike, record by record, so the same faulty records raise
     the same ValueError alone or in a batch.
 
-    Building a single law makes one normal-cdf call over both mapped ends of
-    every piece and keeps each piece's lower Phi value and mass for every
-    later evaluation; `second_moment` reuses those masses and makes one
-    normal-pdf call (plus one over the nodes of its short pieces).  `cdf` and
-    `density_ac` are one walk over the pieces with two integrands, the same
-    walk for a law and a batch: each point is evaluated only by the piece
-    that holds it.  A batch's build makes no kernel call at
-    a piece end that is infinite for every law.  The private `_phi` takes
-    the Phi values `_phi_at_ends` gives for these very records, which
-    `_mixture` has already taken for the atom's weight.
+    Building a single law keeps records of exact floats as they are, maps
+    each piece end once, makes one normal-cdf call over them, and keeps the
+    mapped ends and each piece's lower Phi value and mass; `second_moment`
+    reuses those ends and masses and makes one normal-pdf call (plus one
+    over the nodes of its short pieces).  `cdf` and `density_ac` are one
+    walk over the pieces with two integrands, the same walk for a law and a
+    batch: each point is evaluated only by the piece that holds it.  A
+    batch's build keeps no mapped ends and makes no kernel call at a piece
+    end that is infinite for every law.  The private `_phi` takes the
+    mapped ends and Phi values `_phi_at_ends` gives for these very records,
+    which `_mixture` has already taken for the atom's weight.
     """
 
     atoms: tuple
     pieces: tuple
-    _phi: InitVar[list | None] = None
+    _phi: InitVar[tuple | None] = None
 
     def __post_init__(self, _phi):
         atoms, pieces, shape = _checked_records(self.atoms, self.pieces)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "pieces", pieces)
-        phi = _phi_at_ends(pieces, shape is not None) if _phi is None else _phi
+        ends, phi = _phi_at_ends(pieces, shape is not None) if _phi is None else _phi
         object.__setattr__(self, "_shape", shape)
+        object.__setattr__(self, "_ends", ends)
         object.__setattr__(self, "_phi_lower", tuple(phi[0::2]))
         object.__setattr__(self, "_masses", tuple(hi - lo for lo, hi in zip(self._phi_lower, phi[1::2])))
         total = self.total_mass()
@@ -325,10 +332,9 @@ class MixtureDistribution:
                     return math.inf
                 continue
             out += _times_square(w, loc)
-        mapped = [(s * lo + b, s * hi + b) for s, b, lo, hi in self.pieces]
         # an empty piece takes the closed form, which gives it exactly 0 where the nodes' x**2 may overflow
-        short = [lo < hi and abs(zb - za) < _SHORT_PIECE for (za, zb), (_, _, lo, hi) in zip(mapped, self.pieces)]
-        pdf = iter(norm_pdf(np.array([z for zs, sh in zip(mapped, short) if not sh for z in zs])).tolist())
+        short = [lo < hi and abs(zb - za) < _SHORT_PIECE for (za, zb), (_, _, lo, hi) in zip(self._ends, self.pieces)]
+        pdf = norm_pdf(np.array(self._ends)).tolist()  # at the build's mapped ends; exactly 0.0 at an infinite one
         if any(short):  # one row of quadrature nodes per short piece
             slope, shift, lower, upper = np.array([p for p, sh in zip(self.pieces, short) if sh]).T[..., None]
             half = 0.5 * (upper - lower)
@@ -336,14 +342,13 @@ class MixtureDistribution:
             f = slope * x**2 * norm_pdf(slope * x + shift)
             quadrature = iter([h * float(np.dot(_GL_WEIGHTS, row)) for h, row in zip(half.ravel().tolist(), f)])
         ac = 0.0
-        for (s, b, _, _), (za, zb), sh, i0 in zip(self.pieces, mapped, short, self._masses):
+        for (s, b, _, _), (za, zb), (pa, pb), sh, i0 in zip(self.pieces, self._ends, pdf, short, self._masses):
             if sh:
                 ac += next(quadrature)
                 continue
-            pa, pb = next(pdf), next(pdf)  # exactly 0.0 at an infinite end
             i1 = pa - pb
-            # z * pdf(z) has the limit 0 at +-inf
-            i2 = i0 + (0.0 if math.isinf(za) else za * pa) - (0.0 if math.isinf(zb) else zb * pb)
+            # z * pdf(z) has the limit 0 at +-inf, where pdf is 0.0; at a finite z, z * 0.0 adds nothing either
+            i2 = i0 + (za * pa if pa else 0.0) - (zb * pb if pb else 0.0)
             moment = i2 - 2.0 * b * i1 + _times_square(i0, b)
             # s / s**3, not 1/s**2, which differs in the last bit; where s**3 would over- or underflow,
             # two divisions, which overflow only where the term does
@@ -431,7 +436,7 @@ def _mixture(kind: EstimatorKind, loc, se: float, a: float) -> MixtureDistributi
     Past the float range loc -+ a*se is -+inf, its blend piece is empty, and
     the blend's shift (loc -+ a*se)/(a-1) is clipped to a float.
     """
-    batch = np.ndim(loc) != 0
+    batch = isinstance(loc, np.ndarray) and loc.ndim != 0
     if kind is EstimatorKind.HARD:
         pieces = (GaussPiece(1.0, 0.0, -math.inf, loc - se), GaussPiece(1.0, 0.0, loc + se, math.inf))
     elif kind is EstimatorKind.SOFT:
@@ -450,8 +455,8 @@ def _mixture(kind: EstimatorKind, loc, se: float, a: float) -> MixtureDistributi
         )
     else:
         raise ValueError(f"unknown estimator kind {kind!r}")
-    phi = _phi_at_ends(pieces, batch)  # a -0.0 end may map to +0.0: Phi is 0.5 at both
-    return MixtureDistribution((Atom(loc, phi[len(pieces)] - phi[len(pieces) - 1]),), pieces, phi)
+    ends, phi = _phi_at_ends(pieces, batch)  # a -0.0 end may map to +0.0: Phi is 0.5 at both
+    return MixtureDistribution((Atom(loc, phi[len(pieces)] - phi[len(pieces) - 1]),), pieces, (ends, phi))
 
 
 def finite_sample_dist(kind: EstimatorKind, point: ModelPoint, tuning: TuningPlan) -> MixtureDistribution:

@@ -53,7 +53,7 @@ __all__ = [
 _BATCH = 1 << 19  # draws per spawned stream
 _BLOCK = 1 << 14  # values per block of the sample path; divides _BATCH, so no block straddles two streams
 _SUB = 1 << 6  # values per sub-block of the KS bound; divides _BLOCK
-_SLACK = 1e-12  # margin of the KS bound over the cdf's rounding, which is about 1e-15
+_SLACK = 1e-12  # margin of the KS bound over the cdf's rounding (about 1e-15); no known input makes it bind
 _U_ONE = 1 << 53  # the uniforms are k/2^53 for the integers k in [1, 2^53)
 _U_DENOM = float(_U_ONE)
 _SKIP_MARGIN = 1e-7  # relative margin of the atom range over the rounding of the draw

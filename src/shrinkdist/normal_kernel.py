@@ -95,8 +95,9 @@ def _check_sizes(sizes, name: str) -> list:
 
 
 def _one_of(value, choices, name: str):
-    """value if it is one of choices, else a ValueError naming it; a tuple test, so an unhashable value is not one."""
-    if value not in tuple(choices):
+    """value if it is one of choices, else a ValueError naming it.  A tuple test, so an unhashable value is
+    not one; nor is any array, whose `in` test raises numpy's own error or lets a 0-d array through."""
+    if isinstance(value, np.ndarray) or value not in tuple(choices):
         raise ValueError(f"{name} must be one of {', '.join(map(str, choices))} (got {value!r})")
     return value
 

@@ -352,7 +352,7 @@ class TestScenarios:
         assert sc.regime().r == 0.0
         assert max(sc.check([1000, 10**6, 10**9]).column("sup_gap")) <= 1e-14
 
-    @pytest.mark.parametrize("scaling", ["inv-eta", ["sqrt_n"], None])
+    @pytest.mark.parametrize("scaling", ["inv-eta", ["sqrt_n"], None, np.array("sqrt_n"), np.array(["sqrt_n", "x"])])
     def test_unknown_scaling_rejected(self, scaling):
         with pytest.raises(ValueError) as err:
             ConvergenceScenario("hard-rescaled-boundary", HARD, PowerTuningPath(1.0, 0.25),

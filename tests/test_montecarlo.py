@@ -449,6 +449,12 @@ class TestUniformRate:
         with pytest.raises(ValueError, match=r"^scaling must be one of a_n, sqrt_n \(got 'bogus'\)$"):
             uniform_rate_experiment(EstimatorKind.HARD, PowerTuningPath(1.0, 0.25), 6.0, [100], scaling="bogus")
 
+    @pytest.mark.parametrize("scaling", [np.array(["a_n", "x"]), np.array("sqrt_n"), np.array(["a_n"])])
+    def test_rejects_an_array_scaling_by_name(self, scaling):
+        with pytest.raises(ValueError) as err:
+            uniform_rate_experiment(EstimatorKind.HARD, PowerTuningPath(1.0, 0.25), 6.0, [100], scaling=scaling)
+        assert str(err.value) == f"scaling must be one of a_n, sqrt_n (got {scaling!r})"
+
     def test_requires_m_above_two(self):
         with pytest.raises(ValueError):
             uniform_rate_experiment(EstimatorKind.HARD, PowerTuningPath(1.0, 0.25), 2.0, [100])
