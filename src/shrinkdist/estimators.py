@@ -77,7 +77,8 @@ def estimate(kind: EstimatorKind, ybar, tuning: TuningPlan):
     elif kind is EstimatorKind.SCAD:
         a, sign, magnitude = tuning.scad_a, np.sign(y), np.abs(y)
         soft = sign * np.maximum(magnitude - eta, 0.0)
-        # clamped into [eta, a*eta] by sign: near a = 2 the quotient rounds past its ends, and the clamp keeps
+        # clamped into [eta, a*eta] by sign: the quotient can round past those ends, near a = 2 and also one ulp
+        # above 2*eta at ordinary a (at a = 2.227, eta = 9.1e-7 it gives the float below eta), and the clamp keeps
         # the map monotone there; elsewhere it is ((a - 1)*y - sign*a*eta)/(a - 2) bit for bit
         blend = sign * np.clip(((a - 1.0) * magnitude - a * eta) / (a - 2.0), eta, a * eta)
         out = np.where(magnitude <= 2.0 * eta, soft, np.where(magnitude <= a * eta, blend, y))

@@ -418,43 +418,48 @@ def _clip_to_floats(v, batch: bool):
     return np.clip(v, -_FLOAT_MAX, _FLOAT_MAX) if batch else min(max(v, -_FLOAT_MAX), _FLOAT_MAX)
 
 
-def _mixture(kind: EstimatorKind, loc, se: float, a: float) -> MixtureDistribution:
-    """Law of sqrt(n)*(estimate - theta) at loc = -sqrt(n)*theta, se = sqrt(n)*eta.
+def _pieces(kind: EstimatorKind, knot, se, a: float, batch: bool = False) -> tuple:
+    """A kind's pieces, left to right, ending at `knot(c)`, the point where the estimate is c*eta.
 
-    Every kind shares the atom at loc, carried by the event estimate == 0;
-    only the pieces differ.  An array loc gives a batch of laws.  The atom's
-    weight comes from the build's Phi at the middle two mapped ends, loc -+ se,
-    and is `_zero_mass(loc, se)` bit for bit.  Hard
-    excises (loc - se, loc + se], soft shifts each side by -+se, and scad
-    has six pieces, from left to right:
-      (-inf, loc - a*se]       normal tail,
-      (loc - a*se, loc - se]   blend, slope (a-2)/(a-1),
-      (loc - se, loc]          soft-type, shift -se,
-      (loc, loc + se]          soft-type, shift +se,
-      (loc + se, loc + a*se]   blend,
-      (loc + a*se, inf)        normal tail.
-    Past the float range loc -+ a*se is -+inf, its blend piece is empty, and
-    the blend's shift (loc -+ a*se)/(a-1) is clipped to a float.
+    `knot(c)` is sqrt(n)*(c*eta - theta), the knot x_k of the estimator map in ROADMAP.md, for c in
+    {0, -+1, -+a}; a limit law passes the knots' limits.  Hard excises (knot(-1), knot(1)], soft
+    shifts each side of knot(0) by -+se, and scad has six pieces:
+      (-inf, knot(-a)]        normal tail,
+      (knot(-a), knot(-1)]    blend, slope (a-2)/(a-1), shift knot(-a)/(a-1),
+      (knot(-1), knot(0)]     soft-type, shift -se,
+      (knot(0), knot(1)]      soft-type, shift +se,
+      (knot(1), knot(a)]      blend, shift knot(a)/(a-1),
+      (knot(a), inf)          normal tail.
+    Past the float range a knot is -+inf, its blend piece is empty, and the blend's shift is clipped
+    to a float.
     """
-    batch = isinstance(loc, np.ndarray) and loc.ndim != 0
     if kind is EstimatorKind.HARD:
-        pieces = (GaussPiece(1.0, 0.0, -math.inf, loc - se), GaussPiece(1.0, 0.0, loc + se, math.inf))
-    elif kind is EstimatorKind.SOFT:
-        pieces = (GaussPiece(1.0, -se, -math.inf, loc), GaussPiece(1.0, se, loc, math.inf))
-    elif kind is EstimatorKind.SCAD:
+        return GaussPiece(1.0, 0.0, -math.inf, knot(-1)), GaussPiece(1.0, 0.0, knot(1), math.inf)
+    if kind is EstimatorKind.SOFT:
+        return GaussPiece(1.0, -se, -math.inf, knot(0)), GaussPiece(1.0, se, knot(0), math.inf)
+    if kind is EstimatorKind.SCAD:
         ratio = (a - 2.0) / (a - 1.0)
-        b_lo = loc - a * se
-        b_hi = loc + a * se
-        pieces = (
+        b_lo, lo, mid, hi, b_hi = map(knot, (-a, -1, 0, 1, a))
+        return (
             GaussPiece(1.0, 0.0, -math.inf, b_lo),
-            GaussPiece(ratio, _clip_to_floats(b_lo / (a - 1.0), batch), b_lo, loc - se),
-            GaussPiece(1.0, -se, loc - se, loc),
-            GaussPiece(1.0, se, loc, loc + se),
-            GaussPiece(ratio, _clip_to_floats(b_hi / (a - 1.0), batch), loc + se, b_hi),
+            GaussPiece(ratio, _clip_to_floats(b_lo / (a - 1.0), batch), b_lo, lo),
+            GaussPiece(1.0, -se, lo, mid),
+            GaussPiece(1.0, se, mid, hi),
+            GaussPiece(ratio, _clip_to_floats(b_hi / (a - 1.0), batch), hi, b_hi),
             GaussPiece(1.0, 0.0, b_hi, math.inf),
         )
-    else:
-        raise ValueError(f"unknown estimator kind {kind!r}")
+    raise ValueError(f"unknown estimator kind {kind!r}")
+
+
+def _mixture(kind: EstimatorKind, loc, se: float, a: float) -> MixtureDistribution:
+    """Law of sqrt(n)*(estimate - theta) at loc = -sqrt(n)*theta, se = sqrt(n)*eta; an array loc gives a batch.
+
+    Every kind shares the atom at loc, carried by the event estimate == 0, and its `_pieces` end at the
+    knots loc + c*se, or at loc itself for c = 0, so that a -0.0 stays -0.0.  The atom's weight comes
+    from the build's Phi at the middle two mapped ends, loc -+ se, and is `_zero_mass(loc, se)` bit for bit.
+    """
+    batch = isinstance(loc, np.ndarray) and loc.ndim != 0
+    pieces = _pieces(kind, lambda c: loc + c * se if c else loc, se, a, batch)
     ends, phi = _phi_at_ends(pieces, batch)  # a -0.0 end may map to +0.0: Phi is 0.5 at both
     return MixtureDistribution((Atom(loc, phi[len(pieces)] - phi[len(pieces) - 1]),), pieces, (ends, phi))
 

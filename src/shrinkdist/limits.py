@@ -1,18 +1,17 @@
 """Limit distributions of the thresholding estimators under moving parameters.
 
-Three families of limits, each a `MixtureDistribution` whose atoms may sit
-at +-math.inf; `convergence_mode` reads off the atoms how the finite-sample
-laws reach it:
-
-* conservative tuning (finite e): the finite-sample law itself with
-  sqrt(n)*eta -> e and sqrt(n)*theta -> nu, built by the finite-sample
-  constructor at loc = -nu, se = e (atom at -nu plus excised / shifted /
-  blended normal pieces);
-* consistent tuning (e = inf), sqrt(n) scaling: point masses, truncated
-  normals at the selection boundary, or a standard normal, with mass
-  escaping to an infinity in the degenerate directions;
-* consistent tuning, 1/eta scaling: purely atomic laws with at most two
-  atoms, all located inside [-1, 1].
+Each limit is a `MixtureDistribution` whose atoms may sit at +-math.inf;
+`convergence_mode` reads off the atoms how the finite-sample laws reach it.
+As in the source paper, each sqrt(n) limit that is not a point mass is the
+finite-sample piece layout `finite_dist._pieces` at the limits of its knots
+sqrt(n)*(c*eta - theta): under conservative tuning (finite e) for every nu,
+and under consistent tuning (e = inf) at or past the selection boundary,
+where the knots below zeta tend to -inf, those above to +inf and the one at
+zeta to sign(zeta)*r.  Below the boundary, and for soft, the consistent law
+is a point mass at -nu: there the mass escapes through a piece whose shift
+diverges, which a layout of finite shifts cannot express.  Under 1/eta
+scaling the consistent laws are purely atomic, with at most two atoms, all
+inside [-1, 1].
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import DEFAULT_SCAD_A, EstimatorKind, TuningPlan
-from .finite_dist import LAWS, Atom, GaussPiece, MixtureDistribution, ModelPoint, _mixture
+from .finite_dist import LAWS, Atom, MixtureDistribution, ModelPoint, _pieces, finite_sample_dist
 from .normal_kernel import _check_real, _check_sizes, _one_of, norm_cdf
 from .report import ExperimentReport
 from .selection import PowerTuningPath, RegimeError, RegimeSpec, ThetaRule, derive_regime
@@ -57,72 +56,53 @@ def convergence_mode(law: MixtureDistribution) -> str:
     return WEAK if law.atoms else TOTAL_VARIATION
 
 
-def _normal(mu: float = 0.0) -> MixtureDistribution:
-    """N(mu, 1); 0.0 - mu keeps the shift of N(0, 1) at +0.0."""
-    return MixtureDistribution(atoms=(), pieces=(GaussPiece(1.0, 0.0 - mu, -math.inf, math.inf),))
-
-
 def _pointmass(loc: float) -> MixtureDistribution:
     return MixtureDistribution(atoms=(Atom(loc, 1.0),), pieces=())
 
 
+def _at_knots(kind: EstimatorKind, zeta: float, se: float, a: float, r=None, atoms=()) -> MixtureDistribution:
+    """The atoms and the kind's `_pieces` at knots whose limits are -inf for c < zeta, +inf for c > zeta
+    and sign(zeta)*r at c = zeta, less each piece whose two ends meet at an infinity."""
+    knot = lambda c: math.copysign(1.0, zeta) * r if c == zeta else math.copysign(math.inf, c - zeta)
+    return MixtureDistribution(atoms, tuple(p for p in _pieces(kind, knot, se, a) if p.lower < p.upper))
+
+
 def conservative_limit(kind: EstimatorKind, nu, e: float, scad_a: float = DEFAULT_SCAD_A) -> MixtureDistribution:
-    """Limit of the sqrt(n) law when sqrt(n)*eta_n -> e < inf and sqrt(n)*theta_n -> nu."""
+    """Limit of the sqrt(n) law when sqrt(n)*eta_n -> e < inf and sqrt(n)*theta_n -> nu.
+
+    With a finite nu and e > 0 it is the finite-sample law at n = 1, theta = nu, eta = e.  Otherwise
+    every knot sits at -sign(nu)*inf (at -inf when e = 0), and one normal piece is left.
+    """
     scad_a = _check_real(scad_a, "scad_a", gt=2)
-    nu, e = _check_real(nu, "nu", limit=True), _check_real(e, "e", ge=0)
+    nu, e = _check_real(nu, "nu", limit=True), abs(_check_real(e, "e", ge=0))  # abs: an e of -0.0 is +0.0
     if math.isinf(nu) or e == 0.0:
-        return _normal(-math.copysign(e, nu) if kind is EstimatorKind.SOFT and e > 0.0 else 0.0)
-    return _mixture(kind, -nu, e, scad_a)
-
-
-def _hard_boundary_law(zeta_positive: bool, r: float) -> MixtureDistribution:
-    """Weight cdf(r) escaping to -sign(zeta)*inf plus the normal density past the cut at sign(zeta)*r."""
-    escape, lower, upper = (-math.inf, r, math.inf) if zeta_positive else (math.inf, -math.inf, -r)
-    return MixtureDistribution(atoms=(Atom(escape, norm_cdf(r)),), pieces=(GaussPiece(1.0, 0.0, lower, upper),))
-
-
-def _scad_boundary_law(zeta_positive: bool, rf: float, a: float) -> MixtureDistribution:
-    """Blend-plus-tail law at |zeta| = a; total mass one, no atom."""
-    ratio = (a - 2.0) / (a - 1.0)
-    if zeta_positive:
-        pieces = (
-            GaussPiece(ratio, rf / (a - 1.0), -math.inf, rf),
-            GaussPiece(1.0, 0.0, rf, math.inf),
-        )
-    else:
-        pieces = (
-            GaussPiece(1.0, 0.0, -math.inf, -rf),
-            GaussPiece(ratio, -rf / (a - 1.0), -rf, math.inf),
-        )
-    return MixtureDistribution(atoms=(), pieces=pieces)
+        return _at_knots(kind, nu if e > 0.0 else math.inf, e, scad_a)
+    return finite_sample_dist(kind, ModelPoint(1, nu), TuningPlan(e, scad_a))
 
 
 def consistent_limit(kind: EstimatorKind, regime: RegimeSpec, scad_a: float = DEFAULT_SCAD_A) -> MixtureDistribution:
     """Limit of the sqrt(n) law when sqrt(n)*eta_n -> inf.
 
-    Below the selection boundary all mass collapses onto (or escapes with)
-    the atom at -nu; exactly at the boundary the escape weight is
-    cdf(r) and the remainder is a one-sided truncated normal (hard) or a
-    blend-plus-tail density (scad); above the boundary the standard normal
-    reappears.  At the boundary r = +inf is the limit from below and
-    r = -inf the limit from above, for both kinds.
+    Below the selection boundary all mass collapses onto (or escapes with) the atom at -nu.  At or past
+    it the law is the kind's piece layout at the knots' limits: at the boundary the escape weight
+    cdf(r) plus a one-sided truncated normal (hard) or a blend-plus-tail density (scad), and past it the
+    standard normal.  At the boundary r = +inf is the limit from below and r = -inf the limit from
+    above, for both kinds, so r reads +inf below the boundary and -inf past it.
     """
+    if not isinstance(kind, EstimatorKind):
+        raise ValueError(f"unknown estimator kind {kind!r}")
     scad_a = _check_real(scad_a, "scad_a", gt=2)
     if not regime.consistent:
         raise RegimeError("consistent limits require e = +inf")
     if kind is EstimatorKind.SOFT:
         return _pointmass(-regime.require_nu())
     zeta = regime.require_zeta()
-    az = abs(zeta)
     boundary = 1.0 if kind is EstimatorKind.HARD else scad_a
-    r = regime.require_r() if az == boundary else None
-    if az < boundary or r == math.inf:
+    r = regime.require_r() if abs(zeta) == boundary else math.copysign(math.inf, boundary - abs(zeta))
+    if r == math.inf:
         return _pointmass(-regime.require_nu())
-    if az > boundary or r == -math.inf:
-        return _normal()
-    if kind is EstimatorKind.HARD:
-        return _hard_boundary_law(zeta > 0, r)
-    return _scad_boundary_law(zeta > 0, r, scad_a)
+    atoms = (Atom(-math.copysign(math.inf, zeta), norm_cdf(r)),) if kind is EstimatorKind.HARD and r > -math.inf else ()
+    return _at_knots(kind, zeta, regime.e, scad_a, r, atoms)
 
 
 def rescaled_limit(kind: EstimatorKind, regime: RegimeSpec, scad_a: float = DEFAULT_SCAD_A) -> MixtureDistribution:

@@ -25,7 +25,11 @@ expression per branch.  The output references at the end redo the CSV
 and SVG writers one cell, one point or one row at a time: `csv_reference`
 joins cells formatted by `format_cell_reference`, `svg_polyline_reference`
 maps each point as Python floats, and `density_rows_reference` merges a
-figure table's atom rows by a keyed sort.
+figure table's atom rows by a keyed sort.  `conservative_limit_reference`
+and `consistent_limit_reference` restate the limit laws as they were built
+by hand before `limits` took them from the finite-sample piece layout: a
+normal, a hard or scad boundary law, a point mass, or `_mixture(kind, -nu,
+e, a)`.
 """
 
 import json
@@ -36,7 +40,17 @@ import numpy as np
 from scipy.special import ndtri
 
 from shrinkdist.estimators import EstimatorKind, estimate, penalized_objective
-from shrinkdist.finite_dist import _GL_NODES, _GL_WEIGHTS, _SHORT_PIECE, ModelPoint, finite_sample_dist
+from shrinkdist.finite_dist import (
+    _GL_NODES,
+    _GL_WEIGHTS,
+    _SHORT_PIECE,
+    Atom,
+    GaussPiece,
+    MixtureDistribution,
+    ModelPoint,
+    _mixture,
+    finite_sample_dist,
+)
 from shrinkdist.limits import conservative_limit
 from shrinkdist.normal_kernel import gaussian_tv, norm_cdf, norm_pdf
 
@@ -474,3 +488,40 @@ def density_rows_reference(dist, lo: float, hi: float, count: int) -> list:
     rows += [(a.loc, a.weight, 1) for a in dist.atoms if math.isfinite(a.loc)]
     rows.sort(key=lambda r: (r[0], -r[2]))  # an atom row precedes the density row at its own x
     return rows
+
+
+def _normal_reference(mu: float) -> MixtureDistribution:
+    """N(mu, 1) as one piece of shift 0.0 - mu, so that N(0, 1) has the shift +0.0."""
+    return MixtureDistribution((), (GaussPiece(1.0, 0.0 - mu, -math.inf, math.inf),))
+
+
+def conservative_limit_reference(kind, nu: float, e: float, a: float) -> MixtureDistribution:
+    """N(-sign(nu)*e, 1) for soft with e > 0, else N(0, 1), when nu is infinite or e == 0; otherwise the
+    finite-sample constructor at loc = -nu, se = e."""
+    if math.isinf(nu) or e == 0.0:
+        return _normal_reference(-math.copysign(e, nu) if kind is EstimatorKind.SOFT and e > 0.0 else 0.0)
+    return _mixture(kind, -nu, e, a)
+
+
+def consistent_limit_reference(kind, zeta: float, r: float, nu: float, a: float) -> MixtureDistribution:
+    """The hard or scad sqrt(n) limit under consistent tuning, one branch per case.
+
+    Below the boundary (1 for hard, a for scad), or at it with r = +inf, a point mass at -nu; past it,
+    or at it with r = -inf, N(0, 1).  At it, hard keeps the normal density past the cut at sign(zeta)*r
+    and sends the weight cdf(r) to -sign(zeta)*inf; scad splits the line at sign(zeta)*r into the blend
+    of slope (a-2)/(a-1) and shift sign(zeta)*r/(a-1) on the side of -zeta and the normal tail on the other.
+    """
+    boundary = 1.0 if kind is EstimatorKind.HARD else a
+    if abs(zeta) < boundary or (abs(zeta) == boundary and r == math.inf):
+        return MixtureDistribution((Atom(-nu, 1.0),), ())
+    if abs(zeta) > boundary or r == -math.inf:
+        return _normal_reference(0.0)
+    if kind is EstimatorKind.HARD:
+        escape, lower, upper = (-math.inf, r, math.inf) if zeta > 0 else (math.inf, -math.inf, -r)
+        return MixtureDistribution((Atom(escape, norm_cdf(r)),), (GaussPiece(1.0, 0.0, lower, upper),))
+    ratio = (a - 2.0) / (a - 1.0)
+    if zeta > 0:
+        pieces = (GaussPiece(ratio, r / (a - 1.0), -math.inf, r), GaussPiece(1.0, 0.0, r, math.inf))
+    else:
+        pieces = (GaussPiece(1.0, 0.0, -math.inf, -r), GaussPiece(ratio, -r / (a - 1.0), -r, math.inf))
+    return MixtureDistribution((), pieces)

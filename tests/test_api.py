@@ -1,4 +1,5 @@
 import importlib
+import math
 import pkgutil
 import re
 from pathlib import Path
@@ -6,6 +7,10 @@ from pathlib import Path
 import pytest
 
 import shrinkdist
+from shrinkdist.estimators import TuningPlan, estimate, penalized_objective
+from shrinkdist.finite_dist import ModelPoint, finite_sample_dist
+from shrinkdist.limits import conservative_limit, consistent_limit, rescaled_limit
+from shrinkdist.selection import RegimeSpec
 
 MODULES = [importlib.import_module(f"shrinkdist.{m.name}") for m in pkgutil.iter_modules(shrinkdist.__path__)]
 
@@ -25,3 +30,24 @@ def test_readme_python_blocks_run():
     namespace = {}
     for block in blocks:
         exec(compile(block, str(readme), "exec"), namespace)
+
+
+# the estimators and the law builders, each given a kind; consistent_limit below and past the boundary
+KIND_TAKERS = {
+    "estimate": lambda kind: estimate(kind, 1.0, TuningPlan(0.5)),
+    "penalized_objective": lambda kind: penalized_objective(kind, 0.1, 0.2, 10, TuningPlan(0.5)),
+    "finite_sample_dist": lambda kind: finite_sample_dist(kind, ModelPoint(10, 0.1), TuningPlan(0.5)),
+    "conservative_limit-finite-nu": lambda kind: conservative_limit(kind, 0.3, 1.0),
+    "conservative_limit-infinite-nu": lambda kind: conservative_limit(kind, math.inf, 1.0),
+    "consistent_limit-below-boundary": lambda kind: consistent_limit(kind, RegimeSpec(math.inf, zeta=0.5)),
+    "consistent_limit-past-boundary": lambda kind: consistent_limit(kind, RegimeSpec(math.inf, zeta=5.0)),
+    "rescaled_limit": lambda kind: rescaled_limit(kind, RegimeSpec(math.inf, zeta=5.0)),
+}
+
+
+@pytest.mark.parametrize("kind", ["hard", None])
+@pytest.mark.parametrize("taker", KIND_TAKERS)
+def test_a_kind_that_is_not_an_estimator_kind_is_rejected_by_name(taker, kind):
+    with pytest.raises(ValueError) as err:
+        KIND_TAKERS[taker](kind)
+    assert str(err.value) == f"unknown estimator kind {kind!r}"

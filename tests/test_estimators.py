@@ -126,6 +126,23 @@ def test_scad_estimate_bytes_equal_per_branch_expression(eta, a):
     assert got.tobytes() == scad_estimate_reference(ys, eta, a).tobytes()  # bytes, so -0.0 and 0.0 differ
 
 
+# (eta, a) at which the blend's quotient one ulp above 2*eta rounds below eta (found by a random search
+# over a - 2 from 1e-15 to 1e12 and eta over the float range); at those the lower clamp binds
+LOWER_CLAMP_BINDS = [(9.11809823185443e-07, 2.2269291002628853), (7.42821215111078e-236, 10.48633776087259),
+                     (2.684717678044562e39, 275.27087154672245)]
+
+
+@pytest.mark.parametrize("eta, a", LOWER_CLAMP_BINDS)
+def test_scad_blend_lower_clamp_binds_one_ulp_above_two_eta(eta, a):
+    y = np.nextafter(2.0 * eta, np.inf)
+    assert ((a - 1.0) * y - a * eta) / (a - 2.0) < eta  # unclamped, the map would fall below its value at 2*eta
+    ys = np.array([y, -y])
+    got = estimate(EstimatorKind.SCAD, ys, TuningPlan(eta, a))
+    assert got.tobytes() == scad_estimate_reference(ys, eta, a).tobytes()
+    at_two_eta = estimate(EstimatorKind.SCAD, np.array([2.0 * eta, -2.0 * eta]), TuningPlan(eta, a))
+    assert got.tolist() == at_two_eta.tolist() == [eta, -eta]  # so the map stays nondecreasing across 2*eta
+
+
 @pytest.mark.parametrize("eta, a", BRANCH_TUNINGS)
 @pytest.mark.parametrize("kind", KINDS)
 def test_estimator_map_inverts_estimate_at_branch_ends(kind, eta, a):
