@@ -10,8 +10,9 @@ where the knots below zeta tend to -inf, those above to +inf and the one at
 zeta to sign(zeta)*r.  Below the boundary, and for soft, the consistent law
 is a point mass at -nu: there the mass escapes through a piece whose shift
 diverges, which a layout of finite shifts cannot express.  Under 1/eta
-scaling the consistent laws are purely atomic, with at most two atoms, all
-inside [-1, 1].
+scaling a consistent law is the point mass at -sign(zeta)*s(|zeta|), with
+s(z) = z below 1 and 0 past it (hard), min(1, z) (soft) or min(1, z,
+max(0, (a - z)/(a - 2))) (scad); hard at |zeta| = 1 has atoms -zeta and 0.
 """
 
 from __future__ import annotations
@@ -73,6 +74,8 @@ def conservative_limit(kind: EstimatorKind, nu, e: float, scad_a: float = DEFAUL
     With a finite nu and e > 0 it is the finite-sample law at n = 1, theta = nu, eta = e.  Otherwise
     every knot sits at -sign(nu)*inf (at -inf when e = 0), and one normal piece is left.
     """
+    if not isinstance(kind, EstimatorKind):
+        raise ValueError(f"unknown estimator kind {kind!r}")
     scad_a = _check_real(scad_a, "scad_a", gt=2)
     nu, e = _check_real(nu, "nu", limit=True), abs(_check_real(e, "e", ge=0))  # abs: an e of -0.0 is +0.0
     if math.isinf(nu) or e == 0.0:
@@ -106,30 +109,23 @@ def consistent_limit(kind: EstimatorKind, regime: RegimeSpec, scad_a: float = DE
 
 
 def rescaled_limit(kind: EstimatorKind, regime: RegimeSpec, scad_a: float = DEFAULT_SCAD_A) -> MixtureDistribution:
-    """Limit of the 1/eta law: at most two atoms, all inside [-1, 1]."""
+    """Limit of the 1/eta law: the point mass at -sign(zeta)*s(|zeta|), the shrinkage s(z) being z below 1, else
+    0 (hard), min(1, z) (soft) or min(1, z, max(0, (a - z)/(a - 2))) (scad), not z less the estimate, which
+    cancels near a; at |zeta| = 1 hard has the atom -zeta of weight cdf(r) and the atom 0 of the rest."""
+    if not isinstance(kind, EstimatorKind):
+        raise ValueError(f"unknown estimator kind {kind!r}")
     scad_a = _check_real(scad_a, "scad_a", gt=2)
     if not regime.consistent:
         raise RegimeError("rescaled limits require e = +inf")
     zf = regime.require_zeta()
     az = abs(zf)
-    sgn = (zf > 0) - (zf < 0)  # an int, so a zero zeta clips to +0.0
-    clipped = -sgn * min(1.0, az)
-    if kind is EstimatorKind.SOFT:
-        return _pointmass(clipped)
-    if kind is EstimatorKind.HARD:
-        if az < 1.0:
-            return _pointmass(-zf)
-        if az > 1.0:
-            return _pointmass(0.0)
+    if kind is EstimatorKind.HARD and az == 1.0:
         w = norm_cdf(regime.require_r())
         return MixtureDistribution(atoms=(Atom(-zf, w), Atom(0.0, 1.0 - w)), pieces=())
-    if kind is EstimatorKind.SCAD:
-        if az <= 2.0:
-            return _pointmass(clipped)
-        if az < scad_a:
-            return _pointmass(-sgn * (scad_a - az) / (scad_a - 2.0))
-        return _pointmass(0.0)
-    raise ValueError(f"unknown estimator kind {kind!r}")
+    shrink = {EstimatorKind.HARD: az if az < 1.0 else 0.0, EstimatorKind.SOFT: min(1.0, az),
+              EstimatorKind.SCAD: min(1.0, az, max(0.0, (scad_a - az) / (scad_a - 2.0)))}[kind]
+    sgn = (zf > 0) - (zf < 0)  # an int; with "0.0 -", a zero zeta or a zero shrinkage puts the atom at +0.0
+    return _pointmass(0.0 - sgn * shrink)
 
 
 def _limit_law(kind: EstimatorKind, regime: RegimeSpec, scad_a: float, scaling: str = "sqrt_n") -> MixtureDistribution:

@@ -332,6 +332,8 @@ def uniform_rate_experiment(
     rate-sharpness counterexample.  Per n, the whole theta grid is one batch
     of laws.
     """
+    if not isinstance(kind, EstimatorKind):
+        raise ValueError(f"unknown estimator kind {kind!r}")
     n_list, M = _check_sizes(n_list, "n_list"), _check_real(M, "M", gt=2)
     _one_of(scaling, ("a_n", "sqrt_n"), "scaling")
     bound = 2.0 * norm_cdf(-M / 2.0) + norm_cdf(-M / 2.0 + 1.0)

@@ -5,17 +5,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-__all__ = ["ExperimentReport", "format_cell"]
+__all__ = ["ExperimentReport"]
 
 
 def _cell_format(t: type) -> str:
     """The %-format of a cell of type t: bools as 1/0, floats at 17 significant digits, else str."""
     return "%d" if issubclass(t, bool) else "%.17g" if issubclass(t, float) else "%s"
-
-
-def format_cell(v) -> str:
-    """Render a cell: floats at 17 significant digits, '.' decimal, no locale."""
-    return _cell_format(type(v)) % (v,)
 
 
 @dataclass

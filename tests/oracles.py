@@ -29,7 +29,9 @@ figure table's atom rows by a keyed sort.  `conservative_limit_reference`
 and `consistent_limit_reference` restate the limit laws as they were built
 by hand before `limits` took them from the finite-sample piece layout: a
 normal, a hard or scad boundary law, a point mass, or `_mixture(kind, -nu,
-e, a)`.
+e, a)`; `rescaled_limit_reference` restates the 1/eta limit laws one
+branch per kind and case, as they were before `limits` wrote them as one
+shrinkage per kind.
 """
 
 import json
@@ -525,3 +527,30 @@ def consistent_limit_reference(kind, zeta: float, r: float, nu: float, a: float)
     else:
         pieces = (GaussPiece(1.0, 0.0, -math.inf, -r), GaussPiece(ratio, -r / (a - 1.0), -r, math.inf))
     return MixtureDistribution((), pieces)
+
+
+def rescaled_limit_reference(kind, zeta: float, r: float, a: float) -> MixtureDistribution:
+    """The 1/eta limit under consistent tuning, one branch per kind and case, with hard's -zeta written
+    0.0 - zeta, so that a zero zeta puts the atom at +0.0, as soft's and scad's already are.
+
+    Soft: the point mass at -sign(zeta)*min(1, |zeta|).  Hard: the point mass at -zeta below 1 and at 0
+    past it; at |zeta| = 1 the atoms -zeta of weight cdf(r) and 0 of the rest.  Scad: as soft up to 2,
+    the point mass at -sign(zeta)*(a - |zeta|)/(a - 2) up to a, and at 0 past it.
+    """
+    az = abs(zeta)
+    sgn = (zeta > 0) - (zeta < 0)
+    clipped = -sgn * min(1.0, az)
+    if kind is EstimatorKind.SOFT:
+        return MixtureDistribution((Atom(clipped, 1.0),), ())
+    if kind is EstimatorKind.HARD:
+        if az < 1.0:
+            return MixtureDistribution((Atom(0.0 - zeta, 1.0),), ())
+        if az > 1.0:
+            return MixtureDistribution((Atom(0.0, 1.0),), ())
+        w = norm_cdf(r)
+        return MixtureDistribution((Atom(-zeta, w), Atom(0.0, 1.0 - w)), ())
+    if az <= 2.0:
+        return MixtureDistribution((Atom(clipped, 1.0),), ())
+    if az < a:
+        return MixtureDistribution((Atom(-sgn * (a - az) / (a - 2.0), 1.0),), ())
+    return MixtureDistribution((Atom(0.0, 1.0),), ())

@@ -10,7 +10,8 @@ import shrinkdist
 from shrinkdist.estimators import TuningPlan, estimate, penalized_objective
 from shrinkdist.finite_dist import ModelPoint, finite_sample_dist
 from shrinkdist.limits import conservative_limit, consistent_limit, rescaled_limit
-from shrinkdist.selection import RegimeSpec
+from shrinkdist.montecarlo import uniform_rate_experiment
+from shrinkdist.selection import PowerTuningPath, RegimeSpec
 
 MODULES = [importlib.import_module(f"shrinkdist.{m.name}") for m in pkgutil.iter_modules(shrinkdist.__path__)]
 
@@ -32,16 +33,20 @@ def test_readme_python_blocks_run():
         exec(compile(block, str(readme), "exec"), namespace)
 
 
-# the estimators and the law builders, each given a kind; consistent_limit below and past the boundary
+# the estimators, the law builders and the uniform-rate experiment, each given a kind; consistent_limit below and
+# past the boundary; and a limit whose other arguments are bad too (a NaN nu, no zeta), where the kind is named first
 KIND_TAKERS = {
     "estimate": lambda kind: estimate(kind, 1.0, TuningPlan(0.5)),
     "penalized_objective": lambda kind: penalized_objective(kind, 0.1, 0.2, 10, TuningPlan(0.5)),
     "finite_sample_dist": lambda kind: finite_sample_dist(kind, ModelPoint(10, 0.1), TuningPlan(0.5)),
     "conservative_limit-finite-nu": lambda kind: conservative_limit(kind, 0.3, 1.0),
     "conservative_limit-infinite-nu": lambda kind: conservative_limit(kind, math.inf, 1.0),
+    "conservative_limit-nan-nu": lambda kind: conservative_limit(kind, math.nan, 1.0),
     "consistent_limit-below-boundary": lambda kind: consistent_limit(kind, RegimeSpec(math.inf, zeta=0.5)),
     "consistent_limit-past-boundary": lambda kind: consistent_limit(kind, RegimeSpec(math.inf, zeta=5.0)),
     "rescaled_limit": lambda kind: rescaled_limit(kind, RegimeSpec(math.inf, zeta=5.0)),
+    "rescaled_limit-no-zeta": lambda kind: rescaled_limit(kind, RegimeSpec(math.inf)),
+    "uniform_rate_experiment": lambda kind: uniform_rate_experiment(kind, PowerTuningPath(1.0, 0.25), 6.0, [100]),
 }
 
 

@@ -281,9 +281,10 @@ def test_gauss_legendre_rule():
 
 
 @pytest.mark.parametrize("excess", [1e-3, 1e-6, 1e-9, 1e-12])
-@pytest.mark.parametrize("n, theta, eta", [(100, 0.1, 0.05), (40, 0.16, 0.05), (10_000, 0.02, 0.01)])
+@pytest.mark.parametrize("n, theta, eta", [(100, 0.1, 0.05), (40, 0.16, 0.05), (10_000, 0.02, 0.01), (100, 0.1, 0.3)])
 def test_scad_second_moment_near_a_two_against_mpmath(n, theta, eta, excess):
-    # as a -> 2 the blend pieces' slope (a-2)/(a-1) vanishes and their closed form cancels
+    # as a -> 2 the blend pieces' slope (a-2)/(a-1) vanishes and their closed form cancels; at eta = 0.3 the
+    # blend at a = 2.001 maps to a width of about 0.003, which the short-piece quadrature must still cover
     dist = finite_sample_dist(EstimatorKind.SCAD, ModelPoint(n, theta), TuningPlan(eta, 2.0 + excess))
     exact = mpmath_second_moment(dist)
     assert abs(dist.second_moment() - exact) <= 1e-13 * abs(exact)
