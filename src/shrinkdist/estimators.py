@@ -44,6 +44,13 @@ class EstimatorKind(enum.Enum):
             raise ValueError(f"unknown estimator kind {name!r}; expected hard, soft, or scad") from None
 
 
+def _check_kind(kind) -> EstimatorKind:
+    """kind itself when it is an `EstimatorKind`; anything else raises ValueError naming it."""
+    if not isinstance(kind, EstimatorKind):
+        raise ValueError(f"unknown estimator kind {kind!r}")
+    return kind
+
+
 @dataclass(frozen=True)
 class TuningPlan:
     """User-set knobs: threshold eta > 0 and scad shape a > 2, both stored as floats."""
@@ -66,6 +73,7 @@ def estimate(kind: EstimatorKind, ybar, tuning: TuningPlan):
     its exact values, so the float map stays nondecreasing even for a just
     above 2, where the quotient by a - 2 magnifies its rounding.
     """
+    _check_kind(kind)
     y = np.asarray(ybar, dtype=float)
     if not np.all(np.isfinite(y)):
         raise ValueError("ybar must be finite")
@@ -74,7 +82,7 @@ def estimate(kind: EstimatorKind, ybar, tuning: TuningPlan):
         out = np.where(np.abs(y) > eta, y, 0.0)
     elif kind is EstimatorKind.SOFT:
         out = np.sign(y) * np.maximum(np.abs(y) - eta, 0.0)
-    elif kind is EstimatorKind.SCAD:
+    else:  # scad
         a, sign, magnitude = tuning.scad_a, np.sign(y), np.abs(y)
         soft = sign * np.maximum(magnitude - eta, 0.0)
         # clamped into [eta, a*eta] by sign: the quotient can round past those ends, near a = 2 and also one ulp
@@ -82,8 +90,6 @@ def estimate(kind: EstimatorKind, ybar, tuning: TuningPlan):
         # the map monotone there; elsewhere it is ((a - 1)*y - sign*a*eta)/(a - 2) bit for bit
         blend = sign * np.clip(((a - 1.0) * magnitude - a * eta) / (a - 2.0), eta, a * eta)
         out = np.where(magnitude <= 2.0 * eta, soft, np.where(magnitude <= a * eta, blend, y))
-    else:
-        raise ValueError(f"unknown estimator kind {kind!r}")
     return _scalar_or_array(y, out)
 
 
@@ -96,7 +102,7 @@ def penalized_objective(kind: EstimatorKind, theta: float, ybar: float, n: int, 
     -(t^2 - 2*a*eta*t + eta^2)/(2*(a - 1)) up to a*eta, and (a + 1)*eta^2/2
     beyond.
     """
-    theta, ybar, n = _check_real(theta, "theta"), _check_real(ybar, "ybar"), _check_count(n)
+    kind, theta, ybar, n = _check_kind(kind), _check_real(theta, "theta"), _check_real(ybar, "ybar"), _check_count(n)
     fit = n * (ybar - theta) ** 2
     eta = tuning.eta
     if kind is EstimatorKind.HARD:
@@ -104,12 +110,10 @@ def penalized_objective(kind: EstimatorKind, theta: float, ybar: float, n: int, 
         return fit + n * (eta**2 - shortfall)
     if kind is EstimatorKind.SOFT:
         return fit + 2.0 * n * eta * abs(theta)
-    if kind is EstimatorKind.SCAD:
-        a, t = tuning.scad_a, abs(theta)
-        if t <= eta:
-            return fit + 2.0 * n * eta * t
-        if t <= a * eta:
-            return fit - n * (t * t - 2.0 * a * eta * t + eta**2) / (a - 1.0)
-        return fit + n * (a + 1.0) * eta**2
-    raise ValueError(f"unknown estimator kind {kind!r}")
+    a, t = tuning.scad_a, abs(theta)
+    if t <= eta:
+        return fit + 2.0 * n * eta * t
+    if t <= a * eta:
+        return fit - n * (t * t - 2.0 * a * eta * t + eta**2) / (a - 1.0)
+    return fit + n * (a + 1.0) * eta**2
 

@@ -13,6 +13,7 @@ test-oracle material only.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import InitVar, dataclass
 from typing import NamedTuple
@@ -339,7 +340,8 @@ class MixtureDistribution:
             slope, shift, lower, upper = np.array([p for p, sh in zip(self.pieces, short) if sh]).T[..., None]
             half = 0.5 * (upper - lower)
             x = 0.5 * (upper + lower) + half * _GL_NODES
-            f = slope * x**2 * norm_pdf(slope * x + shift)
+            node_pdf = norm_pdf(slope * x + shift)  # a node where it is 0.0 adds 0, as z*pdf(z) does below
+            f = slope * np.where(node_pdf > 0.0, x, 0.0)**2 * node_pdf
             quadrature = iter([h * float(np.dot(_GL_WEIGHTS, row)) for h, row in zip(half.ravel().tolist(), f)])
         ac = 0.0
         for (s, b, _, _), (za, zb), (pa, pb), sh, i0 in zip(self.pieces, self._ends, pdf, short, self._masses):
@@ -356,12 +358,13 @@ class MixtureDistribution:
         return out + ac
 
     def rescaled(self, s: float) -> "MixtureDistribution":
-        """Law of X/s when this law describes X; requires finite s > 0."""
+        """Law of X/s when this law describes X; requires finite s > 0; a batch overflows unwarned, as in `_mixture`."""
         inv = _inverse_scale(s)
-        return MixtureDistribution(
-            atoms=tuple(Atom(loc * inv, w) for loc, w in self.atoms),
-            pieces=tuple(GaussPiece(slope * s, b, lo * inv, hi * inv) for slope, b, lo, hi in self.pieces),
-        )
+        with np.errstate(over="ignore", invalid="ignore") if self._shape is not None else contextlib.nullcontext():
+            return MixtureDistribution(
+                atoms=tuple(Atom(loc * inv, w) for loc, w in self.atoms),
+                pieces=tuple(GaussPiece(slope * s, b, lo * inv, hi * inv) for slope, b, lo, hi in self.pieces),
+            )
 
     def breakpoints(self) -> list:
         """Finite interval endpoints and atom locations, sorted; quadrature panels."""
@@ -457,10 +460,13 @@ def _mixture(kind: EstimatorKind, loc, se: float, a: float) -> MixtureDistributi
     Every kind shares the atom at loc, carried by the event estimate == 0, and its `_pieces` end at the
     knots loc + c*se, or at loc itself for c = 0, so that a -0.0 stays -0.0.  The atom's weight comes
     from the build's Phi at the middle two mapped ends, loc -+ se, and is `_zero_mass(loc, se)` bit for bit.
+    A batch's knots and mapped ends overflow or turn NaN unwarned, as a float's do; a single law takes no
+    `np.errstate`, which costs about 2 us a call.
     """
     batch = isinstance(loc, np.ndarray) and loc.ndim != 0
-    pieces = _pieces(kind, lambda c: loc + c * se if c else loc, se, a, batch)
-    ends, phi = _phi_at_ends(pieces, batch)  # a -0.0 end may map to +0.0: Phi is 0.5 at both
+    with np.errstate(over="ignore", invalid="ignore") if batch else contextlib.nullcontext():
+        pieces = _pieces(kind, lambda c: loc + c * se if c else loc, se, a, batch)
+        ends, phi = _phi_at_ends(pieces, batch)  # a -0.0 end may map to +0.0: Phi is 0.5 at both
     return MixtureDistribution((Atom(loc, phi[len(pieces)] - phi[len(pieces) - 1]),), pieces, (ends, phi))
 
 

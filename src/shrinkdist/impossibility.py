@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import ndtri
 
-from .estimators import EstimatorKind, TuningPlan, estimate
+from .estimators import EstimatorKind, TuningPlan, _check_kind, estimate
 from .finite_dist import ModelPoint, _mixture, _zero_mass, finite_sample_dist
 from .limits import _limit_law
 from .montecarlo import _uniform_open
@@ -59,6 +59,7 @@ class TwoPointProblem:
     kind: EstimatorKind
 
     def __post_init__(self):
+        _check_kind(self.kind)
         object.__setattr__(self, "n", _check_count(self.n))
         object.__setattr__(self, "t", _check_real(self.t, "t"))
         object.__setattr__(self, "delta", _check_real(self.delta, "delta", gt=0))
@@ -115,6 +116,7 @@ def rescaled_lower_bound(kind: EstimatorKind, n: int, t: float, tuning: TuningPl
     t is the plain problem at s = sqrt(n)*eta*t; for |t| > 1 the range
     collapses and trivial estimators become uniformly consistent.
     """
+    _check_kind(kind)
     s = math.sqrt(_check_count(n)) * tuning.eta * _check_real(t, "t")
     problem = TwoPointProblem(n=n, t=s, delta=delta, tuning=tuning, kind=kind)
     return minimax_lower_bound(problem, epsilon=epsilon)
@@ -227,7 +229,7 @@ def estimator_worst_case(
     metadata records the grid supremum, the witness theta, and the
     theoretical lower bound.
     """
-    n, t = _check_count(n), _check_real(t, "t")
+    kind, n, t = _check_kind(kind), _check_count(n), _check_real(t, "t")
     c = _check_real(c, "c", gt=abs(t))  # the neighborhood radius
     replications = _check_count(replications, "replications")
     seed = _check_seed(seed)

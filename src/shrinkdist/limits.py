@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import DEFAULT_SCAD_A, EstimatorKind, TuningPlan
+from .estimators import DEFAULT_SCAD_A, EstimatorKind, TuningPlan, _check_kind
 from .finite_dist import LAWS, Atom, MixtureDistribution, ModelPoint, _pieces, finite_sample_dist
 from .normal_kernel import _check_real, _check_sizes, _one_of, norm_cdf
 from .report import ExperimentReport
@@ -74,9 +74,7 @@ def conservative_limit(kind: EstimatorKind, nu, e: float, scad_a: float = DEFAUL
     With a finite nu and e > 0 it is the finite-sample law at n = 1, theta = nu, eta = e.  Otherwise
     every knot sits at -sign(nu)*inf (at -inf when e = 0), and one normal piece is left.
     """
-    if not isinstance(kind, EstimatorKind):
-        raise ValueError(f"unknown estimator kind {kind!r}")
-    scad_a = _check_real(scad_a, "scad_a", gt=2)
+    kind, scad_a = _check_kind(kind), _check_real(scad_a, "scad_a", gt=2)
     nu, e = _check_real(nu, "nu", limit=True), abs(_check_real(e, "e", ge=0))  # abs: an e of -0.0 is +0.0
     if math.isinf(nu) or e == 0.0:
         return _at_knots(kind, nu if e > 0.0 else math.inf, e, scad_a)
@@ -92,9 +90,7 @@ def consistent_limit(kind: EstimatorKind, regime: RegimeSpec, scad_a: float = DE
     standard normal.  At the boundary r = +inf is the limit from below and r = -inf the limit from
     above, for both kinds, so r reads +inf below the boundary and -inf past it.
     """
-    if not isinstance(kind, EstimatorKind):
-        raise ValueError(f"unknown estimator kind {kind!r}")
-    scad_a = _check_real(scad_a, "scad_a", gt=2)
+    kind, scad_a = _check_kind(kind), _check_real(scad_a, "scad_a", gt=2)
     if not regime.consistent:
         raise RegimeError("consistent limits require e = +inf")
     if kind is EstimatorKind.SOFT:
@@ -112,9 +108,7 @@ def rescaled_limit(kind: EstimatorKind, regime: RegimeSpec, scad_a: float = DEFA
     """Limit of the 1/eta law: the point mass at -sign(zeta)*s(|zeta|), the shrinkage s(z) being z below 1, else
     0 (hard), min(1, z) (soft) or min(1, z, max(0, (a - z)/(a - 2))) (scad), not z less the estimate, which
     cancels near a; at |zeta| = 1 hard has the atom -zeta of weight cdf(r) and the atom 0 of the rest."""
-    if not isinstance(kind, EstimatorKind):
-        raise ValueError(f"unknown estimator kind {kind!r}")
-    scad_a = _check_real(scad_a, "scad_a", gt=2)
+    kind, scad_a = _check_kind(kind), _check_real(scad_a, "scad_a", gt=2)
     if not regime.consistent:
         raise RegimeError("rescaled limits require e = +inf")
     zf = regime.require_zeta()

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .estimators import DEFAULT_SCAD_A, EstimatorKind, TuningPlan, estimate
+from .estimators import DEFAULT_SCAD_A, EstimatorKind, TuningPlan, _check_kind, estimate
 from .finite_dist import MixtureDistribution, ModelPoint, finite_sample_dist
 from .normal_kernel import _check_count, _check_real, _check_seed, _check_sizes, _no_nan, _one_of, norm_cdf
 from .report import ExperimentReport
@@ -252,9 +252,9 @@ def ks_distance(emp: EmpiricalCdf, dist: MixtureDistribution) -> float:
     1e-15) does not exceed the lower bound holds no gap above it, and its
     run starts are skipped.
 
-    The rest is walked a block at a time: a block's run starts in the
-    sub-blocks kept give its model values and both gaps, and its last run,
-    which may go on past the block, ends where one `searchsorted` finds the
+    The live sub-blocks are then gathered `_BLOCK // _SUB` at a time, so
+    no temporary outgrows a block: their run starts give one cdf call and
+    its left limits, and each run ends where one `searchsorted` finds the
     next larger value.  A point's cdf value does not depend on the other
     points of its call, each gap is elementwise, and a skipped gap is at
     most one that is taken, so the distance is that of one whole-array pass
@@ -274,19 +274,14 @@ def ks_distance(emp: EmpiricalCdf, dist: MixtureDistribution) -> float:
     model_last, model_first = dist.cdf(last), dist.cdf_left(first)
     gap = max(np.max(np.abs(model_last - end / count)), np.max(np.abs(model_first - start / count)))
     bound = np.maximum(model_last - start / count, end / count - model_first)
-    live = np.zeros((count + _SUB - 1) // _SUB, dtype=bool)
-    live[opens[bound + _SLACK > gap]] = True
-    for lo in range(0, count, _BLOCK):
-        if not live[lo // _SUB:(lo + _BLOCK) // _SUB].any():
-            continue
-        hi = min(lo + _BLOCK, count)
-        starts = lo + 1 + np.flatnonzero(v[lo + 1:hi] != v[lo:hi - 1])
-        if lo == 0 or v[lo] != v[lo - 1]:
-            starts = np.concatenate(([lo], starts))
-        ends = np.append(starts[1:], np.searchsorted(v, v[starts[-1]], side="right"))
-        keep = live[starts // _SUB]
-        starts, ends = starts[keep], ends[keep]
+    live = opens[bound + _SLACK > gap]
+    del start, end, first, last, model_last, model_first, bound  # freed so the gather's arrays do not add to theirs
+    for i in range(0, live.size, _BLOCK // _SUB):  # a block's worth of live sub-blocks at a time
+        pos = (live[i:i + _BLOCK // _SUB, None] * _SUB + np.arange(_SUB)).ravel()
+        pos = pos[pos < count]
+        starts = pos[(pos == 0) | (v[pos] != v[pos - 1])]
         uniq = v[starts]
+        ends = np.searchsorted(v, uniq, side="right")
         model = dist.cdf(uniq)
         model_left = dist._left_limit(uniq, model)
         gap = max(gap, np.max(np.abs(model - ends / count)), np.max(np.abs(model_left - starts / count)))
@@ -332,9 +327,7 @@ def uniform_rate_experiment(
     rate-sharpness counterexample.  Per n, the whole theta grid is one batch
     of laws.
     """
-    if not isinstance(kind, EstimatorKind):
-        raise ValueError(f"unknown estimator kind {kind!r}")
-    n_list, M = _check_sizes(n_list, "n_list"), _check_real(M, "M", gt=2)
+    kind, n_list, M = _check_kind(kind), _check_sizes(n_list, "n_list"), _check_real(M, "M", gt=2)
     _one_of(scaling, ("a_n", "sqrt_n"), "scaling")
     bound = 2.0 * norm_cdf(-M / 2.0) + norm_cdf(-M / 2.0 + 1.0)
     report = ExperimentReport(

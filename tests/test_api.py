@@ -9,6 +9,7 @@ import pytest
 import shrinkdist
 from shrinkdist.estimators import TuningPlan, estimate, penalized_objective
 from shrinkdist.finite_dist import ModelPoint, finite_sample_dist
+from shrinkdist.impossibility import OracleCheat, TwoPointProblem, estimator_worst_case, rescaled_lower_bound
 from shrinkdist.limits import conservative_limit, consistent_limit, rescaled_limit
 from shrinkdist.montecarlo import uniform_rate_experiment
 from shrinkdist.selection import PowerTuningPath, RegimeSpec
@@ -33,11 +34,18 @@ def test_readme_python_blocks_run():
         exec(compile(block, str(readme), "exec"), namespace)
 
 
-# the estimators, the law builders and the uniform-rate experiment, each given a kind; consistent_limit below and
-# past the boundary; and a limit whose other arguments are bad too (a NaN nu, no zeta), where the kind is named first
+# the estimators, the law builders, the uniform-rate experiment and the cdf-estimation problem, each given a kind;
+# consistent_limit below and past the boundary; and takers whose other arguments are bad too (a NaN ybar, theta or
+# nu, no zeta, n = 0), where the kind is named first
 KIND_TAKERS = {
     "estimate": lambda kind: estimate(kind, 1.0, TuningPlan(0.5)),
+    "estimate-nan-ybar": lambda kind: estimate(kind, math.nan, TuningPlan(0.5)),
     "penalized_objective": lambda kind: penalized_objective(kind, 0.1, 0.2, 10, TuningPlan(0.5)),
+    "penalized_objective-nan-theta": lambda kind: penalized_objective(kind, math.nan, 0.2, 10, TuningPlan(0.5)),
+    "TwoPointProblem-zero-n": lambda kind: TwoPointProblem(n=0, t=0.0, delta=0.1, tuning=TuningPlan(0.5), kind=kind),
+    "rescaled_lower_bound-zero-n": lambda kind: rescaled_lower_bound(kind, 0, 0.5, TuningPlan(0.5)),
+    "estimator_worst_case-zero-n": lambda kind: estimator_worst_case(OracleCheat(), kind, 0, 0.0, TuningPlan(0.5), 2.0,
+                                                                     seed=1),
     "finite_sample_dist": lambda kind: finite_sample_dist(kind, ModelPoint(10, 0.1), TuningPlan(0.5)),
     "conservative_limit-finite-nu": lambda kind: conservative_limit(kind, 0.3, 1.0),
     "conservative_limit-infinite-nu": lambda kind: conservative_limit(kind, math.inf, 1.0),

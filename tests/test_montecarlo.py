@@ -328,8 +328,8 @@ def test_pruned_ks_evaluates_a_tenth_of_the_distinct_values(monkeypatch):
 @pytest.mark.parametrize("config", [(40, 0.16, 0.05, 3.7), *EDGE_CONFIGS.values()], ids=["figure", *EDGE_CONFIGS])
 def test_blocked_path_peak_memory(config):
     # the output array is the only full-length allocation: the gathered indices and values and the
-    # fill stay block-sized; the KS pass allocates per block, plus arrays over the sub-blocks, 1/64
-    # of the sample's length
+    # fill stay block-sized; the KS pass allocates arrays over the sub-blocks, 1/64 of the sample's
+    # length, and then gathers the live sub-blocks a block's worth at a time
     n, theta, eta, a = config
     cfg = SimConfig(seed=9, replications=1_000_000, point=ModelPoint(n, theta), tuning=TuningPlan(eta, a))
     dist = finite_sample_dist(EstimatorKind.SCAD, cfg.point, cfg.tuning)
@@ -345,6 +345,29 @@ def test_blocked_path_peak_memory(config):
         tracemalloc.stop()
     assert simulate_peak <= emp.values.nbytes + 2_000_000
     assert ks_peak <= 2_000_000
+
+
+def test_all_live_ks_gathers_a_block_at_a_time(monkeypatch):
+    # normal quantiles fit N(0, 1) to within 0.5/count at every value, so no sub-block is skipped and the
+    # model is evaluated at every value; gathered a block's worth of sub-blocks at a time, the KS pass
+    # keeps the peak of the memory test above, where one gather of every position would take 8 MB
+    count = 1_000_000
+    values = ndtri((np.arange(count) + 0.5) / count)
+    emp = EmpiricalCdf(values)
+    dist = MixtureDistribution(atoms=(), pieces=(GaussPiece(1.0, 0.0, -math.inf, math.inf),))
+    tracemalloc.start()
+    try:
+        ks = ks_distance(emp, dist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ks.hex() == whole_array_ks(values, dist).hex()
+    assert peak <= 2_000_000
+    points = []
+    cdf = MixtureDistribution.cdf
+    monkeypatch.setattr(MixtureDistribution, "cdf", lambda self, x: points.append(np.size(x)) or cdf(self, x))
+    ks_distance(emp, dist)
+    assert sum(points) >= count and max(points) <= max(BLOCK, count // SUB + 1)
 
 
 def test_ks_of_two_value_sample_equals_scalar_reference():
