@@ -13,7 +13,6 @@ test-oracle material only.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import InitVar, dataclass
 from typing import NamedTuple
@@ -125,7 +124,7 @@ def _density_term(s, b, base, x):
 
 
 def _phi_at_ends(pieces, batch: bool) -> tuple:
-    """(ends, Phi at ends): a law's mapped ends s*end + b as [lower, upper] float pairs, and one kernel call.
+    """(ends, Phi at ends): a law's mapped ends s*end + b as (P, 2) rows of the array its one kernel call read.
 
     A batch keeps no ends (None) and makes one call per end on B values (one stacked call raised peak
     memory), and none at an end infinite for every law, where Phi is exactly 0 or 1.
@@ -134,7 +133,15 @@ def _phi_at_ends(pieces, batch: bool) -> tuple:
         ends = (s * end + b for s, b, lo, hi in pieces for end in (lo, hi))
         return None, [(z > 0.0) * 1.0 if np.isinf(z).all() else norm_cdf(z) for z in ends]
     ends = np.array([s * end + b for s, b, lo, hi in pieces for end in (lo, hi)])
-    return ends.reshape(-1, 2).tolist(), norm_cdf(ends).tolist()
+    return ends.reshape(-1, 2), norm_cdf(ends).tolist()
+
+
+def _unwarned(batch: bool, build, *args):
+    """build(*args); a batch of laws under `np.errstate`, so it overflows or turns NaN unwarned, as a float does."""
+    if not batch:
+        return build(*args)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return build(*args)
 
 
 def _checked_records(atoms, pieces) -> tuple:
@@ -198,15 +205,16 @@ class MixtureDistribution:
 
     Building a single law keeps records of exact floats as they are, maps
     each piece end once, makes one normal-cdf call over them, and keeps the
-    mapped ends and each piece's lower Phi value and mass; `second_moment`
-    reuses those ends and masses and makes one normal-pdf call (plus one
-    over the nodes of its short pieces).  `cdf` and `density_ac` are one
-    walk over the pieces with two integrands, the same walk for a law and a
-    batch: each point is evaluated only by the piece that holds it.  A
-    batch's build keeps no mapped ends and makes no kernel call at a piece
-    end that is infinite for every law.  The private `_phi` takes the
-    mapped ends and Phi values `_phi_at_ends` gives for these very records,
-    which `_mixture` has already taken for the atom's weight.
+    (P, 2) array of mapped ends that call read and each piece's lower Phi
+    value and mass; `second_moment` passes that same array to its one
+    normal-pdf call (plus one over the nodes of its short pieces).  `cdf`
+    and `density_ac` are one walk over the pieces with two integrands, the
+    same walk for a law and a batch: each point is evaluated only by the
+    piece that holds it.  Only a batch's build enters `np.errstate`; it
+    keeps no mapped ends and makes no kernel call at a piece end that is
+    infinite for every law.  The private `_phi` takes the mapped ends and
+    Phi values `_phi_at_ends` gives for these very records, which
+    `_mixture` has already taken for the atom's weight.
     """
 
     atoms: tuple
@@ -215,13 +223,10 @@ class MixtureDistribution:
 
     def __post_init__(self, _phi):
         atoms, pieces, shape = _checked_records(self.atoms, self.pieces)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "pieces", pieces)
         ends, phi = _phi_at_ends(pieces, shape is not None) if _phi is None else _phi
-        object.__setattr__(self, "_shape", shape)
-        object.__setattr__(self, "_ends", ends)
-        object.__setattr__(self, "_phi_lower", tuple(phi[0::2]))
-        object.__setattr__(self, "_masses", tuple(hi - lo for lo, hi in zip(self._phi_lower, phi[1::2])))
+        lower = tuple(phi[0::2])
+        self.__dict__.update(atoms=atoms, pieces=pieces, _shape=shape, _ends=ends, _phi_lower=lower,
+                             _masses=tuple(hi - lo for lo, hi in zip(lower, phi[1::2])))  # frozen: no setattr
         total = self.total_mass()
         worst = abs(total - 1.0) if shape is None else np.max(abs(total - 1.0))
         if worst > _MASS_TOL:
@@ -334,8 +339,9 @@ class MixtureDistribution:
                 continue
             out += _times_square(w, loc)
         # an empty piece takes the closed form, which gives it exactly 0 where the nodes' x**2 may overflow
-        short = [lo < hi and abs(zb - za) < _SHORT_PIECE for (za, zb), (_, _, lo, hi) in zip(self._ends, self.pieces)]
-        pdf = norm_pdf(np.array(self._ends)).tolist()  # at the build's mapped ends; exactly 0.0 at an infinite one
+        ends = self._ends.tolist()
+        short = [lo < hi and abs(zb - za) < _SHORT_PIECE for (za, zb), (_, _, lo, hi) in zip(ends, self.pieces)]
+        pdf = norm_pdf(self._ends).tolist()  # at the build's mapped ends; exactly 0.0 at an infinite one
         if any(short):  # one row of quadrature nodes per short piece
             slope, shift, lower, upper = np.array([p for p, sh in zip(self.pieces, short) if sh]).T[..., None]
             half = 0.5 * (upper - lower)
@@ -344,7 +350,7 @@ class MixtureDistribution:
             f = slope * np.where(node_pdf > 0.0, x, 0.0)**2 * node_pdf
             quadrature = iter([h * float(np.dot(_GL_WEIGHTS, row)) for h, row in zip(half.ravel().tolist(), f)])
         ac = 0.0
-        for (s, b, _, _), (za, zb), (pa, pb), sh, i0 in zip(self.pieces, self._ends, pdf, short, self._masses):
+        for (s, b, _, _), (za, zb), (pa, pb), sh, i0 in zip(self.pieces, ends, pdf, short, self._masses):
             if sh:
                 ac += next(quadrature)
                 continue
@@ -358,13 +364,11 @@ class MixtureDistribution:
         return out + ac
 
     def rescaled(self, s: float) -> "MixtureDistribution":
-        """Law of X/s when this law describes X; requires finite s > 0; a batch overflows unwarned, as in `_mixture`."""
+        """Law of X/s when this law describes X; requires finite s > 0; a batch overflows `_unwarned`."""
         inv = _inverse_scale(s)
-        with np.errstate(over="ignore", invalid="ignore") if self._shape is not None else contextlib.nullcontext():
-            return MixtureDistribution(
-                atoms=tuple(Atom(loc * inv, w) for loc, w in self.atoms),
-                pieces=tuple(GaussPiece(slope * s, b, lo * inv, hi * inv) for slope, b, lo, hi in self.pieces),
-            )
+        return _unwarned(self._shape is not None, lambda: MixtureDistribution(
+            atoms=tuple(Atom(loc * inv, w) for loc, w in self.atoms),
+            pieces=tuple(GaussPiece(slope * s, b, lo * inv, hi * inv) for slope, b, lo, hi in self.pieces)))
 
     def breakpoints(self) -> list:
         """Finite interval endpoints and atom locations, sorted; quadrature panels."""
@@ -460,13 +464,12 @@ def _mixture(kind: EstimatorKind, loc, se: float, a: float) -> MixtureDistributi
     Every kind shares the atom at loc, carried by the event estimate == 0, and its `_pieces` end at the
     knots loc + c*se, or at loc itself for c = 0, so that a -0.0 stays -0.0.  The atom's weight comes
     from the build's Phi at the middle two mapped ends, loc -+ se, and is `_zero_mass(loc, se)` bit for bit.
-    A batch's knots and mapped ends overflow or turn NaN unwarned, as a float's do; a single law takes no
-    `np.errstate`, which costs about 2 us a call.
+    A batch's knots and mapped ends overflow or turn NaN `_unwarned`, as a float's do; only a batch enters
+    `np.errstate`.
     """
     batch = isinstance(loc, np.ndarray) and loc.ndim != 0
-    with np.errstate(over="ignore", invalid="ignore") if batch else contextlib.nullcontext():
-        pieces = _pieces(kind, lambda c: loc + c * se if c else loc, se, a, batch)
-        ends, phi = _phi_at_ends(pieces, batch)  # a -0.0 end may map to +0.0: Phi is 0.5 at both
+    pieces = _unwarned(batch, _pieces, kind, lambda c: loc + c * se if c else loc, se, a, batch)
+    ends, phi = _unwarned(batch, _phi_at_ends, pieces, batch)  # a -0.0 end may map to +0.0: Phi is 0.5 at both
     return MixtureDistribution((Atom(loc, phi[len(pieces)] - phi[len(pieces) - 1]),), pieces, (ends, phi))
 
 

@@ -129,10 +129,11 @@ def norm_cdf(x):
     """Standard normal cdf via the complementary error function.
 
     Accepts floats, arrays and IEEE infinities; the infinities map to
-    exactly 0 and 1.
+    exactly 0 and 1.  Division rounds symmetrically in sign, so x / -sqrt(2)
+    is -x / sqrt(2) bit for bit (up to a NaN's sign), without a negation pass.
     """
     arr = np.asarray(x, dtype=float)
-    return _scalar_or_array(arr, 0.5 * _erfc(-arr / _SQRT2))
+    return _scalar_or_array(arr, 0.5 * _erfc(arr / -_SQRT2))
 
 
 def gaussian_tv(n: int, theta1, theta2):

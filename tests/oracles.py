@@ -9,7 +9,9 @@ each sweep one scalar law at a time; `ks_reference` likewise redoes the KS dista
 one point at a time through `point_values`, which redoes a law's cdf, its
 left limit and its density at each float, and `reference_masses` and
 `reference_second_moment` redo a law's build and second moment with one
-scalar normal-kernel call per piece end.  `reference_theta` writes out each
+scalar normal-kernel call per piece end; `negated_norm_cdf` restates the
+normal cdf as 0.5 * erfc(-x / sqrt(2)), the expression `norm_cdf` used before
+it divided by -sqrt(2).  `reference_theta` writes out each
 theta-rule kind's sequence as its own formula, `reference_pretest_cdf` the
 pretest plug-in as its four limit formulas, and `objective_argmin`
 minimises a penalized objective over the finite set that must hold a
@@ -39,7 +41,7 @@ import math
 
 import mpmath
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import erfc, ndtri
 
 from shrinkdist.estimators import EstimatorKind, estimate, penalized_objective
 from shrinkdist.finite_dist import (
@@ -316,6 +318,11 @@ def reference_masses(pieces):
     phi_lower = tuple(norm_cdf(s * lo + b) for s, b, lo, _ in pieces)
     masses = tuple(norm_cdf(s * hi + b) - base for (s, b, _, hi), base in zip(pieces, phi_lower))
     return phi_lower, masses
+
+
+def negated_norm_cdf(x) -> np.ndarray:
+    """The normal cdf as 0.5 * erfc(-x / sqrt(2)), negating x in its own pass."""
+    return 0.5 * erfc(-np.asarray(x, dtype=float) / math.sqrt(2.0))
 
 
 def point_values(dist, xs) -> tuple:

@@ -646,6 +646,32 @@ def test_float_extremes_give_the_limit_values_without_overflow(kind, builder):
                         assert all(np.all(method(v) == want) for v in x.tolist())
 
 
+def test_cdf_where_slope_times_x_overflows_is_exact():
+    # why `_evaluate` keeps np.errstate(over="ignore"): at slope 5, s*x overflows to inf at x = 1e308, where
+    # Phi is exactly 1 and the pdf 0, so the cdf reads its value at +inf and the density 0, with no warning
+    law = rescaled_dist(EstimatorKind.HARD, ModelPoint(100, 0.0), TuningPlan(0.5))
+    assert [p.slope for p in law.pieces] == [5.0, 5.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert law.cdf(1e308) == law.cdf(math.inf) == 1.0 and law.density_ac(1e308) == 0.0
+        assert law.cdf(-1e308) == 0.0 and law.density_ac(-1e308) == 0.0
+
+
+@pytest.mark.parametrize("builder", [finite_sample_dist, rescaled_dist])
+@pytest.mark.parametrize("kind", KINDS)
+def test_only_a_batch_build_enters_np_errstate(kind, builder, monkeypatch):
+    # a single law's float arithmetic never warns, so its build (through `_mixture`, and `rescaled` for
+    # rescaled_dist) enters no context manager; a batch's array arithmetic does need one
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.errstate entered")
+
+    monkeypatch.setattr(np, "errstate", refuse)
+    law = builder(kind, ModelPoint(40, 0.16), FIG_TUNING)
+    assert law.second_moment() > 0.0
+    with pytest.raises(AssertionError, match="np.errstate entered"):
+        builder(kind, ModelPoint(40, [0.16, -0.3]), FIG_TUNING)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_batch_past_the_float_range_equals_the_scalar_laws(kind):
     # sqrt(n)*theta = -+1e315 is past the float range, so loc is -+inf for a batch as for one law, with no

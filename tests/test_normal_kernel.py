@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from oracles import negated_norm_cdf
 
 from shrinkdist.estimators import EstimatorKind, TuningPlan, penalized_objective
 from shrinkdist.finite_dist import ModelPoint
@@ -18,6 +19,7 @@ from shrinkdist.montecarlo import SimConfig, simulate_estimates
 from shrinkdist.normal_kernel import gaussian_tv, norm_cdf, norm_pdf
 from shrinkdist.selection import PowerTuningPath, ThetaRule
 
+MAX_FLOAT = float(np.finfo(float).max)
 # frozen against a 40-digit mpmath evaluation
 PHI_0 = 0.3989422804014327
 CDF_196 = 0.9750021048517795
@@ -74,6 +76,20 @@ def test_cdf_boundaries():
 def test_cdf_reflection_identity():
     xs = np.linspace(-10, 10, 2001)
     assert np.max(np.abs(norm_cdf(xs) + norm_cdf(-xs) - 1.0)) <= 1e-15
+
+
+def test_cdf_equals_the_negated_argument_form_bit_for_bit():
+    # norm_cdf divides x by -sqrt(2); division rounds symmetrically in sign, so every non-NaN x gives the
+    # bits of -x / sqrt(2), and NaN stays NaN
+    rng = np.random.default_rng(2008)
+    patterns = np.frombuffer(rng.bytes(8 * 1_000_000), dtype=float)
+    edges = [0.0, -0.0, 5e-324, -5e-324, MAX_FLOAT, -MAX_FLOAT, math.inf, -math.inf]
+    x = np.concatenate([patterns[~np.isnan(patterns)], np.linspace(-40.0, 40.0, 1_000_001), edges])
+    assert np.array_equal(norm_cdf(x).view(np.uint64), negated_norm_cdf(x).view(np.uint64))
+    assert [norm_cdf(v).hex() for v in edges] == [float(negated_norm_cdf(v)).hex() for v in edges]
+    nans = np.concatenate([patterns[np.isnan(patterns)], [math.nan, -math.nan]])
+    with np.errstate(invalid="ignore"):  # a signaling NaN warns in either form's division
+        assert nans.size > 2 and np.isnan(norm_cdf(nans)).all() and math.isnan(norm_cdf(math.nan))
 
 
 def test_cdf_monotone():
