@@ -136,6 +136,20 @@ def _phi_at_ends(pieces, batch: bool) -> tuple:
     return ends.reshape(-1, 2), norm_cdf(ends).tolist()
 
 
+def _read_only(v) -> np.ndarray:
+    """v as a read-only float64 array no caller can write: v if it is one owning its data, else a read-only copy."""
+    if not (type(v) is np.ndarray and v.dtype == np.float64 and not v.flags.writeable and v.base is None):
+        (v := np.array(v, dtype=float)).flags.writeable = False
+    return v
+
+
+def _handed_over(batch: bool, atoms: tuple, pieces: tuple) -> tuple:
+    """(atoms, pieces), just made by the calling build; a batch's array fields are marked read-only, to be kept."""
+    for v in (v for r in (*atoms, *pieces) for v in r if isinstance(v, np.ndarray)) if batch else ():
+        v.flags.writeable = False
+    return atoms, pieces
+
+
 def _unwarned(batch: bool, build, *args):
     """build(*args); a batch of laws under `np.errstate`, so it overflows or turns NaN unwarned, as a float does."""
     if not batch:
@@ -150,11 +164,11 @@ def _checked_records(atoms, pieces) -> tuple:
     When all are `Atom` and `GaussPiece` records of exact floats they are
     kept as they are; other numbers (or 0-d arrays) are coerced to such
     records.  Either makes a single law, whose shape is None.  Otherwise
-    each field is copied once as a float array in its own shape, so a field
-    shared by every law (a piece's slope, say) is one value, checked and
-    built on once.  One pass checks a law by plain float comparisons and a
-    batch by the same ones on arrays, record by record; one bad law rejects
-    the batch with its own message.
+    each field is one read-only float array (`_read_only`) in its own shape,
+    so a field shared by every law (a piece's slope, say) is one value,
+    checked and built on once.  One pass checks a law by plain float
+    comparisons and a batch by the same ones on arrays, record by record;
+    one bad law rejects the batch with its own message.
     """
     atoms, pieces, shape = tuple(atoms), tuple(pieces), None
     if not ({*map(type, atoms)} <= {Atom} and {*map(type, pieces)} <= {GaussPiece}
@@ -163,8 +177,8 @@ def _checked_records(atoms, pieces) -> tuple:
             atoms = tuple(Atom(*map(float, a)) for a in atoms)
             pieces = tuple(GaussPiece(*map(float, p)) for p in pieces)
         except TypeError:  # float() rejects arrays of one or more dimensions
-            atoms = tuple(Atom(*(np.array(v, dtype=float) for v in a)) for a in atoms)
-            pieces = tuple(GaussPiece(*(np.array(v, dtype=float) for v in p)) for p in pieces)
+            atoms = tuple(Atom(*map(_read_only, a)) for a in atoms)
+            pieces = tuple(GaussPiece(*map(_read_only, p)) for p in pieces)
             shape = np.broadcast_shapes(*(v.shape for r in (*atoms, *pieces) for v in r))
     inf, one_law = math.inf, shape is None
     for loc, w in atoms:
@@ -201,7 +215,9 @@ class MixtureDistribution:
     `total_mass` and `rescaled` also take batches; `second_moment`,
     `breakpoints` and JSON raise ValueError on one.  One pass checks a law
     and a batch alike, record by record, so the same faulty records raise
-    the same ValueError alone or in a batch.
+    the same ValueError alone or in a batch.  A batch keeps its fields as
+    read-only arrays no caller can write: those `_mixture` and `rescaled`
+    made, and a copy of any other.
 
     Building a single law keeps records of exact floats as they are, maps
     each piece end once, makes one normal-cdf call over them, and keeps the
@@ -210,11 +226,9 @@ class MixtureDistribution:
     normal-pdf call (plus one over the nodes of its short pieces).  `cdf`
     and `density_ac` are one walk over the pieces with two integrands, the
     same walk for a law and a batch: each point is evaluated only by the
-    piece that holds it.  Only a batch's build enters `np.errstate`; it
-    keeps no mapped ends and makes no kernel call at a piece end that is
-    infinite for every law.  The private `_phi` takes the mapped ends and
-    Phi values `_phi_at_ends` gives for these very records, which
-    `_mixture` has already taken for the atom's weight.
+    piece that holds it.  The private `_phi` takes the mapped ends and Phi
+    values `_phi_at_ends` gives for these very records (a batch keeps no
+    ends), which `_mixture` has already taken for the atom's weight.
     """
 
     atoms: tuple
@@ -365,10 +379,10 @@ class MixtureDistribution:
 
     def rescaled(self, s: float) -> "MixtureDistribution":
         """Law of X/s when this law describes X; requires finite s > 0; a batch overflows `_unwarned`."""
-        inv = _inverse_scale(s)
-        return _unwarned(self._shape is not None, lambda: MixtureDistribution(
-            atoms=tuple(Atom(loc * inv, w) for loc, w in self.atoms),
-            pieces=tuple(GaussPiece(slope * s, b, lo * inv, hi * inv) for slope, b, lo, hi in self.pieces)))
+        inv, batch = _inverse_scale(s), self._shape is not None  # a batch shares its read-only weights and shifts
+        return _unwarned(batch, lambda: MixtureDistribution(*_handed_over(
+            batch, tuple(Atom(loc * inv, w) for loc, w in self.atoms),
+            tuple(GaussPiece(slope * s, b, lo * inv, hi * inv) for slope, b, lo, hi in self.pieces))))
 
     def breakpoints(self) -> list:
         """Finite interval endpoints and atom locations, sorted; quadrature panels."""
@@ -464,13 +478,14 @@ def _mixture(kind: EstimatorKind, loc, se: float, a: float) -> MixtureDistributi
     Every kind shares the atom at loc, carried by the event estimate == 0, and its `_pieces` end at the
     knots loc + c*se, or at loc itself for c = 0, so that a -0.0 stays -0.0.  The atom's weight comes
     from the build's Phi at the middle two mapped ends, loc -+ se, and is `_zero_mass(loc, se)` bit for bit.
-    A batch's knots and mapped ends overflow or turn NaN `_unwarned`, as a float's do; only a batch enters
-    `np.errstate`.
+    Only a batch builds `_unwarned`, so its knots and mapped ends overflow or turn NaN quietly, as a float's do.
     """
     batch = isinstance(loc, np.ndarray) and loc.ndim != 0
+    loc = _read_only(loc) if batch else loc  # copied at most once; the atom and the knots at c = 0 share it
     pieces = _unwarned(batch, _pieces, kind, lambda c: loc + c * se if c else loc, se, a, batch)
     ends, phi = _unwarned(batch, _phi_at_ends, pieces, batch)  # a -0.0 end may map to +0.0: Phi is 0.5 at both
-    return MixtureDistribution((Atom(loc, phi[len(pieces)] - phi[len(pieces) - 1]),), pieces, (ends, phi))
+    atom = Atom(loc, phi[len(pieces)] - phi[len(pieces) - 1])
+    return MixtureDistribution(*_handed_over(batch, (atom,), pieces), (ends, phi))
 
 
 def finite_sample_dist(kind: EstimatorKind, point: ModelPoint, tuning: TuningPlan) -> MixtureDistribution:

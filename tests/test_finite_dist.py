@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import mpmath
@@ -19,7 +20,7 @@ from oracles import (
     reference_second_moment,
 )
 
-from shrinkdist import finite_dist
+from shrinkdist import finite_dist, impossibility
 from shrinkdist.estimators import EstimatorKind, TuningPlan, estimate
 from shrinkdist.finite_dist import (
     _GL_NODES,
@@ -34,9 +35,10 @@ from shrinkdist.finite_dist import (
     rescaled_dist,
     scaled_risk,
 )
+from shrinkdist.impossibility import MOutOfNBootstrap, _HarnessContext
 from shrinkdist.limits import conservative_limit, consistent_limit
 from shrinkdist.normal_kernel import norm_cdf, norm_pdf
-from shrinkdist.selection import RegimeSpec
+from shrinkdist.selection import PowerTuningPath, RegimeSpec
 
 KINDS = list(EstimatorKind)
 FIG_POINT = ModelPoint(40, 0.16)
@@ -779,6 +781,97 @@ def test_batch_field_shared_by_every_law_is_one_value():
         np.testing.assert_array_equal(law.total_mass(), [1.0, 1.0])
         for method in ("cdf", "cdf_left", "density_ac"):
             assert getattr(law, method)(x).tobytes() == getattr(laws[2], method)(x).tobytes()
+
+
+def _fields(law) -> list:
+    return [v for r in (*law.atoms, *law.pieces) for v in r]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_batch_fields_are_read_only(kind, monkeypatch):
+    # every field of a batch from the library's builders, the exact bootstrap's among them, is a read-only
+    # array: an in-place write raises and leaves the law as it was
+    point, tuning = ModelPoint(100, [0.0, 0.1]), TuningPlan(0.1)
+    laws = [finite_sample_dist(kind, point, tuning), rescaled_dist(kind, point, tuning)]
+    build = impossibility._mixture
+    monkeypatch.setattr(impossibility, "_mixture", lambda *args: laws.append(build(*args)) or laws[-1])
+    ctx = _HarnessContext(kind=kind, n=10_000, t=0.5, tuning=TuningPlan(0.1), true_value=math.nan)
+    MOutOfNBootstrap(path=PowerTuningPath(1.0, 0.25)).estimate_cdf(np.array([-0.2, 0.0, 0.05]), ctx)
+    assert len(laws) == 3
+    for law in laws:
+        cdf, mass = law.cdf(0.5), law.total_mass()
+        for v in _fields(law):
+            assert isinstance(v, np.ndarray) and not v.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                v[...] = 0.9
+        assert law.cdf(0.5).tobytes() == cdf.tobytes() and law.total_mass().tobytes() == mass.tobytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_batch_build_keeps_the_arrays_it_made(kind):
+    # a knot shared by two pieces, or by a piece and the atom, is one array, kept by the law as the build made it
+    law = finite_sample_dist(kind, ModelPoint(100, [0.0, 0.1, -0.3]), FIG_TUNING)
+    ends = [end for p in law.pieces for end in (p.lower, p.upper) if np.ndim(end)]
+    shared = {EstimatorKind.HARD: 0, EstimatorKind.SOFT: 1, EstimatorKind.SCAD: 5}[kind]
+    assert len(ends) - len({id(end) for end in ends}) == shared
+    if kind is not EstimatorKind.HARD:
+        assert any(end is law.atoms[0].loc for end in ends)
+    twin = law.rescaled(2.0)
+    assert twin.atoms[0].weight is law.atoms[0].weight and twin.pieces[1].shift is law.pieces[1].shift
+    kept = MixtureDistribution(law.atoms, law.pieces)
+    assert all(u is v for u, v in zip(_fields(kept), _fields(law)))
+
+
+def test_batch_from_a_callers_arrays_does_not_follow_later_writes():
+    # a writable array, a read-only view of one, and an array of another dtype are each copied once
+    loc, base = np.array([0.0, 1.0]), np.array([0.3, 1.2])
+    view = base[:]
+    view.flags.writeable = False
+    weight, slope = np.zeros(2, dtype=np.float32), np.ones(2)
+    law = MixtureDistribution(atoms=(Atom(loc, weight),), pieces=(
+        GaussPiece(slope, 0.0, -math.inf, view), GaussPiece(slope, 0.0, view, math.inf)))
+    x = np.array([0.5, 1.5])
+    cdf, mass, fields = law.cdf(x), law.total_mass(), [v.copy() for v in _fields(law)]
+    loc[:], base[:], weight[:], slope[:] = 7.0, -1.0, 0.5, 3.0
+    assert law.cdf(x).tobytes() == cdf.tobytes() and law.total_mass().tobytes() == mass.tobytes()
+    assert all(u.tobytes() == v.tobytes() for u, v in zip(_fields(law), fields))
+    owned = np.array([0.0, 1.0])
+    owned.flags.writeable = False
+    assert MixtureDistribution(atoms=(Atom(owned, 0.0),), pieces=law.pieces).atoms[0].loc is owned
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_no_array_a_caller_passes_comes_back_read_only(kind):
+    theta, loc = np.array([0.0, 0.1]), np.array([-1.0, 0.0, 2.0])
+    law = finite_sample_dist(kind, ModelPoint(100, theta), FIG_TUNING)
+    built = finite_dist._mixture(kind, loc, 0.5, 3.7)
+    field = np.array([0.2, 0.4])
+    records = MixtureDistribution(atoms=(Atom(field, 0.0),), pieces=(GaussPiece(1.0, 0.0, -math.inf, math.inf),))
+    assert theta.flags.writeable and loc.flags.writeable and field.flags.writeable
+    assert built.atoms[0].loc is not loc and records.atoms[0].loc is not field
+    for batch in (law, built, records):  # what a batch returns is the caller's to write
+        assert batch.cdf(0.5).flags.writeable and batch.total_mass().flags.writeable
+
+
+# peak and kept bytes of one build of B laws from a caller's writable loc, in arrays of B floats; the slack is
+# for the Python objects of the records, under a fifth of one such array
+BUILD_ARRAYS = {EstimatorKind.HARD: (11, 7), EstimatorKind.SOFT: (9, 5), EstimatorKind.SCAD: (27, 19)}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_batch_build_memory_budget(kind):
+    count, slack = 10_000, 16_384
+    loc = np.linspace(-3.0, 3.0, count)
+    finite_dist._mixture(kind, loc, 0.5, 3.7)
+    tracemalloc.start()
+    try:
+        law = finite_dist._mixture(kind, loc, 0.5, 3.7)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    peak_arrays, kept_arrays = BUILD_ARRAYS[kind]
+    assert peak <= peak_arrays * 8 * count + slack and kept <= kept_arrays * 8 * count + slack
+    assert law.atoms[0].weight.size == count
 
 
 def test_batch_of_laws_is_unhashable():
