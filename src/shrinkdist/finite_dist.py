@@ -378,11 +378,15 @@ class MixtureDistribution:
         return out + ac
 
     def rescaled(self, s: float) -> "MixtureDistribution":
-        """Law of X/s when this law describes X; requires finite s > 0; a batch overflows `_unwarned`."""
-        inv, batch = _inverse_scale(s), self._shape is not None  # a batch shares its read-only weights and shifts
-        return _unwarned(batch, lambda: MixtureDistribution(*_handed_over(
-            batch, tuple(Atom(loc * inv, w) for loc, w in self.atoms),
-            tuple(GaussPiece(slope * s, b, lo * inv, hi * inv) for slope, b, lo, hi in self.pieces))))
+        """Law of X/s for finite s > 0; a batch rescales each distinct end once, so a shared end stays one array."""
+        inv = _inverse_scale(s)
+        if self._shape is None:
+            return MixtureDistribution(tuple(Atom(loc * inv, w) for loc, w in self.atoms), tuple(
+                GaussPiece(slope * s, b, lo * inv, hi * inv) for slope, b, lo, hi in self.pieces))
+        with np.errstate(over="ignore", invalid="ignore"):  # a batch shares its read-only weights and shifts
+            end = {id(v): v * inv for v in (*(loc for loc, _ in self.atoms), *(v for p in self.pieces for v in p[2:]))}
+            return MixtureDistribution(*_handed_over(True, tuple(Atom(end[id(loc)], w) for loc, w in self.atoms), tuple(
+                GaussPiece(slope * s, b, end[id(lo)], end[id(hi)]) for slope, b, lo, hi in self.pieces)))
 
     def breakpoints(self) -> list:
         """Finite interval endpoints and atom locations, sorted; quadrature panels."""
@@ -486,6 +490,27 @@ def _mixture(kind: EstimatorKind, loc, se: float, a: float) -> MixtureDistributi
     ends, phi = _unwarned(batch, _phi_at_ends, pieces, batch)  # a -0.0 end may map to +0.0: Phi is 0.5 at both
     atom = Atom(loc, phi[len(pieces)] - phi[len(pieces) - 1])
     return MixtureDistribution(*_handed_over(batch, (atom,), pieces), (ends, phi))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _mapped_point(kind: EstimatorKind, x, loc, se, a: float) -> np.ndarray:
+    """The z at which the law `_mixture(kind, loc, se, a)` has cdf Phi(z) at each x, unwarned, with no law built.
+
+    z is s*x + b of the `_pieces` piece holding x, the very float the walk passes to Phi (in hard's gap, the upper
+    end of the piece below; from the atom on, at least the lower end of the piece above).  A law whose ends could
+    miss by a mass past `_MASS_TOL` at a join off the atom is built, to check it.  The knot table (ROADMAP.md)
+    grows from this: it is to make `cdf` itself Phi of the mapped point.
+    """
+    pieces, z = _pieces(kind, lambda c: loc + c * se if c else loc, se, a, True), np.full(np.shape(x), -math.inf)
+    ends = [(s * lo + b, s * hi + b) for s, b, lo, hi in pieces]
+    for (s, b, lo, _), (_, top) in zip(pieces, ends):
+        np.copyto(z, np.minimum(s * x + b, top), where=x > lo)
+    above = len(pieces) // 2  # the piece above the atom
+    np.maximum(z, ends[above][0], out=z, where=x >= loc)
+    gaps = [np.fmax(abs(top - bottom), 0.0) for (_, top), (bottom, _) in zip(ends, ends[1:])]  # NaN: one infinity
+    if np.any(doubt := 0.4 * sum(gaps[:above - 1] + gaps[above:]) > _MASS_TOL):  # the normal density is below 0.4
+        _mixture(kind, np.asarray(loc)[doubt], se, a)
+    return z
 
 
 def finite_sample_dist(kind: EstimatorKind, point: ModelPoint, tuning: TuningPlan) -> MixtureDistribution:

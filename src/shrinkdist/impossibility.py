@@ -26,10 +26,10 @@ import numpy as np
 from scipy.special import ndtri
 
 from .estimators import EstimatorKind, TuningPlan, _check_kind, estimate
-from .finite_dist import ModelPoint, _mixture, _zero_mass, finite_sample_dist
+from .finite_dist import ModelPoint, _mapped_point, _zero_mass, finite_sample_dist
 from .limits import _limit_law
 from .montecarlo import _uniform_open
-from .normal_kernel import _check_count, _check_real, _check_seed, gaussian_tv
+from .normal_kernel import _check_count, _check_real, _check_seed, gaussian_tv, norm_cdf
 from .report import ExperimentReport
 from .selection import RegimeSpec
 
@@ -163,14 +163,12 @@ class PretestPlugin:
 class MOutOfNBootstrap:
     """Parametric m-out-of-n bootstrap on the sufficient statistic, exact (B = inf).
 
-    The bootstrap resamples ybar* ~ N(ybar, 1/m) and recomputes the
-    estimator at scale m with the tuning path evaluated at m; consistency
-    requires m -> inf and m/n -> 0, and m = n recovers the ordinary
-    (inconsistent) bootstrap.  The law of sqrt(m)*(estimate(ybar*) - ybar)
-    is the finite-sample law F_{m,ybar}, built at loc = -sqrt(m)*ybar,
-    se = sqrt(m)*eta_m, so the bootstrap cdf at t is exactly
-    F_{m,ybar}(t - sqrt(m)*(ybar - theta_hat)): no resamples are drawn, and
-    `n_boot` is accepted but ignored.
+    The bootstrap resamples ybar* ~ N(ybar, 1/m) and recomputes the estimator at scale m with the tuning path
+    evaluated at m; consistency requires m -> inf and m/n -> 0, and m = n recovers the ordinary (inconsistent)
+    bootstrap.  The law of sqrt(m)*(estimate(ybar*) - ybar) is the finite-sample law F_{m,ybar} at
+    loc = -sqrt(m)*ybar, se = sqrt(m)*eta_m, so the bootstrap cdf at t is exactly
+    F_{m,ybar}(t - sqrt(m)*(ybar - theta_hat)): Phi of that law's mapped point, one normal-cdf call over all of
+    ybar, with no law built and no resamples drawn.  `n_boot` is accepted but ignored.
     """
 
     name = "m-out-of-n-bootstrap"
@@ -178,6 +176,7 @@ class MOutOfNBootstrap:
     m_rule: Callable[[int], int] = field(default=lambda n: int(math.ceil(math.sqrt(n))))
     n_boot: int = 200  # resample count of a Monte Carlo bootstrap; unused by the exact one
 
+    @np.errstate(over="ignore")  # where -sqrt(m)*ybar passes the float range, the atom sits at -+inf unwarned
     def estimate_cdf(self, ybar, ctx) -> np.ndarray:
         y = np.asarray(ybar, dtype=float)
         if y.ndim > 1 or y.size == 0:
@@ -185,9 +184,8 @@ class MOutOfNBootstrap:
         m = _check_count(self.m_rule(ctx.n), "m")
         tuning_m = TuningPlan(self.path.eta(m), ctx.tuning.scad_a)
         s = math.sqrt(m)
-        theta_hat = estimate(ctx.kind, y, ctx.tuning)
-        laws = _mixture(ctx.kind, -s * y, s * tuning_m.eta, tuning_m.scad_a)
-        return laws.cdf(ctx.t - s * (y - theta_hat))
+        x = ctx.t - s * (y - estimate(ctx.kind, y, ctx.tuning))
+        return norm_cdf(_mapped_point(ctx.kind, x, -s * y, s * tuning_m.eta, tuning_m.scad_a))
 
 
 @dataclass

@@ -9,7 +9,10 @@ each sweep one scalar law at a time; `ks_reference` likewise redoes the KS dista
 one point at a time through `point_values`, which redoes a law's cdf, its
 left limit and its density at each float, and `reference_masses` and
 `reference_second_moment` redo a law's build and second moment with one
-scalar normal-kernel call per piece end; `negated_norm_cdf` restates the
+scalar normal-kernel call per piece end; `mapped_point_reference` restates
+the mapped point z, with cdf Phi(z), that the exact bootstrap evaluates,
+from each law's pieces and atom by float comparisons; `negated_norm_cdf`
+restates the
 normal cdf as 0.5 * erfc(-x / sqrt(2)), the expression `norm_cdf` used before
 it divided by -sqrt(2).  `reference_theta` writes out each
 theta-rule kind's sequence as its own formula, `reference_pretest_cdf` the
@@ -318,6 +321,34 @@ def reference_masses(pieces):
     phi_lower = tuple(norm_cdf(s * lo + b) for s, b, lo, _ in pieces)
     masses = tuple(norm_cdf(s * hi + b) - base for (s, b, _, hi), base in zip(pieces, phi_lower))
     return phi_lower, masses
+
+
+def mapped_point_reference(law, x) -> np.ndarray:
+    """The z with cdf Phi(z) of law i of a batch of laws at x[i], one law and one float at a time.
+
+    One branch per case, by float comparisons on law i's own records: s*x + b
+    of the piece holding x in (lower, upper]; past a piece below x, its
+    mapped upper end, so that in hard's gap the piece below the atom gives
+    its own; and on the atom, or between it and the piece above it, that
+    piece's mapped lower end, since the atom's weight lifts the cdf to Phi
+    there.
+    """
+    x = np.asarray(x, dtype=float)
+    out = []
+    for i, point in enumerate(x.tolist()):
+        pieces = [[float(np.broadcast_to(v, x.shape)[i]) for v in p] for p in law.pieces]
+        loc = float(np.broadcast_to(law.atoms[0].loc, x.shape)[i])
+        z = -math.inf
+        for s, b, lo, hi in pieces:
+            if lo < point <= hi:
+                z = s * point + b
+            elif hi < point:
+                z = s * hi + b
+        s, b, lo, _ = pieces[len(pieces) // 2]  # the piece above the atom
+        if loc <= point <= lo:
+            z = s * lo + b
+        out.append(z)
+    return np.array(out)
 
 
 def negated_norm_cdf(x) -> np.ndarray:

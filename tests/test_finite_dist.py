@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     map_tails,
+    mapped_point_reference,
     mpmath_hard_rescaled_risk,
     mpmath_second_moment,
     point_values,
@@ -20,7 +21,7 @@ from oracles import (
     reference_second_moment,
 )
 
-from shrinkdist import finite_dist, impossibility
+from shrinkdist import finite_dist
 from shrinkdist.estimators import EstimatorKind, TuningPlan, estimate
 from shrinkdist.finite_dist import (
     _GL_NODES,
@@ -35,10 +36,9 @@ from shrinkdist.finite_dist import (
     rescaled_dist,
     scaled_risk,
 )
-from shrinkdist.impossibility import MOutOfNBootstrap, _HarnessContext
 from shrinkdist.limits import conservative_limit, consistent_limit
 from shrinkdist.normal_kernel import norm_cdf, norm_pdf
-from shrinkdist.selection import PowerTuningPath, RegimeSpec
+from shrinkdist.selection import RegimeSpec
 
 KINDS = list(EstimatorKind)
 FIG_POINT = ModelPoint(40, 0.16)
@@ -788,16 +788,11 @@ def _fields(law) -> list:
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_batch_fields_are_read_only(kind, monkeypatch):
-    # every field of a batch from the library's builders, the exact bootstrap's among them, is a read-only
-    # array: an in-place write raises and leaves the law as it was
+def test_batch_fields_are_read_only(kind):
+    # every field of a batch from the library's builders is a read-only array: an in-place write raises and
+    # leaves the law as it was (the exact bootstrap builds no law; see test_exact_builds_no_law)
     point, tuning = ModelPoint(100, [0.0, 0.1]), TuningPlan(0.1)
     laws = [finite_sample_dist(kind, point, tuning), rescaled_dist(kind, point, tuning)]
-    build = impossibility._mixture
-    monkeypatch.setattr(impossibility, "_mixture", lambda *args: laws.append(build(*args)) or laws[-1])
-    ctx = _HarnessContext(kind=kind, n=10_000, t=0.5, tuning=TuningPlan(0.1), true_value=math.nan)
-    MOutOfNBootstrap(path=PowerTuningPath(1.0, 0.25)).estimate_cdf(np.array([-0.2, 0.0, 0.05]), ctx)
-    assert len(laws) == 3
     for law in laws:
         cdf, mass = law.cdf(0.5), law.total_mass()
         for v in _fields(law):
@@ -810,13 +805,14 @@ def test_batch_fields_are_read_only(kind, monkeypatch):
 @pytest.mark.parametrize("kind", KINDS)
 def test_batch_build_keeps_the_arrays_it_made(kind):
     # a knot shared by two pieces, or by a piece and the atom, is one array, kept by the law as the build made it
+    # (and rescaling keeps that sharing, rescaling each distinct array once)
     law = finite_sample_dist(kind, ModelPoint(100, [0.0, 0.1, -0.3]), FIG_TUNING)
-    ends = [end for p in law.pieces for end in (p.lower, p.upper) if np.ndim(end)]
-    shared = {EstimatorKind.HARD: 0, EstimatorKind.SOFT: 1, EstimatorKind.SCAD: 5}[kind]
-    assert len(ends) - len({id(end) for end in ends}) == shared
-    if kind is not EstimatorKind.HARD:
-        assert any(end is law.atoms[0].loc for end in ends)
     twin = law.rescaled(2.0)
+    shared = {EstimatorKind.HARD: 0, EstimatorKind.SOFT: 1, EstimatorKind.SCAD: 5}[kind]
+    for batch in (law, twin):
+        ends = [end for p in batch.pieces for end in (p.lower, p.upper) if np.ndim(end)]
+        assert len(ends) - len({id(end) for end in ends}) == shared
+        assert any(end is batch.atoms[0].loc for end in ends) is (kind is not EstimatorKind.HARD)
     assert twin.atoms[0].weight is law.atoms[0].weight and twin.pieces[1].shift is law.pieces[1].shift
     kept = MixtureDistribution(law.atoms, law.pieces)
     assert all(u is v for u, v in zip(_fields(kept), _fields(law)))
@@ -872,6 +868,32 @@ def test_batch_build_memory_budget(kind):
     peak_arrays, kept_arrays = BUILD_ARRAYS[kind]
     assert peak <= peak_arrays * 8 * count + slack and kept <= kept_arrays * 8 * count + slack
     assert law.atoms[0].weight.size == count
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_mapped_point_is_the_laws_cdf(kind):
+    # Phi of `_mapped_point` is the batch law's cdf: bit for bit where the walk adds a single term (the
+    # first piece, and hard's gap below the atom), within 4 eps everywhere, and bit for bit Phi of
+    # the law's own mapped point (`mapped_point_reference`) at every piece end, its float neighbours,
+    # the atom and a grid; with no warning at the infinite ends and x
+    se, a = 1.3, 3.7
+    offsets = np.array([c * se for c in (-a, -1.0, 0.0, 1.0, a)])
+    ends = np.concatenate([offsets, np.nextafter(offsets, -np.inf), np.nextafter(offsets, np.inf),
+                           np.linspace(-12.0, 12.0, 49), [-1e-9, 1e-9]])
+    centres = np.array([-40.0, -3.0, -0.0, 0.7, 5.0, 37.0])
+    loc = np.repeat(centres, ends.size)
+    x = np.concatenate([np.tile(ends, centres.size) + loc, [-np.inf, np.inf]])
+    loc = np.concatenate([loc, [0.5, 0.5]])
+    law = finite_dist._mixture(kind, loc, se, a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = norm_cdf(finite_dist._mapped_point(kind, x, loc, se, a))
+    cdf = law.cdf(x)
+    single = (x < loc) & ((x <= law.pieces[0].upper) | (kind is EstimatorKind.HARD))
+    assert np.sum(single) >= 6 * centres.size
+    assert got[single].tobytes() == cdf[single].tobytes()
+    assert np.max(np.abs(got - cdf)) <= 4 * EPS
+    assert got.tobytes() == norm_cdf(mapped_point_reference(law, x)).tobytes()
 
 
 def test_batch_of_laws_is_unhashable():

@@ -1,9 +1,17 @@
 import math
+import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
-from oracles import reference_pretest_cdf, resampled_bootstrap_cdf, swept_lower_bound
+from oracles import (
+    map_tails,
+    mapped_point_reference,
+    reference_pretest_cdf,
+    resampled_bootstrap_cdf,
+    swept_lower_bound,
+)
 
 from shrinkdist import finite_dist, impossibility
 from shrinkdist.estimators import EstimatorKind, TuningPlan, estimate
@@ -24,6 +32,7 @@ from shrinkdist.normal_kernel import gaussian_tv, norm_cdf
 from shrinkdist.selection import PowerTuningPath
 
 KINDS = list(EstimatorKind)
+EPS = 2.0**-52
 CONSERVATIVE = TuningPlan(0.196)   # n=100: sqrt(n)*eta = 1.96
 CONSISTENT_PATH = PowerTuningPath(1.0, 0.25)
 
@@ -361,19 +370,46 @@ class TestExactBootstrap:
     @pytest.mark.parametrize("full_n", [False, True])
     @pytest.mark.parametrize("kind", KINDS)
     def test_exact_is_the_finite_sample_law_at_m_and_ybar(self, kind, full_n):
+        # the bootstrap cdf is Phi of the mapped point of the law F_{m,ybar}: bit for bit the law's own cdf
+        # where its walk adds a single term, bit for bit Phi of the law's mapped point everywhere, and
+        # within the law test's bound of the estimator-map oracle wherever the law's shifts and ends stay
+        # below 16 (the sweep of test_cdf_equals_estimator_map_oracle_over_extreme_inputs)
         spec, ctx, m, tuning_m = bootstrap_problem(kind, full_n, 0.0)
         ybar = np.linspace(-3.0, 3.0, 41) * ctx.tuning.eta
         theta_hat = estimate(kind, ybar, ctx.tuning)
         laws = finite_sample_dist(kind, ModelPoint(m, ybar), tuning_m)
+        loc = laws.atoms[0].loc
+        # law i's shifts and finite ends all below 16
+        small = np.all([np.broadcast_to((abs(v) < 16.0) | np.isinf(v), ybar.shape) for p in laws.pieces
+                        for v in p[1:]], axis=0)
+        single_terms = oracle_points = 0
         for t in (-1.0, 0.0, 0.5):
-            want = laws.cdf(t - math.sqrt(m) * (ybar - theta_hat))
-            assert spec.estimate_cdf(ybar, replace(ctx, t=t)).tobytes() == want.tobytes()
+            x = t - math.sqrt(m) * (ybar - theta_hat)
+            got = spec.estimate_cdf(ybar, replace(ctx, t=t))
+            # the first piece alone, or hard's gap below the atom, where the law's cdf is Phi of one value
+            single = (x < loc) & ((x <= laws.pieces[0].upper) | (kind is EstimatorKind.HARD))
+            assert got[single].tobytes() == laws.cdf(x)[single].tobytes()
+            assert got.tobytes() == norm_cdf(mapped_point_reference(laws, x)).tobytes()
+            single_terms += int(np.sum(single))
+            for y, v, a, value, keep in zip(ybar.tolist(), x.tolist(), loc.tolist(), got.tolist(), small.tolist()):
+                if not keep or abs(v - a) <= 1e-12 * max(1.0, abs(a)):  # the atom's float may sit an ulp off
+                    continue
+                want, want_sf = map_tails(kind, m, y, tuning_m.eta, tuning_m.scad_a, v, "sqrt_n")
+                if want < 1e-290:
+                    assert abs(value - want) <= 1e-300
+                else:
+                    assert abs(value - want) <= 4 * EPS * (1 - 2 * mpmath.log(want)) * want, (y, v, value, want)
+                assert abs(1.0 - value - want_sf) <= 4 * EPS
+                oracle_points += 1
+        # scad's first piece ends at loc - a*se, below every x here (test_mapped_point_is_the_laws_cdf in
+        # test_finite_dist takes points there), and at m = n every scad law has ends past 16
+        assert single_terms > 0 or kind is EstimatorKind.SCAD
+        assert oracle_points > 0 or not any(small)
 
-    @pytest.mark.parametrize("kind, budget", [(EstimatorKind.HARD, 3), (EstimatorKind.SOFT, 3),
-                                              (EstimatorKind.SCAD, 11)])
-    def test_exact_calls_phi_only_where_a_batch_needs_it(self, monkeypatch, kind, budget):
-        # per law: every finite piece end, among them the two ends of the zero
-        # event, and the one piece holding the law's point; no call at an infinite end
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_exact_calls_phi_only_where_a_batch_needs_it(self, monkeypatch, kind):
+        # one normal-cdf point per ybar, at its mapped point; the mass check adds points only for laws whose
+        # mapped ends could miss at a join, and none does here
         spec, ctx, _, _ = bootstrap_problem(kind, False, 0.0)
         ybar = np.linspace(-3.0, 3.0, 10_000) * ctx.tuning.eta
         points = []
@@ -382,11 +418,56 @@ class TestExactBootstrap:
             points.append(np.size(z))
             return norm_cdf(z)
 
-        monkeypatch.setattr(finite_dist, "norm_cdf", counting_norm_cdf)
+        for module in (finite_dist, impossibility):
+            monkeypatch.setattr(module, "norm_cdf", counting_norm_cdf)
         for t in (-1.0, 0.0, 0.5):
             points.clear()
             spec.estimate_cdf(ybar, replace(ctx, t=t))
-            assert sum(points) <= budget * ybar.size
+            assert sum(points) <= ybar.size
+
+    @pytest.mark.parametrize("full_n", [False, True])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_exact_builds_no_law(self, monkeypatch, kind, full_n):
+        built = []
+        init = finite_dist.MixtureDistribution.__post_init__
+        monkeypatch.setattr(finite_dist.MixtureDistribution, "__post_init__",
+                            lambda law, phi: built.append(law) or init(law, phi))
+        build = finite_dist._mixture
+        monkeypatch.setattr(finite_dist, "_mixture", lambda *args: built.append(args) or build(*args))
+        spec, ctx, _, _ = bootstrap_problem(kind, full_n, 0.0)
+        for t in (-1.0, 0.0, 0.5):
+            spec.estimate_cdf(np.linspace(-3.0, 3.0, 101) * ctx.tuning.eta, replace(ctx, t=t))
+        assert built == []
+
+    @pytest.mark.parametrize("ybar", [-1e307, 1e307])
+    @pytest.mark.parametrize("kind", [EstimatorKind.HARD, EstimatorKind.SCAD])
+    def test_exact_past_the_float_range_is_quiet(self, kind, ybar):
+        # -sqrt(m)*ybar overflows: the atom sits at -+inf, the estimate is ybar itself and the
+        # law is the standard normal, so the cdf at t = 0 is 1/2, with no warning
+        n = 10**8
+        spec = MOutOfNBootstrap(path=CONSISTENT_PATH)
+        ctx = _HarnessContext(kind=kind, n=n, t=0.0, tuning=TuningPlan(CONSISTENT_PATH.eta(n)), true_value=math.nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = spec.estimate_cdf(np.array([ybar, ybar]), ctx)
+        assert got.tolist() == [0.5, 0.5]
+
+    def test_exact_keeps_the_builds_mass_check(self):
+        # at m = 1e30 the scad law's float shifts miss at its joins, so its mass reads 1.0016 and the build
+        # rejects it (the strict xfail on the scad law at n = 1e30 in test_finite_dist); so does the bootstrap
+        class FixedPath:
+            def eta(self, m):
+                return 0.05
+
+        spec = MOutOfNBootstrap(path=FixedPath(), m_rule=lambda n: 10**30)
+        ctx = _HarnessContext(kind=EstimatorKind.SCAD, n=100, t=0.0, tuning=TuningPlan(0.05), true_value=math.nan)
+        with pytest.raises(ValueError, match="mixture mass .* is not 1 within"):
+            spec.estimate_cdf(np.array([-0.1]), ctx)
+        with pytest.raises(ValueError, match="mixture mass"):
+            finite_sample_dist(EstimatorKind.SCAD, ModelPoint(10**30, -0.1), TuningPlan(0.05))
+        # at ybar = 0 the law builds, and the bootstrap reads it: all its mass is on the atom at 0
+        law = finite_sample_dist(EstimatorKind.SCAD, ModelPoint(10**30, 0.0), TuningPlan(0.05))
+        assert spec.estimate_cdf(np.array([0.0]), ctx).tolist() == [law.cdf(0.0)] == [1.0]
 
     def test_exact_rejects_empty_or_2d_ybar(self):
         spec, ctx, _, _ = bootstrap_problem(EstimatorKind.HARD, False, 0.0)
