@@ -61,9 +61,10 @@ class ModelPoint:
         object.__setattr__(self, "n", _check_count(self.n))
         theta = self.theta
         if isinstance(theta, (list, tuple, np.ndarray)) and np.ndim(theta) != 0:
-            arr = np.asarray(theta)
-            if arr.ndim != 1 or arr.size == 0 or arr.dtype == bool or not np.isfinite(arr).all():
-                raise ValueError("a batch of theta must be a nonempty 1-d array of finite numbers")
+            arr = np.asarray(theta)  # a scalar theta's rules: real numbers of a real dtype, not bools, finite
+            if (arr.ndim != 1 or arr.size == 0 or arr.dtype.kind not in "iuf" or not np.isfinite(arr).all()
+                    or not isinstance(theta, np.ndarray) and any(isinstance(v, (bool, np.bool_)) for v in theta)):
+                raise ValueError("a batch of theta must be a nonempty 1-d array of finite real numbers")
             object.__setattr__(self, "theta", tuple(arr.astype(float).tolist()))
         else:
             object.__setattr__(self, "theta", _check_real(theta, "theta"))
@@ -81,15 +82,16 @@ def _real_to_json(v: float):
     return v
 
 
-def _inverse_scale(s: float) -> float:
-    """1/s for a finite scale s > 0 whose inverse is finite (a subnormal s has none).
+def _inverse_scale(s) -> tuple:
+    """(s, 1/s) as floats for a real scale s > 0 (`_check_real`) whose inverse is finite (a subnormal s has none).
 
     Ends and locations are rescaled as x * (1/s), not x / s: the two differ
     in the last bit for some x, and the published output bytes use the former.
     """
-    if not (s > 0.0 and math.isfinite(s) and math.isfinite(1.0 / float(s))):
+    s = _check_real(s, "scale", gt=0)
+    if not math.isfinite(1.0 / s):
         raise ValueError(f"scale must be positive and finite, with a finite inverse (got {s!r})")
-    return 1.0 / s
+    return s, 1.0 / s
 
 
 def _times_square(w: float, v: float) -> float:
@@ -137,17 +139,9 @@ def _phi_at_ends(pieces, batch: bool) -> tuple:
 
 
 def _read_only(v) -> np.ndarray:
-    """v as a read-only float64 array no caller can write: v if it is one owning its data, else a read-only copy."""
-    if not (type(v) is np.ndarray and v.dtype == np.float64 and not v.flags.writeable and v.base is None):
-        (v := np.array(v, dtype=float)).flags.writeable = False
+    """v as a read-only float64 copy, which no caller can write and no write to v reaches."""
+    (v := np.array(v, dtype=float)).flags.writeable = False
     return v
-
-
-def _handed_over(batch: bool, atoms: tuple, pieces: tuple) -> tuple:
-    """(atoms, pieces), just made by the calling build; a batch's array fields are marked read-only, to be kept."""
-    for v in (v for r in (*atoms, *pieces) for v in r if isinstance(v, np.ndarray)) if batch else ():
-        v.flags.writeable = False
-    return atoms, pieces
 
 
 def _unwarned(batch: bool, build, *args):
@@ -215,9 +209,9 @@ class MixtureDistribution:
     `total_mass` and `rescaled` also take batches; `second_moment`,
     `breakpoints` and JSON raise ValueError on one.  One pass checks a law
     and a batch alike, record by record, so the same faulty records raise
-    the same ValueError alone or in a batch.  A batch keeps its fields as
-    read-only arrays no caller can write: those `_mixture` and `rescaled`
-    made, and a copy of any other.
+    the same ValueError alone or in a batch.  A batch keeps a read-only
+    copy of each array field (`_read_only`), so no caller can write it and
+    no later write to a caller's array reaches it.
 
     Building a single law keeps records of exact floats as they are, maps
     each piece end once, makes one normal-cdf call over them, and keeps the
@@ -378,15 +372,11 @@ class MixtureDistribution:
         return out + ac
 
     def rescaled(self, s: float) -> "MixtureDistribution":
-        """Law of X/s for finite s > 0; a batch rescales each distinct end once, so a shared end stays one array."""
-        inv = _inverse_scale(s)
-        if self._shape is None:
-            return MixtureDistribution(tuple(Atom(loc * inv, w) for loc, w in self.atoms), tuple(
-                GaussPiece(slope * s, b, lo * inv, hi * inv) for slope, b, lo, hi in self.pieces))
-        with np.errstate(over="ignore", invalid="ignore"):  # a batch shares its read-only weights and shifts
-            end = {id(v): v * inv for v in (*(loc for loc, _ in self.atoms), *(v for p in self.pieces for v in p[2:]))}
-            return MixtureDistribution(*_handed_over(True, tuple(Atom(end[id(loc)], w) for loc, w in self.atoms), tuple(
-                GaussPiece(slope * s, b, end[id(lo)], end[id(hi)]) for slope, b, lo, hi in self.pieces)))
+        """Law of X/s for finite s > 0; a batch of laws rescales `_unwarned`, overflowing quietly as a float does."""
+        s, inv = _inverse_scale(s)
+        return _unwarned(self._shape is not None, lambda: MixtureDistribution(
+            tuple(Atom(loc * inv, w) for loc, w in self.atoms),
+            tuple(GaussPiece(slope * s, b, lo * inv, hi * inv) for slope, b, lo, hi in self.pieces)))
 
     def breakpoints(self) -> list:
         """Finite interval endpoints and atom locations, sorted; quadrature panels."""
@@ -438,12 +428,12 @@ def atom_weight(point: ModelPoint, tuning: TuningPlan) -> float:
     return _zero_mass(*_cut_points(point, tuning))
 
 
-def _clip_to_floats(v, batch: bool):
+def _clip_to_floats(v):
     """v with -+inf moved to -+the largest float; a single law's float takes no numpy call."""
-    return np.clip(v, -_FLOAT_MAX, _FLOAT_MAX) if batch else min(max(v, -_FLOAT_MAX), _FLOAT_MAX)
+    return np.clip(v, -_FLOAT_MAX, _FLOAT_MAX) if isinstance(v, np.ndarray) else min(max(v, -_FLOAT_MAX), _FLOAT_MAX)
 
 
-def _pieces(kind: EstimatorKind, knot, se, a: float, batch: bool = False) -> tuple:
+def _pieces(kind: EstimatorKind, knot, se, a: float) -> tuple:
     """A kind's pieces, left to right, ending at `knot(c)`, the point where the estimate is c*eta.
 
     `knot(c)` is sqrt(n)*(c*eta - theta), the knot x_k of the estimator map in ROADMAP.md, for c in
@@ -467,10 +457,10 @@ def _pieces(kind: EstimatorKind, knot, se, a: float, batch: bool = False) -> tup
         b_lo, lo, mid, hi, b_hi = map(knot, (-a, -1, 0, 1, a))
         return (
             GaussPiece(1.0, 0.0, -math.inf, b_lo),
-            GaussPiece(ratio, _clip_to_floats(b_lo / (a - 1.0), batch), b_lo, lo),
+            GaussPiece(ratio, _clip_to_floats(b_lo / (a - 1.0)), b_lo, lo),
             GaussPiece(1.0, -se, lo, mid),
             GaussPiece(1.0, se, mid, hi),
-            GaussPiece(ratio, _clip_to_floats(b_hi / (a - 1.0), batch), hi, b_hi),
+            GaussPiece(ratio, _clip_to_floats(b_hi / (a - 1.0)), hi, b_hi),
             GaussPiece(1.0, 0.0, b_hi, math.inf),
         )
     raise ValueError(f"unknown estimator kind {kind!r}")
@@ -485,11 +475,9 @@ def _mixture(kind: EstimatorKind, loc, se: float, a: float) -> MixtureDistributi
     Only a batch builds `_unwarned`, so its knots and mapped ends overflow or turn NaN quietly, as a float's do.
     """
     batch = isinstance(loc, np.ndarray) and loc.ndim != 0
-    loc = _read_only(loc) if batch else loc  # copied at most once; the atom and the knots at c = 0 share it
-    pieces = _unwarned(batch, _pieces, kind, lambda c: loc + c * se if c else loc, se, a, batch)
+    pieces = _unwarned(batch, _pieces, kind, lambda c: loc + c * se if c else loc, se, a)
     ends, phi = _unwarned(batch, _phi_at_ends, pieces, batch)  # a -0.0 end may map to +0.0: Phi is 0.5 at both
-    atom = Atom(loc, phi[len(pieces)] - phi[len(pieces) - 1])
-    return MixtureDistribution(*_handed_over(batch, (atom,), pieces), (ends, phi))
+    return MixtureDistribution((Atom(loc, phi[len(pieces)] - phi[len(pieces) - 1]),), pieces, (ends, phi))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -501,7 +489,7 @@ def _mapped_point(kind: EstimatorKind, x, loc, se, a: float) -> np.ndarray:
     miss by a mass past `_MASS_TOL` at a join off the atom is built, to check it.  The knot table (ROADMAP.md)
     grows from this: it is to make `cdf` itself Phi of the mapped point.
     """
-    pieces, z = _pieces(kind, lambda c: loc + c * se if c else loc, se, a, True), np.full(np.shape(x), -math.inf)
+    pieces, z = _pieces(kind, lambda c: loc + c * se if c else loc, se, a), np.full(np.shape(x), -math.inf)
     ends = [(s * lo + b, s * hi + b) for s, b, lo, hi in pieces]
     for (s, b, lo, _), (_, top) in zip(pieces, ends):
         np.copyto(z, np.minimum(s * x + b, top), where=x > lo)

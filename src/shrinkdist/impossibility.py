@@ -122,13 +122,21 @@ def rescaled_lower_bound(kind: EstimatorKind, n: int, t: float, tuning: TuningPl
     return minimax_lower_bound(problem, epsilon=epsilon)
 
 
+def _checked_ybar(ybar) -> np.ndarray:
+    """ybar as a float array, the input of every cdf estimator: a finite number or a nonempty 1-d array of them."""
+    y = np.asarray(ybar, dtype=float)
+    if y.ndim > 1 or y.size == 0 or not np.isfinite(y).all():
+        raise ValueError("ybar must be a finite number or a nonempty 1-d array of finite numbers")
+    return y
+
+
 class OracleCheat:
     """Diagnostic estimator that returns the true cdf value; harness soundness check."""
 
     name = "oracle-cheat"
 
     def estimate_cdf(self, ybar, ctx) -> np.ndarray:
-        return np.full_like(np.asarray(ybar, dtype=float), ctx.true_value)
+        return np.full_like(_checked_ybar(ybar), ctx.true_value)
 
 
 @functools.lru_cache(maxsize=8)
@@ -152,7 +160,7 @@ class PretestPlugin:
     consistent: bool = True
 
     def estimate_cdf(self, ybar, ctx) -> np.ndarray:
-        y = np.asarray(ybar, dtype=float)
+        y = _checked_ybar(ybar)
         reject = np.abs(y) > float(ctx.n) ** (-_PRETEST_CUTOFF_EXPONENT)
         e = math.inf if self.consistent else math.sqrt(ctx.n) * ctx.tuning.eta
         accept, up, down = _pretest_values(ctx.kind, e, ctx.tuning.scad_a, ctx.t)
@@ -178,9 +186,7 @@ class MOutOfNBootstrap:
 
     @np.errstate(over="ignore")  # where -sqrt(m)*ybar passes the float range, the atom sits at -+inf unwarned
     def estimate_cdf(self, ybar, ctx) -> np.ndarray:
-        y = np.asarray(ybar, dtype=float)
-        if y.ndim > 1 or y.size == 0:
-            raise ValueError("ybar must be a number or a nonempty 1-d array")
+        y = _checked_ybar(ybar)
         m = _check_count(self.m_rule(ctx.n), "m")
         tuning_m = TuningPlan(self.path.eta(m), ctx.tuning.scad_a)
         s = math.sqrt(m)

@@ -71,6 +71,8 @@ class SimConfig:
     def __post_init__(self):
         object.__setattr__(self, "replications", _check_count(self.replications, "replications"))
         object.__setattr__(self, "seed", _check_seed(self.seed))
+        if isinstance(self.point.theta, tuple):  # each draw of a simulation is at the one theta
+            raise ValueError("a simulation takes a point of one theta, not a batch of points")
 
 
 @dataclass(frozen=True)

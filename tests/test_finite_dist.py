@@ -802,22 +802,6 @@ def test_batch_fields_are_read_only(kind):
         assert law.cdf(0.5).tobytes() == cdf.tobytes() and law.total_mass().tobytes() == mass.tobytes()
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_batch_build_keeps_the_arrays_it_made(kind):
-    # a knot shared by two pieces, or by a piece and the atom, is one array, kept by the law as the build made it
-    # (and rescaling keeps that sharing, rescaling each distinct array once)
-    law = finite_sample_dist(kind, ModelPoint(100, [0.0, 0.1, -0.3]), FIG_TUNING)
-    twin = law.rescaled(2.0)
-    shared = {EstimatorKind.HARD: 0, EstimatorKind.SOFT: 1, EstimatorKind.SCAD: 5}[kind]
-    for batch in (law, twin):
-        ends = [end for p in batch.pieces for end in (p.lower, p.upper) if np.ndim(end)]
-        assert len(ends) - len({id(end) for end in ends}) == shared
-        assert any(end is batch.atoms[0].loc for end in ends) is (kind is not EstimatorKind.HARD)
-    assert twin.atoms[0].weight is law.atoms[0].weight and twin.pieces[1].shift is law.pieces[1].shift
-    kept = MixtureDistribution(law.atoms, law.pieces)
-    assert all(u is v for u, v in zip(_fields(kept), _fields(law)))
-
-
 def test_batch_from_a_callers_arrays_does_not_follow_later_writes():
     # a writable array, a read-only view of one, and an array of another dtype are each copied once
     loc, base = np.array([0.0, 1.0]), np.array([0.3, 1.2])
@@ -831,9 +815,10 @@ def test_batch_from_a_callers_arrays_does_not_follow_later_writes():
     loc[:], base[:], weight[:], slope[:] = 7.0, -1.0, 0.5, 3.0
     assert law.cdf(x).tobytes() == cdf.tobytes() and law.total_mass().tobytes() == mass.tobytes()
     assert all(u.tobytes() == v.tobytes() for u, v in zip(_fields(law), fields))
-    owned = np.array([0.0, 1.0])
+    owned = np.array([0.0, 1.0])  # an owned read-only array is copied too, read-only
     owned.flags.writeable = False
-    assert MixtureDistribution(atoms=(Atom(owned, 0.0),), pieces=law.pieces).atoms[0].loc is owned
+    kept = MixtureDistribution(atoms=(Atom(owned, 0.0),), pieces=law.pieces).atoms[0].loc
+    assert kept is not owned and not kept.flags.writeable and kept.tobytes() == owned.tobytes()
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -851,7 +836,7 @@ def test_no_array_a_caller_passes_comes_back_read_only(kind):
 
 # peak and kept bytes of one build of B laws from a caller's writable loc, in arrays of B floats; the slack is
 # for the Python objects of the records, under a fifth of one such array
-BUILD_ARRAYS = {EstimatorKind.HARD: (11, 7), EstimatorKind.SOFT: (9, 5), EstimatorKind.SCAD: (27, 19)}
+BUILD_ARRAYS = {EstimatorKind.HARD: (14, 7), EstimatorKind.SOFT: (12, 7), EstimatorKind.SCAD: (40, 25)}
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -1148,7 +1133,8 @@ def test_atom_rejects_nan_loc():
 
 def test_rescaled_rejects_nonpositive_or_nonfinite_scale():
     dist = finite_sample_dist(EstimatorKind.SCAD, FIG_POINT, FIG_TUNING)
-    for s in (0.0, -1.0, math.inf, math.nan, 1e-310, 5e-324):  # a subnormal scale has no finite inverse
+    # a subnormal scale has no finite inverse; a bool, a string, a list or an array is no real parameter
+    for s in (0.0, -1.0, math.inf, math.nan, 1e-310, 5e-324, True, "2.0", [2.0], np.array([2.0, 3.0])):
         with pytest.raises(ValueError, match="scale"):
             dist.rescaled(s)
     for kind in KINDS:
@@ -1221,7 +1207,8 @@ def test_model_point_validation():
         ModelPoint(10, math.inf)
     with pytest.raises(ValueError):
         ModelPoint(10, True)
-    for batch in ([], [[0.1, 0.2]], [0.1, math.nan], np.array([True, False])):
+    for batch in ([], [[0.1, 0.2]], [0.1, math.nan], np.array([True, False]), [0.5, True], [0.5, np.True_],
+                  ["0.5", "1"], [None, 1.0], [10**400, 1], [1 + 2j, 0.5]):
         with pytest.raises(ValueError, match="batch"):
             ModelPoint(10, batch)
 

@@ -44,6 +44,16 @@ def test_problem_validation():
         TwoPointProblem(n=10, t=0.0, delta=0.0, tuning=CONSERVATIVE, kind=EstimatorKind.HARD)
 
 
+@pytest.mark.parametrize("ybar", [math.nan, [0.1, math.inf], [-math.inf], np.zeros((2, 3)), []])
+@pytest.mark.parametrize("spec", [PretestPlugin(), MOutOfNBootstrap(path=CONSISTENT_PATH), OracleCheat()],
+                         ids=lambda spec: spec.name)
+def test_cdf_estimators_reject_a_bad_ybar(spec, ybar):
+    # every cdf estimator takes a finite number or a nonempty 1-d array of them
+    ctx = _HarnessContext(kind=EstimatorKind.SOFT, n=100, t=0.0, tuning=CONSERVATIVE, true_value=0.5)
+    with pytest.raises(ValueError, match="ybar"):
+        spec.estimate_cdf(ybar, ctx)
+
+
 def test_theta_pair_positions():
     prob = TwoPointProblem(n=100, t=0.5, delta=0.2, tuning=CONSERVATIVE, kind=EstimatorKind.HARD)
     th_plus, th_minus = prob.theta_pair()

@@ -432,6 +432,9 @@ def test_sim_config_validation():
         SimConfig(seed=-1, replications=10, point=ModelPoint(4, 0.0), tuning=TuningPlan(0.5))
     with pytest.raises(ValueError):
         SimConfig(seed=1, replications=True, point=ModelPoint(4, 0.0), tuning=TuningPlan(0.5))
+    for replications in (2, 1000):  # every ybar of a simulation is drawn at one theta, never at a batch's own
+        with pytest.raises(ValueError, match="batch"):
+            SimConfig(seed=1, replications=replications, point=ModelPoint(10, [0.1, 5.0]), tuning=TuningPlan(0.5))
 
 
 class TestUniformRate:
