@@ -60,9 +60,13 @@ class ModelPoint:
     def __post_init__(self):
         object.__setattr__(self, "n", _check_count(self.n))
         theta = self.theta
-        if isinstance(theta, (list, tuple, np.ndarray)) and np.ndim(theta) != 0:
-            arr = np.asarray(theta)  # a scalar theta's rules: real numbers of a real dtype, not bools, finite
-            if (arr.ndim != 1 or arr.size == 0 or arr.dtype.kind not in "iuf" or not np.isfinite(arr).all()
+        if isinstance(theta, (list, tuple)) or isinstance(theta, np.ndarray) and theta.ndim != 0:
+            try:
+                arr = np.asarray(theta)
+            except ValueError:  # a ragged nesting such as [[0.1], 0.2] makes no array
+                arr = None
+            if (arr is None or arr.ndim != 1 or arr.size == 0 or arr.dtype.kind not in "iuf"
+                    or not np.isfinite(arr).all()  # a scalar theta's rules: a real dtype, not bools, finite
                     or not isinstance(theta, np.ndarray) and any(isinstance(v, (bool, np.bool_)) for v in theta)):
                 raise ValueError("a batch of theta must be a nonempty 1-d array of finite real numbers")
             object.__setattr__(self, "theta", tuple(arr.astype(float).tolist()))

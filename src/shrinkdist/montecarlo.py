@@ -16,9 +16,10 @@ Every estimator is exactly 0 when |ybar| <= eta, and most draws of many
 configurations land there.  A uniform maps to ybar monotonically, so those
 draws are the uniforms in one range, found from the normal cdf with a
 margin far above the rounding of the draw and certified by running the
-sampler at both its ends.  `simulate_estimates` writes the atom's value at
-the uniforms in that range without calling `ndtri` or the estimate there;
-the value is the one they would give, so no output bit moves.
+sampler at both its ends.  The map from a uniform to the scaled error is
+nondecreasing, so `simulate_estimates` sorts the uniforms outside the range
+and maps them in ascending order, where `ndtri` and the estimate run
+fastest; the draws in the range get the atom's value without either.
 
 The KS distance first bounds the gaps in each sub-block of `_SUB` values
 from the model at the sub-block's two ends (arrays 1/`_SUB` of the
@@ -55,10 +56,9 @@ _BLOCK = 1 << 14  # values per block of the sample path; divides _BATCH, so no b
 _SUB = 1 << 6  # values per sub-block of the KS bound; divides _BLOCK
 _SLACK = 1e-12  # margin of the KS bound over the cdf's rounding (about 1e-15); no known input makes it bind
 _U_ONE = 1 << 53  # the uniforms are k/2^53 for the integers k in [1, 2^53)
-_U_DENOM = float(_U_ONE)
+_U_STEP = 2.0**-53  # the grid step of the uniforms: scaling by a power of two is exact
 _SKIP_MARGIN = 1e-7  # relative margin of the atom range over the rounding of the draw
-_SKIP_MIN = 0.25  # share of a block's draws in the atom range below which gathering the rest costs more than it saves
-_NO_ATOM = (1.0, 0.0, np.float64(0.0), np.float64(0.0))  # an empty range of uniforms
+_NO_ATOM = (1.0, 1.0, np.float64(0.0), np.float64(0.0))  # an empty range: every uniform lies below 1
 
 
 @dataclass(frozen=True)
@@ -106,22 +106,23 @@ class EmpiricalCdf:
 
 def _uniform_open(gen: np.random.Generator, size, out=None) -> np.ndarray:
     # integers in [1, 2^53) scaled down: strictly inside (0, 1); written into `out` when given
-    return np.divide(gen.integers(1, _U_ONE, size=size), _U_DENOM, out=out)
+    return np.multiply(gen.integers(1, _U_ONE, size=size), _U_STEP, out=out)
 
 
-def _uniform_blocks(cfg: SimConfig, out: np.ndarray):
-    """Fill `out` with the seeded uniforms a block at a time, yielding each block once it is drawn.
+def _uniform_blocks(cfg: SimConfig):
+    """Yield (start, block): the seeded uniforms a block at a time, each drawn into one reused block-sized array.
 
     Each batch of `_BATCH` values has its own Philox stream, spawned from the
     seed; a stream gives the same integers a block at a time as all at once.
     """
-    children = iter(np.random.SeedSequence(cfg.seed).spawn((out.size + _BATCH - 1) // _BATCH))
-    for lo in range(0, out.size, _BLOCK):
+    count = cfg.replications
+    scratch = np.empty(min(_BLOCK, count))
+    children = iter(np.random.SeedSequence(cfg.seed).spawn((count + _BATCH - 1) // _BATCH))
+    for lo in range(0, count, _BLOCK):
         if lo % _BATCH == 0:
             gen = np.random.Generator(np.random.Philox(next(children)))
-        block = out[lo:lo + _BLOCK]
-        _uniform_open(gen, block.size, out=block)
-        yield block
+        size = min(_BLOCK, count - lo)
+        yield lo, _uniform_open(gen, size, out=scratch[:size])
 
 
 def _ybar(u: np.ndarray, point: ModelPoint) -> np.ndarray:
@@ -132,11 +133,11 @@ def _ybar(u: np.ndarray, point: ModelPoint) -> np.ndarray:
     return u
 
 
-def _scaled_errors(kind: EstimatorKind, cfg: SimConfig, u: np.ndarray) -> np.ndarray:
-    """Overwrite the uniforms u with sqrt(n)*(estimate - theta) at their draws of ybar."""
-    np.subtract(estimate(kind, _ybar(u, cfg.point), cfg.tuning), cfg.point.theta, out=u)
-    u *= cfg.point.sqrt_n
-    return u
+def _scaled_errors(kind: EstimatorKind, cfg: SimConfig, u: np.ndarray) -> None:
+    """Overwrite the uniforms u, a block at a time, with sqrt(n)*(estimate - theta) at their draws of ybar."""
+    for block in (u[lo:lo + _BLOCK] for lo in range(0, u.size, _BLOCK)):
+        np.subtract(estimate(kind, _ybar(block, cfg.point), cfg.tuning), cfg.point.theta, out=block)
+        block *= cfg.point.sqrt_n
 
 
 def _grid_index(z: float, up: bool) -> int:
@@ -146,9 +147,9 @@ def _grid_index(z: float, up: bool) -> int:
     its relative precision near 1 as well as near 0; scaling by 2^53 is exact.
     """
     if z <= 0.0:
-        p = norm_cdf(z) * _U_DENOM
+        p = norm_cdf(z) / _U_STEP
         return math.ceil(p) if up else math.floor(p)
-    q = norm_cdf(-z) * _U_DENOM
+    q = norm_cdf(-z) / _U_STEP
     return _U_ONE - (math.floor(q) if up else math.ceil(q))
 
 
@@ -179,7 +180,7 @@ def _atom_uniforms(kind: EstimatorKind, cfg: SimConfig):
     k_lo, k_hi = max(_grid_index(z_lo + margin, True), 1), min(_grid_index(z_hi - margin, False), _U_ONE - 1)
     if k_lo > k_hi:
         return _NO_ATOM
-    lo, hi = k_lo / _U_DENOM, k_hi / _U_DENOM
+    lo, hi = k_lo * _U_STEP, k_hi * _U_STEP
     est = estimate(kind, _ybar(np.array([lo, hi]), point), cfg.tuning)
     if (est != 0.0).any():
         return _NO_ATOM
@@ -190,49 +191,52 @@ def _atom_uniforms(kind: EstimatorKind, cfg: SimConfig):
 def sample_ybar(cfg: SimConfig) -> np.ndarray:
     """Deterministic stream of ybar draws, in batch order (unsorted).
 
-    Each batch of `_BATCH` draws has its own Philox stream, spawned from the
-    seed.  The output array is filled a block at a time: uniforms, then
-    `ndtri`, the scale 1/sqrt(n) and the shift theta, all in place; the bits
-    are those of drawing a whole batch at once.
+    The uniforms of `_uniform_blocks` go through `ndtri`, the scale 1/sqrt(n)
+    and the shift theta a block at a time; the bits are those of drawing a
+    whole batch at once.
     """
     out = np.empty(cfg.replications)
-    for block in _uniform_blocks(cfg, out):
-        _ybar(block, cfg.point)
+    for lo, block in _uniform_blocks(cfg):
+        out[lo:lo + block.size] = _ybar(block, cfg.point)
     return out
 
 
 def simulate_estimates(kind: EstimatorKind, cfg: SimConfig) -> EmpiricalCdf:
     """Empirical law of sqrt(n)*(estimate - theta) from seeded replications.
 
-    The uniforms of `sample_ybar` are drawn a block at a time into the one
-    output array.  Only the uniforms outside the certified atom range of
-    `_atom_uniforms` go through `ndtri`, the scale, the shift and the
-    estimate, gathered into one block-sized array and scattered back after
-    the block is filled with the atom's value (at theta = 0, -0.0 below
-    u = 1/2 for soft and scad).  A block with less than `_SKIP_MIN` of its
-    draws in the range, where the gather would cost more than it saves,
-    runs whole.  The array is then sorted in place, so it is the only
-    full-length allocation.  Each value is that of the whole-array
-    expression over `sample_ybar`, bit for bit: every step is elementwise,
-    and inside the range that expression gives the atom's value.
+    The uniforms of `sample_ybar` are drawn a block at a time; those below
+    the certified atom range of `_atom_uniforms` are packed at the front of
+    the one output array and those above it at the back, and the atom's
+    draws are only counted (at theta = +0.0, soft and scad give -0.0 below
+    u = 1/2).  Each end is sorted in place, then mapped a block at a time,
+    and the middle gets the atom's value, -0.0 first.  The map is
+    nondecreasing, so the values come out sorted in IEEE total order; as
+    `ndtri` can step down by an ulp, `EmpiricalCdf` checks the order, and
+    where it fails the array is sorted again, its zeros by sign.  Each value
+    is that of the whole-array expression over `sample_ybar`, bit for bit.
     """
     vals = np.empty(cfg.replications)
     lo, hi, fill_lo, fill_hi = _atom_uniforms(kind, cfg)
-    one_fill = fill_lo.tobytes() == fill_hi.tobytes()
-    for block in _uniform_blocks(cfg, vals):
-        outside = (block < lo) | (block > hi)
-        if np.count_nonzero(outside) > (1.0 - _SKIP_MIN) * block.size:
-            _scaled_errors(kind, cfg, block)
-            continue
-        off = np.flatnonzero(outside)
-        u = _scaled_errors(kind, cfg, block[off])
-        if one_fill:
-            block.fill(fill_hi)
-        else:
-            block[...] = np.where(block < 0.5, fill_lo, fill_hi)
-        block[off] = u
-    vals.sort()
-    return EmpiricalCdf(vals)
+    signed = fill_lo.tobytes() != fill_hi.tobytes()  # then lo < 1/2 <= hi
+    front, back, negative = 0, vals.size, 0
+    for _, block in _uniform_blocks(cfg):
+        below, above = block < lo, block > hi
+        nb, na = np.count_nonzero(below), np.count_nonzero(above)
+        np.compress(below, block, out=vals[front:front + nb])
+        np.compress(above, block, out=vals[back - na:back])
+        negative += np.count_nonzero(block < 0.5) - nb if signed else 0
+        front, back = front + nb, back - na
+    vals[front:front + negative] = fill_lo
+    vals[front + negative:back] = fill_hi
+    for end in (vals[:front], vals[back:]):
+        end.sort()
+        _scaled_errors(kind, cfg, end)
+    try:
+        return EmpiricalCdf(vals)
+    except ValueError:  # out of order by an ulp of ndtri (a NaN fails the second check too)
+        vals.sort()  # then the zeros in sign order: -0.0 is the least int64, +0.0 is 0
+        vals[np.searchsorted(vals, 0.0, "left"):np.searchsorted(vals, 0.0, "right")].view(np.int64).sort()
+        return EmpiricalCdf(vals)
 
 
 def ks_distance(emp: EmpiricalCdf, dist: MixtureDistribution) -> float:

@@ -282,8 +282,16 @@ def whole_array_ybar(cfg) -> np.ndarray:
 
 
 def whole_array_estimates(kind, cfg, ybar) -> np.ndarray:
-    """The sorted values of `simulate_estimates` from the draws `ybar`, in one expression over the whole array."""
-    return np.sort(cfg.point.sqrt_n * (estimate(kind, ybar, cfg.tuning) - cfg.point.theta))
+    """The values of `simulate_estimates` from the draws `ybar`, in one expression over the whole array.
+
+    They are sorted in IEEE total order: `np.sort` leaves -0.0 and +0.0 in
+    any order among themselves, so the run of zeros is then ordered by sign.
+    """
+    values = np.sort(cfg.point.sqrt_n * (estimate(kind, ybar, cfg.tuning) - cfg.point.theta))
+    zeros = np.flatnonzero(values == 0.0)  # one run, as -0.0 == +0.0
+    negative = np.count_nonzero(np.signbit(values[zeros]))
+    values[zeros[:negative]], values[zeros[negative:]] = -0.0, 0.0
+    return values
 
 
 def whole_array_ks(values, dist) -> float:

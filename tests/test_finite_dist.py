@@ -1208,7 +1208,7 @@ def test_model_point_validation():
     with pytest.raises(ValueError):
         ModelPoint(10, True)
     for batch in ([], [[0.1, 0.2]], [0.1, math.nan], np.array([True, False]), [0.5, True], [0.5, np.True_],
-                  ["0.5", "1"], [None, 1.0], [10**400, 1], [1 + 2j, 0.5]):
+                  ["0.5", "1"], [None, 1.0], [10**400, 1], [1 + 2j, 0.5], [[0.1], 0.2], [0.1, [0.2, 0.3]]):
         with pytest.raises(ValueError, match="batch"):
             ModelPoint(10, batch)
 

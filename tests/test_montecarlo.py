@@ -245,21 +245,78 @@ def test_uncertified_range_skips_nothing(monkeypatch, kind):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("config, share", [(EDGE_CONFIGS["all-atom"], 1e-5), (EDGE_CONFIGS["theta-0"], 0.06)],
-                         ids=["all-atom", "theta-0"])
+@pytest.mark.parametrize("config, share", [(EDGE_CONFIGS["all-atom"], 1e-5), (EDGE_CONFIGS["theta-0"], 0.06),
+                                           (MC_CONFIGS[3], 0.9)], ids=["all-atom", "theta-0", "atom-0.11"])
 def test_ndtri_sees_only_draws_outside_the_atom_range(monkeypatch, kind, config, share):
     # the two certification points, then exactly the draws outside the range: at sqrt(n)*eta = 10 the
-    # range leaves out 2.9e-7 of the uniforms, at sqrt(n)*eta = 1.96 about 5%
+    # range leaves out 2.9e-7 of the uniforms, at sqrt(n)*eta = 1.96 about 5%, and at n = 25,
+    # theta = -0.3 about 89%, where only 11% of the draws land in the atom
     n, theta, eta, a = config
     cfg = SimConfig(seed=12, replications=200_000, point=ModelPoint(n, theta), tuning=TuningPlan(eta, a))
     lo, hi = montecarlo._atom_uniforms(kind, cfg)[:2]
-    u = np.concatenate(list(montecarlo._uniform_blocks(cfg, np.empty(cfg.replications))))
+    u = np.concatenate([block.copy() for _, block in montecarlo._uniform_blocks(cfg)])
     outside = np.count_nonzero((u < lo) | (u > hi))
     sizes = []
     monkeypatch.setattr(montecarlo, "ndtri", lambda u, out=None: sizes.append(u.size) or ndtri(u, out=out))
     simulate_estimates(kind, cfg)
     assert sizes[0] == 2
     assert sum(sizes[1:]) == outside <= share * cfg.replications
+
+
+@pytest.mark.parametrize("kind", [EstimatorKind.SOFT, EstimatorKind.SCAD])
+def test_signed_zeros_come_in_total_order(kind):
+    # at theta = +0.0 the atom holds -0.0 (u < 1/2) and +0.0: every -0.0 comes before every +0.0, and
+    # the counts of each are those of the unsorted whole-array expression
+    n, theta, eta, a = EDGE_CONFIGS["theta-0"]
+    cfg = SimConfig(seed=13, replications=BATCH + BLOCK + 3, point=ModelPoint(n, theta), tuning=TuningPlan(eta, a))
+    zeros = simulate_estimates(kind, cfg).values
+    zeros = zeros[zeros == 0.0]
+    negative = np.count_nonzero(np.signbit(zeros))
+    assert np.signbit(zeros[:negative]).all() and not np.signbit(zeros[negative:]).any()
+    reference = cfg.point.sqrt_n * (estimate(kind, whole_array_ybar(cfg), cfg.tuning) - theta)
+    assert zeros.size == np.count_nonzero(reference == 0.0)
+    assert 0 < negative == np.count_nonzero(np.signbit(reference[reference == 0.0])) < zeros.size
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("config", [EDGE_CONFIGS["theta-0"], MC_CONFIGS[3]], ids=["theta-0", "atom-0.11"])
+def test_a_descending_map_is_sorted_by_the_fallback(monkeypatch, kind, config):
+    # a map that reverses each end it writes breaks the order, as an ulp step down of ndtri would:
+    # the first order check fails, the fallback sorts in total order, and the bytes are the reference's
+    n, theta, eta, a = config
+    cfg = SimConfig(seed=14, replications=2 * BLOCK + 3, point=ModelPoint(n, theta), tuning=TuningPlan(eta, a))
+    scaled_errors, checks = montecarlo._scaled_errors, []
+
+    def reversed_errors(kind, cfg, u):
+        scaled_errors(kind, cfg, u)
+        u[:] = u[::-1].copy()
+
+    def checked(values):
+        checks.append(bool((values[1:] >= values[:-1]).all()))
+        return EmpiricalCdf(values)
+
+    monkeypatch.setattr(montecarlo, "_scaled_errors", reversed_errors)
+    monkeypatch.setattr(montecarlo, "EmpiricalCdf", checked)
+    emp = simulate_estimates(kind, cfg)
+    assert checks == [False, True]
+    assert emp.values.tobytes() == whole_array_estimates(kind, cfg, whole_array_ybar(cfg)).tobytes()
+
+
+def test_uniform_open_scales_by_an_exact_power_of_two():
+    # k * 2^-53 is k / 2^53 bit for bit: k < 2^53 converts exactly and the scale is a power of two
+    k = np.array([1, 2, 2**52, 2**53 - 1])
+
+    class Fixed:
+        def integers(self, low, high, size):
+            assert (low, high, size) == (1, 2**53, k.size)
+            return k
+
+    u = montecarlo._uniform_open(Fixed(), k.size)
+    assert u.tobytes() == (k / float(2**53)).tobytes()
+    assert u.tolist() == [2.0**-53, 2.0**-52, 0.5, 1.0 - 2.0**-53]
+    block = montecarlo._uniform_open(np.random.Generator(np.random.Philox(15)), BLOCK, out=np.empty(BLOCK))
+    expected = np.random.Generator(np.random.Philox(15)).integers(1, 2**53, size=BLOCK) / float(2**53)
+    assert block.tobytes() == expected.tobytes()
 
 
 def test_ks_runs_on_block_edges_equal_whole_array_reference():
@@ -327,9 +384,10 @@ def test_pruned_ks_evaluates_a_tenth_of_the_distinct_values(monkeypatch):
 
 @pytest.mark.parametrize("config", [(40, 0.16, 0.05, 3.7), *EDGE_CONFIGS.values()], ids=["figure", *EDGE_CONFIGS])
 def test_blocked_path_peak_memory(config):
-    # the output array is the only full-length allocation: the gathered indices and values and the
-    # fill stay block-sized; the KS pass allocates arrays over the sub-blocks, 1/64 of the sample's
-    # length, and then gathers the live sub-blocks a block's worth at a time
+    # the output array is the only full-length allocation: the drawn block and its masks stay
+    # block-sized, and the ends are sorted in place; the KS pass allocates arrays over the
+    # sub-blocks, 1/64 of the sample's length, and then gathers the live sub-blocks a block's
+    # worth at a time
     n, theta, eta, a = config
     cfg = SimConfig(seed=9, replications=1_000_000, point=ModelPoint(n, theta), tuning=TuningPlan(eta, a))
     dist = finite_sample_dist(EstimatorKind.SCAD, cfg.point, cfg.tuning)
