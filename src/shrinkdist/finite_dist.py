@@ -20,7 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .estimators import EstimatorKind, TuningPlan
-from .normal_kernel import _FLOAT_MAX, _check_count, _check_real, _no_nan, _scalar_or_array, norm_cdf, norm_pdf
+from .normal_kernel import (_FLOAT_MAX, _check_count, _check_real, _check_reals, _no_nan, _scalar_or_array, norm_cdf,
+                            norm_pdf)
 
 __all__ = [
     "ModelPoint",
@@ -48,10 +49,10 @@ _CUBE_RANGE = (2.0**-340, 2.0**340)  # slopes s whose s**3 is a normal float
 class ModelPoint:
     """Sample size and true location indexing one experiment P_{n,theta}.
 
-    `theta` is stored as a float.  It may also be a nonempty 1-d sequence or
-    array of locations: a batch of points at one n, whose laws
-    `finite_sample_dist` builds as one batch.  A batch is stored as a tuple
-    of floats, so a point stays immutable, hashable and comparable either way.
+    `theta` is stored as a float.  A nonempty 1-d list, tuple or array of
+    locations (the array rule of `_check_reals`) is a batch of points at one
+    n, whose laws `finite_sample_dist` builds as one batch, stored as a tuple
+    of floats: a point stays immutable, hashable and comparable either way.
     """
 
     n: int
@@ -59,19 +60,9 @@ class ModelPoint:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _check_count(self.n))
-        theta = self.theta
-        if isinstance(theta, (list, tuple)) or isinstance(theta, np.ndarray) and theta.ndim != 0:
-            try:
-                arr = np.asarray(theta)
-            except ValueError:  # a ragged nesting such as [[0.1], 0.2] makes no array
-                arr = None
-            if (arr is None or arr.ndim != 1 or arr.size == 0 or arr.dtype.kind not in "iuf"
-                    or not np.isfinite(arr).all()  # a scalar theta's rules: a real dtype, not bools, finite
-                    or not isinstance(theta, np.ndarray) and any(isinstance(v, (bool, np.bool_)) for v in theta)):
-                raise ValueError("a batch of theta must be a nonempty 1-d array of finite real numbers")
-            object.__setattr__(self, "theta", tuple(arr.astype(float).tolist()))
-        else:
-            object.__setattr__(self, "theta", _check_real(theta, "theta"))
+        batch = isinstance(self.theta, (list, tuple)) or isinstance(self.theta, np.ndarray) and self.theta.ndim != 0
+        theta = tuple(_check_reals(self.theta, "theta").tolist()) if batch else _check_real(self.theta, "theta")
+        object.__setattr__(self, "theta", theta)
 
     @property
     def sqrt_n(self) -> float:

@@ -12,7 +12,7 @@ This module computes the gap, the finite-sample lower bounds (on both the
 sqrt(n) and the 1/eta scale), and Monte Carlo worst-case error curves for
 concrete cdf estimators measured against those bounds.  The Monte Carlo
 draws ybar only: each estimator, the m-out-of-n bootstrap included, is a
-closed-form function of ybar.
+closed-form function of ybar, which takes the array rule of `_check_reals`.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .estimators import EstimatorKind, TuningPlan, _check_kind, estimate
 from .finite_dist import ModelPoint, _mapped_point, _zero_mass, finite_sample_dist
 from .limits import _limit_law
 from .montecarlo import _uniform_open
-from .normal_kernel import _check_count, _check_real, _check_seed, gaussian_tv, norm_cdf
+from .normal_kernel import _check_count, _check_real, _check_reals, _check_seed, gaussian_tv, norm_cdf
 from .report import ExperimentReport
 from .selection import RegimeSpec
 
@@ -76,10 +76,10 @@ def estimand_gap(problem: TwoPointProblem, delta=None):
     gap = F at theta(-delta) minus F at theta(+delta), both evaluated at t;
     the leading term is the atom weight of the theta(-delta) law, and the
     remainder (the absolutely continuous contribution) vanishes with delta.
-    `delta` may be a 1-d array, one batch of laws per side; the three parts
-    are then arrays.
+    `delta` takes the array rule of `_check_reals`: a 1-d array gives one
+    batch of laws per side, and the three parts are then arrays.
     """
-    d = problem.delta if delta is None else np.asarray(delta, dtype=float)
+    d = problem.delta if delta is None else _check_reals(delta, "delta")
     th_plus, th_minus = problem.theta_pair(d)
     f_minus = finite_sample_dist(problem.kind, ModelPoint(problem.n, th_minus), problem.tuning).cdf(problem.t)
     f_plus = finite_sample_dist(problem.kind, ModelPoint(problem.n, th_plus), problem.tuning).cdf(problem.t)
@@ -122,21 +122,13 @@ def rescaled_lower_bound(kind: EstimatorKind, n: int, t: float, tuning: TuningPl
     return minimax_lower_bound(problem, epsilon=epsilon)
 
 
-def _checked_ybar(ybar) -> np.ndarray:
-    """ybar as a float array, the input of every cdf estimator: a finite number or a nonempty 1-d array of them."""
-    y = np.asarray(ybar, dtype=float)
-    if y.ndim > 1 or y.size == 0 or not np.isfinite(y).all():
-        raise ValueError("ybar must be a finite number or a nonempty 1-d array of finite numbers")
-    return y
-
-
 class OracleCheat:
     """Diagnostic estimator that returns the true cdf value; harness soundness check."""
 
     name = "oracle-cheat"
 
     def estimate_cdf(self, ybar, ctx) -> np.ndarray:
-        return np.full_like(_checked_ybar(ybar), ctx.true_value)
+        return np.full_like(_check_reals(ybar, "ybar"), ctx.true_value)
 
 
 @functools.lru_cache(maxsize=8)
@@ -160,7 +152,7 @@ class PretestPlugin:
     consistent: bool = True
 
     def estimate_cdf(self, ybar, ctx) -> np.ndarray:
-        y = _checked_ybar(ybar)
+        y = _check_reals(ybar, "ybar")
         reject = np.abs(y) > float(ctx.n) ** (-_PRETEST_CUTOFF_EXPONENT)
         e = math.inf if self.consistent else math.sqrt(ctx.n) * ctx.tuning.eta
         accept, up, down = _pretest_values(ctx.kind, e, ctx.tuning.scad_a, ctx.t)
@@ -186,7 +178,7 @@ class MOutOfNBootstrap:
 
     @np.errstate(over="ignore")  # where -sqrt(m)*ybar passes the float range, the atom sits at -+inf unwarned
     def estimate_cdf(self, ybar, ctx) -> np.ndarray:
-        y = _checked_ybar(ybar)
+        y = _check_reals(ybar, "ybar")
         m = _check_count(self.m_rule(ctx.n), "m")
         tuning_m = TuningPlan(self.path.eta(m), ctx.tuning.scad_a)
         s = math.sqrt(m)
@@ -207,10 +199,7 @@ def adversarial_theta_grid(n: int, t: float, c: float) -> np.ndarray:
     """Uniform grid over |theta| < c/sqrt(n) plus the two-point witnesses."""
     s = math.sqrt(n)
     width = c - abs(t)
-    witnesses = []
-    for frac in (0.5, 0.1, 0.02):
-        d = frac * width
-        witnesses.extend([-(t + d) / s, -(t - d) / s])
+    witnesses = [-(t + sign * frac * width) / s for frac in (0.5, 0.1, 0.02) for sign in (1.0, -1.0)]
     base = np.linspace(-0.95 * c / s, 0.95 * c / s, _THETA_GRID_SIZE)
     return np.asarray(sorted(set(np.concatenate([base, witnesses, [0.0]]))))
 

@@ -63,6 +63,15 @@ def _check_seed(seed) -> int:
     return int(seed)
 
 
+def _as_real(value) -> float:
+    """value as a float if it is an int, a float or a numpy real, or a 0-d array of one, but not a bool; else NaN."""
+    value = value[()] if isinstance(value, np.ndarray) and value.ndim == 0 else value
+    try:
+        return float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+    except OverflowError:  # an int past the float range
+        return math.nan
+
+
 def _check_real(value, name: str, *, gt=None, ge=None, le=None, limit=False, error=ValueError) -> float:
     """A real parameter is a number in its range, returned as a Python float.
 
@@ -72,17 +81,28 @@ def _check_real(value, name: str, *, gt=None, ge=None, le=None, limit=False, err
     optional.  A failure raises `error` (a ValueError) naming the parameter
     and the value.
     """
-    real = value[()] if isinstance(value, np.ndarray) and value.ndim == 0 else value
-    try:
-        real = float(real) if isinstance(real, numbers.Real) and not isinstance(real, bool) else math.nan
-    except OverflowError:  # an int past the float range
-        real = math.nan
+    real = _as_real(value)
     in_range = (gt is None or real > gt) and (ge is None or real >= ge) and (le is None or real <= le)
     if math.isnan(real) or not (limit or math.isfinite(real)) or not in_range:
         what = "a real number or an infinity" if limit else "a finite real number"
         where = " and ".join(f"{name} {sign} {b!r}" for sign, b in ((">", gt), (">=", ge), ("<=", le)) if b is not None)
         raise error(f"{name} must be {what}{' with ' + where if where else ''} (got {value!r})")
     return real
+
+
+def _check_reals(value, name: str) -> np.ndarray:
+    """A finite real number or a nonempty 1-d list, tuple or array of them, as a float64 array (0-d for a number).
+
+    Each item takes `_check_real`'s rule, an array's by its dtype; a float64 array comes back uncopied.  Anything
+    else raises one ValueError naming the parameter.
+    """
+    if isinstance(value, np.ndarray):
+        reals = np.asarray(value, dtype=float) if value.dtype.kind in "iuf" else None
+    else:
+        reals = np.array([_as_real(v) for v in value] if isinstance(value, (list, tuple)) else _as_real(value))
+    if reals is None or reals.ndim > 1 or reals.size == 0 or not np.isfinite(reals).all():
+        raise ValueError(f"{name} must be a finite real number or a nonempty 1-d array of finite real numbers")
+    return reals
 
 
 def _check_sizes(sizes, name: str) -> list:

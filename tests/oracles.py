@@ -206,10 +206,13 @@ def map_tails(kind, n, theta, eta, a, x, scaling, left=False) -> tuple:
     F(x) = Phi(z) with z = sqrt(n)*(g+(theta + x/sqrt(n)) - theta), one
     normal cdf, and 1 - F(x) = Phi(-z), with no cancellation; z is worked
     out once for both.  For the 'inv_eta' scaling x/sqrt(n) becomes eta*x.
-    Shares only `EstimatorKind` with the library.
+    z is clamped to +-1e150, past which mpmath's erfc overflows: a tail
+    there is far below the smallest float either way.  Shares only
+    `EstimatorKind` with the library.
     """
     with mpmath.workdps(60):
         z = _estimator_map_z(kind, n, theta, eta, a, x, scaling, left)
+        z = max(min(z, mpmath.mpf(1e150)), mpmath.mpf(-1e150))
         return +mpmath.ncdf(z), +mpmath.ncdf(-z)
 
 

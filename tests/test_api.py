@@ -1,3 +1,4 @@
+import ast
 import importlib
 import math
 import pkgutil
@@ -22,6 +23,28 @@ def test_all_names_resolve(module):
     # tools that wrap the public API call getattr on every __all__ entry
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing
+
+
+def _defined_names(body):
+    """The names a module or class body defines: its functions, classes and assigned names, and a class's own."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            yield from _defined_names(node.body)
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name))
+
+
+def test_every_private_name_in_src_is_loaded_in_src():
+    # a helper that a change retires goes with it: every private name (one leading underscore) that a module or
+    # class body of src/shrinkdist defines is loaded somewhere there, as a name or as an attribute
+    trees = [ast.parse(path.read_text()) for path in sorted(Path(shrinkdist.__file__).parent.glob("*.py"))]
+    private = {name for tree in trees for name in _defined_names(tree.body) if re.fullmatch(r"_[^_]\w*", name)}
+    loaded = {node.id if isinstance(node, ast.Name) else node.attr for tree in trees for node in ast.walk(tree)
+              if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    assert len(private) > 50 and private - loaded == set()
 
 
 def test_readme_python_blocks_run():

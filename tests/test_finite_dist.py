@@ -488,6 +488,30 @@ def test_scad_law_at_theta_minus_two_eta_and_n_1e30_equals_estimator_map_oracle(
     _assert_cdf_matches_map_oracle(EstimatorKind.SCAD, 10**30, -0.1, 0.05, 3.7, "sqrt_n", [0.5])
 
 
+@pytest.mark.xfail(strict=True, raises=AttributeError, reason=(
+    "ROADMAP live defect, mended by the sf of the cdf as Phi of the mapped point: a law has no upper tail, and "
+    "for hard at n = 100, theta = 0, eta = 0.05, 1 - F(9) reads 0.0 where F(-9) reads 1.1285884059538408e-19"))
+def test_hard_upper_tail_equals_estimator_map_oracle():
+    law = finite_sample_dist(EstimatorKind.HARD, ModelPoint(100, 0.0), TuningPlan(0.05))
+    _, want = map_tails(EstimatorKind.HARD, 100, 0.0, 0.05, 3.7, 9.0, "sqrt_n")
+    assert abs(law.sf(9.0) - want) <= 4 * EPS * (1 - 2 * mpmath.log(want)) * want
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError, reason=(
+    "ROADMAP live defect: where a*eta overflows the scad law does not build; at n = 1, theta = 1e307, "
+    "eta = 1e300, a = 1e10 the build reads its mixture mass as 0.0"))
+def test_scad_law_where_a_eta_overflows_builds_and_equals_estimator_map_oracle():
+    # ybar ~ N(1e307, 1) lies in the blend, so the law is about N(-9.99e299, 1); at float resolution its cdf steps
+    # from 0 to 1 there, and each point keeps about 1e-10 relative from the step
+    n, theta, eta, a = 1, 1e307, 1e300, 1e10
+    law = finite_sample_dist(EstimatorKind.SCAD, ModelPoint(n, theta), TuningPlan(eta, a))
+    assert law.total_mass() == pytest.approx(1.0, rel=0, abs=4 * EPS)
+    xs = [-1e306, -1e300, -9.9e299, 0.0, 1e300]
+    for x, got in zip(xs, law.cdf(np.array(xs)).tolist()):
+        want, want_sf = map_tails(EstimatorKind.SCAD, n, theta, eta, a, x, "sqrt_n")
+        assert (got, 1.0 - got) == (float(want), float(want_sf)), x
+
+
 def _assert_arrays_match_points(dist):
     """cdf, cdf_left and density_ac at floats and at an array equal `point_values`, bit for bit.
 
@@ -1207,10 +1231,6 @@ def test_model_point_validation():
         ModelPoint(10, math.inf)
     with pytest.raises(ValueError):
         ModelPoint(10, True)
-    for batch in ([], [[0.1, 0.2]], [0.1, math.nan], np.array([True, False]), [0.5, True], [0.5, np.True_],
-                  ["0.5", "1"], [None, 1.0], [10**400, 1], [1 + 2j, 0.5], [[0.1], 0.2], [0.1, [0.2, 0.3]]):
-        with pytest.raises(ValueError, match="batch"):
-            ModelPoint(10, batch)
 
 
 def test_model_point_batch_is_an_immutable_value():

@@ -44,16 +44,6 @@ def test_problem_validation():
         TwoPointProblem(n=10, t=0.0, delta=0.0, tuning=CONSERVATIVE, kind=EstimatorKind.HARD)
 
 
-@pytest.mark.parametrize("ybar", [math.nan, [0.1, math.inf], [-math.inf], np.zeros((2, 3)), []])
-@pytest.mark.parametrize("spec", [PretestPlugin(), MOutOfNBootstrap(path=CONSISTENT_PATH), OracleCheat()],
-                         ids=lambda spec: spec.name)
-def test_cdf_estimators_reject_a_bad_ybar(spec, ybar):
-    # every cdf estimator takes a finite number or a nonempty 1-d array of them
-    ctx = _HarnessContext(kind=EstimatorKind.SOFT, n=100, t=0.0, tuning=CONSERVATIVE, true_value=0.5)
-    with pytest.raises(ValueError, match="ybar"):
-        spec.estimate_cdf(ybar, ctx)
-
-
 def test_theta_pair_positions():
     prob = TwoPointProblem(n=100, t=0.5, delta=0.2, tuning=CONSERVATIVE, kind=EstimatorKind.HARD)
     th_plus, th_minus = prob.theta_pair()
@@ -461,6 +451,19 @@ class TestExactBootstrap:
             warnings.simplefilter("error")
             got = spec.estimate_cdf(np.array([ybar, ybar]), ctx)
         assert got.tolist() == [0.5, 0.5]
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP live defect: soft estimate at |ybar| >= 2**53*eta returns ybar itself, so the exact bootstrap "
+        "reads ybar - theta_hat as 0 and loses its shift: at n = 1e8, ybar = -1e307 it returns Phi(-10) = 7.6e-24"))
+    def test_exact_soft_keeps_its_shift_at_a_huge_ybar(self):
+        # at m = 1e4 the law is sqrt(m)*(ybar* + eta_m - ybar) ~ N(sqrt(m)*eta_m, 1) = N(10, 1), read at
+        # t - sqrt(m)*(ybar - theta_hat) = sqrt(m)*eta_n = 1, since theta_hat = ybar + eta_n: Phi(-9)
+        n = 10**8
+        spec = MOutOfNBootstrap(path=CONSISTENT_PATH)
+        ctx = _HarnessContext(kind=EstimatorKind.SOFT, n=n, t=0.0, tuning=TuningPlan(CONSISTENT_PATH.eta(n)),
+                              true_value=math.nan)
+        got = spec.estimate_cdf(np.array([-1e307]), ctx)
+        assert got[0] == pytest.approx(float(mpmath.ncdf(-9)), rel=1e-12, abs=0)
 
     def test_exact_keeps_the_builds_mass_check(self):
         # at m = 1e30 the scad law's float shifts miss at its joins, so its mass reads 1.0016 and the build

@@ -1,10 +1,13 @@
-"""One rule for every real parameter, and one for every list of sample sizes.
+"""One rule for every real parameter, one for every array of reals, and one for every list of sample sizes.
 
 A real parameter is an int, a float or a numpy real (a 0-d array too) in
 its range, stored and used as a Python float; a bool, a string, NaN, a
 value out of range and an infinity where the parameter is not a limit each
-raise a ValueError that names the parameter and the value.  A list of
-sample sizes is nonempty, each item a count, and strictly increasing.
+raise a ValueError that names the parameter and the value.  An array of
+reals (a batch theta, a ybar, the delta of `estimand_gap`) is a finite real
+number or a nonempty 1-d list, tuple or array of them, each item by the
+real rule.  A list of sample sizes is nonempty, each item a count, and
+strictly increasing.
 """
 
 import math
@@ -16,8 +19,12 @@ import pytest
 from shrinkdist.estimators import EstimatorKind, TuningPlan, penalized_objective
 from shrinkdist.finite_dist import ModelPoint
 from shrinkdist.impossibility import (
+    MOutOfNBootstrap,
     OracleCheat,
+    PretestPlugin,
     TwoPointProblem,
+    _HarnessContext,
+    estimand_gap,
     estimator_worst_case,
     minimax_lower_bound,
     rescaled_lower_bound,
@@ -30,6 +37,7 @@ from shrinkdist.limits import (
     weak_convergence_check,
 )
 from shrinkdist.montecarlo import uniform_rate_experiment
+from shrinkdist.normal_kernel import _check_reals
 from shrinkdist.selection import PowerTuningPath, RegimeSpec, ThetaRule, selection_convergence_table
 
 HARD, SCAD = EstimatorKind.HARD, EstimatorKind.SCAD
@@ -145,6 +153,52 @@ def test_each_stored_coefficient_is_a_python_float():
     assert type(TwoPointProblem(100, 0, 1, TuningPlan(0.5), HARD).delta) is float
     meta, _ = _worst_case(t=0, c=2)
     assert type(meta["t"]) is float
+
+
+CTX = _HarnessContext(kind=EstimatorKind.SOFT, n=100, t=0.0, tuning=TuningPlan(0.196), true_value=0.5)
+# site: (the name its error gives, a call passing the array of reals)
+ARRAY_SITES = {
+    "ModelPoint.theta": ("theta", lambda v: ModelPoint(10, v).theta),
+    "PretestPlugin.ybar": ("ybar", lambda v: PretestPlugin().estimate_cdf(v, CTX)),
+    "MOutOfNBootstrap.ybar": ("ybar", lambda v: MOutOfNBootstrap(path=PATH).estimate_cdf(v, CTX)),
+    "OracleCheat.ybar": ("ybar", lambda v: OracleCheat().estimate_cdf(v, CTX)),
+    "estimand_gap.delta": ("delta", lambda v: estimand_gap(PROBLEM, v)),
+}
+BAD_ARRAYS = [
+    ("empty", []), ("empty-array", np.array([])), ("nested", [[0.1, 0.2]]), ("nan-item", [0.1, math.nan]),
+    ("bool-array", np.array([True, False])), ("bool-item", [0.5, True]), ("np-bool-item", [0.5, np.True_]),
+    ("str-items", ["0.5", "1"]), ("none-item", [None, 1.0]), ("huge-int-item", [10**400, 1]),
+    ("complex-item", [1 + 2j, 0.5]), ("ragged-first", [[0.1], 0.2]), ("ragged-last", [0.1, [0.2, 0.3]]),
+    ("true", True), ("bytes", b"0.5"), ("str", "x"), ("none", None), ("complex", 1 + 2j), ("nan", math.nan),
+    ("inf", math.inf), ("-inf", -math.inf), ("inf-item", [0.1, math.inf]), ("-inf-item", [-math.inf]),
+    ("2-d", np.zeros((2, 3))), ("bools", [True, False]), ("ragged-int", [1, [2, 3]]),
+]
+
+
+# a scalar theta keeps the real rule's own message, which starts the same way; a delta of None is the problem's
+@pytest.mark.parametrize("site, value", [
+    pytest.param(site, value, id=f"{site}-{label}") for site in ARRAY_SITES for label, value in BAD_ARRAYS
+    if not (value is None and site == "estimand_gap.delta")])
+def test_an_array_of_reals_that_is_not_one_names_itself(site, value):
+    name, call = ARRAY_SITES[site]
+    with pytest.raises(ValueError, match=rf"^{name} must be a finite real number"):
+        call(value)
+
+
+@pytest.mark.parametrize("site", ARRAY_SITES)
+def test_an_array_of_reals_takes_any_real_form(site):
+    _, call = ARRAY_SITES[site]
+    want = call(np.array([0.0, 1.0, -2.0]))
+    for form in ([0, 1, -2], (0.0, np.float32(1), np.array(-2)), np.array([0, 1, -2]), np.array([0, 1, -2], "f4")):
+        assert np.array_equal(np.asarray(call(form)), np.asarray(want))
+
+
+def test_the_array_rule_keeps_a_float64_array_and_gives_a_number_0_d():
+    arr = np.linspace(-1.0, 1.0, 5)
+    assert _check_reals(arr, "x") is arr
+    for number in (2, 2.0, np.float32(2), np.array(2)):
+        got = _check_reals(number, "x")
+        assert got.dtype == np.float64 and got.shape == () and got == 2.0
 
 
 # site: (the name its error gives, a call passing the list of sample sizes, the sizes it reports)
