@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .estimators import DEFAULT_SCAD_A, EstimatorKind, TuningPlan
@@ -63,6 +64,7 @@ def _write_manifest(out_dir: Path, command: str, params: dict, outputs: list) ->
         "params": params,
         "seed": params.get("seed"),  # null for a figure or dist, which draw nothing
         "outputs": sorted(outputs),
+        "versions": {"python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__, "scipy": scipy.__version__},
     }
     _write(out_dir / "manifest.json", _json_dumps(manifest))
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .normal_kernel import _check_count, _check_real, _scalar_or_array
+from .normal_kernel import _check_count, _check_real, _check_reals, _scalar_or_array
 
 __all__ = [
     "EstimatorKind",
@@ -65,7 +65,7 @@ class TuningPlan:
 
 
 def estimate(kind: EstimatorKind, ybar, tuning: TuningPlan):
-    """Evaluate the estimator at sample mean `ybar` (scalar or array).
+    """Evaluate the estimator at sample mean `ybar`, a finite real number or an array of them of any shape.
 
     Boundary convention: |ybar| == eta maps to 0 for every kind, and the
     scad branch intervals are (-inf, 2*eta], (2*eta, a*eta], (a*eta, inf).
@@ -74,9 +74,7 @@ def estimate(kind: EstimatorKind, ybar, tuning: TuningPlan):
     above 2, where the quotient by a - 2 magnifies its rounding.
     """
     _check_kind(kind)
-    y = np.asarray(ybar, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("ybar must be finite")
+    y = _check_reals(ybar, "ybar", shaped=False)
     eta = tuning.eta
     if kind is EstimatorKind.HARD:
         out = np.where(np.abs(y) > eta, y, 0.0)

@@ -129,7 +129,7 @@ def _phi_at_ends(pieces, batch: bool) -> tuple:
     if batch:
         ends = (s * end + b for s, b, lo, hi in pieces for end in (lo, hi))
         return None, [(z > 0.0) * 1.0 if np.isinf(z).all() else norm_cdf(z) for z in ends]
-    ends = np.array([s * end + b for s, b, lo, hi in pieces for end in (lo, hi)])
+    ends = np.array([z for s, b, lo, hi in pieces for z in (s * lo + b, s * hi + b)])
     return ends.reshape(-1, 2), norm_cdf(ends).tolist()
 
 
@@ -147,20 +147,20 @@ def _unwarned(batch: bool, build, *args):
         return build(*args)
 
 
-def _checked_records(atoms, pieces) -> tuple:
+def _checked_records(atoms, pieces, exact: bool = False) -> tuple:
     """The atoms and pieces of a law or of a batch of laws, coerced and checked, and the batch shape.
 
-    When all are `Atom` and `GaussPiece` records of exact floats they are
-    kept as they are; other numbers (or 0-d arrays) are coerced to such
-    records.  Either makes a single law, whose shape is None.  Otherwise
-    each field is one read-only float array (`_read_only`) in its own shape,
-    so a field shared by every law (a piece's slope, say) is one value,
-    checked and built on once.  One pass checks a law by plain float
-    comparisons and a batch by the same ones on arrays, record by record;
-    one bad law rejects the batch with its own message.
+    Records of exact floats, `Atom` and `GaussPiece`, are kept as they are
+    (untested where the caller vouches for them: `exact`); other numbers (or
+    0-d arrays) are coerced to such records.  Either makes a single law,
+    whose shape is None.  Otherwise each field is one read-only float array
+    (`_read_only`) in its own shape, so a field shared by every law (a
+    piece's slope, say) is one value, checked and built on once.  One pass
+    checks a law by plain float comparisons and a batch by the same ones on
+    arrays, record by record; one bad law rejects the batch with its own message.
     """
     atoms, pieces, shape = tuple(atoms), tuple(pieces), None
-    if not ({*map(type, atoms)} <= {Atom} and {*map(type, pieces)} <= {GaussPiece}
+    if not (exact or {*map(type, atoms)} <= {Atom} and {*map(type, pieces)} <= {GaussPiece}
             and {type(v) for r in (*atoms, *pieces) for v in r} <= {float}):
         try:
             atoms = tuple(Atom(*map(float, a)) for a in atoms)
@@ -183,8 +183,9 @@ def _checked_records(atoms, pieces) -> tuple:
         if not (lower <= upper if one_law else np.all(lower <= upper)):
             raise ValueError("piece interval requires lower < upper (lower == upper is an empty piece)")
     for i, a in enumerate(atoms):
-        if not all(a.loc != q.loc if one_law else np.all(a.loc != q.loc) for q in atoms[i + 1:]):
-            raise ValueError("atom locations must be pairwise distinct")
+        for q in atoms[i + 1:]:
+            if not (a.loc != q.loc if one_law else np.all(a.loc != q.loc)):
+                raise ValueError("atom locations must be pairwise distinct")
     return atoms, pieces, shape
 
 
@@ -217,7 +218,8 @@ class MixtureDistribution:
     same walk for a law and a batch: each point is evaluated only by the
     piece that holds it.  The private `_phi` takes the mapped ends and Phi
     values `_phi_at_ends` gives for these very records (a batch keeps no
-    ends), which `_mixture` has already taken for the atom's weight.
+    ends), which `_mixture` has already taken for the atom's weight; a
+    single law's exact-float records then skip the type test.
     """
 
     atoms: tuple
@@ -225,11 +227,11 @@ class MixtureDistribution:
     _phi: InitVar[tuple | None] = None
 
     def __post_init__(self, _phi):
-        atoms, pieces, shape = _checked_records(self.atoms, self.pieces)
+        atoms, pieces, shape = _checked_records(self.atoms, self.pieces, _phi is not None and _phi[0] is not None)
         ends, phi = _phi_at_ends(pieces, shape is not None) if _phi is None else _phi
         lower = tuple(phi[0::2])
-        self.__dict__.update(atoms=atoms, pieces=pieces, _shape=shape, _ends=ends, _phi_lower=lower,
-                             _masses=tuple(hi - lo for lo, hi in zip(lower, phi[1::2])))  # frozen: no setattr
+        self.__dict__.update(atoms=atoms, pieces=pieces, _shape=shape, _ends=ends, _phi_lower=lower,  # frozen class
+                             _masses=tuple([hi - lo for lo, hi in zip(lower, phi[1::2])]))  # a list beats a generator
         total = self.total_mass()
         worst = abs(total - 1.0) if shape is None else np.max(abs(total - 1.0))
         if worst > _MASS_TOL:
@@ -470,6 +472,7 @@ def _mixture(kind: EstimatorKind, loc, se: float, a: float) -> MixtureDistributi
     Only a batch builds `_unwarned`, so its knots and mapped ends overflow or turn NaN quietly, as a float's do.
     """
     batch = isinstance(loc, np.ndarray) and loc.ndim != 0
+    loc, se, a = loc if batch else float(loc), float(se), float(a)  # so a single law's records are exact floats
     pieces = _unwarned(batch, _pieces, kind, lambda c: loc + c * se if c else loc, se, a)
     ends, phi = _unwarned(batch, _phi_at_ends, pieces, batch)  # a -0.0 end may map to +0.0: Phi is 0.5 at both
     return MixtureDistribution((Atom(loc, phi[len(pieces)] - phi[len(pieces) - 1]),), pieces, (ends, phi))
@@ -513,5 +516,6 @@ LAWS = {"sqrt_n": finite_sample_dist, "inv_eta": rescaled_dist}
 
 
 def scaled_risk(kind: EstimatorKind, point: ModelPoint, tuning: TuningPlan) -> float:
-    """E[n*(estimate - theta)^2], i.e. the second moment of the sqrt(n) law."""
+    """E[n*(estimate - theta)^2], the second moment of the sqrt(n) law: one law, built from exact-float records with
+    no type test, on one normal-cdf and one normal-pdf call over its mapped ends (plus one over short pieces' nodes)."""
     return finite_sample_dist(kind, point, tuning).second_moment()

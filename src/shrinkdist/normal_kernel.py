@@ -90,8 +90,9 @@ def _check_real(value, name: str, *, gt=None, ge=None, le=None, limit=False, err
     return real
 
 
-def _check_reals(value, name: str) -> np.ndarray:
-    """A finite real number or a nonempty 1-d list, tuple or array of them, as a float64 array (0-d for a number).
+def _check_reals(value, name: str, shaped: bool = True) -> np.ndarray:
+    """A finite real number or a nonempty 1-d list, tuple or array of them, as a float64 array (0-d for a number);
+    unless `shaped`, an array of any shape, empty too, or lists and tuples nested to any depth.
 
     Each item takes `_check_real`'s rule, an array's by its dtype; a float64 array comes back uncopied.  Anything
     else raises one ValueError naming the parameter.
@@ -99,9 +100,14 @@ def _check_reals(value, name: str) -> np.ndarray:
     if isinstance(value, np.ndarray):
         reals = np.asarray(value, dtype=float) if value.dtype.kind in "iuf" else None
     else:
-        reals = np.array([_as_real(v) for v in value] if isinstance(value, (list, tuple)) else _as_real(value))
-    if reals is None or reals.ndim > 1 or reals.size == 0 or not np.isfinite(reals).all():
-        raise ValueError(f"{name} must be a finite real number or a nonempty 1-d array of finite real numbers")
+        try:  # lists and tuples to any depth; numpy makes no array of a ragged nesting of arrays
+            items = np.array(value if isinstance(value, (list, tuple)) else _as_real(value), dtype=object)
+            reals = np.array([_as_real(v) for v in items.flat]).reshape(items.shape)
+        except ValueError:
+            reals = None
+    if reals is None or shaped and (reals.ndim > 1 or reals.size == 0) or not np.isfinite(reals).all():
+        what = "a nonempty 1-d array" if shaped else "an array"
+        raise ValueError(f"{name} must be a finite real number or {what} of finite real numbers")
     return reals
 
 

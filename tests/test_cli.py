@@ -7,6 +7,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+import scipy
 
 from oracles import density_rows_reference, svg_polyline_reference
 
@@ -576,6 +577,24 @@ def test_manifest_rerun_byte_identical(tmp_path):
     assert main(["rerun", str(out / "manifest.json"), "--out", str(replay)]) == 0
     for name in ("figure1.csv", "figure1.svg", "manifest.json"):
         assert (out / name).read_bytes() == (replay / name).read_bytes()
+
+
+def test_replayed_manifest_carries_the_same_versions(tmp_path):
+    # the versions are the same on a rerun on one machine; a manifest from another machine replays to the same
+    # data bytes, and its replay records this machine's versions
+    out = tmp_path / "first"
+    assert main([*DIST, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    here = {"python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__, "scipy": scipy.__version__}
+    assert manifest["versions"] == here
+    assert main(["rerun", str(out / "manifest.json"), "--out", str(tmp_path / "second")]) == 0
+    assert json.loads((tmp_path / "second" / "manifest.json").read_text())["versions"] == here
+    manifest["versions"] = {"python": "3.10.0", "numpy": "1.24.0", "scipy": "1.10.0"}
+    (tmp_path / "elsewhere.json").write_text(json.dumps(manifest))
+    assert main(["rerun", str(tmp_path / "elsewhere.json"), "--out", str(tmp_path / "third")]) == 0
+    assert json.loads((tmp_path / "third" / "manifest.json").read_text())["versions"] == here
+    for name in manifest["outputs"]:
+        assert (out / name).read_bytes() == (tmp_path / "third" / name).read_bytes()
 
 
 def test_seed_env_fallback(tmp_path, monkeypatch):

@@ -933,6 +933,8 @@ def test_build_and_second_moment_equal_per_piece_reference_bit_for_bit(kind, n, 
         assert [p.hex() for p in dist._phi_lower] == [p.hex() for p in phi_lower]
         assert dist.total_mass().hex() == (sum(a.weight for a in dist.atoms) + sum(masses)).hex()
         assert dist.second_moment().hex() == reference_second_moment(dist).hex()
+    risk = scaled_risk(kind, point, tuning)
+    assert risk.hex() == reference_second_moment(finite_sample_dist(kind, point, tuning)).hex()
     loc, se = -point.sqrt_n * theta, point.sqrt_n * eta
     weight = atom_weight(point, tuning)
     assert type(weight) is float and weight.hex() == (norm_cdf(loc + se) - norm_cdf(loc - se)).hex()
@@ -1026,6 +1028,49 @@ def test_law_build_takes_the_atom_weight_from_its_own_kernel_calls(monkeypatch, 
     monkeypatch.setattr(finite_dist, "norm_cdf", lambda z: points.append(np.size(z)) or norm_cdf(z))
     finite_sample_dist(kind, ModelPoint(25, np.linspace(-0.3, 0.3, 10_000)), TuningPlan(0.08, 2.5))
     assert points == [10_000] * finite_ends
+
+
+@pytest.mark.parametrize("n", [25, 400])  # at n = 25 scad's soft-type pieces are short
+@pytest.mark.parametrize("kind", KINDS)
+def test_scaled_risk_builds_one_exact_law_within_its_kernel_budget(monkeypatch, kind, n):
+    # one normal-cdf call over the 2P mapped ends of the P pieces, one normal-pdf call over the same array and one
+    # more over 8 nodes per short piece; the one law built keeps the records `_mixture` made with no type test
+    point, tuning = ModelPoint(n, -0.3), TuningPlan(0.08, 2.5)
+    law = finite_sample_dist(kind, point, tuning)
+    want = law.second_moment()
+    short = sum(lo < hi and abs(zb - za) < finite_dist._SHORT_PIECE
+                for (za, zb), (_, _, lo, hi) in zip(law._ends.tolist(), law.pieces))
+    assert bool(short) == (n == 25 and kind is EstimatorKind.SCAD)
+    points, exact = {"norm_cdf": [], "norm_pdf": []}, []
+    for name, kernel in (("norm_cdf", norm_cdf), ("norm_pdf", norm_pdf)):
+        monkeypatch.setattr(finite_dist, name, lambda z, name=name, kernel=kernel: points[name].append(np.size(z))
+                            or kernel(z))
+    checked = finite_dist._checked_records
+    monkeypatch.setattr(finite_dist, "_checked_records", lambda *args: exact.append(args[2:]) or checked(*args))
+    assert scaled_risk(kind, point, tuning).hex() == want.hex()
+    ends = 2 * len(law.pieces)
+    assert points == {"norm_cdf": [ends], "norm_pdf": [ends] + [8 * short] * bool(short)}
+    assert exact == [(True,)]
+
+
+def _risk_or_error(risk):
+    """The bits of risk(), or the type and message of its ValueError."""
+    try:
+        return risk().hex()
+    except ValueError as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_scaled_risk_raises_or_returns_as_the_law_does(kind):
+    # the float extremes of the batch tables (n = 1e30, eta = 1e-300 and se past the float range, a = 2 + 1e-12),
+    # alone and as a batch: the same bits as the law's second_moment, or the same ValueError
+    for n, pair, eta, a in itertools.product((1, 10**6, 10**30), ((0.3, -0.07), (1e150, -1e150), (-1e307, 1e307)),
+                                             (1e-300, 1.0, 1e300, 1.7e308), (2.0 + 1e-12, 3.7, 1e10)):
+        tuning = TuningPlan(eta, a)
+        for point in (ModelPoint(n, pair[0]), ModelPoint(n, pair[1]), ModelPoint(n, list(pair))):
+            want = _risk_or_error(lambda: finite_sample_dist(kind, point, tuning).second_moment())
+            assert _risk_or_error(lambda: scaled_risk(kind, point, tuning)) == want, (n, point.theta, eta, a)
 
 
 TINY_SE = {

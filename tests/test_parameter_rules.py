@@ -16,7 +16,7 @@ import re
 import numpy as np
 import pytest
 
-from shrinkdist.estimators import EstimatorKind, TuningPlan, penalized_objective
+from shrinkdist.estimators import EstimatorKind, TuningPlan, estimate, penalized_objective
 from shrinkdist.finite_dist import ModelPoint
 from shrinkdist.impossibility import (
     MOutOfNBootstrap,
@@ -163,7 +163,9 @@ ARRAY_SITES = {
     "MOutOfNBootstrap.ybar": ("ybar", lambda v: MOutOfNBootstrap(path=PATH).estimate_cdf(v, CTX)),
     "OracleCheat.ybar": ("ybar", lambda v: OracleCheat().estimate_cdf(v, CTX)),
     "estimand_gap.delta": ("delta", lambda v: estimand_gap(PROBLEM, v)),
+    "estimate.ybar": ("ybar", lambda v: estimate(HARD, v, TuningPlan(0.25))),  # of any shape
 }
+SHAPE_FREE_SITES = {"estimate.ybar"}
 BAD_ARRAYS = [
     ("empty", []), ("empty-array", np.array([])), ("nested", [[0.1, 0.2]]), ("nan-item", [0.1, math.nan]),
     ("bool-array", np.array([True, False])), ("bool-item", [0.5, True]), ("np-bool-item", [0.5, np.True_]),
@@ -172,13 +174,16 @@ BAD_ARRAYS = [
     ("true", True), ("bytes", b"0.5"), ("str", "x"), ("none", None), ("complex", 1 + 2j), ("nan", math.nan),
     ("inf", math.inf), ("-inf", -math.inf), ("inf-item", [0.1, math.inf]), ("-inf-item", [-math.inf]),
     ("2-d", np.zeros((2, 3))), ("bools", [True, False]), ("ragged-int", [1, [2, 3]]),
+    ("ragged-arrays", [np.zeros((2, 2)), np.zeros((2, 3))]), ("str-array", np.array(["0.5"])),
 ]
+SHAPE_ROWS = {"empty", "empty-array", "nested", "2-d"}  # bad for a 1-d array only
 
 
-# a scalar theta keeps the real rule's own message, which starts the same way; a delta of None is the problem's
+# a scalar theta keeps the real rule's own message, which starts the same way; a delta of None is the problem's;
+# a ybar of `estimate` may have any shape
 @pytest.mark.parametrize("site, value", [
     pytest.param(site, value, id=f"{site}-{label}") for site in ARRAY_SITES for label, value in BAD_ARRAYS
-    if not (value is None and site == "estimand_gap.delta")])
+    if not (value is None and site == "estimand_gap.delta" or site in SHAPE_FREE_SITES and label in SHAPE_ROWS)])
 def test_an_array_of_reals_that_is_not_one_names_itself(site, value):
     name, call = ARRAY_SITES[site]
     with pytest.raises(ValueError, match=rf"^{name} must be a finite real number"):
@@ -196,9 +201,21 @@ def test_an_array_of_reals_takes_any_real_form(site):
 def test_the_array_rule_keeps_a_float64_array_and_gives_a_number_0_d():
     arr = np.linspace(-1.0, 1.0, 5)
     assert _check_reals(arr, "x") is arr
+    column = arr.reshape(5, 1)
+    assert _check_reals(column, "x", shaped=False) is column
     for number in (2, 2.0, np.float32(2), np.array(2)):
         got = _check_reals(number, "x")
         assert got.dtype == np.float64 and got.shape == () and got == 2.0
+
+
+@pytest.mark.parametrize("kind", list(EstimatorKind))
+def test_estimate_takes_reals_of_any_shape(kind):
+    tuning, grid = TuningPlan(0.25), np.linspace(-2.0, 2.0, 12).reshape(3, 4)
+    for form in (grid.tolist(), [tuple(row) for row in grid.tolist()], [list(row) for row in grid.astype("f4")]):
+        want = estimate(kind, np.asarray(form, dtype=float), tuning)
+        assert want.shape == (3, 4) and estimate(kind, form, tuning).tolist() == want.tolist()
+    for empty in ([], np.zeros((0, 3)), [[]]):
+        assert estimate(kind, empty, tuning).shape == np.shape(empty)
 
 
 # site: (the name its error gives, a call passing the list of sample sizes, the sizes it reports)
