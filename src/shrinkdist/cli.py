@@ -270,7 +270,7 @@ def _experiment_impossibility(cfg: dict, seed: int) -> tuple:
     name = cfg["estimator"]
     tol = _check_real(cfg["oracle_tol"], "oracle_tol")
     threshold = _check_real(cfg["threshold"], "threshold")
-    specs = {"oracle": OracleCheat(), "pretest": PretestPlugin(consistent=path.exponent < 0.5),
+    specs = {"oracle": OracleCheat(), "pretest": PretestPlugin(consistent=path.e_limit == math.inf),
              "bootstrap": MOutOfNBootstrap(path=path)}
     report = estimator_worst_case(specs[_one_of(name, specs, "estimator")], kind, n, cfg["t"], tuning, cfg["c"],
                                   seed=seed, replications=cfg["reps"])

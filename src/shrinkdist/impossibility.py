@@ -182,7 +182,11 @@ class MOutOfNBootstrap:
         m = _check_count(self.m_rule(ctx.n), "m")
         tuning_m = TuningPlan(self.path.eta(m), ctx.tuning.scad_a)
         s = math.sqrt(m)
-        x = ctx.t - s * (y - estimate(ctx.kind, y, ctx.tuning))
+        if ctx.kind is EstimatorKind.SOFT:  # ybar - theta_hat in closed form, as subtracting gives 0 past 2^53*eta
+            resid = np.where(np.abs(y) > ctx.tuning.eta, np.sign(y) * ctx.tuning.eta, y)
+        else:  # hard's is 0 or ybar; scad's is exact up to 2*eta, 0 past a*eta and rounded only in between
+            resid = y - estimate(ctx.kind, y, ctx.tuning)
+        x = ctx.t - s * resid
         return norm_cdf(_mapped_point(ctx.kind, x, -s * y, s * tuning_m.eta, tuning_m.scad_a))
 
 

@@ -96,8 +96,7 @@ def consistent_limit(kind: EstimatorKind, regime: RegimeSpec, scad_a: float = DE
     if kind is EstimatorKind.SOFT:
         return _pointmass(-regime.require_nu())
     zeta = regime.require_zeta()
-    boundary = 1.0 if kind is EstimatorKind.HARD else scad_a
-    r = regime.require_r() if abs(zeta) == boundary else math.copysign(math.inf, boundary - abs(zeta))
+    r = regime.r_at(1.0 if kind is EstimatorKind.HARD else scad_a)
     if r == math.inf:
         return _pointmass(-regime.require_nu())
     atoms = (Atom(-math.copysign(math.inf, zeta), norm_cdf(r)),) if kind is EstimatorKind.HARD and r > -math.inf else ()
@@ -114,7 +113,7 @@ def rescaled_limit(kind: EstimatorKind, regime: RegimeSpec, scad_a: float = DEFA
     zf = regime.require_zeta()
     az = abs(zf)
     if kind is EstimatorKind.HARD and az == 1.0:
-        w = norm_cdf(regime.require_r())
+        w = norm_cdf(regime.r_at(1.0))
         return MixtureDistribution(atoms=(Atom(-zf, w), Atom(0.0, 1.0 - w)), pieces=())
     shrink = {EstimatorKind.HARD: az if az < 1.0 else 0.0, EstimatorKind.SOFT: min(1.0, az),
               EstimatorKind.SCAD: min(1.0, az, max(0.0, (scad_a - az) / (scad_a - 2.0)))}[kind]
@@ -182,18 +181,16 @@ class ConvergenceScenario:
         point = ModelPoint(n, self.rule.theta(n, eta_n))
         return LAWS[self.scaling](self.kind, point, TuningPlan(eta_n, self.scad_a))
 
-    def grid(self) -> np.ndarray:
-        span = _GRID_SPAN[self.scaling]
-        pts = np.linspace(-span, span, _GRID_POINTS)
-        if self.extra_grid:
-            pts = np.unique(np.concatenate([pts, np.asarray(self.extra_grid, dtype=float)]))
-        for a in self.limit().atoms:
-            if math.isfinite(a.loc):
-                pts = pts[np.abs(pts - a.loc) >= self.grid_margin]
-        return pts
-
     def check(self, n_probe) -> ExperimentReport:
-        return weak_convergence_check(self.finite_law, self.limit(), self.grid(), n_probe)
+        limit = self.limit()
+        span = _GRID_SPAN[self.scaling]
+        grid = np.linspace(-span, span, _GRID_POINTS)
+        if self.extra_grid:
+            grid = np.unique(np.concatenate([grid, np.asarray(self.extra_grid, dtype=float)]))
+        for a in limit.atoms:
+            if math.isfinite(a.loc):
+                grid = grid[np.abs(grid - a.loc) >= self.grid_margin]
+        return weak_convergence_check(self.finite_law, limit, grid, n_probe)
 
 
 def canonical_scenarios(scad_a: float = DEFAULT_SCAD_A) -> list:

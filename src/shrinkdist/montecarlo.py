@@ -37,7 +37,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .estimators import DEFAULT_SCAD_A, EstimatorKind, TuningPlan, _check_kind, estimate
-from .finite_dist import MixtureDistribution, ModelPoint, finite_sample_dist
+from .finite_dist import MixtureDistribution, ModelPoint, _cut_points, finite_sample_dist
 from .normal_kernel import _check_count, _check_real, _check_seed, _check_sizes, _no_nan, _one_of, norm_cdf
 from .report import ExperimentReport
 
@@ -157,8 +157,8 @@ def _atom_uniforms(kind: EstimatorKind, cfg: SimConfig):
     """(lo, hi, fill_lo, fill_hi): a certified range of uniforms whose draws land in the atom, and its values.
 
     Every estimate is 0 exactly when |ybar| <= eta, that is when the normal
-    quantile z lies in sqrt(n)*(-eta - theta, eta - theta).  Those ends are
-    pulled inward by `_SKIP_MARGIN`*(1 + sqrt(n)*|theta| + max|z|), far
+    quantile z lies in (loc - se, loc + se), with the law's `_cut_points`.
+    Those ends are pulled inward by `_SKIP_MARGIN`*(1 + |loc| + max|z|), far
     above the rounding of the ends, of `ndtri` (about 1e-16 relative), of
     1/sqrt(n) and of theta + z/sqrt(n), and mapped to the grid of uniforms
     rounded inward; the cdf of an end past 0 is taken as 1 - Phi(-z), so it
@@ -172,19 +172,19 @@ def _atom_uniforms(kind: EstimatorKind, cfg: SimConfig):
     u = 1/2 (ndtri(1/2) = +0.0) and +0.0 from it on.  The values at the two
     certified ends are those two values.
     """
-    point, eta = cfg.point, cfg.tuning.eta
-    z_lo, z_hi = point.sqrt_n * (-eta - point.theta), point.sqrt_n * (eta - point.theta)
-    margin = _SKIP_MARGIN * (1.0 + point.sqrt_n * abs(point.theta) + max(abs(z_lo), abs(z_hi)))
+    loc, se = _cut_points(cfg.point, cfg.tuning)
+    z_lo, z_hi = loc - se, loc + se
+    margin = _SKIP_MARGIN * (1.0 + abs(loc) + max(abs(z_lo), abs(z_hi)))
     if not math.isfinite(margin):
         return _NO_ATOM
     k_lo, k_hi = max(_grid_index(z_lo + margin, True), 1), min(_grid_index(z_hi - margin, False), _U_ONE - 1)
     if k_lo > k_hi:
         return _NO_ATOM
     lo, hi = k_lo * _U_STEP, k_hi * _U_STEP
-    est = estimate(kind, _ybar(np.array([lo, hi]), point), cfg.tuning)
+    est = estimate(kind, _ybar(np.array([lo, hi]), cfg.point), cfg.tuning)
     if (est != 0.0).any():
         return _NO_ATOM
-    fill_lo, fill_hi = (est - point.theta) * point.sqrt_n
+    fill_lo, fill_hi = (est - cfg.point.theta) * cfg.point.sqrt_n
     return lo, hi, fill_lo, fill_hi
 
 

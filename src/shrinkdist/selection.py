@@ -78,7 +78,11 @@ class RegimeSpec:
             raise RegimeError("regime underdetermined: zeta is required")
         return self.zeta
 
-    def require_r(self) -> float:
+    def r_at(self, boundary: float) -> float:
+        """r as seen from a selection boundary: +inf with |zeta| below it, r at it and -inf past it."""
+        az = abs(self.require_zeta())
+        if az != boundary:
+            return math.copysign(math.inf, boundary - az)
         if self.r is None:
             raise RegimeError("regime underdetermined: r is required at a boundary case")
         return self.r
@@ -178,12 +182,7 @@ def limit_selection_probability(regime: RegimeSpec) -> float:
         nu = regime.require_nu()
         e = regime.e
         return _zero_mass(-nu, e)
-    az = abs(regime.require_zeta())
-    if az < 1.0:
-        return 1.0
-    if az > 1.0:
-        return 0.0
-    return norm_cdf(regime.require_r())
+    return norm_cdf(regime.r_at(1.0))
 
 
 def selection_convergence_table(path: PowerTuningPath, theta_rule: ThetaRule, n_list) -> ExperimentReport:

@@ -343,6 +343,15 @@ class TestScenarios:
     def test_convergence_mode(self, scenario):
         assert convergence_mode(scenario.limit()) == SCENARIO_MODES[scenario.name]
 
+    def test_check_builds_the_limit_once(self, monkeypatch):
+        built = []
+        limit = ConvergenceScenario.limit
+        monkeypatch.setattr(ConvergenceScenario, "limit", lambda sc: built.append(sc.name) or limit(sc))
+        for sc in canonical_scenarios():
+            built.clear()
+            sc.check([1000])
+            assert built == [sc.name]
+
     @pytest.mark.parametrize("a", [2.5, 3.7])
     def test_scad_eta_multiple_at_the_boundary(self, a):
         # theta_n = a*eta_n sits on the scad boundary with r = 0 at every n, so

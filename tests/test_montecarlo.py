@@ -214,6 +214,17 @@ def test_atom_range_ends_and_steps_inside_give_the_atom(kind, n, theta, eta, a):
         assert fill_lo == fill_hi == -cfg.point.sqrt_n * theta
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n, theta, eta, a", MC_CONFIGS)
+def test_atom_range_is_the_laws_atom_less_its_margin(kind, n, theta, eta, a):
+    # the certified range takes its ends from the law's own cut points, so the uniform mass it skips sits
+    # just below the atom weight: short of it by the margin (at most 1.6e-7 here), never above it
+    point, tuning = ModelPoint(n, theta), TuningPlan(eta, a)
+    lo, hi = montecarlo._atom_uniforms(kind, SimConfig(seed=1, replications=1, point=point, tuning=tuning))[:2]
+    assert 0.0 <= atom_weight(point, tuning) - (hi - lo) <= 1e-6
+    assert hi > lo
+
+
 @pytest.mark.parametrize("n, eta", [(100, 1e-300), (1, 1e-12)])
 def test_atom_range_is_empty_where_the_atom_is_narrower_than_its_margin(n, eta):
     cfg = SimConfig(seed=1, replications=1, point=ModelPoint(n, 0.0), tuning=TuningPlan(eta))

@@ -97,6 +97,26 @@ class TestRegimeSpec:
         with pytest.raises(RegimeError, match="^regime underdetermined: zeta is required$"):
             RegimeSpec(e=e, nu=0.0).require_zeta()
 
+    @pytest.mark.parametrize("boundary", [1.0, 3.7])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_r_at_is_inf_below_a_boundary_r_at_it_and_minus_inf_past_it(self, boundary, sign):
+        r_at = lambda zeta: RegimeSpec(e=math.inf, zeta=sign * zeta, r=0.25).r_at(boundary)
+        assert [r_at(z) for z in (0.0, 0.5 * boundary, boundary, 2.0 * boundary, math.inf)] == \
+            [math.inf, math.inf, 0.25, -math.inf, -math.inf]
+        assert RegimeSpec(e=math.inf, zeta=sign * boundary, r=-math.inf).r_at(boundary) == -math.inf
+
+    def test_r_at_without_zeta_names_zeta(self):
+        with pytest.raises(RegimeError, match="^regime underdetermined: zeta is required$"):
+            RegimeSpec(e=math.inf, r=0.25).r_at(1.0)
+
+    @pytest.mark.parametrize("boundary", [1.0, 3.7])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_r_at_without_r_names_r_only_at_the_boundary(self, boundary, sign):
+        r_at = lambda zeta: RegimeSpec(e=math.inf, zeta=sign * zeta).r_at(boundary)
+        assert (r_at(0.5 * boundary), r_at(2.0 * boundary)) == (math.inf, -math.inf)
+        with pytest.raises(RegimeError, match="^regime underdetermined: r is required at a boundary case$"):
+            r_at(boundary)
+
     def test_negative_e_rejected(self):
         with pytest.raises(RegimeError):
             RegimeSpec(e=-0.5)
