@@ -24,9 +24,9 @@ import numpy as np
 
 from .estimators import DEFAULT_SCAD_A, EstimatorKind, TuningPlan, _check_kind
 from .finite_dist import LAWS, Atom, MixtureDistribution, ModelPoint, _pieces, finite_sample_dist
-from .normal_kernel import _check_real, _check_sizes, _one_of, norm_cdf
+from .normal_kernel import _check_real, _check_sizes, _one_of
 from .report import ExperimentReport
-from .selection import PowerTuningPath, RegimeError, RegimeSpec, ThetaRule, derive_regime
+from .selection import PowerTuningPath, RegimeError, RegimeSpec, ThetaRule, derive_regime, limit_selection_probability
 
 __all__ = [
     "convergence_mode",
@@ -57,10 +57,6 @@ def convergence_mode(law: MixtureDistribution) -> str:
     return WEAK if law.atoms else TOTAL_VARIATION
 
 
-def _pointmass(loc: float) -> MixtureDistribution:
-    return MixtureDistribution(atoms=(Atom(loc, 1.0),), pieces=())
-
-
 def _at_knots(kind: EstimatorKind, zeta: float, se: float, a: float, r=None, atoms=()) -> MixtureDistribution:
     """The atoms and the kind's `_pieces` at knots whose limits are -inf for c < zeta, +inf for c > zeta
     and sign(zeta)*r at c = zeta, less each piece whose two ends meet at an infinity."""
@@ -84,23 +80,21 @@ def conservative_limit(kind: EstimatorKind, nu, e: float, scad_a: float = DEFAUL
 def consistent_limit(kind: EstimatorKind, regime: RegimeSpec, scad_a: float = DEFAULT_SCAD_A) -> MixtureDistribution:
     """Limit of the sqrt(n) law when sqrt(n)*eta_n -> inf.
 
-    Below the selection boundary all mass collapses onto (or escapes with) the atom at -nu.  At or past
-    it the law is the kind's piece layout at the knots' limits: at the boundary the escape weight
-    cdf(r) plus a one-sided truncated normal (hard) or a blend-plus-tail density (scad), and past it the
-    standard normal.  At the boundary r = +inf is the limit from below and r = -inf the limit from
-    above, for both kinds, so r reads +inf below the boundary and -inf past it.
+    Below the selection boundary, and for soft, all mass collapses onto (or escapes with) the atom at
+    -nu.  At or past it the law is the kind's piece layout at the knots' limits: at the boundary hard's
+    escape weight cdf(r) from `limit_selection_probability` plus a one-sided truncated normal, or scad's
+    blend-plus-tail density, and past it the standard normal.  r = +inf is the limit from below and
+    r = -inf the limit from above, for both kinds, so r reads +inf below the boundary and -inf past it.
     """
     kind, scad_a = _check_kind(kind), _check_real(scad_a, "scad_a", gt=2)
     if not regime.consistent:
         raise RegimeError("consistent limits require e = +inf")
-    if kind is EstimatorKind.SOFT:
-        return _pointmass(-regime.require_nu())
-    zeta = regime.require_zeta()
-    r = regime.r_at(1.0 if kind is EstimatorKind.HARD else scad_a)
+    r = math.inf if kind is EstimatorKind.SOFT else regime.r_at(1.0 if kind is EstimatorKind.HARD else scad_a)
     if r == math.inf:
-        return _pointmass(-regime.require_nu())
-    atoms = (Atom(-math.copysign(math.inf, zeta), norm_cdf(r)),) if kind is EstimatorKind.HARD and r > -math.inf else ()
-    return _at_knots(kind, zeta, regime.e, scad_a, r, atoms)
+        return MixtureDistribution((Atom(-regime.require_nu(), 1.0),), ())
+    escapes = kind is EstimatorKind.HARD and r > -math.inf  # hard at the boundary, where r is finite
+    atoms = (Atom(-math.copysign(math.inf, regime.zeta), limit_selection_probability(regime)),) if escapes else ()
+    return _at_knots(kind, regime.zeta, regime.e, scad_a, r, atoms)
 
 
 def rescaled_limit(kind: EstimatorKind, regime: RegimeSpec, scad_a: float = DEFAULT_SCAD_A) -> MixtureDistribution:
@@ -113,12 +107,12 @@ def rescaled_limit(kind: EstimatorKind, regime: RegimeSpec, scad_a: float = DEFA
     zf = regime.require_zeta()
     az = abs(zf)
     if kind is EstimatorKind.HARD and az == 1.0:
-        w = norm_cdf(regime.r_at(1.0))
+        w = limit_selection_probability(regime)
         return MixtureDistribution(atoms=(Atom(-zf, w), Atom(0.0, 1.0 - w)), pieces=())
     shrink = {EstimatorKind.HARD: az if az < 1.0 else 0.0, EstimatorKind.SOFT: min(1.0, az),
               EstimatorKind.SCAD: min(1.0, az, max(0.0, (scad_a - az) / (scad_a - 2.0)))}[kind]
     sgn = (zf > 0) - (zf < 0)  # an int; with "0.0 -", a zero zeta or a zero shrinkage puts the atom at +0.0
-    return _pointmass(0.0 - sgn * shrink)
+    return MixtureDistribution((Atom(0.0 - sgn * shrink, 1.0),), ())
 
 
 def _limit_law(kind: EstimatorKind, regime: RegimeSpec, scad_a: float, scaling: str = "sqrt_n") -> MixtureDistribution:

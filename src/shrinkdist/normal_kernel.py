@@ -167,8 +167,8 @@ def gaussian_tv(n: int, theta1, theta2):
 
     Equals the TV distance between N(theta1, 1/n) and N(theta2, 1/n), the
     laws of the sufficient statistic: 2*Phi(sqrt(n)|t1 - t2|/2) - 1.
-    theta1 and theta2 may be arrays, which broadcast; floats give a float.
+    theta1 and theta2 each take the array rule of `_check_reals` and broadcast; numbers give a float.
     """
     _check_count(n)
-    half_sep = 0.5 * math.sqrt(n) * abs(theta1 - theta2)
+    half_sep = 0.5 * math.sqrt(n) * abs(_check_reals(theta1, "theta1") - _check_reals(theta2, "theta2"))
     return 2.0 * norm_cdf(half_sep) - 1.0

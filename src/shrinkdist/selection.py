@@ -157,7 +157,7 @@ class ThetaRule:
         return cls(value=value)
 
     def theta(self, n: int, eta_n: float) -> float:
-        rn = float(_check_count(n))
+        rn, eta_n = float(_check_count(n)), _check_real(eta_n, "eta_n", gt=0)
         return self.value + self.zeta * eta_n + self.offset / math.sqrt(rn) + self.perturb * rn**-0.75
 
 
@@ -177,11 +177,9 @@ def derive_regime(path: PowerTuningPath, rule: ThetaRule) -> RegimeSpec:
 
 
 def limit_selection_probability(regime: RegimeSpec) -> float:
-    """Limit of the zero-selection probability under the given regime."""
+    """Limit of the zero-selection probability under the regime; at |zeta| = 1 it weighs the hard limit laws' atom."""
     if not regime.consistent:
-        nu = regime.require_nu()
-        e = regime.e
-        return _zero_mass(-nu, e)
+        return _zero_mass(-regime.require_nu(), regime.e)
     return norm_cdf(regime.r_at(1.0))
 
 

@@ -417,3 +417,20 @@ def test_selection_limit_is_the_hard_limit_law_atom_mass_bit_for_bit():
             assert selection == law_mass, regime
             compared += 1
     assert compared > 1500
+
+
+@pytest.mark.parametrize("build, atom_loc", [(consistent_limit, -math.inf), (rescaled_limit, -1.0)])
+def test_hard_boundary_atom_takes_its_weight_from_the_selection_limit(build, atom_loc, monkeypatch):
+    # one owner of the limiting zero-selection weight: the hard law at |zeta| = 1 asks it once and keeps its bits
+    calls = []
+
+    def spy(regime):
+        calls.append((regime, limit_selection_probability(regime)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(limits, "limit_selection_probability", spy)
+    boundary = RegimeSpec(math.inf, zeta=1.0, r=0.3)
+    law = build(HARD, boundary)
+    [(seen, weight)] = calls
+    assert seen is boundary and law.atoms[0].loc == atom_loc
+    assert law.atoms[0].weight.hex() == weight.hex() == norm_cdf(0.3).hex()

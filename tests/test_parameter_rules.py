@@ -4,10 +4,10 @@ A real parameter is an int, a float or a numpy real (a 0-d array too) in
 its range, stored and used as a Python float; a bool, a string, NaN, a
 value out of range and an infinity where the parameter is not a limit each
 raise a ValueError that names the parameter and the value.  An array of
-reals (a batch theta, a ybar, the delta of `estimand_gap`) is a finite real
-number or a nonempty 1-d list, tuple or array of them, each item by the
-real rule.  A list of sample sizes is nonempty, each item a count, and
-strictly increasing.
+reals (a batch theta, a ybar, the delta of `estimand_gap`, each theta of
+`gaussian_tv`) is a finite real number or a nonempty 1-d list, tuple or
+array of them, each item by the real rule.  A list of sample sizes is
+nonempty, each item a count, and strictly increasing.
 """
 
 import math
@@ -37,7 +37,7 @@ from shrinkdist.limits import (
     weak_convergence_check,
 )
 from shrinkdist.montecarlo import uniform_rate_experiment
-from shrinkdist.normal_kernel import _check_reals
+from shrinkdist.normal_kernel import _check_reals, gaussian_tv
 from shrinkdist.selection import PowerTuningPath, RegimeSpec, ThetaRule, selection_convergence_table
 
 HARD, SCAD = EstimatorKind.HARD, EstimatorKind.SCAD
@@ -74,6 +74,8 @@ REAL_SITES = {
     "ThetaRule.boundary.r": ("r", lambda v: ThetaRule.boundary(1.0, v), lambda r: r.offset, 2, [], False),
     "ThetaRule.fixed": ("value", ThetaRule.fixed, lambda r: r.value, 1, [], False),
     "ThetaRule.offset": ("offset", lambda v: ThetaRule(offset=v), lambda r: r.offset, 1, [], False),
+    "ThetaRule.theta": ("eta_n", lambda v: ThetaRule.eta_multiple(2.0).theta(100, v), lambda t: t, 1, [0, -0.5],
+                        False),
     "conservative_limit.nu": ("nu", lambda v: conservative_limit(HARD, v, 1.0), _law, 1, [], True),
     "conservative_limit.e": ("e", lambda v: conservative_limit(HARD, 0.5, v), _law, 1, [-1.0], False),
     "conservative_limit.scad_a": ("scad_a", lambda a: conservative_limit(SCAD, 0.5, 1.0, a), _law, 3, [2, 1],
@@ -164,6 +166,8 @@ ARRAY_SITES = {
     "OracleCheat.ybar": ("ybar", lambda v: OracleCheat().estimate_cdf(v, CTX)),
     "estimand_gap.delta": ("delta", lambda v: estimand_gap(PROBLEM, v)),
     "estimate.ybar": ("ybar", lambda v: estimate(HARD, v, TuningPlan(0.25))),  # of any shape
+    "gaussian_tv.theta1": ("theta1", lambda v: gaussian_tv(100, v, 0.0)),
+    "gaussian_tv.theta2": ("theta2", lambda v: gaussian_tv(100, 0.0, v)),
 }
 SHAPE_FREE_SITES = {"estimate.ybar"}
 BAD_ARRAYS = [
