@@ -139,12 +139,12 @@ def _read_only(v) -> np.ndarray:
     return v
 
 
-def _unwarned(batch: bool, build, *args):
-    """build(*args); a batch of laws under `np.errstate`, so it overflows or turns NaN unwarned, as a float does."""
+def _unwarned(batch: bool, build):
+    """build(), under `np.errstate` for a batch, so its arrays overflow or turn NaN unwarned, as floats do."""
     if not batch:
-        return build(*args)
+        return build()
     with np.errstate(over="ignore", invalid="ignore"):
-        return build(*args)
+        return build()
 
 
 def _checked_records(atoms, pieces, exact: bool = False) -> tuple:
@@ -402,12 +402,9 @@ class MixtureDistribution:
 
 
 def _cut_points(point: ModelPoint, tuning: TuningPlan):
-    """(loc, se) = (-sqrt(n)*theta, sqrt(n)*eta), the arguments of `_mixture`."""
+    """(loc, se) = (-sqrt(n)*theta, sqrt(n)*eta), the arguments of `_mixture`; loc is -+inf past the float range."""
     s = point.sqrt_n
-    if isinstance(point.theta, tuple):  # so a batch's loc past the float range is -+inf unwarned, as a float's is
-        with np.errstate(over="ignore"):
-            return -s * np.array(point.theta), s * tuning.eta
-    return -s * point.theta, s * tuning.eta
+    return -s * (np.array(point.theta) if isinstance(point.theta, tuple) else point.theta), s * tuning.eta
 
 
 def _zero_mass(loc: float, se: float) -> float:
@@ -421,8 +418,8 @@ def _zero_mass(loc: float, se: float) -> float:
 
 
 def atom_weight(point: ModelPoint, tuning: TuningPlan) -> float:
-    """P_{n,theta}(estimate == 0), identical for all three estimator kinds."""
-    return _zero_mass(*_cut_points(point, tuning))
+    """P_{n,theta}(estimate == 0), identical for all three estimator kinds; a batch gives an array, `_unwarned`."""
+    return _unwarned(isinstance(point.theta, tuple), lambda: _zero_mass(*_cut_points(point, tuning)))
 
 
 def _clip_to_floats(v):
@@ -469,12 +466,12 @@ def _mixture(kind: EstimatorKind, loc, se: float, a: float) -> MixtureDistributi
     Every kind shares the atom at loc, carried by the event estimate == 0, and its `_pieces` end at the
     knots loc + c*se, or at loc itself for c = 0, so that a -0.0 stays -0.0.  The atom's weight comes
     from the build's Phi at the middle two mapped ends, loc -+ se, and is `_zero_mass(loc, se)` bit for bit.
-    Only a batch builds `_unwarned`, so its knots and mapped ends overflow or turn NaN quietly, as a float's do.
+    Plain arithmetic: a batch's knots and mapped ends overflow or turn NaN quietly under its caller's `_unwarned`.
     """
     batch = isinstance(loc, np.ndarray) and loc.ndim != 0
     loc, se, a = loc if batch else float(loc), float(se), float(a)  # so a single law's records are exact floats
-    pieces = _unwarned(batch, _pieces, kind, lambda c: loc + c * se if c else loc, se, a)
-    ends, phi = _unwarned(batch, _phi_at_ends, pieces, batch)  # a -0.0 end may map to +0.0: Phi is 0.5 at both
+    pieces = _pieces(kind, lambda c: loc + c * se if c else loc, se, a)
+    ends, phi = _phi_at_ends(pieces, batch)  # a -0.0 end may map to +0.0: Phi is 0.5 at both
     return MixtureDistribution((Atom(loc, phi[len(pieces)] - phi[len(pieces) - 1]),), pieces, (ends, phi))
 
 
@@ -504,7 +501,7 @@ def finite_sample_dist(kind: EstimatorKind, point: ModelPoint, tuning: TuningPla
 
     For a batch of points (a vector theta) this is the batch of their laws.
     """
-    return _mixture(kind, *_cut_points(point, tuning), tuning.scad_a)
+    return _unwarned(isinstance(point.theta, tuple), lambda: _mixture(kind, *_cut_points(point, tuning), tuning.scad_a))
 
 
 def rescaled_dist(kind: EstimatorKind, point: ModelPoint, tuning: TuningPlan) -> MixtureDistribution:

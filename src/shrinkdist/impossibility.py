@@ -46,6 +46,7 @@ __all__ = [
 
 _THETA_GRID_SIZE = 9  # uniform points of the adversarial grid, witnesses aside
 _PRETEST_CUTOFF_EXPONENT = 0.25  # the pretest keeps theta = 0 while |ybar| <= n**-0.25
+_EPSILON_SHARE = 0.9  # the default error margin epsilon, as a share of epsilon_range
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ def minimax_lower_bound(problem: TwoPointProblem, epsilon: Optional[float] = Non
     _check_count(sweep_steps, "sweep_steps")
     se = math.sqrt(problem.n) * problem.tuning.eta
     eps_range = 0.5 * _zero_mass(problem.t, se)
-    eps = 0.9 * eps_range if epsilon is None else _check_real(epsilon, "epsilon", ge=0)
+    eps = _EPSILON_SHARE * eps_range if epsilon is None else _check_real(epsilon, "epsilon", ge=0)
     deltas = problem.delta * 0.25 ** np.arange(sweep_steps)
     gap, _, _ = estimand_gap(problem, deltas)
     bounds = 0.5 * (1.0 - gaussian_tv(problem.n, *problem.theta_pair(deltas)))
@@ -199,11 +200,10 @@ class _HarnessContext:
     true_value: float
 
 
-def adversarial_theta_grid(n: int, t: float, c: float) -> np.ndarray:
-    """Uniform grid over |theta| < c/sqrt(n) plus the two-point witnesses."""
-    s = math.sqrt(n)
-    width = c - abs(t)
-    witnesses = [-(t + sign * frac * width) / s for frac in (0.5, 0.1, 0.02) for sign in (1.0, -1.0)]
+def adversarial_theta_grid(problem: TwoPointProblem, c: float) -> np.ndarray:
+    """Uniform grid over |theta| < c/sqrt(n) plus the problem's two-point witnesses at shares of c - |t|."""
+    s = math.sqrt(problem.n)
+    witnesses = [theta for frac in (0.5, 0.1, 0.02) for theta in problem.theta_pair(frac * (c - abs(problem.t)))]
     base = np.linspace(-0.95 * c / s, 0.95 * c / s, _THETA_GRID_SIZE)
     return np.asarray(sorted(set(np.concatenate([base, witnesses, [0.0]]))))
 
@@ -222,7 +222,7 @@ def estimator_worst_case(
 
     For each theta in the grid (which always contains the two-point
     witnesses), estimates P_{n,theta}(|Fhat(t) - F_{n,theta}(t)| > eps) with
-    eps = 0.9 * epsilon_range, the margin of the lower bound.  The report
+    eps = _EPSILON_SHARE * epsilon_range, the margin of the lower bound.  The report
     metadata records the grid supremum, the witness theta, and the
     theoretical lower bound.
     """
@@ -232,8 +232,8 @@ def estimator_worst_case(
     seed = _check_seed(seed)
     problem = TwoPointProblem(n=n, t=t, delta=0.5 * (c - abs(t)), tuning=tuning, kind=kind)
     eps_range, bound = minimax_lower_bound(problem)
-    eps = 0.9 * eps_range
-    grid = adversarial_theta_grid(n, t, c)
+    eps = _EPSILON_SHARE * eps_range
+    grid = adversarial_theta_grid(problem, c)
     root = np.random.SeedSequence(seed)
     children = root.spawn(len(grid))
     report = ExperimentReport(

@@ -698,6 +698,16 @@ def test_only_a_batch_build_enters_np_errstate(kind, builder, monkeypatch):
         builder(kind, ModelPoint(40, [0.16, -0.3]), FIG_TUNING)
 
 
+def test_only_a_batch_atom_weight_enters_np_errstate(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.errstate entered")
+
+    monkeypatch.setattr(np, "errstate", refuse)
+    assert 0.0 < atom_weight(ModelPoint(40, 0.16), FIG_TUNING) < 1.0
+    with pytest.raises(AssertionError, match="np.errstate entered"):
+        atom_weight(ModelPoint(40, [0.16, -0.3]), FIG_TUNING)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_batch_past_the_float_range_equals_the_scalar_laws(kind):
     # sqrt(n)*theta = -+1e315 is past the float range, so loc is -+inf for a batch as for one law, with no
@@ -725,6 +735,11 @@ def _law_or_error(builder, kind, point, tuning):
         return re.sub(r"mass .* is not", "mass is not", str(err))
 
 
+# (n, pair of thetas, eta, a) cells whose knots, mapped ends and rescaled ends reach the float extremes
+FLOAT_EXTREMES = list(itertools.product((1, 10**6, 10**30), ((0.3, 0.3), (1e150, -1e150), (-1e307, 1e307)),
+                                        (1e-300, 1.0, 1e300, 1.7e308), (2.0 + 1e-12, 3.7, 1e10)))
+
+
 @pytest.mark.parametrize("scaling", LAWS)
 @pytest.mark.parametrize("kind", KINDS)
 def test_batch_at_float_extremes_is_as_quiet_as_its_single_laws(kind, scaling):
@@ -732,8 +747,7 @@ def test_batch_at_float_extremes_is_as_quiet_as_its_single_laws(kind, scaling):
     # arithmetic without a warning; a batch must build as quietly (any RuntimeWarning fails a test), and then
     # equal its laws record for record, or raise the ValueError they raise
     builder = LAWS[scaling]
-    for n, pair, eta, a in itertools.product((1, 10**6, 10**30), ((0.3, 0.3), (1e150, -1e150), (-1e307, 1e307)),
-                                             (1e-300, 1.0, 1e300, 1.7e308), (2.0 + 1e-12, 3.7, 1e10)):
+    for n, pair, eta, a in FLOAT_EXTREMES:
         tuning = TuningPlan(eta, a)
         laws = [_law_or_error(builder, kind, ModelPoint(n, theta), tuning) for theta in pair]
         batch = _law_or_error(builder, kind, ModelPoint(n, list(pair)), tuning)
@@ -745,6 +759,15 @@ def test_batch_at_float_extremes_is_as_quiet_as_its_single_laws(kind, scaling):
             for got, want in zip((*batch.atoms, *batch.pieces), (*law.atoms, *law.pieces)):
                 assert _bits([np.broadcast_to(v, (2,))[i] for v in got]) == _bits(want), (n, pair, eta, a)
         assert _bits(batch.cdf(0.5)) == _bits([law.cdf(0.5) for law in laws])
+
+
+def test_batch_atom_weight_at_float_extremes_is_as_quiet_as_its_single_points():
+    # at (-1e307, 1e307) the zero event's ends loc -+ se are inf - inf for n*eta large enough, NaN for a
+    # batch as for a single point (test_atom_weight_past_the_float_range_is_one_inside_eta), and with no warning
+    for n, pair, eta, a in FLOAT_EXTREMES:
+        tuning = TuningPlan(eta, a)
+        want = _bits([atom_weight(ModelPoint(n, theta), tuning) for theta in pair])
+        assert _bits(atom_weight(ModelPoint(n, list(pair)), tuning)) == want, (n, pair, eta, a)
 
 
 def test_batch_with_empty_pieces_matches_laws_bit_for_bit():

@@ -164,7 +164,8 @@ class TestRescaledBound:
 
 class TestWorstCase:
     def test_grid_contains_witnesses(self):
-        grid = adversarial_theta_grid(10_000, 0.0, 2.0)
+        problem = TwoPointProblem(n=10_000, t=0.0, delta=1.0, tuning=CONSERVATIVE, kind=EstimatorKind.HARD)
+        grid = adversarial_theta_grid(problem, 2.0)
         for frac in (0.5, 0.1, 0.02):
             assert np.min(np.abs(grid + (0.0 + frac * 2.0) / 100.0)) < 1e-15
         assert np.max(np.abs(grid)) < 2.0 / 100.0
