@@ -419,7 +419,9 @@ def _zero_mass(loc: float, se: float) -> float:
 
 def atom_weight(point: ModelPoint, tuning: TuningPlan) -> float:
     """P_{n,theta}(estimate == 0), identical for all three estimator kinds; a batch gives an array, `_unwarned`."""
-    return _unwarned(isinstance(point.theta, tuple), lambda: _zero_mass(*_cut_points(point, tuning)))
+    if isinstance(point.theta, tuple):
+        return _unwarned(True, lambda: _zero_mass(*_cut_points(point, tuning)))
+    return _zero_mass(*_cut_points(point, tuning))  # a single point's float arithmetic is quiet by itself
 
 
 def _clip_to_floats(v):
@@ -499,9 +501,11 @@ def _mapped_point(kind: EstimatorKind, x, loc, se, a: float) -> np.ndarray:
 def finite_sample_dist(kind: EstimatorKind, point: ModelPoint, tuning: TuningPlan) -> MixtureDistribution:
     """Exact law of sqrt(n)*(estimate - theta) under P_{n,theta}.
 
-    For a batch of points (a vector theta) this is the batch of their laws.
+    For a batch of points (a vector theta) this is the batch of their laws, built `_unwarned`.
     """
-    return _unwarned(isinstance(point.theta, tuple), lambda: _mixture(kind, *_cut_points(point, tuning), tuning.scad_a))
+    if isinstance(point.theta, tuple):
+        return _unwarned(True, lambda: _mixture(kind, *_cut_points(point, tuning), tuning.scad_a))
+    return _mixture(kind, *_cut_points(point, tuning), tuning.scad_a)
 
 
 def rescaled_dist(kind: EstimatorKind, point: ModelPoint, tuning: TuningPlan) -> MixtureDistribution:

@@ -64,7 +64,10 @@ def _check_seed(seed) -> int:
 
 
 def _as_real(value) -> float:
-    """value as a float if it is an int, a float or a numpy real, or a 0-d array of one, but not a bool; else NaN."""
+    """value as a float if it is an int, a float or a numpy real, or a 0-d array of one, but not a bool; else NaN.
+    A plain float comes back as it is, with no numbers test."""
+    if type(value) is float:
+        return value
     value = value[()] if isinstance(value, np.ndarray) and value.ndim == 0 else value
     try:
         return float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
@@ -157,7 +160,11 @@ def norm_cdf(x):
     Accepts floats, arrays and IEEE infinities; the infinities map to
     exactly 0 and 1.  Division rounds symmetrically in sign, so x / -sqrt(2)
     is -x / sqrt(2) bit for bit (up to a NaN's sign), without a negation pass.
+    A plain float takes numpy's scalar path, scipy's own erfc on the float
+    itself, with the array path's bits.
     """
+    if type(x) is float:
+        return float(0.5 * _erfc(x / -_SQRT2))
     arr = np.asarray(x, dtype=float)
     return _scalar_or_array(arr, 0.5 * _erfc(arr / -_SQRT2))
 

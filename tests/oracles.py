@@ -22,11 +22,11 @@ minimiser.  `whole_array_ybar`, `whole_array_estimates` and
 `whole_array_ks` redo the Monte Carlo path one whole array per stage, as
 it ran before it was cut into blocks, and `mpmath_hard_rescaled_risk`
 gives the hard estimator's risk on the 1/eta scale from the estimator
-itself.  `map_tails` gives a law's cdf and upper tail at 60 digits
-from the estimator map alone, through its generalized inverses
-`estimator_map_upper` and `estimator_map_lower`, written from each kind's
-formulas; `scad_estimate_reference` restates the scad estimate one
-expression per branch.  The output references at the end redo the CSV
+itself.  `map_tails` gives a law's cdf and upper tail, at 60 digits plus
+the size of its inputs, from the estimator map alone, through its
+generalized inverses `estimator_map_upper` and `estimator_map_lower`,
+written from each kind's formulas; `scad_estimate_reference` restates the
+scad estimate one expression per branch.  The output references at the end redo the CSV
 and SVG writers one cell, one point or one row at a time: `csv_reference`
 joins cells formatted by `format_cell_reference`, `svg_polyline_reference`
 maps each point as Python floats, and `density_rows_reference` merges a
@@ -198,9 +198,20 @@ def _estimator_map_z(kind, n, theta, eta, a, x, scaling, left):
     return root * (y - theta)
 
 
-def map_tails(kind, n, theta, eta, a, x, scaling, left=False) -> tuple:
-    """The law's cdf at x (its left limit with `left`) and its upper tail, from the estimator map alone, at 60 digits.
+def _map_digits(n, theta, eta, a, x) -> int:
+    """60 digits plus the decimal digits before the point of the largest of |theta|*sqrt(n), a*eta*sqrt(n), |x|
+    and n: enough to hold theta + x/sqrt(n) to 60 digits past its integer part."""
+    root = mpmath.sqrt(n)
+    largest = max(abs(mpmath.mpf(theta)) * root, mpmath.mpf(a) * eta * root, abs(mpmath.mpf(x)), mpmath.mpf(n))
+    return 60 + int(mpmath.floor(mpmath.log10(largest))) + 1
 
+
+def map_tails(kind, n, theta, eta, a, x, scaling, left=False) -> tuple:
+    """The law's cdf at x (its left limit with `left`) and its upper tail, from the estimator map alone.
+
+    It works at `_map_digits`, 60 digits plus the decimal digits before the
+    point of the largest of |theta|*sqrt(n), a*eta*sqrt(n), |x| and n, so
+    that theta + x/sqrt(n) keeps x/sqrt(n) to 60 digits however large theta is.
     Every estimator is nondecreasing in ybar ~ N(theta, 1/n), so the
     estimate is <= c exactly when ybar <= g+(c), and < c when ybar < g-(c):
     F(x) = Phi(z) with z = sqrt(n)*(g+(theta + x/sqrt(n)) - theta), one
@@ -210,7 +221,7 @@ def map_tails(kind, n, theta, eta, a, x, scaling, left=False) -> tuple:
     there is far below the smallest float either way.  Shares only
     `EstimatorKind` with the library.
     """
-    with mpmath.workdps(60):
+    with mpmath.workdps(_map_digits(n, theta, eta, a, x)):
         z = _estimator_map_z(kind, n, theta, eta, a, x, scaling, left)
         z = max(min(z, mpmath.mpf(1e150)), mpmath.mpf(-1e150))
         return +mpmath.ncdf(z), +mpmath.ncdf(-z)

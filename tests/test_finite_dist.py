@@ -463,6 +463,17 @@ def test_cdf_equals_estimator_map_oracle_over_extreme_inputs(kind, scaling, a, n
     _assert_cdf_matches_map_oracle(kind, n, theta, eta, a, scaling, steps, steps)
 
 
+def test_map_oracle_takes_its_precision_from_its_inputs():
+    # at a fixed 60 digits theta + x/sqrt(n) = 1e150 + 10 rounds to eta, and the oracle read (0.5, 0.5) at x = 10;
+    # at 60 + 151 digits it holds the 10, and the hard law's cdf of 1.0 is the float of 1 - Phi(-10)
+    kind, n, theta, eta, a, x = EstimatorKind.HARD, 1, 1e150, 1e150, 3.7, 10.0
+    want, want_sf = map_tails(kind, n, theta, eta, a, x, "sqrt_n")
+    with mpmath.workdps(40):
+        tail = mpmath.ncdf(-10)
+        assert abs(want_sf - tail) <= 1e-30 * tail and abs(1 - want - tail) <= 1e-30 * tail
+    assert finite_sample_dist(kind, ModelPoint(n, theta), TuningPlan(eta, a)).cdf(x) == float(want) == 1.0
+
+
 _SHIFT_FOUND = ("FOUND: a piece's mapped point keeps only the absolute precision of its float shift and ends, "
                 "about ulp(sqrt(n)*max(|theta|, a*eta)), against the few ulps of z that the bound allows")
 
@@ -1154,12 +1165,12 @@ def test_a_law_and_a_batch_report_the_same_fault():
 
 
 def test_batch_validation_rejects_any_bad_law():
-    # each of the seven record faults, planted in one law's field and in a field every law shares,
-    # raises the message the single bad law raises
+    # each of the eight record faults, planted in one law's field and in a field every law shares,
+    # raises the message the single bad law raises; an infinite weight is the record rule's, not the mass check's
     law = [Atom(0.0, 0.0), Atom(1.0, 0.0), GaussPiece(1.0, 0.0, -math.inf, math.inf)]
-    faults = [(0, "loc", math.nan, "NaN"), (0, "weight", -0.5, "weight"), (2, "slope", -1.0, "slope"),
-              (2, "slope", 0.0, "slope"), (2, "shift", math.inf, "shift"), (2, "lower", math.nan, "lower < upper"),
-              (1, "loc", 0.0, "distinct")]
+    faults = [(0, "loc", math.nan, "NaN"), (0, "weight", -0.5, "weight"), (0, "weight", math.inf, "weight"),
+              (2, "slope", -1.0, "slope"), (2, "slope", 0.0, "slope"), (2, "shift", math.inf, "shift"),
+              (2, "lower", math.nan, "lower < upper"), (1, "loc", 0.0, "distinct")]
     for record, field, bad, match in faults:
         single = list(law)
         single[record] = single[record]._replace(**{field: bad})

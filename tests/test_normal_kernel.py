@@ -57,10 +57,43 @@ def test_pdf_is_zero_without_a_warning_where_the_square_overflows():
 
 
 def test_pdf_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        norm_pdf(math.inf)
-    with pytest.raises(ValueError):
-        norm_pdf(math.nan)
+    for value in (math.inf, -math.inf, math.nan):
+        for form in (float, np.float64, np.array, FloatSubclass):
+            with pytest.raises(ValueError, match="norm_pdf requires finite input"):
+                norm_pdf(form(value))
+
+
+class FloatSubclass(float):
+    """A float that is not a plain float, so `norm_cdf` takes it through numpy's array path."""
+
+
+# beside the draws of `test_a_float_gives_the_bits_of_one_array_call`: signed zeros, subnormals, the far
+# tails of both kernels, and the last four, whose squares overflow
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300, 1.7e308, -1.7e308, MAX_FLOAT, -MAX_FLOAT, 37.5,
+               -37.5, 38.5, -38.5, 8.3, -8.3, 1.35e154, -1.4e154, 1e200]
+
+
+def test_a_float_gives_the_bits_of_one_array_call():
+    rng = np.random.default_rng(46)
+    xs = np.concatenate([rng.normal(0.0, 1.0, 33_333), rng.normal(0.0, 10.0, 33_333), rng.uniform(-40.0, 40.0, 33_333),
+                         EDGE_FLOATS])
+    floats = xs.tolist()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kernel in (norm_cdf, norm_pdf):
+            got = [kernel(x) for x in floats]
+            assert {type(v) for v in got} == {float}
+            assert np.array(got).tobytes() == kernel(xs).tobytes()
+        assert math.isnan(norm_cdf(math.nan)) and np.isnan(norm_cdf(np.array([math.nan])))
+        assert [norm_pdf(x) for x in EDGE_FLOATS[-3:] + [-MAX_FLOAT]] == [0.0] * 4
+
+
+@pytest.mark.parametrize("form", [np.float64, np.array, FloatSubclass])
+def test_a_numpy_real_or_0_d_array_gives_the_float_result(form):
+    for kernel in (norm_cdf, norm_pdf):
+        for x in (0.3, -8.3, 0.0, -0.0, 1e200, -39.0):
+            got = kernel(form(x))
+            assert type(got) is float and got.hex() == kernel(x).hex()
 
 
 @pytest.mark.parametrize("x,expected", sorted(CDF_TABLE.items()))

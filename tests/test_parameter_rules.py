@@ -103,8 +103,13 @@ REAL_SITES = {
                                  lambda f: f, 1, [], False),
 }
 
+class FloatSubclass(float):
+    """A float that is not a plain float: the real rule takes it as a numbers.Real and stores a plain float."""
+
+
 BAD_VALUES = [("true", True), ("false", False), ("str", "1"), ("nan", math.nan), ("np-nan", np.float64("nan")),
-              ("none", None), ("list", [1.0]), ("complex", 1j), ("bool-array", np.array(True)), ("huge-int", 10**400)]
+              ("subclass-nan", FloatSubclass("nan")), ("none", None), ("list", [1.0]), ("complex", 1j),
+              ("bool-array", np.array(True)), ("huge-int", 10**400)]
 OPTIONAL = {"RegimeSpec.nu", "RegimeSpec.zeta", "RegimeSpec.r", "minimax_lower_bound.epsilon"}  # None leaves it unset
 
 
@@ -139,7 +144,8 @@ def test_a_limit_may_be_infinite(site):
 # an int where a whole value lies in the range
 @pytest.mark.parametrize("site, form", [
     pytest.param(site, form, id=f"{site}-{label}") for site in REAL_SITES
-    for label, form in (("int", int), ("float64", np.float64), ("0-d", np.array), ("float32", np.float32))
+    for label, form in (("int", int), ("float64", np.float64), ("0-d", np.array), ("float32", np.float32),
+                        ("float-subclass", FloatSubclass))
     if form is not int or REAL_SITES[site][3] == int(REAL_SITES[site][3])])
 def test_a_real_parameter_is_stored_as_the_float_built_one(site, form):
     _, call, stored, whole, _, _ = REAL_SITES[site]
