@@ -13,8 +13,10 @@ test-oracle material only.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import InitVar, dataclass
+import operator
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -147,49 +149,7 @@ def _unwarned(batch: bool, build):
         return build()
 
 
-def _checked_records(atoms, pieces, exact: bool = False) -> tuple:
-    """The atoms and pieces of a law or of a batch of laws, coerced and checked, and the batch shape.
-
-    Records of exact floats, `Atom` and `GaussPiece`, are kept as they are
-    (untested where the caller vouches for them: `exact`); other numbers (or
-    0-d arrays) are coerced to such records.  Either makes a single law,
-    whose shape is None.  Otherwise each field is one read-only float array
-    (`_read_only`) in its own shape, so a field shared by every law (a
-    piece's slope, say) is one value, checked and built on once.  One pass
-    checks a law by plain float comparisons and a batch by the same ones on
-    arrays, record by record; one bad law rejects the batch with its own message.
-    """
-    atoms, pieces, shape = tuple(atoms), tuple(pieces), None
-    if not (exact or {*map(type, atoms)} <= {Atom} and {*map(type, pieces)} <= {GaussPiece}
-            and {type(v) for r in (*atoms, *pieces) for v in r} <= {float}):
-        try:
-            atoms = tuple(Atom(*map(float, a)) for a in atoms)
-            pieces = tuple(GaussPiece(*map(float, p)) for p in pieces)
-        except TypeError:  # float() rejects arrays of one or more dimensions
-            atoms = tuple(Atom(*map(_read_only, a)) for a in atoms)
-            pieces = tuple(GaussPiece(*map(_read_only, p)) for p in pieces)
-            shape = np.broadcast_shapes(*(v.shape for r in (*atoms, *pieces) for v in r))
-    inf, one_law = math.inf, shape is None
-    for loc, w in atoms:
-        if not (loc == loc if one_law else np.all(loc == loc)):
-            raise ValueError("atom location must not be NaN")
-        if not (0.0 <= w < inf if one_law else np.all((w >= 0.0) & (w < inf))):
-            raise ValueError("atom weight must be finite and nonnegative")
-    for s, b, lower, upper in pieces:
-        if not (0.0 < s < inf if one_law else np.all((s > 0.0) & (s < inf))):
-            raise ValueError("slope must be finite and positive")
-        if not (abs(b) < inf if one_law else np.all(abs(b) < inf)):
-            raise ValueError("shift must be finite")
-        if not (lower <= upper if one_law else np.all(lower <= upper)):
-            raise ValueError("piece interval requires lower < upper (lower == upper is an empty piece)")
-    for i, a in enumerate(atoms):
-        for q in atoms[i + 1:]:
-            if not (a.loc != q.loc if one_law else np.all(a.loc != q.loc)):
-                raise ValueError("atom locations must be pairwise distinct")
-    return atoms, pieces, shape
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MixtureDistribution:
     """Finite list of atoms plus scaled-Gaussian density pieces.
 
@@ -203,38 +163,66 @@ class MixtureDistribution:
     array x of that shape evaluate law i at x[i], elementwise; a 0-d x
     evaluates every law at x, and any other shape raises ValueError.
     `total_mass` and `rescaled` also take batches; `second_moment`,
-    `breakpoints` and JSON raise ValueError on one.  One pass checks a law
-    and a batch alike, record by record, so the same faulty records raise
-    the same ValueError alone or in a batch.  A batch keeps a read-only
-    copy of each array field (`_read_only`), so no caller can write it and
-    no later write to a caller's array reaches it.
+    `breakpoints` and JSON raise ValueError on one.
 
-    Building a single law keeps records of exact floats as they are, maps
-    each piece end once, makes one normal-cdf call over them, and keeps the
-    (P, 2) array of mapped ends that call read and each piece's lower Phi
-    value and mass; `second_moment` passes that same array to its one
-    normal-pdf call (plus one over the nodes of its short pieces).  `cdf`
-    and `density_ac` are one walk over the pieces with two integrands, the
-    same walk for a law and a batch: each point is evaluated only by the
-    piece that holds it.  The private `_phi` takes the mapped ends and Phi
-    values `_phi_at_ends` gives for these very records (a batch keeps no
-    ends), which `_mixture` has already taken for the atom's weight; a
-    single law's exact-float records then skip the type test.
+    Every law, hand-made, from `_mixture`, `rescaled` or `from_json`, and
+    every batch, is made by this one `__init__`.  Records of exact floats,
+    `Atom` and `GaussPiece`, are kept as they are, with no copy; other
+    numbers (or 0-d arrays) are coerced to such records, and either makes a
+    single law.  Otherwise each field is one read-only float copy
+    (`_read_only`) in its own shape, so a field shared by every law is
+    checked and built on once, no caller can write it, and no later write to
+    a caller's array reaches it.  One pass checks a law by float, and a
+    batch by array, comparisons, record by record, so the same faulty
+    records raise the same ValueError alone or in a batch; one pass over the
+    Phi values at the piece ends forms each piece's lower Phi value and
+    mass, and the mass check follows.  A single law maps each piece end once
+    and makes one normal-cdf call over the (P, 2) array of mapped ends,
+    which it keeps for `second_moment`'s one normal-pdf call.  The private
+    `_phi` takes the mapped ends and Phi values of `_phi_at_ends` for these
+    very records (a batch keeps no ends), which `_mixture` has already taken
+    for the atom's weight; a single law's exact-float records then skip the
+    type test.  `cdf` and `density_ac` are one walk over the pieces with two
+    integrands, for a law and a batch alike: each point is evaluated only by
+    the piece that holds it.
     """
 
     atoms: tuple
     pieces: tuple
-    _phi: InitVar[tuple | None] = None
 
-    def __post_init__(self, _phi):
-        atoms, pieces, shape = _checked_records(self.atoms, self.pieces, _phi is not None and _phi[0] is not None)
-        ends, phi = _phi_at_ends(pieces, shape is not None) if _phi is None else _phi
+    def __init__(self, atoms, pieces, _phi: tuple | None = None):
+        atoms, pieces, shape, exact = tuple(atoms), tuple(pieces), None, _phi is not None and _phi[0] is not None
+        if not (exact or {*map(type, atoms)} <= {Atom} and {*map(type, pieces)} <= {GaussPiece}
+                and {type(v) for r in (*atoms, *pieces) for v in r} <= {float}):
+            try:
+                atoms = tuple(Atom(*map(float, a)) for a in atoms)
+                pieces = tuple(GaussPiece(*map(float, p)) for p in pieces)
+            except TypeError:  # float() rejects arrays of one or more dimensions
+                atoms = tuple(Atom(*map(_read_only, a)) for a in atoms)
+                pieces = tuple(GaussPiece(*map(_read_only, p)) for p in pieces)
+                shape = np.broadcast_shapes(*(v.shape for r in (*atoms, *pieces) for v in r))
+        inf, one_law = math.inf, shape is None
+        for loc, w in atoms:
+            if not (loc == loc if one_law else np.all(loc == loc)):
+                raise ValueError("atom location must not be NaN")
+            if not (0.0 <= w < inf if one_law else np.all((w >= 0.0) & (w < inf))):
+                raise ValueError("atom weight must be finite and nonnegative")
+        for s, b, lo, hi in pieces:
+            if not (0.0 < s < inf if one_law else np.all((s > 0.0) & (s < inf))):
+                raise ValueError("slope must be finite and positive")
+            if not (abs(b) < inf if one_law else np.all(abs(b) < inf)):
+                raise ValueError("shift must be finite")
+            if not (lo <= hi if one_law else np.all(lo <= hi)):
+                raise ValueError("piece interval requires lower < upper (lower == upper is an empty piece)")
+        for (loc, _), (other, _) in itertools.combinations(atoms, 2):
+            if not (loc != other if one_law else np.all(loc != other)):
+                raise ValueError("atom locations must be pairwise distinct")
+        ends, phi = _phi_at_ends(pieces, not one_law) if _phi is None else _phi
         lower = tuple(phi[0::2])
         self.__dict__.update(atoms=atoms, pieces=pieces, _shape=shape, _ends=ends, _phi_lower=lower,  # frozen class
-                             _masses=tuple([hi - lo for lo, hi in zip(lower, phi[1::2])]))  # a list beats a generator
+                             _masses=tuple(map(operator.sub, phi[1::2], lower)))
         total = self.total_mass()
-        worst = abs(total - 1.0) if shape is None else np.max(abs(total - 1.0))
-        if worst > _MASS_TOL:
+        if (abs(total - 1.0) if shape is None else np.max(abs(total - 1.0))) > _MASS_TOL:
             raise ValueError(f"mixture mass {total} is not 1 within {_MASS_TOL}")
 
     def __eq__(self, other):
@@ -252,7 +240,7 @@ class MixtureDistribution:
         return hash((self.atoms, self.pieces))
 
     def total_mass(self) -> float:
-        total = sum(a.weight for a in self.atoms) + sum(self._masses)
+        total = sum([w for _, w in self.atoms]) + sum(self._masses)
         return total if self._shape is None else np.broadcast_to(total, self._shape).copy()
 
     def cdf(self, x):
@@ -330,6 +318,9 @@ class MixtureDistribution:
         int pdf, int z*pdf, int z^2*pdf all reduce to cdf/pdf evaluations.
         On a short mapped interval (the scad blend piece as a -> 2) that sum
         cancels, so such a piece is integrated in x by 8-point Gauss-Legendre.
+        One walk states that rule once: each other piece takes its closed form
+        (exactly 0 for an empty piece, whose nodes' x**2 may overflow), and the
+        short pieces' nodes make one more pdf call, then all add in order.
         At extreme scales (a tiny or a huge eta) the result is inf only where
         the moment itself overflows: a huge atom location or shift, or
         1/alpha^2 far from 1, is applied in steps that overflow only where
@@ -343,29 +334,30 @@ class MixtureDistribution:
                     return math.inf
                 continue
             out += _times_square(w, loc)
-        # an empty piece takes the closed form, which gives it exactly 0 where the nodes' x**2 may overflow
-        ends = self._ends.tolist()
-        short = [lo < hi and abs(zb - za) < _SHORT_PIECE for (za, zb), (_, _, lo, hi) in zip(ends, self.pieces)]
         pdf = norm_pdf(self._ends).tolist()  # at the build's mapped ends; exactly 0.0 at an infinite one
-        if any(short):  # one row of quadrature nodes per short piece
-            slope, shift, lower, upper = np.array([p for p, sh in zip(self.pieces, short) if sh]).T[..., None]
-            half = 0.5 * (upper - lower)
-            x = 0.5 * (upper + lower) + half * _GL_NODES
-            node_pdf = norm_pdf(slope * x + shift)  # a node where it is 0.0 adds 0, as z*pdf(z) does below
-            f = slope * np.where(node_pdf > 0.0, x, 0.0)**2 * node_pdf
-            quadrature = iter([h * float(np.dot(_GL_WEIGHTS, row)) for h, row in zip(half.ravel().tolist(), f)])
-        ac = 0.0
-        for (s, b, _, _), (za, zb), (pa, pb), sh, i0 in zip(self.pieces, ends, pdf, short, self._masses):
-            if sh:
-                ac += next(quadrature)
+        terms, short = [], []  # each piece's term, in piece order, and the indices of the short pieces
+        for (s, b, lo, hi), (za, zb), (pa, pb), i0 in zip(self.pieces, self._ends.tolist(), pdf, self._masses):
+            if lo < hi and abs(zb - za) < _SHORT_PIECE:  # the short-piece rule
+                short.append(len(terms))
+                terms.append(None)  # its quadrature term, below
                 continue
-            i1 = pa - pb
             # z * pdf(z) has the limit 0 at +-inf, where pdf is 0.0; at a finite z, z * 0.0 adds nothing either
             i2 = i0 + (za * pa if pa else 0.0) - (zb * pb if pb else 0.0)
-            moment = i2 - 2.0 * b * i1 + _times_square(i0, b)
+            moment = i2 - 2.0 * b * (pa - pb) + _times_square(i0, b)
             # s / s**3, not 1/s**2, which differs in the last bit; where s**3 would over- or underflow,
             # two divisions, which overflow only where the term does
-            ac += (s / s**3) * moment if _CUBE_RANGE[0] < s < _CUBE_RANGE[1] else moment / s / s
+            terms.append((s / s**3) * moment if _CUBE_RANGE[0] < s < _CUBE_RANGE[1] else moment / s / s)
+        if short:  # one row of quadrature nodes per short piece
+            slope, shift, lower, upper = np.array([self.pieces[i] for i in short]).T[..., None]
+            half = 0.5 * (upper - lower)
+            x = 0.5 * (upper + lower) + half * _GL_NODES
+            node_pdf = norm_pdf(slope * x + shift)  # a node where it is 0.0 adds 0, as z*pdf(z) does above
+            f = slope * np.where(node_pdf > 0.0, x, 0.0)**2 * node_pdf
+            for i, h, row in zip(short, half.ravel().tolist(), f):
+                terms[i] = h * float(np.dot(_GL_WEIGHTS, row))
+        ac = 0.0
+        for term in terms:  # left to right: sum() of floats is compensated from Python 3.12 on
+            ac += term
         return out + ac
 
     def rescaled(self, s: float) -> "MixtureDistribution":
@@ -429,12 +421,19 @@ def _clip_to_floats(v):
     return np.clip(v, -_FLOAT_MAX, _FLOAT_MAX) if isinstance(v, np.ndarray) else min(max(v, -_FLOAT_MAX), _FLOAT_MAX)
 
 
-def _pieces(kind: EstimatorKind, knot, se, a: float) -> tuple:
-    """A kind's pieces, left to right, ending at `knot(c)`, the point where the estimate is c*eta.
+def _knots(kind: EstimatorKind, loc, se, a: float) -> tuple:
+    """The knots loc + c*se of `_pieces`, c = -a, -1, 0, 1, a, bit for bit (loc itself at c = 0, so a -0.0 stays), each
+    only where the kind's pieces end (hard at -+1, soft at 0, scad at all five), else None: a batch makes no array."""
+    outer = (loc - a * se, loc + a * se) if kind is EstimatorKind.SCAD else (None, None)
+    inner = (None, None) if kind is EstimatorKind.SOFT else (loc - se, loc + se)
+    return outer[0], inner[0], loc, inner[1], outer[1]
 
-    `knot(c)` is sqrt(n)*(c*eta - theta), the knot x_k of the estimator map in ROADMAP.md, for c in
-    {0, -+1, -+a}; a limit law passes the knots' limits.  Hard excises (knot(-1), knot(1)], soft
-    shifts each side of knot(0) by -+se, and scad has six pieces:
+
+def _pieces(kind: EstimatorKind, knots: tuple, se, a: float) -> tuple:
+    """A kind's pieces, left to right, ending at knots = (knot(c) for c = -a, -1, 0, 1, a) from `_knots`.
+
+    knot(c) = sqrt(n)*(c*eta - theta), where the estimate is c*eta, is the knot x_k of ROADMAP.md; a limit law
+    passes the knots' limits.  Hard excises (knot(-1), knot(1)], soft shifts each side of knot(0) by -+se, and scad:
       (-inf, knot(-a)]        normal tail,
       (knot(-a), knot(-1)]    blend, slope (a-2)/(a-1), shift knot(-a)/(a-1),
       (knot(-1), knot(0)]     soft-type, shift -se,
@@ -444,13 +443,13 @@ def _pieces(kind: EstimatorKind, knot, se, a: float) -> tuple:
     Past the float range a knot is -+inf, its blend piece is empty, and the blend's shift is clipped
     to a float.
     """
+    b_lo, lo, mid, hi, b_hi = knots
     if kind is EstimatorKind.HARD:
-        return GaussPiece(1.0, 0.0, -math.inf, knot(-1)), GaussPiece(1.0, 0.0, knot(1), math.inf)
+        return GaussPiece(1.0, 0.0, -math.inf, lo), GaussPiece(1.0, 0.0, hi, math.inf)
     if kind is EstimatorKind.SOFT:
-        return GaussPiece(1.0, -se, -math.inf, knot(0)), GaussPiece(1.0, se, knot(0), math.inf)
+        return GaussPiece(1.0, -se, -math.inf, mid), GaussPiece(1.0, se, mid, math.inf)
     if kind is EstimatorKind.SCAD:
         ratio = (a - 2.0) / (a - 1.0)
-        b_lo, lo, mid, hi, b_hi = map(knot, (-a, -1, 0, 1, a))
         return (
             GaussPiece(1.0, 0.0, -math.inf, b_lo),
             GaussPiece(ratio, _clip_to_floats(b_lo / (a - 1.0)), b_lo, lo),
@@ -472,7 +471,7 @@ def _mixture(kind: EstimatorKind, loc, se: float, a: float) -> MixtureDistributi
     """
     batch = isinstance(loc, np.ndarray) and loc.ndim != 0
     loc, se, a = loc if batch else float(loc), float(se), float(a)  # so a single law's records are exact floats
-    pieces = _pieces(kind, lambda c: loc + c * se if c else loc, se, a)
+    pieces = _pieces(kind, _knots(kind, loc, se, a), se, a)
     ends, phi = _phi_at_ends(pieces, batch)  # a -0.0 end may map to +0.0: Phi is 0.5 at both
     return MixtureDistribution((Atom(loc, phi[len(pieces)] - phi[len(pieces) - 1]),), pieces, (ends, phi))
 
@@ -486,7 +485,7 @@ def _mapped_point(kind: EstimatorKind, x, loc, se, a: float) -> np.ndarray:
     miss by a mass past `_MASS_TOL` at a join off the atom is built, to check it.  The knot table (ROADMAP.md)
     grows from this: it is to make `cdf` itself Phi of the mapped point.
     """
-    pieces, z = _pieces(kind, lambda c: loc + c * se if c else loc, se, a), np.full(np.shape(x), -math.inf)
+    pieces, z = _pieces(kind, _knots(kind, loc, se, a), se, a), np.full(np.shape(x), -math.inf)
     ends = [(s * lo + b, s * hi + b) for s, b, lo, hi in pieces]
     for (s, b, lo, _), (_, top) in zip(pieces, ends):
         np.copyto(z, np.minimum(s * x + b, top), where=x > lo)
@@ -517,6 +516,6 @@ LAWS = {"sqrt_n": finite_sample_dist, "inv_eta": rescaled_dist}
 
 
 def scaled_risk(kind: EstimatorKind, point: ModelPoint, tuning: TuningPlan) -> float:
-    """E[n*(estimate - theta)^2], the second moment of the sqrt(n) law: one law, built from exact-float records with
-    no type test, on one normal-cdf and one normal-pdf call over its mapped ends (plus one over short pieces' nodes)."""
+    """E[n*(estimate - theta)^2]: one sqrt(n) law (exact-float records, no type test, one mass pass), one walk of its
+    `second_moment`; one normal-cdf and one normal-pdf call over its mapped ends, plus one over short pieces' nodes."""
     return finite_sample_dist(kind, point, tuning).second_moment()

@@ -60,8 +60,9 @@ def convergence_mode(law: MixtureDistribution) -> str:
 def _at_knots(kind: EstimatorKind, zeta: float, se: float, a: float, r=None, atoms=()) -> MixtureDistribution:
     """The atoms and the kind's `_pieces` at knots whose limits are -inf for c < zeta, +inf for c > zeta
     and sign(zeta)*r at c = zeta, less each piece whose two ends meet at an infinity."""
-    knot = lambda c: math.copysign(1.0, zeta) * r if c == zeta else math.copysign(math.inf, c - zeta)
-    return MixtureDistribution(atoms, tuple(p for p in _pieces(kind, knot, se, a) if p.lower < p.upper))
+    knots = [math.copysign(1.0, zeta) * r if c == zeta else math.copysign(math.inf, c - zeta)
+             for c in (-a, -1, 0, 1, a)]
+    return MixtureDistribution(atoms, tuple(p for p in _pieces(kind, knots, se, a) if p.lower < p.upper))
 
 
 def conservative_limit(kind: EstimatorKind, nu, e: float, scad_a: float = DEFAULT_SCAD_A) -> MixtureDistribution:

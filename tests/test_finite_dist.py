@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -38,7 +39,7 @@ from shrinkdist.finite_dist import (
 )
 from shrinkdist.limits import conservative_limit, consistent_limit
 from shrinkdist.normal_kernel import norm_cdf, norm_pdf
-from shrinkdist.selection import RegimeSpec
+from shrinkdist.selection import PowerTuningPath, RegimeSpec
 
 KINDS = list(EstimatorKind)
 FIG_POINT = ModelPoint(40, 0.16)
@@ -749,6 +750,9 @@ def _law_or_error(builder, kind, point, tuning):
 # (n, pair of thetas, eta, a) cells whose knots, mapped ends and rescaled ends reach the float extremes
 FLOAT_EXTREMES = list(itertools.product((1, 10**6, 10**30), ((0.3, 0.3), (1e150, -1e150), (-1e307, 1e307)),
                                         (1e-300, 1.0, 1e300, 1.7e308), (2.0 + 1e-12, 3.7, 1e10)))
+# digests of the single-law path's bits and errors, captured before its one-pass build and moment
+RISK_SWEEP_SHA256 = "fabc3773815644c1cee58ee3086aeee19bca698cccd538d0f2407f499b7cb796"
+FLOAT_EXTREMES_SHA256 = "538df74f0dd2ee17ef20b0f9f7e6d948f029b4379b04cb1c4c376ee21b1c3b48"
 
 
 @pytest.mark.parametrize("scaling", LAWS)
@@ -779,6 +783,41 @@ def test_batch_atom_weight_at_float_extremes_is_as_quiet_as_its_single_points():
         tuning = TuningPlan(eta, a)
         want = _bits([atom_weight(ModelPoint(n, theta), tuning) for theta in pair])
         assert _bits(atom_weight(ModelPoint(n, list(pair)), tuning)) == want, (n, pair, eta, a)
+
+
+def _sha256(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_risk_sweep_keeps_its_bits():
+    # the risk sweep's single-law path (n in {10, 100, 1000}, 81 theta in [-1, 1], eta = n**-0.25, a = 3.7):
+    # every scaled_risk of the three kinds and every atom_weight, as one sha256 over their .hex()
+    path, lines = PowerTuningPath(1.0, 0.25), []
+    for n in (10, 100, 1000):
+        tuning = TuningPlan(path.eta(n), 3.7)
+        for theta in np.linspace(-1.0, 1.0, 81).tolist():
+            point = ModelPoint(n, theta)
+            lines += [scaled_risk(kind, point, tuning).hex() for kind in KINDS] + [atom_weight(point, tuning).hex()]
+    assert _sha256(lines) == RISK_SWEEP_SHA256
+
+
+def _law_bits_or_error(builder, kind, point, tuning) -> str:
+    """The .hex() of a single law's record fields, masses, total mass and second moment, or its ValueError's message."""
+    try:
+        law = builder(kind, point, tuning)
+    except ValueError as err:
+        return str(err)
+    fields = [v for r in (*law.atoms, *law.pieces) for v in r]
+    values = [*fields, *law._masses, law.total_mass(), law.second_moment()]
+    return f"{len(law.atoms)} {len(law.pieces)} " + " ".join(float(v).hex() for v in values)
+
+
+def test_single_laws_at_float_extremes_keep_their_bits_and_errors():
+    # each single point of FLOAT_EXTREMES, for every kind and scaling: a change in any bit of a law, or in
+    # which ValueError a faulty one raises first, moves the digest
+    lines = [_law_bits_or_error(LAWS[scaling], kind, ModelPoint(n, theta), TuningPlan(eta, a))
+             for n, pair, eta, a in FLOAT_EXTREMES for theta in pair for kind in KINDS for scaling in LAWS]
+    assert _sha256(lines) == FLOAT_EXTREMES_SHA256
 
 
 def test_batch_with_empty_pieces_matches_laws_bit_for_bit():
@@ -1079,12 +1118,13 @@ def test_scaled_risk_builds_one_exact_law_within_its_kernel_budget(monkeypatch, 
     for name, kernel in (("norm_cdf", norm_cdf), ("norm_pdf", norm_pdf)):
         monkeypatch.setattr(finite_dist, name, lambda z, name=name, kernel=kernel: points[name].append(np.size(z))
                             or kernel(z))
-    checked = finite_dist._checked_records
-    monkeypatch.setattr(finite_dist, "_checked_records", lambda *args: exact.append(args[2:]) or checked(*args))
+    init = MixtureDistribution.__init__  # records whether the law comes with its mapped ends: no type test
+    monkeypatch.setattr(MixtureDistribution, "__init__", lambda law, atoms, pieces, _phi=None:
+                        exact.append(_phi is not None and _phi[0] is not None) or init(law, atoms, pieces, _phi))
     assert scaled_risk(kind, point, tuning).hex() == want.hex()
     ends = 2 * len(law.pieces)
     assert points == {"norm_cdf": [ends], "norm_pdf": [ends] + [8 * short] * bool(short)}
-    assert exact == [(True,)]
+    assert exact == [True]
 
 
 def _risk_or_error(risk):

@@ -435,9 +435,9 @@ class TestExactBootstrap:
     @pytest.mark.parametrize("kind", KINDS)
     def test_exact_builds_no_law(self, monkeypatch, kind, full_n):
         built = []
-        init = finite_dist.MixtureDistribution.__post_init__
-        monkeypatch.setattr(finite_dist.MixtureDistribution, "__post_init__",
-                            lambda law, phi: built.append(law) or init(law, phi))
+        init = finite_dist.MixtureDistribution.__init__
+        monkeypatch.setattr(finite_dist.MixtureDistribution, "__init__",
+                            lambda law, *args, **kwargs: built.append(law) or init(law, *args, **kwargs))
         build = finite_dist._mixture
         monkeypatch.setattr(finite_dist, "_mixture", lambda *args: built.append(args) or build(*args))
         spec, ctx, _, _ = bootstrap_problem(kind, full_n, 0.0)
