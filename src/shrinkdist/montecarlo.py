@@ -16,10 +16,18 @@ Every estimator is exactly 0 when |ybar| <= eta, and most draws of many
 configurations land there.  A uniform maps to ybar monotonically, so those
 draws are the uniforms in one range, found from the normal cdf with a
 margin far above the rounding of the draw and certified by running the
-sampler at both its ends.  The map from a uniform to the scaled error is
-nondecreasing, so `simulate_estimates` sorts the uniforms outside the range
-and maps them in ascending order, where `ndtri` and the estimate run
-fastest; the draws in the range get the atom's value without either.
+sampler at both its ends.  The draws in the range get the atom's value
+without `ndtri` or the estimate.  The map from a uniform to the scaled
+error is nondecreasing but for ulp steps of `ndtri`, so `simulate_estimates`
+sorts the uniforms outside the range and keeps them as they are: the sample
+maps a draw when it is first read, and the KS distance and the atom count
+read only the sub-block edges and a few sub-blocks.  On the draws of
+acceptance criterion 02 that maps about 5% of the draws outside the range,
+where the whole map took them all.  That the mapped sample is sorted is
+certified up front: two uniforms at least `_CLOSE` = 2^-30 apart have
+quantiles at least 2.3e-9 apart, over 10^6 times `ndtri`'s largest step
+down, so only the pairs closer than that (about 930 among 10^6 uniforms
+spread over (0, 1)) and the two joins with the atom are mapped and compared.
 
 The KS distance first bounds the gaps in each sub-block of `_SUB` values
 from the model at the sub-block's two ends (arrays 1/`_SUB` of the
@@ -38,7 +46,8 @@ from scipy.special import ndtri
 
 from .estimators import DEFAULT_SCAD_A, EstimatorKind, TuningPlan, _check_kind, estimate
 from .finite_dist import MixtureDistribution, ModelPoint, _cut_points, finite_sample_dist
-from .normal_kernel import _check_count, _check_real, _check_seed, _check_sizes, _no_nan, _one_of, norm_cdf
+from .normal_kernel import (_check_count, _check_real, _check_seed, _check_sizes, _no_nan, _one_of, _scalar_or_array,
+                            norm_cdf)
 from .report import ExperimentReport
 
 __all__ = [
@@ -59,6 +68,7 @@ _U_ONE = 1 << 53  # the uniforms are k/2^53 for the integers k in [1, 2^53)
 _U_STEP = 2.0**-53  # the grid step of the uniforms: scaling by a power of two is exact
 _SKIP_MARGIN = 1e-7  # relative margin of the atom range over the rounding of the draw
 _NO_ATOM = (1.0, 1.0, np.float64(0.0), np.float64(0.0))  # an empty range: every uniform lies below 1
+_CLOSE = 2.0**-30  # neighbouring uniforms at least this far apart map in order (see `_certified`)
 
 
 @dataclass(frozen=True)
@@ -75,14 +85,11 @@ class SimConfig:
             raise ValueError("a simulation takes a point of one theta, not a batch of points")
 
 
-@dataclass(frozen=True)
 class EmpiricalCdf:
     """Right-continuous step function through a sorted sample without NaN."""
 
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+    def __init__(self, values):
+        v = np.asarray(values, dtype=float)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("values must be a nonempty 1-d array")
         # pairs a block (and one value) at a time, so no temporary is longer than a block; NaN compares false
@@ -90,18 +97,94 @@ class EmpiricalCdf:
         if not all((b[1:] >= b[:-1]).all() for b in blocks) or math.isnan(v[-1]):
             problem = "must not contain NaN" if np.isnan(v).any() else "must be sorted ascending"
             raise ValueError(f"values {problem}")
-        object.__setattr__(self, "values", v)
+        self._v = v
+
+    @property
+    def values(self) -> np.ndarray:
+        """The sorted sample."""
+        return self._v
 
     @property
     def count(self) -> int:
-        return int(self.values.size)
+        return int(self._v.size)
 
     def fraction_at(self, x: float) -> float:
         """Fraction of sample points exactly equal to x; NaN x raises ValueError."""
         x = _no_nan(x)
-        lo = np.searchsorted(self.values, x, side="left")
-        hi = np.searchsorted(self.values, x, side="right")
-        return (hi - lo) / self.count
+        return _scalar_or_array(x, (self._searchsorted(x, "right") - self._searchsorted(x, "left")) / self.count)
+
+    def _at(self, idx: np.ndarray) -> np.ndarray:
+        """The sample's values at the indices idx."""
+        return self._v[idx]
+
+    def _searchsorted(self, x, side: str):
+        """`np.searchsorted` of x in the sample."""
+        return np.searchsorted(self._v, x, side=side)
+
+
+class _LazySample(EmpiricalCdf):
+    """A simulated sample whose draws are mapped from their uniforms only where they are read.
+
+    The array holds the sorted uniforms outside the atom range at its two
+    ends, [0, front) and [back, count), and the atom's values between them;
+    `_certified` has shown that the mapped sample is sorted.  The first and
+    last value of every sub-block of `_SUB` values are mapped in place here,
+    so the sub-block lasts narrow a search to one sub-block.  A sub-block's
+    other uniforms are mapped in place, once, when one of them is read.  The
+    map is elementwise, so every value is that of mapping the whole array.
+    """
+
+    def __init__(self, u: np.ndarray, kind: EstimatorKind, cfg: SimConfig, front: int, back: int):
+        self._v, self._kind, self._cfg, self._front, self._back = u, kind, cfg, front, back
+        count = u.size
+        self._raw = np.zeros(-(-count // _SUB), dtype=bool)  # the sub-blocks that hold uniforms
+        self._raw[:-(-front // _SUB)] = True
+        if back < count:
+            self._raw[back // _SUB:] = True
+        for lo, hi in ((0, front), (back, count)):  # each end's firsts, then its lasts, as strided views
+            for edge in (0, _SUB - 1):
+                _scaled_errors(kind, cfg, u[lo + (edge - lo) % _SUB:hi:_SUB])
+        if count % _SUB > 1 and not front <= count - 1 < back:  # the last value ends a short sub-block
+            _scaled_errors(kind, cfg, u[-1:])
+
+    @property
+    def values(self) -> np.ndarray:
+        """The sorted sample; the first read maps every draw still held as its uniform, in place."""
+        self._map_subblocks(np.flatnonzero(self._raw))
+        return self._v
+
+    def _at(self, idx: np.ndarray) -> np.ndarray:
+        # a sub-block edge is mapped already; any other index maps the rest of its sub-block first
+        r = idx & (_SUB - 1)  # idx % _SUB: _SUB is a power of two
+        self._map_subblocks(idx[(r != 0) & (r != _SUB - 1) & (idx != self.count - 1)] // _SUB)
+        return self._v[idx]
+
+    def _searchsorted(self, x, side: str):
+        # the sub-block lasts (mapped) find each answer's sub-block; past the last value it is the last
+        # sub-block, whose mapped values all lie below x, so the answer is the count appended after them
+        count, lasts = self.count, self._v[_SUB - 1::_SUB]
+        if count % _SUB:
+            lasts = np.append(lasts, self._v[-1])
+        hit = np.zeros(lasts.size, dtype=bool)
+        hit[np.minimum(np.searchsorted(lasts, x, side=side), lasts.size - 1)] = True
+        subs = np.flatnonzero(hit)
+        self._map_subblocks(subs)
+        pos = np.minimum(subs[:, None] * _SUB + np.arange(_SUB), count - 1).ravel()
+        return np.append(pos, count)[np.searchsorted(self._v[pos], x, side=side)]
+
+    def _map_subblocks(self, subs: np.ndarray) -> None:
+        """Map in place the uniforms inside the sub-blocks subs (in any order, with repeats), a block's worth of
+        sub-blocks at a time."""
+        todo = np.zeros_like(self._raw)
+        todo[subs] = self._raw[subs]
+        self._raw[subs] = False
+        subs = np.flatnonzero(todo)
+        for i in range(0, subs.size, _BLOCK // _SUB):
+            pos = (subs[i:i + _BLOCK // _SUB, None] * _SUB + np.arange(1, _SUB - 1)).ravel()
+            pos = pos[(pos < self.count - 1) & ((pos < self._front) | (pos >= self._back))]
+            u = self._v[pos]
+            _scaled_errors(self._kind, self._cfg, u)
+            self._v[pos] = u
 
 
 def _uniform_open(gen: np.random.Generator, size, out=None) -> np.ndarray:
@@ -201,6 +284,32 @@ def sample_ybar(cfg: SimConfig) -> np.ndarray:
     return out
 
 
+def _certified(kind: EstimatorKind, cfg: SimConfig, vals: np.ndarray, front: int, back: int) -> bool:
+    """Whether mapping the uniforms of `simulate_estimates`' array in place would leave it sorted.
+
+    The map is nondecreasing but for `ndtri`, whose computed value can step
+    down by a few ulps (8.9e-16 at most among 4*10**6 neighbouring grid
+    points at each of its branch switches).  The quantile grows by at least
+    sqrt(2*pi)*(u2 - u1) between u1 < u2, 2.3e-9 for a gap of `_CLOSE`, so a
+    pair that far apart could step down only if `ndtri` were off by about
+    1e-9.  Each pair of neighbouring uniforms closer than that, found a block
+    at a time, and the two joins with the atom are mapped and compared.
+    """
+    count = vals.size
+    left = [np.array([i for i in {front - 1, back - 1} if 0 <= i < count - 1], dtype=int)]  # the joins
+    for lo, hi in ((0, front), (back, count)):
+        for s in range(lo, hi - 1, _BLOCK):
+            u = vals[s:min(s + _BLOCK + 1, hi)]
+            left.append(np.flatnonzero(u[1:] - u[:-1] < _CLOSE) + s)
+    i = np.concatenate(left)  # no repeats: a close pair lies inside an end, a join across one
+    pair = np.concatenate([i, i + 1])
+    mapped, raw = vals[pair], (pair < front) | (pair >= back)
+    u = mapped[raw]
+    _scaled_errors(kind, cfg, u)
+    mapped[raw] = u
+    return bool((mapped[:i.size] <= mapped[i.size:]).all())
+
+
 def simulate_estimates(kind: EstimatorKind, cfg: SimConfig) -> EmpiricalCdf:
     """Empirical law of sqrt(n)*(estimate - theta) from seeded replications.
 
@@ -208,12 +317,13 @@ def simulate_estimates(kind: EstimatorKind, cfg: SimConfig) -> EmpiricalCdf:
     the certified atom range of `_atom_uniforms` are packed at the front of
     the one output array and those above it at the back, and the atom's
     draws are only counted (at theta = +0.0, soft and scad give -0.0 below
-    u = 1/2).  Each end is sorted in place, then mapped a block at a time,
-    and the middle gets the atom's value, -0.0 first.  The map is
-    nondecreasing, so the values come out sorted in IEEE total order; as
-    `ndtri` can step down by an ulp, `EmpiricalCdf` checks the order, and
-    where it fails the array is sorted again, its zeros by sign.  Each value
-    is that of the whole-array expression over `sample_ybar`, bit for bit.
+    u = 1/2).  Each end is sorted in place, and the middle gets the atom's
+    value, -0.0 first.  The map is nondecreasing but for an ulp step of
+    `ndtri`, so where `_certified` shows the mapped array sorted, the sample
+    maps each draw only when it is read (`_LazySample`).  Otherwise every
+    draw is mapped, `EmpiricalCdf` checks the order, and where it fails the
+    array is sorted again, its zeros by sign.  Each value is that of the
+    whole-array expression over `sample_ybar`, bit for bit.
     """
     vals = np.empty(cfg.replications)
     lo, hi, fill_lo, fill_hi = _atom_uniforms(kind, cfg)
@@ -228,9 +338,11 @@ def simulate_estimates(kind: EstimatorKind, cfg: SimConfig) -> EmpiricalCdf:
         front, back = front + nb, back - na
     vals[front:front + negative] = fill_lo
     vals[front + negative:back] = fill_hi
-    for end in (vals[:front], vals[back:]):
-        end.sort()
-        _scaled_errors(kind, cfg, end)
+    vals[:front].sort()
+    vals[back:].sort()
+    if _certified(kind, cfg, vals, front, back):
+        return _LazySample(vals, kind, cfg, front, back)
+    vals = _LazySample(vals, kind, cfg, front, back).values
     try:
         return EmpiricalCdf(vals)
     except ValueError:  # out of order by an ulp of ndtri (a NaN fails the second check too)
@@ -245,7 +357,9 @@ def ks_distance(emp: EmpiricalCdf, dist: MixtureDistribution) -> float:
     Sup over the distinct sample values of both one-sided gaps: the model
     cdf and its left limit against the empirical step heights on either
     side.  The sample is sorted, so its distinct values and their counts are
-    the runs of equal values, found without sorting again.
+    the runs of equal values, found without sorting again.  It reads the
+    sample only through `_at` and `_searchsorted`, so a simulated sample
+    maps only the draws read.
 
     The model is evaluated only where the sup can sit.  The sample is cut
     into sub-blocks of `_SUB` values, and each one that holds a run start
@@ -266,17 +380,19 @@ def ks_distance(emp: EmpiricalCdf, dist: MixtureDistribution) -> float:
     most one that is taken, so the distance is that of one whole-array pass
     over every run, bit for bit.
     """
-    v, count = emp.values, emp.count
+    at, count = emp._at, emp.count
     end = np.append(np.arange(_SUB, count, _SUB), count)  # one past each sub-block
+    lasts = at(end - 1)
     # a sub-block holds a run start unless its last value is that of the sub-block before it
-    opens = np.flatnonzero(np.concatenate(([True], v[end[1:] - 1] != v[end[:-1] - 1])))
+    opens = np.flatnonzero(np.concatenate(([True], lasts[1:] != lasts[:-1])))
     start, end = opens * _SUB, end[opens]
-    first, last = v[start], v[end - 1]
+    first, last = at(start), lasts[opens]
+    del lasts
     # start and end become the counts of values below first and up to last: only a run across an edge needs a search
-    cross = v[np.maximum(start - 1, 0)] == first
-    start[cross] = np.searchsorted(v, first[cross], side="left")
-    cross = v[np.minimum(end, count - 1)] == last
-    end[cross] = np.searchsorted(v, last[cross], side="right")
+    cross = at(np.maximum(start - 1, 0)) == first
+    start[cross] = emp._searchsorted(first[cross], "left")
+    cross = at(np.minimum(end, count - 1)) == last
+    end[cross] = emp._searchsorted(last[cross], "right")
     model_last, model_first = dist.cdf(last), dist.cdf_left(first)
     gap = max(np.max(np.abs(model_last - end / count)), np.max(np.abs(model_first - start / count)))
     bound = np.maximum(model_last - start / count, end / count - model_first)
@@ -285,9 +401,9 @@ def ks_distance(emp: EmpiricalCdf, dist: MixtureDistribution) -> float:
     for i in range(0, live.size, _BLOCK // _SUB):  # a block's worth of live sub-blocks at a time
         pos = (live[i:i + _BLOCK // _SUB, None] * _SUB + np.arange(_SUB)).ravel()
         pos = pos[pos < count]
-        starts = pos[(pos == 0) | (v[pos] != v[pos - 1])]
-        uniq = v[starts]
-        ends = np.searchsorted(v, uniq, side="right")
+        starts = pos[(pos == 0) | (at(pos) != at(pos - 1))]
+        uniq = at(starts)
+        ends = emp._searchsorted(uniq, "right")
         model = dist.cdf(uniq)
         model_left = dist._left_limit(uniq, model)
         gap = max(gap, np.max(np.abs(model - ends / count)), np.max(np.abs(model_left - starts / count)))

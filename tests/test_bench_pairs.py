@@ -1,6 +1,8 @@
 """The verdicts of `tools/bench_pairs.py` on hand-made paired values."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -97,3 +99,75 @@ def test_paired_values_need_one_per_pair():
         verdict([1.0, 2.0], [1.0], "lower", 0.25)
     with pytest.raises(ValueError, match="one value each per pair"):
         verdict([], [], "lower", 0.25)
+
+
+def _benchmark(tmp_path, workloads):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": w} for w in workloads],
+        "end_to_end": [{"name": "run_s", "better": "lower", "bound": 0.25}]}))
+    return parent, change
+
+
+def _fake_runs(monkeypatch, parent, fail_at=None):
+    """Patch run_once with a recorder of (side, workload) that gives the change 1.0 s and the parent 2.0 s,
+    raising RunFailed at the call numbered fail_at (from 1)."""
+    calls = []
+
+    def run_once(checkout, workload, seconds, seed):
+        calls.append(("parent" if checkout == parent else "change", workload))
+        if len(calls) == fail_at:
+            raise bench_pairs.RunFailed("exited with status 2; the end of its stderr:\nTraceback\nKeyError: 'x'")
+        value = 2.0 if checkout == parent else 1.0
+        return {"failed": 0, "attempted": 1, "correct": True, "metrics": {"run_s": {"value": value}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    return calls
+
+
+def test_main_runs_every_workload_of_the_benchmark_when_none_is_given(tmp_path, monkeypatch, capsys):
+    parent, change = _benchmark(tmp_path, ["a", "b"])
+    calls = _fake_runs(monkeypatch, parent)
+    assert bench_pairs.main([str(parent), str(change), "--pairs", "2"]) == 0
+    # each pair runs every workload on both sides, the parent first in even pairs and the change in odd ones
+    assert calls == [("parent", "a"), ("change", "a"), ("parent", "b"), ("change", "b"),
+                     ("change", "a"), ("parent", "a"), ("change", "b"), ("parent", "b")]
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("==")] == ["== a: 2 pairs", "== b: 2 pairs"]
+    assert [json.loads(line)["workload"] for line in out if line.startswith("{")] == ["a", "b"]
+
+
+def test_main_takes_workload_more_than_once(tmp_path, monkeypatch, capsys):
+    parent, change = _benchmark(tmp_path, ["a", "b", "c"])
+    calls = _fake_runs(monkeypatch, parent)
+    assert bench_pairs.main([str(parent), str(change), "--workload", "c", "--workload", "a", "--pairs", "1"]) == 0
+    assert calls == [("parent", "c"), ("change", "c"), ("parent", "a"), ("change", "a")]
+    tables = [line for line in capsys.readouterr().out.splitlines() if line.startswith("==")]
+    assert tables == ["== c: 1 pairs", "== a: 1 pairs"]
+
+
+def test_a_failed_run_names_its_side_and_keeps_the_pairs_before_it(tmp_path, monkeypatch, capsys):
+    parent, change = _benchmark(tmp_path, ["a", "b"])
+    calls = _fake_runs(monkeypatch, parent, fail_at=11)  # pair 3: a on both sides, then b fails on the parent
+    assert bench_pairs.main([str(parent), str(change), "--pairs", "10"]) == 1
+    assert len(calls) == 11 and calls[-1] == ("parent", "b")
+    captured = capsys.readouterr()
+    tables = [line for line in captured.out.splitlines() if line.startswith("==")]
+    assert tables == ["== a: 3 pairs", "== b: 2 pairs"]  # pair 3 of a is complete, that of b is not
+    assert captured.err.splitlines()[-3:] == [
+        "pair 3: the parent run of b exited with status 2; the end of its stderr:", "Traceback", "KeyError: 'x'"]
+
+
+def test_run_once_reads_the_last_line_or_raises_with_the_end_of_stderr(monkeypatch):
+    done = {}
+    monkeypatch.setattr(bench_pairs.subprocess, "run",
+                        lambda command, **kwargs: subprocess.CompletedProcess(command, **done))
+    done.update(returncode=0, stdout='progress\n{"metrics": {}}\n', stderr="")
+    assert bench_pairs.run_once(Path("."), "a", 1.0, 1) == {"metrics": {}}
+    done.update(returncode=3, stdout="", stderr="\n".join(f"line {i}" for i in range(30)))
+    with pytest.raises(bench_pairs.RunFailed) as err:
+        bench_pairs.run_once(Path("."), "a", 1.0, 1)
+    lines = str(err.value).splitlines()
+    assert lines[0] == "exited with status 3; the end of its stderr:"
+    assert lines[1:] == [f"line {i}" for i in range(30 - bench_pairs.STDERR_TAIL, 30)]

@@ -500,6 +500,14 @@ def test_scad_law_at_theta_minus_two_eta_and_n_1e30_equals_estimator_map_oracle(
     _assert_cdf_matches_map_oracle(EstimatorKind.SCAD, 10**30, -0.1, 0.05, 3.7, "sqrt_n", [0.5])
 
 
+@pytest.mark.xfail(strict=True, raises=ValueError, reason=(
+    "FOUND: the scad law at the blend join theta = +-2*eta with a huge shift does not build: at n = 1, "
+    "eta = 1e150 the build reads its mixture mass as 1.5"))
+def test_scad_law_at_the_blend_join_with_eta_1e150_equals_estimator_map_oracle():
+    for theta in (2e150, -2e150):
+        _assert_cdf_matches_map_oracle(EstimatorKind.SCAD, 1, theta, 1e150, 3.7, "sqrt_n", [0.5])
+
+
 @pytest.mark.xfail(strict=True, raises=AttributeError, reason=(
     "ROADMAP live defect, mended by the sf of the cdf as Phi of the mapped point: a law has no upper tail, and "
     "for hard at n = 100, theta = 0, eta = 0.05, 1 - F(9) reads 0.0 where F(-9) reads 1.1285884059538408e-19"))

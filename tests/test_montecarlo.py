@@ -241,37 +241,62 @@ def test_atom_range_is_empty_where_its_margin_overflows(kind, theta):
     assert simulate_estimates(kind, cfg).values.tobytes() == expected.tobytes()
 
 
+def _uniforms(cfg):
+    """The seeded uniforms of a simulation, in draw order."""
+    return np.concatenate([block.copy() for _, block in montecarlo._uniform_blocks(cfg)])
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_uncertified_range_skips_nothing(monkeypatch, kind):
     # a negative margin pushes the ends outward, past the atom: the pipeline's estimate there is not 0,
-    # so the range is refused and every draw goes through ndtri and the estimate
+    # so the range is refused, and besides the order certificate's close pairs every draw goes through
+    # ndtri and the estimate once, by the time the values are read
     monkeypatch.setattr(montecarlo, "_SKIP_MARGIN", -1e-3)
     cfg = SimConfig(seed=8, replications=BLOCK + 1, point=ModelPoint(100, 0.0), tuning=TuningPlan(0.196))
     assert montecarlo._atom_uniforms(kind, cfg) == montecarlo._NO_ATOM
+    close = np.count_nonzero(np.diff(np.sort(_uniforms(cfg))) < montecarlo._CLOSE)
     sizes = []
     monkeypatch.setattr(montecarlo, "ndtri", lambda u, out=None: sizes.append(u.size) or ndtri(u, out=out))
     emp = simulate_estimates(kind, cfg)
-    assert sum(sizes) == 2 + cfg.replications
+    assert sum(sizes) < 2 + 2 * close + cfg.replications // 10
     assert emp.values.tobytes() == whole_array_estimates(kind, cfg, whole_array_ybar(cfg)).tobytes()
+    assert sum(sizes) == 2 + 2 * close + cfg.replications
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("config, share", [(EDGE_CONFIGS["all-atom"], 1e-5), (EDGE_CONFIGS["theta-0"], 0.06),
-                                           (MC_CONFIGS[3], 0.9)], ids=["all-atom", "theta-0", "atom-0.11"])
+@pytest.mark.parametrize("config, share", [(EDGE_CONFIGS["all-atom"], 1e-5), (EDGE_CONFIGS["theta-0"], 0.05),
+                                           (MC_CONFIGS[3], 0.05)], ids=["all-atom", "theta-0", "atom-0.11"])
 def test_ndtri_sees_only_draws_outside_the_atom_range(monkeypatch, kind, config, share):
-    # the two certification points, then exactly the draws outside the range: at sqrt(n)*eta = 10 the
-    # range leaves out 2.9e-7 of the uniforms, at sqrt(n)*eta = 1.96 about 5%, and at n = 25,
-    # theta = -0.3 about 89%, where only 11% of the draws land in the atom
+    # the two certification points, the close pairs and joins of the order certificate, and each sub-block's
+    # first and last draw outside the range; then KS and the atom count map a few more, each draw once.
+    # At sqrt(n)*eta = 10 the range leaves out 2.9e-7 of the uniforms, at sqrt(n)*eta = 1.96 about 5%
+    # and at n = 25, theta = -0.3 about 89%; in both of those KS and the atom count leave the mapped
+    # draws at 3.8% of the sample, where the whole-sample map took 5% and 89%
     n, theta, eta, a = config
     cfg = SimConfig(seed=12, replications=200_000, point=ModelPoint(n, theta), tuning=TuningPlan(eta, a))
     lo, hi = montecarlo._atom_uniforms(kind, cfg)[:2]
-    u = np.concatenate([block.copy() for _, block in montecarlo._uniform_blocks(cfg)])
-    outside = np.count_nonzero((u < lo) | (u > hi))
-    sizes = []
-    monkeypatch.setattr(montecarlo, "ndtri", lambda u, out=None: sizes.append(u.size) or ndtri(u, out=out))
-    simulate_estimates(kind, cfg)
-    assert sizes[0] == 2
-    assert sum(sizes[1:]) == outside <= share * cfg.replications
+    u = _uniforms(cfg)
+    below, above = np.sort(u[u < lo]), np.sort(u[u > hi])
+    count, front, back = u.size, below.size, u.size - above.size
+    close = sum(np.count_nonzero(np.diff(end) < montecarlo._CLOSE) for end in (below, above))
+    outside = lambda i: i < front or i >= back
+    joins = sum(outside(i) + outside(i + 1) for i in {front - 1, back - 1} if 0 <= i < count - 1)  # mapped ends
+    edges = np.union1d(np.arange(0, count, SUB), np.append(np.arange(SUB - 1, count, SUB), count - 1))
+    edges = edges[(edges < front) | (edges >= back)]
+    mapped = []
+    monkeypatch.setattr(montecarlo, "ndtri", lambda u, out=None: mapped.append(u.copy()) or ndtri(u, out=out))
+    emp = simulate_estimates(kind, cfg)
+    sizes = [m.size for m in mapped]
+    assert sizes[0] == 2 and sum(sizes[1:]) == 2 * close + joins + edges.size
+    mapped.clear()
+    ks_distance(emp, finite_sample_dist(kind, cfg.point, cfg.tuning))
+    emp.fraction_at(-cfg.point.sqrt_n * theta)
+    assert sum(sizes[1:]) + sum(m.size for m in mapped) <= share * cfg.replications
+    emp.values
+    # the edges, then every other draw outside the range once: together, each outside uniform exactly once
+    held = np.concatenate([below, np.full(back - front, np.nan), above])
+    once = np.sort(np.concatenate([held[edges], *mapped]))
+    assert once.tobytes() == np.sort(np.concatenate([below, above])).tobytes()
 
 
 @pytest.mark.parametrize("kind", [EstimatorKind.SOFT, EstimatorKind.SCAD])
@@ -290,27 +315,94 @@ def test_signed_zeros_come_in_total_order(kind):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("config", [EDGE_CONFIGS["theta-0"], MC_CONFIGS[3]], ids=["theta-0", "atom-0.11"])
-def test_a_descending_map_is_sorted_by_the_fallback(monkeypatch, kind, config):
-    # a map that reverses each end it writes breaks the order, as an ulp step down of ndtri would:
-    # the first order check fails, the fallback sorts in total order, and the bytes are the reference's
+@pytest.mark.parametrize("config, where", [(MC_CONFIGS[3], "close-pair"), (EDGE_CONFIGS["theta-0"], "join")],
+                         ids=["close-pair", "join"])
+def test_a_descending_map_is_sorted_by_the_fallback(monkeypatch, kind, config, where):
+    # ndtri is planted with a step down where the order certificate looks: one unit below its value at the
+    # lower uniform of the closest pair below the atom range (0.49*_CLOSE apart here), or 5.0 at the last
+    # uniform below it, which then maps past the atom.  The certificate fails, every draw is mapped, the
+    # order check fails, the fallback sorts in total order, and the bytes are the reference's with the
+    # planted draw
     n, theta, eta, a = config
     cfg = SimConfig(seed=14, replications=2 * BLOCK + 3, point=ModelPoint(n, theta), tuning=TuningPlan(eta, a))
-    scaled_errors, checks = montecarlo._scaled_errors, []
+    u = _uniforms(cfg)
+    below = np.sort(u[u < montecarlo._atom_uniforms(kind, cfg)[0]])
+    if where == "close-pair":
+        i = int(np.argmin(np.diff(below)))
+        assert below[i + 1] - below[i] < montecarlo._CLOSE
+        planted, z = below[i + 1], ndtri(below[i]) - 1.0
+    else:
+        planted, z = below[-1], 5.0
 
-    def reversed_errors(kind, cfg, u):
-        scaled_errors(kind, cfg, u)
-        u[:] = u[::-1].copy()
+    def stepping(u, out=None):
+        at = u == planted
+        out = ndtri(u, out=out)
+        out[at] = z
+        return out
+
+    checks = []
 
     def checked(values):
         checks.append(bool((values[1:] >= values[:-1]).all()))
         return EmpiricalCdf(values)
 
-    monkeypatch.setattr(montecarlo, "_scaled_errors", reversed_errors)
+    monkeypatch.setattr(montecarlo, "ndtri", stepping)
     monkeypatch.setattr(montecarlo, "EmpiricalCdf", checked)
     emp = simulate_estimates(kind, cfg)
     assert checks == [False, True]
-    assert emp.values.tobytes() == whole_array_estimates(kind, cfg, whole_array_ybar(cfg)).tobytes()
+    ybar = whole_array_ybar(cfg)
+    ybar[u == planted] = theta + 1.0 / cfg.point.sqrt_n * z
+    assert emp.values.tobytes() == whole_array_estimates(kind, cfg, ybar).tobytes()
+
+
+LAZY_CONFIGS = {  # (n, theta, eta, scad a)
+    **{f"criterion-02-{i}": config for i, config in enumerate(MC_CONFIGS)},
+    **EDGE_CONFIGS,
+    "minus-zero": (100, -0.0, 0.196, 3.7),  # +0.0 on the whole atom
+    "theta-0-a-next-to-2": (100, 0.0, 0.196, 2.0 + 1e-12),
+    "a-next-to-2": (25, -0.3, 0.08, 2.0 + 1e-12),
+    "every-uniform-in-the-range": (10**30, 0.0, 0.1, 3.7),
+}
+LAZY_CASES = [(name, reps) for name in LAZY_CONFIGS for reps in (1, 2, 63, 65, BLOCK - 1, BLOCK + 1)]
+LAZY_CASES += [(name, BATCH + BLOCK + 3) for name in EDGE_CONFIGS]
+
+
+@pytest.mark.parametrize("name, reps", LAZY_CASES)
+def test_simulated_sample_reads_as_the_sample_of_its_values(name, reps):
+    # the simulated sample maps a draw only where it is read: KS (at the law and at a shifted one) and the
+    # atom count, read before and after KS, equal those of the sample of its values bit for bit, and its
+    # values, read last, are the values
+    n, theta, eta, a = LAZY_CONFIGS[name]
+    cfg = SimConfig(seed=reps, replications=reps, point=ModelPoint(n, theta), tuning=TuningPlan(eta, a))
+    for kind in KINDS:
+        values = simulate_estimates(kind, cfg).values
+        eager = EmpiricalCdf(values)
+        xs = [-cfg.point.sqrt_n * theta, 0.0, -0.0, values[0], values[reps // 2], values[-1],
+              np.nextafter(values[-1], math.inf), math.inf, -math.inf]
+        want = [eager.fraction_at(x) for x in xs]
+        lazy = simulate_estimates(kind, cfg)
+        assert [lazy.fraction_at(x) for x in xs] == want
+        for shift in (0.0, 0.01):
+            dist = finite_sample_dist(kind, ModelPoint(n, theta + shift), cfg.tuning)
+            assert ks_distance(lazy, dist).hex() == ks_distance(eager, dist).hex()
+        assert [lazy.fraction_at(x) for x in xs] == want
+        assert all(type(f) is float for f in want)
+        assert lazy.values.tobytes() == values.tobytes()
+
+
+def test_ndtri_steps_down_far_less_than_a_close_pair_rules_out():
+    # the order certificate maps only neighbouring uniforms closer than _CLOSE: further apart, the quantile
+    # grows by at least sqrt(2*pi)*_CLOSE = 2.3e-9.  ndtri steps down only next to its branch switches at
+    # u = e**-2 and 1 - e**-2, by at most 8.9e-16 over 4*10**6 neighbouring grid points at each; a less
+    # accurate ndtri fails here before it can put a simulated sample out of order
+    ruled_out = math.sqrt(2.0 * math.pi) * montecarlo._CLOSE
+    for switch in (math.exp(-2.0), 1.0 - math.exp(-2.0)):
+        k = round(switch * 2.0**53) - 2_000_000
+        drop = 0.0
+        for lo in range(0, 4_000_000, 1_000_000):  # a million steps at a time, each chunk overlapping the next by one
+            z = ndtri((k + lo + np.arange(1_000_001)) * 2.0**-53)
+            drop = max(drop, float(np.max(z[:-1] - z[1:])))
+        assert 0.0 < drop <= 1e-4 * ruled_out
 
 
 def test_uniform_open_scales_by_an_exact_power_of_two():

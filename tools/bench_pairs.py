@@ -1,12 +1,15 @@
 """Paired benchmark runs of two checkouts, with a gain and a regression verdict per end-to-end metric.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload closed_form_tables --pairs 10 --seconds 35 --seed 1
+    python3 tools/bench_pairs.py PARENT CHANGE --workload mc_agreement --workload cdf_estimation --pairs 10 --seed 1
 
 Each pair runs `bench/run.py --workload W --seed S --seconds T --trace 0` once in each checkout, in its own
-directory, the parent first in even pairs and the change first in odd ones, so a drift of the host's speed
-weighs on both sides alike.  Per end-to-end metric of the change's `BENCHMARK.json` it prints each side's
-median and quartiles, the number of pairs the change wins (a tie counts for neither side), a gain verdict
-and a regression verdict (see `verdict`), then each side's raw values as one JSON line.  Standard library
+directory, for each workload given (every workload of the change's `BENCHMARK.json` when none is), the
+parent first in even pairs and the change first in odd ones, so a drift of the host's speed weighs on both
+sides alike.  Per workload, and per end-to-end metric of `BENCHMARK.json`, it prints each side's median and
+quartiles, the number of pairs the change wins (a tie counts for neither side), a gain verdict and a
+regression verdict (see `verdict`), then each side's raw values as one JSON line: a regression on any
+workload counts.  A run that exits non-zero ends the series: the tables cover the pairs completed before
+it, and the exit status is 1 after a message naming the run and the end of its stderr.  Standard library
 only; it imports nothing from either checkout.
 """
 
@@ -19,6 +22,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+STDERR_TAIL = 20  # lines of a failed run's stderr that are printed
 
 
 def quartiles(values) -> tuple:
@@ -57,29 +62,45 @@ def verdict(parent, change, better: str, bound: float, more_failures: bool = Fal
             "gain": gain, "worse_by": worse_by, "regression": regression}
 
 
+class RunFailed(Exception):
+    """A benchmark run that exited non-zero; the message gives its exit status and the tail of its stderr."""
+
+
 def run_once(checkout: Path, workload: str, seconds: float, seed: int) -> dict:
     """The result object (the last line of standard output) of one untraced benchmark run in checkout."""
     command = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds",
                str(seconds), "--trace", "0"]
-    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True, check=True)
+    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
+    if done.returncode:
+        tail = "\n".join(done.stderr.splitlines()[-STDERR_TAIL:])
+        raise RunFailed(f"exited with status {done.returncode}; the end of its stderr:\n{tail}")
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", type=Path)
-    parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=35.0)
-    parser.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args(argv)
-    metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
-    runs = {"parent": [], "change": []}
+def run_pairs(args, workloads) -> tuple:
+    """({workload: {side: [result per pair]}}, None), or the pairs run so far and a message naming the failed run.
+
+    Pair i runs every workload once on each side, the parent first in even pairs; a pair counts only once
+    both of its runs are in.
+    """
+    runs = {w: {"parent": [], "change": []} for w in workloads}
     for i in range(args.pairs):
-        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            runs[side].append(run_once(getattr(args, side), args.workload, args.seconds, args.seed))
+        for w in workloads:
+            pair = {}
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                try:
+                    pair[side] = run_once(getattr(args, side), w, args.seconds, args.seed)
+                except RunFailed as err:
+                    return runs, f"pair {i + 1}: the {side} run of {w} {err}"
+            for side, result in pair.items():
+                runs[w][side].append(result)
         print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr, flush=True)
+    return runs, None
+
+
+def report(workload: str, runs: dict, metrics: list, args) -> None:
+    """Print the verdict table of one workload's pairs, then each side's raw values as one JSON line."""
+    print(f"== {workload}: {len(runs['parent'])} pairs")
     failed = {side: sum(r["failed"] for r in results) for side, results in runs.items()}
     for side, results in runs.items():
         print(f"{side}: {failed[side]} of {sum(r['attempted'] for r in results)} ops failed, "
@@ -97,7 +118,27 @@ def main(argv=None) -> int:
         parent, change = (f"{med:.4g} [{q1:.4g}, {q3:.4g}]" for q1, med, q3 in (v["parent"], v["change"]))
         print(f"{name:12s} {parent:>30s} {change:>30s} {v['wins']:>3d}/{v['pairs']:<2d} "
               f"{'yes' if v['gain'] else 'no':>5s} {v['worse_by']:>+9.1%} {v['regression']}")
-    print(json.dumps({"workload": args.workload, "seed": args.seed, "seconds": args.seconds, "values": values}))
+    print(json.dumps({"workload": workload, "seed": args.seed, "seconds": args.seconds, "values": values}))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", action="append", help="repeatable; every workload of BENCHMARK.json if none")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=35.0)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
+    workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
+    runs, failure = run_pairs(args, workloads)
+    for w in workloads:
+        if runs[w]["parent"]:
+            report(w, runs[w], benchmark["end_to_end"], args)
+    if failure:
+        print(failure, file=sys.stderr)
+        return 1
     return 0
 
 
