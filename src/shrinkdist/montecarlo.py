@@ -19,15 +19,16 @@ margin far above the rounding of the draw and certified by running the
 sampler at both its ends.  The draws in the range get the atom's value
 without `ndtri` or the estimate.  The map from a uniform to the scaled
 error is nondecreasing but for ulp steps of `ndtri`, so `simulate_estimates`
-sorts the uniforms outside the range and keeps them as they are: the sample
-maps a draw when it is first read, and the KS distance and the atom count
-read only the sub-block edges and a few sub-blocks.  On the draws of
-acceptance criterion 02 that maps about 5% of the draws outside the range,
-where the whole map took them all.  That the mapped sample is sorted is
-certified up front: two uniforms at least `_CLOSE` = 2^-30 apart have
-quantiles at least 2.3e-9 apart, over 10^6 times `ndtri`'s largest step
-down, so only the pairs closer than that (about 930 among 10^6 uniforms
-spread over (0, 1)) and the two joins with the atom are mapped and compared.
+sorts the uniforms outside the range and keeps them as they are: the sample,
+an `EmpiricalCdf` like one built from values, maps a draw when it is first
+read, and the KS distance and the atom count read only the sub-block edges
+and a few sub-blocks.  On the draws of acceptance criterion 02 that maps
+about 5% of the draws outside the range, where the whole map took them
+all.  That the mapped sample is sorted is certified up front: two uniforms
+at least `_CLOSE` = 2^-30 apart have quantiles at least 2.3e-9 apart, over
+10^6 times `ndtri`'s largest step down, so only the pairs closer than that
+(about 930 among 10^6 uniforms spread over (0, 1)) and the two joins with
+the atom are mapped and compared.
 
 The KS distance first bounds the gaps in each sub-block of `_SUB` values
 from the model at the sub-block's two ends (arrays 1/`_SUB` of the
@@ -86,22 +87,48 @@ class SimConfig:
 
 
 class EmpiricalCdf:
-    """Right-continuous step function through a sorted sample without NaN."""
+    """Right-continuous step function through a sorted sample without NaN.
 
-    def __init__(self, values):
+    A simulated sample maps its draws from their uniforms only where they are
+    read.  Its array holds the sorted uniforms outside the atom range at its
+    two ends, [0, front) and [back, count), and the atom's values between
+    them; `_certified` has shown that the mapped sample is sorted.  The first
+    and last value of every sub-block of `_SUB` values are mapped in place
+    when the sample is made, so the sub-block lasts narrow a search to one
+    sub-block.  A sub-block's other uniforms are mapped in place, once, when
+    one of them is read.  The map is elementwise, so every value is that of
+    mapping the whole array.  A sample built from values is checked here and
+    holds no uniform (front = 0, back = count): no sub-block is left to map.
+    """
+
+    def __init__(self, values, _sim=None):
         v = np.asarray(values, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("values must be a nonempty 1-d array")
-        # pairs a block (and one value) at a time, so no temporary is longer than a block; NaN compares false
-        blocks = (v[lo:lo + _BLOCK + 1] for lo in range(0, v.size, _BLOCK))
-        if not all((b[1:] >= b[:-1]).all() for b in blocks) or math.isnan(v[-1]):
-            problem = "must not contain NaN" if np.isnan(v).any() else "must be sorted ascending"
-            raise ValueError(f"values {problem}")
-        self._v = v
+        if _sim is None:
+            if v.ndim != 1 or v.size == 0:
+                raise ValueError("values must be a nonempty 1-d array")
+            # pairs a block (and one value) at a time, so no temporary is longer than a block; NaN compares false
+            blocks = (v[lo:lo + _BLOCK + 1] for lo in range(0, v.size, _BLOCK))
+            if not all((b[1:] >= b[:-1]).all() for b in blocks) or math.isnan(v[-1]):
+                problem = "must not contain NaN" if np.isnan(v).any() else "must be sorted ascending"
+                raise ValueError(f"values {problem}")
+            _sim = (None, None, 0, v.size)
+        kind, cfg, front, back = _sim  # `simulate_estimates`' estimator, config and ends of the uniforms
+        self._v, self._kind, self._cfg, self._front, self._back = v, kind, cfg, front, back
+        count = v.size
+        self._raw = np.zeros(-(-count // _SUB), dtype=bool)  # the sub-blocks that hold uniforms
+        self._raw[:-(-front // _SUB)] = True
+        if back < count:
+            self._raw[back // _SUB:] = True
+        for lo, hi in ((0, front), (back, count)):  # each end's firsts, then its lasts, as strided views
+            for edge in (0, _SUB - 1):
+                _scaled_errors(kind, cfg, v[lo + (edge - lo) % _SUB:hi:_SUB])
+        if count % _SUB > 1 and not front <= count - 1 < back:  # the last value ends a short sub-block
+            _scaled_errors(kind, cfg, v[-1:])
 
     @property
     def values(self) -> np.ndarray:
-        """The sorted sample."""
+        """The sorted sample; the first read maps every draw still held as its uniform, in place."""
+        self._map_subblocks(np.flatnonzero(self._raw))
         return self._v
 
     @property
@@ -115,51 +142,13 @@ class EmpiricalCdf:
 
     def _at(self, idx: np.ndarray) -> np.ndarray:
         """The sample's values at the indices idx."""
-        return self._v[idx]
-
-    def _searchsorted(self, x, side: str):
-        """`np.searchsorted` of x in the sample."""
-        return np.searchsorted(self._v, x, side=side)
-
-
-class _LazySample(EmpiricalCdf):
-    """A simulated sample whose draws are mapped from their uniforms only where they are read.
-
-    The array holds the sorted uniforms outside the atom range at its two
-    ends, [0, front) and [back, count), and the atom's values between them;
-    `_certified` has shown that the mapped sample is sorted.  The first and
-    last value of every sub-block of `_SUB` values are mapped in place here,
-    so the sub-block lasts narrow a search to one sub-block.  A sub-block's
-    other uniforms are mapped in place, once, when one of them is read.  The
-    map is elementwise, so every value is that of mapping the whole array.
-    """
-
-    def __init__(self, u: np.ndarray, kind: EstimatorKind, cfg: SimConfig, front: int, back: int):
-        self._v, self._kind, self._cfg, self._front, self._back = u, kind, cfg, front, back
-        count = u.size
-        self._raw = np.zeros(-(-count // _SUB), dtype=bool)  # the sub-blocks that hold uniforms
-        self._raw[:-(-front // _SUB)] = True
-        if back < count:
-            self._raw[back // _SUB:] = True
-        for lo, hi in ((0, front), (back, count)):  # each end's firsts, then its lasts, as strided views
-            for edge in (0, _SUB - 1):
-                _scaled_errors(kind, cfg, u[lo + (edge - lo) % _SUB:hi:_SUB])
-        if count % _SUB > 1 and not front <= count - 1 < back:  # the last value ends a short sub-block
-            _scaled_errors(kind, cfg, u[-1:])
-
-    @property
-    def values(self) -> np.ndarray:
-        """The sorted sample; the first read maps every draw still held as its uniform, in place."""
-        self._map_subblocks(np.flatnonzero(self._raw))
-        return self._v
-
-    def _at(self, idx: np.ndarray) -> np.ndarray:
         # a sub-block edge is mapped already; any other index maps the rest of its sub-block first
         r = idx & (_SUB - 1)  # idx % _SUB: _SUB is a power of two
         self._map_subblocks(idx[(r != 0) & (r != _SUB - 1) & (idx != self.count - 1)] // _SUB)
         return self._v[idx]
 
     def _searchsorted(self, x, side: str):
+        """`np.searchsorted` of x in the sample."""
         # the sub-block lasts (mapped) find each answer's sub-block; past the last value it is the last
         # sub-block, whose mapped values all lie below x, so the answer is the count appended after them
         count, lasts = self.count, self._v[_SUB - 1::_SUB]
@@ -319,11 +308,12 @@ def simulate_estimates(kind: EstimatorKind, cfg: SimConfig) -> EmpiricalCdf:
     draws are only counted (at theta = +0.0, soft and scad give -0.0 below
     u = 1/2).  Each end is sorted in place, and the middle gets the atom's
     value, -0.0 first.  The map is nondecreasing but for an ulp step of
-    `ndtri`, so where `_certified` shows the mapped array sorted, the sample
-    maps each draw only when it is read (`_LazySample`).  Otherwise every
-    draw is mapped, `EmpiricalCdf` checks the order, and where it fails the
-    array is sorted again, its zeros by sign.  Each value is that of the
-    whole-array expression over `sample_ybar`, bit for bit.
+    `ndtri`, so where `_certified` shows the mapped array sorted, the array
+    and its ends go to `EmpiricalCdf`, which maps each draw only when it is
+    read.  Otherwise every draw is mapped, `EmpiricalCdf` checks the order of
+    the values, and where it fails the array is sorted again, its zeros by
+    sign.  Each value is that of the whole-array expression over
+    `sample_ybar`, bit for bit.
     """
     vals = np.empty(cfg.replications)
     lo, hi, fill_lo, fill_hi = _atom_uniforms(kind, cfg)
@@ -340,9 +330,9 @@ def simulate_estimates(kind: EstimatorKind, cfg: SimConfig) -> EmpiricalCdf:
     vals[front + negative:back] = fill_hi
     vals[:front].sort()
     vals[back:].sort()
-    if _certified(kind, cfg, vals, front, back):
-        return _LazySample(vals, kind, cfg, front, back)
-    vals = _LazySample(vals, kind, cfg, front, back).values
+    if _certified(kind, cfg, vals, front, back):  # before the sample maps its sub-block edges in place
+        return EmpiricalCdf(vals, _sim=(kind, cfg, front, back))
+    vals = EmpiricalCdf(vals, _sim=(kind, cfg, front, back)).values
     try:
         return EmpiricalCdf(vals)
     except ValueError:  # out of order by an ulp of ndtri (a NaN fails the second check too)

@@ -25,7 +25,8 @@ gives the hard estimator's risk on the 1/eta scale from the estimator
 itself.  `map_tails` gives a law's cdf and upper tail, at 60 digits plus
 the size of its inputs, from the estimator map alone, through its
 generalized inverses `estimator_map_upper` and `estimator_map_lower`,
-written from each kind's formulas; `scad_estimate_reference` restates the
+written from each kind's formulas, and `map_probe_points`, `map_cdf_bound`
+and `MAP_SF_BOUND` say where a law is checked against it and how closely; `scad_estimate_reference` restates the
 scad estimate one expression per branch.  The output references at the end redo the CSV
 and SVG writers one cell, one point or one row at a time: `csv_reference`
 joins cells formatted by `format_cell_reference`, `svg_polyline_reference`
@@ -225,6 +226,32 @@ def map_tails(kind, n, theta, eta, a, x, scaling, left=False) -> tuple:
         z = _estimator_map_z(kind, n, theta, eta, a, x, scaling, left)
         z = max(min(z, mpmath.mpf(1e150)), mpmath.mpf(-1e150))
         return +mpmath.ncdf(z), +mpmath.ncdf(-z)
+
+
+MAP_SF_BOUND = 4 * 2.0**-52  # the upper tail's allowed error against `map_tails`, as 1 - cdf
+
+
+def map_probe_points(dist, n, eta, scaling, grid, offsets=()) -> np.ndarray:
+    """Where a law's cdf is checked against `map_tails`: the points of `grid`, each piece end, its neighbours
+    one ulp either side, the end plus each of `offsets` (both grid and offsets in standard units), and 1e-9
+    either side of the atom.
+
+    The atom is left out itself, since its float location may sit an ulp from the true one, and so is any
+    point that leaves the floats.
+    """
+    unit = 1.0 if scaling == "sqrt_n" else 1.0 / (math.sqrt(n) * eta)
+    atom = dist.atoms[0].loc
+    ends = np.array([b for b in dist.breakpoints() if b != atom])
+    xs = np.concatenate([np.asarray(grid) * unit, ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf),
+                         (ends[:, None] + np.asarray(offsets) * unit).ravel(),
+                         atom + np.array([-1e-9, 1e-9]) * max(1.0, abs(atom))])
+    return xs[np.isfinite(xs) & (np.abs(xs - atom) > 1e-12 * max(1.0, abs(atom)))]
+
+
+def map_cdf_bound(want):
+    """The cdf's allowed absolute error where `map_tails` reads `want`: a few ulps of the mapped point z, times
+    Phi's condition number there, about z**2 <= 2*log(1/F); below 1e-290 the cdf leaves the normal floats."""
+    return 1e-300 if want < 1e-290 else 4 * 2.0**-52 * (1 - 2 * mpmath.log(want)) * want
 
 
 def scad_estimate_reference(ybar, eta: float, a: float) -> np.ndarray:

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import re
@@ -21,6 +22,7 @@ from shrinkdist.cli import (
     _parse_config_file,
     _svg_polyline,
     main,
+    run_experiment,
 )
 from shrinkdist.estimators import DEFAULT_SCAD_A, EstimatorKind, TuningPlan
 from shrinkdist.finite_dist import MixtureDistribution, ModelPoint, finite_sample_dist
@@ -441,6 +443,31 @@ def test_readme_experiment_keys_state_the_defaults(tmp_path, name):
     assert sorted(p.name for p in written.iterdir() if p.name != "manifest.json") == data
     for fname in data:
         assert (written / fname).read_bytes() == (default / fname).read_bytes(), fname
+
+
+def test_readme_claims_ledger_names_existing_checks():
+    # one row per claim of the abstract; each check a row names is an acceptance criterion test, or a verdict
+    # check that its experiment writes at its defaults (impossibility: with each of its estimators)
+    tests = Path(__file__).resolve().parent
+    readme = (tests.parent / "README.md").read_text()
+    section = readme.split("## Paper claims and their checks\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:-1] for line in section.splitlines() if line.startswith("| ")][1:]  # after the header
+    assert len(rows) == 5
+    criteria = {node.name for node in ast.parse((tests / "test_acceptance.py").read_text()).body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("test_criterion_")}
+    written = {name: set() for name in EXPERIMENTS}
+    for name in EXPERIMENTS:
+        configs = [{"estimator": e} for e in ("oracle", "pretest", "bootstrap")] if name == "impossibility" else [{}]
+        for config in configs:
+            files = run_experiment({"name": name, "config": config, "seed": 1})[0]
+            written[name].update(check["name"] for check in json.loads(files["verdict.json"])["checks"])
+    for claim, checks, status in rows:
+        names = re.findall(r"`([^`]+)`", checks)
+        assert names or (checks.strip(), status.strip()) == ("nothing", "unchecked"), claim
+        for name in names:
+            experiment, _, check = name.partition("/")
+            assert name in criteria or check in written.get(experiment, ()) or check == "*" and written[experiment], \
+                name
 
 
 def test_config_keys_are_the_readme_experiment_keys():

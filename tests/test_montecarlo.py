@@ -314,6 +314,45 @@ def test_signed_zeros_come_in_total_order(kind):
     assert 0 < negative == np.count_nonzero(np.signbit(reference[reference == 0.0])) < zeros.size
 
 
+@pytest.mark.parametrize("kind", [EstimatorKind.SOFT, EstimatorKind.SCAD])
+def test_a_draw_at_one_half_is_plus_zero(monkeypatch, kind):
+    # at theta = +0.0 the uniform 1/2 maps to ybar = ndtri(1/2) = +0.0 and an estimate of +0.0, not -0.0: one
+    # such draw, planted first in the seeded stream (one block), is counted among the +0.0 of the atom, as in
+    # the reference
+    n, theta, eta, a = EDGE_CONFIGS["theta-0"]
+    cfg = SimConfig(seed=13, replications=BLOCK - 3, point=ModelPoint(n, theta), tuning=TuningPlan(eta, a))
+    lo, hi = montecarlo._atom_uniforms(kind, cfg)[:2]
+    assert lo < 0.5 < hi
+    uniform_open = montecarlo._uniform_open
+
+    def planted(gen, size, out=None):
+        u = uniform_open(gen, size, out=out)
+        u[0] = 0.5
+        return u
+
+    monkeypatch.setattr(montecarlo, "_uniform_open", planted)
+    assert _uniforms(cfg)[0] == 0.5
+    ybar = whole_array_ybar(cfg)
+    ybar[0] = theta + 1.0 / cfg.point.sqrt_n * ndtri(0.5)
+    assert math.copysign(1.0, ybar[0]) == 1.0
+    assert simulate_estimates(kind, cfg).values.tobytes() == whole_array_estimates(kind, cfg, ybar).tobytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("reps, seed", [(2, 12), (3, 11)])
+def test_a_lone_atom_draw_last_is_not_mapped(kind, reps, seed):
+    # every draw but one lies below the atom range and none above it, so the last value, which ends a short
+    # sub-block, is the atom's and no uniform: the sample must not map it when it is made
+    n, theta, eta, a = MC_CONFIGS[3]
+    cfg = SimConfig(seed=seed, replications=reps, point=ModelPoint(n, theta), tuning=TuningPlan(eta, a))
+    lo, hi = montecarlo._atom_uniforms(kind, cfg)[:2]
+    u = _uniforms(cfg)
+    assert (np.count_nonzero(u < lo), np.count_nonzero(u > hi)) == (reps - 1, 0)
+    emp = simulate_estimates(kind, cfg)
+    assert emp.fraction_at(-cfg.point.sqrt_n * theta) == 1 / reps
+    assert emp.values.tobytes() == whole_array_estimates(kind, cfg, whole_array_ybar(cfg)).tobytes()
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("config, where", [(MC_CONFIGS[3], "close-pair"), (EDGE_CONFIGS["theta-0"], "join")],
                          ids=["close-pair", "join"])
@@ -321,8 +360,8 @@ def test_a_descending_map_is_sorted_by_the_fallback(monkeypatch, kind, config, w
     # ndtri is planted with a step down where the order certificate looks: one unit below its value at the
     # lower uniform of the closest pair below the atom range (0.49*_CLOSE apart here), or 5.0 at the last
     # uniform below it, which then maps past the atom.  The certificate fails, every draw is mapped, the
-    # order check fails, the fallback sorts in total order, and the bytes are the reference's with the
-    # planted draw
+    # order check of a sample built from values fails, the fallback sorts in total order, the check passes,
+    # and the bytes are the reference's with the planted draw
     n, theta, eta, a = config
     cfg = SimConfig(seed=14, replications=2 * BLOCK + 3, point=ModelPoint(n, theta), tuning=TuningPlan(eta, a))
     u = _uniforms(cfg)
@@ -340,16 +379,22 @@ def test_a_descending_map_is_sorted_by_the_fallback(monkeypatch, kind, config, w
         out[at] = z
         return out
 
-    checks = []
+    checks, certified, init = [], montecarlo._certified, EmpiricalCdf.__init__
 
-    def checked(values):
-        checks.append(bool((values[1:] >= values[:-1]).all()))
-        return EmpiricalCdf(values)
+    def certifying(*args):
+        checks.append(("certified", certified(*args)))
+        return checks[-1][1]
+
+    def checked(self, values, _sim=None):
+        if _sim is None:  # the order check runs on values only, not on the simulated sample's uniforms
+            checks.append(("sorted", bool((values[1:] >= values[:-1]).all())))
+        init(self, values, _sim)
 
     monkeypatch.setattr(montecarlo, "ndtri", stepping)
-    monkeypatch.setattr(montecarlo, "EmpiricalCdf", checked)
+    monkeypatch.setattr(montecarlo, "_certified", certifying)
+    monkeypatch.setattr(EmpiricalCdf, "__init__", checked)
     emp = simulate_estimates(kind, cfg)
-    assert checks == [False, True]
+    assert checks == [("certified", False), ("sorted", False), ("sorted", True)]
     ybar = whole_array_ybar(cfg)
     ybar[u == planted] = theta + 1.0 / cfg.point.sqrt_n * z
     assert emp.values.tobytes() == whole_array_estimates(kind, cfg, ybar).tobytes()
@@ -370,23 +415,22 @@ LAZY_CASES += [(name, BATCH + BLOCK + 3) for name in EDGE_CONFIGS]
 @pytest.mark.parametrize("name, reps", LAZY_CASES)
 def test_simulated_sample_reads_as_the_sample_of_its_values(name, reps):
     # the simulated sample maps a draw only where it is read: KS (at the law and at a shifted one) and the
-    # atom count, read before and after KS, equal those of the sample of its values bit for bit, and its
-    # values, read last, are the values
+    # atom count, read before and after KS, equal the whole-array KS and the count of equal values of its
+    # values bit for bit, and its values, read last, are the values
     n, theta, eta, a = LAZY_CONFIGS[name]
     cfg = SimConfig(seed=reps, replications=reps, point=ModelPoint(n, theta), tuning=TuningPlan(eta, a))
     for kind in KINDS:
         values = simulate_estimates(kind, cfg).values
-        eager = EmpiricalCdf(values)
         xs = [-cfg.point.sqrt_n * theta, 0.0, -0.0, values[0], values[reps // 2], values[-1],
               np.nextafter(values[-1], math.inf), math.inf, -math.inf]
-        want = [eager.fraction_at(x) for x in xs]
+        want = [np.count_nonzero(values == x) / reps for x in xs]
         lazy = simulate_estimates(kind, cfg)
-        assert [lazy.fraction_at(x) for x in xs] == want
+        got = [lazy.fraction_at(x) for x in xs]
+        assert got == want and all(type(f) is float for f in got)
         for shift in (0.0, 0.01):
             dist = finite_sample_dist(kind, ModelPoint(n, theta + shift), cfg.tuning)
-            assert ks_distance(lazy, dist).hex() == ks_distance(eager, dist).hex()
+            assert ks_distance(lazy, dist).hex() == whole_array_ks(values, dist).hex()
         assert [lazy.fraction_at(x) for x in xs] == want
-        assert all(type(f) is float for f in want)
         assert lazy.values.tobytes() == values.tobytes()
 
 
@@ -545,9 +589,45 @@ def test_ks_degenerate_atom_law():
     assert ks_distance(emp, dist) < 1.0 / emp.count
 
 
-def test_empirical_cdf_evaluation():
-    emp = EmpiricalCdf(np.array([1.0, 2.0, 2.0, 3.0]))
-    assert emp.fraction_at(2.0) == 0.5
+def _quantiles_with_runs(count, *runs):
+    """count ascending normal quantiles, each run [lo, hi) set to its first value."""
+    values = ndtri((np.arange(count) + 0.5) / count)
+    for lo, hi in runs:
+        values[lo:hi] = values[lo]
+    return values
+
+
+HAND_BUILT = {  # samples built from values: counts about a sub-block, and runs across sub-block edges
+    "1-2-2-3": np.array([1.0, 2.0, 2.0, 3.0]),
+    "count-1": np.array([0.5]),
+    "count-2": np.array([-1.0, 2.0]),
+    "count-63": _quantiles_with_runs(63, (0, 5), (60, 63)),
+    "count-64": _quantiles_with_runs(64, (62, 64)),
+    "count-65": _quantiles_with_runs(65, (60, 65)),
+    "count-129": _quantiles_with_runs(129, (62, 66), (120, 129)),
+    "all-equal": np.full(129, 1.5),
+    "signed-zeros": np.concatenate([-np.ones(30), np.full(40, -0.0), np.zeros(40), np.ones(19)]),
+}
+
+
+@pytest.mark.parametrize("name", HAND_BUILT)
+def test_empirical_cdf_evaluation(name):
+    # every value, its two neighbouring floats, both zeros and points below the least and above the largest
+    # value: the searches equal np.searchsorted's and the atom count that of the equal values, for a float
+    # and for an array, and KS equals the whole-array KS
+    values = HAND_BUILT[name]
+    emp, count = EmpiricalCdf(values.copy()), values.size
+    xs = np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf),
+                         [values[0] - 1.0, values[-1] + 1.0, -np.inf, np.inf, 0.0, -0.0]])
+    for side in ("left", "right"):
+        want = np.searchsorted(values, xs, side=side)
+        assert emp._searchsorted(xs, side).tolist() == want.tolist()
+        assert [emp._searchsorted(x, side) for x in xs.tolist()] == want.tolist()
+    want = [np.count_nonzero(values == x) / count for x in xs.tolist()]
+    assert [emp.fraction_at(x) for x in xs.tolist()] == want and emp.fraction_at(xs).tolist() == want
+    dist = MixtureDistribution(atoms=(), pieces=(GaussPiece(1.0, 0.0, -math.inf, math.inf),))
+    assert ks_distance(emp, dist).hex() == whole_array_ks(values, dist).hex()
+    assert emp.values.tobytes() == values.tobytes()
     with pytest.raises(ValueError, match="sorted"):
         EmpiricalCdf(np.array([2.0, 1.0]))
 

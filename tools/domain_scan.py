@@ -4,10 +4,10 @@
 
 The grid is 3 kinds x 2 scalings x n in {1, 40, 1e6, 1e18, 1e30} x eta in {1e-300, 1e-150, 1e-8, 0.05, 1,
 1e150, 1e300} x scad a in {2 + 1e-12, 3.7, 1e10} x theta/eta in {0, -+0.5, -+(1 - 1e-12), -+1, -+(1 + 1e-12),
--+2, -+3.7, -+5, -+1e6}: 10,710 laws.  Each law is probed as `_assert_cdf_matches_map_oracle` in
-`tests/test_finite_dist.py` probes it: at 6 points in standard units, at each piece end and its two neighbouring
-floats, and 1e-9 either side of the atom, against `tests/oracles.map_tails` with the same bound.  A law meets
-the bound at every probe, misses it at one probe at least, or raises a ValueError as it is built.
+-+2, -+3.7, -+5, -+1e6}: 10,710 laws.  Each law is probed as the tests probe it, at the
+`tests/oracles.map_probe_points` of 6 points in standard units: each piece end and its two neighbouring floats,
+and 1e-9 either side of the atom, against `map_tails` within `map_cdf_bound` (and `MAP_SF_BOUND` on 1 - cdf).
+A law meets the bound at every probe, misses it at one probe at least, or raises a ValueError as it is built.
 
 It prints (meet, miss, raise) by (kind, scaling) and in total, the misses by how many times the bound they
 reach, the worst miss, and each raise message with its count and its first cell.  It takes about a minute or
@@ -17,7 +17,6 @@ more on one core, and imports the library from `src/` and the oracle from `tests
 from __future__ import annotations
 
 import collections
-import math
 import re
 import sys
 import warnings
@@ -26,14 +25,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-import mpmath  # noqa: E402
 import numpy as np  # noqa: E402
-from oracles import map_tails  # noqa: E402
+from oracles import MAP_SF_BOUND, map_cdf_bound, map_probe_points, map_tails  # noqa: E402
 
 from shrinkdist.estimators import EstimatorKind, TuningPlan  # noqa: E402
 from shrinkdist.finite_dist import LAWS, ModelPoint  # noqa: E402
 
-EPS = 2.0**-52
 STEPS = (-10.0, -2.0, -0.5, 0.5, 2.0, 10.0)  # probe points in standard units
 RATIOS = (0.0, 0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 2.0, 3.7, 5.0, 1e6)  # |theta|/eta
 GRID = {"n": (1, 40, 10**6, 10**18, 10**30), "eta": (1e-300, 1e-150, 1e-8, 0.05, 1.0, 1e150, 1e300),
@@ -58,18 +55,13 @@ def probe(kind, scaling, n, theta, eta, a):
         dist = LAWS[scaling](kind, ModelPoint(n, theta), TuningPlan(eta, a))
     except ValueError as err:
         return str(err)
-    unit = 1.0 if scaling == "sqrt_n" else 1.0 / (math.sqrt(n) * eta)
-    atom = dist.atoms[0].loc
-    ends = np.array([b for b in dist.breakpoints() if b != atom])
     with np.errstate(over="ignore", invalid="ignore"):  # unit and the atom's neighbours may leave the floats
-        xs = np.concatenate([np.asarray(STEPS) * unit, ends, np.nextafter(ends, -np.inf),
-                             np.nextafter(ends, np.inf), atom + np.array([-1e-9, 1e-9]) * max(1.0, abs(atom))])
-        xs = xs[np.isfinite(xs) & (np.abs(xs - atom) > 1e-12 * max(1.0, abs(atom)))]
+        xs = map_probe_points(dist, n, eta, scaling, STEPS)
     worst = 0.0
     for x, got in zip(xs.tolist(), dist.cdf(xs).tolist()):
         want, want_sf = map_tails(kind, n, theta, eta, a, x, scaling)
-        bound = 1e-300 if want < 1e-290 else 4 * EPS * (1 - 2 * mpmath.log(want)) * want
-        worst = max(worst, float(abs(got - want) / bound), float(abs(1.0 - got - want_sf) / (4 * EPS)))
+        worst = max(worst, float(abs(got - want) / map_cdf_bound(want)),
+                    float(abs(1.0 - got - want_sf) / MAP_SF_BOUND))
     return worst
 
 
