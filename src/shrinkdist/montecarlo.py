@@ -20,15 +20,15 @@ sampler at both its ends.  The draws in the range get the atom's value
 without `ndtri` or the estimate.  The map from a uniform to the scaled
 error is nondecreasing but for ulp steps of `ndtri`, so `simulate_estimates`
 sorts the uniforms outside the range and keeps them as they are: the sample,
-an `EmpiricalCdf` like one built from values, maps a draw when it is first
-read, and the KS distance and the atom count read only the sub-block edges
-and a few sub-blocks.  On the draws of acceptance criterion 02 that maps
-about 5% of the draws outside the range, where the whole map took them
-all.  That the mapped sample is sorted is certified up front: two uniforms
-at least `_CLOSE` = 2^-30 apart have quantiles at least 2.3e-9 apart, over
-10^6 times `ndtri`'s largest step down, so only the pairs closer than that
-(about 930 among 10^6 uniforms spread over (0, 1)) and the two joins with
-the atom are mapped and compared.
+an `EmpiricalCdf` like one built from values, flags them and maps a value
+the first time it is read, and the KS distance and the atom count read
+only the sub-block edges and a few sub-blocks.  On the draws of acceptance
+criterion 02 that maps about 5% of the draws outside the range, where the
+whole map took them all.  That the mapped sample is sorted is certified
+once it is made: two uniforms at least `_CLOSE` = 2^-30 apart have
+quantiles at least 2.3e-9 apart, over 10^6 times `ndtri`'s largest step
+down, so only the pairs closer than that (about 930 among 10^6 uniforms
+spread over (0, 1)) and the two joins with the atom are read and compared.
 
 The KS distance first bounds the gaps in each sub-block of `_SUB` values
 from the model at the sub-block's two ends (arrays 1/`_SUB` of the
@@ -82,6 +82,9 @@ class SimConfig:
     def __post_init__(self):
         object.__setattr__(self, "replications", _check_count(self.replications, "replications"))
         object.__setattr__(self, "seed", _check_seed(self.seed))
+        for name, form in (("point", ModelPoint), ("tuning", TuningPlan)):
+            if not isinstance(getattr(self, name), form):
+                raise ValueError(f"{name} must be a {form.__name__} (got {getattr(self, name)!r})")
         if isinstance(self.point.theta, tuple):  # each draw of a simulation is at the one theta
             raise ValueError("a simulation takes a point of one theta, not a batch of points")
 
@@ -92,13 +95,13 @@ class EmpiricalCdf:
     A simulated sample maps its draws from their uniforms only where they are
     read.  Its array holds the sorted uniforms outside the atom range at its
     two ends, [0, front) and [back, count), and the atom's values between
-    them; `_certified` has shown that the mapped sample is sorted.  The first
-    and last value of every sub-block of `_SUB` values are mapped in place
-    when the sample is made, so the sub-block lasts narrow a search to one
-    sub-block.  A sub-block's other uniforms are mapped in place, once, when
-    one of them is read.  The map is elementwise, so every value is that of
-    mapping the whole array.  A sample built from values is checked here and
-    holds no uniform (front = 0, back = count): no sub-block is left to map.
+    them; `_certified` shows that the mapped sample is sorted.  One flag per
+    value marks the uniforms not yet mapped, and a value is mapped in place,
+    once, the first time it is read: `_searchsorted` reads the sub-block
+    lasts to narrow a search to one sub-block, then that sub-block.  The map
+    is elementwise, so every value is that of mapping the whole array.  A
+    sample built from values is checked here and holds no uniform (front = 0,
+    back = count): no value is flagged.
     """
 
     def __init__(self, values, _sim=None):
@@ -113,22 +116,15 @@ class EmpiricalCdf:
                 raise ValueError(f"values {problem}")
             _sim = (None, None, 0, v.size)
         kind, cfg, front, back = _sim  # `simulate_estimates`' estimator, config and ends of the uniforms
-        self._v, self._kind, self._cfg, self._front, self._back = v, kind, cfg, front, back
-        count = v.size
-        self._raw = np.zeros(-(-count // _SUB), dtype=bool)  # the sub-blocks that hold uniforms
-        self._raw[:-(-front // _SUB)] = True
-        if back < count:
-            self._raw[back // _SUB:] = True
-        for lo, hi in ((0, front), (back, count)):  # each end's firsts, then its lasts, as strided views
-            for edge in (0, _SUB - 1):
-                _scaled_errors(kind, cfg, v[lo + (edge - lo) % _SUB:hi:_SUB])
-        if count % _SUB > 1 and not front <= count - 1 < back:  # the last value ends a short sub-block
-            _scaled_errors(kind, cfg, v[-1:])
+        self._v, self._kind, self._cfg = v, kind, cfg
+        self._raw = np.ones(v.size, dtype=bool)  # the values still held as their uniforms
+        self._raw[front:back] = False
 
     @property
     def values(self) -> np.ndarray:
         """The sorted sample; the first read maps every draw still held as its uniform, in place."""
-        self._map_subblocks(np.flatnonzero(self._raw))
+        for lo in range(0, self.count, _BLOCK):  # a block of flags at a time, so no index array is full-length
+            self._map(np.flatnonzero(self._raw[lo:lo + _BLOCK]) + lo)
         return self._v
 
     @property
@@ -142,38 +138,31 @@ class EmpiricalCdf:
 
     def _at(self, idx: np.ndarray) -> np.ndarray:
         """The sample's values at the indices idx."""
-        # a sub-block edge is mapped already; any other index maps the rest of its sub-block first
-        r = idx & (_SUB - 1)  # idx % _SUB: _SUB is a power of two
-        self._map_subblocks(idx[(r != 0) & (r != _SUB - 1) & (idx != self.count - 1)] // _SUB)
+        self._map(idx)
         return self._v[idx]
 
     def _searchsorted(self, x, side: str):
         """`np.searchsorted` of x in the sample."""
-        # the sub-block lasts (mapped) find each answer's sub-block; past the last value it is the last
-        # sub-block, whose mapped values all lie below x, so the answer is the count appended after them
-        count, lasts = self.count, self._v[_SUB - 1::_SUB]
-        if count % _SUB:
-            lasts = np.append(lasts, self._v[-1])
-        hit = np.zeros(lasts.size, dtype=bool)
-        hit[np.minimum(np.searchsorted(lasts, x, side=side), lasts.size - 1)] = True
-        subs = np.flatnonzero(hit)
-        self._map_subblocks(subs)
-        pos = np.minimum(subs[:, None] * _SUB + np.arange(_SUB), count - 1).ravel()
-        return np.append(pos, count)[np.searchsorted(self._v[pos], x, side=side)]
+        # the lasts of the whole sub-blocks, mapped and then searched in place, find each answer's sub-block;
+        # past them it is the short sub-block after them, if any, and past its values the count appended
+        count = self.count
+        self._map(np.flatnonzero(self._raw[_SUB - 1::_SUB]) * _SUB + _SUB - 1)
+        hit = np.zeros(count // _SUB + 1, dtype=bool)
+        hit[np.searchsorted(self._v[_SUB - 1::_SUB], x, side=side)] = True
+        pos = (np.flatnonzero(hit)[:, None] * _SUB + np.arange(_SUB)).ravel()
+        pos = pos[pos < count]
+        return np.append(pos, count)[np.searchsorted(self._at(pos), x, side=side)]
 
-    def _map_subblocks(self, subs: np.ndarray) -> None:
-        """Map in place the uniforms inside the sub-blocks subs (in any order, with repeats), a block's worth of
-        sub-blocks at a time."""
-        todo = np.zeros_like(self._raw)
-        todo[subs] = self._raw[subs]
-        self._raw[subs] = False
-        subs = np.flatnonzero(todo)
-        for i in range(0, subs.size, _BLOCK // _SUB):
-            pos = (subs[i:i + _BLOCK // _SUB, None] * _SUB + np.arange(1, _SUB - 1)).ravel()
-            pos = pos[(pos < self.count - 1) & ((pos < self._front) | (pos >= self._back))]
-            u = self._v[pos]
-            _scaled_errors(self._kind, self._cfg, u)
-            self._v[pos] = u
+    def _map(self, idx: np.ndarray) -> None:
+        """Map the flagged values at the indices idx to sqrt(n)*(estimate - theta) at their draws of ybar, in
+        place, a block's worth of indices at a time, and clear their flags.  idx may come in any order; an index
+        repeated in one block is mapped once per repeat in the gathered copy, to the same value."""
+        for pos in (idx[lo:lo + _BLOCK] for lo in range(0, idx.size, _BLOCK)):
+            pos = pos[self._raw[pos]]
+            self._raw[pos] = False
+            if pos.size:  # no call where nothing is flagged, as in a sample built from values
+                est = estimate(self._kind, _ybar(self._v[pos], self._cfg.point), self._cfg.tuning)
+                self._v[pos] = (est - self._cfg.point.theta) * self._cfg.point.sqrt_n
 
 
 def _uniform_open(gen: np.random.Generator, size, out=None) -> np.ndarray:
@@ -203,13 +192,6 @@ def _ybar(u: np.ndarray, point: ModelPoint) -> np.ndarray:
     u *= 1.0 / point.sqrt_n
     u += point.theta
     return u
-
-
-def _scaled_errors(kind: EstimatorKind, cfg: SimConfig, u: np.ndarray) -> None:
-    """Overwrite the uniforms u, a block at a time, with sqrt(n)*(estimate - theta) at their draws of ybar."""
-    for block in (u[lo:lo + _BLOCK] for lo in range(0, u.size, _BLOCK)):
-        np.subtract(estimate(kind, _ybar(block, cfg.point), cfg.tuning), cfg.point.theta, out=block)
-        block *= cfg.point.sqrt_n
 
 
 def _grid_index(z: float, up: bool) -> int:
@@ -273,8 +255,8 @@ def sample_ybar(cfg: SimConfig) -> np.ndarray:
     return out
 
 
-def _certified(kind: EstimatorKind, cfg: SimConfig, vals: np.ndarray, front: int, back: int) -> bool:
-    """Whether mapping the uniforms of `simulate_estimates`' array in place would leave it sorted.
+def _certified(emp: EmpiricalCdf, front: int, back: int) -> bool:
+    """Whether `simulate_estimates`' sample, its uniforms at [0, front) and [back, count), is sorted once mapped.
 
     The map is nondecreasing but for `ndtri`, whose computed value can step
     down by a few ulps (8.9e-16 at most among 4*10**6 neighbouring grid
@@ -282,21 +264,17 @@ def _certified(kind: EstimatorKind, cfg: SimConfig, vals: np.ndarray, front: int
     sqrt(2*pi)*(u2 - u1) between u1 < u2, 2.3e-9 for a gap of `_CLOSE`, so a
     pair that far apart could step down only if `ndtri` were off by about
     1e-9.  Each pair of neighbouring uniforms closer than that, found a block
-    at a time, and the two joins with the atom are mapped and compared.
+    at a time among the uniforms not yet mapped, and the two joins with the
+    atom are read through `_at`, which maps them in place, and compared.
     """
-    count = vals.size
+    count, vals = emp.count, emp._v
     left = [np.array([i for i in {front - 1, back - 1} if 0 <= i < count - 1], dtype=int)]  # the joins
     for lo, hi in ((0, front), (back, count)):
         for s in range(lo, hi - 1, _BLOCK):
             u = vals[s:min(s + _BLOCK + 1, hi)]
             left.append(np.flatnonzero(u[1:] - u[:-1] < _CLOSE) + s)
-    i = np.concatenate(left)  # no repeats: a close pair lies inside an end, a join across one
-    pair = np.concatenate([i, i + 1])
-    mapped, raw = vals[pair], (pair < front) | (pair >= back)
-    u = mapped[raw]
-    _scaled_errors(kind, cfg, u)
-    mapped[raw] = u
-    return bool((mapped[:i.size] <= mapped[i.size:]).all())
+    i = np.concatenate(left)
+    return bool((emp._at(i) <= emp._at(i + 1)).all())
 
 
 def simulate_estimates(kind: EstimatorKind, cfg: SimConfig) -> EmpiricalCdf:
@@ -307,13 +285,13 @@ def simulate_estimates(kind: EstimatorKind, cfg: SimConfig) -> EmpiricalCdf:
     the one output array and those above it at the back, and the atom's
     draws are only counted (at theta = +0.0, soft and scad give -0.0 below
     u = 1/2).  Each end is sorted in place, and the middle gets the atom's
-    value, -0.0 first.  The map is nondecreasing but for an ulp step of
-    `ndtri`, so where `_certified` shows the mapped array sorted, the array
-    and its ends go to `EmpiricalCdf`, which maps each draw only when it is
-    read.  Otherwise every draw is mapped, `EmpiricalCdf` checks the order of
-    the values, and where it fails the array is sorted again, its zeros by
-    sign.  Each value is that of the whole-array expression over
-    `sample_ybar`, bit for bit.
+    value, -0.0 first.  The array and its ends go to `EmpiricalCdf`, which
+    maps each draw when it is first read.  The map is nondecreasing but for
+    an ulp step of `ndtri`, so where `_certified` shows the mapped sample
+    sorted, it is returned.  Otherwise every draw is mapped, `EmpiricalCdf`
+    checks the order of the values, and where it fails the array is sorted
+    again, its zeros by sign.  Each value is that of the whole-array
+    expression over `sample_ybar`, bit for bit.
     """
     vals = np.empty(cfg.replications)
     lo, hi, fill_lo, fill_hi = _atom_uniforms(kind, cfg)
@@ -330,9 +308,10 @@ def simulate_estimates(kind: EstimatorKind, cfg: SimConfig) -> EmpiricalCdf:
     vals[front + negative:back] = fill_hi
     vals[:front].sort()
     vals[back:].sort()
-    if _certified(kind, cfg, vals, front, back):  # before the sample maps its sub-block edges in place
-        return EmpiricalCdf(vals, _sim=(kind, cfg, front, back))
-    vals = EmpiricalCdf(vals, _sim=(kind, cfg, front, back)).values
+    emp = EmpiricalCdf(vals, _sim=(kind, cfg, front, back))
+    if _certified(emp, front, back):
+        return emp
+    vals = emp.values
     try:
         return EmpiricalCdf(vals)
     except ValueError:  # out of order by an ulp of ndtri (a NaN fails the second check too)
@@ -370,6 +349,7 @@ def ks_distance(emp: EmpiricalCdf, dist: MixtureDistribution) -> float:
     most one that is taken, so the distance is that of one whole-array pass
     over every run, bit for bit.
     """
+    dist._single_law("ks_distance")
     at, count = emp._at, emp.count
     end = np.append(np.arange(_SUB, count, _SUB), count)  # one past each sub-block
     lasts = at(end - 1)

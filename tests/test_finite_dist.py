@@ -41,6 +41,7 @@ from shrinkdist.finite_dist import (
     scaled_risk,
 )
 from shrinkdist.limits import conservative_limit, consistent_limit
+from shrinkdist.montecarlo import EmpiricalCdf, ks_distance
 from shrinkdist.normal_kernel import norm_cdf, norm_pdf
 from shrinkdist.selection import PowerTuningPath, RegimeSpec
 
@@ -873,11 +874,14 @@ def test_batch_rejects_x_of_another_shape(method):
             getattr(batch, method)(x)
 
 
-@pytest.mark.parametrize("method", ["second_moment", "breakpoints", "to_json"])
+@pytest.mark.parametrize("method", ["second_moment", "breakpoints", "to_json", "ks_distance"])
 def test_single_law_methods_reject_a_batch(method):
     batch = finite_sample_dist(EstimatorKind.SCAD, ModelPoint(40, [0.1, 0.2]), FIG_TUNING)
-    with pytest.raises(ValueError, match="single law"):
-        getattr(batch, method)()
+    if method == "ks_distance":  # on this sample the batch's walk gave a number next to its first law's distance
+        batch = finite_sample_dist(EstimatorKind.SOFT, ModelPoint(40, [0.1, 0.5]), TuningPlan(0.3))
+    call = getattr(batch, method, lambda: ks_distance(EmpiricalCdf(np.repeat([-1.5, 1.5], 64)), batch))
+    with pytest.raises(ValueError, match=f"^{method} takes a single law, not a batch of laws$"):
+        call()
 
 
 def test_batch_equality_compares_every_record_field():

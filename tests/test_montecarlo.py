@@ -249,8 +249,8 @@ def _uniforms(cfg):
 @pytest.mark.parametrize("kind", KINDS)
 def test_uncertified_range_skips_nothing(monkeypatch, kind):
     # a negative margin pushes the ends outward, past the atom: the pipeline's estimate there is not 0,
-    # so the range is refused, and besides the order certificate's close pairs every draw goes through
-    # ndtri and the estimate once, by the time the values are read
+    # so the range is refused: the order certificate maps its close pairs in place, and every draw goes
+    # through ndtri and the estimate once, by the time the values are read
     monkeypatch.setattr(montecarlo, "_SKIP_MARGIN", -1e-3)
     cfg = SimConfig(seed=8, replications=BLOCK + 1, point=ModelPoint(100, 0.0), tuning=TuningPlan(0.196))
     assert montecarlo._atom_uniforms(kind, cfg) == montecarlo._NO_ATOM
@@ -260,15 +260,15 @@ def test_uncertified_range_skips_nothing(monkeypatch, kind):
     emp = simulate_estimates(kind, cfg)
     assert sum(sizes) < 2 + 2 * close + cfg.replications // 10
     assert emp.values.tobytes() == whole_array_estimates(kind, cfg, whole_array_ybar(cfg)).tobytes()
-    assert sum(sizes) == 2 + 2 * close + cfg.replications
+    assert sum(sizes) == 2 + cfg.replications
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("config, share", [(EDGE_CONFIGS["all-atom"], 1e-5), (EDGE_CONFIGS["theta-0"], 0.05),
                                            (MC_CONFIGS[3], 0.05)], ids=["all-atom", "theta-0", "atom-0.11"])
 def test_ndtri_sees_only_draws_outside_the_atom_range(monkeypatch, kind, config, share):
-    # the two certification points, the close pairs and joins of the order certificate, and each sub-block's
-    # first and last draw outside the range; then KS and the atom count map a few more, each draw once.
+    # the two certification points, then, when the sample is made, each distinct uniform of the order
+    # certificate's close pairs and joins; then KS and the atom count map a few more, each draw once.
     # At sqrt(n)*eta = 10 the range leaves out 2.9e-7 of the uniforms, at sqrt(n)*eta = 1.96 about 5%
     # and at n = 25, theta = -0.3 about 89%; in both of those KS and the atom count leave the mapped
     # draws at 3.8% of the sample, where the whole-sample map took 5% and 89%
@@ -278,24 +278,25 @@ def test_ndtri_sees_only_draws_outside_the_atom_range(monkeypatch, kind, config,
     u = _uniforms(cfg)
     below, above = np.sort(u[u < lo]), np.sort(u[u > hi])
     count, front, back = u.size, below.size, u.size - above.size
-    close = sum(np.count_nonzero(np.diff(end) < montecarlo._CLOSE) for end in (below, above))
-    outside = lambda i: i < front or i >= back
-    joins = sum(outside(i) + outside(i + 1) for i in {front - 1, back - 1} if 0 <= i < count - 1)  # mapped ends
-    edges = np.union1d(np.arange(0, count, SUB), np.append(np.arange(SUB - 1, count, SUB), count - 1))
-    edges = edges[(edges < front) | (edges >= back)]
+    held = np.concatenate([below, np.full(back - front, np.nan), above])
+    left = np.concatenate([np.flatnonzero(np.diff(below) < montecarlo._CLOSE),
+                           back + np.flatnonzero(np.diff(above) < montecarlo._CLOSE),
+                           [i for i in {front - 1, back - 1} if 0 <= i < count - 1]]).astype(int)  # pairs, joins
+    certified = np.union1d(left, left + 1)
+    certified = certified[(certified < front) | (certified >= back)]
     mapped = []
     monkeypatch.setattr(montecarlo, "ndtri", lambda u, out=None: mapped.append(u.copy()) or ndtri(u, out=out))
     emp = simulate_estimates(kind, cfg)
     sizes = [m.size for m in mapped]
-    assert sizes[0] == 2 and sum(sizes[1:]) == 2 * close + joins + edges.size
-    mapped.clear()
+    assert sizes[0] == 2 and np.sort(np.concatenate(mapped[1:] or [[]])).tobytes() == held[certified].tobytes()
+    if front == 0 and back == count:  # every uniform in the range: the sample maps nothing
+        assert sizes == [2]
     ks_distance(emp, finite_sample_dist(kind, cfg.point, cfg.tuning))
     emp.fraction_at(-cfg.point.sqrt_n * theta)
-    assert sum(sizes[1:]) + sum(m.size for m in mapped) <= share * cfg.replications
+    assert sum(m.size for m in mapped[1:]) <= share * cfg.replications
     emp.values
-    # the edges, then every other draw outside the range once: together, each outside uniform exactly once
-    held = np.concatenate([below, np.full(back - front, np.nan), above])
-    once = np.sort(np.concatenate([held[edges], *mapped]))
+    # from the sample's making on, each outside uniform exactly once
+    once = np.sort(np.concatenate(mapped[1:] or [[]]))
     assert once.tobytes() == np.sort(np.concatenate([below, above])).tobytes()
 
 
@@ -342,7 +343,7 @@ def test_a_draw_at_one_half_is_plus_zero(monkeypatch, kind):
 @pytest.mark.parametrize("reps, seed", [(2, 12), (3, 11)])
 def test_a_lone_atom_draw_last_is_not_mapped(kind, reps, seed):
     # every draw but one lies below the atom range and none above it, so the last value, which ends a short
-    # sub-block, is the atom's and no uniform: the sample must not map it when it is made
+    # sub-block, is the atom's and no uniform: the sample must not map it
     n, theta, eta, a = MC_CONFIGS[3]
     cfg = SimConfig(seed=seed, replications=reps, point=ModelPoint(n, theta), tuning=TuningPlan(eta, a))
     lo, hi = montecarlo._atom_uniforms(kind, cfg)[:2]
@@ -354,16 +355,19 @@ def test_a_lone_atom_draw_last_is_not_mapped(kind, reps, seed):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("config, where", [(MC_CONFIGS[3], "close-pair"), (EDGE_CONFIGS["theta-0"], "join")],
-                         ids=["close-pair", "join"])
-def test_a_descending_map_is_sorted_by_the_fallback(monkeypatch, kind, config, where):
+@pytest.mark.parametrize("config, where, reps, seed", [(MC_CONFIGS[3], "close-pair", 2 * BLOCK + 3, 14),
+                                                      (EDGE_CONFIGS["theta-0"], "join", 2 * BLOCK + 3, 14),
+                                                      (MC_CONFIGS[3], "join", 2, 12)],
+                         ids=["close-pair", "join", "join-at-index-0"])
+def test_a_descending_map_is_sorted_by_the_fallback(monkeypatch, kind, config, where, reps, seed):
     # ndtri is planted with a step down where the order certificate looks: one unit below its value at the
     # lower uniform of the closest pair below the atom range (0.49*_CLOSE apart here), or 5.0 at the last
-    # uniform below it, which then maps past the atom.  The certificate fails, every draw is mapped, the
-    # order check of a sample built from values fails, the fallback sorts in total order, the check passes,
-    # and the bytes are the reference's with the planted draw
+    # uniform below it, which then maps past the atom (in the last case the only uniform below it, at index
+    # 0, before one atom draw).  The certificate fails, every draw is mapped, the order check of a sample
+    # built from values fails, the fallback sorts in total order, the check passes, and the bytes are the
+    # reference's with the planted draw
     n, theta, eta, a = config
-    cfg = SimConfig(seed=14, replications=2 * BLOCK + 3, point=ModelPoint(n, theta), tuning=TuningPlan(eta, a))
+    cfg = SimConfig(seed=seed, replications=reps, point=ModelPoint(n, theta), tuning=TuningPlan(eta, a))
     u = _uniforms(cfg)
     below = np.sort(u[u < montecarlo._atom_uniforms(kind, cfg)[0]])
     if where == "close-pair":
@@ -400,6 +404,56 @@ def test_a_descending_map_is_sorted_by_the_fallback(monkeypatch, kind, config, w
     assert emp.values.tobytes() == whole_array_estimates(kind, cfg, ybar).tobytes()
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_draw_below_the_range_that_maps_into_the_atom_is_certified(monkeypatch, kind):
+    # the range is pulled inward from the atom's ends, so the grid point just below it maps to the atom's
+    # value too: planted first in the stream, it is the last value below the range and equals its join with
+    # the atom, which the certificate accepts, so the sample is made without mapping every draw
+    n, theta, eta, a = MC_CONFIGS[3]
+    cfg = SimConfig(seed=15, replications=BLOCK - 3, point=ModelPoint(n, theta), tuning=TuningPlan(eta, a))
+    lo = montecarlo._atom_uniforms(kind, cfg)[0]
+    uniform_open = montecarlo._uniform_open
+
+    def planted(gen, size, out=None):
+        u = uniform_open(gen, size, out=out)
+        u[0] = lo - 2.0**-53
+        return u
+
+    monkeypatch.setattr(montecarlo, "_uniform_open", planted)
+    ybar = whole_array_ybar(cfg)
+    ybar[0] = theta + 1.0 / cfg.point.sqrt_n * ndtri(lo - 2.0**-53)
+    assert estimate(kind, ybar[:1], cfg.tuning)[0] == 0.0
+    sizes = []
+    monkeypatch.setattr(montecarlo, "ndtri", lambda u, out=None: sizes.append(u.size) or ndtri(u, out=out))
+    emp = simulate_estimates(kind, cfg)
+    assert sum(sizes) < cfg.replications // 10  # about 89% of the draws lie outside the range
+    assert emp.values.tobytes() == whole_array_estimates(kind, cfg, ybar).tobytes()
+
+
+@pytest.mark.parametrize("at", [None, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 2])
+def test_the_certificate_finds_a_close_pair_next_to_any_block_edge(monkeypatch, at):
+    # hand-built uniforms 2**-20 apart, but for the pair at (at - 1, at), 2**-40 apart, whose upper uniform
+    # ndtri maps one unit lower: the certificate, which scans the uniforms a block (and one) at a time,
+    # agrees with the order of the whole mapped array at each pair next to a block edge, and with none
+    count = 2 * BLOCK + 3
+    u = (np.arange(count) + 1.0) * 2.0**-20
+    if at is not None:
+        u[at] = u[at - 1] + 2.0**-40
+    step = math.nan if at is None else u[at]
+
+    def stepping(x, out=None):
+        planted = x == step
+        out = ndtri(x, out=out)
+        out[planted] -= 1.0
+        return out
+
+    cfg = SimConfig(seed=1, replications=count, point=ModelPoint(25, -0.3), tuning=TuningPlan(0.08, 2.5))
+    monkeypatch.setattr(montecarlo, "ndtri", stepping)
+    emp = EmpiricalCdf(u.copy(), _sim=(EstimatorKind.HARD, cfg, count, count))
+    assert montecarlo._certified(emp, count, count) == (at is None)
+    assert bool((np.diff(emp.values) >= 0.0).all()) == (at is None)
+
+
 LAZY_CONFIGS = {  # (n, theta, eta, scad a)
     **{f"criterion-02-{i}": config for i, config in enumerate(MC_CONFIGS)},
     **EDGE_CONFIGS,
@@ -408,7 +462,7 @@ LAZY_CONFIGS = {  # (n, theta, eta, scad a)
     "a-next-to-2": (25, -0.3, 0.08, 2.0 + 1e-12),
     "every-uniform-in-the-range": (10**30, 0.0, 0.1, 3.7),
 }
-LAZY_CASES = [(name, reps) for name in LAZY_CONFIGS for reps in (1, 2, 63, 65, BLOCK - 1, BLOCK + 1)]
+LAZY_CASES = [(name, reps) for name in LAZY_CONFIGS for reps in (1, 2, 63, 64, 65, BLOCK - 1, BLOCK + 1)]
 LAZY_CASES += [(name, BATCH + BLOCK + 3) for name in EDGE_CONFIGS]
 
 
@@ -531,10 +585,10 @@ def test_pruned_ks_evaluates_a_tenth_of_the_distinct_values(monkeypatch):
 
 @pytest.mark.parametrize("config", [(40, 0.16, 0.05, 3.7), *EDGE_CONFIGS.values()], ids=["figure", *EDGE_CONFIGS])
 def test_blocked_path_peak_memory(config):
-    # the output array is the only full-length allocation: the drawn block and its masks stay
-    # block-sized, and the ends are sorted in place; the KS pass allocates arrays over the
-    # sub-blocks, 1/64 of the sample's length, and then gathers the live sub-blocks a block's
-    # worth at a time
+    # the output array and the sample's flags of its unmapped uniforms (one byte per value) are the
+    # only full-length allocations: the drawn block and its masks stay block-sized, and the ends are
+    # sorted in place; the KS pass allocates arrays over the sub-blocks, 1/64 of the sample's length,
+    # and then gathers the live sub-blocks a block's worth at a time
     n, theta, eta, a = config
     cfg = SimConfig(seed=9, replications=1_000_000, point=ModelPoint(n, theta), tuning=TuningPlan(eta, a))
     dist = finite_sample_dist(EstimatorKind.SCAD, cfg.point, cfg.tuning)
@@ -611,12 +665,16 @@ HAND_BUILT = {  # samples built from values: counts about a sub-block, and runs 
 
 
 @pytest.mark.parametrize("name", HAND_BUILT)
-def test_empirical_cdf_evaluation(name):
+def test_empirical_cdf_evaluation(monkeypatch, name):
     # every value, its two neighbouring floats, both zeros and points below the least and above the largest
     # value: the searches equal np.searchsorted's and the atom count that of the equal values, for a float
-    # and for an array, and KS equals the whole-array KS
+    # and for an array, and KS equals the whole-array KS; a sample built from values holds no uniform, so
+    # ndtri sees no point through any reader
     values = HAND_BUILT[name]
     emp, count = EmpiricalCdf(values.copy()), values.size
+    mapped = []
+    monkeypatch.setattr(montecarlo, "ndtri", lambda u, out=None: mapped.append(u.size) or ndtri(u, out=out))
+    assert emp._at(np.arange(count)).tobytes() == values.tobytes()
     xs = np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf),
                          [values[0] - 1.0, values[-1] + 1.0, -np.inf, np.inf, 0.0, -0.0]])
     for side in ("left", "right"):
@@ -628,6 +686,7 @@ def test_empirical_cdf_evaluation(name):
     dist = MixtureDistribution(atoms=(), pieces=(GaussPiece(1.0, 0.0, -math.inf, math.inf),))
     assert ks_distance(emp, dist).hex() == whole_array_ks(values, dist).hex()
     assert emp.values.tobytes() == values.tobytes()
+    assert mapped == []
     with pytest.raises(ValueError, match="sorted"):
         EmpiricalCdf(np.array([2.0, 1.0]))
 

@@ -36,7 +36,7 @@ from shrinkdist.limits import (
     rescaled_limit,
     weak_convergence_check,
 )
-from shrinkdist.montecarlo import uniform_rate_experiment
+from shrinkdist.montecarlo import SimConfig, uniform_rate_experiment
 from shrinkdist.normal_kernel import _check_reals, gaussian_tv
 from shrinkdist.selection import PowerTuningPath, RegimeSpec, ThetaRule, selection_convergence_table
 
@@ -258,6 +258,19 @@ def test_each_sample_size_is_a_count(site, item):
     name, call, _ = SIZE_LIST_SITES[site]
     with pytest.raises(ValueError, match=rf"^each {name} item must be a positive integer \(got {re.escape(repr(item))}\)$"):
         call([10, item])
+
+
+# an object-valued field takes only its own class, and names itself as an unknown estimator kind does
+@pytest.mark.parametrize("field, value", [
+    ("point", (40, 0.1)), ("point", None), ("point", 40), ("point", TuningPlan(0.05)),
+    ("tuning", 0.05), ("tuning", None), ("tuning", (0.05, 3.7)), ("tuning", ModelPoint(40, 0.1)),
+], ids=["point-tuple", "point-none", "point-int", "point-tuning", "tuning-float", "tuning-none", "tuning-tuple",
+        "tuning-point"])
+def test_a_sim_config_field_of_the_wrong_class_names_itself(field, value):
+    form = {"point": "ModelPoint", "tuning": "TuningPlan"}[field]
+    fields = {"point": ModelPoint(40, 0.1), "tuning": TuningPlan(0.05), field: value}
+    with pytest.raises(ValueError, match=rf"^{field} must be a {form} \(got {re.escape(repr(value))}\)$"):
+        SimConfig(1, 10, **fields)
 
 
 @pytest.mark.parametrize("site", SIZE_LIST_SITES)
