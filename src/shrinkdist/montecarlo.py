@@ -19,10 +19,11 @@ margin far above the rounding of the draw and certified by running the
 sampler at both its ends.  The draws in the range get the atom's value
 without `ndtri` or the estimate.  The map from a uniform to the scaled
 error is nondecreasing but for ulp steps of `ndtri`, so `simulate_estimates`
-sorts the uniforms outside the range and keeps them as they are: the sample,
-an `EmpiricalCdf` like one built from values, flags them and maps a value
-the first time it is read, and the KS distance and the atom count read
-only the sub-block edges and a few sub-blocks.  On the draws of acceptance
+packs the uniforms outside the range into one region, sorts it once, splits
+it at the range's lower end and keeps them as they are: the sample, an
+`EmpiricalCdf` like one built from values, flags them and maps a value the
+first time it is read, and the KS distance and the atom count read only the
+sub-block edges and a few sub-blocks.  On the draws of acceptance
 criterion 02 that maps about 5% of the draws outside the range, where the
 whole map took them all.  That the mapped sample is sorted is certified
 once it is made: two uniforms at least `_CLOSE` = 2^-30 apart have
@@ -32,8 +33,10 @@ spread over (0, 1)) and the two joins with the atom are read and compared.
 
 The KS distance first bounds the gaps in each sub-block of `_SUB` values
 from the model at the sub-block's two ends (arrays 1/`_SUB` of the
-sample's length), then evaluates the model only at the run starts of
-sub-blocks whose bound reaches the largest end gap.  Every skipped gap is
+sample's length), reading each edge value once, then evaluates the model
+only at the run starts of sub-blocks whose bound reaches the largest end
+gap; a run ends at the next run start or at its sub-block's end, known from
+the first pass, so this pass makes no search.  Every skipped gap is
 provably below one that is taken, so the distance keeps its bits.
 """
 
@@ -93,9 +96,10 @@ class EmpiricalCdf:
     """Right-continuous step function through a sorted sample without NaN.
 
     A simulated sample maps its draws from their uniforms only where they are
-    read.  Its array holds the sorted uniforms outside the atom range at its
-    two ends, [0, front) and [back, count), and the atom's values between
-    them; `_certified` shows that the mapped sample is sorted.  One flag per
+    read.  Its array holds the uniforms outside the atom range, sorted as one
+    region and split at the range's lower end, at its two ends, [0, front)
+    and [back, count), and the atom's values between them; `_certified`
+    shows that the mapped sample is sorted.  One flag per
     value marks the uniforms not yet mapped, and a value is mapped in place,
     once, the first time it is read: `_searchsorted` reads the sub-block
     lasts to narrow a search to one sub-block, then that sub-block.  The map
@@ -280,34 +284,42 @@ def _certified(emp: EmpiricalCdf, front: int, back: int) -> bool:
 def simulate_estimates(kind: EstimatorKind, cfg: SimConfig) -> EmpiricalCdf:
     """Empirical law of sqrt(n)*(estimate - theta) from seeded replications.
 
-    The uniforms of `sample_ybar` are drawn a block at a time; those below
-    the certified atom range of `_atom_uniforms` are packed at the front of
-    the one output array and those above it at the back, and the atom's
-    draws are only counted (at theta = +0.0, soft and scad give -0.0 below
-    u = 1/2).  Each end is sorted in place, and the middle gets the atom's
-    value, -0.0 first.  The array and its ends go to `EmpiricalCdf`, which
-    maps each draw when it is first read.  The map is nondecreasing but for
-    an ulp step of `ndtri`, so where `_certified` shows the mapped sample
-    sorted, it is returned.  Otherwise every draw is mapped, `EmpiricalCdf`
-    checks the order of the values, and where it fails the array is sorted
-    again, its zeros by sign.  Each value is that of the whole-array
-    expression over `sample_ybar`, bit for bit.
+    The uniforms of `sample_ybar` are drawn a block at a time; those outside
+    the certified atom range of `_atom_uniforms` are packed, with one mask
+    per block, at the front of the one output array, and the atom's draws
+    are only counted (at theta = +0.0, soft and scad give -0.0 below
+    u = 1/2).  That region is sorted once in place and split at the range's
+    lower end with one `searchsorted`: every uniform below the range sorts
+    before every one above it.  The upper part moves to the back a block at
+    a time from its end, so no temporary is full-length, and the middle gets
+    the atom's value, -0.0 first.  The array and its ends go to
+    `EmpiricalCdf`, which maps each draw when it is first read.  The map is
+    nondecreasing but for an ulp step of `ndtri`, so where `_certified`
+    shows the mapped sample sorted, it is returned.  Otherwise every draw is
+    mapped, `EmpiricalCdf` checks the order of the values, and where it fails
+    the array is sorted again, its zeros by sign.  Each value is that of the
+    whole-array expression over `sample_ybar`, bit for bit.
     """
     vals = np.empty(cfg.replications)
     lo, hi, fill_lo, fill_hi = _atom_uniforms(kind, cfg)
     signed = fill_lo.tobytes() != fill_hi.tobytes()  # then lo < 1/2 <= hi
-    front, back, negative = 0, vals.size, 0
+    outside = half = 0
     for _, block in _uniform_blocks(cfg):
-        below, above = block < lo, block > hi
-        nb, na = np.count_nonzero(below), np.count_nonzero(above)
-        np.compress(below, block, out=vals[front:front + nb])
-        np.compress(above, block, out=vals[back - na:back])
-        negative += np.count_nonzero(block < 0.5) - nb if signed else 0
-        front, back = front + nb, back - na
+        keep = (block < lo) | (block > hi)
+        size = np.count_nonzero(keep)
+        np.compress(keep, block, out=vals[outside:outside + size])
+        half += np.count_nonzero(block < 0.5) if signed else 0
+        outside += size
+    vals[:outside].sort()
+    # the upper part moves from its end, a block at a time: each copy's source is read before it is overwritten
+    front, atom = int(np.searchsorted(vals[:outside], lo)), vals.size - outside
+    for end in range(outside, front, -_BLOCK):
+        start = max(end - _BLOCK, front)
+        vals[start + atom:end + atom] = vals[start:end]
+    back = front + atom
+    negative = half - front if signed else 0  # the atom's draws below u = 1/2
     vals[front:front + negative] = fill_lo
     vals[front + negative:back] = fill_hi
-    vals[:front].sort()
-    vals[back:].sort()
     emp = EmpiricalCdf(vals, _sim=(kind, cfg, front, back))
     if _certified(emp, front, back):
         return emp
@@ -333,21 +345,26 @@ def ks_distance(emp: EmpiricalCdf, dist: MixtureDistribution) -> float:
     The model is evaluated only where the sup can sit.  The sample is cut
     into sub-blocks of `_SUB` values, and each one that holds a run start
     gets one cdf value at its last value and one left limit at its first.
-    Their gaps are terms of the distance, so their max is a lower bound on
-    it.  The cdf is nondecreasing, so every gap at a value from `first` to
-    `last` is at most max(F(last) - start/N, end/N - F_left(first)), where
-    `start` counts the values below `first` and `end` those up to `last`.
-    A sub-block whose bound plus `_SLACK` (the cdf's rounding is about
-    1e-15) does not exceed the lower bound holds no gap above it, and its
-    run starts are skipped.
+    Only a run across an edge needs a search for its count, and the edge
+    values are read once: the value before an opening sub-block is the last
+    of the one before it, and the value after it is the first of the next,
+    which is this last value unless the next sub-block opens.  Their gaps
+    are terms of the distance, so their max is a lower bound on it.  The cdf
+    is nondecreasing, so every gap at a value from `first` to `last` is at
+    most max(F(last) - start/N, end/N - F_left(first)), where `start` counts
+    the values below `first` and `end` those up to `last`.  A sub-block
+    whose bound plus `_SLACK` (the cdf's rounding is about 1e-15) does not
+    exceed the lower bound holds no gap above it, and its run starts are
+    skipped.
 
     The live sub-blocks are then gathered `_BLOCK // _SUB` at a time, so
-    no temporary outgrows a block: their run starts give one cdf call and
-    its left limits, and each run ends where one `searchsorted` finds the
-    next larger value.  A point's cdf value does not depend on the other
-    points of its call, each gap is elementwise, and a skipped gap is at
-    most one that is taken, so the distance is that of one whole-array pass
-    over every run, bit for bit.
+    no temporary outgrows a block, and each live value is read once: their
+    run starts give one cdf call and its left limits, and each run ends at
+    the next run start in its sub-block, or, for a sub-block's last run, at
+    the count the first pass found, with no search.  A point's cdf value
+    does not depend on the other points of its call, each gap is
+    elementwise, and a skipped gap is at most one that is taken, so the
+    distance is that of one whole-array pass over every run, bit for bit.
     """
     dist._single_law("ks_distance")
     at, count = emp._at, emp.count
@@ -359,24 +376,32 @@ def ks_distance(emp: EmpiricalCdf, dist: MixtureDistribution) -> float:
     first, last = at(start), lasts[opens]
     del lasts
     # start and end become the counts of values below first and up to last: only a run across an edge needs a search
-    cross = at(np.maximum(start - 1, 0)) == first
-    start[cross] = emp._searchsorted(first[cross], "left")
-    cross = at(np.minimum(end, count - 1)) == last
+    tie = first[1:] == last[:-1]
+    entered = np.append(False, tie)  # a run enters the sub-block from the one before
+    start[entered] = emp._searchsorted(first[entered], "left")
+    cross = np.append(tie | (opens[1:] > opens[:-1] + 1), opens[-1] < (count - 1) // _SUB)
     end[cross] = emp._searchsorted(last[cross], "right")
     model_last, model_first = dist.cdf(last), dist.cdf_left(first)
     gap = max(np.max(np.abs(model_last - end / count)), np.max(np.abs(model_first - start / count)))
-    bound = np.maximum(model_last - start / count, end / count - model_first)
-    live = opens[bound + _SLACK > gap]
-    del start, end, first, last, model_last, model_first, bound  # freed so the gather's arrays do not add to theirs
-    for i in range(0, live.size, _BLOCK // _SUB):  # a block's worth of live sub-blocks at a time
-        pos = (live[i:i + _BLOCK // _SUB, None] * _SUB + np.arange(_SUB)).ravel()
+    keep = np.maximum(model_last - start / count, end / count - model_first) + _SLACK > gap
+    live, entered, end = opens[keep], entered[keep], end[keep]
+    del opens, start, first, last, model_last, model_first  # freed so the gather's arrays do not add to theirs
+    step = _BLOCK // _SUB
+    for i in range(0, live.size, step):  # a block's worth of live sub-blocks at a time
+        pos = (live[i:i + step, None] * _SUB + np.arange(_SUB)).ravel()
         pos = pos[pos < count]
-        starts = pos[(pos == 0) | (at(pos) != at(pos - 1))]
-        uniq = at(starts)
-        ends = emp._searchsorted(uniq, "right")
-        model = dist.cdf(uniq)
-        model_left = dist._left_limit(uniq, model)
-        gap = max(gap, np.max(np.abs(model - ends / count)), np.max(np.abs(model_left - starts / count)))
+        vals = at(pos)
+        # a run starts where the value changes, and at a sub-block's first value unless a run enters it; it ends
+        # at the next run start in its sub-block, or, for the sub-block's last run, at the sub-block's end
+        opening = np.empty(pos.size, dtype=bool)
+        opening[1:] = vals[1:] != vals[:-1]
+        opening[::_SUB] = ~entered[i:i + step]
+        pos, vals = pos[opening], vals[opening]  # the run starts and their values
+        ends = np.append(pos[1:], 0)
+        ends[np.add.reduceat(opening, range(0, opening.size, _SUB), dtype=int).cumsum() - 1] = end[i:i + step]
+        model = dist.cdf(vals)
+        model_left = dist._left_limit(vals, model)
+        gap = max(gap, np.max(np.abs(model - ends / count)), np.max(np.abs(model_left - pos / count)))
     return float(gap)
 
 

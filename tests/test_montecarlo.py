@@ -9,6 +9,7 @@ from oracles import (
     exceedance_probability,
     ks_oracle,
     ks_reference,
+    map_tails,
     whole_array_estimates,
     whole_array_ks,
     whole_array_ybar,
@@ -39,6 +40,7 @@ MC_CONFIGS = [  # (n, theta, eta, scad a) of acceptance criterion 02
     (1000, 0.02, 0.0316, 5.0),
 ]
 FIG_CFG = SimConfig(seed=1234, replications=200_000, point=ModelPoint(40, 0.16), tuning=TuningPlan(0.05, 3.7))
+NORMAL = MixtureDistribution(atoms=(), pieces=(GaussPiece(1.0, 0.0, -math.inf, math.inf),))  # N(0, 1)
 
 
 def test_seed_determinism():
@@ -340,6 +342,27 @@ def test_a_draw_at_one_half_is_plus_zero(monkeypatch, kind):
 
 
 @pytest.mark.parametrize("kind", KINDS)
+def test_draws_on_the_certified_ends_are_the_atoms(monkeypatch, kind):
+    # the uniforms lo and hi themselves lie in the range: planted first in the seeded stream at theta = +0.0,
+    # each is counted with the atom, lo (below 1/2) among its -0.0 for soft and scad, as in the reference
+    n, theta, eta, a = EDGE_CONFIGS["theta-0"]
+    cfg = SimConfig(seed=13, replications=BLOCK - 3, point=ModelPoint(n, theta), tuning=TuningPlan(eta, a))
+    lo, hi = montecarlo._atom_uniforms(kind, cfg)[:2]
+    uniform_open = montecarlo._uniform_open
+
+    def planted(gen, size, out=None):
+        u = uniform_open(gen, size, out=out)
+        u[:2] = lo, hi
+        return u
+
+    monkeypatch.setattr(montecarlo, "_uniform_open", planted)
+    assert _uniforms(cfg)[:2].tolist() == [lo, hi]
+    ybar = whole_array_ybar(cfg)
+    ybar[:2] = theta + 1.0 / cfg.point.sqrt_n * ndtri(np.array([lo, hi]))
+    assert simulate_estimates(kind, cfg).values.tobytes() == whole_array_estimates(kind, cfg, ybar).tobytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("reps, seed", [(2, 12), (3, 11)])
 def test_a_lone_atom_draw_last_is_not_mapped(kind, reps, seed):
     # every draw but one lies below the atom range and none above it, so the last value, which ends a short
@@ -466,26 +489,59 @@ LAZY_CASES = [(name, reps) for name in LAZY_CONFIGS for reps in (1, 2, 63, 64, 6
 LAZY_CASES += [(name, BATCH + BLOCK + 3) for name in EDGE_CONFIGS]
 
 
+def _reads_as_its_values(kind, cfg):
+    """The simulated sample maps a draw only where it is read: KS (at the law and at a shifted one) and the
+    atom count, read before and after KS, equal the whole-array KS and the count of equal values of its
+    values bit for bit, and its values, read last, are the values."""
+    n, theta, reps = cfg.point.n, cfg.point.theta, cfg.replications
+    values = simulate_estimates(kind, cfg).values
+    xs = [-cfg.point.sqrt_n * theta, 0.0, -0.0, values[0], values[reps // 2], values[-1],
+          np.nextafter(values[-1], math.inf), math.inf, -math.inf]
+    want = [np.count_nonzero(values == x) / reps for x in xs]
+    lazy = simulate_estimates(kind, cfg)
+    got = [lazy.fraction_at(x) for x in xs]
+    assert got == want and all(type(f) is float for f in got)
+    for shift in (0.0, 0.01):
+        dist = finite_sample_dist(kind, ModelPoint(n, theta + shift), cfg.tuning)
+        assert ks_distance(lazy, dist).hex() == whole_array_ks(values, dist).hex()
+    assert [lazy.fraction_at(x) for x in xs] == want
+    assert lazy.values.tobytes() == values.tobytes()
+
+
 @pytest.mark.parametrize("name, reps", LAZY_CASES)
 def test_simulated_sample_reads_as_the_sample_of_its_values(name, reps):
-    # the simulated sample maps a draw only where it is read: KS (at the law and at a shifted one) and the
-    # atom count, read before and after KS, equal the whole-array KS and the count of equal values of its
-    # values bit for bit, and its values, read last, are the values
     n, theta, eta, a = LAZY_CONFIGS[name]
     cfg = SimConfig(seed=reps, replications=reps, point=ModelPoint(n, theta), tuning=TuningPlan(eta, a))
     for kind in KINDS:
-        values = simulate_estimates(kind, cfg).values
-        xs = [-cfg.point.sqrt_n * theta, 0.0, -0.0, values[0], values[reps // 2], values[-1],
-              np.nextafter(values[-1], math.inf), math.inf, -math.inf]
-        want = [np.count_nonzero(values == x) / reps for x in xs]
-        lazy = simulate_estimates(kind, cfg)
-        got = [lazy.fraction_at(x) for x in xs]
-        assert got == want and all(type(f) is float for f in got)
-        for shift in (0.0, 0.01):
-            dist = finite_sample_dist(kind, ModelPoint(n, theta + shift), cfg.tuning)
-            assert ks_distance(lazy, dist).hex() == whole_array_ks(values, dist).hex()
-        assert [lazy.fraction_at(x) for x in xs] == want
-        assert lazy.values.tobytes() == values.tobytes()
+        _reads_as_its_values(kind, cfg)
+
+
+ONE_REGION_CASES = {  # (n, theta, eta, scad a, reps, seed): the draws below, in and above the atom range
+    # no draw in the range: the upper part moves by 0, two blocks' worth of it
+    "atom-0": ((40, 0.16, 1e-6, 3.7, 2 * BLOCK + 3, 1), (5113, 0, 27658)),
+    # fewer atom draws than a block, and more above: each block's copy overlaps its source
+    "atom-below-a-block": ((40, 0.16, 0.05, 3.7, 2 * BLOCK + 3, 1), (3063, 4887, 24821)),
+    # more atom draws than a block: no copy overlaps its source
+    "atom-above-a-block": ((40, 0.16, 0.05, 3.7, BATCH + BLOCK + 3, 1), (49945, 82020, 408710)),
+    "no-draw-above": ((25, -0.3, 0.08, 2.5, 65, 1), (60, 5, 0)),
+    "theta-0": ((100, 0.0, 0.196, 3.7, 2 * BLOCK + 3, 1), (871, 31130, 770)),  # -0.0, then +0.0 from u = 1/2
+    "theta-minus-0": ((100, -0.0, 0.196, 3.7, 2 * BLOCK + 3, 1), (871, 31130, 770)),  # +0.0 on the whole atom
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("name", ONE_REGION_CASES)
+def test_one_sorted_region_split_at_the_range_reads_as_its_values(kind, name):
+    # the uniforms outside the range are sorted as one region and its upper part moved to the back: the
+    # values are the whole-array reference's bytes, and KS and the atom count read as those of the values
+    (n, theta, eta, a, reps, seed), layout = ONE_REGION_CASES[name]
+    cfg = SimConfig(seed=seed, replications=reps, point=ModelPoint(n, theta), tuning=TuningPlan(eta, a))
+    lo, hi = montecarlo._atom_uniforms(kind, cfg)[:2]
+    u = _uniforms(cfg)
+    assert (np.count_nonzero(u < lo), np.count_nonzero((u >= lo) & (u <= hi)), np.count_nonzero(u > hi)) == layout
+    expected = whole_array_estimates(kind, cfg, whole_array_ybar(cfg))
+    assert simulate_estimates(kind, cfg).values.tobytes() == expected.tobytes()
+    _reads_as_its_values(kind, cfg)
 
 
 def test_ndtri_steps_down_far_less_than_a_close_pair_rules_out():
@@ -528,7 +584,7 @@ def test_ks_runs_on_block_edges_equal_whole_array_reference():
     values[BLOCK:BLOCK + 300] = values[BLOCK]
     values[2 * BLOCK - 5:2 * BLOCK + 5] = values[2 * BLOCK - 5]
     emp = EmpiricalCdf(values)
-    dist = MixtureDistribution(atoms=(), pieces=(GaussPiece(1.0, 0.0, -math.inf, math.inf),))
+    dist = NORMAL
     ks = ks_distance(emp, dist)
     assert ks.hex() == whole_array_ks(values, dist).hex()
     assert ks == pytest.approx(299.5 / count, rel=1e-3)
@@ -613,7 +669,7 @@ def test_all_live_ks_gathers_a_block_at_a_time(monkeypatch):
     count = 1_000_000
     values = ndtri((np.arange(count) + 0.5) / count)
     emp = EmpiricalCdf(values)
-    dist = MixtureDistribution(atoms=(), pieces=(GaussPiece(1.0, 0.0, -math.inf, math.inf),))
+    dist = NORMAL
     tracemalloc.start()
     try:
         ks = ks_distance(emp, dist)
@@ -627,6 +683,54 @@ def test_all_live_ks_gathers_a_block_at_a_time(monkeypatch):
     monkeypatch.setattr(MixtureDistribution, "cdf", lambda self, x: points.append(np.size(x)) or cdf(self, x))
     ks_distance(emp, dist)
     assert sum(points) >= count and max(points) <= max(BLOCK, count // SUB + 1)
+
+
+RUNS_ACROSS_EDGES = {  # [lo, hi) of one run in 5*SUB + 3 normal quantiles
+    "into-a-sub-block-that-does-not-open": (SUB + 6, 3 * SUB + 8),
+    "to-the-end-of-a-sub-block-that-does-not-open": (SUB + 6, 3 * SUB),
+    "from-a-sub-block-start": (SUB, 3 * SUB + 8),
+    "into-the-next-only": (SUB + 6, 2 * SUB + 8),
+    "to-the-last-value": (SUB + 6, 5 * SUB + 3),
+    "from-the-first-value": (0, 2 * SUB + 8),
+}
+
+
+@pytest.mark.parametrize("name", RUNS_ACROSS_EDGES)
+def test_a_run_from_a_live_sub_block_ends_where_its_values_end(name):
+    # the sup sits at the run, (hi - lo - 1/2)/count, so the sub-block of its start is live, and the live pass
+    # must end it at hi: past a sub-block that does not open, on a sub-block edge, or at the count
+    lo, hi = RUNS_ACROSS_EDGES[name]
+    values = _quantiles_with_runs(5 * SUB + 3, (lo, hi))
+    emp = EmpiricalCdf(values)
+    ks = ks_distance(emp, NORMAL)
+    assert ks.hex() == whole_array_ks(values, NORMAL).hex()
+    assert ks == pytest.approx((hi - lo - 0.5) / values.size, rel=1e-9)
+    count = np.count_nonzero(values == values[lo])
+    assert emp.fraction_at(values[lo]) == count / values.size == (hi - lo) / values.size
+
+
+@pytest.mark.parametrize("count", [3 * BLOCK + 7, 3 * BLOCK], ids=["short-last-sub-block", "whole-sub-blocks"])
+def test_ks_searches_only_for_the_runs_across_sub_block_edges(monkeypatch, count):
+    # the first pass searches for the count of each run that crosses a sub-block edge; the live pass ends a
+    # run at the next run start in its sub-block or at the count the first pass found, so no search follows
+    # the first model evaluation.  Runs inside sub-blocks only: no point is searched.  A run across one edge
+    # and one across a whole sub-block: one point for each end across an edge, four
+    inside = _quantiles_with_runs(count, *[(k * SUB + 5, k * SUB + 40) for k in range(0, count // SUB, 7)])
+    across = _quantiles_with_runs(count, (SUB - 3, SUB + 3), (BLOCK - 1, BLOCK + SUB + 6))
+    search, cdf = EmpiricalCdf._searchsorted, MixtureDistribution.cdf
+    for values, searched in ((inside, 0), (across, 4)):
+        events = []
+        monkeypatch.setattr(EmpiricalCdf, "_searchsorted",
+                            lambda self, x, side: events.append(("search", np.size(x))) or search(self, x, side))
+        monkeypatch.setattr(MixtureDistribution, "cdf",
+                            lambda self, x: events.append(("cdf", np.size(x))) or cdf(self, x))
+        ks = ks_distance(EmpiricalCdf(values), NORMAL)
+        monkeypatch.undo()
+        assert ks.hex() == whole_array_ks(values, NORMAL).hex()
+        kinds = [kind for kind, _ in events]
+        assert kinds == ["search"] * kinds.count("search") + ["cdf"] * kinds.count("cdf")
+        assert sum(size for kind, size in events if kind == "search") == searched
+        assert kinds.count("cdf") > 2  # the first pass's cdf and left limit, then the live pass
 
 
 def test_ks_of_two_value_sample_equals_scalar_reference():
@@ -683,7 +787,7 @@ def test_empirical_cdf_evaluation(monkeypatch, name):
         assert [emp._searchsorted(x, side) for x in xs.tolist()] == want.tolist()
     want = [np.count_nonzero(values == x) / count for x in xs.tolist()]
     assert [emp.fraction_at(x) for x in xs.tolist()] == want and emp.fraction_at(xs).tolist() == want
-    dist = MixtureDistribution(atoms=(), pieces=(GaussPiece(1.0, 0.0, -math.inf, math.inf),))
+    dist = NORMAL
     assert ks_distance(emp, dist).hex() == whole_array_ks(values, dist).hex()
     assert emp.values.tobytes() == values.tobytes()
     assert mapped == []
@@ -762,6 +866,23 @@ class TestUniformRate:
         # the grid reports 1.97e-9
         rep = uniform_rate_experiment(EstimatorKind.HARD, PowerTuningPath(1.0, 0.25), 6.0, [100], scaling="sqrt_n")
         assert rep.column("sup_prob")[0] >= 2.27e-3
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP theta-sup engine: under a_n scaling the heuristic grid's sup reads 0 at theta = -10"))
+    def test_a_n_sup_reaches_the_exceedance_where_the_atom_crosses_the_cut(self):
+        # `experiment uniform-rate` at its defaults (hard, a_n scaling, M = 6, eta = n**-0.25): at n = 100 the
+        # cut is M*sqrt(n)/a_n = 18.97, which the atom at -sqrt(n)*theta passes just below theta = -1.897;
+        # there map_tails reads the exceedance as 1.2984e-56, where the grid reports 0 at theta = -10
+        kind, path, M, n = EstimatorKind.HARD, PowerTuningPath(1.0, 0.25), 6.0, 100
+        eta = path.eta(n)
+        cut = M * math.sqrt(n) / min(math.sqrt(n), 1.0 / eta)
+        theta = -cut / math.sqrt(n) - 1e-9
+        upper = map_tails(kind, n, theta, eta, 3.7, cut, "sqrt_n")[1]
+        lower = map_tails(kind, n, theta, eta, 3.7, -cut, "sqrt_n", left=True)[0]
+        want = float(upper + lower)
+        assert want == pytest.approx(1.2984e-56, rel=1e-4)
+        rep = uniform_rate_experiment(kind, path, M, [n])
+        assert rep.column("sup_prob")[0] >= want * (1.0 - 1e-9)
 
     def test_adversarial_grid_contains_required_points(self):
         grid = default_adversarial_grid(100, 0.3, 6.0, 3.0)

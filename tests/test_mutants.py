@@ -51,3 +51,12 @@ def test_killer_reads_the_first_failed_test():
              "ERROR tests/test_c.py::test_d\n"
     assert mutants.killer(output) == "tests/test_a.py::test_b[x-1]"
     assert mutants.killer("12 passed in 1.0s\n") is None
+
+
+def test_an_f_string_holds_no_site():
+    # a + or / in a replacement field, and a nested f-string, is no site; the operators outside it still are
+    source = 'def label(name, a, b):\n    return f"{name} at {a + b:.3f} ({f\'{a / 2.5}\'})" + name * 2\n'
+    sites = [(s.line, s.kind, s.old, s.new) for s in mutants.find_sites(source)]
+    assert sites == [(2, "arith", "+", "-"), (2, "arith", "*", "/")]
+    changed = mutants.apply(source, mutants.find_sites(source)[0])
+    assert changed == source.replace('" + name', '" - name')

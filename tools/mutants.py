@@ -8,7 +8,9 @@ The sites are found with the standard library's `ast` (and `tokenize`, for where
   arith    + and - swap, and * and / swap, in a binary operation or an augmented assignment;
   const    a float constant times (1 + 2**-40), where that changes it.
 `--scope` keeps the sites inside the named top-level functions and classes (a class with its methods).
-Only the operator or the constant is rewritten, so every other line keeps its text and its number.
+Only the operator or the constant is rewritten, so every other line keeps its text and its number.  A node
+inside an f-string is no site: before Python 3.12 `tokenize` gives the f-string as one token, so an operator
+in a replacement field has no token of its own to rewrite.
 
 The checkout (the repository holding the file) is copied once into a temporary directory, and the suite
 first runs there unchanged: it must pass, and its time sets each mutant's timeout.  Then each mutant is
@@ -79,9 +81,12 @@ def find_sites(source: str, scopes=()) -> list:
         token = next(t for t in ops if t.string == text and end(after) <= t.start and t.end <= start(before))
         return Site(token.start[0], token.start[1], token.end[1], kind, text, new)
 
+    in_fstring = {id(n) for f in ast.walk(tree) if isinstance(f, ast.JoinedStr) for n in ast.walk(f)}
     sites = []
     for root in roots:
         for node in ast.walk(root):
+            if id(node) in in_fstring:
+                continue
             if isinstance(node, ast.Compare):
                 for op, left, right in zip(node.ops, [node.left, *node.comparators], node.comparators):
                     if type(op) in FLIPS:
